@@ -2,7 +2,9 @@
 // hdfs package: writes go to a write-ahead log and a sorted in-memory
 // memstore, flushes produce immutable store files persisted in HDFS,
 // background compaction merges store files and drops tombstones, and reads
-// merge memstore and store files newest-first. Unlike HDFS's batch-only
+// merge memstore and store files newest-first. Store files are sorted runs, so
+// compaction and scans are one k-way merge over them (mergeRuns) and point
+// reads are a binary search per file. Unlike HDFS's batch-only
 // access, the store supports efficient random reads and writes — exactly the
 // contrast the paper draws in §II.C.2.
 package hbase
@@ -45,15 +47,68 @@ type Cell struct {
 	Tombstone bool
 }
 
-func cellKey(row, family, qualifier string) string {
-	return row + "\x00" + family + "\x00" + qualifier
+// cellID is a cell's coordinates: the memstore key.
+type cellID struct{ row, family, qualifier string }
+
+func (c *Cell) id() cellID { return cellID{c.Row, c.Family, c.Qualifier} }
+
+// compareKeys orders cells by (row, family, qualifier), field by field.
+func compareKeys(a, b *Cell) int {
+	if c := strings.Compare(a.Row, b.Row); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Family, b.Family); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Qualifier, b.Qualifier)
+}
+
+// compareCells is the order of every sorted run: by key, newest timestamp
+// first within a key.
+func compareCells(a, b *Cell) int {
+	if c := compareKeys(a, b); c != 0 {
+		return c
+	}
+	switch {
+	case a.Timestamp > b.Timestamp:
+		return -1
+	case a.Timestamp < b.Timestamp:
+		return 1
+	}
+	return 0
 }
 
 // storeFile is an immutable sorted run of cells persisted in HDFS.
 type storeFile struct {
 	path  string
-	cells []Cell // sorted by (key, -timestamp)
+	cells []Cell // sorted by compareCells
 	size  int
+}
+
+// mergeRuns walks runs, each sorted by compareCells, in key order and hands
+// emit the newest version of every key, tombstones included; older versions
+// are skipped. It costs one pass over the runs' cells, whatever else the
+// table holds. The runs slice is consumed.
+func mergeRuns(runs [][]Cell, emit func(c *Cell)) {
+	for {
+		var newest *Cell
+		for _, r := range runs {
+			if len(r) > 0 && (newest == nil || compareCells(&r[0], newest) < 0) {
+				newest = &r[0]
+			}
+		}
+		if newest == nil {
+			return
+		}
+		emit(newest)
+		for i, r := range runs {
+			n := 0
+			for n < len(r) && compareKeys(&r[n], newest) == 0 {
+				n++
+			}
+			runs[i] = r[n:]
+		}
+	}
 }
 
 // Config tunes table behavior.
@@ -75,7 +130,7 @@ type Table struct {
 	cfg      Config
 	fs       *hdfs.Cluster
 
-	memstore map[string][]Cell // key → versions, newest first
+	memstore map[cellID][]Cell // key → versions, newest last
 	memCount int
 	wal      []Cell // unflushed cells, in arrival order
 	walSeq   int
@@ -113,7 +168,7 @@ func NewTable(name string, families []string, cfg Config, fs *hdfs.Cluster) (*Ta
 		families: make(map[string]struct{}, len(families)),
 		cfg:      cfg,
 		fs:       fs,
-		memstore: make(map[string][]Cell),
+		memstore: make(map[cellID][]Cell),
 	}
 	for _, f := range families {
 		t.families[f] = struct{}{}
@@ -213,8 +268,8 @@ func (t *Table) applyLocked(c Cell) error {
 	}
 	t.wal = append(t.wal, c)
 	t.walAppends++
-	key := cellKey(c.Row, c.Family, c.Qualifier)
-	t.memstore[key] = append([]Cell{c}, t.memstore[key]...)
+	id := c.id()
+	t.memstore[id] = append(t.memstore[id], c)
 	t.memCount++
 	// Ends before a threshold flush so flush time lands in hbase/flush, not
 	// here.
@@ -257,9 +312,9 @@ func (t *Table) flushLocked() error {
 	}
 	t.files = append([]*storeFile{sf}, t.files...)
 	flushed := t.memCount
-	t.memstore = make(map[string][]Cell)
+	clear(t.memstore)
 	t.memCount = 0
-	t.wal = nil
+	t.wal = t.wal[:0]
 	t.walSeq++
 	t.flushes++
 	t.eventLocked("flush", fmt.Sprintf("memstore flushed %d cells to %s", flushed, sf.path))
@@ -271,13 +326,9 @@ func (t *Table) flushLocked() error {
 	return nil
 }
 
-// cellOrder sorts an index permutation over a cell slice by (row, family,
-// qualifier) ascending with newest timestamp first within a key — the same
-// order cellKey's \x00-separated concatenation yields, but compared field
-// by field with no per-comparison allocation, and swapping ints instead of
-// multi-word Cell structs. Flush runs this on every memstore spill (and
-// re-runs it per retried put while the backing store is partitioned), so
-// the sort is on the ingest hot path.
+// cellOrder sorts an index permutation over a cell slice by compareCells,
+// swapping ints instead of multi-word Cell structs. Flush runs this on every
+// memstore spill, so the sort is on the ingest hot path.
 type cellOrder struct {
 	cells []Cell
 	idx   []int
@@ -286,17 +337,7 @@ type cellOrder struct {
 func (c cellOrder) Len() int      { return len(c.idx) }
 func (c cellOrder) Swap(i, j int) { c.idx[i], c.idx[j] = c.idx[j], c.idx[i] }
 func (c cellOrder) Less(i, j int) bool {
-	a, b := &c.cells[c.idx[i]], &c.cells[c.idx[j]]
-	if a.Row != b.Row {
-		return a.Row < b.Row
-	}
-	if a.Family != b.Family {
-		return a.Family < b.Family
-	}
-	if a.Qualifier != b.Qualifier {
-		return a.Qualifier < b.Qualifier
-	}
-	return a.Timestamp > b.Timestamp
+	return compareCells(&c.cells[c.idx[i]], &c.cells[c.idx[j]]) < 0
 }
 
 func sortCells(cells []Cell) {
@@ -347,23 +388,20 @@ func (t *Table) compactLocked() error {
 	if err := t.faultLocked("flush"); err != nil {
 		return fmt.Errorf("compact %s: %w", t.name, err)
 	}
-	newest := make(map[string]Cell)
-	// files is newest-first; iterate oldest-first so newer versions win.
-	for i := len(t.files) - 1; i >= 0; i-- {
-		for _, c := range t.files[i].cells {
-			key := cellKey(c.Row, c.Family, c.Qualifier)
-			if cur, ok := newest[key]; !ok || c.Timestamp > cur.Timestamp {
-				newest[key] = c
-			}
-		}
+	runs := make([][]Cell, len(t.files))
+	total := 0
+	for i, sf := range t.files {
+		runs[i] = sf.cells
+		total += len(sf.cells)
 	}
-	cells := make([]Cell, 0, len(newest))
-	for _, c := range newest {
+	// total is exact unless a cell was overwritten or deleted since the
+	// files were flushed.
+	cells := make([]Cell, 0, total)
+	mergeRuns(runs, func(c *Cell) {
 		if !c.Tombstone {
-			cells = append(cells, c)
+			cells = append(cells, *c)
 		}
-	}
-	sortCells(cells)
+	})
 	sf, err := t.persistStoreFile(cells)
 	if err != nil {
 		return fmt.Errorf("compact %s: %w", t.name, err)
@@ -389,39 +427,28 @@ func (t *Table) Get(row, family, qualifier string) ([]byte, error) {
 	if _, ok := t.families[family]; !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoFamily, family)
 	}
-	key := cellKey(row, family, qualifier)
-	if versions, ok := t.memstore[key]; ok && len(versions) > 0 {
-		c := versions[0]
-		if c.Tombstone {
-			return nil, fmt.Errorf("%w: %s/%s:%s", ErrNotFound, row, family, qualifier)
-		}
-		return append([]byte(nil), c.Value...), nil
+	key := Cell{Row: row, Family: family, Qualifier: qualifier}
+	c := t.newestLocked(&key)
+	if c == nil || c.Tombstone {
+		return nil, fmt.Errorf("%w: %s/%s:%s", ErrNotFound, row, family, qualifier)
 	}
-	for _, sf := range t.files {
-		if c, ok := findInStoreFile(sf, key); ok {
-			if c.Tombstone {
-				return nil, fmt.Errorf("%w: %s/%s:%s", ErrNotFound, row, family, qualifier)
-			}
-			return append([]byte(nil), c.Value...), nil
-		}
-	}
-	return nil, fmt.Errorf("%w: %s/%s:%s", ErrNotFound, row, family, qualifier)
+	return append([]byte(nil), c.Value...), nil
 }
 
-func findInStoreFile(sf *storeFile, key string) (Cell, bool) {
-	// Binary search for the first cell with this key (cells sorted by key,
-	// then newest-first).
-	i := sort.Search(len(sf.cells), func(i int) bool {
-		c := sf.cells[i]
-		return cellKey(c.Row, c.Family, c.Qualifier) >= key
-	})
-	if i < len(sf.cells) {
-		c := sf.cells[i]
-		if cellKey(c.Row, c.Family, c.Qualifier) == key {
-			return c, true
+// newestLocked returns the newest version of key's cell, tombstone or not,
+// or nil: the memstore's if it has one, else the newest store file's.
+func (t *Table) newestLocked(key *Cell) *Cell {
+	if versions := t.memstore[key.id()]; len(versions) > 0 {
+		return &versions[len(versions)-1]
+	}
+	for _, sf := range t.files {
+		// The first cell at or after key is its newest version in this run.
+		i := sort.Search(len(sf.cells), func(i int) bool { return compareKeys(&sf.cells[i], key) >= 0 })
+		if i < len(sf.cells) && compareKeys(&sf.cells[i], key) == 0 {
+			return &sf.cells[i]
 		}
 	}
-	return Cell{}, false
+	return nil
 }
 
 // RowResult groups the live cells of one row.
@@ -438,47 +465,36 @@ func (t *Table) Scan(startRow, endRow string) ([]RowResult, error) {
 	if t.closed {
 		return nil, ErrClosed
 	}
-	newest := make(map[string]Cell)
-	consider := func(c Cell) {
-		if c.Row < startRow {
-			return
-		}
-		if endRow != "" && c.Row >= endRow {
-			return
-		}
-		key := cellKey(c.Row, c.Family, c.Qualifier)
-		if cur, ok := newest[key]; !ok || c.Timestamp > cur.Timestamp {
-			newest[key] = c
-		}
-	}
-	for _, sf := range t.files {
-		for _, c := range sf.cells {
-			consider(c)
-		}
-	}
+	// One run for the memstore's newest versions, one per store file cut
+	// down to the row range; the merge emits cells in row, family, qualifier
+	// order, so rows come out assembled and sorted.
+	runs := make([][]Cell, 1, 1+len(t.files))
 	for _, versions := range t.memstore {
-		for _, c := range versions {
-			consider(c)
+		c := &versions[len(versions)-1]
+		if c.Row >= startRow && (endRow == "" || c.Row < endRow) {
+			runs[0] = append(runs[0], *c)
 		}
 	}
-	rows := make(map[string][]Cell)
-	for _, c := range newest {
+	sortCells(runs[0])
+	for _, sf := range t.files {
+		cells := sf.cells
+		cells = cells[sort.Search(len(cells), func(i int) bool { return cells[i].Row >= startRow }):]
+		if endRow != "" {
+			cells = cells[:sort.Search(len(cells), func(i int) bool { return cells[i].Row >= endRow })]
+		}
+		runs = append(runs, cells)
+	}
+	out := make([]RowResult, 0)
+	mergeRuns(runs, func(c *Cell) {
 		if c.Tombstone {
-			continue
+			return
 		}
-		rows[c.Row] = append(rows[c.Row], c)
-	}
-	out := make([]RowResult, 0, len(rows))
-	for row, cells := range rows {
-		sort.Slice(cells, func(i, j int) bool {
-			if cells[i].Family != cells[j].Family {
-				return cells[i].Family < cells[j].Family
-			}
-			return cells[i].Qualifier < cells[j].Qualifier
-		})
-		out = append(out, RowResult{Row: row, Cells: cells})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Row < out[j].Row })
+		if n := len(out); n > 0 && out[n-1].Row == c.Row {
+			out[n-1].Cells = append(out[n-1].Cells, *c)
+			return
+		}
+		out = append(out, RowResult{Row: c.Row, Cells: []Cell{*c}})
+	})
 	return out, nil
 }
 
@@ -542,18 +558,15 @@ func (t *Table) CrashAndRecover() (int, error) {
 	if t.closed {
 		return 0, ErrClosed
 	}
-	wal := t.wal
-	t.memstore = make(map[string][]Cell)
-	t.memCount = 0
-	t.wal = nil
-	replayed := 0
-	for _, c := range wal {
-		t.wal = append(t.wal, c)
-		key := cellKey(c.Row, c.Family, c.Qualifier)
-		t.memstore[key] = append([]Cell{c}, t.memstore[key]...)
-		t.memCount++
-		replayed++
+	// The WAL survives the crash as it is; replaying it in arrival order
+	// rebuilds each key's versions newest-last.
+	clear(t.memstore)
+	for _, c := range t.wal {
+		id := c.id()
+		t.memstore[id] = append(t.memstore[id], c)
 	}
+	replayed := len(t.wal)
+	t.memCount = replayed
 	t.eventLocked("recover", fmt.Sprintf("WAL replay restored %d cells after crash", replayed))
 	return replayed, nil
 }

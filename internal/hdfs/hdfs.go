@@ -43,6 +43,17 @@ type dataNode struct {
 	id     string
 	alive  bool
 	blocks map[BlockID][]byte
+	bytes  int // Σ len over blocks, kept by put and drop
+}
+
+func (n *dataNode) put(bid BlockID, data []byte) {
+	n.blocks[bid] = data
+	n.bytes += len(data)
+}
+
+func (n *dataNode) drop(bid BlockID) {
+	n.bytes -= len(n.blocks[bid])
+	delete(n.blocks, bid)
 }
 
 type blockMeta struct {
@@ -74,6 +85,12 @@ type Cluster struct {
 	blocks    map[BlockID]*blockMeta
 	hook      FaultHook
 	counters  Counters
+
+	// Blocks in c.blocks with fewer than cfg.Replication replicas, and with
+	// none. register, deregister and dropBlock are the only places a
+	// registered block's replica set changes, and they keep both counts, so
+	// Status and UnderReplicated never walk the block map.
+	under, lost int
 
 	// Continuous-profiling regions, resolved once by SetProfiler.
 	profWrite *profile.Region
@@ -135,6 +152,32 @@ func (c *Cluster) faultLocked(op, node string) error {
 		return nil
 	}
 	return c.hook(op, node)
+}
+
+// register records node id as a holder of a block in c.blocks.
+func (c *Cluster) register(meta *blockMeta, id string) {
+	if len(meta.replicas) == 0 {
+		c.lost--
+	}
+	meta.replicas[id] = struct{}{}
+	if len(meta.replicas) == c.cfg.Replication {
+		c.under--
+	}
+}
+
+// deregister removes node id, if it is one, from the holders of a block in
+// c.blocks.
+func (c *Cluster) deregister(meta *blockMeta, id string) {
+	if _, has := meta.replicas[id]; !has {
+		return
+	}
+	if len(meta.replicas) == c.cfg.Replication {
+		c.under++
+	}
+	delete(meta.replicas, id)
+	if len(meta.replicas) == 0 {
+		c.lost++
+	}
 }
 
 // AddDataNode registers a datanode.
@@ -227,19 +270,20 @@ func (c *Cluster) placeBlock(chunk []byte) (BlockID, error) {
 		}
 		buf := make([]byte, len(chunk))
 		copy(buf, chunk)
-		n.blocks[bid] = buf
+		n.put(bid, buf)
 		meta.replicas[n.id] = struct{}{}
 	}
 	if len(meta.replicas) < c.cfg.Replication {
 		// Undo partial placements; the caller retries the whole block.
 		for nid := range meta.replicas {
-			delete(c.nodes[nid].blocks, bid)
+			c.nodes[nid].drop(bid)
 		}
 		if lastFault != nil {
 			return 0, fmt.Errorf("%w: %d/%d replicas placed (%v)", ErrNotEnoughNodes, len(meta.replicas), c.cfg.Replication, lastFault)
 		}
 		return 0, fmt.Errorf("%w: %d/%d replicas placed", ErrNotEnoughNodes, len(meta.replicas), c.cfg.Replication)
 	}
+	// A block enters the map at full replication: neither tally moves.
 	c.blocks[bid] = meta
 	c.counters.BlockWrites++
 	return bid, nil
@@ -252,8 +296,14 @@ func (c *Cluster) dropBlock(bid BlockID) {
 	}
 	for nid := range meta.replicas {
 		if n, ok := c.nodes[nid]; ok {
-			delete(n.blocks, bid)
+			n.drop(bid)
 		}
+	}
+	if len(meta.replicas) < c.cfg.Replication {
+		c.under--
+	}
+	if len(meta.replicas) == 0 {
+		c.lost--
 	}
 	delete(c.blocks, bid)
 }
@@ -367,7 +417,11 @@ func (c *Cluster) FailDataNode(id string) error {
 	}
 	n.alive = false
 	for bid := range n.blocks {
-		delete(c.blocks[bid].replicas, id)
+		// A copy of a block whose file was deleted while the node was down
+		// (the node failing twice with no revive between) has no entry.
+		if meta, ok := c.blocks[bid]; ok {
+			c.deregister(meta, id)
+		}
 	}
 	// The node keeps its block data: a failed machine is unreachable, not
 	// wiped. ReviveDataNode reconciles the surviving copies via a block
@@ -393,7 +447,7 @@ func (c *Cluster) ReviveDataNode(id string) (restored int, err error) {
 		meta, live := c.blocks[bid]
 		if !live {
 			// The file was deleted while the node was down.
-			delete(n.blocks, bid)
+			n.drop(bid)
 			continue
 		}
 		if _, has := meta.replicas[id]; has {
@@ -402,10 +456,10 @@ func (c *Cluster) ReviveDataNode(id string) (restored int, err error) {
 		if len(meta.replicas) >= c.cfg.Replication {
 			// ReplicateMissing already healed this block elsewhere; the
 			// revived copy is redundant and dropped.
-			delete(n.blocks, bid)
+			n.drop(bid)
 			continue
 		}
-		meta.replicas[id] = struct{}{}
+		c.register(meta, id)
 		restored++
 	}
 	return restored, nil
@@ -416,16 +470,7 @@ func (c *Cluster) ReviveDataNode(id string) (restored int, err error) {
 func (c *Cluster) UnderReplicated() (under, lost int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, meta := range c.blocks {
-		live := len(meta.replicas)
-		if live == 0 {
-			lost++
-		}
-		if live < c.cfg.Replication {
-			under++
-		}
-	}
-	return under, lost
+	return c.under, c.lost
 }
 
 // ReplicateMissing copies under-replicated blocks to additional live
@@ -477,8 +522,8 @@ func (c *Cluster) ReplicateMissing() (created int, err error) {
 			}
 			buf := make([]byte, len(src.blocks[bid]))
 			copy(buf, src.blocks[bid])
-			target.blocks[bid] = buf
-			meta.replicas[target.id] = struct{}{}
+			target.put(bid, buf)
+			c.register(meta, target.id)
 			created++
 			c.counters.ReplicasCreated++
 		}
@@ -504,29 +549,19 @@ type Report struct {
 	StoredBytes     int
 }
 
-// Status returns a consistent snapshot of cluster health.
+// Status returns a consistent snapshot of cluster health. It costs one step
+// per datanode, whatever the cluster stores.
 func (c *Cluster) Status() Report {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r := Report{Files: len(c.files), Blocks: len(c.blocks)}
+	r := Report{Files: len(c.files), Blocks: len(c.blocks), UnderReplicated: c.under, LostBlocks: c.lost}
 	for _, n := range c.nodes {
 		if n.alive {
 			r.LiveNodes++
+			r.StoredBytes += n.bytes
 		} else {
-			r.DeadNodes++
 			// Unreachable bytes on dead nodes don't count as stored.
-			continue
-		}
-		for _, b := range n.blocks {
-			r.StoredBytes += len(b)
-		}
-	}
-	for _, meta := range c.blocks {
-		if len(meta.replicas) == 0 {
-			r.LostBlocks++
-		}
-		if len(meta.replicas) < c.cfg.Replication {
-			r.UnderReplicated++
+			r.DeadNodes++
 		}
 	}
 	return r

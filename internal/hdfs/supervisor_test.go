@@ -145,6 +145,32 @@ func TestReviveDiscardsDeletedBlocks(t *testing.T) {
 	}
 }
 
+// TestFailTwiceAcrossDelete: a node that is down when a file is deleted
+// keeps stale copies of its blocks; failing it again (a flap with no revive
+// between) must skip them, not dereference their missing block entries.
+func TestFailTwiceAcrossDelete(t *testing.T) {
+	c := newTestCluster(t, 3, Config{BlockSize: 64, Replication: 3})
+	if err := c.Write("/doomed", payload(100)); err != nil {
+		t.Fatal(err)
+	}
+	// Replication 3 on three nodes: dn-0 holds a copy of every block.
+	if err := c.FailDataNode("dn-0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Delete("/doomed"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.FailDataNode("dn-0"); err != nil {
+		t.Fatal(err)
+	}
+	if restored, err := c.ReviveDataNode("dn-0"); err != nil || restored != 0 {
+		t.Fatalf("revive = %d, %v", restored, err)
+	}
+	if st := c.Status(); st.Blocks != 0 || st.StoredBytes != 0 || st.UnderReplicated != 0 || st.LiveNodes != 3 {
+		t.Fatalf("status = %+v", st)
+	}
+}
+
 // TestSupervisorHealsAfterFailure drives the supervisor synchronously.
 func TestSupervisorHealsAfterFailure(t *testing.T) {
 	c := newTestCluster(t, 5, Config{BlockSize: 64, Replication: 3})
