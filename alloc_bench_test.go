@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/citydata"
 	"repro/internal/core"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
@@ -20,7 +21,8 @@ import (
 const (
 	produceAllocBudget       = 8  // measured 4 allocs/op at RF 3 (2 at RF 1)
 	pollCommitAllocBudget    = 4  // measured 1 alloc/op for poll(1)+commit
-	frameIngestAllocBudget   = 96 // measured 47 allocs/frame through all 4 tiers
+	frameIngestAllocBudget   = 40 // measured 38 allocs/frame through all 4 tiers
+	wazeRecordAllocBudget    = 29 // measured 27.1 allocs/record, 256 reports per IngestWaze call
 	incidentTickAllocBudget  = 0  // quiescent correlation cycle must not allocate
 	labeledHandleAllocBudget = 0  // cached vec handle records must not allocate
 )
@@ -124,6 +126,40 @@ func TestFrameIngestAllocBudget(t *testing.T) {
 	t.Logf("frame ingest: %.1f allocs/frame", allocs)
 	if allocs > frameIngestAllocBudget {
 		t.Errorf("frame ingest allocates %.1f/frame, budget %d", allocs, frameIngestAllocBudget)
+	}
+}
+
+// TestWazeIngestAllocBudget is the per-record twin of the frame gate for the
+// Fig. 4 docstore feeds: 256 reports per call (one full storage-tier poll)
+// through produce → poll → decode → insert. The feeds share one generic
+// drain, so a record boxed into an interface or a closure allocated per
+// record would show here before it shows on the benchmark's feeds-batch
+// workload.
+func TestWazeIngestAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocs/op")
+	}
+	inf, err := core.New(core.DefaultConfig(), rand.New(rand.NewSource(42)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batch = 256
+	reports, err := citydata.GenerateWaze(batch, inf.Cameras, inf.Config().Epoch, rand.New(rand.NewSource(42)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		st, err := inf.IngestWaze(reports)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Stored != batch {
+			t.Fatalf("stored %d of %d: %+v", st.Stored, batch, st)
+		}
+	}) / batch
+	t.Logf("waze ingest: %.2f allocs/record", allocs)
+	if allocs > wazeRecordAllocBudget {
+		t.Errorf("waze ingest allocates %.2f/record, budget %d", allocs, wazeRecordAllocBudget)
 	}
 }
 

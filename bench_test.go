@@ -139,10 +139,7 @@ func BenchmarkHBaseRandomReads(b *testing.B) {
 }
 
 func BenchmarkStreamProduceConsume(b *testing.B) {
-	broker := stream.NewBroker()
-	if err := broker.CreateTopic("bench", 4); err != nil {
-		b.Fatal(err)
-	}
+	broker := allocCluster(b, 1)
 	payload := []byte("camera frame annotation record")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -151,6 +148,9 @@ func BenchmarkStreamProduceConsume(b *testing.B) {
 		}
 		if i%100 == 99 {
 			if _, err := broker.Poll("g", "bench", 100); err != nil {
+				b.Fatal(err)
+			}
+			if err := broker.CommitPolled("g", "bench"); err != nil {
 				b.Fatal(err)
 			}
 		}

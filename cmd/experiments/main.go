@@ -5,25 +5,17 @@
 //	go run ./cmd/experiments                         # all experiments
 //	go run ./cmd/experiments E3 E5                   # just the fog sweep and detector
 //	go run ./cmd/experiments -seed 7 E9
-//	go run ./cmd/experiments -bench-json BENCH_PR6.json
+//
+// Performance is measured by go run ./benchmark (see benchmark/README.md),
+// not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
-	"os/exec"
-	"strings"
-	"time"
 
-	"repro/internal/control"
-	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/stream"
-	"repro/internal/telemetry"
-	"repro/internal/tsdb"
 )
 
 func main() {
@@ -37,13 +29,8 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	seed := fs.Int64("seed", 42, "random seed shared by all experiments")
 	list := fs.Bool("list", false, "list experiment ids and exit")
-	benchJSON := fs.String("bench-json", "", "benchmark the E18..E22 and E24..E26 hot paths plus the monitoring, control, incident, fleet, and broker micro paths and write ops/sec + p99 JSON to this file")
-	benchLabel := fs.String("bench-label", "", "free-form label (e.g. PR7) embedded in the -bench-json output so benchdiff can name what it compares")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *benchJSON != "" {
-		return writeBenchJSON(*benchJSON, *seed, *benchLabel)
 	}
 	if *list {
 		titles := experiments.Titles()
@@ -63,277 +50,5 @@ func run(args []string) error {
 		}
 		fmt.Println(res.String())
 	}
-	return nil
-}
-
-// benchResult is one hot path's throughput/latency summary.
-type benchResult struct {
-	Experiment string  `json:"experiment"`
-	Iterations int     `json:"iterations"`
-	OpsPerSec  float64 `json:"opsPerSec"`
-	MeanMs     float64 `json:"meanMs"`
-	P99Ms      float64 `json:"p99Ms"`
-}
-
-// benchLoop times fn over iters iterations. Durations feed a telemetry
-// histogram so the p99 here is computed by the same estimator the /metrics
-// endpoint exports.
-func benchLoop(name string, iters int, fn func(i int) error) (benchResult, error) {
-	h := telemetry.NewHistogram(telemetry.ExpBuckets(1e-7, 2, 34))
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		t0 := time.Now()
-		if err := fn(i); err != nil {
-			return benchResult{}, fmt.Errorf("bench %s: %w", name, err)
-		}
-		h.Observe(time.Since(t0).Seconds())
-	}
-	elapsed := time.Since(start).Seconds()
-	return benchResult{
-		Experiment: name,
-		Iterations: iters,
-		OpsPerSec:  float64(iters) / elapsed,
-		MeanMs:     h.Mean() * 1e3,
-		P99Ms:      h.Quantile(0.99) * 1e3,
-	}, nil
-}
-
-// benchMonitorFixture builds the standalone registry + store the monitoring
-// micro benchmarks run against: a representative instrument mix on a
-// manual clock, matching what one core scrape tick sees.
-func benchMonitorFixture(seed int64) (*telemetry.Registry, *tsdb.Store, func()) {
-	rng := rand.New(rand.NewSource(seed))
-	reg := telemetry.NewRegistry()
-	for i := 0; i < 24; i++ {
-		reg.Counter(fmt.Sprintf("bench_counter_%d_total", i), "c").Add(rng.Intn(1000))
-		reg.Gauge(fmt.Sprintf("bench_gauge_%d", i), "g").Set(rng.Float64())
-	}
-	for i := 0; i < 8; i++ {
-		h := reg.Histogram(fmt.Sprintf("bench_latency_%d_seconds", i), "h", nil)
-		for j := 0; j < 200; j++ {
-			h.ObserveExemplar(rng.Float64()*0.2, fmt.Sprintf("trace-%d", j))
-		}
-	}
-	clock := time.Unix(1_000_000, 0)
-	store := tsdb.NewStore(reg, tsdb.Config{Capacity: 512, Now: func() time.Time { return clock }})
-	advance := func() { clock = clock.Add(5 * time.Second) }
-	return reg, store, advance
-}
-
-// benchClusterFixture builds a standalone broker cluster for the replication
-// micro benchmarks: 3 nodes at the given replication factor, one 4-partition
-// topic, so RF 1 vs RF 3 isolates the cost of ack-after-ISR replication.
-func benchClusterFixture(rf int) (*stream.Cluster, error) {
-	c, err := stream.NewCluster(stream.ClusterConfig{Nodes: 3, Replication: rf})
-	if err != nil {
-		return nil, err
-	}
-	if err := c.CreateTopic("bench", 4); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// writeBenchJSON times the heaviest pipeline experiments — E18 (chaos sweep
-// through the hardened ingestion path), E19 (fog latency attribution), E20
-// (traced chaos sweep across the offload boundary), E21 (metrics monitor
-// loop), E22 (replicated-broker failover), E24 (closed-loop adaptive
-// control), E25 (incident correlation), and E26 (fleet-scale per-camera
-// observability) — plus the monitoring, control, incident, fleet, and
-// broker micro paths a deployment pays on every scrape tick and produce,
-// and records throughput plus tail latency.
-// gitCommit returns the short hash of HEAD, or "" when git (or the repo)
-// is unavailable — bench JSON stays writable from an exported tarball.
-func gitCommit() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return ""
-	}
-	return strings.TrimSpace(string(out))
-}
-
-func writeBenchJSON(path string, seed int64, label string) error {
-	// E24 replays a 100-tick two-arm chaos schedule per run and E25 runs
-	// four chaos scenarios plus a replay check, so they get smaller
-	// iteration counts than the sub-second experiments.
-	experimentIters := []struct {
-		id    string
-		iters int
-	}{
-		{"E18", 20}, {"E19", 20}, {"E20", 20}, {"E21", 20}, {"E22", 20}, {"E24", 3}, {"E25", 10}, {"E26", 5},
-	}
-	var results []benchResult
-	for _, e := range experimentIters {
-		id := e.id
-		r, err := benchLoop(id, e.iters, func(i int) error {
-			res, err := experiments.Run(id, seed+int64(i))
-			if err == nil && len(res.Tables) == 0 {
-				return fmt.Errorf("no tables")
-			}
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		results = append(results, r)
-	}
-
-	const microIters = 2000
-	reg, store, advance := benchMonitorFixture(seed)
-	snap, err := benchLoop("Registry.Snapshot", microIters, func(int) error {
-		if pts := reg.Snapshot(); len(pts) == 0 {
-			return fmt.Errorf("empty snapshot")
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	scrape, err := benchLoop("TSDB.Scrape", microIters, func(int) error {
-		advance()
-		if n := store.Scrape(); n == 0 {
-			return fmt.Errorf("scrape updated no series")
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	exprs := []string{
-		"rate(bench_counter_3_total[1m])",
-		"avg_over_time(bench_gauge_3[5m])",
-		"quantile_over_time(0.9, bench_latency_1_seconds_p99[10m])",
-	}
-	eval, err := benchLoop("Query.Eval", microIters, func(i int) error {
-		_, err := store.Eval(exprs[i%len(exprs)], store.Now())
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	results = append(results, snap, scrape, eval)
-
-	// Control micro path: one closed-loop cycle with signals alternating
-	// degraded/healthy, the per-monitor-tick cost the adaptive controller
-	// adds on top of scrape and alert evaluation.
-	knobs := control.NewKnobs(0.5)
-	degraded := false
-	ctl := control.NewController(knobs, func() control.Config {
-		cfg := control.DefaultConfig()
-		cfg.WatchRules = []string{"breaker-open"}
-		return cfg
-	}(), control.Signals{
-		Firing:      func() []string { return nil },
-		BurnRate:    func() float64 { return 0 },
-		BreakerOpen: func() bool { return degraded },
-		HotRegion:   func() (string, float64) { return "ingest/store", 0.4 },
-		Eval: func(string) (float64, bool) {
-			if degraded {
-				return 2, true
-			}
-			return 0, true
-		},
-	}, nil)
-	ctlTick, err := benchLoop("Controller.Tick", microIters, func(i int) error {
-		degraded = i%8 < 4
-		ctl.Tick()
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	results = append(results, ctlTick)
-
-	// Incident micro path: the correlation engine's quiescent per-monitor-
-	// tick cost against the fully wired stack. Boot traffic is drained by
-	// two monitor ticks first, so the loop measures the steady state the
-	// 0-alloc gate (TestIncidentTickAllocBudget) pins.
-	inf, err := core.New(core.DefaultConfig(), rand.New(rand.NewSource(seed)))
-	if err != nil {
-		return err
-	}
-	inf.MonitorTick()
-	inf.MonitorTick()
-	incTick, err := benchLoop("Incident.Tick", microIters, func(int) error {
-		inf.Incidents.Tick()
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	results = append(results, incTick)
-
-	// Fleet micro path: one per-camera accounting window close over a fleet
-	// warmed with a frame per camera — the cost MonitorTick pays for the
-	// dimensional layer on every scrape.
-	var warm []core.FrameEvent
-	for i, cam := range inf.Cameras {
-		warm = append(warm, core.FrameEvent{
-			CameraID: cam.ID, Seq: i, Class: "vehicle", Confidence: 0.9,
-			RawBytes: 1 << 10, FeatureBytes: 256, Priority: 1,
-		})
-	}
-	if _, err := inf.IngestFrames(warm, ""); err != nil {
-		return err
-	}
-	fleetTick, err := benchLoop("Fleet.Tick", microIters, func(int) error {
-		inf.Fleet.Tick()
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	results = append(results, fleetTick)
-
-	// Broker micro paths: produce at RF 1 (leader-only ack) vs RF 3 (ack
-	// after full-ISR replication), and the poll-then-commit consumer hop.
-	for _, rf := range []int{1, 3} {
-		c, err := benchClusterFixture(rf)
-		if err != nil {
-			return err
-		}
-		prod, err := benchLoop(fmt.Sprintf("Cluster.ProduceRF%d", rf), microIters, func(i int) error {
-			_, _, err := c.Produce("bench", fmt.Sprintf("k%d", i), []byte("payload"))
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		poll, err := benchLoop(fmt.Sprintf("Cluster.PollRF%d", rf), microIters, func(i int) error {
-			recs, err := c.Poll("bench-consumer", "bench", 1)
-			if err != nil {
-				return err
-			}
-			if len(recs) != 1 {
-				return fmt.Errorf("poll %d returned %d records", i, len(recs))
-			}
-			return c.CommitPolled("bench-consumer", "bench")
-		})
-		if err != nil {
-			return err
-		}
-		results = append(results, prod, poll)
-	}
-
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(map[string]any{
-		"seed":       seed,
-		"commit":     gitCommit(),
-		"label":      label,
-		"benchmarks": results,
-	}); err != nil {
-		return err
-	}
-	for _, r := range results {
-		fmt.Printf("%s: %.1f ops/sec, mean %.1f ms, p99 %.1f ms (%d iterations)\n",
-			r.Experiment, r.OpsPerSec, r.MeanMs, r.P99Ms, r.Iterations)
-	}
-	fmt.Println("wrote", path)
 	return nil
 }

@@ -91,7 +91,7 @@ func (inf *Infrastructure) wireControl() {
 	for _, kind := range control.ActionKinds() {
 		kind := kind
 		r.CounterFunc(
-			telemetry.WithLabel("cityinfra_control_actions_total", "kind", string(kind)),
+			telemetry.FormatName("cityinfra_control_actions_total", telemetry.LabelSet{{Key: "kind", Value: string(kind)}}),
 			"controller actions taken, by kind",
 			func() float64 { return float64(inf.Control.ActionCount(kind)) })
 	}

@@ -284,7 +284,7 @@ func New(cfg Config, rng *rand.Rand) (*Infrastructure, error) {
 	inf.SLOs = telemetry.NewSLOMonitor(nil)
 	inf.wireTelemetry()
 	inf.wireFleet()
-	inf.Bus = stream.NewMeteredBus(inf.Broker, inf.busMetrics, nil)
+	inf.Bus = stream.NewMeteredBus(inf.Broker, inf.busMetrics)
 	if err := inf.wireMonitor(); err != nil {
 		return nil, fmt.Errorf("boot monitor: %w", err)
 	}

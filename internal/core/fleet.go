@@ -172,11 +172,15 @@ func (fl *Fleet) camera(id string) *camHandles {
 	return h
 }
 
-// fleetCam is the frame path's accessor: nil when the dimensional layer is
-// disabled, so call sites stay a nil check away from free.
+// noCam is the bundle the frame path gets when the dimensional layer is
+// disabled: every handle nil, and a nil vec handle records nothing, so the
+// call sites carry no guards.
+var noCam camHandles
+
+// fleetCam is the frame path's accessor.
 func (inf *Infrastructure) fleetCam(id string) *camHandles {
 	if inf.Fleet == nil {
-		return nil
+		return &noCam
 	}
 	return inf.Fleet.camera(id)
 }

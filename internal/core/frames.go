@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/control"
+	"repro/internal/stream"
 	"repro/internal/telemetry"
 )
 
@@ -61,9 +62,7 @@ func (inf *Infrastructure) IngestFrames(frames []FrameEvent, archiveDir string) 
 		if shedFloor := inf.Knobs.ShedLevel(); shedFloor > 0 && f.Priority < shedFloor {
 			out.Shed++
 			inf.framesShed.Add(1)
-			if cam := inf.fleetCam(f.CameraID); cam != nil {
-				cam.shed.Inc()
-			}
+			inf.fleetCam(f.CameraID).shed.Inc()
 			continue
 		}
 		ps, traceID, offloaded, err := inf.ingestFrame(f, archiveDir)
@@ -91,31 +90,19 @@ func (inf *Infrastructure) ingestFrame(f FrameEvent, archiveDir string) (stats P
 	threshold := inf.Knobs.OffloadThreshold()
 	tier := inf.Knobs.InferenceTier()
 	stats = PipelineStats{Collected: 1}
-	start := time.Now()
-	root := inf.traceIngest("ingest-frame")
-	rootCtx := root.Context()
-	traceID = rootCtx.TraceID
+	run := inf.beginIngest("ingest-frame")
+	traceID = run.ctx.TraceID
 	cam := inf.fleetCam(f.CameraID)
-	if cam != nil {
-		cam.ingested.Inc()
-	}
-	pi := inf.profIngest.Start()
+	cam.ingested.Inc()
 	defer func() {
-		pi.End()
-		root.End()
-		inf.recordPipeline(&stats, start, rootCtx.TraceID)
-		if cam != nil {
-			cam.e2e.Observe(time.Since(start).Seconds())
-		}
+		run.end(&stats)
+		cam.e2e.Observe(time.Since(run.start).Seconds())
 	}()
 
 	// Edge tier: frame capture plus the tiny exit-1 model.
-	spCapture := root.Child("capture")
-	spCapture.SetTier("edge")
-	pc := inf.profCollect.Start()
+	capture := openStage(run.root, "capture", "edge", inf.profCollect)
 	body, merr := json.Marshal(f)
-	pc.End()
-	spCapture.End()
+	capture.End()
 	if merr != nil {
 		return stats, traceID, false, fmt.Errorf("marshal frame: %w", merr)
 	}
@@ -123,20 +110,17 @@ func (inf *Infrastructure) ingestFrame(f FrameEvent, archiveDir string) (stats P
 	// Fog tier: the early-exit gate decides whether the frame's feature map
 	// must continue upstream, and stamps the decision — and the root trace
 	// context — onto the record headers that will cross the broker.
-	spGate := root.Child("early-exit-gate")
-	spGate.SetTier("fog")
-	pg := inf.profGate.Start()
+	gate := openStage(run.root, "early-exit-gate", "fog", inf.profGate)
 	offload = f.Confidence < threshold
-	if cam != nil && offload {
+	if offload {
 		cam.offloaded.Inc()
 	}
-	headers := rootCtx.Inject(map[string]string{
+	headers := run.ctx.Inject(map[string]string{
 		"camera":  f.CameraID,
 		"seq":     strconv.Itoa(f.Seq),
 		"offload": strconv.FormatBool(offload),
 	})
-	pg.End()
-	spGate.End()
+	gate.End()
 
 	// Fog-local inference: when the controller has migrated inference off
 	// the analysis tier (broker uplink stressed, servers hot), the fog node
@@ -144,28 +128,17 @@ func (inf *Infrastructure) ingestFrame(f FrameEvent, archiveDir string) (stats P
 	// through — no broker hop, no feature-map archive, the same trade
 	// EdgeLens makes when relocating the detection service down-tier.
 	if tier == control.TierFog {
-		spFog := root.Child("fog-inference")
-		spFog.SetTier("fog")
-		pinf := inf.profInference.Start()
-		inf.archiveFrame(spFog, f, body, false, "", rootCtx.TraceID, &stats)
-		pinf.End()
-		spFog.End()
+		fog := openStage(run.root, "fog-inference", "fog", inf.profInference)
+		inf.archiveFrame(fog.span, f, body, false, "", traceID, &stats)
+		fog.End()
 		return stats, traceID, offload, nil
 	}
 
-	spProduce := root.Child("offload-produce")
-	spProduce.SetTier("fog")
-	pst := inf.profStream.Start()
-	cs, perr := inf.produceWithRetry("frames", f.CameraID, body, headers)
-	stats.Retries += cs.Retries
-	if perr != nil {
-		inf.deadLetter(&stats, "frames", "produce", f.CameraID, body, perr, rootCtx.TraceID)
-		if cam != nil {
-			cam.undelivered.Inc()
-		}
+	produce := openStage(run.root, "offload-produce", "fog", inf.profStream)
+	if perr := inf.produceWithRetry(&stats, "frames", f.CameraID, body, headers); perr != nil {
+		inf.frameLost(cam, &stats, "produce", f.CameraID, body, perr, traceID)
 	}
-	pst.End()
-	spProduce.End()
+	produce.End()
 
 	// Server tier: drain the inference topic. Each record carries its own
 	// propagated context, so records from this frame, stragglers from earlier
@@ -175,19 +148,18 @@ func (inf *Infrastructure) ingestFrame(f FrameEvent, archiveDir string) (stats P
 	pinf := inf.profInference.Start()
 	defer pinf.End()
 	for {
-		recs, cs, perr := inf.pollWithRetry(inferenceGroup, "frames", 4)
-		stats.Retries += cs.Retries
-		for round := 1; perr != nil && round <= inf.RedriveRounds; round++ {
-			recs, cs, perr = inf.pollWithRetry(inferenceGroup, "frames", 4)
-			stats.Retries += cs.Retries
-		}
+		var recs []stream.Record
+		perr := inf.redriven(&stats, func() (e error) {
+			recs, e = inf.Bus.Poll(inferenceGroup, "frames", 4)
+			return e
+		})
 		if perr != nil {
 			// Exhausted redrives mean the broker is partitioned, not that
 			// records were lost: nothing was committed, so the at-least-once
 			// drain picks the backlog up on a later frame's loop. Defer
 			// instead of failing the whole batch — the controller reacts to
 			// the produce-error metrics this partition also generates.
-			inf.Events.Log(telemetry.LevelWarn, telemetry.CompFrames, rootCtx.TraceID,
+			inf.Events.Log(telemetry.LevelWarn, telemetry.CompFrames, traceID,
 				"inference drain deferred: %v", perr)
 			break
 		}
@@ -196,7 +168,7 @@ func (inf *Infrastructure) ingestFrame(f FrameEvent, archiveDir string) (stats P
 		}
 		stats.Streamed += len(recs)
 		for _, rec := range recs {
-			inf.serveFrame(rec.Headers, rec.Key, rec.Value, root, rootCtx, archiveDir, &stats)
+			inf.serveFrame(rec, run.root, archiveDir, &stats)
 		}
 		// Every record in the batch was served (or quarantined); advance the
 		// inference group's offsets so only a crash mid-batch can redeliver.
@@ -207,34 +179,32 @@ func (inf *Infrastructure) ingestFrame(f FrameEvent, archiveDir string) (stats P
 	return stats, traceID, offload, nil
 }
 
+// frameLost quarantines one frame-path record and charges the loss to its
+// camera in the fleet accounting.
+func (inf *Infrastructure) frameLost(cam *camHandles, stats *PipelineStats, stage, key string, body []byte, cause error, traceID string) {
+	inf.deadLetter(stats, "frames", stage, key, body, cause, traceID)
+	cam.undelivered.Inc()
+}
+
 // serveFrame is the analysis-server side of the offload boundary: it
-// continues the trace propagated in the record headers, runs the remaining
-// model layers for offloaded frames, and archives the result into the cloud
-// tier (HBase annotation row, HDFS feature map).
-func (inf *Infrastructure) serveFrame(headers map[string]string, key string, value []byte, fallback *telemetry.Span, fallbackCtx telemetry.TraceContext, archiveDir string, stats *PipelineStats) {
-	ctx, ok := telemetry.Extract(headers)
-	var spInfer *telemetry.Span
-	if ok {
-		spInfer = inf.Tracer.StartRemote(ctx, "inference")
-	} else {
-		ctx = fallbackCtx
-		spInfer = fallback.Child("inference")
-	}
-	spInfer.SetTier("server")
+// continues the trace propagated in the record headers (falling back to the
+// polling frame's own trace), runs the remaining model layers for offloaded
+// frames, and archives the result into the cloud tier (HBase annotation row,
+// HDFS feature map).
+func (inf *Infrastructure) serveFrame(rec stream.Record, fallback *telemetry.Span, archiveDir string, stats *PipelineStats) {
+	spInfer := inf.remoteTierSpan(rec.Headers, fallback, "inference", "server")
 	defer spInfer.End()
+	traceID := spInfer.Context().TraceID
 
 	var f FrameEvent
-	if err := json.Unmarshal(value, &f); err != nil {
-		inf.deadLetter(stats, "frames", "decode", key, value, err, ctx.TraceID)
+	if err := json.Unmarshal(rec.Value, &f); err != nil {
 		// The record key is the producing camera's id, so even a poisoned
 		// payload stays attributed in the fleet accounting.
-		if cam := inf.fleetCam(key); cam != nil {
-			cam.undelivered.Inc()
-		}
+		inf.frameLost(inf.fleetCam(rec.Key), stats, "decode", rec.Key, rec.Value, err, traceID)
 		return
 	}
-	offloaded := headers["offload"] == "true"
-	inf.archiveFrame(spInfer, f, value, offloaded, archiveDir, ctx.TraceID, stats)
+	offloaded := rec.Headers["offload"] == "true"
+	inf.archiveFrame(spInfer, f, rec.Value, offloaded, archiveDir, traceID, stats)
 }
 
 // archiveFrame is the cloud-tier archive shared by both inference homes:
@@ -243,51 +213,28 @@ func (inf *Infrastructure) serveFrame(headers map[string]string, key string, val
 // anchors the archive span ("inference" on the server path, "fog-inference"
 // on the fog-local path).
 func (inf *Infrastructure) archiveFrame(parent *telemetry.Span, f FrameEvent, value []byte, offloaded bool, archiveDir, traceID string, stats *PipelineStats) {
-	spArchive := parent.Child("archive")
-	spArchive.SetTier("cloud")
-	defer spArchive.End()
+	archive := openStage(parent, "archive", "cloud", nil)
+	defer archive.End()
 	cam := inf.fleetCam(f.CameraID)
 	row := fmt.Sprintf("%s|%06d", f.CameraID, f.Seq)
-	putCell := func(family, qual string, val []byte) error {
-		op := func() error { return inf.VideoTab.Put(row, family, qual, val) }
-		cs, err := inf.Retry.DoStats(op)
-		stats.Retries += cs.Retries
-		for round := 1; err != nil && round <= inf.RedriveRounds; round++ {
-			cs, err = inf.Retry.DoStats(op)
-			stats.Retries += cs.Retries
+	put := func(qualifier string, val []byte) bool {
+		if err := inf.putCell(stats, inf.VideoTab, row, "det", qualifier, val); err != nil {
+			inf.frameLost(cam, stats, "hbase", row, value, err, traceID)
+			return false
 		}
-		return err
+		stats.Stored++
+		return true
 	}
-	if err := putCell("det", "class", []byte(f.Class)); err != nil {
-		inf.deadLetter(stats, "frames", "hbase", row, value, err, traceID)
-		if cam != nil {
-			cam.undelivered.Inc()
-		}
+	if !put("class", []byte(f.Class)) || !put("confidence", []byte(strconv.FormatFloat(f.Confidence, 'f', 4, 64))) {
 		return
 	}
-	stats.Stored++
-	if err := putCell("det", "confidence", []byte(strconv.FormatFloat(f.Confidence, 'f', 4, 64))); err != nil {
-		inf.deadLetter(stats, "frames", "hbase", row, value, err, traceID)
-		if cam != nil {
-			cam.undelivered.Inc()
-		}
-		return
-	}
-	stats.Stored++
 	if offloaded && archiveDir != "" {
 		path := fmt.Sprintf("%s/%s-%06d.feat", archiveDir, f.CameraID, f.Seq)
-		cs, err := inf.Retry.DoStats(func() error { return inf.HDFS.Write(path, value) })
-		stats.Retries += cs.Retries
-		if err != nil {
-			inf.deadLetter(stats, "frames", "hdfs", path, value, err, traceID)
-			if cam != nil {
-				cam.undelivered.Inc()
-			}
+		if err := inf.retried(stats, func() error { return inf.HDFS.Write(path, value) }); err != nil {
+			inf.frameLost(cam, stats, "hdfs", path, value, err, traceID)
 			return
 		}
 		stats.Stored++
 	}
-	if cam != nil {
-		cam.delivered.Inc()
-	}
+	cam.delivered.Inc()
 }

@@ -29,14 +29,71 @@ type PipelineStats struct {
 // storageGroup is the broker consumer group used by the storage tier.
 const storageGroup = "storage-tier"
 
-// recordTraceID resolves the trace id propagated on a record's headers,
-// falling back to the active ingest's id for records produced before
-// propagation existed (or by other producers).
-func recordTraceID(r stream.Record, fallback string) string {
-	if ctx, ok := telemetry.Extract(r.Headers); ok {
+// headerTraceID resolves the trace id propagated on a record's or event's
+// headers, falling back to the given id (the active ingest's) for records
+// produced before propagation existed, or by other producers.
+func headerTraceID(headers map[string]string, fallback string) string {
+	if ctx, ok := telemetry.Extract(headers); ok {
 		return ctx.TraceID
 	}
 	return fallback
+}
+
+// feed declares one Fig. 4 docstore feed. The collection → stream → NoSQL
+// path is the same for all of them; a feed is only the data that differs:
+// where its records go and how one record becomes a broker message and a
+// stored document.
+type feed[T any] struct {
+	source string // trace source of one run
+	topic  string // broker topic, docstore collection and dead-letter source
+	key    func(*T) string
+	id     func(*T) string
+	// doc writes one record's fields into d. It fills a map the drain
+	// reuses (every feed sets the same keys on every record, and Insert
+	// stores a copy): a map returned through a func value would be a heap
+	// allocation per record.
+	doc func(item *T, d docstore.Document)
+}
+
+var tweetFeed = feed[citydata.Tweet]{
+	source: "ingest-tweets", topic: "tweets",
+	key: func(tw *citydata.Tweet) string { return tw.Author },
+	id:  func(tw *citydata.Tweet) string { return tw.ID },
+	doc: func(tw *citydata.Tweet, d docstore.Document) {
+		d["id"] = tw.ID
+		d["author"] = tw.Author
+		d["text"] = tw.Text
+		d["unixTime"] = float64(tw.Time.Unix())
+		d["loc"] = tw.Location
+	},
+}
+
+var wazeFeed = feed[citydata.WazeReport]{
+	source: "ingest-waze", topic: "waze",
+	key: func(r *citydata.WazeReport) string { return string(r.Kind) },
+	id:  func(r *citydata.WazeReport) string { return r.ID },
+	doc: func(r *citydata.WazeReport, d docstore.Document) {
+		d["id"] = r.ID
+		d["kind"] = string(r.Kind)
+		d["severity"] = r.Severity
+		d["speedKmh"] = r.SpeedKmh
+		d["unixTime"] = float64(r.Time.Unix())
+		d["loc"] = r.Location
+		d["user"] = r.UserReport
+	},
+}
+
+var call911Feed = feed[citydata.Call911]{
+	source: "ingest-911", topic: "calls911",
+	key: func(c *citydata.Call911) string { return c.Category },
+	id:  func(c *citydata.Call911) string { return c.ID },
+	doc: func(c *citydata.Call911, d docstore.Document) {
+		d["id"] = c.ID
+		d["category"] = c.Category
+		d["priority"] = c.Priority
+		d["unixTime"] = float64(c.Time.Unix())
+		d["loc"] = c.Location
+	},
 }
 
 // IngestTweets runs the Fig. 4 collection path for tweets: a Flume agent
@@ -50,46 +107,70 @@ func recordTraceID(r stream.Record, fallback string) string {
 // records that cannot be decoded or stored are quarantined to the
 // dead-letter collection while the drain keeps going.
 func (inf *Infrastructure) IngestTweets(tweets []citydata.Tweet) (PipelineStats, error) {
-	stats := PipelineStats{Collected: len(tweets)}
-	start := time.Now()
-	root := inf.traceIngest("ingest-tweets")
-	rootCtx := root.Context()
-	pi := inf.profIngest.Start()
-	defer func() {
-		pi.End()
-		root.End()
-		inf.recordPipeline(&stats, start, rootCtx.TraceID)
-	}()
+	return ingestFeed(inf, &tweetFeed, tweets, produceViaFlume)
+}
 
-	spCollect := root.Child("collect")
-	spCollect.SetTier("edge")
-	pc := inf.profCollect.Start()
-	events := make([]flume.Event, len(tweets))
-	for i, tw := range tweets {
-		body, err := json.Marshal(tw)
+// IngestWaze streams crowd-sourced traffic reports into the document store,
+// with the same quarantine-and-continue semantics as the tweet path.
+func (inf *Infrastructure) IngestWaze(reports []citydata.WazeReport) (PipelineStats, error) {
+	return ingestFeed(inf, &wazeFeed, reports, produceDirect[citydata.WazeReport])
+}
+
+// Ingest911 streams emergency calls through the broker into the document
+// store — the same collection → stream → NoSQL path as tweets and waze,
+// rather than a side door straight into storage.
+func (inf *Infrastructure) Ingest911(calls []citydata.Call911) (PipelineStats, error) {
+	return ingestFeed(inf, &call911Feed, calls, produceDirect[citydata.Call911])
+}
+
+// ingestFeed is one run of a feed: the feed's produce side puts the items
+// on its topic, then the storage tier drains the topic into the docstore.
+func ingestFeed[T any](inf *Infrastructure, f *feed[T], items []T,
+	produce func(*Infrastructure, *feed[T], ingestRun, []T, *PipelineStats) error) (PipelineStats, error) {
+	run := inf.beginIngest(f.source)
+	stats := PipelineStats{Collected: len(items)}
+	defer run.end(&stats)
+	err := produce(inf, f, run, items, &stats)
+	if err == nil {
+		err = drainFeed(inf, f, run, &stats)
+	}
+	return stats, err
+}
+
+// produceDirect is the collector-less produce side: each item goes straight
+// onto the topic under the shared policy, and an item whose produce keeps
+// failing is quarantined while the rest continue.
+func produceDirect[T any](inf *Infrastructure, f *feed[T], run ingestRun, items []T, stats *PipelineStats) error {
+	st := openStage(run.root, "stream", "fog", inf.profStream)
+	defer st.End()
+	hdrs := run.ctx.Inject(nil)
+	for i := range items {
+		item := &items[i]
+		body, err := json.Marshal(item)
 		if err != nil {
-			pc.End()
-			spCollect.End()
-			return PipelineStats{}, fmt.Errorf("marshal tweet: %w", err)
+			return fmt.Errorf("marshal %s: %w", f.topic, err)
 		}
-		// The root's trace context rides the flume event headers, which the
-		// sink forwards onto the broker record — so the storage tier on the
-		// far side of the hop can continue this trace.
-		events[i] = flume.Event{
-			Headers: rootCtx.Inject(map[string]string{"author": tw.Author, "id": tw.ID}),
-			Body:    body,
+		if err := inf.produceWithRetry(stats, f.topic, f.key(item), body, hdrs); err != nil {
+			inf.deadLetter(stats, f.topic, "produce", f.id(item), body, err, run.ctx.TraceID)
 		}
 	}
-	pc.End()
-	spCollect.End()
+	return nil
+}
 
-	spStream := root.Child("stream")
-	spStream.SetTier("fog")
-	pst := inf.profStream.Start()
+// produceViaFlume is the tweet feed's produce side: a Flume agent pumps the
+// collected events through an idempotent sink into the broker, and batches
+// that exhaust their retries are redriven from a dead-letter queue.
+func produceViaFlume(inf *Infrastructure, f *feed[citydata.Tweet], run ingestRun, tweets []citydata.Tweet, stats *PipelineStats) error {
+	events, err := collectEvents(inf, f, run, tweets)
+	if err != nil {
+		return err
+	}
+	st := openStage(run.root, "stream", "fog", inf.profStream)
+	defer st.End()
 	sink := flume.NewDedupSink(
 		func(e flume.Event) string { return e.Headers["id"] },
 		func(e flume.Event) error {
-			_, _, err := inf.Bus.ProduceH("tweets", e.Headers["author"], e.Body, e.Headers)
+			_, _, err := inf.Bus.ProduceH(f.topic, e.Headers["author"], e.Body, e.Headers)
 			return err
 		},
 	)
@@ -101,56 +182,70 @@ func (inf *Infrastructure) IngestTweets(tweets []citydata.Tweet) (PipelineStats,
 		// in the DLQ, and the agent has already moved past them.
 		_, _ = agent.Pump(16)
 	}
-	// Per-agent and per-call counters, not policy-wide diffs: the shared
-	// policy serves every concurrent ingest, so a Stats() delta would
-	// absorb other pipelines' retries.
+	// The agent's own counter, not a policy-wide diff (see retried).
 	stats.Retries += agent.Metrics().Retries
-	stats.Retries += inf.redrive(dlq, sink, &stats, "tweets")
-	pst.End()
-	spStream.End()
+	inf.redrive(dlq, sink, stats, f.topic)
+	return nil
+}
 
-	// Storage tier: drain broker into docstore. The store span continues the
-	// trace context propagated on the first polled record, joining the
-	// producer's causal tree across the broker hop.
-	var spStore *telemetry.Span
-	defer func() {
-		if spStore != nil {
-			spStore.End()
-		}
-	}()
-	ps := inf.profStore.Start()
-	defer ps.End()
-	col := inf.DocDB.Collection("tweets")
-	for {
-		recs, cs, err := inf.pollWithRetry(storageGroup, "tweets", 256)
-		stats.Retries += cs.Retries
+// collectEvents is the edge-side collector: one flume event per tweet. The
+// root's trace context rides the event headers, which the sink forwards onto
+// the broker record — so the storage tier on the far side of the hop can
+// continue this trace.
+func collectEvents(inf *Infrastructure, f *feed[citydata.Tweet], run ingestRun, tweets []citydata.Tweet) ([]flume.Event, error) {
+	st := openStage(run.root, "collect", "edge", inf.profCollect)
+	defer st.End()
+	events := make([]flume.Event, len(tweets))
+	for i := range tweets {
+		tw := &tweets[i]
+		body, err := json.Marshal(tw)
 		if err != nil {
-			return stats, fmt.Errorf("poll tweets: %w", err)
+			return nil, fmt.Errorf("marshal %s: %w", f.topic, err)
+		}
+		events[i] = flume.Event{
+			Headers: run.ctx.Inject(map[string]string{"author": f.key(tw), "id": f.id(tw)}),
+			Body:    body,
+		}
+	}
+	return events, nil
+}
+
+// drainFeed is the storage tier: it drains the feed's topic into its
+// docstore collection. The store span continues the trace context propagated
+// on the first polled record, joining the producer's causal tree across the
+// broker hop.
+func drainFeed[T any](inf *Infrastructure, f *feed[T], run ingestRun, stats *PipelineStats) error {
+	st := stage{prof: inf.profStore.Start()}
+	defer func() { st.End() }()
+	col := inf.DocDB.Collection(f.topic)
+	doc := make(docstore.Document, 8)
+	for {
+		// The flaky bus decides faults before any offsets move, so retrying
+		// a failed poll never skips records.
+		var recs []stream.Record
+		err := inf.retried(stats, func() (e error) {
+			recs, e = inf.Bus.Poll(storageGroup, f.topic, 256)
+			return e
+		})
+		if err != nil {
+			return fmt.Errorf("poll %s: %w", f.topic, err)
 		}
 		if len(recs) == 0 {
-			break
+			return nil
 		}
-		if spStore == nil {
-			spStore = inf.remoteTierSpan(recs, root, "store", "server")
+		if st.span == nil {
+			st.span = inf.remoteTierSpan(recs[0].Headers, run.root, "store", "server")
 		}
 		stats.Streamed += len(recs)
 		for _, r := range recs {
-			var tw citydata.Tweet
-			if err := json.Unmarshal(r.Value, &tw); err != nil {
-				inf.deadLetter(&stats, "tweets", "decode", r.Key, r.Value, err, recordTraceID(r, rootCtx.TraceID))
+			var item T
+			if err := json.Unmarshal(r.Value, &item); err != nil {
+				inf.deadLetter(stats, f.topic, "decode", r.Key, r.Value, err, headerTraceID(r.Headers, run.ctx.TraceID))
 				continue
 			}
-			doc := docstore.Document{
-				"id":       tw.ID,
-				"author":   tw.Author,
-				"text":     tw.Text,
-				"unixTime": float64(tw.Time.Unix()),
-				"loc":      tw.Location,
-			}
-			cs, err := inf.storeWithRedrive(col, doc)
-			stats.Retries += cs.Retries
-			if err != nil {
-				inf.deadLetter(&stats, "tweets", "store", tw.ID, r.Value, err, recordTraceID(r, rootCtx.TraceID))
+			f.doc(&item, doc)
+			if err := inf.insertDoc(stats, col, doc); err != nil {
+				inf.deadLetter(stats, f.topic, "store", f.id(&item), r.Value, err, headerTraceID(r.Headers, run.ctx.TraceID))
 				continue
 			}
 			stats.Stored++
@@ -158,142 +253,38 @@ func (inf *Infrastructure) IngestTweets(tweets []citydata.Tweet) (PipelineStats,
 		// The batch is fully handled (stored or quarantined), so advance the
 		// group's committed offsets; a consumer crash before this line would
 		// redeliver the batch instead of losing it.
-		if err := inf.Bus.CommitPolled(storageGroup, "tweets"); err != nil {
-			return stats, fmt.Errorf("commit tweets: %w", err)
+		if err := inf.Bus.CommitPolled(storageGroup, f.topic); err != nil {
+			return fmt.Errorf("commit %s: %w", f.topic, err)
 		}
 	}
-	return stats, nil
 }
 
 // redrive replays dead-lettered flume events through the idempotent sink.
 // Events still failing after RedriveRounds are quarantined; events the sink
 // already delivered are skipped by the dedup layer, so a redrive never
-// duplicates. It returns the retries it spent, for per-run accounting.
-func (inf *Infrastructure) redrive(dlq *retry.DLQ[flume.Event], sink *flume.DedupSink, stats *PipelineStats, source string) (retries int) {
+// duplicates. The retries it spends are charged to stats.
+func (inf *Infrastructure) redrive(dlq *retry.DLQ[flume.Event], sink *flume.DedupSink, stats *PipelineStats, source string) {
 	for round := 0; round < inf.RedriveRounds && dlq.Len() > 0; round++ {
 		for _, l := range dlq.Drain() {
 			attempts := 0
-			cs, err := inf.Retry.DoStats(func() error {
+			err := inf.retried(stats, func() error {
 				attempts++
 				return sink.Deliver([]flume.Event{l.Item})
 			})
-			retries += cs.Retries
 			if err != nil {
 				dlq.Add(l.Item, err, l.Attempts+attempts)
 			}
 		}
 	}
 	for _, l := range dlq.Drain() {
-		tid := ""
-		if ctx, ok := telemetry.Extract(l.Item.Headers); ok {
-			tid = ctx.TraceID
-		}
-		inf.deadLetter(stats, source, "produce", l.Item.Headers["id"], l.Item.Body, errors.New(l.Cause), tid)
+		inf.deadLetter(stats, source, "produce", l.Item.Headers["id"], l.Item.Body, errors.New(l.Cause),
+			headerTraceID(l.Item.Headers, ""))
 	}
-	return retries
-}
-
-// deadLetter quarantines one failed record and keeps the books: captured
-// records count as DeadLettered, records the quarantine itself cannot hold
-// count as Dropped. traceID ties the quarantine back to the ingest run (or
-// the propagated producer trace) it fell out of.
-func (inf *Infrastructure) deadLetter(stats *PipelineStats, source, stage, key string, body []byte, cause error, traceID string) {
-	if inf.quarantine(source, stage, key, body, cause, traceID) {
-		stats.DeadLettered++
-	} else {
-		stats.Dropped++
-	}
-}
-
-// IngestWaze streams crowd-sourced traffic reports into the document store,
-// with the same quarantine-and-continue semantics as the tweet path.
-func (inf *Infrastructure) IngestWaze(reports []citydata.WazeReport) (PipelineStats, error) {
-	stats := PipelineStats{Collected: len(reports)}
-	start := time.Now()
-	root := inf.traceIngest("ingest-waze")
-	rootCtx := root.Context()
-	pi := inf.profIngest.Start()
-	defer func() {
-		pi.End()
-		root.End()
-		inf.recordPipeline(&stats, start, rootCtx.TraceID)
-	}()
-
-	spStream := root.Child("stream")
-	spStream.SetTier("fog")
-	pst := inf.profStream.Start()
-	hdrs := rootCtx.Inject(nil)
-	for _, r := range reports {
-		body, err := json.Marshal(r)
-		if err != nil {
-			pst.End()
-			spStream.End()
-			return stats, fmt.Errorf("marshal waze: %w", err)
-		}
-		cs, err := inf.produceWithRetry("waze", string(r.Kind), body, hdrs)
-		stats.Retries += cs.Retries
-		if err != nil {
-			inf.deadLetter(&stats, "waze", "produce", r.ID, body, err, rootCtx.TraceID)
-		}
-	}
-	pst.End()
-	spStream.End()
-
-	var spStore *telemetry.Span
-	defer func() {
-		if spStore != nil {
-			spStore.End()
-		}
-	}()
-	ps := inf.profStore.Start()
-	defer ps.End()
-	col := inf.DocDB.Collection("waze")
-	for {
-		recs, cs, err := inf.pollWithRetry(storageGroup, "waze", 256)
-		stats.Retries += cs.Retries
-		if err != nil {
-			return stats, fmt.Errorf("poll waze: %w", err)
-		}
-		if len(recs) == 0 {
-			break
-		}
-		if spStore == nil {
-			spStore = inf.remoteTierSpan(recs, root, "store", "server")
-		}
-		stats.Streamed += len(recs)
-		for _, rec := range recs {
-			var r citydata.WazeReport
-			if err := json.Unmarshal(rec.Value, &r); err != nil {
-				inf.deadLetter(&stats, "waze", "decode", rec.Key, rec.Value, err, recordTraceID(rec, rootCtx.TraceID))
-				continue
-			}
-			doc := docstore.Document{
-				"id":       r.ID,
-				"kind":     string(r.Kind),
-				"severity": r.Severity,
-				"speedKmh": r.SpeedKmh,
-				"unixTime": float64(r.Time.Unix()),
-				"loc":      r.Location,
-				"user":     r.UserReport,
-			}
-			cs, err := inf.storeWithRedrive(col, doc)
-			stats.Retries += cs.Retries
-			if err != nil {
-				inf.deadLetter(&stats, "waze", "store", r.ID, rec.Value, err, recordTraceID(rec, rootCtx.TraceID))
-				continue
-			}
-			stats.Stored++
-		}
-		if err := inf.Bus.CommitPolled(storageGroup, "waze"); err != nil {
-			return stats, fmt.Errorf("commit waze: %w", err)
-		}
-	}
-	return stats, nil
 }
 
 // crimeRowKey builds HBase row keys that cluster by district then time, so
 // district scans are contiguous.
-func crimeRowKey(inc citydata.Incident) string {
+func crimeRowKey(inc *citydata.Incident) string {
 	return fmt.Sprintf("d%02d|%s|%s", inc.District, inc.Time.UTC().Format(time.RFC3339), inc.ReportNumber)
 }
 
@@ -304,164 +295,61 @@ func crimeRowKey(inc citydata.Incident) string {
 // and the batch continues.
 func (inf *Infrastructure) IngestCrimes(incidents []citydata.Incident, archivePath string) (PipelineStats, error) {
 	stats := PipelineStats{Collected: len(incidents)}
-	start := time.Now()
-	root := inf.traceIngest("ingest-crimes")
-	rootCtx := root.Context()
-	pi := inf.profIngest.Start()
-	defer func() {
-		pi.End()
-		root.End()
-		inf.recordPipeline(&stats, start, rootCtx.TraceID)
-	}()
+	run := inf.beginIngest("ingest-crimes")
+	defer run.end(&stats)
 
-	put := func(row, family, qualifier string, value []byte) error {
-		op := func() error { return inf.CrimeTab.Put(row, family, qualifier, value) }
-		cs, err := inf.Retry.DoStats(op)
-		stats.Retries += cs.Retries
-		for round := 1; err != nil && round <= inf.RedriveRounds; round++ {
-			cs, err = inf.Retry.DoStats(op)
-			stats.Retries += cs.Retries
-		}
-		return err
-	}
-	spStore := root.Child("store")
-	spStore.SetTier("server")
-	ps := inf.profStore.Start()
-incidents:
-	for _, inc := range incidents {
-		row := crimeRowKey(inc)
-		puts := map[string]string{
-			"offense":  string(inc.Offense),
-			"code":     inc.OffenseCode,
-			"address":  inc.Address,
-			"district": strconv.Itoa(inc.District),
-			"time":     inc.Time.UTC().Format(time.RFC3339),
-			"agency":   inc.Agency,
-			"lat":      strconv.FormatFloat(inc.Location.Lat, 'f', 6, 64),
-			"lon":      strconv.FormatFloat(inc.Location.Lon, 'f', 6, 64),
-		}
-		for q, v := range puts {
-			if err := put(row, "meta", q, []byte(v)); err != nil {
-				raw, _ := json.Marshal(inc)
-				inf.deadLetter(&stats, "crimes", "hbase", inc.ReportNumber, raw, err, rootCtx.TraceID)
-				continue incidents
-			}
-			stats.Stored++
-		}
-		for i, p := range inc.Persons {
-			v := p.Role + ":" + p.ID
-			if err := put(row, "persons", strconv.Itoa(i), []byte(v)); err != nil {
-				raw, _ := json.Marshal(inc)
-				inf.deadLetter(&stats, "crimes", "hbase", inc.ReportNumber, raw, err, rootCtx.TraceID)
-				continue incidents
-			}
-			stats.Stored++
+	store := openStage(run.root, "store", "server", inf.profStore)
+	for i := range incidents {
+		inc := &incidents[i]
+		if err := inf.putIncident(&stats, inc); err != nil {
+			raw, _ := json.Marshal(inc)
+			inf.deadLetter(&stats, "crimes", "hbase", inc.ReportNumber, raw, err, run.ctx.TraceID)
 		}
 	}
-	ps.End()
-	spStore.End()
+	store.End()
 	if archivePath != "" {
-		spArchive := root.Child("archive")
-		spArchive.SetTier("cloud")
-		defer spArchive.End()
-		pa := inf.profArchive.Start()
-		defer pa.End()
+		archive := openStage(run.root, "archive", "cloud", inf.profArchive)
+		defer archive.End()
 		raw, err := json.Marshal(incidents)
 		if err != nil {
 			return stats, fmt.Errorf("marshal archive: %w", err)
 		}
-		cs, err := inf.Retry.DoStats(func() error { return inf.HDFS.Write(archivePath, raw) })
-		stats.Retries += cs.Retries
-		if err != nil {
+		if err := inf.retried(&stats, func() error { return inf.HDFS.Write(archivePath, raw) }); err != nil {
 			return stats, fmt.Errorf("archive crimes: %w", err)
 		}
 	}
 	return stats, nil
 }
 
-// Ingest911 streams emergency calls through the broker into the document
-// store — the same collection → stream → NoSQL path as tweets and waze,
-// rather than a side door straight into storage.
-func (inf *Infrastructure) Ingest911(calls []citydata.Call911) (PipelineStats, error) {
-	stats := PipelineStats{Collected: len(calls)}
-	start := time.Now()
-	root := inf.traceIngest("ingest-911")
-	rootCtx := root.Context()
-	pi := inf.profIngest.Start()
-	defer func() {
-		pi.End()
-		root.End()
-		inf.recordPipeline(&stats, start, rootCtx.TraceID)
-	}()
-
-	spStream := root.Child("stream")
-	spStream.SetTier("fog")
-	pst := inf.profStream.Start()
-	hdrs := rootCtx.Inject(nil)
-	for _, c := range calls {
-		body, err := json.Marshal(c)
-		if err != nil {
-			pst.End()
-			spStream.End()
-			return stats, fmt.Errorf("marshal 911: %w", err)
-		}
-		cs, err := inf.produceWithRetry("calls911", c.Category, body, hdrs)
-		stats.Retries += cs.Retries
-		if err != nil {
-			inf.deadLetter(&stats, "calls911", "produce", c.ID, body, err, rootCtx.TraceID)
-		}
+// putIncident writes one incident's row cell by cell and stops at the first
+// cell that cannot be written. The cells go in a fixed order: fault draws
+// are positional, so the order decides which cells a failed incident leaves
+// behind, and that must repeat per seed.
+func (inf *Infrastructure) putIncident(stats *PipelineStats, inc *citydata.Incident) error {
+	row := crimeRowKey(inc)
+	meta := [...]struct{ qualifier, value string }{
+		{"offense", string(inc.Offense)},
+		{"code", inc.OffenseCode},
+		{"address", inc.Address},
+		{"district", strconv.Itoa(inc.District)},
+		{"time", inc.Time.UTC().Format(time.RFC3339)},
+		{"agency", inc.Agency},
+		{"lat", strconv.FormatFloat(inc.Location.Lat, 'f', 6, 64)},
+		{"lon", strconv.FormatFloat(inc.Location.Lon, 'f', 6, 64)},
 	}
-	pst.End()
-	spStream.End()
-
-	var spStore *telemetry.Span
-	defer func() {
-		if spStore != nil {
-			spStore.End()
+	for _, c := range meta {
+		if err := inf.putCell(stats, inf.CrimeTab, row, "meta", c.qualifier, []byte(c.value)); err != nil {
+			return err
 		}
-	}()
-	ps := inf.profStore.Start()
-	defer ps.End()
-	col := inf.DocDB.Collection("calls911")
-	for {
-		recs, cs, err := inf.pollWithRetry(storageGroup, "calls911", 256)
-		stats.Retries += cs.Retries
-		if err != nil {
-			return stats, fmt.Errorf("poll 911: %w", err)
-		}
-		if len(recs) == 0 {
-			break
-		}
-		if spStore == nil {
-			spStore = inf.remoteTierSpan(recs, root, "store", "server")
-		}
-		stats.Streamed += len(recs)
-		for _, rec := range recs {
-			var c citydata.Call911
-			if err := json.Unmarshal(rec.Value, &c); err != nil {
-				inf.deadLetter(&stats, "calls911", "decode", rec.Key, rec.Value, err, recordTraceID(rec, rootCtx.TraceID))
-				continue
-			}
-			doc := docstore.Document{
-				"id":       c.ID,
-				"category": c.Category,
-				"priority": c.Priority,
-				"unixTime": float64(c.Time.Unix()),
-				"loc":      c.Location,
-			}
-			cs, err := inf.storeWithRedrive(col, doc)
-			stats.Retries += cs.Retries
-			if err != nil {
-				inf.deadLetter(&stats, "calls911", "store", c.ID, rec.Value, err, recordTraceID(rec, rootCtx.TraceID))
-				continue
-			}
-			stats.Stored++
-		}
-		if err := inf.Bus.CommitPolled(storageGroup, "calls911"); err != nil {
-			return stats, fmt.Errorf("commit 911: %w", err)
-		}
+		stats.Stored++
 	}
-	return stats, nil
+	for i, p := range inc.Persons {
+		if err := inf.putCell(stats, inf.CrimeTab, row, "persons", strconv.Itoa(i), []byte(p.Role+":"+p.ID)); err != nil {
+			return err
+		}
+		stats.Stored++
+	}
+	return nil
 }
 
 // TweetsNear returns stored tweets within radiusKm of center posted in

@@ -43,7 +43,7 @@ func (inf *Infrastructure) wireProfiler() {
 	for _, name := range p.RegionNames() {
 		r := p.Region(name)
 		label := func(family string) string {
-			return telemetry.WithLabel(family, "region", name)
+			return telemetry.FormatName(family, telemetry.LabelSet{{Key: "region", Value: name}})
 		}
 		inf.Telemetry.CounterFunc(label("cityinfra_profile_region_seconds_total"),
 			"cumulative wall-clock seconds attributed to the region", r.WallSeconds)

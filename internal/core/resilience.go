@@ -3,7 +3,7 @@ package core
 import (
 	"repro/internal/docstore"
 	"repro/internal/faults"
-	"repro/internal/retry"
+	"repro/internal/hbase"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 )
@@ -17,7 +17,7 @@ func (inf *Infrastructure) EnableChaos(inj *faults.Injector) {
 	inf.Injector = inj
 	// Metering wraps the flaky bus, not the other way round, so injected
 	// faults show up in the produce/poll error counters like real ones.
-	inf.Bus = stream.NewMeteredBus(faults.NewFlakyBus(inf.Broker, inj), inf.busMetrics, nil)
+	inf.Bus = stream.NewMeteredBus(faults.NewFlakyBus(inf.Broker, inj), inf.busMetrics)
 	inf.Broker.SetFaultHook(inj.ClusterHook())
 	inf.HDFS.SetFaultHook(inj.HDFSHook())
 	inf.CrimeTab.SetFaultHook(inj.HBaseHook())
@@ -29,7 +29,7 @@ func (inf *Infrastructure) EnableChaos(inj *faults.Injector) {
 // DisableChaos detaches the injector and restores direct seams.
 func (inf *Infrastructure) DisableChaos() {
 	inf.Injector = nil
-	inf.Bus = stream.NewMeteredBus(inf.Broker, inf.busMetrics, nil)
+	inf.Bus = stream.NewMeteredBus(inf.Broker, inf.busMetrics)
 	inf.Broker.SetFaultHook(nil)
 	inf.HDFS.SetFaultHook(nil)
 	inf.CrimeTab.SetFaultHook(nil)
@@ -38,35 +38,47 @@ func (inf *Infrastructure) DisableChaos() {
 	inf.Events.Log(telemetry.LevelInfo, telemetry.CompChaos, "", "fault injection disabled; direct seams restored")
 }
 
+// retried runs op once under the shared policy and charges this call's own
+// backoffs to stats. Per-call accounting, not a diff of the policy-wide
+// counters: the shared policy serves every concurrent ingest, so a Stats()
+// delta would absorb other pipelines' retries.
+func (inf *Infrastructure) retried(stats *PipelineStats, op func() error) error {
+	cs, err := inf.Retry.DoStats(op)
+	stats.Retries += cs.Retries
+	return err
+}
+
+// redriven gives op the same second-chance structure as dead-lettered
+// produce batches: up to RedriveRounds additional policy runs, so a fault
+// burst or an open breaker window has to outlast every round to defeat a
+// write. Total attempts stay bounded by MaxAttempts × (RedriveRounds + 1).
+func (inf *Infrastructure) redriven(stats *PipelineStats, op func() error) error {
+	err := inf.retried(stats, op)
+	for round := 1; err != nil && round <= inf.RedriveRounds; round++ {
+		err = inf.retried(stats, op)
+	}
+	return err
+}
+
 // produceWithRetry pushes one record through the bus under the shared
-// policy, returning this call's own retry accounting. Callers fold the
-// CallStats into their pipeline stats instead of diffing the policy-wide
-// counters, which would double-count when two ingests interleave. headers
-// carry the producing trace's context across the broker hop (nil is fine).
-func (inf *Infrastructure) produceWithRetry(topic, key string, body []byte, headers map[string]string) (retry.CallStats, error) {
-	return inf.Retry.DoStats(func() error {
+// policy. headers carry the producing trace's context across the broker hop
+// (nil is fine).
+func (inf *Infrastructure) produceWithRetry(stats *PipelineStats, topic, key string, body []byte, headers map[string]string) error {
+	return inf.retried(stats, func() error {
 		_, _, err := inf.Bus.ProduceH(topic, key, body, headers)
 		return err
 	})
 }
 
-// pollWithRetry reads from the bus under the shared policy. The flaky bus
-// decides faults before any offsets are committed, so retrying a failed poll
-// never skips records.
-func (inf *Infrastructure) pollWithRetry(group, topic string, max int) ([]stream.Record, retry.CallStats, error) {
-	var recs []stream.Record
-	cs, err := inf.Retry.DoStats(func() error {
-		var e error
-		recs, e = inf.Bus.Poll(group, topic, max)
-		return e
-	})
-	return recs, cs, err
+// putCell writes one HBase cell, redriven like every other store write.
+func (inf *Infrastructure) putCell(stats *PipelineStats, tab *hbase.Table, row, family, qualifier string, value []byte) error {
+	return inf.redriven(stats, func() error { return tab.Put(row, family, qualifier, value) })
 }
 
-// insertWithRetry writes one document under the shared policy, honoring the
-// chaos injector's store hook.
-func (inf *Infrastructure) insertWithRetry(col *docstore.Collection, doc docstore.Document) (retry.CallStats, error) {
-	return inf.Retry.DoStats(func() error {
+// insertDoc writes one document, redriven, honoring the chaos injector's
+// store hook.
+func (inf *Infrastructure) insertDoc(stats *PipelineStats, col *docstore.Collection, doc docstore.Document) error {
+	return inf.redriven(stats, func() error {
 		if inf.storeFault != nil {
 			if err := inf.storeFault(); err != nil {
 				return err
@@ -77,23 +89,16 @@ func (inf *Infrastructure) insertWithRetry(col *docstore.Collection, doc docstor
 	})
 }
 
-// storeWithRedrive gives a document insert the same second-chance structure
-// as dead-lettered produce batches: up to RedriveRounds additional policy
-// runs, so a fault burst or an open breaker window has to outlast every
-// round to defeat a write. Total attempts stay bounded by
-// MaxAttempts × (RedriveRounds + 1). The returned CallStats accumulates
-// across rounds.
-func (inf *Infrastructure) storeWithRedrive(col *docstore.Collection, doc docstore.Document) (retry.CallStats, error) {
-	total, err := inf.insertWithRetry(col, doc)
-	for round := 1; err != nil && round <= inf.RedriveRounds; round++ {
-		var cs retry.CallStats
-		cs, err = inf.insertWithRetry(col, doc)
-		total.Attempts += cs.Attempts
-		total.Retries += cs.Retries
-		total.ShortCircuits += cs.ShortCircuits
-		total.Slept += cs.Slept
+// deadLetter quarantines one failed record and keeps the books: captured
+// records count as DeadLettered, records the quarantine itself cannot hold
+// count as Dropped. traceID ties the quarantine back to the ingest run (or
+// the propagated producer trace) it fell out of.
+func (inf *Infrastructure) deadLetter(stats *PipelineStats, source, stage, key string, body []byte, cause error, traceID string) {
+	if inf.quarantine(source, stage, key, body, cause, traceID) {
+		stats.DeadLettered++
+	} else {
+		stats.Dropped++
 	}
-	return total, err
 }
 
 // quarantine parks an undeliverable record in the dead-letter collection so

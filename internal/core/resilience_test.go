@@ -2,12 +2,14 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/citydata"
 	"repro/internal/docstore"
 	"repro/internal/faults"
+	"repro/internal/hbase"
 	"repro/internal/retry"
 	"repro/internal/stream"
 )
@@ -176,5 +178,46 @@ func TestChaosWazeAnd911(t *testing.T) {
 	}
 	if mb.Unwrap() != stream.Bus(inf.Broker) {
 		t.Fatalf("inner bus after DisableChaos = %T, want the raw broker", mb.Unwrap())
+	}
+}
+
+// TestCrimeCellsDeterministicUnderWALFaults: fault draws are positional, so
+// the order an incident's cells are written in decides which of them a
+// dead-lettered incident leaves behind. Two runs at one seed must leave the
+// same table — which a map-ordered write loop does not.
+func TestCrimeCellsDeterministicUnderWALFaults(t *testing.T) {
+	scan := func() ([]hbase.RowResult, PipelineStats) {
+		inf := bootSmall(t)
+		inf.Retry = retry.NewPolicy(retry.Config{MaxAttempts: 1, BaseDelay: time.Millisecond}, 7).
+			WithClock(inf.Clock)
+		inf.RedriveRounds = 0
+		inf.EnableChaos(faults.NewInjector(faults.Config{
+			Seed: 42, ErrorRate: 0.05, TargetOps: []string{"hbase.wal"},
+		}))
+		ccfg := citydata.DefaultCrimeConfig(inf.Config().Epoch)
+		ccfg.Count = 120
+		incidents, err := citydata.GenerateCrimes(ccfg, inf.Gang.Nodes(), rand.New(rand.NewSource(2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := inf.IngestCrimes(incidents, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := inf.CrimeTab.Scan("", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows, stats
+	}
+	first, stats := scan()
+	if stats.DeadLettered < 5 {
+		t.Fatalf("only %d incidents dead-lettered; the test needs partial rows: %+v", stats.DeadLettered, stats)
+	}
+	for run := 0; run < 3; run++ {
+		again, againStats := scan()
+		if againStats != stats || !reflect.DeepEqual(again, first) {
+			t.Fatalf("run %d left a different crimes table at the same seed (stats %+v vs %+v)", run, againStats, stats)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/flume"
 	"repro/internal/hbase"
+	"repro/internal/profile"
 	"repro/internal/retry"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
@@ -134,7 +135,9 @@ func (inf *Infrastructure) wireTelemetry() {
 	// HBase: per-table WAL/memstore/flush metrics.
 	for _, tab := range []*hbase.Table{inf.CrimeTab, inf.VideoTab} {
 		tab := tab
-		label := func(name string) string { return telemetry.WithLabel(name, "table", tab.Name()) }
+		label := func(name string) string {
+			return telemetry.FormatName(name, telemetry.LabelSet{{Key: "table", Value: tab.Name()}})
+		}
 		r.CounterFunc(label("cityinfra_hbase_wal_appends_total"), "WAL appends",
 			func() float64 { return float64(tab.Stats().WALAppends) })
 		r.CounterFunc(label("cityinfra_hbase_flushes_total"), "memstore flushes",
@@ -226,42 +229,86 @@ func (inf *Infrastructure) wireTelemetry() {
 		func() float64 { return float64(inf.ingestSeconds.Count()) })
 }
 
-// traceIngest opens a trace for one pipeline run and returns its root span.
-// Trace ids are sequence-numbered per source so concurrent ingests never
-// collide; the most recent runs stay inspectable via /api/trace/{id}.
-func (inf *Infrastructure) traceIngest(source string) *telemetry.Span {
-	id := fmt.Sprintf("%s-%d", source, inf.ingestSeq.Add(1))
-	return inf.Tracer.Start(id, source)
+// ingestRun is one pipeline run in flight: its trace root (and the context
+// that rides record headers across the broker hop), its wall-clock start, and
+// the open "ingest" profile span.
+type ingestRun struct {
+	inf   *Infrastructure
+	root  *telemetry.Span
+	ctx   telemetry.TraceContext
+	start time.Time
+	prof  profile.Span
 }
 
-// recordPipeline folds one run's stats into the cumulative pipeline counters
-// and observes its end-to-end latency, offering the run's trace id as a
+// beginIngest opens the "ingest" profile region and the trace for one run.
+// Trace ids are sequence-numbered per source so concurrent ingests never
+// collide; the most recent runs stay inspectable via /api/trace/{id}. The
+// region opens before the run's first allocation, so a collector assist paid
+// there (a caller that has just generated its input owes one) is attributed
+// to the run instead of falling between the caller's clock and the region's.
+func (inf *Infrastructure) beginIngest(source string) ingestRun {
+	run := ingestRun{inf: inf, start: time.Now(), prof: inf.profIngest.Start()}
+	run.root = inf.Tracer.Start(fmt.Sprintf("%s-%d", source, inf.ingestSeq.Add(1)), source)
+	run.ctx = run.root.Context()
+	return run
+}
+
+// end closes the run: it folds the run's stats into the cumulative pipeline
+// counters and observes its end-to-end latency, offering the trace id as a
 // histogram exemplar so a tail-latency bucket on /metrics resolves to an
-// inspectable trace.
-func (inf *Infrastructure) recordPipeline(stats *PipelineStats, start time.Time, traceID string) {
+// inspectable trace. stats stays the caller's: escape analysis does not see
+// through struct fields, so a pointer kept in the run would move every
+// caller's stats to the heap.
+func (run *ingestRun) end(stats *PipelineStats) {
+	run.prof.End()
+	run.root.End()
+	inf := run.inf
 	inf.pipeCollected.Add(stats.Collected)
 	inf.pipeStreamed.Add(stats.Streamed)
 	inf.pipeStored.Add(stats.Stored)
 	inf.pipeDropped.Add(stats.Dropped)
 	inf.pipeDeadLettered.Add(stats.DeadLettered)
 	inf.pipeRetries.Add(stats.Retries)
-	inf.ingestSeconds.ObserveExemplar(time.Since(start).Seconds(), traceID)
+	inf.ingestSeconds.ObserveExemplar(time.Since(run.start).Seconds(), run.ctx.TraceID)
+}
+
+// stage is one pipeline stage in flight: a tier-tagged span and the profile
+// region that attributes its time, opened together and closed by one End.
+type stage struct {
+	span *telemetry.Span
+	prof profile.Span
+}
+
+// openStage opens a child span of parent on the given tier and enters region
+// (nil for a span no region attributes).
+func openStage(parent *telemetry.Span, name, tier string, region *profile.Region) stage {
+	sp := parent.Child(name)
+	sp.SetTier(tier)
+	return stage{span: sp, prof: region.Start()}
+}
+
+// End leaves the region and closes the span. The span may still be nil: the
+// storage drain enters its region before the first poll but only learns which
+// trace its span continues once a record arrives.
+func (s stage) End() {
+	s.prof.End()
+	if s.span != nil {
+		s.span.End()
+	}
 }
 
 // remoteTierSpan opens the consumer-side span of a broker hop: it continues
-// the trace propagated in the first record's headers (the producer injected
-// its root context before the hop), falling back to a local child of the
-// running ingest when no context survived — so the storage tier's work is
-// never orphaned from the causal tree.
-func (inf *Infrastructure) remoteTierSpan(recs []stream.Record, fallback *telemetry.Span, name, tier string) *telemetry.Span {
-	if len(recs) > 0 {
-		if ctx, ok := telemetry.Extract(recs[0].Headers); ok {
-			s := inf.Tracer.StartRemote(ctx, name)
-			s.SetTier(tier)
-			return s
-		}
+// the trace propagated in the record headers (the producer injected its root
+// context before the hop), falling back to a local child of the running
+// ingest when no context survived — so the consuming tier's work is never
+// orphaned from the causal tree.
+func (inf *Infrastructure) remoteTierSpan(headers map[string]string, fallback *telemetry.Span, name, tier string) *telemetry.Span {
+	var s *telemetry.Span
+	if ctx, ok := telemetry.Extract(headers); ok {
+		s = inf.Tracer.StartRemote(ctx, name)
+	} else {
+		s = fallback.Child(name)
 	}
-	s := fallback.Child(name)
 	s.SetTier(tier)
 	return s
 }

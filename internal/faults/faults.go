@@ -304,7 +304,7 @@ type FlakyBus struct {
 
 var _ stream.Bus = (*FlakyBus)(nil)
 
-// NewFlakyBus decorates a bus (typically the *stream.Broker itself).
+// NewFlakyBus decorates a bus (typically the *stream.Cluster itself).
 func NewFlakyBus(inner stream.Bus, inj *Injector) *FlakyBus {
 	return &FlakyBus{inner: inner, inj: inj}
 }

@@ -112,7 +112,10 @@ func TestFlakySinkAndBus(t *testing.T) {
 		t.Fatal("inner sink reached despite injection")
 	}
 
-	broker := stream.NewBroker()
+	broker, err := stream.NewCluster(stream.ClusterConfig{Nodes: 1, Replication: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := broker.CreateTopic("t", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +263,10 @@ func TestTargetOpsPrefixMatch(t *testing.T) {
 }
 
 func TestTargetKeysScopeProduceInjection(t *testing.T) {
-	broker := stream.NewBroker()
+	broker, err := stream.NewCluster(stream.ClusterConfig{Nodes: 1, Replication: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := broker.CreateTopic("frames", 1); err != nil {
 		t.Fatal(err)
 	}

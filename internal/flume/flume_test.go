@@ -108,7 +108,10 @@ func TestChannelFull(t *testing.T) {
 }
 
 func TestBrokerSinkIntegration(t *testing.T) {
-	broker := stream.NewBroker()
+	broker, err := stream.NewCluster(stream.ClusterConfig{Nodes: 1, Replication: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := broker.CreateTopic("raw", 2); err != nil {
 		t.Fatal(err)
 	}

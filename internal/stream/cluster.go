@@ -582,9 +582,8 @@ func (c *Cluster) groupOffsets(g *clusterGroup, m map[string][]int64, topicName 
 // committed offsets, reading each partition from its current leader up to
 // the high watermark. Nothing is committed: polling again before
 // CommitPolled redelivers the same records, so a consumer that crashes
-// between poll and processing loses nothing (at-least-once; the legacy
-// single-node Broker keeps its at-most-once Poll). Leaderless partitions
-// are skipped and served transparently after the next election — the
+// between poll and processing loses nothing (at-least-once). Leaderless
+// partitions are skipped and served transparently after the next election — the
 // consumer never learns a failover happened.
 func (c *Cluster) Poll(groupName, topicName string, max int) ([]Record, error) {
 	c.mu.Lock()

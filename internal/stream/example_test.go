@@ -9,7 +9,11 @@ import (
 // Example demonstrates the broker's produce/consume cycle with a consumer
 // group, the pattern every collector→storage hop in the pipeline uses.
 func Example() {
-	broker := stream.NewBroker()
+	broker, err := stream.NewCluster(stream.ClusterConfig{Nodes: 1, Replication: 1})
+	if err != nil {
+		fmt.Println("boot:", err)
+		return
+	}
 	if err := broker.CreateTopic("tweets", 2); err != nil {
 		fmt.Println("create:", err)
 		return
@@ -27,6 +31,11 @@ func Example() {
 	}
 	for _, r := range records {
 		fmt.Println(string(r.Value))
+	}
+	// The batch is handled; committing is what moves the group forward.
+	if err := broker.CommitPolled("storage-tier", "tweets"); err != nil {
+		fmt.Println("commit:", err)
+		return
 	}
 	lag, _ := broker.Lag("storage-tier", "tweets")
 	fmt.Println("remaining lag:", lag)

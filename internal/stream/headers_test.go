@@ -5,7 +5,7 @@ import (
 )
 
 func TestProduceHHeadersRoundTrip(t *testing.T) {
-	b := NewBroker()
+	b := newSingleNode(t)
 	if err := b.CreateTopic("frames", 2); err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestProduceHHeadersRoundTrip(t *testing.T) {
 }
 
 func TestProduceWithoutHeadersStaysNil(t *testing.T) {
-	b := NewBroker()
+	b := newSingleNode(t)
 	if err := b.CreateTopic("plain", 1); err != nil {
 		t.Fatal(err)
 	}

@@ -43,17 +43,13 @@ func NewBusMetrics(r *telemetry.Registry) *BusMetrics {
 type MeteredBus struct {
 	next Bus
 	m    *BusMetrics
-	now  func() time.Time
 }
 
 var _ Bus = (*MeteredBus)(nil)
 
-// NewMeteredBus wraps next. A nil clock means time.Now.
-func NewMeteredBus(next Bus, m *BusMetrics, now func() time.Time) *MeteredBus {
-	if now == nil {
-		now = time.Now
-	}
-	return &MeteredBus{next: next, m: m, now: now}
+// NewMeteredBus wraps next.
+func NewMeteredBus(next Bus, m *BusMetrics) *MeteredBus {
+	return &MeteredBus{next: next, m: m}
 }
 
 // Unwrap returns the decorated bus.
@@ -66,9 +62,9 @@ func (b *MeteredBus) Produce(topicName, key string, value []byte) (int, int64, e
 
 // ProduceH forwards to the underlying bus, recording latency and outcome.
 func (b *MeteredBus) ProduceH(topicName, key string, value []byte, headers map[string]string) (int, int64, error) {
-	start := b.now()
+	start := time.Now()
 	p, off, err := b.next.ProduceH(topicName, key, value, headers)
-	b.m.ProduceSeconds.Observe(b.now().Sub(start).Seconds())
+	b.m.ProduceSeconds.Observe(time.Since(start).Seconds())
 	if err != nil {
 		b.m.ProduceErrors.Inc()
 		return p, off, err
@@ -81,9 +77,9 @@ func (b *MeteredBus) ProduceH(topicName, key string, value []byte, headers map[s
 // Poll forwards to the underlying bus, recording latency, outcome, and the
 // number of records handed out.
 func (b *MeteredBus) Poll(groupName, topicName string, max int) ([]Record, error) {
-	start := b.now()
+	start := time.Now()
 	recs, err := b.next.Poll(groupName, topicName, max)
-	b.m.PollSeconds.Observe(b.now().Sub(start).Seconds())
+	b.m.PollSeconds.Observe(time.Since(start).Seconds())
 	if err != nil {
 		b.m.PollErrors.Inc()
 		return recs, err

@@ -7,28 +7,26 @@
 // split into partitions, records within a partition are totally ordered and
 // addressed by offset, keys hash to partitions so per-key order is
 // preserved, and consumer groups balance partitions across members with
-// committed offsets.
+// committed offsets. Cluster (cluster.go) is the one implementation: a
+// replicated multi-node broker, which at one node and replication 1 is the
+// plain single-node log.
 package stream
 
 import (
 	"errors"
-	"fmt"
 	"hash/fnv"
-	"sort"
-	"sync"
 	"time"
 )
 
 // Sentinel errors.
 var (
-	ErrTopicExists    = errors.New("stream: topic already exists")
-	ErrUnknownTopic   = errors.New("stream: unknown topic")
-	ErrBadPartition   = errors.New("stream: partition out of range")
-	ErrOffsetOutOfLog = errors.New("stream: offset beyond log end")
+	ErrTopicExists  = errors.New("stream: topic already exists")
+	ErrUnknownTopic = errors.New("stream: unknown topic")
+	ErrBadPartition = errors.New("stream: partition out of range")
 )
 
 // Bus is the produce/poll surface the ingestion pipelines depend on.
-// *Broker implements it directly; decorators (fault injection, metering)
+// *Cluster implements it directly; decorators (fault injection, metering)
 // wrap it without the pipelines knowing.
 type Bus interface {
 	Produce(topicName, key string, value []byte) (partitionID int, offset int64, err error)
@@ -36,12 +34,12 @@ type Bus interface {
 	// that carries trace context (and other small annotations) across the
 	// broker hop to whoever polls the record.
 	ProduceH(topicName, key string, value []byte, headers map[string]string) (partitionID int, offset int64, err error)
+	// Poll reads up to max records from the group's committed offsets
+	// without committing: polling again before CommitPolled redelivers.
 	Poll(groupName, topicName string, max int) ([]Record, error)
 	// CommitPolled advances the group's committed offsets over what the
-	// last Poll for this topic returned. On the replicated Cluster this
-	// completes the poll-then-commit (at-least-once) flow; the legacy
-	// single-node Broker commits inside Poll, so there it is a validated
-	// no-op kept for interface compatibility.
+	// last Poll for this topic returned, completing the poll-then-commit
+	// (at-least-once) flow.
 	CommitPolled(groupName, topicName string) error
 }
 
@@ -59,299 +57,10 @@ type Record struct {
 	Time    time.Time
 }
 
-type partition struct {
-	records []Record
-}
-
-type topic struct {
-	name       string
-	partitions []*partition
-	// rr cycles empty-key records across partitions (see Produce).
-	rr uint64
-}
-
-type groupState struct {
-	// committed offset per topic/partition.
-	offsets map[string][]int64
-}
-
-// Broker is an in-memory multi-topic log. It is safe for concurrent use.
-type Broker struct {
-	mu     sync.RWMutex
-	topics map[string]*topic
-	groups map[string]*groupState
-	now    func() time.Time
-}
-
-var _ Bus = (*Broker)(nil)
-
-// NewBroker creates an empty broker.
-func NewBroker() *Broker {
-	return &Broker{
-		topics: make(map[string]*topic),
-		groups: make(map[string]*groupState),
-		now:    time.Now,
-	}
-}
-
-// SetClock overrides the broker's clock (tests and simulation).
-func (b *Broker) SetClock(now func() time.Time) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.now = now
-}
-
-// CreateTopic registers a topic with the given partition count.
-func (b *Broker) CreateTopic(name string, partitions int) error {
-	if partitions <= 0 {
-		return fmt.Errorf("%w: %d partitions", ErrBadPartition, partitions)
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if _, ok := b.topics[name]; ok {
-		return fmt.Errorf("%w: %s", ErrTopicExists, name)
-	}
-	t := &topic{name: name, partitions: make([]*partition, partitions)}
-	for i := range t.partitions {
-		t.partitions[i] = &partition{}
-	}
-	b.topics[name] = t
-	return nil
-}
-
-// Topics lists topic names in sorted order.
-func (b *Broker) Topics() []string {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	names := make([]string, 0, len(b.topics))
-	for n := range b.topics {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Partitions returns the partition count for a topic.
-func (b *Broker) Partitions(topicName string) (int, error) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	t, ok := b.topics[topicName]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrUnknownTopic, topicName)
-	}
-	return len(t.partitions), nil
-}
-
+// partitionFor hashes a non-empty key to one of n partitions, so per-key
+// order is preserved within a partition.
 func partitionFor(key string, n int) int {
 	h := fnv.New32a()
 	_, _ = h.Write([]byte(key))
 	return int(h.Sum32() % uint32(n))
-}
-
-// Produce appends a record, routing non-empty keys by hash so per-key order
-// is preserved within a partition. Empty keys are routed round-robin across
-// partitions — they used to hash together onto a single partition, hot-
-// spotting it — which means empty-key records carry no relative ordering
-// guarantee at all; callers that need ordering must key their records.
-// It returns the assigned partition and offset.
-func (b *Broker) Produce(topicName, key string, value []byte) (partitionID int, offset int64, err error) {
-	return b.ProduceH(topicName, key, value, nil)
-}
-
-// ProduceH appends a record with headers, copying both the value and the
-// header map into the log.
-func (b *Broker) ProduceH(topicName, key string, value []byte, headers map[string]string) (partitionID int, offset int64, err error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	t, ok := b.topics[topicName]
-	if !ok {
-		return 0, 0, fmt.Errorf("%w: %s", ErrUnknownTopic, topicName)
-	}
-	var p int
-	if key == "" {
-		p = int(t.rr % uint64(len(t.partitions)))
-		t.rr++
-	} else {
-		p = partitionFor(key, len(t.partitions))
-	}
-	part := t.partitions[p]
-	off := int64(len(part.records))
-	v := make([]byte, len(value))
-	copy(v, value)
-	var h map[string]string
-	if len(headers) > 0 {
-		h = make(map[string]string, len(headers))
-		for k, val := range headers {
-			h[k] = val
-		}
-	}
-	part.records = append(part.records, Record{
-		Topic: topicName, Partition: p, Offset: off, Key: key, Value: v, Headers: h, Time: b.now(),
-	})
-	return p, off, nil
-}
-
-// Fetch reads up to max records from a partition starting at offset.
-// Fetching exactly at the log end returns an empty slice (not an error);
-// fetching beyond it is an error.
-func (b *Broker) Fetch(topicName string, partitionID int, offset int64, max int) ([]Record, error) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	t, ok := b.topics[topicName]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownTopic, topicName)
-	}
-	if partitionID < 0 || partitionID >= len(t.partitions) {
-		return nil, fmt.Errorf("%w: %d of %d", ErrBadPartition, partitionID, len(t.partitions))
-	}
-	part := t.partitions[partitionID]
-	end := int64(len(part.records))
-	if offset > end {
-		return nil, fmt.Errorf("%w: offset %d, log end %d", ErrOffsetOutOfLog, offset, end)
-	}
-	if offset == end || max <= 0 {
-		return nil, nil
-	}
-	hi := offset + int64(max)
-	if hi > end {
-		hi = end
-	}
-	out := make([]Record, hi-offset)
-	copy(out, part.records[offset:hi])
-	return out, nil
-}
-
-// EndOffset returns the next offset to be written to a partition.
-func (b *Broker) EndOffset(topicName string, partitionID int) (int64, error) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	t, ok := b.topics[topicName]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrUnknownTopic, topicName)
-	}
-	if partitionID < 0 || partitionID >= len(t.partitions) {
-		return 0, fmt.Errorf("%w: %d", ErrBadPartition, partitionID)
-	}
-	return int64(len(t.partitions[partitionID].records)), nil
-}
-
-func (b *Broker) group(name string) *groupState {
-	g, ok := b.groups[name]
-	if !ok {
-		g = &groupState{offsets: make(map[string][]int64)}
-		b.groups[name] = g
-	}
-	return g
-}
-
-// Commit stores a consumer group's committed offset for a partition.
-func (b *Broker) Commit(groupName, topicName string, partitionID int, offset int64) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	t, ok := b.topics[topicName]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownTopic, topicName)
-	}
-	if partitionID < 0 || partitionID >= len(t.partitions) {
-		return fmt.Errorf("%w: %d", ErrBadPartition, partitionID)
-	}
-	g := b.group(groupName)
-	offs, ok := g.offsets[topicName]
-	if !ok {
-		offs = make([]int64, len(t.partitions))
-		g.offsets[topicName] = offs
-	}
-	offs[partitionID] = offset
-	return nil
-}
-
-// Committed returns a group's committed offset for a partition (0 when the
-// group has never committed).
-func (b *Broker) Committed(groupName, topicName string, partitionID int) (int64, error) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	t, ok := b.topics[topicName]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrUnknownTopic, topicName)
-	}
-	if partitionID < 0 || partitionID >= len(t.partitions) {
-		return 0, fmt.Errorf("%w: %d", ErrBadPartition, partitionID)
-	}
-	g, ok := b.groups[groupName]
-	if !ok {
-		return 0, nil
-	}
-	offs, ok := g.offsets[topicName]
-	if !ok {
-		return 0, nil
-	}
-	return offs[partitionID], nil
-}
-
-// Poll reads up to max uncommitted records for a consumer group across all
-// partitions of a topic and advances the committed offsets past what it
-// returns (at-most-once semantics, sufficient for the pipeline simulation).
-func (b *Broker) Poll(groupName, topicName string, max int) ([]Record, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	t, ok := b.topics[topicName]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownTopic, topicName)
-	}
-	g := b.group(groupName)
-	offs, ok := g.offsets[topicName]
-	if !ok {
-		offs = make([]int64, len(t.partitions))
-		g.offsets[topicName] = offs
-	}
-	var out []Record
-	for p, part := range t.partitions {
-		if len(out) >= max {
-			break
-		}
-		start := offs[p]
-		end := int64(len(part.records))
-		for o := start; o < end && len(out) < max; o++ {
-			out = append(out, part.records[o])
-			offs[p] = o + 1
-		}
-	}
-	return out, nil
-}
-
-// CommitPolled satisfies Bus. The single-node Broker commits inside Poll
-// (at-most-once), so there is nothing left to commit here; the call only
-// validates the topic. The replicated Cluster implements the real
-// poll-then-commit flow.
-func (b *Broker) CommitPolled(groupName, topicName string) error {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	if _, ok := b.topics[topicName]; !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownTopic, topicName)
-	}
-	return nil
-}
-
-// Lag returns the total number of records a group has not yet consumed
-// across all partitions of a topic.
-func (b *Broker) Lag(groupName, topicName string) (int64, error) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	t, ok := b.topics[topicName]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrUnknownTopic, topicName)
-	}
-	var lag int64
-	g := b.groups[groupName]
-	for p, part := range t.partitions {
-		end := int64(len(part.records))
-		var committed int64
-		if g != nil {
-			if offs, ok := g.offsets[topicName]; ok {
-				committed = offs[p]
-			}
-		}
-		lag += end - committed
-	}
-	return lag, nil
 }

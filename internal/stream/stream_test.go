@@ -9,17 +9,47 @@ import (
 	"testing/quick"
 )
 
-func newTestBroker(t *testing.T, partitions int) *Broker {
+// newSingleNode boots the plain single-node log: one node, replication 1.
+func newSingleNode(tb testing.TB) *Cluster {
+	tb.Helper()
+	c, err := NewCluster(ClusterConfig{Nodes: 1, Replication: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
+func newTestBroker(t *testing.T, partitions int) *Cluster {
 	t.Helper()
-	b := NewBroker()
+	b := newSingleNode(t)
 	if err := b.CreateTopic("events", partitions); err != nil {
 		t.Fatal(err)
 	}
 	return b
 }
 
+// drainAll polls a fresh group to the end of the topic, committing after
+// every batch, and returns everything it saw.
+func drainAll(tb testing.TB, b *Cluster, group, topic string, max int) []Record {
+	tb.Helper()
+	var all []Record
+	for {
+		recs, err := b.Poll(group, topic, max)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if len(recs) == 0 {
+			return all
+		}
+		all = append(all, recs...)
+		if err := b.CommitPolled(group, topic); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
 func TestCreateTopicErrors(t *testing.T) {
-	b := NewBroker()
+	b := newSingleNode(t)
 	if err := b.CreateTopic("t", 0); !errors.Is(err, ErrBadPartition) {
 		t.Fatalf("zero partitions err = %v", err)
 	}
@@ -34,7 +64,7 @@ func TestCreateTopicErrors(t *testing.T) {
 	}
 }
 
-func TestProduceFetchRoundTrip(t *testing.T) {
+func TestProducePollRoundTrip(t *testing.T) {
 	b := newTestBroker(t, 1)
 	for i := 0; i < 5; i++ {
 		p, off, err := b.Produce("events", "k", []byte(strconv.Itoa(i)))
@@ -45,24 +75,35 @@ func TestProduceFetchRoundTrip(t *testing.T) {
 			t.Fatalf("produce %d: partition=%d offset=%d", i, p, off)
 		}
 	}
-	recs, err := b.Fetch("events", 0, 1, 2)
+	recs, err := b.Poll("g", "events", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 || string(recs[0].Value) != "1" || string(recs[1].Value) != "2" {
-		t.Fatalf("fetch = %v", recs)
+	if len(recs) != 2 || string(recs[0].Value) != "0" || string(recs[1].Value) != "1" {
+		t.Fatalf("poll = %v", recs)
 	}
-	// Fetch at end is empty, not error.
-	end, _ := b.EndOffset("events", 0)
-	empty, err := b.Fetch("events", 0, end, 10)
+	// Nothing was committed, so the same batch comes back.
+	again, err := b.Poll("g", "events", 2)
+	if err != nil || len(again) != 2 || again[0].Offset != 0 {
+		t.Fatalf("uncommitted re-poll = %v, %v", again, err)
+	}
+	if err := b.CommitPolled("g", "events"); err != nil {
+		t.Fatal(err)
+	}
+	rest := drainAll(t, b, "g", "events", 10)
+	if len(rest) != 3 || string(rest[0].Value) != "2" {
+		t.Fatalf("after commit = %v", rest)
+	}
+	// Polling at the log end is empty, not an error.
+	empty, err := b.Poll("g", "events", 10)
 	if err != nil || len(empty) != 0 {
-		t.Fatalf("fetch at end = %v, %v", empty, err)
+		t.Fatalf("poll at end = %v, %v", empty, err)
 	}
-	if _, err := b.Fetch("events", 0, end+1, 1); !errors.Is(err, ErrOffsetOutOfLog) {
-		t.Fatalf("beyond-end err = %v", err)
-	}
-	if _, err := b.Fetch("events", 5, 0, 1); !errors.Is(err, ErrBadPartition) {
+	if _, err := b.Committed("g", "events", 5); !errors.Is(err, ErrBadPartition) {
 		t.Fatalf("bad partition err = %v", err)
+	}
+	if err := b.CommitPolled("g", "missing"); !errors.Is(err, ErrUnknownTopic) {
+		t.Fatalf("unknown topic err = %v", err)
 	}
 }
 
@@ -78,23 +119,18 @@ func TestKeyOrderingWithinPartition(t *testing.T) {
 		}
 	}
 	// All records of one key land in one partition, in production order.
+	all := drainAll(t, b, "g", "events", 16)
 	for _, k := range keys {
 		var seq []string
-		n, _ := b.Partitions("events")
-		for p := 0; p < n; p++ {
-			end, _ := b.EndOffset("events", p)
-			recs, err := b.Fetch("events", p, 0, int(end))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range recs {
-				if r.Key == k {
-					seq = append(seq, string(r.Value))
-				}
+		parts := make(map[int]bool)
+		for _, r := range all {
+			if r.Key == k {
+				seq = append(seq, string(r.Value))
+				parts[r.Partition] = true
 			}
 		}
-		if len(seq) != perKey {
-			t.Fatalf("key %s: %d records across partitions, want %d in one", k, len(seq), perKey)
+		if len(seq) != perKey || len(parts) != 1 {
+			t.Fatalf("key %s: %d records across %d partitions, want %d in one", k, len(seq), len(parts), perKey)
 		}
 		for i, v := range seq {
 			if v != fmt.Sprintf("%s:%d", k, i) {
@@ -119,18 +155,7 @@ func TestConsumerGroupPollAndLag(t *testing.T) {
 	if lag != n {
 		t.Fatalf("initial lag = %d", lag)
 	}
-	seen := 0
-	for {
-		recs, err := b.Poll("g1", "events", 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(recs) == 0 {
-			break
-		}
-		seen += len(recs)
-	}
-	if seen != n {
+	if seen := len(drainAll(t, b, "g1", "events", 7)); seen != n {
 		t.Fatalf("group consumed %d, want %d", seen, n)
 	}
 	lag, _ = b.Lag("g1", "events")
@@ -144,29 +169,6 @@ func TestConsumerGroupPollAndLag(t *testing.T) {
 	}
 }
 
-func TestCommitAndCommitted(t *testing.T) {
-	b := newTestBroker(t, 2)
-	if err := b.Commit("g", "events", 1, 5); err != nil {
-		t.Fatal(err)
-	}
-	off, err := b.Committed("g", "events", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off != 5 {
-		t.Fatalf("committed = %d", off)
-	}
-	if off, _ := b.Committed("g", "events", 0); off != 0 {
-		t.Fatalf("uncommitted partition = %d", off)
-	}
-	if err := b.Commit("g", "missing", 0, 1); !errors.Is(err, ErrUnknownTopic) {
-		t.Fatalf("err = %v", err)
-	}
-	if err := b.Commit("g", "events", 9, 1); !errors.Is(err, ErrBadPartition) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestProduceIsolatesValueBuffer(t *testing.T) {
 	b := newTestBroker(t, 1)
 	buf := []byte("original")
@@ -174,8 +176,8 @@ func TestProduceIsolatesValueBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	copy(buf, "mutated!")
-	recs, _ := b.Fetch("events", 0, 0, 1)
-	if string(recs[0].Value) != "original" {
+	recs, _ := b.Poll("g", "events", 1)
+	if len(recs) != 1 || string(recs[0].Value) != "original" {
 		t.Fatal("broker must copy the value at the boundary")
 	}
 }
@@ -197,11 +199,9 @@ func TestConcurrentProducersConsistent(t *testing.T) {
 		}(p)
 	}
 	wg.Wait()
-	total := int64(0)
-	n, _ := b.Partitions("events")
-	for p := 0; p < n; p++ {
-		end, _ := b.EndOffset("events", p)
-		total += end
+	total, err := b.Lag("g", "events")
+	if err != nil {
+		t.Fatal(err)
 	}
 	if total != producers*each {
 		t.Fatalf("total records = %d, want %d", total, producers*each)
@@ -214,7 +214,7 @@ func TestOffsetsDenseProperty(t *testing.T) {
 		if len(keys) > 200 {
 			keys = keys[:200]
 		}
-		b := NewBroker()
+		b := newSingleNode(t)
 		if err := b.CreateTopic("t", 3); err != nil {
 			return false
 		}
@@ -223,22 +223,17 @@ func TestOffsetsDenseProperty(t *testing.T) {
 				return false
 			}
 		}
-		for p := 0; p < 3; p++ {
-			end, err := b.EndOffset("t", p)
-			if err != nil {
+		// A poll walks each partition in offset order, so the next offset
+		// seen on a partition must be exactly the count seen so far.
+		var next [3]int64
+		recs := drainAll(t, b, "g", "t", 50)
+		for _, r := range recs {
+			if r.Partition < 0 || r.Partition >= 3 || r.Offset != next[r.Partition] {
 				return false
 			}
-			recs, err := b.Fetch("t", p, 0, int(end))
-			if err != nil {
-				return false
-			}
-			for i, r := range recs {
-				if r.Offset != int64(i) || r.Partition != p {
-					return false
-				}
-			}
+			next[r.Partition]++
 		}
-		return true
+		return len(recs) == len(keys)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -259,6 +254,7 @@ func TestConsumerGroupRebalance(t *testing.T) {
 	}
 
 	seen := make(map[string]string) // "partition/offset" → which member got it
+	var ends [partitions]int64      // log end per partition, from the offsets seen
 	drain := func(member string, max int) int {
 		recs, err := b.Poll("g", "events", max)
 		if err != nil {
@@ -270,6 +266,13 @@ func TestConsumerGroupRebalance(t *testing.T) {
 				t.Fatalf("record %s delivered to both %s and %s", key, prev, member)
 			}
 			seen[key] = member
+			if r.Offset+1 > ends[r.Partition] {
+				ends[r.Partition] = r.Offset + 1
+			}
+		}
+		// Each member commits what it was handed before the other polls.
+		if err := b.CommitPolled("g", "events"); err != nil {
+			t.Fatal(err)
 		}
 		return len(recs)
 	}
@@ -293,17 +296,16 @@ func TestConsumerGroupRebalance(t *testing.T) {
 		t.Fatalf("group consumed %d distinct records, want %d", len(seen), records)
 	}
 	for p := 0; p < partitions; p++ {
-		end, err := b.EndOffset("events", p)
-		if err != nil {
-			t.Fatal(err)
-		}
 		committed, err := b.Committed("g", "events", p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if committed != end {
-			t.Fatalf("partition %d committed = %d, end = %d", p, committed, end)
+		if committed != ends[p] {
+			t.Fatalf("partition %d committed = %d, end = %d", p, committed, ends[p])
 		}
+	}
+	if lag, err := b.Lag("g", "events"); err != nil || lag != 0 {
+		t.Fatalf("post-drain lag = %d, err %v", lag, err)
 	}
 	// A third poll after the rebalance-drain re-delivers nothing.
 	if recs, err := b.Poll("g", "events", records); err != nil || len(recs) != 0 {

@@ -122,20 +122,6 @@ func NewRegistry() *Registry {
 	return &Registry{metrics: make(map[string]*metric)}
 }
 
-// WithLabel appends one {key="value"} label pair to a metric name,
-// pre-formatting it so the hot path never touches strings. Calling it on a
-// name that already has labels inserts the new pair before the closing
-// brace. Values are escaped per the exposition format (labels.go), so a
-// value containing quotes, backslashes, or newlines round-trips through
-// /metrics parsers exactly.
-func WithLabel(name, key, value string) string {
-	pair := key + `="` + EscapeLabelValue(value) + `"`
-	if n := len(name); n > 0 && name[n-1] == '}' {
-		return name[:n-1] + "," + pair + "}"
-	}
-	return name + "{" + pair + "}"
-}
-
 // baseName strips the {label...} suffix, yielding the metric family name
 // used for HELP/TYPE lines.
 func baseName(name string) string {

@@ -119,8 +119,8 @@ func TestExpBuckets(t *testing.T) {
 
 func TestPrometheusExposition(t *testing.T) {
 	r := NewRegistry()
-	r.Counter(WithLabel("cityinfra_broker_produce_total", "topic", "tweets"), "produced records").Add(7)
-	r.Counter(WithLabel("cityinfra_broker_produce_total", "topic", "waze"), "produced records").Add(3)
+	r.Counter(FormatName("cityinfra_broker_produce_total", LabelSet{{"topic", "tweets"}}), "produced records").Add(7)
+	r.Counter(FormatName("cityinfra_broker_produce_total", LabelSet{{"topic", "waze"}}), "produced records").Add(3)
 	r.Gauge("cityinfra_hdfs_live_datanodes", "live datanodes").Set(4)
 	r.GaugeFunc("cityinfra_breaker_state", "breaker state", func() float64 { return 1 })
 	r.CounterFunc("cityinfra_retry_retries_total", "retries", func() float64 { return 42 })
@@ -155,20 +155,6 @@ func TestPrometheusExposition(t *testing.T) {
 	// HELP/TYPE emitted once per family even with multiple label sets.
 	if n := strings.Count(out, "# TYPE cityinfra_broker_produce_total"); n != 1 {
 		t.Fatalf("TYPE lines for family = %d, want 1", n)
-	}
-}
-
-func TestWithLabel(t *testing.T) {
-	n := WithLabel("m_total", "a", "x")
-	if n != `m_total{a="x"}` {
-		t.Fatalf("WithLabel = %s", n)
-	}
-	n = WithLabel(n, "b", "y")
-	if n != `m_total{a="x",b="y"}` {
-		t.Fatalf("WithLabel chained = %s", n)
-	}
-	if baseName(n) != "m_total" {
-		t.Fatalf("baseName = %s", baseName(n))
 	}
 }
 

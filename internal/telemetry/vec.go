@@ -294,7 +294,9 @@ func (v *CounterVec) SeriesCount() int { return v.f.seriesCount() }
 
 // LabeledCounter is a cached per-label counter handle. Add/Inc are two
 // atomic adds and one atomic load — no locks, no allocation — and stay
-// valid across demotion: a tail handle records into the rollup series.
+// valid across demotion: a tail handle records into the rollup series. A nil
+// handle is valid and records nothing, so a caller whose dimensional layer is
+// switched off needs no guards.
 type LabeledCounter struct{ c *vecChild }
 
 // Inc adds one.
@@ -302,7 +304,7 @@ func (h *LabeledCounter) Inc() { h.Add(1) }
 
 // Add adds n (non-positive deltas are ignored, like Counter.Add).
 func (h *LabeledCounter) Add(n int) {
-	if n <= 0 {
+	if h == nil || n <= 0 {
 		return
 	}
 	h.c.obs.Add(uint64(n))
@@ -373,13 +375,17 @@ func (v *HistogramVec) Children() []VecChildInfo { return v.f.childrenInfo() }
 // SeriesCount returns materialized children + 1 (the rollup).
 func (v *HistogramVec) SeriesCount() int { return v.f.seriesCount() }
 
-// LabeledHistogram is a cached per-label histogram handle.
+// LabeledHistogram is a cached per-label histogram handle; a nil handle
+// observes nothing.
 type LabeledHistogram struct{ c *vecChild }
 
 // Observe records one value: exact per-label count and sum on the handle,
 // plus the bucket observation on whichever series (own or rollup) the label
 // currently owns.
 func (h *LabeledHistogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
 	h.c.obs.Add(1)
 	addFloatBits(&h.c.sum, v)
 	h.c.tgtH.Load().Observe(v)

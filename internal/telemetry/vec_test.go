@@ -75,15 +75,15 @@ func TestParseNameCanonical(t *testing.T) {
 	}
 }
 
-func TestWithLabelEscapes(t *testing.T) {
-	name := WithLabel("m_total", "path", "C:\\tmp\"x\"\nend")
+func TestFormatNameEscapes(t *testing.T) {
+	name := FormatName("m_total", LabelSet{{"path", "C:\\tmp\"x\"\nend"}})
 	want := `m_total{path="C:\\tmp\"x\"\nend"}`
 	if name != want {
-		t.Fatalf("WithLabel = %q, want %q", name, want)
+		t.Fatalf("FormatName = %q, want %q", name, want)
 	}
 	_, labels, err := ParseName(name)
 	if err != nil {
-		t.Fatalf("ParseName(WithLabel(...)): %v", err)
+		t.Fatalf("ParseName(FormatName(...)): %v", err)
 	}
 	if got := labels.Get("path"); got != "C:\\tmp\"x\"\nend" {
 		t.Fatalf("parsed value = %q", got)
@@ -233,4 +233,14 @@ func seriesValues(reg *Registry, family string) map[string]float64 {
 		}
 	}
 	return out
+}
+
+// A nil handle is what a caller holds when its dimensional layer is
+// switched off: recording through it must be a no-op, not a panic.
+func TestNilLabeledHandlesRecordNothing(t *testing.T) {
+	var c *LabeledCounter
+	var h *LabeledHistogram
+	c.Inc()
+	c.Add(3)
+	h.Observe(0.5)
 }

@@ -155,7 +155,7 @@ func (e *Engine) AddRule(r Rule, reg *telemetry.Registry) error {
 	e.rules = append(e.rules, st)
 	e.mu.Unlock()
 	if reg != nil {
-		reg.GaugeFunc(telemetry.WithLabel("cityinfra_tsdb_alert_state", "rule", r.Name),
+		reg.GaugeFunc(telemetry.FormatName("cityinfra_tsdb_alert_state", telemetry.LabelSet{{Key: "rule", Value: r.Name}}),
 			"0=inactive, 1=pending, 2=firing", func() float64 {
 				switch e.ruleStateOf(r.Name) {
 				case StateFiring:

@@ -235,7 +235,7 @@ func TestExpositionEscapedLabelValues(t *testing.T) {
 	srv, inf := newTestServer(t)
 	weird := "C:\\tmp \"x\"\nend"
 	inf.Telemetry.Counter(
-		telemetry.WithLabel("cityinfra_test_escapes_total", "path", weird),
+		telemetry.FormatName("cityinfra_test_escapes_total", telemetry.LabelSet{{Key: "path", Value: weird}}),
 		"escape round-trip fixture").Add(3)
 	inf.MonitorTick()
 
