@@ -232,7 +232,6 @@ func BenchmarkControllerTick(b *testing.B) {
 		Firing:      func() []string { return nil },
 		BurnRate:    func() float64 { return 0 },
 		BreakerOpen: func() bool { return degraded },
-		HotRegion:   func() (string, float64) { return "ingest/store", 0.4 },
 		Eval: func(string) (float64, bool) {
 			if degraded {
 				return 2, true

@@ -10,12 +10,10 @@ import (
 
 // fakeSignals is a mutable signal source tests drive tick by tick.
 type fakeSignals struct {
-	firing    []string
-	burn      float64
-	breaker   bool
-	hotRegion string
-	hotShare  float64
-	evals     map[string]float64
+	firing  []string
+	burn    float64
+	breaker bool
+	evals   map[string]float64
 }
 
 func (f *fakeSignals) signals() Signals {
@@ -23,7 +21,6 @@ func (f *fakeSignals) signals() Signals {
 		Firing:      func() []string { return f.firing },
 		BurnRate:    func() float64 { return f.burn },
 		BreakerOpen: func() bool { return f.breaker },
-		HotRegion:   func() (string, float64) { return f.hotRegion, f.hotShare },
 		Eval: func(expr string) (float64, bool) {
 			v, ok := f.evals[expr]
 			return v, ok
@@ -37,7 +34,6 @@ func testConfig() Config {
 		"ingest-delivery-rate", "breaker-open", "hdfs-lost-blocks",
 		"ingest-p99-anomaly", "broker-under-replicated",
 	}
-	cfg.ServerRegions = []string{"ingest/stream", "ingest/inference"}
 	return cfg
 }
 
@@ -130,13 +126,10 @@ func TestControllerUplinkDegradationMigratesThenSheds(t *testing.T) {
 }
 
 // Degradation that is NOT uplink-specific (storage faults: undelivered
-// records but no produce errors, no server-path hot region) walks the
-// threshold down instead of migrating, and respects the floor.
+// records but no produce errors) walks the threshold down instead of
+// migrating, and respects the floor.
 func TestControllerStorageDegradationWalksThreshold(t *testing.T) {
-	sig := &fakeSignals{
-		evals:     map[string]float64{undeliveredExpr: 0},
-		hotRegion: "ingest/store", hotShare: 0.9, // shared-path heat: no migration
-	}
+	sig := &fakeSignals{evals: map[string]float64{undeliveredExpr: 0}}
 	k := NewKnobs(0.5)
 	c := NewController(k, testConfig(), sig.signals(), nil)
 
@@ -158,26 +151,6 @@ func TestControllerStorageDegradationWalksThreshold(t *testing.T) {
 	// Once the gate is floored, the only remaining mitigation is shedding.
 	if k.ShedLevel() == 0 {
 		t.Fatal("expected shedding after the threshold floor")
-	}
-}
-
-// A dominant server-path hot region is sufficient uplink evidence to
-// migrate even when produce errors are absent.
-func TestControllerHotRegionTriggersMigration(t *testing.T) {
-	sig := &fakeSignals{
-		firing:    []string{"ingest-p99-anomaly"},
-		hotRegion: "ingest/inference", hotShare: 0.7,
-		evals: map[string]float64{},
-	}
-	k := NewKnobs(0.5)
-	c := NewController(k, testConfig(), sig.signals(), nil)
-	c.Tick()
-	if k.InferenceTier() != TierFog {
-		t.Fatalf("tier = %v, want fog (hot server region)", k.InferenceTier())
-	}
-	acts := c.Actions(0)
-	if len(acts) != 1 || acts[0].Kind != ActionMigrateFog {
-		t.Fatalf("actions = %+v", acts)
 	}
 }
 

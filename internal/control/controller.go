@@ -52,7 +52,7 @@ type Action struct {
 
 // Signals are the read-only observability inputs the controller consumes.
 // The core package wires them from the live TSDB, alert engine, SLO
-// monitor, and profiler; tests substitute synthetic closures. Any nil
+// monitor, and breaker; tests substitute synthetic closures. Any nil
 // signal reads as healthy.
 type Signals struct {
 	// Firing returns the names of currently-firing alert rules.
@@ -62,12 +62,6 @@ type Signals struct {
 	BurnRate func() float64
 	// BreakerOpen reports whether the shared circuit breaker is open.
 	BreakerOpen func() bool
-	// HotRegion returns the hottest code region and its self-time share of
-	// the last window. The live core wiring leaves this nil: the profiler's
-	// attribution is measured wall time, and feeding it into the decision
-	// loop would make control actions non-replayable. It exists for
-	// environments whose attribution IS deterministic (tests, simulators).
-	HotRegion func() (region string, share float64)
 	// Eval evaluates an instant query at the current simulated time,
 	// returning ok=false when the series is missing or the query fails.
 	Eval func(expr string) (value float64, ok bool)
@@ -81,9 +75,6 @@ type Config struct {
 	ThresholdTarget float64
 	ThresholdMin    float64
 	ThresholdStep   float64
-	// P99DegradeSeconds marks the ingest p99 above which the system counts
-	// as degraded even without a firing rule.
-	P99DegradeSeconds float64
 	// DegradeTicks is how many consecutive degraded ticks arm an action;
 	// RecoverTicks how many consecutive healthy ticks arm a recovery step.
 	DegradeTicks int
@@ -91,18 +82,12 @@ type Config struct {
 	// CooldownTicks is the per-action-kind refractory period, so one
 	// sustained incident produces a staircase of actions, not a cliff.
 	CooldownTicks int
-	// HotShareMigrate is the hot-region self-time share above which a
-	// server-path region counts as uplink/server stress.
-	HotShareMigrate float64
 	// MaxShedLevel caps the admission floor.
 	MaxShedLevel int
 	// WatchRules names the alert rules whose firing counts as degraded.
 	// The controller's own exported state must never appear here — watching
 	// control-* rules would close a positive feedback loop.
 	WatchRules []string
-	// ServerRegions names profiler regions that only heat up on the
-	// server/broker path, so their dominance argues for fog migration.
-	ServerRegions []string
 	// History caps the retained action ring (0 means 64).
 	History int
 }
@@ -112,16 +97,14 @@ type Config struct {
 // two ticks.
 func DefaultConfig() Config {
 	return Config{
-		ThresholdTarget:   0.5,
-		ThresholdMin:      0.2,
-		ThresholdStep:     0.1,
-		P99DegradeSeconds: 1.0,
-		DegradeTicks:      1,
-		RecoverTicks:      3,
-		CooldownTicks:     2,
-		HotShareMigrate:   0.5,
-		MaxShedLevel:      2,
-		History:           64,
+		ThresholdTarget: 0.5,
+		ThresholdMin:    0.2,
+		ThresholdStep:   0.1,
+		DegradeTicks:    1,
+		RecoverTicks:    3,
+		CooldownTicks:   2,
+		MaxShedLevel:    2,
+		History:         64,
 	}
 }
 
@@ -331,11 +314,6 @@ func (c *Controller) classify() (bool, string) {
 	if burnRising {
 		return true, "slo burn rising past 1"
 	}
-	if c.cfg.P99DegradeSeconds > 0 && c.sig.Eval != nil {
-		if v, ok := c.sig.Eval("cityinfra_pipeline_ingest_seconds_p99"); ok && v > c.cfg.P99DegradeSeconds {
-			return true, "ingest p99 above degrade line"
-		}
-	}
 	return false, ""
 }
 
@@ -378,10 +356,9 @@ func (c *Controller) watchedFiring() []string {
 
 // uplinkStressed decides whether degradation points at the broker/server
 // path specifically (vs storage faults both tiers share): recent produce
-// errors, under-replication, or a server-path region dominating the
-// profile. The shared breaker opening is deliberately NOT sufficient — it
-// trips on storage faults too, and migrating away from the server tier
-// would not help those.
+// errors or under-replication. The shared breaker opening is deliberately
+// NOT sufficient — it trips on storage faults too, and migrating away from
+// the server tier would not help those.
 func (c *Controller) uplinkStressed() (bool, string) {
 	if c.produceErrUp {
 		return true, "broker produce errors rising"
@@ -389,16 +366,6 @@ func (c *Controller) uplinkStressed() (bool, string) {
 	for _, name := range c.watchedFiring() {
 		if name == "broker-under-replicated" {
 			return true, "broker under-replicated"
-		}
-	}
-	if c.sig.HotRegion != nil && c.cfg.HotShareMigrate > 0 {
-		region, share := c.sig.HotRegion()
-		if share >= c.cfg.HotShareMigrate {
-			for _, r := range c.cfg.ServerRegions {
-				if region == r {
-					return true, "server-path region " + region + " dominates profile"
-				}
-			}
 		}
 	}
 	return false, ""

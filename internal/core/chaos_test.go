@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/citydata"
+	"repro/internal/telemetry"
 )
 
 // TestPipelineSurvivesDataNodeFailure is the availability story end to end:
@@ -113,5 +114,47 @@ func TestHBaseCrashRecoveryThroughInfrastructure(t *testing.T) {
 	}
 	if len(rows) != 25 {
 		t.Fatalf("rows after recovery = %d", len(rows))
+	}
+}
+
+// TestHealerWiredThroughInfrastructure: a repair driven through inf.Healer
+// is what the cityinfra_hdfs_healer_* series and the healer event hook
+// observe.
+func TestHealerWiredThroughInfrastructure(t *testing.T) {
+	inf := bootSmall(t)
+	if err := inf.HDFS.Write("/warehouse/healer/blob", make([]byte, 4*inf.Config().BlockSize)); err != nil {
+		t.Fatal(err)
+	}
+	if err := inf.HDFS.FailDataNode("dn-0"); err != nil {
+		t.Fatal(err)
+	}
+	if under, _ := inf.HDFS.UnderReplicated(); under == 0 {
+		t.Fatal("failing dn-0 left nothing under-replicated")
+	}
+	created, err := inf.Healer.Tick()
+	if err != nil || created == 0 {
+		t.Fatalf("healer tick = %d, %v", created, err)
+	}
+	if under, lost := inf.HDFS.UnderReplicated(); under != 0 || lost != 0 {
+		t.Fatalf("under=%d lost=%d after healer tick", under, lost)
+	}
+
+	var metric float64
+	for _, p := range inf.Telemetry.Snapshot() {
+		if p.Name == "cityinfra_hdfs_healer_replicas_created_total" {
+			metric = p.Value
+		}
+	}
+	if metric != float64(created) {
+		t.Fatalf("cityinfra_hdfs_healer_replicas_created_total = %g, want %d", metric, created)
+	}
+	healerEvents := 0
+	for _, ev := range inf.Events.Events(0) {
+		if ev.Component == telemetry.CompHealer {
+			healerEvents++
+		}
+	}
+	if healerEvents != 1 {
+		t.Fatalf("%d healer events, want 1", healerEvents)
 	}
 }

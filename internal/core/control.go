@@ -40,12 +40,11 @@ func (inf *Infrastructure) wireControl() {
 		BreakerOpen: func() bool {
 			return inf.Breaker.State() == retry.Open
 		},
-		// HotRegion stays nil on purpose: the profiler attributes measured
-		// wall time, so feeding its shares into the decision loop would make
-		// control actions depend on machine load — the same seed would replay
-		// different actions. Profiler output stays a diagnostic (watch pane,
-		// /api/profile); the controller decides off deterministic counters
-		// and breaker/alert state only.
+		// No signal reads the profiler or the ingest p99: both are measured
+		// wall time, so a decision fed by them would depend on machine load
+		// and the same seed would replay different actions. They stay
+		// diagnostics (watch pane, /api/profile); the controller decides off
+		// deterministic counters and breaker/alert state only.
 		Eval: func(expr string) (float64, bool) {
 			v, err := inf.TSDB.Eval(expr, inf.Clock.Now())
 			if err != nil {
@@ -58,9 +57,6 @@ func (inf *Infrastructure) wireControl() {
 	cfg := control.DefaultConfig()
 	cfg.ThresholdTarget = thr
 	cfg.WatchRules = controlWatchRules()
-	// The ingest-p99 degrade line is disabled for the same replayability
-	// reason HotRegion is unwired: the p99 series is measured wall time.
-	cfg.P99DegradeSeconds = 0
 	inf.Control = control.NewController(inf.Knobs, cfg, sig, inf.Events)
 
 	r := inf.Telemetry

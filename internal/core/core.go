@@ -69,10 +69,6 @@ type Config struct {
 	Gang    socialgraph.GenConfig
 	// Epoch anchors generated timestamps.
 	Epoch time.Time
-	// FleetMaxSeries is the per-family top-K budget for per-camera metric
-	// series: the K busiest cameras own real series, the tail folds into one
-	// {camera="~other"} rollup (0 defaults to telemetry.DefaultVecMaxSeries).
-	FleetMaxSeries int
 	// DisableFleetTelemetry turns off the per-camera dimensional layer
 	// entirely (global metrics are unaffected). Used by E26's overhead
 	// baseline arm; production deployments leave it on.
@@ -279,9 +275,9 @@ func New(cfg Config, rng *rand.Rand) (*Infrastructure, error) {
 	// produce/poll is timed regardless of what sits underneath.
 	inf.Telemetry = telemetry.NewRegistry()
 	inf.Tracer = telemetry.NewTracer(nil, 128)
-	inf.Healer = hdfs.NewSupervisor(inf.HDFS, 0)
+	inf.Healer = hdfs.NewSupervisor(inf.HDFS)
 	inf.Events = telemetry.NewEventLog(nil, 512)
-	inf.SLOs = telemetry.NewSLOMonitor(nil)
+	inf.SLOs = telemetry.NewSLOMonitor(inf.Clock.Now)
 	inf.wireTelemetry()
 	inf.wireFleet()
 	inf.Bus = stream.NewMeteredBus(inf.Broker, inf.busMetrics)

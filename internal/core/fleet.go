@@ -35,46 +35,50 @@ type camHandles struct {
 	burn        *telemetry.LabeledGauge
 }
 
-// camWindow is one camera's per-tick delta ring, advanced by Fleet.Tick.
-type camWindow struct {
-	prevIngested, prevDelivered, prevUndelivered uint64
+// camReading is the three exact counters the accounting window follows:
+// cumulative as read at one tick, or the difference of two such readings.
+type camReading struct{ ingested, delivered, undelivered uint64 }
 
-	dIngested    [fleetWindowTicks]uint64
-	dDelivered   [fleetWindowTicks]uint64
-	dUndelivered [fleetWindowTicks]uint64
-
+// camRecord is everything the fleet keeps for one camera: the handle bundle
+// the frame path writes through and the accounting window Fleet.Tick
+// advances. ring holds the cumulative readings of the last
+// fleetWindowTicks+1 ticks, indexed by tick number; the slots of ticks before
+// the camera was first seen stay zero, which is what its counters read then —
+// so the window's deltas are always newest slot minus oldest slot.
+type camRecord struct {
+	camHandles
+	id       string
+	ring     [fleetWindowTicks + 1]camReading
 	lastBurn float64
 }
 
-// windowBurn is the camera's SLO burn rate over the delta window: the bad
-// fraction of attempted deliveries divided by the error budget (1 - target).
-func (w *camWindow) windowBurn() float64 {
-	var bad, attempted uint64
-	for i := 0; i < fleetWindowTicks; i++ {
-		bad += w.dUndelivered[i]
-		attempted += w.dDelivered[i] + w.dUndelivered[i]
-	}
-	if attempted == 0 || bad == 0 {
-		return 0
-	}
-	return (float64(bad) / float64(attempted)) / (1 - fleetSLOTarget)
+// window returns the counter deltas over the accounting window that closed
+// at the given tick.
+func (c *camRecord) window(tick int) camReading {
+	now, old := c.ring[tick%len(c.ring)], c.ring[(tick+1)%len(c.ring)]
+	return camReading{now.ingested - old.ingested, now.delivered - old.delivered, now.undelivered - old.undelivered}
 }
 
-// windowRate is the camera's ingest rate over the delta window in frames/s.
-// ticks caps the divisor while the window is still filling after boot.
-func (w *camWindow) windowRate(interval time.Duration, ticks int) float64 {
-	n := fleetWindowTicks
-	if ticks < n {
-		n = ticks
-	}
-	if n <= 0 {
+// burn is the SLO burn rate of one window: the bad fraction of attempted
+// deliveries divided by the error budget (1 - target).
+func (w camReading) burn() float64 {
+	attempted := w.delivered + w.undelivered
+	if attempted == 0 || w.undelivered == 0 {
 		return 0
 	}
-	var d uint64
-	for i := 0; i < fleetWindowTicks; i++ {
-		d += w.dIngested[i]
+	return (float64(w.undelivered) / float64(attempted)) / (1 - fleetSLOTarget)
+}
+
+// rate is the ingest rate of one window in frames/s. ticks caps the divisor
+// while the window is still filling after boot.
+func (w camReading) rate(interval time.Duration, ticks int) float64 {
+	if ticks > fleetWindowTicks {
+		ticks = fleetWindowTicks
 	}
-	return float64(d) / (time.Duration(n) * interval).Seconds()
+	if ticks <= 0 {
+		return 0
+	}
+	return float64(w.ingested) / (time.Duration(ticks) * interval).Seconds()
 }
 
 // Fleet is the per-camera dimensional telemetry layer: one vec family per
@@ -84,7 +88,6 @@ func (w *camWindow) windowRate(interval time.Duration, ticks int) float64 {
 // monitor loop calls Tick() once per scrape; readers call Report().
 type Fleet struct {
 	interval time.Duration
-	maxK     int
 
 	ingested    *telemetry.CounterVec
 	shed        *telemetry.CounterVec
@@ -94,20 +97,22 @@ type Fleet struct {
 	e2e         *telemetry.HistogramVec
 	burn        *telemetry.GaugeVec
 	rolledUp    *telemetry.Counter
+	// series maps every vec family above, by registry name, to its live
+	// series count, for Summary.
+	series map[string]func() int
 
-	mu   sync.RWMutex
-	cams map[string]*camHandles
-
-	// tickMu serializes Tick/Report; windows is only touched under it.
-	tickMu  sync.Mutex
-	windows map[string]*camWindow
-	ticks   int
-	slot    int
+	// mu guards everything below. The frame path takes it shared for one map
+	// hit; Tick takes it exclusively, so Report never sees a half-closed
+	// window.
+	mu    sync.RWMutex
+	cams  map[string]*camRecord
+	byID  []*camRecord // the same records in id order, kept sorted on first sight
+	ticks int
 }
 
 // wireFleet boots the per-camera dimensional layer unless the config
 // disables it. Each family's registry footprint is bounded at
-// FleetMaxSeries+1 series regardless of fleet width (see telemetry vec
+// DefaultVecMaxSeries+1 series regardless of fleet width (see telemetry vec
 // rollup semantics), so the default 220-camera network costs the same as a
 // 16-camera one.
 func (inf *Infrastructure) wireFleet() {
@@ -115,51 +120,53 @@ func (inf *Infrastructure) wireFleet() {
 		return
 	}
 	r := inf.Telemetry
-	k := inf.cfg.FleetMaxSeries
+	const k = telemetry.DefaultVecMaxSeries
 	fl := &Fleet{
 		interval: defaultScrapeInterval,
-		maxK:     k,
-		ingested: r.CounterVec("cityinfra_camera_frames_ingested_total",
-			"frames admitted into the pipeline, by camera", "camera", k),
-		shed: r.CounterVec("cityinfra_camera_frames_shed_total",
-			"frames dropped at admission by the shedding floor, by camera", "camera", k),
-		delivered: r.CounterVec("cityinfra_camera_frames_delivered_total",
-			"frames whose annotation landed in the cloud archive, by camera", "camera", k),
-		undelivered: r.CounterVec("cityinfra_camera_frames_undelivered_total",
-			"frames quarantined on any pipeline stage, by camera", "camera", k),
-		offloaded: r.CounterVec("cityinfra_camera_frames_offloaded_total",
-			"frames below the early-exit gate whose feature maps went upstream, by camera", "camera", k),
-		e2e: r.HistogramVec("cityinfra_camera_e2e_seconds",
-			"end-to-end frame latency, by camera", "camera", nil, k),
-		burn: r.GaugeVec("cityinfra_camera_slo_burn",
-			"windowed delivery-SLO burn rate, by camera (1.0 = consuming budget at the allowed rate)", "camera", k),
 		rolledUp: r.Counter(telemetry.RolledUpMetric,
 			"vec children demoted out of their family's top-K and folded into its {~other} rollup series"),
-		cams:    make(map[string]*camHandles),
-		windows: make(map[string]*camWindow),
+		series: make(map[string]func() int),
+		cams:   make(map[string]*camRecord),
 	}
-	if fl.maxK <= 0 {
-		fl.maxK = telemetry.DefaultVecMaxSeries
+	counter := func(name, help string) *telemetry.CounterVec {
+		v := r.CounterVec(name, help, "camera", k)
+		fl.series[name] = v.SeriesCount
+		return v
 	}
+	fl.ingested = counter("cityinfra_camera_frames_ingested_total",
+		"frames admitted into the pipeline, by camera")
+	fl.shed = counter("cityinfra_camera_frames_shed_total",
+		"frames dropped at admission by the shedding floor, by camera")
+	fl.delivered = counter("cityinfra_camera_frames_delivered_total",
+		"frames whose annotation landed in the cloud archive, by camera")
+	fl.undelivered = counter("cityinfra_camera_frames_undelivered_total",
+		"frames quarantined on any pipeline stage, by camera")
+	fl.offloaded = counter("cityinfra_camera_frames_offloaded_total",
+		"frames below the early-exit gate whose feature maps went upstream, by camera")
+	const e2eName, burnName = "cityinfra_camera_e2e_seconds", "cityinfra_camera_slo_burn"
+	fl.e2e = r.HistogramVec(e2eName, "end-to-end frame latency, by camera", "camera", nil, k)
+	fl.burn = r.GaugeVec(burnName,
+		"windowed delivery-SLO burn rate, by camera (1.0 = consuming budget at the allowed rate)", "camera", k)
+	fl.series[e2eName], fl.series[burnName] = fl.e2e.SeriesCount, fl.burn.SeriesCount
 	inf.Fleet = fl
 }
 
-// camera returns the cached handle bundle for one camera, creating it on
-// first sight. The steady-state path is one read-locked map hit and zero
-// allocations.
+// camera returns the cached handle bundle for one camera, creating its
+// record on first sight. The steady-state path is one read-locked map hit
+// and zero allocations.
 func (fl *Fleet) camera(id string) *camHandles {
 	fl.mu.RLock()
-	h, ok := fl.cams[id]
+	c, ok := fl.cams[id]
 	fl.mu.RUnlock()
 	if ok {
-		return h
+		return &c.camHandles
 	}
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
-	if h, ok := fl.cams[id]; ok {
-		return h
+	if c, ok := fl.cams[id]; ok {
+		return &c.camHandles
 	}
-	h = &camHandles{
+	c = &camRecord{id: id, camHandles: camHandles{
 		ingested:    fl.ingested.With(id),
 		shed:        fl.shed.With(id),
 		delivered:   fl.delivered.With(id),
@@ -167,9 +174,13 @@ func (fl *Fleet) camera(id string) *camHandles {
 		offloaded:   fl.offloaded.With(id),
 		e2e:         fl.e2e.With(id),
 		burn:        fl.burn.With(id),
-	}
-	fl.cams[id] = h
-	return h
+	}}
+	fl.cams[id] = c
+	at := sort.Search(len(fl.byID), func(i int) bool { return fl.byID[i].id > id })
+	fl.byID = append(fl.byID, nil)
+	copy(fl.byID[at+1:], fl.byID[at:])
+	fl.byID[at] = c
+	return &c.camHandles
 }
 
 // noCam is the bundle the frame path gets when the dimensional layer is
@@ -185,45 +196,23 @@ func (inf *Infrastructure) fleetCam(id string) *camHandles {
 	return inf.Fleet.camera(id)
 }
 
-// Tick closes one per-camera accounting window: it snapshots every camera's
-// exact counters, records this tick's deltas into the ring, and rewrites the
-// burn gauge. The gauge is written only on signal (nonzero burn, or the
-// first clean tick after one) — so under the vec heavy-hitter ranking the
-// cameras that are actually burning budget are exactly the ones that earn
+// Tick closes one per-camera accounting window: it reads every camera's
+// exact counters into this tick's ring slot and rewrites the burn gauge, in
+// id order. The gauge is written only on signal (nonzero burn, or the first
+// clean tick after one) — so under the vec heavy-hitter ranking the cameras
+// that are actually burning budget are exactly the ones that earn
 // materialized burn series. MonitorTick calls this before the TSDB scrape.
 func (fl *Fleet) Tick() {
-	fl.tickMu.Lock()
-	defer fl.tickMu.Unlock()
+	fl.mu.Lock()
+	defer fl.mu.Unlock()
 	fl.ticks++
-	fl.slot = (fl.slot + 1) % fleetWindowTicks
-
-	fl.mu.RLock()
-	ids := make([]string, 0, len(fl.cams))
-	for id := range fl.cams {
-		ids = append(ids, id)
-	}
-	fl.mu.RUnlock()
-	sort.Strings(ids)
-
-	for _, id := range ids {
-		fl.mu.RLock()
-		h := fl.cams[id]
-		fl.mu.RUnlock()
-		w := fl.windows[id]
-		if w == nil {
-			w = &camWindow{}
-			fl.windows[id] = w
+	for _, c := range fl.byID {
+		c.ring[fl.ticks%len(c.ring)] = camReading{c.ingested.Value(), c.delivered.Value(), c.undelivered.Value()}
+		b := c.window(fl.ticks).burn()
+		if b > 0 || c.lastBurn > 0 {
+			c.burn.Set(b)
 		}
-		ing, del, und := h.ingested.Value(), h.delivered.Value(), h.undelivered.Value()
-		w.dIngested[fl.slot] = ing - w.prevIngested
-		w.dDelivered[fl.slot] = del - w.prevDelivered
-		w.dUndelivered[fl.slot] = und - w.prevUndelivered
-		w.prevIngested, w.prevDelivered, w.prevUndelivered = ing, del, und
-		b := w.windowBurn()
-		if b > 0 || w.lastBurn > 0 {
-			h.burn.Set(b)
-		}
-		w.lastBurn = b
+		c.lastBurn = b
 	}
 }
 
@@ -258,19 +247,15 @@ func (fl *Fleet) Summary() FleetSummary {
 	fl.mu.RLock()
 	n := len(fl.cams)
 	fl.mu.RUnlock()
+	series := make(map[string]int, len(fl.series))
+	for name, count := range fl.series {
+		series[name] = count()
+	}
 	return FleetSummary{
-		Cameras:   n,
-		MaxSeries: fl.maxK,
-		SeriesPerFamily: map[string]int{
-			"cityinfra_camera_frames_ingested_total":    fl.ingested.SeriesCount(),
-			"cityinfra_camera_frames_shed_total":        fl.shed.SeriesCount(),
-			"cityinfra_camera_frames_delivered_total":   fl.delivered.SeriesCount(),
-			"cityinfra_camera_frames_undelivered_total": fl.undelivered.SeriesCount(),
-			"cityinfra_camera_frames_offloaded_total":   fl.offloaded.SeriesCount(),
-			"cityinfra_camera_e2e_seconds":              fl.e2e.SeriesCount(),
-			"cityinfra_camera_slo_burn":                 fl.burn.SeriesCount(),
-		},
-		RolledUpTotal: fl.rolledUp.Value(),
+		Cameras:         n,
+		MaxSeries:       telemetry.DefaultVecMaxSeries,
+		SeriesPerFamily: series,
+		RolledUpTotal:   fl.rolledUp.Value(),
 	}
 }
 
@@ -278,35 +263,22 @@ func (fl *Fleet) Summary() FleetSummary {
 // per-camera counts ride the vec handles, which keep exact accounting even
 // for cameras folded into the rollup series.
 func (fl *Fleet) Report() []CameraStatus {
-	fl.tickMu.Lock()
-	defer fl.tickMu.Unlock()
 	fl.mu.RLock()
-	ids := make([]string, 0, len(fl.cams))
-	for id := range fl.cams {
-		ids = append(ids, id)
-	}
-	fl.mu.RUnlock()
-	sort.Strings(ids)
-	out := make([]CameraStatus, 0, len(ids))
-	for _, id := range ids {
-		fl.mu.RLock()
-		h := fl.cams[id]
-		fl.mu.RUnlock()
-		cs := CameraStatus{
-			Camera:      id,
-			Ingested:    h.ingested.Value(),
-			Shed:        h.shed.Value(),
-			Delivered:   h.delivered.Value(),
-			Undelivered: h.undelivered.Value(),
-			Offloaded:   h.offloaded.Value(),
-			P99Seconds:  h.e2e.Quantile(0.99),
-			Real:        h.ingested.Real(),
-		}
-		if w := fl.windows[id]; w != nil {
-			cs.RatePerSec = w.windowRate(fl.interval, fl.ticks)
-			cs.Burn = w.lastBurn
-		}
-		out = append(out, cs)
+	defer fl.mu.RUnlock()
+	out := make([]CameraStatus, 0, len(fl.byID))
+	for _, c := range fl.byID {
+		out = append(out, CameraStatus{
+			Camera:      c.id,
+			Ingested:    c.ingested.Value(),
+			Shed:        c.shed.Value(),
+			Delivered:   c.delivered.Value(),
+			Undelivered: c.undelivered.Value(),
+			Offloaded:   c.offloaded.Value(),
+			RatePerSec:  c.window(fl.ticks).rate(fl.interval, fl.ticks),
+			P99Seconds:  c.e2e.Quantile(0.99),
+			Burn:        c.lastBurn,
+			Real:        c.ingested.Real(),
+		})
 	}
 	return out
 }

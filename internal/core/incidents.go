@@ -102,10 +102,6 @@ func (inf *Infrastructure) wireIncidents() {
 	cfg.CollateralMarkers = []string{retry.ErrBreakerOpen.Error()}
 
 	inf.Incidents = incident.NewEngine(inf.Tracer, inf.Events, inf.Alerts, cfg)
-	// Hot-region attachment is a wall-clock diagnostic: it rides on the
-	// incident record for operators but is excluded from canonical replay
-	// output — the same determinism boundary as wireControl's nil
-	// Signals.HotRegion.
 	// Per-camera evidence on frame-path backend suspects: which cameras the
 	// component's failure is actually hurting, ranked by burn. Exact counter
 	// reads off the fleet's vec handles — deterministic under the simulated
@@ -129,6 +125,10 @@ func (inf *Infrastructure) wireIncidents() {
 		}
 		return out
 	})
+	// Hot-region attachment is a wall-clock diagnostic: it rides on the
+	// incident record for operators but is excluded from canonical replay
+	// output — the same determinism boundary wireControl draws around the
+	// controller's signals.
 	inf.Incidents.SetHotRegion(func() (string, float64) {
 		hot := inf.Profiler.HotRegions(1)
 		if len(hot) == 0 {

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/docstore"
 	"repro/internal/faults"
-	"repro/internal/hdfs"
 	"repro/internal/retry"
 	"repro/internal/viz"
 )
@@ -142,8 +141,7 @@ func E18ChaosPipeline(rng *rand.Rand) (*Result, error) {
 	}
 	under, _ = inf.HDFS.UnderReplicated()
 	heal.AddRow("after failing dn-0", under, 0)
-	sup := hdfs.NewSupervisor(inf.HDFS, 0)
-	created, err := sup.Tick()
+	created, err := inf.Healer.Tick()
 	if err != nil {
 		return nil, err
 	}

@@ -103,19 +103,6 @@ func Run(id string, seed int64) (*Result, error) {
 	return nil, fmt.Errorf("%w: %s (known: %v)", ErrUnknownExperiment, id, IDs())
 }
 
-// RunAll executes every experiment and returns results in registry order.
-func RunAll(seed int64) ([]*Result, error) {
-	out := make([]*Result, 0, len(registry))
-	for _, r := range registry {
-		res, err := r.run(rand.New(rand.NewSource(seed)))
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", r.id, err)
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
 // sortedKeys returns map keys in sorted order, for stable table output.
 func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))

@@ -369,94 +369,6 @@ func (in *Injector) ClusterHook() func(op string, node int) error {
 	}
 }
 
-// CrashTarget is the node-lifecycle surface ClusterChaos drives. The
-// replicated stream.Cluster satisfies it; the type is declared here so
-// faults does not grow a dependency cycle with stream.
-type CrashTarget interface {
-	NodeCount() int
-	NodeUp(id int) bool
-	CrashNode(id int) error
-	RestartNode(id int) error
-}
-
-// ClusterChaos schedules deterministic broker-node crashes and restarts on
-// the simulated tick clock: each Tick it may crash one random live node
-// (seeded), and every crashed node restarts after DownTicks ticks. MaxDown
-// caps simultaneous dead nodes so a quorum of replicas always survives
-// unless the caller asks for worse.
-type ClusterChaos struct {
-	mu        sync.Mutex
-	target    CrashTarget
-	rng       *rand.Rand
-	crashRate float64
-	downTicks int
-	maxDown   int
-	downFor   map[int]int
-	crashes   int
-	restarts  int
-}
-
-// NewClusterChaos builds a crash scheduler; crashRate is the per-tick
-// probability of one crash, downTicks how long a node stays dead, maxDown
-// the cap on simultaneously dead nodes (<=0 means 1).
-func NewClusterChaos(target CrashTarget, seed int64, crashRate float64, downTicks, maxDown int) *ClusterChaos {
-	if downTicks < 1 {
-		downTicks = 1
-	}
-	if maxDown <= 0 {
-		maxDown = 1
-	}
-	return &ClusterChaos{
-		target:    target,
-		rng:       rand.New(rand.NewSource(seed)),
-		crashRate: crashRate,
-		downTicks: downTicks,
-		maxDown:   maxDown,
-		downFor:   make(map[int]int),
-	}
-}
-
-// Tick advances the schedule one tick: due nodes restart, then at most one
-// new crash may start.
-func (c *ClusterChaos) Tick() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for id, left := range c.downFor {
-		if left <= 1 {
-			delete(c.downFor, id)
-			if err := c.target.RestartNode(id); err == nil {
-				c.restarts++
-			}
-		} else {
-			c.downFor[id] = left - 1
-		}
-	}
-	if len(c.downFor) >= c.maxDown || c.crashRate <= 0 || c.rng.Float64() >= c.crashRate {
-		return
-	}
-	var up []int
-	for id := 0; id < c.target.NodeCount(); id++ {
-		if c.target.NodeUp(id) {
-			up = append(up, id)
-		}
-	}
-	if len(up) == 0 {
-		return
-	}
-	victim := up[c.rng.Intn(len(up))]
-	if err := c.target.CrashNode(victim); err == nil {
-		c.downFor[victim] = c.downTicks
-		c.crashes++
-	}
-}
-
-// Counts reports how many crashes and restarts the scheduler has driven.
-func (c *ClusterChaos) Counts() (crashes, restarts int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.crashes, c.restarts
-}
-
 // HDFSHook adapts the injector to hdfs.Cluster.SetFaultHook: one decision
 // per replica I/O, charged to "hdfs.<op>".
 func (in *Injector) HDFSHook() func(op, node string) error {

@@ -4,8 +4,8 @@
 // bounded channels buffer them, and sinks deliver batches with retry;
 // delivery metrics are tracked per agent.
 //
-// Agents can be driven synchronously (Pump) for deterministic pipelines and
-// tests, or started as a background worker (Start/Stop) for live operation.
+// Agents are driven synchronously (Pump): the caller owns the schedule, so
+// pipelines replay per seed.
 package flume
 
 import (
@@ -17,11 +17,8 @@ import (
 	"repro/internal/retry"
 )
 
-// Sentinel errors.
-var (
-	ErrChannelFull = errors.New("flume: channel full")
-	ErrStopped     = errors.New("flume: agent stopped")
-)
+// ErrChannelFull reports a source batch refused by a full channel.
+var ErrChannelFull = errors.New("flume: channel full")
 
 // Event is one unit of ingested data.
 type Event struct {
@@ -129,9 +126,6 @@ type Agent struct {
 	buffer  []Event
 	metrics Metrics
 	srcDone bool
-
-	stop chan struct{}
-	done chan struct{}
 }
 
 // NewAgent builds an agent. Zero-valued config fields get defaults.
@@ -157,13 +151,6 @@ func (a *Agent) Metrics() Metrics {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.metrics
-}
-
-// Backlog returns the number of buffered events.
-func (a *Agent) Backlog() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.buffer)
 }
 
 // ingestLocked pulls one source batch into the channel.
@@ -281,47 +268,4 @@ func (a *Agent) Drained() bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.srcDone && len(a.buffer) == 0
-}
-
-// Start launches a background pump loop with the given tick interval. Call
-// Stop to terminate and join.
-func (a *Agent) Start(interval time.Duration) {
-	a.mu.Lock()
-	if a.stop != nil {
-		a.mu.Unlock()
-		return
-	}
-	a.stop = make(chan struct{})
-	a.done = make(chan struct{})
-	stop, done := a.stop, a.done
-	a.mu.Unlock()
-
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				// Errors are counted in metrics; the loop keeps running.
-				_, _ = a.Pump(1)
-			case <-stop:
-				return
-			}
-		}
-	}()
-}
-
-// Stop terminates the background loop and waits for it to exit. It is safe
-// to call when the agent was never started.
-func (a *Agent) Stop() {
-	a.mu.Lock()
-	stop, done := a.stop, a.done
-	a.stop, a.done = nil, nil
-	a.mu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
 }

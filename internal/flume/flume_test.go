@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/stream"
 )
@@ -158,37 +157,4 @@ func TestStreamingSourceKeepsProducing(t *testing.T) {
 	if a.Drained() {
 		t.Fatal("streaming source must never drain")
 	}
-}
-
-func TestStartStopBackgroundLoop(t *testing.T) {
-	var mu sync.Mutex
-	count := 0
-	sink := FuncSink(func(events []Event) error {
-		mu.Lock()
-		defer mu.Unlock()
-		count += len(events)
-		return nil
-	})
-	a := NewAgent("bg", NewSliceSource(makeEvents(20)), sink, Config{BatchSize: 5})
-	a.Start(time.Millisecond)
-	deadline := time.After(2 * time.Second)
-	for {
-		if a.Drained() {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("background agent did not drain in time")
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
-	a.Stop()
-	mu.Lock()
-	defer mu.Unlock()
-	if count != 20 {
-		t.Fatalf("background delivered %d", count)
-	}
-	// Stop is idempotent and safe on a never-started agent.
-	a.Stop()
-	NewAgent("idle", NewSliceSource(nil), sink, Config{}).Stop()
 }

@@ -1,9 +1,6 @@
 package hdfs
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // SupervisorStats counts supervisor activity.
 type SupervisorStats struct {
@@ -16,18 +13,14 @@ type SupervisorStats struct {
 // Supervisor is the namenode's self-healing loop: it watches for
 // under-replicated blocks and re-replicates them automatically, so a
 // datanode failure degrades redundancy only until the next pass instead of
-// waiting for an operator to call ReplicateMissing by hand. Drive it
-// synchronously with Tick (deterministic tests) or in the background with
-// Start/Stop.
+// waiting for an operator to call ReplicateMissing by hand. Tick is the only
+// way it runs: the caller owns the schedule, so healing replays per seed.
 type Supervisor struct {
-	c        *Cluster
-	interval time.Duration
+	c *Cluster
 
 	mu       sync.Mutex
 	stats    SupervisorStats
 	onRepair func(created int, err error)
-	stop     chan struct{}
-	done     chan struct{}
 }
 
 // SetOnRepair installs a callback invoked after every tick that found
@@ -39,14 +32,8 @@ func (s *Supervisor) SetOnRepair(fn func(created int, err error)) {
 	s.mu.Unlock()
 }
 
-// NewSupervisor builds a supervisor for the cluster; interval is the
-// background scan period (only used by Start).
-func NewSupervisor(c *Cluster, interval time.Duration) *Supervisor {
-	if interval <= 0 {
-		interval = 50 * time.Millisecond
-	}
-	return &Supervisor{c: c, interval: interval}
-}
+// NewSupervisor builds a supervisor for the cluster.
+func NewSupervisor(c *Cluster) *Supervisor { return &Supervisor{c: c} }
 
 // Tick runs one scan-and-heal pass and returns how many replicas it
 // created. A cluster with no under-replicated blocks is a cheap no-op.
@@ -77,47 +64,4 @@ func (s *Supervisor) Stats() SupervisorStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.stats
-}
-
-// Start launches the background heal loop. Errors are counted in stats; the
-// loop keeps running (data loss on one block must not stop healing of the
-// rest). Safe to call once; Stop terminates and joins.
-func (s *Supervisor) Start() {
-	s.mu.Lock()
-	if s.stop != nil {
-		s.mu.Unlock()
-		return
-	}
-	s.stop = make(chan struct{})
-	s.done = make(chan struct{})
-	stop, done := s.stop, s.done
-	s.mu.Unlock()
-
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(s.interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				_, _ = s.Tick()
-			case <-stop:
-				return
-			}
-		}
-	}()
-}
-
-// Stop terminates the background loop and waits for it to exit. Safe to
-// call when the supervisor was never started.
-func (s *Supervisor) Stop() {
-	s.mu.Lock()
-	stop, done := s.stop, s.done
-	s.stop, s.done = nil, nil
-	s.mu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
 // replicaCount sums live registered replicas across all blocks, and
@@ -177,7 +176,7 @@ func TestSupervisorHealsAfterFailure(t *testing.T) {
 	if err := c.Write("/f", payload(300)); err != nil {
 		t.Fatal(err)
 	}
-	sup := NewSupervisor(c, time.Millisecond)
+	sup := NewSupervisor(c)
 	// Healthy cluster: tick is a no-op.
 	if created, err := sup.Tick(); err != nil || created != 0 {
 		t.Fatalf("tick on healthy cluster: %d, %v", created, err)
@@ -201,14 +200,12 @@ func TestSupervisorHealsAfterFailure(t *testing.T) {
 	}
 }
 
-// TestSupervisorBackgroundLoopUnderConcurrentWrites exercises the
-// supervisor goroutine against concurrent writers and a mid-flight node
+// TestSupervisorBackgroundLoopUnderConcurrentWrites ticks the supervisor
+// from its own goroutine against concurrent writers and a mid-flight node
 // failure — this is the test the race detector gates.
 func TestSupervisorBackgroundLoopUnderConcurrentWrites(t *testing.T) {
 	c := newTestCluster(t, 6, Config{BlockSize: 64, Replication: 3})
-	sup := NewSupervisor(c, 500*time.Microsecond)
-	sup.Start()
-	defer sup.Stop()
+	sup := NewSupervisor(c)
 
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -224,25 +221,37 @@ func TestSupervisorBackgroundLoopUnderConcurrentWrites(t *testing.T) {
 			}
 		}(w)
 	}
+	// The healer ticks beside the writers until they finish, then until the
+	// cluster is whole: every block a writer lands short of a replica is
+	// repaired by a later pass, so the loop ends without a deadline.
+	writersDone := make(chan struct{})
+	healed := make(chan struct{})
+	go func() {
+		defer close(healed)
+		for {
+			if _, err := sup.Tick(); err != nil {
+				t.Errorf("tick: %v", err)
+				return
+			}
+			select {
+			case <-writersDone:
+				if under, lost := c.UnderReplicated(); under == 0 && lost == 0 {
+					return
+				}
+			default:
+			}
+		}
+	}()
 	if err := c.FailDataNode("dn-5"); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
+	close(writersDone)
+	<-healed
 
-	// Wait (bounded) for the background loop to heal everything.
-	deadline := time.After(2 * time.Second)
-	for {
-		if under, lost := c.UnderReplicated(); under == 0 && lost == 0 {
-			break
-		}
-		select {
-		case <-deadline:
-			under, lost := c.UnderReplicated()
-			t.Fatalf("not healed: under=%d lost=%d", under, lost)
-		case <-time.After(time.Millisecond):
-		}
+	if under, lost := c.UnderReplicated(); under != 0 || lost != 0 {
+		t.Fatalf("not healed: under=%d lost=%d", under, lost)
 	}
-	sup.Stop()
 	for w := 0; w < 4; w++ {
 		for i := 0; i < 25; i++ {
 			if _, err := c.Read(fmt.Sprintf("/w%d/f%d", w, i)); err != nil {
@@ -250,9 +259,6 @@ func TestSupervisorBackgroundLoopUnderConcurrentWrites(t *testing.T) {
 			}
 		}
 	}
-	// Stop is idempotent and safe on a never-started supervisor.
-	sup.Stop()
-	NewSupervisor(c, time.Millisecond).Stop()
 }
 
 // TestFaultHookOnDataNodeIO: injected replica faults fail over (reads) or

@@ -27,14 +27,6 @@ type Clock interface {
 	Sleep(d time.Duration)
 }
 
-type systemClock struct{}
-
-func (systemClock) Now() time.Time        { return time.Now() }
-func (systemClock) Sleep(d time.Duration) { time.Sleep(d) }
-
-// SystemClock returns the wall clock (production deployments).
-func SystemClock() Clock { return systemClock{} }
-
 // ManualClock is a simulated clock: Sleep advances virtual time instantly,
 // which keeps chaos sweeps and tests deterministic and fast. It is safe for
 // concurrent use.
@@ -148,9 +140,8 @@ type Policy struct {
 }
 
 // NewPolicy builds a policy with a seeded jitter source. The default clock
-// is a ManualClock anchored at the zero time — no wall-clock sleeps — so
-// callers embedding this in a live system should install SystemClock via
-// WithClock.
+// is a ManualClock anchored at the zero time — no wall-clock sleeps; install
+// a shared one with WithClock.
 func NewPolicy(cfg Config, seed int64) *Policy {
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 1

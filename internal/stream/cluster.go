@@ -462,16 +462,6 @@ func (c *Cluster) LeaderEpoch(topicName string, partitionID int) (leader int, ep
 	return part.leader, part.epoch, nil
 }
 
-// PartitionFor exposes the hash route a non-empty key takes, so tests and
-// experiments can aim a record at a specific partition's leader.
-func (c *Cluster) PartitionFor(topicName, key string) (int, error) {
-	n, err := c.Partitions(topicName)
-	if err != nil {
-		return 0, err
-	}
-	return partitionFor(key, n), nil
-}
-
 // produceLocked runs the leader-side replication protocol for one record.
 // Replication outcomes are decided before anything is appended, so the
 // append is atomic across the surviving ISR: an acknowledged record is on

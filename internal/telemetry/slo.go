@@ -8,11 +8,13 @@ import (
 // SLO tracks one service-level objective over a pair of cumulative samplers:
 // total() counts units of work, good() the subset that met the objective
 // (delivered, or under the latency threshold). Each Report() takes a fresh
-// sample, prunes samples older than the rolling window, and computes the
-// error rate and burn rate over the windowed deltas — the standard
-// "burn rate = observed error rate / budgeted error rate" form, where a burn
-// rate of 1.0 consumes the error budget exactly as fast as the objective
-// allows and anything above it is an incident in the making.
+// sample (keeping at most the first and the last per clock instant, so
+// polling on a stopped clock stays bounded), prunes samples older than the
+// rolling window, and computes the error rate and burn rate over the
+// windowed deltas — the standard "burn rate = observed error rate / budgeted
+// error rate" form, where a burn rate of 1.0 consumes the error budget
+// exactly as fast as the objective allows and anything above it is an
+// incident in the making.
 type SLO struct {
 	name      string
 	objective float64
@@ -63,7 +65,15 @@ func (s *SLO) Report() SLOReport {
 	good, total := s.good(), s.total()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.samples = append(s.samples, sloSample{t: ts, good: good, total: total})
+	// Only the oldest and the newest retained sample are ever read, and
+	// pruning promotes the newest sample of an instant to baseline, so the
+	// ones between an instant's first and last can be overwritten.
+	cur := sloSample{t: ts, good: good, total: total}
+	if n := len(s.samples); n >= 2 && s.samples[n-1].t.Equal(ts) && s.samples[n-2].t.Equal(ts) {
+		s.samples[n-1] = cur
+	} else {
+		s.samples = append(s.samples, cur)
+	}
 	s.pruneLocked(ts)
 
 	first, last := s.samples[0], s.samples[len(s.samples)-1]

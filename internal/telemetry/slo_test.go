@@ -108,3 +108,39 @@ func TestSLOMonitorOrderAndClock(t *testing.T) {
 		t.Fatalf("objective a = %+v", reps[0])
 	}
 }
+
+// TestSLOSamplesBoundedPerInstant: polling on a stopped clock (every
+// GET /api/health between two monitor ticks) must not grow the sample ring,
+// and must keep reporting the delta from the instant's first sample to now.
+func TestSLOSamplesBoundedPerInstant(t *testing.T) {
+	clk := &manualClock{t: time.Unix(0, 0)}
+	var good, total float64
+	s := NewSLO("delivery", 0.9, time.Hour,
+		func() float64 { return good },
+		func() float64 { return total }, clk.now)
+
+	s.Report()
+	good, total = 90, 100
+	second := s.Report()
+	if second.Good != 90 || second.Total != 100 || math.Abs(second.BurnRate-1.0) > 1e-12 {
+		t.Fatalf("second report = %+v", second)
+	}
+	for i := 2; i < 10000; i++ {
+		if rep := s.Report(); rep != second {
+			t.Fatalf("report %d = %+v, want %+v", i, rep, second)
+		}
+	}
+	if n := len(s.samples); n > 2 {
+		t.Fatalf("%d samples retained at one clock instant, want <= 2", n)
+	}
+
+	// The instant's last sample is the baseline once the window moves past it,
+	// exactly as when every sample was kept.
+	good, total = 100, 120
+	s.Report()
+	clk.t = clk.t.Add(2 * time.Hour)
+	good, total = 130, 150
+	if rep := s.Report(); rep.Good != 30 || rep.Total != 30 || rep.BurnRate != 0 {
+		t.Fatalf("report past the window = %+v", rep)
+	}
+}

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -185,15 +184,6 @@ func (t *Tracer) Trace(id string) (*TraceView, error) {
 		tv.DurationMs = tv.Spans[0].DurationMs
 	}
 	return tv, nil
-}
-
-// TraceJSON exports one trace as JSON.
-func (t *Tracer) TraceJSON(id string) ([]byte, error) {
-	tv, err := t.Trace(id)
-	if err != nil {
-		return nil, err
-	}
-	return json.MarshalIndent(tv, "", "  ")
 }
 
 // StageTime is one entry of a critical-path report: the exclusive time a

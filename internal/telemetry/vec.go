@@ -226,32 +226,6 @@ func (f *vecFamily) rebalance() {
 	}
 }
 
-// VecChildInfo is one label value's exact accounting for fleet tables —
-// available for every child, materialized or not.
-type VecChildInfo struct {
-	Value string  `json:"value"`
-	Count uint64  `json:"count"`         // exact adds/observations
-	Sum   float64 `json:"sum,omitempty"` // histogram: exact observed sum; gauge: last written value
-	Real  bool    `json:"real"`          // currently materialized as its own series
-}
-
-// childrenInfo snapshots every child sorted by label value.
-func (f *vecFamily) childrenInfo() []VecChildInfo {
-	f.mu.Lock()
-	out := make([]VecChildInfo, 0, len(f.children))
-	for _, c := range f.children {
-		out = append(out, VecChildInfo{
-			Value: c.value,
-			Count: c.obs.Load(),
-			Sum:   math.Float64frombits(c.sum.Load()),
-			Real:  c.real.Load(),
-		})
-	}
-	f.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Value < out[j].Value })
-	return out
-}
-
 // seriesCount returns how many registry series the family currently owns
 // (materialized children plus the rollup).
 func (f *vecFamily) seriesCount() int {
@@ -285,9 +259,6 @@ func (r *Registry) CounterVec(name, help, label string, maxSeries int) *CounterV
 func (v *CounterVec) With(value string) *LabeledCounter {
 	return &LabeledCounter{c: v.f.child(value)}
 }
-
-// Children snapshots exact per-label accounting, sorted by label value.
-func (v *CounterVec) Children() []VecChildInfo { return v.f.childrenInfo() }
 
 // SeriesCount returns materialized children + 1 (the rollup).
 func (v *CounterVec) SeriesCount() int { return v.f.seriesCount() }
@@ -332,9 +303,6 @@ func (v *GaugeVec) With(value string) *LabeledGauge {
 	return &LabeledGauge{c: v.f.child(value)}
 }
 
-// Children snapshots exact per-label accounting, sorted by label value.
-func (v *GaugeVec) Children() []VecChildInfo { return v.f.childrenInfo() }
-
 // SeriesCount returns materialized children + 1 (the rollup).
 func (v *GaugeVec) SeriesCount() int { return v.f.seriesCount() }
 
@@ -368,9 +336,6 @@ func (r *Registry) HistogramVec(name, help, label string, buckets []float64, max
 func (v *HistogramVec) With(value string) *LabeledHistogram {
 	return &LabeledHistogram{c: v.f.child(value)}
 }
-
-// Children snapshots exact per-label accounting, sorted by label value.
-func (v *HistogramVec) Children() []VecChildInfo { return v.f.childrenInfo() }
 
 // SeriesCount returns materialized children + 1 (the rollup).
 func (v *HistogramVec) SeriesCount() int { return v.f.seriesCount() }
