@@ -10,7 +10,6 @@ import (
 	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/dataproc"
-	"repro/internal/experiments"
 	"repro/internal/fog"
 	"repro/internal/hbase"
 	"repro/internal/hdfs"
@@ -20,36 +19,6 @@ import (
 	"repro/internal/tensor"
 	"repro/internal/tsdb"
 )
-
-// benchExperiment runs one registered experiment per iteration; these are
-// the "regenerate table/figure X" benchmarks of DESIGN.md §4.
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Run(id, int64(42+i))
-		if err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-		if len(res.Tables) == 0 {
-			b.Fatalf("%s produced no tables", id)
-		}
-	}
-}
-
-func BenchmarkE1_EndToEndPipeline(b *testing.B)       { benchExperiment(b, "E1") }
-func BenchmarkE2_CameraNetwork(b *testing.B)          { benchExperiment(b, "E2") }
-func BenchmarkE3_FogOffloadSweep(b *testing.B)        { benchExperiment(b, "E3") }
-func BenchmarkE4_IngestPipeline(b *testing.B)         { benchExperiment(b, "E4") }
-func BenchmarkE5_EarlyExitDetector(b *testing.B)      { benchExperiment(b, "E5") }
-func BenchmarkE6_DetectionExamples(b *testing.B)      { benchExperiment(b, "E6") }
-func BenchmarkE7_ActionRecognition(b *testing.B)      { benchExperiment(b, "E7") }
-func BenchmarkE8_ResNetShortcutAblation(b *testing.B) { benchExperiment(b, "E8") }
-func BenchmarkE9_AssociateExpansion(b *testing.B)     { benchExperiment(b, "E9") }
-func BenchmarkE10_PersonsOfInterest(b *testing.B)     { benchExperiment(b, "E10") }
-func BenchmarkE11_MultiModalFusion(b *testing.B)      { benchExperiment(b, "E11") }
-func BenchmarkE12_CameraControlDRL(b *testing.B)      { benchExperiment(b, "E12") }
-func BenchmarkE13_StorageLayer(b *testing.B)          { benchExperiment(b, "E13") }
-func BenchmarkE14_DataprocMLlib(b *testing.B)         { benchExperiment(b, "E14") }
 
 // --- Micro-benchmarks for the substrates' hot paths ---
 
@@ -207,19 +176,6 @@ func BenchmarkFogSimulation(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkE15_GeospatialCNN(b *testing.B)       { benchExperiment(b, "E15") }
-func BenchmarkE16_OpioidAnalytics(b *testing.B)     { benchExperiment(b, "E16") }
-func BenchmarkE17_GraphAnalytics(b *testing.B)      { benchExperiment(b, "E17") }
-func BenchmarkE18_ChaosPipeline(b *testing.B)       { benchExperiment(b, "E18") }
-func BenchmarkE19_LatencyAttribution(b *testing.B)  { benchExperiment(b, "E19") }
-func BenchmarkE20_TracedChaosSweep(b *testing.B)    { benchExperiment(b, "E20") }
-func BenchmarkE21_MetricsMonitor(b *testing.B)      { benchExperiment(b, "E21") }
-func BenchmarkE22_ClusterFailover(b *testing.B)     { benchExperiment(b, "E22") }
-func BenchmarkE23_ContinuousProfiling(b *testing.B) { benchExperiment(b, "E23") }
-func BenchmarkE24_AdaptiveControl(b *testing.B)     { benchExperiment(b, "E24") }
-func BenchmarkE25_IncidentCorrelation(b *testing.B) { benchExperiment(b, "E25") }
-func BenchmarkE26_FleetObservability(b *testing.B)  { benchExperiment(b, "E26") }
 
 // BenchmarkControllerTick measures one closed-loop control cycle — the cost
 // the adaptive controller adds to every monitor tick on top of scrape and

@@ -167,38 +167,37 @@ func renderWatch(inf *core.Infrastructure, w io.Writer, frame int, clear bool) {
 	// matter how many cameras report; the rows show the hottest cameras by
 	// burn (or, when nothing is burning, the busiest by rate), with "~" on
 	// cameras currently folded into the {~other} rollup.
-	if fl := inf.Fleet; fl != nil {
-		sum := fl.Summary()
-		maxFam := 0
-		for _, n := range sum.SeriesPerFamily {
-			if n > maxFam {
-				maxFam = n
-			}
+	fl := inf.Fleet
+	sum := fl.Summary()
+	maxFam := 0
+	for _, n := range sum.SeriesPerFamily {
+		if n > maxFam {
+			maxFam = n
 		}
-		fmt.Fprintf(w, "\n  camera fleet     %d cameras → ≤%d series/family (widest %d), rolled up %d\n",
-			sum.Cameras, sum.MaxSeries+1, maxFam, sum.RolledUpTotal)
-		rows := fl.TopBurning(5)
-		if len(rows) == 0 {
-			all := fl.Report()
-			sort.Slice(all, func(i, j int) bool {
-				if all[i].RatePerSec != all[j].RatePerSec {
-					return all[i].RatePerSec > all[j].RatePerSec
-				}
-				return all[i].Camera < all[j].Camera
-			})
-			if len(all) > 5 {
-				all = all[:5]
+	}
+	fmt.Fprintf(w, "\n  camera fleet     %d cameras → ≤%d series/family (widest %d), rolled up %d\n",
+		sum.Cameras, sum.MaxSeries+1, maxFam, sum.RolledUpTotal)
+	rows := fl.TopBurning(5)
+	if len(rows) == 0 {
+		all := fl.Report()
+		sort.Slice(all, func(i, j int) bool {
+			if all[i].RatePerSec != all[j].RatePerSec {
+				return all[i].RatePerSec > all[j].RatePerSec
 			}
-			rows = all
+			return all[i].Camera < all[j].Camera
+		})
+		if len(all) > 5 {
+			all = all[:5]
 		}
-		for _, cs := range rows {
-			mark := " "
-			if !cs.Real {
-				mark = "~"
-			}
-			fmt.Fprintf(w, "    %s%-10s %6.1f fr/s  p99 %6.2f ms  shed %-5d undeliv %-5d burn %.1f\n",
-				mark, cs.Camera, cs.RatePerSec, cs.P99Seconds*1e3, cs.Shed, cs.Undelivered, cs.Burn)
+		rows = all
+	}
+	for _, cs := range rows {
+		mark := " "
+		if !cs.Real {
+			mark = "~"
 		}
+		fmt.Fprintf(w, "    %s%-10s %6.1f fr/s  p99 %6.2f ms  shed %-5d undeliv %-5d burn %.1f\n",
+			mark, cs.Camera, cs.RatePerSec, cs.P99Seconds*1e3, cs.Shed, cs.Undelivered, cs.Burn)
 	}
 
 	slo := viz.NewTable("SLO burn", "objective", "error rate", "burn rate")

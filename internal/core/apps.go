@@ -90,7 +90,9 @@ type VehicleSighting struct {
 }
 
 // FindVehicle scans annotations for a vehicle class — the AMBER-alert
-// tracking query the paper motivates.
+// tracking query the paper motivates. It reads the per-detection cells
+// AnnotateFrames writes (numeric qualifiers); the frame path keeps raw
+// "class"/"confidence" cells in the same family, which are not detections.
 func (vw *VehicleWatch) FindVehicle(classID int) ([]VehicleSighting, error) {
 	rows, err := vw.inf.VideoTab.Scan("", "")
 	if err != nil {
@@ -100,6 +102,9 @@ func (vw *VehicleWatch) FindVehicle(classID int) ([]VehicleSighting, error) {
 	for _, r := range rows {
 		for _, c := range r.Cells {
 			if c.Family != "det" {
+				continue
+			}
+			if _, err := strconv.Atoi(c.Qualifier); err != nil {
 				continue
 			}
 			var d struct {

@@ -69,10 +69,6 @@ type Config struct {
 	Gang    socialgraph.GenConfig
 	// Epoch anchors generated timestamps.
 	Epoch time.Time
-	// DisableFleetTelemetry turns off the per-camera dimensional layer
-	// entirely (global metrics are unaffected). Used by E26's overhead
-	// baseline arm; production deployments leave it on.
-	DisableFleetTelemetry bool
 }
 
 // DefaultConfig returns a laptop-scale deployment faithful to the paper's
@@ -134,7 +130,7 @@ type Infrastructure struct {
 	SLOs      *telemetry.SLOMonitor
 	// Fleet is the per-camera dimensional layer: bounded-cardinality vec
 	// families on the frame path plus the windowed per-camera accounting
-	// behind /api/cameras. nil when cfg.DisableFleetTelemetry is set.
+	// behind /api/cameras.
 	Fleet *Fleet
 
 	// Monitoring layer: the embedded time-series store scrapes the registry

@@ -200,6 +200,11 @@ func TestVehicleWatchAnnotatesAndSearches(t *testing.T) {
 	if rep.ServerAssists > 0 && rep.UpstreamBytes == 0 {
 		t.Fatal("server assists must account bytes")
 	}
+	// The frame path shares the det family; its raw cells are not detections
+	// and must not break the search.
+	if _, err := inf.IngestFrames([]FrameEvent{{CameraID: "dotd-001", Seq: 1, Class: "vehicle", Confidence: 0.9}}, ""); err != nil {
+		t.Fatal(err)
+	}
 	// Some class must be findable.
 	found := false
 	for cls := 0; cls < 3; cls++ {

@@ -110,15 +110,11 @@ type Fleet struct {
 	ticks int
 }
 
-// wireFleet boots the per-camera dimensional layer unless the config
-// disables it. Each family's registry footprint is bounded at
-// DefaultVecMaxSeries+1 series regardless of fleet width (see telemetry vec
-// rollup semantics), so the default 220-camera network costs the same as a
-// 16-camera one.
+// wireFleet boots the per-camera dimensional layer. Each family's registry
+// footprint is bounded at DefaultVecMaxSeries+1 series regardless of fleet
+// width (see telemetry vec rollup semantics), so the default 220-camera
+// network costs the same as a 16-camera one.
 func (inf *Infrastructure) wireFleet() {
-	if inf.cfg.DisableFleetTelemetry {
-		return
-	}
 	r := inf.Telemetry
 	const k = telemetry.DefaultVecMaxSeries
 	fl := &Fleet{
@@ -181,19 +177,6 @@ func (fl *Fleet) camera(id string) *camHandles {
 	copy(fl.byID[at+1:], fl.byID[at:])
 	fl.byID[at] = c
 	return &c.camHandles
-}
-
-// noCam is the bundle the frame path gets when the dimensional layer is
-// disabled: every handle nil, and a nil vec handle records nothing, so the
-// call sites carry no guards.
-var noCam camHandles
-
-// fleetCam is the frame path's accessor.
-func (inf *Infrastructure) fleetCam(id string) *camHandles {
-	if inf.Fleet == nil {
-		return &noCam
-	}
-	return inf.Fleet.camera(id)
 }
 
 // Tick closes one per-camera accounting window: it reads every camera's

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
-	"time"
 
 	"repro/internal/control"
 	"repro/internal/stream"
@@ -62,7 +61,7 @@ func (inf *Infrastructure) IngestFrames(frames []FrameEvent, archiveDir string) 
 		if shedFloor := inf.Knobs.ShedLevel(); shedFloor > 0 && f.Priority < shedFloor {
 			out.Shed++
 			inf.framesShed.Add(1)
-			inf.fleetCam(f.CameraID).shed.Inc()
+			inf.Fleet.camera(f.CameraID).shed.Inc()
 			continue
 		}
 		ps, traceID, offloaded, err := inf.ingestFrame(f, archiveDir)
@@ -92,12 +91,9 @@ func (inf *Infrastructure) ingestFrame(f FrameEvent, archiveDir string) (stats P
 	stats = PipelineStats{Collected: 1}
 	run := inf.beginIngest("ingest-frame")
 	traceID = run.ctx.TraceID
-	cam := inf.fleetCam(f.CameraID)
+	cam := inf.Fleet.camera(f.CameraID)
 	cam.ingested.Inc()
-	defer func() {
-		run.end(&stats)
-		cam.e2e.Observe(time.Since(run.start).Seconds())
-	}()
+	defer func() { cam.e2e.Observe(run.end(&stats)) }()
 
 	// Edge tier: frame capture plus the tiny exit-1 model.
 	capture := openStage(run.root, "capture", "edge", inf.profCollect)
@@ -200,7 +196,7 @@ func (inf *Infrastructure) serveFrame(rec stream.Record, fallback *telemetry.Spa
 	if err := json.Unmarshal(rec.Value, &f); err != nil {
 		// The record key is the producing camera's id, so even a poisoned
 		// payload stays attributed in the fleet accounting.
-		inf.frameLost(inf.fleetCam(rec.Key), stats, "decode", rec.Key, rec.Value, err, traceID)
+		inf.frameLost(inf.Fleet.camera(rec.Key), stats, "decode", rec.Key, rec.Value, err, traceID)
 		return
 	}
 	offloaded := rec.Headers["offload"] == "true"
@@ -215,7 +211,7 @@ func (inf *Infrastructure) serveFrame(rec stream.Record, fallback *telemetry.Spa
 func (inf *Infrastructure) archiveFrame(parent *telemetry.Span, f FrameEvent, value []byte, offloaded bool, archiveDir, traceID string, stats *PipelineStats) {
 	archive := openStage(parent, "archive", "cloud", nil)
 	defer archive.End()
-	cam := inf.fleetCam(f.CameraID)
+	cam := inf.Fleet.camera(f.CameraID)
 	row := fmt.Sprintf("%s|%06d", f.CameraID, f.Seq)
 	put := func(qualifier string, val []byte) bool {
 		if err := inf.putCell(stats, inf.VideoTab, row, "det", qualifier, val); err != nil {

@@ -107,9 +107,6 @@ func (inf *Infrastructure) wireIncidents() {
 	// reads off the fleet's vec handles — deterministic under the simulated
 	// clock, so the strings survive canonical replay byte-identically.
 	inf.Incidents.SetEvidence(func(component string) []string {
-		if inf.Fleet == nil {
-			return nil
-		}
 		switch component {
 		case telemetry.CompBroker, telemetry.CompHBase, telemetry.CompHDFS:
 		default:

@@ -136,9 +136,7 @@ func (inf *Infrastructure) MonitorTick() {
 	// Close the fleet's per-camera window before the scrape so the burn
 	// gauges — and the vec top-K rebalance the scrape triggers — reflect the
 	// tick that just ended.
-	if inf.Fleet != nil {
-		inf.Fleet.Tick()
-	}
+	inf.Fleet.Tick()
 	inf.TSDB.Scrape()
 	inf.Alerts.Eval()
 	// Correlation runs between the alert evaluation and the controller: it

@@ -256,10 +256,12 @@ func (inf *Infrastructure) beginIngest(source string) ingestRun {
 // end closes the run: it folds the run's stats into the cumulative pipeline
 // counters and observes its end-to-end latency, offering the trace id as a
 // histogram exemplar so a tail-latency bucket on /metrics resolves to an
-// inspectable trace. stats stays the caller's: escape analysis does not see
+// inspectable trace. It returns the seconds it observed, so a caller with a
+// second histogram for the same interval (the per-camera e2e) feeds it the
+// same reading. stats stays the caller's: escape analysis does not see
 // through struct fields, so a pointer kept in the run would move every
 // caller's stats to the heap.
-func (run *ingestRun) end(stats *PipelineStats) {
+func (run *ingestRun) end(stats *PipelineStats) float64 {
 	run.prof.End()
 	run.root.End()
 	inf := run.inf
@@ -269,7 +271,9 @@ func (run *ingestRun) end(stats *PipelineStats) {
 	inf.pipeDropped.Add(stats.Dropped)
 	inf.pipeDeadLettered.Add(stats.DeadLettered)
 	inf.pipeRetries.Add(stats.Retries)
-	inf.ingestSeconds.ObserveExemplar(time.Since(run.start).Seconds(), run.ctx.TraceID)
+	seconds := time.Since(run.start).Seconds()
+	inf.ingestSeconds.ObserveExemplar(seconds, run.ctx.TraceID)
+	return seconds
 }
 
 // stage is one pipeline stage in flight: a tier-tagged span and the profile

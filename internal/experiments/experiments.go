@@ -1,8 +1,9 @@
 // Package experiments regenerates, one runner per paper artifact, the
 // behaviors behind every figure and quantitative claim in the paper (see
 // DESIGN.md §4 for the full index). Each experiment is deterministic given
-// its seed, returns plain-text tables, and is exercised both by
-// cmd/experiments and by the repository-root benchmarks.
+// its seed (TestSameSeedSameBytes lists the few cells that print a stopwatch
+// reading), returns plain-text tables, and is run by cmd/experiments. No
+// experiment measures performance: that is `go run ./benchmark`.
 package experiments
 
 import (
@@ -69,7 +70,7 @@ var registry = []registration{
 	{"E20", "observability — traced chaos sweep: propagation, exemplars, SLO burn", E20TracedChaosSweep},
 	{"E21", "observability — metrics TSDB, windowed queries, alert lifecycle", E21MetricsMonitor},
 	{"E22", "robustness — replicated broker: leader kill, ISR election, zero acked loss", E22ClusterFailover},
-	{"E23", "observability — continuous profiling: hot regions, overhead budget, burn localization", E23Profile},
+	{"E23", "observability — continuous profiling: hot regions, exact telescoping, burn localization", E23Profile},
 	{"E24", "autonomy — closed-loop adaptive control vs static baseline under phased partitions", E24AdaptiveControl},
 	{"E25", "observability — incident correlation: root-cause ranking under single-op partitions", E25IncidentCorrelation},
 	{"E26", "observability — fleet-scale per-camera labels: bounded cardinality, targeted-fault localization", E26FleetObservability},

@@ -25,14 +25,23 @@ func TestRunUnknown(t *testing.T) {
 	}
 }
 
-// Each experiment must run deterministically and produce non-empty tables.
-// Heavier experiments are exercised individually so test failures localize.
+// firstRuns caches Run(id, 42): the per-experiment tests below and
+// TestSameSeedSameBytes read the same first run, so an experiment executes
+// twice per `go test`, not three times. No test here is parallel, so the map
+// needs no lock.
+var firstRuns = map[string]*Result{}
 
+// Each experiment must produce non-empty tables. Heavier experiments are
+// exercised individually so test failures localize.
 func runAndCheck(t *testing.T, id string) *Result {
 	t.Helper()
-	res, err := Run(id, 42)
-	if err != nil {
-		t.Fatalf("%s: %v", id, err)
+	res := firstRuns[id]
+	if res == nil {
+		var err error
+		if res, err = Run(id, 42); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		firstRuns[id] = res
 	}
 	if res.ID != id {
 		t.Fatalf("result id = %s", res.ID)
@@ -49,6 +58,63 @@ func runAndCheck(t *testing.T, id string) *Result {
 		t.Fatalf("%s: String() missing id", id)
 	}
 	return res
+}
+
+// training lists the experiments that train a model; they are the slow ones
+// and are skipped in -short.
+var training = map[string]bool{"E5": true, "E7": true, "E8": true, "E15": true}
+
+// stopwatchCells lists the experiments whose tables print a wall-clock
+// reading, so two runs of one binary legitimately differ in those cells.
+// Nothing in them is compared against a budget.
+var stopwatchCells = map[string]string{
+	"E4":  "infra.go prints ingest and query wall time",
+	"E13": "infra.go prints HBase vs HDFS read wall time",
+	"E14": "infra.go prints dataproc wall time per parallelism",
+	"E23": "attribution table and burn timeline print profiler self time in ms",
+}
+
+// TestSameSeedSameBytes runs every registered experiment twice in-process at
+// one seed: the rendered output must be byte-identical. This is the "same
+// work" check behind every refactor, and the reason no experiment re-runs
+// itself to prove determinism. The two runs of one experiment execute side by
+// side (nothing compared here reads a clock, so sharing the CPU is safe, and
+// under -race it shows that experiments share no state). It is declared
+// first so the tests below reuse its first runs.
+func TestSameSeedSameBytes(t *testing.T) {
+	for _, id := range IDs() {
+		id := id
+		t.Run(id, func(t *testing.T) {
+			if why, ok := stopwatchCells[id]; ok {
+				t.Skip(why)
+			}
+			if training[id] && testing.Short() {
+				t.Skip("training experiment skipped in -short")
+			}
+			var b *Result
+			var berr error
+			second := make(chan struct{})
+			go func() {
+				defer close(second)
+				b, berr = Run(id, 42)
+			}()
+			a := runAndCheck(t, id)
+			<-second
+			if berr != nil {
+				t.Fatal(berr)
+			}
+			if a.String() != b.String() {
+				t.Fatalf("same seed must reproduce identical output:\n--- run 1\n%s--- run 2\n%s", a, b)
+			}
+		})
+	}
+	other, err := Run("E2", 43)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runAndCheck(t, "E2").String() == other.String() {
+		t.Fatal("different seeds should differ")
+	}
 }
 
 func TestE1(t *testing.T)  { runAndCheck(t, "E1") }
@@ -88,27 +154,6 @@ func TestE8ShapeClaims(t *testing.T) {
 		t.Skip("training experiment skipped in -short")
 	}
 	runAndCheck(t, "E8")
-}
-
-func TestDeterminism(t *testing.T) {
-	a, err := Run("E2", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run("E2", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatal("same seed must reproduce identical output")
-	}
-	c, err := Run("E2", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.String() == c.String() {
-		t.Fatal("different seeds should differ")
-	}
 }
 
 func TestE15(t *testing.T) {
@@ -193,18 +238,14 @@ func TestE22(t *testing.T) {
 }
 
 func TestE23(t *testing.T) {
-	if raceEnabled {
-		t.Skip("E23 asserts a native-build <3% overhead budget; race instrumentation inflates the profiler's atomics past it")
-	}
 	res := runAndCheck(t, "E23")
-	// The runner enforces the hard claims internally: ingest attribution
-	// covers >= 99% of measured wall time with exact tree telescoping,
-	// profiling overhead stays under the 3% ops/s budget, and an injected
-	// CPU burn localizes to ingest/store and fires the hot-region anomaly
-	// rule within 3 ticks. Check the timeline walks both phases and the
-	// localization table names the burned region.
+	// The runner enforces the hard claims internally: the ingest region tree
+	// telescopes exactly, and an injected CPU burn localizes to ingest/store
+	// and fires the hot-region anomaly rule within 3 ticks. Check the
+	// timeline walks both phases and the localization table names the burned
+	// region.
 	out := res.String()
-	for _, want := range []string{"warmup", "burn", "ingest/store", "firing", "overhead"} {
+	for _, want := range []string{"warmup", "burn", "ingest/store", "firing", "telescoping"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("E23 output missing %q:\n%s", want, out)
 		}
@@ -248,20 +289,16 @@ func TestE25(t *testing.T) {
 }
 
 func TestE26(t *testing.T) {
-	if raceEnabled {
-		t.Skip("E26 asserts a native-build <3% overhead budget; race instrumentation inflates the vec atomics past it")
-	}
 	res := runAndCheck(t, "E26")
 	// The runner enforces the hard claims internally: the targeted blackout
 	// fires camera-delivery-rate within 3 ticks, localizes to exactly the
-	// blacked-out camera with zero collateral, keeps every family within K+1
-	// registry series, reproduces byte-identical outcomes on the same seed,
-	// and clears the <3% instrumentation overhead budget. Check the rendered
+	// blacked-out camera with zero collateral, and keeps every family within
+	// K+1 registry series with exact Σ per-camera counts. Check the rendered
 	// output walks all three phases and both accounting tables.
 	out := res.String()
 	for _, want := range []string{
 		"warmup", "fault", "recovery", "firing", "~other",
-		"cityinfra_camera_frames_undelivered_total", "rolled up", "overhead",
+		"cityinfra_camera_frames_undelivered_total", "rolled up",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("E26 output missing %q:\n%s", want, out)

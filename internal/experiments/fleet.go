@@ -3,10 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -31,7 +28,7 @@ const (
 
 // e26Config is the paper-scale deployment the localization arm runs: the
 // full 220-camera network, with the social layer shrunk (it plays no part in
-// the frame path) so two determinism runs stay cheap.
+// the frame path) so a 20-seed sweep stays cheap.
 func e26Config() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Gang.Members = 120
@@ -57,13 +54,11 @@ func e26Frames(inf *core.Infrastructure, seq int) []core.FrameEvent {
 	return out
 }
 
-// e26Outcome is everything the chaos arm asserts on, with every
-// wall-clock-derived field (the e2e p99) excluded so two runs with the same
-// seed must reproduce it byte-identically.
+// e26Outcome is what the timeline hands the result tables. The target row's
+// e2e p99 is wall-clock and is never printed.
 type e26Outcome struct {
 	target      string
 	detectTicks int
-	signature   string
 	timeline    *viz.Table
 	summary     core.FleetSummary
 	targetRow   core.CameraStatus
@@ -72,7 +67,7 @@ type e26Outcome struct {
 }
 
 // e26Localize runs the full warmup → targeted blackout → recovery timeline
-// on one seed and returns the deterministic outcome.
+// on one seed.
 func e26Localize(seed int64) (*e26Outcome, error) {
 	cfg := e26Config()
 	inf, err := core.New(cfg, rand.New(rand.NewSource(seed)))
@@ -223,7 +218,6 @@ func e26Localize(seed int64) (*e26Outcome, error) {
 		undelivered += cs.Undelivered
 		if cs.Camera == out.target {
 			out.targetRow = cs
-			out.targetRow.P99Seconds = 0 // wall-clock: excluded from the deterministic outcome
 		}
 	}
 	if want := uint64(out.frames); ingested != want {
@@ -234,10 +228,6 @@ func e26Localize(seed int64) (*e26Outcome, error) {
 			undelivered, out.targetRow.Undelivered)
 	}
 
-	// The signature is the determinism contract: every field in it is a pure
-	// function of the seed under the simulated clock.
-	out.signature = fmt.Sprintf("target=%s detect=%d row=%+v rolledUp=%d evidence=%q",
-		out.target, out.detectTicks, out.targetRow, out.summary.RolledUpTotal, out.evidence)
 	return out, nil
 }
 
@@ -248,157 +238,39 @@ func e26Localize(seed int64) (*e26Outcome, error) {
 // with zero collateral on the other 219, and surface it in the incident's
 // broker-suspect evidence — then resolve cleanly. Cardinality: every vec
 // family stays within K+1 registry series for the whole 220-camera run while
-// Σ per-camera counts remain exact. Determinism: two runs on the same seed
-// must produce identical outcomes. Overhead: per-camera instrumentation must
-// cost < 3% frame-ingest ops/s versus a fleet-disabled build (median over
-// interleaved paired rounds, the E23 methodology).
+// Σ per-camera counts remain exact. What the per-camera layer costs on the
+// frame path is measured from outside the program (`go run ./benchmark`:
+// frames-sweep cpu_us_per_item, core.fleet_tick_us under -trace).
 func E26FleetObservability(rng *rand.Rand) (*Result, error) {
-	seed := rng.Int63()
-
-	// ---- Arms 1-3: localization timeline, run twice for determinism. ----
-	first, err := e26Localize(seed)
+	loc, err := e26Localize(rng.Int63())
 	if err != nil {
 		return nil, err
-	}
-	second, err := e26Localize(seed)
-	if err != nil {
-		return nil, err
-	}
-	if first.signature != second.signature {
-		return nil, fmt.Errorf("E26: same seed diverged:\n  run1: %s\n  run2: %s", first.signature, second.signature)
 	}
 
 	localize := viz.NewTable("targeted-fault localization", "metric", "value")
-	localize.AddRow("fleet width", fmt.Sprintf("%d cameras", first.summary.Cameras))
-	localize.AddRow("blacked-out uplink", first.target)
-	localize.AddRow("detection ticks (onset → firing)", fmt.Sprintf("%d (budget <= %d)", first.detectTicks, e26DetectBudget))
-	localize.AddRow("target undelivered / ingested", fmt.Sprintf("%d / %d", first.targetRow.Undelivered, first.targetRow.Ingested))
-	localize.AddRow("peak burn", fmt.Sprintf("%.0f× budget", first.targetRow.Burn))
+	localize.AddRow("fleet width", fmt.Sprintf("%d cameras", loc.summary.Cameras))
+	localize.AddRow("blacked-out uplink", loc.target)
+	localize.AddRow("detection ticks (onset → firing)", fmt.Sprintf("%d (budget <= %d)", loc.detectTicks, e26DetectBudget))
+	localize.AddRow("target undelivered / ingested", fmt.Sprintf("%d / %d", loc.targetRow.Undelivered, loc.targetRow.Ingested))
+	localize.AddRow("peak burn", fmt.Sprintf("%.0f× budget", loc.targetRow.Burn))
 	localize.AddRow("collateral undelivered (other 219)", 0)
-	localize.AddRow("incident evidence", strings.Join(first.evidence, "; "))
+	localize.AddRow("incident evidence", strings.Join(loc.evidence, "; "))
 
 	cardinality := viz.NewTable("bounded cardinality — 220 cameras, top-K registry",
 		"family", "series", "budget (K+1)")
-	fams := make([]string, 0, len(first.summary.SeriesPerFamily))
-	for fam := range first.summary.SeriesPerFamily {
-		fams = append(fams, fam)
+	for _, fam := range sortedKeys(loc.summary.SeriesPerFamily) {
+		cardinality.AddRow(fam, loc.summary.SeriesPerFamily[fam], loc.summary.MaxSeries+1)
 	}
-	sort.Strings(fams)
-	for _, fam := range fams {
-		cardinality.AddRow(fam, first.summary.SeriesPerFamily[fam], first.summary.MaxSeries+1)
-	}
-	cardinality.AddRow("children rolled up (total)", first.summary.RolledUpTotal, "-")
-
-	// ---- Arm 4: instrumentation overhead on the frame hot path. ----
-	// Identical methodology to E23's profiler budget: every timed run boots
-	// a fresh small stack (byte-identical state), each round times the
-	// fleet-enabled and fleet-disabled arms back to back in alternating
-	// order, and the median paired ratio must clear the budget; the whole
-	// measurement retries a bounded number of times to shake sustained
-	// machine-load skew.
-	const (
-		overheadBudget = 0.03
-		minRounds      = 8
-		maxRounds      = 32
-		maxAttempts    = 3
-		batchCams      = 20
-		batchSeqs      = 100
-	)
-	bootSmall := func(disabled bool) (*core.Infrastructure, error) {
-		cfg := chaosConfig()
-		cfg.DisableFleetTelemetry = disabled
-		return core.New(cfg, rand.New(rand.NewSource(seed+2)))
-	}
-	var fixedBatch []core.FrameEvent
-	for s := 0; s < batchSeqs; s++ {
-		for c := 0; c < batchCams; c++ {
-			conf := 0.9
-			if c%8 == 0 {
-				conf = 0.3
-			}
-			fixedBatch = append(fixedBatch, core.FrameEvent{
-				CameraID: fmt.Sprintf("cam-%02d", c), Seq: s*batchCams + c,
-				Class: "vehicle", Confidence: conf, RawBytes: 1 << 10, FeatureBytes: 256, Priority: 1,
-			})
-		}
-	}
-	timeBatch := func(disabled bool) (time.Duration, error) {
-		inf2, err := bootSmall(disabled)
-		if err != nil {
-			return 0, err
-		}
-		runtime.GC()
-		start := time.Now()
-		_, err = inf2.IngestFrames(fixedBatch, "")
-		return time.Since(start), err
-	}
-	median := func(xs []float64) float64 {
-		s := append([]float64(nil), xs...)
-		sort.Float64s(s)
-		if n := len(s); n%2 == 1 {
-			return s[n/2]
-		} else {
-			return (s[n/2-1] + s[n/2]) / 2
-		}
-	}
-	minEnabled, minDisabled := time.Duration(1<<62), time.Duration(1<<62)
-	overhead := 1.0
-	rounds, attempts := 0, 0
-	for attempts < maxAttempts && overhead >= overheadBudget {
-		attempts++
-		var ratios []float64
-		for r := 0; r < maxRounds; r++ {
-			order := []bool{false, true} // false = fleet enabled
-			if r%2 == 1 {
-				order = []bool{true, false}
-			}
-			var dEn, dDis time.Duration
-			for _, disabled := range order {
-				d, err := timeBatch(disabled)
-				if err != nil {
-					return nil, err
-				}
-				if disabled {
-					dDis = d
-				} else {
-					dEn = d
-				}
-			}
-			if dEn < minEnabled {
-				minEnabled = dEn
-			}
-			if dDis < minDisabled {
-				minDisabled = dDis
-			}
-			ratios = append(ratios, float64(dEn-dDis)/float64(dDis))
-			overhead = median(ratios)
-			if len(ratios) >= minRounds && overhead < overheadBudget {
-				break
-			}
-		}
-		rounds += len(ratios)
-	}
-	if overhead >= overheadBudget {
-		return nil, fmt.Errorf("E26: fleet instrumentation overhead %.4f (median over %d paired rounds in %d attempts; enabled best %.3fms vs disabled best %.3fms), budget < %.2f",
-			overhead, rounds, attempts, minEnabled.Seconds()*1e3, minDisabled.Seconds()*1e3, overheadBudget)
-	}
-	nBatch := float64(len(fixedBatch))
-	overheadTab := viz.NewTable(fmt.Sprintf("overhead — paired-round median over %d rounds", rounds),
-		"arm", "best batch time", "frames/s")
-	overheadTab.AddRow("fleet telemetry on", fmt.Sprintf("%.3f ms", minEnabled.Seconds()*1e3), fmt.Sprintf("%.0f", nBatch/minEnabled.Seconds()))
-	overheadTab.AddRow("fleet telemetry off", fmt.Sprintf("%.3f ms", minDisabled.Seconds()*1e3), fmt.Sprintf("%.0f", nBatch/minDisabled.Seconds()))
-	overheadTab.AddRow("overhead", fmt.Sprintf("%.2f%% (budget < %.0f%%)", overhead*100, overheadBudget*100), "")
+	cardinality.AddRow("children rolled up (total)", loc.summary.RolledUpTotal, "-")
 
 	return &Result{
 		ID: "E26", Title: "fleet observability — per-camera labels, targeted-fault localization, bounded cardinality",
-		Tables: []*viz.Table{first.timeline, localize, cardinality, overheadTab},
+		Tables: []*viz.Table{loc.timeline, localize, cardinality},
 		Notes: []string{
 			fmt.Sprintf("a broker blackout on ONE of %d camera uplinks fired %s in %d tick(s), topped the fleet burn table with zero collateral undelivered on the other %d cameras, and the incident's broker suspect carried %q",
-				first.summary.Cameras, e26Rule, first.detectTicks, first.summary.Cameras-1, first.evidence[0]),
+				loc.summary.Cameras, e26Rule, loc.detectTicks, loc.summary.Cameras-1, loc.evidence[0]),
 			fmt.Sprintf("every per-camera family stayed within %d registry series (top-%d + rollup) for the whole %d-camera run while Σ per-camera counts remained exact — %d tail children were folded into {camera=\"~other\"}",
-				first.summary.MaxSeries+1, first.summary.MaxSeries, first.summary.Cameras, first.summary.RolledUpTotal),
-			fmt.Sprintf("per-camera instrumentation costs %.2f%% frame-ingest ops/s (median of %d interleaved paired rounds) — cached vec handles keep the hot path at a few atomics", overhead*100, rounds),
-			"two full timelines on the same seed reproduced identical detection ticks, fleet counts, and evidence strings — the dimensional layer rides the simulated clock like everything else",
+				loc.summary.MaxSeries+1, loc.summary.MaxSeries, loc.summary.Cameras, loc.summary.RolledUpTotal),
 		},
 	}, nil
 }

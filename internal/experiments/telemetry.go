@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/fog"
 	"repro/internal/viz"
@@ -57,16 +56,13 @@ func E19LatencyAttribution(rng *rand.Rand) (*Result, error) {
 		for _, j := range res.Jobs {
 			totalLatency += j.LatencyMs
 		}
-		attributed := res.AttributedMs()
-
-		stages := make([]string, 0, len(res.Attribution))
-		for stage := range res.Attribution {
-			stages = append(stages, stage)
-		}
-		sort.Strings(stages)
-		for _, stage := range stages {
+		// Summed in stage-name order: float addition in map order would
+		// round the residual differently from run to run.
+		var attributed float64
+		for _, stage := range sortedKeys(res.Attribution) {
 			ps := res.Attribution[stage]
 			total := ps.WaitMs + ps.ServiceMs
+			attributed += total
 			attribution.AddRow(th, stage, ps.WaitMs, ps.ServiceMs, total,
 				total/totalLatency*100)
 		}

@@ -247,16 +247,6 @@ type Results struct {
 	Attribution map[string]*PathStat
 }
 
-// AttributedMs sums wait+service over all attribution stages. It equals the
-// sum of per-job latencies (up to float rounding).
-func (r *Results) AttributedMs() float64 {
-	var sum float64
-	for _, ps := range r.Attribution {
-		sum += ps.WaitMs + ps.ServiceMs
-	}
-	return sum
-}
-
 // resource tracks FIFO availability of a node or link.
 type resource struct {
 	freeAt float64

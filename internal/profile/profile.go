@@ -33,7 +33,7 @@ import (
 // DefaultSampleEvery is the allocation-sampling period: one in every
 // N calls to a region pays for two runtime/metrics reads. 256 keeps the
 // sampled reads (and their pooled buffers, which every forced GC clears)
-// far below the noise floor of the <3% overhead budget E23 enforces.
+// far below the noise floor of the frame path's cpu_us_per_item.
 const DefaultSampleEvery = 256
 
 // Config tunes a Profiler.
@@ -47,7 +47,6 @@ type Config struct {
 // methods are safe for concurrent use; Region handles are meant to be
 // resolved once at wiring time and kept.
 type Profiler struct {
-	enabled     atomic.Bool
 	sampleEvery uint64
 
 	mu      sync.RWMutex
@@ -61,8 +60,7 @@ type Profiler struct {
 	ticks    int64
 }
 
-// New builds an enabled profiler — the profiler is always-on by design;
-// Disable exists for overhead measurements, not for production use.
+// New builds a profiler; recording is always on.
 func New(cfg Config) *Profiler {
 	se := uint64(DefaultSampleEvery)
 	switch {
@@ -71,24 +69,12 @@ func New(cfg Config) *Profiler {
 	case cfg.SampleEvery < 0:
 		se = 0
 	}
-	p := &Profiler{
+	return &Profiler{
 		sampleEvery: se,
 		regions:     make(map[string]*Region),
 		lastWall:    make(map[string]int64),
 	}
-	p.enabled.Store(true)
-	return p
 }
-
-// Enable turns recording on (the default).
-func (p *Profiler) Enable() { p.enabled.Store(true) }
-
-// Disable turns recording off: Start returns inert spans and End is a no-op.
-// Existing totals are kept.
-func (p *Profiler) Disable() { p.enabled.Store(false) }
-
-// Enabled reports whether spans are being recorded.
-func (p *Profiler) Enabled() bool { return p.enabled.Load() }
 
 // Region returns the named region, creating it on first use. Names are
 // slash paths whose hierarchy should mirror the call nesting.
@@ -157,10 +143,10 @@ type Span struct {
 	sampled bool
 }
 
-// Start opens a span on the region. Nil-safe and disabled-safe: both return
-// an inert span.
+// Start opens a span on the region. Nil-safe: a nil region returns an inert
+// span.
 func (r *Region) Start() Span {
-	if r == nil || !r.prof.enabled.Load() {
+	if r == nil {
 		return Span{}
 	}
 	return r.startAt(nanotime())
@@ -168,9 +154,9 @@ func (r *Region) Start() Span {
 
 // StartAt opens a span against a clock reading the caller already holds —
 // Now, or an enclosing span's StartTime — so sibling spans opened at the
-// same instant share a single read. Nil-safe and disabled-safe.
+// same instant share a single read. Nil-safe.
 func (r *Region) StartAt(at int64) Span {
-	if r == nil || !r.prof.enabled.Load() {
+	if r == nil {
 		return Span{}
 	}
 	return r.startAt(at)
@@ -226,8 +212,8 @@ func (s Span) endAt(at int64) {
 	}
 }
 
-// Calls returns the region's span-entry count (spans opened while enabled;
-// in-flight spans are included).
+// Calls returns the region's span-entry count (in-flight spans are
+// included).
 func (r *Region) Calls() uint64 { return r.seq.Load() }
 
 // WallSeconds returns the region's cumulative wall time in seconds.

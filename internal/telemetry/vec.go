@@ -265,9 +265,7 @@ func (v *CounterVec) SeriesCount() int { return v.f.seriesCount() }
 
 // LabeledCounter is a cached per-label counter handle. Add/Inc are two
 // atomic adds and one atomic load — no locks, no allocation — and stay
-// valid across demotion: a tail handle records into the rollup series. A nil
-// handle is valid and records nothing, so a caller whose dimensional layer is
-// switched off needs no guards.
+// valid across demotion: a tail handle records into the rollup series.
 type LabeledCounter struct{ c *vecChild }
 
 // Inc adds one.
@@ -275,7 +273,7 @@ func (h *LabeledCounter) Inc() { h.Add(1) }
 
 // Add adds n (non-positive deltas are ignored, like Counter.Add).
 func (h *LabeledCounter) Add(n int) {
-	if h == nil || n <= 0 {
+	if n <= 0 {
 		return
 	}
 	h.c.obs.Add(uint64(n))
@@ -340,17 +338,13 @@ func (v *HistogramVec) With(value string) *LabeledHistogram {
 // SeriesCount returns materialized children + 1 (the rollup).
 func (v *HistogramVec) SeriesCount() int { return v.f.seriesCount() }
 
-// LabeledHistogram is a cached per-label histogram handle; a nil handle
-// observes nothing.
+// LabeledHistogram is a cached per-label histogram handle.
 type LabeledHistogram struct{ c *vecChild }
 
 // Observe records one value: exact per-label count and sum on the handle,
 // plus the bucket observation on whichever series (own or rollup) the label
 // currently owns.
 func (h *LabeledHistogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
 	h.c.obs.Add(1)
 	addFloatBits(&h.c.sum, v)
 	h.c.tgtH.Load().Observe(v)

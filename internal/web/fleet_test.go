@@ -2,9 +2,7 @@ package web
 
 import (
 	"fmt"
-	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"net/url"
 	"sync"
 	"testing"
@@ -177,18 +175,6 @@ func TestCamerasEndpoint(t *testing.T) {
 
 	getJSON(t, srv.URL+"/api/cameras?sort=rate", http.StatusBadRequest)
 	getJSON(t, srv.URL+"/api/cameras?limit=bogus", http.StatusBadRequest)
-
-	// A stack booted without fleet telemetry 404s instead of faking rows.
-	cfg := core.DefaultConfig()
-	cfg.Cameras = 30
-	cfg.DisableFleetTelemetry = true
-	bare, err := core.New(cfg, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bareSrv := httptest.NewServer(NewServer(bare))
-	defer bareSrv.Close()
-	getJSON(t, bareSrv.URL+"/api/cameras", http.StatusNotFound)
 }
 
 // TestFleetReadDuringIngest hammers per-camera frame ingest from several

@@ -320,10 +320,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // cameras with signal); ?limit= caps the rows either way.
 func (s *Server) handleCameras(w http.ResponseWriter, r *http.Request) {
 	fl := s.inf.Fleet
-	if fl == nil {
-		writeError(w, http.StatusNotFound, errors.New("web: fleet telemetry disabled"))
-		return
-	}
 	limit, err := parseLimit(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
