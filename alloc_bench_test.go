@@ -21,7 +21,7 @@ import (
 const (
 	produceAllocBudget       = 8  // measured 4 allocs/op at RF 3 (2 at RF 1)
 	pollCommitAllocBudget    = 4  // measured 1 alloc/op for poll(1)+commit
-	frameIngestAllocBudget   = 40 // measured 38 allocs/frame through all 4 tiers
+	frameIngestAllocBudget   = 40 // measured 36 allocs/frame through all 4 tiers
 	wazeRecordAllocBudget    = 29 // measured 27.1 allocs/record, 256 reports per IngestWaze call
 	incidentTickAllocBudget  = 0  // quiescent correlation cycle must not allocate
 	labeledHandleAllocBudget = 0  // cached vec handle records must not allocate

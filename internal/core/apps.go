@@ -64,7 +64,7 @@ func (vw *VehicleWatch) AnnotateFrames(cameraID string, frames *tensor.Tensor) (
 		} else {
 			rep.LocalExits++
 		}
-		row := fmt.Sprintf("%s|%06d", cameraID, i)
+		row := frameRow(cameraID, i)
 		for j, d := range dets {
 			val, err := json.Marshal(map[string]any{
 				"class": d.Class, "score": d.Score, "path": path,

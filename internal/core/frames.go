@@ -203,6 +203,34 @@ func (inf *Infrastructure) serveFrame(rec stream.Record, fallback *telemetry.Spa
 	inf.archiveFrame(spInfer, f, rec.Value, offloaded, archiveDir, traceID, stats)
 }
 
+// frameRow is a frame's video_annotations row key, "<camera>|<seq %06d>".
+// Like featurePath it is built once per frame, so by appending, not by fmt.
+func frameRow(camera string, seq int) string {
+	var buf [64]byte
+	b := append(append(buf[:0], camera...), '|')
+	return string(appendSeq(b, seq))
+}
+
+// featurePath is where an offloaded frame's feature map is archived:
+// "<dir>/<camera>-<seq %06d>.feat".
+func featurePath(dir, camera string, seq int) string {
+	var buf [96]byte
+	b := append(append(buf[:0], dir...), '/')
+	b = append(append(b, camera...), '-')
+	return string(append(appendSeq(b, seq), ".feat"...))
+}
+
+// appendSeq appends seq as fmt's %06d prints it.
+func appendSeq(b []byte, seq int) []byte {
+	if seq < 0 {
+		return fmt.Appendf(b, "%06d", seq)
+	}
+	for pad := 100000; pad > seq && pad > 1; pad /= 10 {
+		b = append(b, '0')
+	}
+	return strconv.AppendInt(b, int64(seq), 10)
+}
+
 // archiveFrame is the cloud-tier archive shared by both inference homes:
 // the annotation row for random access and — for offloaded frames with an
 // archive directory — the feature map for the batch/training path. parent
@@ -212,7 +240,7 @@ func (inf *Infrastructure) archiveFrame(parent *telemetry.Span, f FrameEvent, va
 	archive := openStage(parent, "archive", "cloud", nil)
 	defer archive.End()
 	cam := inf.Fleet.camera(f.CameraID)
-	row := fmt.Sprintf("%s|%06d", f.CameraID, f.Seq)
+	row := frameRow(f.CameraID, f.Seq)
 	put := func(qualifier string, val []byte) bool {
 		if err := inf.putCell(stats, inf.VideoTab, row, "det", qualifier, val); err != nil {
 			inf.frameLost(cam, stats, "hbase", row, value, err, traceID)
@@ -225,7 +253,7 @@ func (inf *Infrastructure) archiveFrame(parent *telemetry.Span, f FrameEvent, va
 		return
 	}
 	if offloaded && archiveDir != "" {
-		path := fmt.Sprintf("%s/%s-%06d.feat", archiveDir, f.CameraID, f.Seq)
+		path := featurePath(archiveDir, f.CameraID, f.Seq)
 		if err := inf.retried(stats, func() error { return inf.HDFS.Write(path, value) }); err != nil {
 			inf.frameLost(cam, stats, "hdfs", path, value, err, traceID)
 			return

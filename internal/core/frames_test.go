@@ -223,3 +223,26 @@ func TestFrameTracesSurviveChaos(t *testing.T) {
 		checkCausalTree(t, tv)
 	}
 }
+
+// TestFrameKeysMatchFmt pins the appended row key and feature path to the
+// fmt.Sprintf formats they replaced: readers — the dashboard, the benchmark's
+// Gets — rebuild the key from the format.
+func TestFrameKeysMatchFmt(t *testing.T) {
+	for _, seq := range []int{0, 7, 10, 99999, 100000, 999999, 1000000, -1} {
+		if got, want := frameRow("dotd-007", seq), fmt.Sprintf("%s|%06d", "dotd-007", seq); got != want {
+			t.Errorf("frameRow(%d) = %q, want %q", seq, got, want)
+		}
+		got := featurePath("/features", "dotd-007", seq)
+		if want := fmt.Sprintf("%s/%s-%06d.feat", "/features", "dotd-007", seq); got != want {
+			t.Errorf("featurePath(%d) = %q, want %q", seq, got, want)
+		}
+	}
+	// Longer than the stack buffers the helpers start from.
+	long := fmt.Sprintf("camera-%0100d", 1)
+	if got, want := frameRow(long, 7), long+"|000007"; got != want {
+		t.Errorf("frameRow(long) = %q, want %q", got, want)
+	}
+	if got, want := featurePath(long, long, 7), long+"/"+long+"-000007.feat"; got != want {
+		t.Errorf("featurePath(long) = %q, want %q", got, want)
+	}
+}

@@ -1,19 +1,20 @@
 // Package hbase simulates an HBase-style wide-column store layered on the
 // hdfs package: writes go to a write-ahead log and a sorted in-memory
 // memstore, flushes produce immutable store files persisted in HDFS,
-// background compaction merges store files and drops tombstones, and reads
-// merge memstore and store files newest-first. Store files are sorted runs, so
-// compaction and scans are one k-way merge over them (mergeRuns) and point
-// reads are a binary search per file. Unlike HDFS's batch-only
-// access, the store supports efficient random reads and writes — exactly the
-// contrast the paper draws in §II.C.2.
+// size-tiered compaction merges the newest store files of one tier into a
+// file of the next, so a cell is rewritten once per tier and not once per
+// compaction, and reads merge memstore and store files newest-first. Store
+// files are sorted runs, so compaction and scans are one k-way merge over them
+// (mergeRuns) and point reads are a binary search per file. Unlike HDFS's
+// batch-only access, the store supports efficient random reads and writes —
+// exactly the contrast the paper draws in §II.C.2.
 package hbase
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -82,7 +83,11 @@ func compareCells(a, b *Cell) int {
 type storeFile struct {
 	path  string
 	cells []Cell // sorted by compareCells
-	size  int
+	// tier counts the merges behind the run: 0 for a flushed memstore, one
+	// above its highest input for a merged run. A counter, not a size class:
+	// overwrites and deletes shrink a merged run without sending it back to
+	// be merged with the flushes again.
+	tier int
 }
 
 // mergeRuns walks runs, each sorted by compareCells, in key order and hands
@@ -115,7 +120,8 @@ func mergeRuns(runs [][]Cell, emit func(c *Cell)) {
 type Config struct {
 	// FlushThreshold is the memstore cell count that triggers a flush.
 	FlushThreshold int
-	// CompactThreshold is the store-file count that triggers compaction.
+	// CompactThreshold is the compaction fan-in: the number of store files
+	// of one tier that triggers their merge into one file of the next.
 	CompactThreshold int
 }
 
@@ -212,12 +218,6 @@ func (t *Table) SetEventHook(h EventHook) {
 	t.events = h
 }
 
-func (t *Table) eventLocked(event, detail string) {
-	if t.events != nil {
-		t.events(event, detail)
-	}
-}
-
 func (t *Table) faultLocked(op string) error {
 	if t.hook == nil {
 		return nil
@@ -306,24 +306,44 @@ func (t *Table) flushLocked() error {
 		cells = append(cells, versions...)
 	}
 	sortCells(cells)
-	sf, err := t.persistStoreFile(cells)
+	sf, err := t.persistStoreFile(cells, 0)
 	if err != nil {
 		return fmt.Errorf("flush %s: %w", t.name, err)
 	}
 	t.files = append([]*storeFile{sf}, t.files...)
-	flushed := t.memCount
 	clear(t.memstore)
 	t.memCount = 0
 	t.wal = t.wal[:0]
 	t.walSeq++
 	t.flushes++
-	t.eventLocked("flush", fmt.Sprintf("memstore flushed %d cells to %s", flushed, sf.path))
-	if len(t.files) >= t.cfg.CompactThreshold {
-		if err := t.compactLocked(); err != nil {
+	if t.events != nil {
+		t.events("flush", fmt.Sprintf("memstore flushed %d cells to %s", len(cells), sf.path))
+	}
+	// One merge can fill the next tier, so pick again after each.
+	for n := t.pickLocked(); n > 0; n = t.pickLocked() {
+		if err := t.mergeLocked(n); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// pickLocked is the minor-compaction policy: how many of the newest store
+// files to merge now. The pick is the longest newest-first prefix of t.files
+// whose tiers do not exceed the newest file's, once it holds CompactThreshold
+// files; 0 means leave the files alone. A prefix is contiguous in age, so the
+// merged run can take the prefix's place without reordering versions, and a
+// merge that faulted leaves its inputs where the next pick reaching their
+// tier takes them again.
+func (t *Table) pickLocked() int {
+	n := 0
+	for n < len(t.files) && t.files[n].tier <= t.files[0].tier {
+		n++
+	}
+	if n < t.cfg.CompactThreshold {
+		return 0
+	}
+	return n
 }
 
 // cellOrder sorts an index permutation over a cell slice by compareCells,
@@ -357,63 +377,107 @@ func sortCells(cells []Cell) {
 // by the callers before they build and sort the run, so a blacked-out
 // store fails fast instead of re-sorting a growing memstore on every
 // retried put.
-func (t *Table) persistStoreFile(cells []Cell) (*storeFile, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(cells); err != nil {
-		return nil, fmt.Errorf("encode storefile: %w", err)
-	}
+func (t *Table) persistStoreFile(cells []Cell, tier int) (*storeFile, error) {
 	path := "/hbase/" + t.name + "/sf-" + strconv.Itoa(t.fileSeq)
 	t.fileSeq++
-	if err := t.fs.Write(path, buf.Bytes()); err != nil {
+	if err := t.fs.Write(path, encodeStoreFile(cells)); err != nil {
 		return nil, fmt.Errorf("persist storefile: %w", err)
 	}
-	return &storeFile{path: path, cells: cells, size: buf.Len()}, nil
+	return &storeFile{path: path, cells: cells, tier: tier}, nil
 }
 
-// Compact merges all store files into one, keeping only the newest version
-// of each cell and dropping tombstoned cells entirely.
+// encodeStoreFile lays a run out as the bytes HDFS stores: the cell count as
+// a uvarint, then per cell the row, family, qualifier and value, each behind
+// its uvarint length, the timestamp as a varint and one tombstone byte. The
+// buffer is sized exactly first, so it is allocated once.
+func encodeStoreFile(cells []Cell) []byte {
+	size := uvarintLen(uint64(len(cells)))
+	for i := range cells {
+		c := &cells[i]
+		for _, n := range [...]int{len(c.Row), len(c.Family), len(c.Qualifier), len(c.Value)} {
+			size += uvarintLen(uint64(n)) + n
+		}
+		// binary.AppendVarint's zig-zag: the sign moves to the low bit.
+		size += uvarintLen(uint64(c.Timestamp<<1^c.Timestamp>>63)) + 1
+	}
+	buf := binary.AppendUvarint(make([]byte, 0, size), uint64(len(cells)))
+	for i := range cells {
+		c := &cells[i]
+		buf = append(binary.AppendUvarint(buf, uint64(len(c.Row))), c.Row...)
+		buf = append(binary.AppendUvarint(buf, uint64(len(c.Family))), c.Family...)
+		buf = append(binary.AppendUvarint(buf, uint64(len(c.Qualifier))), c.Qualifier...)
+		buf = append(binary.AppendUvarint(buf, uint64(len(c.Value))), c.Value...)
+		buf = binary.AppendVarint(buf, c.Timestamp)
+		if c.Tombstone {
+			buf = append(buf, 1)
+		} else {
+			buf = append(buf, 0)
+		}
+	}
+	return buf
+}
+
+// uvarintLen is the number of bytes binary.AppendUvarint writes for x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// Compact is the major compaction: it merges every store file into one,
+// keeping only the newest version of each cell and dropping tombstoned cells
+// entirely.
 func (t *Table) Compact() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
 		return ErrClosed
 	}
-	return t.compactLocked()
+	return t.mergeLocked(len(t.files))
 }
 
-func (t *Table) compactLocked() error {
-	if len(t.files) <= 1 {
+// mergeLocked replaces the n newest store files with one run a tier above
+// them, holding the newest version of each of their cells. Tombstones are
+// dropped only when the merge reaches the oldest file: below a minor merge an
+// older file may still hold the cell a tombstone deletes.
+func (t *Table) mergeLocked(n int) error {
+	if n <= 1 {
 		return nil
 	}
 	if err := t.faultLocked("flush"); err != nil {
 		return fmt.Errorf("compact %s: %w", t.name, err)
 	}
-	runs := make([][]Cell, len(t.files))
-	total := 0
-	for i, sf := range t.files {
+	picked := t.files[:n]
+	major := n == len(t.files)
+	runs := make([][]Cell, n)
+	total, tier := 0, 0
+	for i, sf := range picked {
 		runs[i] = sf.cells
 		total += len(sf.cells)
+		tier = max(tier, sf.tier)
 	}
 	// total is exact unless a cell was overwritten or deleted since the
 	// files were flushed.
 	cells := make([]Cell, 0, total)
 	mergeRuns(runs, func(c *Cell) {
-		if !c.Tombstone {
+		if !major || !c.Tombstone {
 			cells = append(cells, *c)
 		}
 	})
-	sf, err := t.persistStoreFile(cells)
+	sf, err := t.persistStoreFile(cells, tier+1)
 	if err != nil {
 		return fmt.Errorf("compact %s: %w", t.name, err)
 	}
-	for _, old := range t.files {
+	for _, old := range picked {
 		if err := t.fs.Delete(old.path); err != nil && !errors.Is(err, hdfs.ErrNotFound) {
 			return fmt.Errorf("compact cleanup: %w", err)
 		}
 	}
-	t.files = []*storeFile{sf}
+	t.files = append([]*storeFile{sf}, t.files[n:]...)
 	t.compactions++
-	t.eventLocked("compact", fmt.Sprintf("merged store files into %s (%d live cells)", sf.path, len(cells)))
+	if t.events != nil {
+		kind := "minor"
+		if major {
+			kind = "major"
+		}
+		t.events("compact", fmt.Sprintf("%s: merged %d store files into %s (%d cells)", kind, n, sf.path, len(cells)))
+	}
 	return nil
 }
 
@@ -567,7 +631,9 @@ func (t *Table) CrashAndRecover() (int, error) {
 	}
 	replayed := len(t.wal)
 	t.memCount = replayed
-	t.eventLocked("recover", fmt.Sprintf("WAL replay restored %d cells after crash", replayed))
+	if t.events != nil {
+		t.events("recover", fmt.Sprintf("WAL replay restored %d cells after crash", replayed))
+	}
 	return replayed, nil
 }
 

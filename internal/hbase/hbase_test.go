@@ -293,3 +293,44 @@ func TestManyRandomOpsConsistentWithMap(t *testing.T) {
 		t.Fatalf("scan rows = %d, oracle = %d", len(rows), len(oracle))
 	}
 }
+
+// countMergedCells installs an event hook on tb that adds up the cells its
+// compactions write, minor and major. The hook runs under the table's lock,
+// so it may read the merged run.
+func countMergedCells(tb *Table) *int {
+	merged := new(int)
+	tb.SetEventHook(func(event, _ string) {
+		if event == "compact" {
+			*merged += len(tb.files[0].cells)
+		}
+	})
+	return merged
+}
+
+// TestWriteAmplificationBounded pins what size-tiered compaction is for: a
+// cell is rewritten at most once per tier, so over a fault-free run of
+// distinct puts the merges write at most ⌈log_K flushes⌉ cells per cell put
+// (measured ≈ 2.6 here; merging every file on every CompactThreshold-th flush
+// writes ≈ 13), and the files settle at no more than K−1 per tier.
+func TestWriteAmplificationBounded(t *testing.T) {
+	const puts = 20000
+	tb := newTestTable(t, DefaultConfig())
+	merged := countMergedCells(tb)
+	for i := 0; i < puts; i++ {
+		if err := tb.Put(fmt.Sprintf("cam-%03d|%06d", i%220, i/220), "meta", "class", []byte("car")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, k := tb.Stats(), DefaultConfig().CompactThreshold
+	tiers := 0 // ⌈log_K flushes⌉
+	for n := 1; n < st.Flushes; n *= k {
+		tiers++
+	}
+	if st.Flushes != puts/DefaultConfig().FlushThreshold || *merged == 0 || *merged > tiers*puts {
+		t.Fatalf("%d flushes, merges wrote %d cells for %d put (×%.1f), want at most ×%d",
+			st.Flushes, *merged, puts, float64(*merged)/puts, tiers)
+	}
+	if st.StoreFiles > (k-1)*tiers {
+		t.Fatalf("%d store files after %d flushes, want ≤ %d", st.StoreFiles, st.Flushes, (k-1)*tiers)
+	}
+}

@@ -2,7 +2,7 @@ package hbase
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -13,9 +13,10 @@ import (
 
 // oracleCompact is the compaction this package shipped before the k-way
 // merge: newest version per key through a map keyed by the concatenated
-// coordinates, tombstones dropped, then a sort of the whole table. It is kept
-// as the reference the merge must reproduce cell for cell.
-func oracleCompact(files []*storeFile) []Cell {
+// coordinates, then a sort of the result; tombstones are dropped when major
+// says the merge reached the oldest file. It is kept as the reference the
+// merge must reproduce cell for cell.
+func oracleCompact(files []*storeFile, major bool) []Cell {
 	newest := make(map[string]Cell)
 	// files is newest-first; iterate oldest-first so newer versions win.
 	for i := len(files) - 1; i >= 0; i-- {
@@ -28,12 +29,67 @@ func oracleCompact(files []*storeFile) []Cell {
 	}
 	cells := make([]Cell, 0, len(newest))
 	for _, c := range newest {
-		if !c.Tombstone {
+		if !major || !c.Tombstone {
 			cells = append(cells, c)
 		}
 	}
 	sortCells(cells)
 	return cells
+}
+
+// decodeStoreFile is the reference reader of the store-file layout: uvarint
+// cell count, then per cell length-prefixed row, family, qualifier and value,
+// varint timestamp, one tombstone byte. It panics on a short buffer, which
+// fails the test that feeds it one.
+func decodeStoreFile(b []byte) []Cell {
+	field := func() []byte {
+		n, w := binary.Uvarint(b)
+		f := b[w : w+int(n)]
+		b = b[w+int(n):]
+		return f
+	}
+	n, w := binary.Uvarint(b)
+	b = b[w:]
+	cells := make([]Cell, 0, n)
+	for ; n > 0; n-- {
+		c := Cell{Row: string(field()), Family: string(field()), Qualifier: string(field())}
+		if v := field(); len(v) > 0 {
+			c.Value = append([]byte(nil), v...)
+		}
+		ts, w := binary.Varint(b)
+		c.Timestamp, c.Tombstone = ts, b[w] == 1
+		b = b[w+1:]
+		cells = append(cells, c)
+	}
+	if len(b) != 0 {
+		panic(fmt.Sprintf("decodeStoreFile: %d bytes after the last cell", len(b)))
+	}
+	return cells
+}
+
+// TestStoreFileCodecSizesExactly walks the lengths and timestamps at which a
+// varint grows a byte: the encoder's size pass must agree with what it then
+// appends, and the reference decoder must read the run back.
+func TestStoreFileCodecSizesExactly(t *testing.T) {
+	var cells []Cell
+	for i, n := range []int{0, 1, 127, 128, 16383, 16384} {
+		for j, ts := range []int64{0, 63, 64, 8191, 8192, 1 << 40, -1, -65} {
+			c := Cell{Row: strings.Repeat("r", n), Family: "f", Timestamp: ts, Tombstone: (i+j)%2 == 1}
+			if !c.Tombstone && n > 0 {
+				c.Value = bytes.Repeat([]byte{byte(j)}, n)
+			}
+			cells = append(cells, c)
+		}
+	}
+	for _, run := range [][]Cell{cells, cells[:1], {}} {
+		b := encodeStoreFile(run)
+		if len(b) != cap(b) {
+			t.Errorf("%d cells: encoded %d bytes into a buffer sized for %d", len(run), len(b), cap(b))
+		}
+		if got := decodeStoreFile(b); !reflect.DeepEqual(got, run) {
+			t.Errorf("%d cells: decoded run differs from the encoded one", len(run))
+		}
+	}
 }
 
 // modelTable drives a Table and a plain map side by side.
@@ -43,8 +99,15 @@ type modelTable struct {
 	model map[cellID]string // live cells only
 
 	// Store files as of the last flush or compact event: what the next
-	// compaction merges.
+	// compaction picks from.
 	files []*storeFile
+
+	compacting   bool // inside Table.Compact
+	mergeFaulted bool // the last merge attempt drew a fault…
+	faultedAt    int  // …when the table had flushed this many times
+	mergeFaults  int
+	minors       int // merges that left older files alone
+	cascaded     int // minor merges whose inputs were merged runs themselves
 }
 
 var (
@@ -55,27 +118,41 @@ var (
 func newModelTable(t *testing.T, faults *rand.Rand, rate float64) *modelTable {
 	m := &modelTable{
 		t:     t,
-		tb:    newTestTable(t, Config{FlushThreshold: 9, CompactThreshold: 3}),
+		tb:    newTestTable(t, Config{FlushThreshold: 5, CompactThreshold: 3}),
 		model: make(map[cellID]string),
 	}
+	// The hooks run under the table's lock on the test's own goroutine, so
+	// they may read the table's fields.
 	m.tb.SetFaultHook(func(op string) error {
-		if faults.Float64() >= rate {
-			return nil
+		faulted := faults.Float64() < rate
+		// A flush draws only on a non-empty memstore and empties it before
+		// its merges draw; Compact draws for its merge whatever the memstore
+		// holds.
+		if op == "flush" && (m.compacting || m.tb.memCount == 0) {
+			m.mergeFaulted, m.faultedAt = faulted, m.tb.flushes
+			if faulted {
+				m.mergeFaults++
+			}
 		}
-		if op == "wal" {
+		switch {
+		case !faulted:
+			return nil
+		case op == "wal":
 			return errModelWAL
 		}
 		return errModelFlush
 	})
-	// The hook runs under the table's lock on the test's own goroutine, so it
-	// may read the table's fields.
 	m.tb.SetEventHook(func(event, _ string) {
-		switch event {
-		case "flush":
-			m.checkSortedRun(m.tb.files[0])
-		case "compact":
-			m.checkAgainstOracle(m.tb.files[0])
+		if event == "recover" {
+			return
 		}
+		sf := m.tb.files[0]
+		if event == "flush" {
+			m.checkSortedRun(sf)
+		} else {
+			m.checkAgainstOracle(sf)
+		}
+		m.checkPersisted(sf)
 		m.files = append(m.files[:0], m.tb.files...)
 	})
 	return m
@@ -92,26 +169,87 @@ func (m *modelTable) checkSortedRun(sf *storeFile) {
 	}
 }
 
-// checkAgainstOracle compares a freshly compacted store file, in memory and
-// as persisted, with what the map-and-sort compaction makes of the same
-// inputs.
+// checkAgainstOracle finds what a merge picked — it must have replaced a
+// newest-first prefix of the files the last event left, and nothing else —
+// and compares the merged run with what the map-and-sort compaction makes of
+// the same files: timestamps as they were, tombstones kept unless the pick
+// reached the oldest file.
 func (m *modelTable) checkAgainstOracle(sf *storeFile) {
-	want := oracleCompact(m.files)
-	if !reflect.DeepEqual(sf.cells, want) {
-		m.t.Errorf("%s: merged run differs from the oracle's\n got %v\nwant %v", sf.path, sf.cells, want)
+	kept := m.tb.files[1:]
+	n := len(m.files) - len(kept)
+	if n < 2 || !reflect.DeepEqual(kept, m.files[n:]) {
+		m.t.Errorf("%s: merge turned files %v into %v: not a prefix", sf.path, paths(m.files), paths(m.tb.files))
 		return
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(want); err != nil {
-		m.t.Fatal(err)
+	if len(kept) > 0 {
+		m.minors++
+		if m.files[0].tier > 0 {
+			m.cascaded++
+		}
 	}
-	got, err := m.tb.fs.Read(sf.path)
+	want := oracleCompact(m.files[:n], len(kept) == 0)
+	if !reflect.DeepEqual(sf.cells, want) {
+		m.t.Errorf("%s: merged run differs from the oracle's\n got %v\nwant %v", sf.path, sf.cells, want)
+	}
+}
+
+func paths(files []*storeFile) []string {
+	out := make([]string, len(files))
+	for i, sf := range files {
+		out[i] = sf.path
+	}
+	return out
+}
+
+// checkPersisted reads a new store file back from HDFS through the reference
+// decoder: the stored bytes must hold the run, timestamps and tombstones
+// included.
+func (m *modelTable) checkPersisted(sf *storeFile) {
+	b, err := m.tb.fs.Read(sf.path)
 	if err != nil {
 		m.t.Errorf("read %s: %v", sf.path, err)
 		return
 	}
-	if !bytes.Equal(got, buf.Bytes()) {
-		m.t.Errorf("%s: persisted bytes differ from the oracle's encoding", sf.path)
+	if got := decodeStoreFile(b); !reflect.DeepEqual(got, sf.cells) {
+		m.t.Errorf("%s: persisted run differs from the one in memory\n got %v\nwant %v", sf.path, got, sf.cells)
+	}
+}
+
+// checkFiles asserts what reads and the compaction policy rely on between
+// calls. Walking the files newest first, every later version of a key carries
+// a smaller timestamp, so the first file holding a key holds its newest
+// version. A pick is left pending only by a merge fault since the last flush:
+// the next flush must take the stranded files up again. And while the last
+// merge attempt did not fault, the files number at most K−1 per tier over
+// ⌊log_K flushes⌋+2 tiers — one tier of slack for a run a fault stranded
+// higher up and the major compaction's file.
+func (m *modelTable) checkFiles() {
+	m.t.Helper()
+	files, k := m.tb.files, m.tb.cfg.CompactThreshold
+	last := make(map[cellID]int64)
+	for _, sf := range files {
+		for i := range sf.cells {
+			c := &sf.cells[i]
+			if ts, ok := last[c.id()]; ok && c.Timestamp >= ts {
+				m.t.Fatalf("%s holds %v at timestamp %d, a newer file at %d", sf.path, c.id(), c.Timestamp, ts)
+			}
+			last[c.id()] = c.Timestamp
+		}
+	}
+	// The pick rule restated, not borrowed from pickLocked.
+	front := 0
+	for front < len(files) && files[front].tier <= files[0].tier {
+		front++
+	}
+	if front >= k && !(m.mergeFaulted && m.faultedAt == m.tb.flushes) {
+		m.t.Fatalf("%d files of tier ≤ %d left unmerged with no fault to excuse it: %v", front, files[0].tier, paths(files))
+	}
+	tiers := 2
+	for f := m.tb.flushes; f >= k; f /= k {
+		tiers++
+	}
+	if !m.mergeFaulted && len(files) > (k-1)*tiers {
+		m.t.Fatalf("%d store files after %d flushes, want ≤ %d", len(files), m.tb.flushes, (k-1)*tiers)
 	}
 }
 
@@ -209,8 +347,10 @@ func (m *modelTable) check(keys []cellID, start, end, prefix string) {
 
 // TestModelRandomHistories runs seeded histories of every mutating call, with
 // WAL and flush faults injected, against a plain map; after each step every
-// read path must agree with the map, every flushed run must be sorted, and
-// every compaction must reproduce the map-and-sort oracle byte for byte.
+// read path must agree with the map and the store files must satisfy
+// checkFiles; every flushed run must be sorted, every merge must pick a
+// newest-first prefix and reproduce the map-and-sort oracle over it, and every
+// store file must decode from HDFS to the run in memory.
 func TestModelRandomHistories(t *testing.T) {
 	rows := []string{"a", "a0", "a1", "a\xff", "a\xff0", "b", "b0", "b00", "b1", "c"}
 	var keys []cellID
@@ -224,14 +364,14 @@ func TestModelRandomHistories(t *testing.T) {
 	bounds := append([]string{""}, rows...)
 	prefixes := []string{"", "a", "a\xff", "b0", "c", "z"}
 
-	var compactions, walFaults, flushFaults int
+	var majors, minors, cascaded, walFaults, flushFaults, mergeFaults int
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		m := newModelTable(t, rand.New(rand.NewSource(seed+100)), 0.1)
 		for step := 0; step < 600; step++ {
 			id := keys[rng.Intn(len(keys))]
-			switch op := rng.Intn(20); {
-			case op < 11:
+			switch op := rng.Intn(100); {
+			case op < 55:
 				val := fmt.Sprintf("v%d", step)
 				err := m.tb.Put(id.row, id.family, id.qualifier, []byte(val))
 				if m.applied(err) {
@@ -242,14 +382,16 @@ func TestModelRandomHistories(t *testing.T) {
 				} else if err != nil {
 					flushFaults++
 				}
-			case op < 16:
+			case op < 80:
 				if m.applied(m.tb.Delete(id.row, id.family, id.qualifier)) {
 					delete(m.model, id)
 				}
-			case op < 17:
+			case op < 87:
 				m.tolerateFlushFault(m.tb.Flush())
-			case op < 18:
+			case op < 88:
+				m.compacting = true
 				m.tolerateFlushFault(m.tb.Compact())
+				m.compacting = false
 			default:
 				wal := m.tb.Stats().WALEntries
 				if n, err := m.tb.CrashAndRecover(); err != nil || n != wal {
@@ -258,15 +400,19 @@ func TestModelRandomHistories(t *testing.T) {
 			}
 			start, end := bounds[rng.Intn(len(bounds))], bounds[rng.Intn(len(bounds))]
 			m.check(keys, start, end, prefixes[rng.Intn(len(prefixes))])
+			m.checkFiles()
 			if t.Failed() {
 				t.Fatalf("seed %d step %d", seed, step)
 			}
 		}
-		compactions += m.tb.Stats().Compactions
+		majors += m.tb.Stats().Compactions - m.minors
+		minors += m.minors
+		cascaded += m.cascaded
+		mergeFaults += m.mergeFaults
 	}
 	// Guard against a history that stopped exercising what it is here for.
-	if compactions < 20 || walFaults == 0 || flushFaults == 0 {
-		t.Fatalf("compactions = %d, wal faults = %d, flush faults = %d: history too tame",
-			compactions, walFaults, flushFaults)
+	if majors < 10 || minors < 40 || cascaded < 10 || walFaults == 0 || flushFaults == 0 || mergeFaults < 5 {
+		t.Fatalf("major compactions = %d, minor = %d (%d of merged runs), wal faults = %d, flush faults = %d (%d in merges): history too tame",
+			majors, minors, cascaded, walFaults, flushFaults, mergeFaults)
 	}
 }
