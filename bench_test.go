@@ -7,10 +7,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/citydata"
 	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/dataproc"
+	"repro/internal/docstore"
 	"repro/internal/fog"
+	"repro/internal/geo"
 	"repro/internal/hbase"
 	"repro/internal/hdfs"
 	"repro/internal/nn"
@@ -104,6 +107,47 @@ func BenchmarkHBaseRandomReads(b *testing.B) {
 		if _, err := table.Get(key, "f", "v"); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDocstoreGeoFind is TweetsNear's query — 2 km radius plus a time
+// range — over documents spread evenly across Louisiana, centred on a stored
+// document each time. A 33 times larger collection must cost what the extra
+// matches cost (matches/op is reported beside ns/op), not 33 times the scan.
+func BenchmarkDocstoreGeoFind(b *testing.B) {
+	for _, docs := range []int{3_000, 100_000} {
+		b.Run(fmt.Sprintf("docs=%d", docs), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(6))
+			col := docstore.NewDatabase().Collection("tweets")
+			col.CreateGeoIndex("loc")
+			box := citydata.LouisianaBBox()
+			points := make([]geo.Point, docs)
+			for i := range points {
+				points[i] = geo.Point{
+					Lat: box.MinLat + rng.Float64()*(box.MaxLat-box.MinLat),
+					Lon: box.MinLon + rng.Float64()*(box.MaxLon-box.MinLon),
+				}
+				if _, err := col.Insert(docstore.Document{"loc": points[i], "unixTime": float64(i)}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			matches := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				got, err := col.Find(docstore.Query{Conditions: []docstore.Condition{
+					docstore.GeoWithin("loc", points[rng.Intn(docs)], 2),
+					docstore.Range("unixTime", 0.0, float64(docs)),
+				}})
+				if err != nil || len(got) == 0 {
+					b.Fatalf("%d documents, %v: the centre is a stored point", len(got), err)
+				}
+				matches += len(got)
+			}
+			b.ReportMetric(float64(matches)/float64(b.N), "matches/op")
+			if st := col.Planner(); st.FullScans != 0 {
+				b.Fatalf("planner %+v: a radius query scanned the collection", st)
+			}
+		})
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package geo provides the geospatial primitives used across the
 // cyberinfrastructure: great-circle distance, geohash encoding, bounding
-// boxes, and an in-memory grid index supporting the "lightweight indexing
-// and querying services for big spatial data" role the paper's software
-// layer cites.
+// boxes, a lat/lon grid with the conservative cell cover of a radius, and an
+// in-memory grid index over it, supporting the "lightweight indexing and
+// querying services for big spatial data" role the paper's software layer
+// cites.
 package geo
 
 import (
@@ -139,14 +140,138 @@ func (b BBox) Contains(p Point) bool {
 	return p.Lat >= b.MinLat && p.Lat <= b.MaxLat && p.Lon >= b.MinLon && p.Lon <= b.MaxLon
 }
 
+// Grid divides Box into Rows×Cols equal lat/lon cells, numbered row-major
+// from the south-west corner. It holds no items: GridIndex stores values by
+// its cells, and docstore keeps its geo postings by the cells of one global
+// Grid. What a radius or a box means in cells is decided here, once.
+type Grid struct {
+	Box        BBox
+	Rows, Cols int
+}
+
+func (g Grid) row(lat float64) int {
+	r := int((lat - g.Box.MinLat) / (g.Box.MaxLat - g.Box.MinLat) * float64(g.Rows))
+	return max(0, min(r, g.Rows-1))
+}
+
+func (g Grid) col(lon float64) int {
+	c := int((lon - g.Box.MinLon) / (g.Box.MaxLon - g.Box.MinLon) * float64(g.Cols))
+	return max(0, min(c, g.Cols-1))
+}
+
+// CellOf returns the cell holding p. A point outside Box counts towards the
+// nearest edge cell, so every point has a cell.
+func (g Grid) CellOf(p Point) int { return g.row(p.Lat)*g.Cols + g.col(p.Lon) }
+
+// CellCover is a set of grid cells: a run of rows and, in each, a run of
+// columns that may wrap round from the last column to the first (a cover
+// that crosses the ±180° meridian). The zero value is empty.
+type CellCover struct {
+	cols      int
+	rLo, rEnd int // rows [rLo, rEnd)
+	cLo, cHi  int // columns cLo..cHi, or cLo..cols-1 and 0..cHi when cLo > cHi
+}
+
+func (g Grid) cover(latLo, latHi, lonLo, lonHi float64) CellCover {
+	return CellCover{cols: g.Cols, rLo: g.row(latLo), rEnd: g.row(latHi) + 1, cLo: g.col(lonLo), cHi: g.col(lonHi)}
+}
+
+// Len returns the number of cells in the cover.
+func (c CellCover) Len() int {
+	width := c.cHi - c.cLo + 1
+	if c.cLo > c.cHi {
+		width += c.cols
+	}
+	return (c.rEnd - c.rLo) * width
+}
+
+// Contains reports whether a cell of the grid is in the cover.
+func (c CellCover) Contains(cell int) bool {
+	r, col := cell/c.cols, cell%c.cols
+	if r < c.rLo || r >= c.rEnd {
+		return false
+	}
+	if c.cLo > c.cHi {
+		return col >= c.cLo || col <= c.cHi
+	}
+	return col >= c.cLo && col <= c.cHi
+}
+
+// Each calls visit for every cell in the cover, in ascending cell order.
+func (c CellCover) Each(visit func(cell int)) {
+	for r := c.rLo; r < c.rEnd; r++ {
+		base := r * c.cols
+		if c.cLo > c.cHi {
+			for col := 0; col <= c.cHi; col++ {
+				visit(base + col)
+			}
+			for col := c.cLo; col < c.cols; col++ {
+				visit(base + col)
+			}
+			continue
+		}
+		for col := c.cLo; col <= c.cHi; col++ {
+			visit(base + col)
+		}
+	}
+}
+
+// coverSlackRad widens a cap before it is turned into cells, so that a
+// point HaversineKm rounds to just inside the radius is never in a cell
+// the cover rounds to just outside it. HaversineKm is worst near the
+// antipode, where one ulp under the square root is 3e-8 rad; 1e-6 rad is
+// 6 m on the ground, nothing against a cell.
+const coverSlackRad = 1e-6
+
+// RadiusCover returns a conservative cover of the cap of radiusKm round
+// center: every point p with HaversineKm(center, p) <= radiusKm has
+// CellOf(p) in it. The cap spans center.Lat ± the angular radius; its
+// widest meridians lie asin(sin(r/R)/cos(lat)) either side of the centre's,
+// which is more than r/(R·cos(lat)) and much more at high latitude. A cap
+// that reaches a pole takes every longitude, one that crosses ±180° wraps,
+// and a centre that is not a coordinate covers the whole grid.
+func (g Grid) RadiusCover(center Point, radiusKm float64) CellCover {
+	if !(radiusKm >= 0) {
+		return CellCover{} // negative or NaN: no distance is within it
+	}
+	delta := radiusKm/EarthRadiusKm*(1+1e-9) + coverSlackRad
+	valid := center.Lat >= -90 && center.Lat <= 90 && center.Lon >= -180 && center.Lon <= 180
+	if !valid || delta >= math.Pi {
+		return g.cover(-90, 90, -180, 180)
+	}
+	deg := delta * 180 / math.Pi
+	latLo, latHi := center.Lat-deg, center.Lat+deg
+	// Short of a pole delta < π/2 − |lat|, so the ratio is below 1. asin is
+	// ill-conditioned as it nears 1: a cap that close to a pole is taken to
+	// reach it.
+	ratio := math.Sin(delta) / math.Cos(center.Lat*math.Pi/180)
+	if latLo <= -90 || latHi >= 90 || ratio >= 1-1e-6 {
+		return g.cover(latLo, latHi, -180, 180)
+	}
+	w := math.Asin(ratio) * 180 / math.Pi
+	lonLo, lonHi := center.Lon-w, center.Lon+w
+	switch {
+	case lonLo <= -180:
+		lonLo += 360
+	case lonHi >= 180:
+		lonHi -= 360
+	default:
+		return g.cover(latLo, latHi, lonLo, lonHi)
+	}
+	c := g.cover(latLo, latHi, lonLo, lonHi)
+	if c.cLo <= c.cHi+1 { // the two runs meet: every column
+		c.cLo, c.cHi = 0, g.Cols-1
+	}
+	return c
+}
+
 // GridIndex is a uniform spatial grid over a bounding box, mapping cell →
 // item ids. It supports box queries and radius queries, and is the storage
 // substrate for camera placement, incident lookups, and geo-tagged tweets.
 type GridIndex[T any] struct {
-	box        BBox
-	rows, cols int
-	cells      map[int][]entry[T]
-	count      int
+	grid  Grid
+	cells map[int][]entry[T]
+	count int
 }
 
 type entry[T any] struct {
@@ -162,25 +287,7 @@ func NewGridIndex[T any](box BBox, rows, cols int) (*GridIndex[T], error) {
 	if box.MinLat >= box.MaxLat || box.MinLon >= box.MaxLon {
 		return nil, fmt.Errorf("%w: degenerate bbox %+v", ErrBadCoordinate, box)
 	}
-	return &GridIndex[T]{box: box, rows: rows, cols: cols, cells: make(map[int][]entry[T])}, nil
-}
-
-func (g *GridIndex[T]) cellOf(p Point) int {
-	r := int((p.Lat - g.box.MinLat) / (g.box.MaxLat - g.box.MinLat) * float64(g.rows))
-	c := int((p.Lon - g.box.MinLon) / (g.box.MaxLon - g.box.MinLon) * float64(g.cols))
-	if r < 0 {
-		r = 0
-	}
-	if r >= g.rows {
-		r = g.rows - 1
-	}
-	if c < 0 {
-		c = 0
-	}
-	if c >= g.cols {
-		c = g.cols - 1
-	}
-	return r*g.cols + c
+	return &GridIndex[T]{grid: Grid{Box: box, Rows: rows, Cols: cols}, cells: make(map[int][]entry[T])}, nil
 }
 
 // Insert adds a value at a point.
@@ -188,7 +295,7 @@ func (g *GridIndex[T]) Insert(p Point, v T) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	cell := g.cellOf(p)
+	cell := g.grid.CellOf(p)
 	g.cells[cell] = append(g.cells[cell], entry[T]{p: p, v: v})
 	g.count++
 	return nil
@@ -200,31 +307,13 @@ func (g *GridIndex[T]) Len() int { return g.count }
 // QueryBox returns all values whose points fall inside box.
 func (g *GridIndex[T]) QueryBox(box BBox) []T {
 	var out []T
-	// Determine candidate cell range.
-	rLo := int((box.MinLat - g.box.MinLat) / (g.box.MaxLat - g.box.MinLat) * float64(g.rows))
-	rHi := int((box.MaxLat - g.box.MinLat) / (g.box.MaxLat - g.box.MinLat) * float64(g.rows))
-	cLo := int((box.MinLon - g.box.MinLon) / (g.box.MaxLon - g.box.MinLon) * float64(g.cols))
-	cHi := int((box.MaxLon - g.box.MinLon) / (g.box.MaxLon - g.box.MinLon) * float64(g.cols))
-	clamp := func(v, hi int) int {
-		if v < 0 {
-			return 0
-		}
-		if v > hi {
-			return hi
-		}
-		return v
-	}
-	rLo, rHi = clamp(rLo, g.rows-1), clamp(rHi, g.rows-1)
-	cLo, cHi = clamp(cLo, g.cols-1), clamp(cHi, g.cols-1)
-	for r := rLo; r <= rHi; r++ {
-		for c := cLo; c <= cHi; c++ {
-			for _, e := range g.cells[r*g.cols+c] {
-				if box.Contains(e.p) {
-					out = append(out, e.v)
-				}
+	g.grid.cover(box.MinLat, box.MaxLat, box.MinLon, box.MaxLon).Each(func(cell int) {
+		for _, e := range g.cells[cell] {
+			if box.Contains(e.p) {
+				out = append(out, e.v)
 			}
 		}
-	}
+	})
 	return out
 }
 
@@ -237,40 +326,14 @@ type Neighbor[T any] struct {
 // QueryRadius returns all values within radiusKm of center, sorted by
 // ascending distance.
 func (g *GridIndex[T]) QueryRadius(center Point, radiusKm float64) []Neighbor[T] {
-	// Conservative degree padding: 1 degree latitude ≈ 111 km.
-	dLat := radiusKm / 111.0
-	cosLat := math.Cos(center.Lat * math.Pi / 180)
-	dLon := radiusKm / (111.0 * math.Max(0.01, cosLat))
-	box := BBox{
-		MinLat: center.Lat - dLat, MaxLat: center.Lat + dLat,
-		MinLon: center.Lon - dLon, MaxLon: center.Lon + dLon,
-	}
 	var out []Neighbor[T]
-	rLo := int((box.MinLat - g.box.MinLat) / (g.box.MaxLat - g.box.MinLat) * float64(g.rows))
-	rHi := int((box.MaxLat - g.box.MinLat) / (g.box.MaxLat - g.box.MinLat) * float64(g.rows))
-	cLo := int((box.MinLon - g.box.MinLon) / (g.box.MaxLon - g.box.MinLon) * float64(g.cols))
-	cHi := int((box.MaxLon - g.box.MinLon) / (g.box.MaxLon - g.box.MinLon) * float64(g.cols))
-	clamp := func(v, hi int) int {
-		if v < 0 {
-			return 0
-		}
-		if v > hi {
-			return hi
-		}
-		return v
-	}
-	rLo, rHi = clamp(rLo, g.rows-1), clamp(rHi, g.rows-1)
-	cLo, cHi = clamp(cLo, g.cols-1), clamp(cHi, g.cols-1)
-	for r := rLo; r <= rHi; r++ {
-		for c := cLo; c <= cHi; c++ {
-			for _, e := range g.cells[r*g.cols+c] {
-				d := HaversineKm(center, e.p)
-				if d <= radiusKm {
-					out = append(out, Neighbor[T]{Value: e.v, DistanceKm: d})
-				}
+	g.grid.RadiusCover(center, radiusKm).Each(func(cell int) {
+		for _, e := range g.cells[cell] {
+			if d := HaversineKm(center, e.p); d <= radiusKm {
+				out = append(out, Neighbor[T]{Value: e.v, DistanceKm: d})
 			}
 		}
-	}
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].DistanceKm < out[j].DistanceKm })
 	return out
 }

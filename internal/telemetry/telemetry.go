@@ -114,7 +114,11 @@ type metric struct {
 type Registry struct {
 	mu      sync.RWMutex
 	metrics map[string]*metric
-	vecs    []*vecFamily
+	// sorted is metrics in exposition order. sortedMetrics builds it and
+	// every change to the set of metrics drops it; it is shared with every
+	// reader, so nobody writes to it.
+	sorted []*metric
+	vecs   []*vecFamily
 }
 
 // NewRegistry creates an empty registry.
@@ -150,6 +154,7 @@ func (r *Registry) lookupOrCreate(name, help string, kind metricKind) (*metric, 
 		m.gauge = &Gauge{}
 	}
 	r.metrics[name] = m
+	r.sorted = nil
 	return m, nil
 }
 
@@ -187,6 +192,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	}
 	m := &metric{name: name, help: help, kind: kindHistogram, hist: NewHistogram(buckets)}
 	r.metrics[name] = m
+	r.sorted = nil
 	return m.hist
 }
 
@@ -198,6 +204,7 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.metrics[name] = &metric{name: name, help: help, kind: kindCounterFunc, fn: fn}
+	r.sorted = nil
 }
 
 // GaugeFunc registers a gauge whose value is read from fn at scrape time.
@@ -205,6 +212,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.metrics[name] = &metric{name: name, help: help, kind: kindGaugeFunc, fn: fn}
+	r.sorted = nil
 }
 
 // unregister drops a metric by full name (vec demotion only; ordinary
@@ -212,6 +220,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 func (r *Registry) unregister(name string) {
 	r.mu.Lock()
 	delete(r.metrics, name)
+	r.sorted = nil
 	r.mu.Unlock()
 }
 
@@ -228,16 +237,27 @@ func (r *Registry) rebalanceVecs() {
 	}
 }
 
-// sortedMetrics snapshots the registry in deterministic exposition order:
-// family name, then full name.
+// sortedMetrics returns the registry in deterministic exposition order:
+// family name, then full name. The order is kept between calls and sorted
+// again only after a registration or a vec demotion; the slice is shared,
+// so callers read it and nothing else.
 func (r *Registry) sortedMetrics() []*metric {
 	r.rebalanceVecs()
 	r.mu.RLock()
-	out := make([]*metric, 0, len(r.metrics))
+	out := r.sorted
+	r.mu.RUnlock()
+	if out != nil {
+		return out
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.sorted != nil {
+		return r.sorted
+	}
+	out = make([]*metric, 0, len(r.metrics))
 	for _, m := range r.metrics {
 		out = append(out, m)
 	}
-	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool {
 		bi, bj := baseName(out[i].name), baseName(out[j].name)
 		if bi != bj {
@@ -245,6 +265,7 @@ func (r *Registry) sortedMetrics() []*metric {
 		}
 		return out[i].name < out[j].name
 	})
+	r.sorted = out
 	return out
 }
 

@@ -1,7 +1,11 @@
 package telemetry
 
 import (
+	"fmt"
+	"io"
 	"math"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -235,5 +239,120 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(float64(i%1000) * 1e-4)
+	}
+}
+
+// expositionOrder is the order sortedMetrics promises, derived from scratch.
+func expositionOrder(names []string) []string {
+	out := append([]string(nil), names...)
+	sort.Slice(out, func(i, j int) bool {
+		if bi, bj := baseName(out[i]), baseName(out[j]); bi != bj {
+			return bi < bj
+		}
+		return out[i] < out[j]
+	})
+	return out
+}
+
+func snapshotNames(r *Registry) []string {
+	var names []string
+	for _, p := range r.Snapshot() {
+		names = append(names, p.Name)
+	}
+	return names
+}
+
+// TestExpositionOrderFollowsTheSet: the registry keeps its sorted order
+// between snapshots, so each of the five ways the set of metrics changes has
+// to drop it. A snapshot is taken before each change (so there is a kept
+// order to go stale) and after it.
+func TestExpositionOrderFollowsTheSet(t *testing.T) {
+	r := NewRegistry()
+	vec := r.CounterVec("m_vec_total", "", "k", 1)
+	changes := []struct {
+		name   string
+		change func()
+		want   string // a series that must be there afterwards
+		gone   string // and one that must not
+	}{
+		{"Counter", func() { r.Counter("z_total", "") }, "z_total", ""},
+		{"Gauge", func() { r.Gauge(`a_level{k="v"}`, "") }, `a_level{k="v"}`, ""},
+		{"Histogram", func() { r.Histogram("m_seconds", "", nil) }, "m_seconds", ""},
+		{"CounterFunc", func() { r.CounterFunc("b_total", "", func() float64 { return 1 }) }, "b_total", ""},
+		{"GaugeFunc", func() { r.GaugeFunc("a_level", "", func() float64 { return 1 }) }, "a_level", ""},
+		{"vec child", func() { vec.With("x").Add(1) }, `m_vec_total{k="x"}`, ""},
+		{"vec demotion", func() { vec.With("y").Add(5) }, `m_vec_total{k="y"}`, `m_vec_total{k="x"}`},
+		// A demotion comes with a promotion, which registers; on its own:
+		{"unregister", func() { r.unregister("z_total") }, "b_total", "z_total"},
+	}
+	for _, c := range changes {
+		snapshotNames(r)
+		c.change()
+		got := snapshotNames(r)
+		if want := expositionOrder(got); !reflect.DeepEqual(got, want) {
+			t.Fatalf("after %s: order %v, want %v", c.name, got, want)
+		}
+		has := map[string]bool{}
+		for _, n := range got {
+			if has[n] {
+				t.Fatalf("after %s: %s listed twice", c.name, n)
+			}
+			has[n] = true
+		}
+		if !has[c.want] || has[c.gone] {
+			t.Fatalf("after %s: %v; want %q in and %q out", c.name, got, c.want, c.gone)
+		}
+	}
+}
+
+// TestSnapshotWhileTheSetChanges: readers share the kept order, so under
+// -race one goroutine registers series and churns a vec's top-K (children
+// materialized and demoted on every rebalance) while two others snapshot and
+// render; every snapshot is still in exposition order without a repeat.
+func TestSnapshotWhileTheSetChanges(t *testing.T) {
+	r := NewRegistry()
+	vec := r.CounterVec("churn_total", "", "k", 2)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for reader := 0; reader < 2; reader++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				got := snapshotNames(r)
+				if want := expositionOrder(got); !reflect.DeepEqual(got, want) {
+					t.Errorf("snapshot out of order: %v", got)
+					return
+				}
+				for i := 1; i < len(got); i++ {
+					if got[i] == got[i-1] {
+						t.Errorf("snapshot lists %s twice", got[i])
+						return
+					}
+				}
+				if err := r.WritePrometheus(io.Discard); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 300; i++ {
+		// Each new child out-counts the last, so the next rebalance promotes
+		// it and demotes an incumbent.
+		vec.With(fmt.Sprintf("c%03d", i)).Add(i + 1)
+		r.Counter(fmt.Sprintf("plain_%03d_total", i), "")
+		r.GaugeFunc("level", "", func() float64 { return float64(i) })
+		r.Snapshot()
+	}
+	close(stop)
+	wg.Wait()
+	if v := r.Counter(RolledUpMetric, "").Value(); v < 100 {
+		t.Fatalf("%d demotions: the vec did not churn", v)
 	}
 }

@@ -12,6 +12,8 @@ import (
 
 	"repro/internal/citydata"
 	"repro/internal/core"
+	"repro/internal/docstore"
+	"repro/internal/geo"
 )
 
 func newTestServer(t *testing.T) (*httptest.Server, *core.Infrastructure) {
@@ -105,6 +107,34 @@ func TestTweetsNearEndpoint(t *testing.T) {
 	getJSON(t, srv.URL+"/api/tweets/near?lat=30&lon=-91", http.StatusBadRequest)
 	getJSON(t, srv.URL+"/api/tweets/near?lat=99&lon=-91&radiusKm=5", http.StatusBadRequest)
 	getJSON(t, srv.URL+"/api/tweets/near?lat=30&lon=-91&radiusKm=5&fromUnix=zzz", http.StatusBadRequest)
+}
+
+// TestTweetsNearIsAnsweredFromTheGeoIndex: the route's cost is the cells its
+// radius touches, not the collection. A full scan on the way would count.
+func TestTweetsNearIsAnsweredFromTheGeoIndex(t *testing.T) {
+	srv, inf := newTestServer(t)
+	tweets := inf.DocDB.Collection("tweets")
+	before := tweets.Planner()
+	out := getJSON(t, srv.URL+"/api/tweets/near?lat=30.4515&lon=-91.1871&radiusKm=50", http.StatusOK)
+	after := tweets.Planner()
+	if after.FullScans != before.FullScans || after.IndexedScans != before.IndexedScans+1 {
+		t.Fatalf("planner %+v → %+v across /api/tweets/near, want one indexed scan and no full scan", before, after)
+	}
+	// The index narrows and the documents decide: the count is still the
+	// brute-force one.
+	all, err := tweets.Find(docstore.Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, d := range all {
+		if p, ok := d["loc"].(geo.Point); ok && geo.HaversineKm(geo.Point{Lat: 30.4515, Lon: -91.1871}, p) <= 50 {
+			want++
+		}
+	}
+	if got := int(out["count"].(float64)); got != want || want == 0 {
+		t.Fatalf("count = %d, brute force over %d tweets = %d", got, len(all), want)
+	}
 }
 
 func TestCrimesDistrictEndpoint(t *testing.T) {
