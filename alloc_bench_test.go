@@ -2,7 +2,9 @@ package repro
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/citydata"
@@ -25,6 +27,7 @@ const (
 	wazeRecordAllocBudget    = 29 // measured 27.1 allocs/record, 256 reports per IngestWaze call
 	incidentTickAllocBudget  = 0  // quiescent correlation cycle must not allocate
 	labeledHandleAllocBudget = 0  // cached vec handle records must not allocate
+	exposeAllocBudget        = 1  // measured 0 allocs per /metrics body, at any series count
 )
 
 func allocCluster(tb testing.TB, rf int) *stream.Cluster {
@@ -230,6 +233,37 @@ func TestLabeledHandleAllocBudget(t *testing.T) {
 		t.Logf("%s handle inc+set+observe: %.1f allocs/op", name, allocs)
 		if allocs > labeledHandleAllocBudget {
 			t.Errorf("%s labeled handle allocates %.1f/op, budget %d", name, allocs, labeledHandleAllocBudget)
+		}
+	}
+}
+
+// TestWritePrometheusAllocBudget pins the /metrics encoder: it appends into a
+// reused buffer and reads histograms in place, so a warmed registry encodes
+// without allocating however many series it holds. A per-line or per-bucket
+// allocation would multiply by the ~1 000 lines of the full stack's
+// exposition. The registry has no Counter/GaugeFuncs, whose closures are the
+// caller's allocations, not the encoder's.
+func TestWritePrometheusAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocs/op")
+	}
+	reg := benchRegistry(rand.New(rand.NewSource(11)))
+	for _, extra := range []int{0, 2000} {
+		for i := 0; i < extra; i++ {
+			reg.Counter(fmt.Sprintf("gate_counter_%04d_total", i), "c").Add(i)
+		}
+		var body strings.Builder
+		if err := reg.WritePrometheus(&body); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := reg.WritePrometheus(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d-byte exposition: %.1f allocs/op", body.Len(), allocs)
+		if allocs > exposeAllocBudget {
+			t.Errorf("WritePrometheus of %d bytes allocates %.1f/op, budget %d", body.Len(), allocs, exposeAllocBudget)
 		}
 	}
 }

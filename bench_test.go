@@ -2,6 +2,7 @@ package repro
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -308,7 +309,10 @@ func BenchmarkClusterProduceRF3(b *testing.B) { benchCluster(b, 3) }
 // --- Monitoring-layer hot paths: scrape and query per tick ---
 
 // benchRegistry builds a registry with a representative instrument mix:
-// the scrape cost scales with registered metrics, not traffic.
+// the scrape cost scales with registered metrics, not traffic. It has the
+// fleet's shape too: a counter and a histogram family over 220 cameras with
+// the default top-16 budget, so every scrape checks 440 children for a
+// change of membership.
 func benchRegistry(rng *rand.Rand) *telemetry.Registry {
 	reg := telemetry.NewRegistry()
 	for i := 0; i < 24; i++ {
@@ -321,6 +325,16 @@ func benchRegistry(rng *rand.Rand) *telemetry.Registry {
 			h.ObserveExemplar(rng.Float64()*0.2, fmt.Sprintf("trace-%d", j))
 		}
 	}
+	frames := reg.CounterVec("bench_camera_frames_total", "frames per camera", "camera", telemetry.DefaultVecMaxSeries)
+	latency := reg.HistogramVec("bench_camera_latency_seconds", "latency per camera", "camera", nil, telemetry.DefaultVecMaxSeries)
+	for i := 0; i < 220; i++ {
+		cam := fmt.Sprintf("cam-%03d", i)
+		frames.With(cam).Add(1 + rng.Intn(50))
+		h := latency.With(cam)
+		for j := rng.Intn(20); j >= 0; j-- {
+			h.Observe(rng.Float64() * 0.2)
+		}
+	}
 	return reg
 }
 
@@ -330,6 +344,19 @@ func BenchmarkRegistrySnapshot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if pts := reg.Snapshot(); len(pts) == 0 {
 			b.Fatal("empty snapshot")
+		}
+	}
+}
+
+// BenchmarkWritePrometheus is one /metrics body: the whole registry encoded
+// in the text exposition format.
+func BenchmarkWritePrometheus(b *testing.B) {
+	reg := benchRegistry(rand.New(rand.NewSource(10)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := reg.WritePrometheus(io.Discard); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -126,6 +127,21 @@ func TestCrimeIngestAndDistrictScan(t *testing.T) {
 	}
 	if total != 100 {
 		t.Fatalf("district scans found %d incidents", total)
+	}
+	// A district nobody reported in is an empty list, not nil (JSON [] on
+	// /api/crimes/district/{id}).
+	if rows, err := inf.CrimesInDistrict(cfg.Districts + 1); err != nil || rows == nil || len(rows) != 0 {
+		t.Fatalf("empty district = %#v, %v; want []string{}", rows, err)
+	}
+}
+
+// TestDistrictPrefixIsZeroPadded: the row-key prefix is "d%02d|" for every
+// district, negative and three-digit ones included.
+func TestDistrictPrefixIsZeroPadded(t *testing.T) {
+	for d := -120; d <= 120; d++ {
+		if got, want := districtPrefix(d), fmt.Sprintf("d%02d|", d); got != want {
+			t.Fatalf("districtPrefix(%d) = %q, want %q", d, got, want)
+		}
 	}
 }
 

@@ -285,7 +285,16 @@ func (inf *Infrastructure) redrive(dlq *retry.DLQ[flume.Event], sink *flume.Dedu
 // crimeRowKey builds HBase row keys that cluster by district then time, so
 // district scans are contiguous.
 func crimeRowKey(inc *citydata.Incident) string {
-	return fmt.Sprintf("d%02d|%s|%s", inc.District, inc.Time.UTC().Format(time.RFC3339), inc.ReportNumber)
+	return districtPrefix(inc.District) + inc.Time.UTC().Format(time.RFC3339) + "|" + inc.ReportNumber
+}
+
+// districtPrefix is the row-key prefix of one district's crimes: "d", the
+// district zero-padded to two digits, "|".
+func districtPrefix(district int) string {
+	if district >= 0 && district < 10 {
+		return "d0" + strconv.Itoa(district) + "|"
+	}
+	return "d" + strconv.Itoa(district) + "|"
 }
 
 // IngestCrimes writes incidents to the HBase crimes table (random-access
@@ -361,15 +370,7 @@ func (inf *Infrastructure) TweetsNear(center geo.Point, radiusKm float64, from, 
 	}})
 }
 
-// CrimesInDistrict scans the HBase crimes table for one district.
+// CrimesInDistrict returns the crimes table's row keys for one district.
 func (inf *Infrastructure) CrimesInDistrict(district int) ([]string, error) {
-	rows, err := inf.CrimeTab.ScanPrefix(fmt.Sprintf("d%02d|", district))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, r.Row)
-	}
-	return out, nil
+	return inf.CrimeTab.RowKeys(districtPrefix(district))
 }

@@ -529,9 +529,25 @@ func (t *Table) Scan(startRow, endRow string) ([]RowResult, error) {
 	if t.closed {
 		return nil, ErrClosed
 	}
-	// One run for the memstore's newest versions, one per store file cut
-	// down to the row range; the merge emits cells in row, family, qualifier
-	// order, so rows come out assembled and sorted.
+	out := make([]RowResult, 0)
+	mergeRuns(t.rangeRunsLocked(startRow, endRow), func(c *Cell) {
+		if c.Tombstone {
+			return
+		}
+		if n := len(out); n > 0 && out[n-1].Row == c.Row {
+			out[n-1].Cells = append(out[n-1].Cells, *c)
+			return
+		}
+		out = append(out, RowResult{Row: c.Row, Cells: []Cell{*c}})
+	})
+	return out, nil
+}
+
+// rangeRunsLocked assembles what a read of startRow <= row < endRow (endRow
+// "" = no bound) merges: one run for the memstore's newest versions, one per
+// store file cut down to the row range. mergeRuns over them emits cells in
+// row, family, qualifier order, so rows come out assembled and sorted.
+func (t *Table) rangeRunsLocked(startRow, endRow string) [][]Cell {
 	runs := make([][]Cell, 1, 1+len(t.files))
 	for _, versions := range t.memstore {
 		c := &versions[len(versions)-1]
@@ -548,35 +564,42 @@ func (t *Table) Scan(startRow, endRow string) ([]RowResult, error) {
 		}
 		runs = append(runs, cells)
 	}
-	out := make([]RowResult, 0)
-	mergeRuns(runs, func(c *Cell) {
-		if c.Tombstone {
-			return
+	return runs
+}
+
+// prefixEnd is the smallest string greater than every key that starts with
+// prefix, or "" (no bound) when there is none: prefix is empty or all 0xff.
+func prefixEnd(prefix string) string {
+	for i := len(prefix) - 1; i >= 0; i-- {
+		if prefix[i] < 0xff {
+			end := []byte(prefix[:i+1])
+			end[i]++
+			return string(end)
 		}
-		if n := len(out); n > 0 && out[n-1].Row == c.Row {
-			out[n-1].Cells = append(out[n-1].Cells, *c)
-			return
+	}
+	return ""
+}
+
+// RowKeys returns the keys of the live rows whose key starts with prefix, in
+// order: the rows ScanPrefix returns, without copying their cells out.
+func (t *Table) RowKeys(prefix string) ([]string, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		return nil, ErrClosed
+	}
+	out := make([]string, 0)
+	mergeRuns(t.rangeRunsLocked(prefix, prefixEnd(prefix)), func(c *Cell) {
+		if !c.Tombstone && (len(out) == 0 || out[len(out)-1] != c.Row) {
+			out = append(out, c.Row)
 		}
-		out = append(out, RowResult{Row: c.Row, Cells: []Cell{*c}})
 	})
 	return out, nil
 }
 
 // ScanPrefix returns rows whose key starts with prefix.
 func (t *Table) ScanPrefix(prefix string) ([]RowResult, error) {
-	end := ""
-	if prefix != "" {
-		// Smallest string greater than every prefixed key.
-		b := []byte(prefix)
-		for i := len(b) - 1; i >= 0; i-- {
-			if b[i] < 0xff {
-				b[i]++
-				end = string(b[:i+1])
-				break
-			}
-		}
-	}
-	rows, err := t.Scan(prefix, end)
+	rows, err := t.Scan(prefix, prefixEnd(prefix))
 	if err != nil {
 		return nil, err
 	}

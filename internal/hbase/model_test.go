@@ -345,6 +345,26 @@ func (m *modelTable) check(keys []cellID, start, end, prefix string) {
 	m.checkRows(fmt.Sprintf("ScanPrefix(%q)", prefix), prefixed, want)
 }
 
+// checkRowKeys asserts that RowKeys lists exactly the rows ScanPrefix returns,
+// in the same order, for each prefix.
+func (m *modelTable) checkRowKeys(prefixes []string) {
+	m.t.Helper()
+	for _, prefix := range prefixes {
+		rows, err := m.tb.ScanPrefix(prefix)
+		if err != nil {
+			m.t.Fatal(err)
+		}
+		want := make([]string, len(rows))
+		for i, r := range rows {
+			want[i] = r.Row
+		}
+		got, err := m.tb.RowKeys(prefix)
+		if err != nil || got == nil || !reflect.DeepEqual(got, want) {
+			m.t.Fatalf("RowKeys(%q) = %q, %v; want %q", prefix, got, err, want)
+		}
+	}
+}
+
 // TestModelRandomHistories runs seeded histories of every mutating call, with
 // WAL and flush faults injected, against a plain map; after each step every
 // read path must agree with the map and the store files must satisfy
@@ -362,6 +382,7 @@ func TestModelRandomHistories(t *testing.T) {
 		}
 	}
 	bounds := append([]string{""}, rows...)
+	// "" has no end key, and "a\xff" ends at "b", not at "a\x00".
 	prefixes := []string{"", "a", "a\xff", "b0", "c", "z"}
 
 	var majors, minors, cascaded, walFaults, flushFaults, mergeFaults int
@@ -400,6 +421,7 @@ func TestModelRandomHistories(t *testing.T) {
 			}
 			start, end := bounds[rng.Intn(len(bounds))], bounds[rng.Intn(len(bounds))]
 			m.check(keys, start, end, prefixes[rng.Intn(len(prefixes))])
+			m.checkRowKeys(prefixes)
 			m.checkFiles()
 			if t.Failed() {
 				t.Fatalf("seed %d step %d", seed, step)

@@ -224,13 +224,13 @@ func (r *Registry) unregister(name string) {
 	r.mu.Unlock()
 }
 
-// rebalanceVecs re-ranks every vec family's children against its top-K
-// budget before a snapshot, so what gets exposed is the heavy-hitter set as
-// of this scrape.
+// rebalanceVecs checks every vec family's children against its top-K budget
+// before a snapshot, so what gets exposed is the heavy-hitter set as of this
+// scrape. r.vecs only ever grows by append, so the slice read under the lock
+// stays valid after it: nothing writes below its length.
 func (r *Registry) rebalanceVecs() {
 	r.mu.RLock()
-	vecs := make([]*vecFamily, len(r.vecs))
-	copy(vecs, r.vecs)
+	vecs := r.vecs
 	r.mu.RUnlock()
 	for _, v := range vecs {
 		v.rebalance()

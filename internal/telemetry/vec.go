@@ -18,12 +18,13 @@ import (
 // on its handle forever (a few atomics — cheap at fleet scale), but only
 // the K busiest values are materialized as real registry series; everyone
 // else records into a single {label="~other"} rollup series. Membership is
-// re-ranked at every snapshot (i.e. every scrape tick): a demoted child's
-// materialized counts are folded into the rollup — so the sum over exposed
-// series always equals the sum over all observations, and every exposed
-// series stays monotone — and a promoted child restarts a fresh series from
-// zero (its history stays inside the rollup; that is the space-saving
-// trade). Each fold increments cityinfra_telemetry_series_rolled_up_total.
+// checked at every snapshot (i.e. every scrape tick) and re-sorted only when
+// a tail label has overtaken a member: a demoted child's materialized counts
+// are folded into the rollup — so the sum over exposed series always equals
+// the sum over all observations, and every exposed series stays monotone —
+// and a promoted child restarts a fresh series from zero (its history stays
+// inside the rollup; that is the space-saving trade). Each fold increments
+// cityinfra_telemetry_series_rolled_up_total.
 // A 200+-camera fleet therefore costs at most K+1 series per family in the
 // registry and the TSDB rings, no matter how wide the fleet grows.
 
@@ -71,7 +72,8 @@ type vecFamily struct {
 
 	mu       sync.Mutex
 	children map[string]*vecChild
-	real     int // children currently materialized as registry series
+	ranked   []*vecChild // every child: as rebalance last sorted them, then arrivals since
+	real     int         // children currently materialized as registry series
 }
 
 // vec looks up or creates a family. Name/label/kind collisions panic like
@@ -137,6 +139,7 @@ func (f *vecFamily) child(value string) *vecChild {
 		f.retargetRollup(c)
 	}
 	f.children[value] = c
+	f.ranked = append(f.ranked, c)
 	return c
 }
 
@@ -193,15 +196,31 @@ func (f *vecFamily) demote(c *vecChild) {
 // membership so the top K stay materialized. Ties keep the incumbent (then
 // break by label value), so uniform fleets don't churn. The registry calls
 // this before every snapshot/exposition pass.
+//
+// Under that order a full set of members is already the top K when no tail
+// child has more observations than the least-observed member: a member wins
+// every tie. One pass checks that, and the sort runs only when it fails. The
+// sort is in place: the comparison is a total order, so the slice's previous
+// order cannot change the outcome.
 func (f *vecFamily) rebalance() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if len(f.children) <= f.maxK {
 		return
 	}
-	kids := make([]*vecChild, 0, len(f.children))
-	for _, c := range f.children {
-		kids = append(kids, c)
+	kids := f.ranked
+	if f.real == f.maxK {
+		minMember, maxTail := uint64(math.MaxUint64), uint64(0)
+		for _, c := range kids {
+			if n := c.obs.Load(); c.real.Load() {
+				minMember = min(minMember, n)
+			} else {
+				maxTail = max(maxTail, n)
+			}
+		}
+		if minMember >= maxTail {
+			return
+		}
 	}
 	sort.Slice(kids, func(i, j int) bool {
 		oi, oj := kids[i].obs.Load(), kids[j].obs.Load()
