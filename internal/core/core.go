@@ -103,10 +103,12 @@ type Infrastructure struct {
 	CrimeTab *hbase.Table // row: incident report number
 	VideoTab *hbase.Table // row: camera/time annotations
 
-	// Resilience layer. Bus is the produce/poll surface the pipelines use —
-	// normally the Broker itself, wrapped by a fault-injecting decorator when
-	// chaos is enabled. Retry is the shared policy (backoff + breaker on the
-	// simulated clock) every ingestion seam goes through; RedriveRounds
+	// Resilience layer. Bus is the produce/poll surface the pipelines use:
+	// one decorator over the Broker, built once by New, that counts every
+	// call and draws bus faults while chaos is enabled. A wrapper installed
+	// on Bus survives EnableChaos and DisableChaos. Retry is the shared
+	// policy (backoff + breaker on the simulated clock) every ingestion
+	// seam goes through; RedriveRounds
 	// bounds how many times dead-lettered events are replayed before being
 	// quarantined for good.
 	Bus           stream.Bus
@@ -163,7 +165,7 @@ type Infrastructure struct {
 	profIngest, profCollect, profStream, profStore,
 	profArchive, profGate, profInference *profile.Region
 
-	busMetrics      *stream.BusMetrics
+	bus             *pipelineBus
 	flumeTel        *flume.AgentTelemetry
 	ingestSeq       atomic.Int64
 	ingestSeconds   *telemetry.Histogram
@@ -267,8 +269,8 @@ func New(cfg Config, rng *rand.Rand) (*Infrastructure, error) {
 	}
 
 	// Observability layer: registry + tracer, scrape-time wiring over the
-	// component stats above, and a metering decorator on the bus so every
-	// produce/poll is timed regardless of what sits underneath.
+	// component stats above, and the pipeline bus that counts every
+	// produce/poll regardless of what wraps it.
 	inf.Telemetry = telemetry.NewRegistry()
 	inf.Tracer = telemetry.NewTracer(nil, 128)
 	inf.Healer = hdfs.NewSupervisor(inf.HDFS)
@@ -276,7 +278,7 @@ func New(cfg Config, rng *rand.Rand) (*Infrastructure, error) {
 	inf.SLOs = telemetry.NewSLOMonitor(inf.Clock.Now)
 	inf.wireTelemetry()
 	inf.wireFleet()
-	inf.Bus = stream.NewMeteredBus(inf.Broker, inf.busMetrics)
+	inf.Bus = inf.bus
 	if err := inf.wireMonitor(); err != nil {
 		return nil, fmt.Errorf("boot monitor: %w", err)
 	}

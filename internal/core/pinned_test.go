@@ -98,6 +98,19 @@ func TestFeedAccountingPinned(t *testing.T) {
 		"frames/default": {PipelineStats{Collected: 120, Streamed: 121, Stored: 291, DeadLettered: 1, Retries: 22}, 120, 34, "decode:1"},
 		"frames/tight":   {PipelineStats{Collected: 120, Streamed: 117, Stored: 253, DeadLettered: 19}, 102, 58, "decode:1 hbase:11 hdfs:3 produce:4"},
 	}
+	// The six cityinfra_broker_*_total counters after each run, in
+	// brokerCounters order, as the separate metering and fault-injecting
+	// decorators left them: the single pipeline bus must count the same.
+	wantBroker := map[string][6]uint64{
+		"tweets/default": {300, 11, 57817, 3, 0, 301},
+		"tweets/tight":   {285, 20, 54938, 3, 0, 286},
+		"waze/default":   {200, 7, 39732, 2, 0, 201},
+		"waze/tight":     {188, 12, 37346, 2, 0, 189},
+		"911/default":    {150, 6, 23859, 2, 0, 151},
+		"911/tight":      {139, 11, 22117, 2, 0, 140},
+		"frames/default": {120, 3, 14671, 240, 8, 121},
+		"frames/tight":   {116, 4, 14183, 223, 18, 117},
+	}
 	for _, feed := range feeds {
 		for _, budget := range []string{"default", "tight"} {
 			name := feed.name + "/" + budget
@@ -131,10 +144,21 @@ func TestFeedAccountingPinned(t *testing.T) {
 				if got != want[name] {
 					t.Errorf("accounting moved:\n got  %+v\n want %+v", got, want[name])
 				}
+				var broker [6]uint64
+				for i, c := range brokerCounters {
+					broker[i] = inf.Telemetry.Counter("cityinfra_broker_"+c+"_total", "").Value()
+				}
+				if broker != wantBroker[name] {
+					t.Errorf("broker counters %v moved:\n got  %v\n want %v", brokerCounters, broker, wantBroker[name])
+				}
 			})
 		}
 	}
 }
+
+// brokerCounters names the pipeline bus's cityinfra_broker_<name>_total
+// counters.
+var brokerCounters = [6]string{"produce", "produce_errors", "produced_bytes", "poll", "poll_errors", "polled_records"}
 
 // deadLetterStages renders the dead-letter collection as "stage:count ...".
 func deadLetterStages(t *testing.T, inf *Infrastructure) string {

@@ -12,12 +12,11 @@ import (
 // streaming seam: the broker produce/poll surface, HDFS datanode I/O, the
 // HBase WAL/flush path, and docstore inserts. The pipelines keep running
 // through the shared retry policy — this is how experiment E18 stresses the
-// stack without touching pipeline code.
+// stack without touching pipeline code. The bus itself is not replaced, so
+// whatever wraps inf.Bus keeps seeing every pipeline call.
 func (inf *Infrastructure) EnableChaos(inj *faults.Injector) {
 	inf.Injector = inj
-	// Metering wraps the flaky bus, not the other way round, so injected
-	// faults show up in the produce/poll error counters like real ones.
-	inf.Bus = stream.NewMeteredBus(faults.NewFlakyBus(inf.Broker, inj), inf.busMetrics)
+	inf.bus.inj = inj
 	inf.Broker.SetFaultHook(inj.ClusterHook())
 	inf.HDFS.SetFaultHook(inj.HDFSHook())
 	inf.CrimeTab.SetFaultHook(inj.HBaseHook())
@@ -29,13 +28,95 @@ func (inf *Infrastructure) EnableChaos(inj *faults.Injector) {
 // DisableChaos detaches the injector and restores direct seams.
 func (inf *Infrastructure) DisableChaos() {
 	inf.Injector = nil
-	inf.Bus = stream.NewMeteredBus(inf.Broker, inf.busMetrics)
+	inf.bus.inj = nil
 	inf.Broker.SetFaultHook(nil)
 	inf.HDFS.SetFaultHook(nil)
 	inf.CrimeTab.SetFaultHook(nil)
 	inf.VideoTab.SetFaultHook(nil)
 	inf.storeFault = nil
 	inf.Events.Log(telemetry.LevelInfo, telemetry.CompChaos, "", "fault injection disabled; direct seams restored")
+}
+
+// pipelineBus is the one decorator between the pipelines and the broker. It
+// counts every produce and poll into the cityinfra_broker_* counters and,
+// while chaos is on, asks the injector for a fault first — outside every
+// lock and before the broker's profile regions open. Injected failures count
+// as errors like real ones. Calls made on inf.Broker directly bypass it and
+// draw no faults.
+type pipelineBus struct {
+	next *stream.Cluster
+	inj  *faults.Injector // nil: no faults
+
+	produces, produceErrors, producedBytes *telemetry.Counter
+	polls, pollErrors, polledRecords       *telemetry.Counter
+}
+
+var _ stream.Bus = (*pipelineBus)(nil)
+
+// newPipelineBus registers the cityinfra_broker_* call counters on r.
+func newPipelineBus(next *stream.Cluster, r *telemetry.Registry) *pipelineBus {
+	return &pipelineBus{
+		next:          next,
+		produces:      r.Counter("cityinfra_broker_produce_total", "records produced to the broker"),
+		produceErrors: r.Counter("cityinfra_broker_produce_errors_total", "failed produce calls"),
+		producedBytes: r.Counter("cityinfra_broker_produced_bytes_total", "payload bytes produced"),
+		polls:         r.Counter("cityinfra_broker_poll_total", "poll calls"),
+		pollErrors:    r.Counter("cityinfra_broker_poll_errors_total", "failed poll calls"),
+		polledRecords: r.Counter("cityinfra_broker_polled_records_total", "records handed to consumers"),
+	}
+}
+
+func (b *pipelineBus) Produce(topic, key string, value []byte) (int, int64, error) {
+	return b.ProduceH(topic, key, value, nil)
+}
+
+// ProduceH charges faults to "bus.produce". The record key — the camera id
+// on the frames topic — rides into the decision so TargetKeys can partition
+// one camera's uplink.
+func (b *pipelineBus) ProduceH(topic, key string, value []byte, headers map[string]string) (int, int64, error) {
+	if b.inj != nil {
+		f := b.inj.DecideKey("bus.produce", key)
+		f.Burn()
+		if f.Err != nil {
+			b.produceErrors.Inc()
+			return 0, 0, f.Err
+		}
+	}
+	p, off, err := b.next.ProduceH(topic, key, value, headers)
+	if err != nil {
+		b.produceErrors.Inc()
+		return p, off, err
+	}
+	b.produces.Inc()
+	b.producedBytes.Add(len(value))
+	return p, off, nil
+}
+
+// Poll charges faults to "bus.poll".
+func (b *pipelineBus) Poll(group, topic string, max int) ([]stream.Record, error) {
+	if b.inj != nil {
+		f := b.inj.Decide("bus.poll")
+		f.Burn()
+		if f.Err != nil {
+			b.pollErrors.Inc()
+			return nil, f.Err
+		}
+	}
+	recs, err := b.next.Poll(group, topic, max)
+	if err != nil {
+		b.pollErrors.Inc()
+		return recs, err
+	}
+	b.polls.Inc()
+	b.polledRecords.Add(len(recs))
+	return recs, nil
+}
+
+// CommitPolled neither injects nor counts: an offset commit is local group
+// metadata, and failing it after the batch was processed would only create
+// duplicates the dedup layer already absorbs.
+func (b *pipelineBus) CommitPolled(group, topic string) error {
+	return b.next.CommitPolled(group, topic)
 }
 
 // retried runs op once under the shared policy and charges this call's own

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -170,14 +171,133 @@ func TestChaosWazeAnd911(t *testing.T) {
 	if inf.Injector != nil {
 		t.Fatal("chaos not detached")
 	}
-	// The bus stays metered after detach; underneath must be the raw broker
-	// again, not the fault-injecting wrapper.
-	mb, ok := inf.Bus.(*stream.MeteredBus)
-	if !ok {
-		t.Fatalf("bus after DisableChaos = %T, want *stream.MeteredBus", inf.Bus)
+	if inf.bus.inj != nil {
+		t.Fatal("bus still draws faults after DisableChaos")
 	}
-	if mb.Unwrap() != stream.Bus(inf.Broker) {
-		t.Fatalf("inner bus after DisableChaos = %T, want the raw broker", mb.Unwrap())
+}
+
+// countingBus is a caller's wrapper on inf.Bus: it counts the produce and
+// poll calls it forwards and the injected errors that come back.
+type countingBus struct {
+	stream.Bus
+	produces, polls, injected int
+}
+
+func (b *countingBus) ProduceH(topic, key string, value []byte, headers map[string]string) (int, int64, error) {
+	b.produces++
+	p, off, err := b.Bus.ProduceH(topic, key, value, headers)
+	if errors.Is(err, faults.ErrInjected) {
+		b.injected++
+	}
+	return p, off, err
+}
+
+func (b *countingBus) Poll(group, topic string, max int) ([]stream.Record, error) {
+	b.polls++
+	recs, err := b.Bus.Poll(group, topic, max)
+	if errors.Is(err, faults.ErrInjected) {
+		b.injected++
+	}
+	return recs, err
+}
+
+// TestEnableChaosKeepsTheBus: toggling chaos swaps the injector, not the bus,
+// so a wrapper installed on inf.Bus sees every pipeline produce and poll
+// with chaos on and off, and injected errors still travel through it to the
+// pipeline's retries.
+func TestEnableChaosKeepsTheBus(t *testing.T) {
+	inf := bootSmall(t)
+	w := &countingBus{Bus: inf.Bus}
+	inf.Bus = w
+	counter := func(name string) int {
+		return int(inf.Telemetry.Counter("cityinfra_broker_"+name+"_total", "").Value())
+	}
+	calls := func() (produces, polls int) {
+		return counter("produce") + counter("produce_errors"), counter("poll") + counter("poll_errors")
+	}
+
+	inj := faults.NewInjector(faults.Config{Seed: 42, ErrorRate: 0.10, TargetOps: []string{"bus."}})
+	inf.EnableChaos(inj)
+	st, err := inf.IngestTweets(genTweets(t, inf, 200, 3))
+	if err != nil || st.Stored != 200 {
+		t.Fatalf("chaos ingest = %+v, %v", st, err)
+	}
+	if inf.Bus != stream.Bus(w) {
+		t.Fatalf("EnableChaos replaced the bus with %T", inf.Bus)
+	}
+	produces, polls := calls()
+	if w.produces == 0 || w.produces != produces || w.polls != polls {
+		t.Fatalf("wrapper saw %d produces, %d polls; the bus counted %d, %d", w.produces, w.polls, produces, polls)
+	}
+	injected := inj.Stats()["bus.produce"].Errors + inj.Stats()["bus.poll"].Errors
+	if injected == 0 || w.injected != injected || st.Retries < injected {
+		t.Fatalf("wrapper saw %d injected errors, injector drew %d, pipeline retried %d", w.injected, injected, st.Retries)
+	}
+
+	inf.DisableChaos()
+	before := w.injected
+	st, err = inf.IngestTweets(genTweets(t, inf, 100, 4))
+	if err != nil || st.Retries != 0 {
+		t.Fatalf("clean ingest = %+v, %v", st, err)
+	}
+	produces, polls = calls()
+	if inf.Bus != stream.Bus(w) || w.produces != produces || w.polls != polls {
+		t.Fatalf("after DisableChaos the wrapper saw %d produces, %d polls; the bus counted %d, %d", w.produces, w.polls, produces, polls)
+	}
+	if w.injected != before {
+		t.Fatalf("%d errors injected with chaos off", w.injected-before)
+	}
+}
+
+// TestBusFaultSeam: under chaos the pipeline bus fails produce and poll with
+// injected errors and counts them as errors, TargetKeys scopes produce
+// faults to one camera's key, and direct sends to inf.Broker draw nothing.
+func TestBusFaultSeam(t *testing.T) {
+	inf := bootSmall(t)
+	inj := faults.NewInjector(faults.Config{Seed: 5, ErrorRate: 1, TargetOps: []string{"bus."}})
+	inf.EnableChaos(inj)
+	if _, _, err := inf.Bus.Produce("frames", "cam-001", []byte("v")); !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("produce err = %v", err)
+	}
+	if _, err := inf.Bus.Poll("g", "frames", 10); !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("poll err = %v", err)
+	}
+	for _, name := range []string{"produce_errors", "poll_errors"} {
+		if got := inf.Telemetry.Counter("cityinfra_broker_"+name+"_total", "").Value(); got != 1 {
+			t.Errorf("cityinfra_broker_%s_total = %d, want 1", name, got)
+		}
+	}
+	if _, _, err := inf.Broker.Produce("frames", "cam-001", []byte("v")); err != nil {
+		t.Fatalf("direct broker produce drew a fault: %v", err)
+	}
+	if st := inj.Stats(); st["bus.produce"].Calls != 1 || st["bus.poll"].Calls != 1 {
+		t.Fatalf("injector stats = %+v, want one call per bus op", st)
+	}
+
+	// One camera's uplink partitioned: healthy keys pass untouched.
+	inf.EnableChaos(faults.NewInjector(faults.Config{
+		Seed: 9, BlackoutEvery: 1, BlackoutLen: 1,
+		TargetOps: []string{"bus.produce"}, TargetKeys: []string{"cam-007"},
+	}))
+	for i := 0; i < 20; i++ {
+		if _, _, err := inf.Bus.Produce("frames", "cam-001", []byte("v")); err != nil {
+			t.Fatalf("untargeted camera produce %d: %v", i, err)
+		}
+	}
+	if _, _, err := inf.Bus.Produce("frames", "cam-007", []byte("v")); !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("targeted camera err = %v, want injected", err)
+	}
+	if st := inf.Injector.Stats()["bus.produce"]; st.Calls != 1 || st.Blackouts != 1 {
+		t.Fatalf("bus.produce stats = %+v, want exactly the targeted camera's call", st)
+	}
+
+	// Chaos off: the same calls pass through.
+	inf.DisableChaos()
+	if _, _, err := inf.Bus.Produce("frames", "cam-007", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if recs, err := inf.Bus.Poll("g", "frames", 100); err != nil || len(recs) != 22 {
+		t.Fatalf("poll = %d records, %v; want 22", len(recs), err)
 	}
 }
 

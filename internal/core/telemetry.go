@@ -21,10 +21,10 @@ import (
 func (inf *Infrastructure) wireTelemetry() {
 	r := inf.Telemetry
 
-	// Broker and flume hot-path instruments, shared by every decorator and
-	// agent the infrastructure creates.
-	inf.busMetrics = stream.NewBusMetrics(r)
-	inf.flumeTel = flume.NewAgentTelemetry(r, nil)
+	// Broker and flume hot-path instruments: the pipeline bus's call
+	// counters, and the counters every flume agent shares.
+	inf.bus = newPipelineBus(inf.Broker, r)
+	inf.flumeTel = flume.NewAgentTelemetry(r)
 
 	// Pipeline (Fig. 4) cumulative counters and end-to-end latency.
 	inf.ingestSeconds = r.Histogram("cityinfra_pipeline_ingest_seconds",
@@ -229,15 +229,14 @@ func (inf *Infrastructure) wireTelemetry() {
 		func() float64 { return float64(inf.ingestSeconds.Count()) })
 }
 
-// ingestRun is one pipeline run in flight: its trace root (and the context
-// that rides record headers across the broker hop), its wall-clock start, and
-// the open "ingest" profile span.
+// ingestRun is one pipeline run in flight: its trace root, whose Begin and
+// Finish time the run; the root's context, which rides record headers across
+// the broker hop; and the open "ingest" profile span.
 type ingestRun struct {
-	inf   *Infrastructure
-	root  *telemetry.Span
-	ctx   telemetry.TraceContext
-	start time.Time
-	prof  profile.Span
+	inf  *Infrastructure
+	root *telemetry.Span
+	ctx  telemetry.TraceContext
+	prof profile.Span
 }
 
 // beginIngest opens the "ingest" profile region and the trace for one run.
@@ -247,18 +246,18 @@ type ingestRun struct {
 // there (a caller that has just generated its input owes one) is attributed
 // to the run instead of falling between the caller's clock and the region's.
 func (inf *Infrastructure) beginIngest(source string) ingestRun {
-	run := ingestRun{inf: inf, start: time.Now(), prof: inf.profIngest.Start()}
+	run := ingestRun{inf: inf, prof: inf.profIngest.Start()}
 	run.root = inf.Tracer.Start(fmt.Sprintf("%s-%d", source, inf.ingestSeq.Add(1)), source)
 	run.ctx = run.root.Context()
 	return run
 }
 
 // end closes the run: it folds the run's stats into the cumulative pipeline
-// counters and observes its end-to-end latency, offering the trace id as a
-// histogram exemplar so a tail-latency bucket on /metrics resolves to an
-// inspectable trace. It returns the seconds it observed, so a caller with a
-// second histogram for the same interval (the per-camera e2e) feeds it the
-// same reading. stats stays the caller's: escape analysis does not see
+// counters and observes its end-to-end latency — the root span's own
+// duration — offering the trace id as a histogram exemplar so a tail-latency
+// bucket on /metrics resolves to an inspectable trace. It returns the seconds
+// it observed, so a caller with a second histogram for the same interval (the
+// per-camera e2e) feeds it the same reading. stats stays the caller's: escape analysis does not see
 // through struct fields, so a pointer kept in the run would move every
 // caller's stats to the heap.
 func (run *ingestRun) end(stats *PipelineStats) float64 {
@@ -271,7 +270,7 @@ func (run *ingestRun) end(stats *PipelineStats) float64 {
 	inf.pipeDropped.Add(stats.Dropped)
 	inf.pipeDeadLettered.Add(stats.DeadLettered)
 	inf.pipeRetries.Add(stats.Retries)
-	seconds := time.Since(run.start).Seconds()
+	seconds := run.root.Finish.Sub(run.root.Begin).Seconds()
 	inf.ingestSeconds.ObserveExemplar(seconds, run.ctx.TraceID)
 	return seconds
 }

@@ -5,11 +5,12 @@
 // simulated millisecond clock — the same virtual timeline the fog simulator
 // and the retry package use, so no test ever sleeps on the wall clock.
 //
-// Decorators adapt the injector to the existing seams: a flaky flume.Sink,
-// a flaky stream.Bus (the broker's produce/poll surface), and plain hook
-// functions for hdfs datanode I/O and hbase WAL/flush (those packages
-// declare structurally identical hook types so they need not import this
-// one). Everything is reproducible for a given Config.Seed.
+// The package decorates no seam itself: the infrastructure's pipeline bus
+// calls Decide/DecideKey on the broker's produce/poll surface, and plain
+// hook functions adapt the injector to hdfs datanode I/O, hbase WAL/flush,
+// replication and docstore inserts (those packages declare structurally
+// identical hook types so they need not import this one). Everything is
+// reproducible for a given Config.Seed.
 package faults
 
 import (
@@ -20,9 +21,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"repro/internal/flume"
-	"repro/internal/stream"
 )
 
 // ErrInjected marks every failure produced by an Injector, so callers can
@@ -269,79 +267,6 @@ func (in *Injector) Totals() OpStats {
 		t.BurnMs += st.BurnMs
 	}
 	return t
-}
-
-// FlakySink wraps a flume sink: each Deliver consults the injector first,
-// so batches see broker-side failures before any event is produced.
-type FlakySink struct {
-	op    string
-	inner flume.Sink
-	inj   *Injector
-}
-
-var _ flume.Sink = (*FlakySink)(nil)
-
-// NewFlakySink decorates inner; faults are charged to the named op.
-func NewFlakySink(op string, inner flume.Sink, inj *Injector) *FlakySink {
-	return &FlakySink{op: op, inner: inner, inj: inj}
-}
-
-// Deliver injects, then forwards to the wrapped sink.
-func (s *FlakySink) Deliver(events []flume.Event) error {
-	f := s.inj.Decide(s.op)
-	f.Burn()
-	if f.Err != nil {
-		return f.Err
-	}
-	return s.inner.Deliver(events)
-}
-
-// FlakyBus wraps a stream.Bus with injected produce/poll failures.
-type FlakyBus struct {
-	inner stream.Bus
-	inj   *Injector
-}
-
-var _ stream.Bus = (*FlakyBus)(nil)
-
-// NewFlakyBus decorates a bus (typically the *stream.Cluster itself).
-func NewFlakyBus(inner stream.Bus, inj *Injector) *FlakyBus {
-	return &FlakyBus{inner: inner, inj: inj}
-}
-
-// Produce injects on the "bus.produce" op, then forwards.
-func (b *FlakyBus) Produce(topic, key string, value []byte) (int, int64, error) {
-	return b.ProduceH(topic, key, value, nil)
-}
-
-// ProduceH injects on the "bus.produce" op, then forwards with headers. The
-// record key — the camera id on the frames topic — rides into the decision
-// so TargetKeys can partition one camera's uplink.
-func (b *FlakyBus) ProduceH(topic, key string, value []byte, headers map[string]string) (int, int64, error) {
-	f := b.inj.DecideKey("bus.produce", key)
-	f.Burn()
-	if f.Err != nil {
-		return 0, 0, f.Err
-	}
-	return b.inner.ProduceH(topic, key, value, headers)
-}
-
-// Poll injects on the "bus.poll" op, then forwards.
-func (b *FlakyBus) Poll(group, topic string, max int) ([]stream.Record, error) {
-	f := b.inj.Decide("bus.poll")
-	f.Burn()
-	if f.Err != nil {
-		return nil, f.Err
-	}
-	return b.inner.Poll(group, topic, max)
-}
-
-// CommitPolled forwards without injecting: an offset commit is local group
-// metadata, and failing it after the batch was processed would only create
-// duplicates the dedup layer already absorbs — the interesting chaos lives
-// on produce, poll, and replication.
-func (b *FlakyBus) CommitPolled(group, topic string) error {
-	return b.inner.CommitPolled(group, topic)
 }
 
 // ClusterHook adapts the injector to stream.Cluster.SetFaultHook: one

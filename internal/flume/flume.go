@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/retry"
 )
@@ -97,8 +96,8 @@ type Config struct {
 	// their retries instead of losing them silently; callers can inspect
 	// or redrive the queue.
 	DeadLetter *retry.DLQ[Event]
-	// Telemetry, when set, records batch delivery timings and outcomes
-	// into the shared metrics registry (see NewAgentTelemetry).
+	// Telemetry, when set, records batch delivery outcomes into the shared
+	// metrics registry (see NewAgentTelemetry).
 	Telemetry *AgentTelemetry
 }
 
@@ -186,13 +185,9 @@ func (a *Agent) drainLocked() (delivered int, err error) {
 		n = len(a.buffer)
 	}
 	batch := a.buffer[:n]
-	var start time.Time
-	if a.cfg.Telemetry != nil {
-		start = a.cfg.Telemetry.now()
-	}
 	attempts, lastErr := a.deliverBatch(batch)
 	if a.cfg.Telemetry != nil {
-		a.cfg.Telemetry.observeBatch(start, n, attempts, lastErr)
+		a.cfg.Telemetry.observeBatch(n, attempts, lastErr)
 	}
 	a.metrics.Retries += attempts - 1
 	if lastErr == nil {

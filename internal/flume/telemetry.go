@@ -1,10 +1,6 @@
 package flume
 
-import (
-	"time"
-
-	"repro/internal/telemetry"
-)
+import "repro/internal/telemetry"
 
 // AgentTelemetry holds pre-registered instruments for flume agents. One
 // instance is shared by all agents in an infrastructure (metric names carry
@@ -16,31 +12,20 @@ type AgentTelemetry struct {
 	EventsDelivered  *telemetry.Counter
 	EventsDropped    *telemetry.Counter
 	Retries          *telemetry.Counter
-	BatchSeconds     *telemetry.Histogram
-
-	now func() time.Time
 }
 
 // NewAgentTelemetry registers the cityinfra_flume_* metric family on r.
-// A nil clock means time.Now.
-func NewAgentTelemetry(r *telemetry.Registry, now func() time.Time) *AgentTelemetry {
-	if now == nil {
-		now = time.Now
-	}
+func NewAgentTelemetry(r *telemetry.Registry) *AgentTelemetry {
 	return &AgentTelemetry{
 		BatchesDelivered: r.Counter("cityinfra_flume_batches_delivered_total", "sink batches delivered"),
 		EventsDelivered:  r.Counter("cityinfra_flume_events_delivered_total", "events delivered to sinks"),
 		EventsDropped:    r.Counter("cityinfra_flume_events_dropped_total", "events dropped or dead-lettered after exhausting retries"),
 		Retries:          r.Counter("cityinfra_flume_sink_retries_total", "sink delivery retries"),
-		BatchSeconds: r.Histogram("cityinfra_flume_batch_seconds",
-			"sink batch delivery latency in seconds, including retries", nil),
-		now: now,
 	}
 }
 
 // observeBatch records one batch delivery outcome.
-func (t *AgentTelemetry) observeBatch(start time.Time, events, attempts int, err error) {
-	t.BatchSeconds.Observe(t.now().Sub(start).Seconds())
+func (t *AgentTelemetry) observeBatch(events, attempts int, err error) {
 	t.Retries.Add(attempts - 1)
 	if err == nil {
 		t.BatchesDelivered.Inc()

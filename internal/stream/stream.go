@@ -26,8 +26,9 @@ var (
 )
 
 // Bus is the produce/poll surface the ingestion pipelines depend on.
-// *Cluster implements it directly; decorators (fault injection, metering)
-// wrap it without the pipelines knowing.
+// *Cluster implements it directly; the infrastructure wraps it once in a
+// decorator that counts calls and injects faults, without the pipelines
+// knowing.
 type Bus interface {
 	Produce(topicName, key string, value []byte) (partitionID int, offset int64, err error)
 	// ProduceH is Produce with per-record headers — the metadata channel

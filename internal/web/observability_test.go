@@ -2,7 +2,10 @@ package web
 
 import (
 	"io"
+	"math"
 	"net/http"
+	"runtime"
+	"runtime/metrics"
 	"strings"
 	"testing"
 
@@ -109,6 +112,40 @@ func TestRuntimeMetricsAndExemplarsExposed(t *testing.T) {
 	// newTestServer; the exposition must link tail buckets to trace ids.
 	if !strings.Contains(body, `# {trace_id="`) {
 		t.Fatal("/metrics exposes no exemplar trailers")
+	}
+}
+
+// The runtime gauges read live values from runtime/metrics.
+func TestRuntimeGaugesReadTheRuntime(t *testing.T) {
+	_, inf := newTestServer(t)
+	runtime.GC()
+	got := map[string]float64{}
+	for _, p := range inf.Telemetry.Snapshot() {
+		got[p.Name] = p.Value
+	}
+	if v := got["cityinfra_go_goroutines"]; v < 1 {
+		t.Errorf("goroutines = %v", v)
+	}
+	if v := got["cityinfra_go_heap_alloc_bytes"]; v < 1<<10 {
+		t.Errorf("heap bytes = %v", v)
+	}
+	if v := got["cityinfra_go_gc_pause_p99_seconds"]; !(v > 0 && v < 10) {
+		t.Errorf("gc pause p99 = %v after a forced GC", v)
+	}
+}
+
+func TestHistogramQuantile(t *testing.T) {
+	h := &metrics.Float64Histogram{
+		Counts:  []uint64{0, 90, 9, 1},
+		Buckets: []float64{math.Inf(-1), 1, 2, 3, math.Inf(1)},
+	}
+	for _, c := range []struct{ q, want float64 }{{0, 2}, {0.5, 2}, {0.9, 2}, {0.91, 3}, {0.99, 3}, {1, 3}} {
+		if got := histogramQuantile(h, c.q); got != c.want {
+			t.Errorf("q%v = %v, want %v", c.q, got, c.want)
+		}
+	}
+	if got := histogramQuantile(&metrics.Float64Histogram{Counts: []uint64{0}, Buckets: []float64{0, 1}}, 0.99); got != 0 {
+		t.Errorf("empty histogram q99 = %v", got)
 	}
 }
 

@@ -10,8 +10,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
-	"runtime"
+	"runtime/metrics"
 	"sort"
 	"strconv"
 	"sync"
@@ -63,56 +64,57 @@ func NewServer(inf *core.Infrastructure) *Server {
 	return s
 }
 
-// memStatsCache shares one runtime.ReadMemStats snapshot between all the
-// gauge callbacks of a single scrape. ReadMemStats is a stop-the-world
-// operation, so reading it once per gauge would multiply the pause by the
-// number of memory gauges; the short wall-clock TTL spans one registry
-// snapshot but not two scrape ticks.
-type memStatsCache struct {
-	mu sync.Mutex
-	at time.Time
-	m  runtime.MemStats
-}
-
-func (c *memStatsCache) snapshot() runtime.MemStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.at.IsZero() || time.Since(c.at) > 50*time.Millisecond {
-		runtime.ReadMemStats(&c.m)
-		c.at = time.Now()
-	}
-	return c.m
-}
-
 // registerRuntimeMetrics exposes the serving process's own Go runtime health
 // on /metrics next to the infrastructure families: goroutine count, live heap
-// bytes, and a p99 over the GC pause ring. The heap and GC gauges share one
-// MemStats snapshot per scrape.
+// bytes, and a p99 over every GC pause since process start. Each gauge reads
+// one runtime/metrics sample, which does not stop the world.
 func (s *Server) registerRuntimeMetrics() {
 	r := s.inf.Telemetry
-	cache := &memStatsCache{}
 	r.GaugeFunc("cityinfra_go_goroutines", "goroutines currently live",
-		func() float64 { return float64(runtime.NumGoroutine()) })
+		runtimeGauge("/sched/goroutines:goroutines", func(v metrics.Value) float64 { return float64(v.Uint64()) }))
 	r.GaugeFunc("cityinfra_go_heap_alloc_bytes", "bytes of allocated heap objects",
-		func() float64 {
-			m := cache.snapshot()
-			return float64(m.HeapAlloc)
-		})
-	r.GaugeFunc("cityinfra_go_gc_pause_p99_seconds", "p99 of the runtime's recent GC pause ring",
-		func() float64 {
-			m := cache.snapshot()
-			n := int(m.NumGC)
-			if n == 0 {
-				return 0
+		runtimeGauge("/memory/classes/heap/objects:bytes", func(v metrics.Value) float64 { return float64(v.Uint64()) }))
+	r.GaugeFunc("cityinfra_go_gc_pause_p99_seconds", "p99 of GC pauses since process start",
+		runtimeGauge("/sched/pauses/total/gc:seconds", func(v metrics.Value) float64 {
+			return histogramQuantile(v.Float64Histogram(), 0.99)
+		}))
+}
+
+// runtimeGauge reads the named runtime/metrics sample through read. Sample
+// buffers are pooled, so a scrape does not allocate one per gauge.
+func runtimeGauge(name string, read func(metrics.Value) float64) func() float64 {
+	pool := &sync.Pool{New: func() any { return &[1]metrics.Sample{{Name: name}} }}
+	return func() float64 {
+		sp := pool.Get().(*[1]metrics.Sample)
+		metrics.Read(sp[:])
+		v := read(sp[0].Value)
+		pool.Put(sp)
+		return v
+	}
+}
+
+// histogramQuantile returns the upper bound of the bucket holding the q-th
+// observation of h (its lower bound for the open-ended last bucket), or 0
+// for an empty histogram.
+func histogramQuantile(h *metrics.Float64Histogram, q float64) float64 {
+	var total uint64
+	for _, c := range h.Counts {
+		total += c
+	}
+	if total == 0 {
+		return 0
+	}
+	rank := uint64(float64(total-1)*q) + 1
+	var seen uint64
+	for i, c := range h.Counts {
+		if seen += c; seen >= rank {
+			if hi := h.Buckets[i+1]; !math.IsInf(hi, 1) {
+				return hi
 			}
-			if n > len(m.PauseNs) {
-				n = len(m.PauseNs)
-			}
-			pauses := make([]uint64, n)
-			copy(pauses, m.PauseNs[:n])
-			sort.Slice(pauses, func(i, j int) bool { return pauses[i] < pauses[j] })
-			return float64(pauses[(n-1)*99/100]) / 1e9
-		})
+			return h.Buckets[i]
+		}
+	}
+	return 0
 }
 
 // ServeHTTP dispatches to the API mux.

@@ -214,7 +214,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	// hdfs, hbase, retry/breaker, and the pipeline itself.
 	for _, family := range []string{
 		"cityinfra_broker_produce_total",
-		"cityinfra_flume_batch_seconds",
+		"cityinfra_flume_events_delivered_total",
 		"cityinfra_hdfs_live_datanodes",
 		"cityinfra_hbase_flushes_total",
 		"cityinfra_retry_retries_total",
