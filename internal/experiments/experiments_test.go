@@ -2,9 +2,21 @@ package experiments
 
 import (
 	"errors"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// update rewrites the golden files from the current code:
+//
+//	go test ./internal/experiments -run TestSameSeedSameBytes -update
+var update = flag.Bool("update", false, "rewrite testdata/E<n>.seed<S>.txt from the current code")
 
 func TestRegistryComplete(t *testing.T) {
 	ids := IDs()
@@ -25,23 +37,29 @@ func TestRunUnknown(t *testing.T) {
 	}
 }
 
-// firstRuns caches Run(id, 42): the per-experiment tests below and
-// TestSameSeedSameBytes read the same first run, so an experiment executes
-// twice per `go test`, not three times. No test here is parallel, so the map
-// needs no lock.
-var firstRuns = map[string]*Result{}
+// firstRuns caches Run(id, 42): the per-experiment tests below read the run
+// TestSameSeedSameBytes compared, so an experiment executes once per
+// `go test`. Its subtests run in parallel, hence the lock.
+var (
+	firstRunsMu sync.Mutex
+	firstRuns   = map[string]*Result{}
+)
 
 // Each experiment must produce non-empty tables. Heavier experiments are
 // exercised individually so test failures localize.
 func runAndCheck(t *testing.T, id string) *Result {
 	t.Helper()
+	firstRunsMu.Lock()
 	res := firstRuns[id]
+	firstRunsMu.Unlock()
 	if res == nil {
 		var err error
 		if res, err = Run(id, 42); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
+		firstRunsMu.Lock()
 		firstRuns[id] = res
+		firstRunsMu.Unlock()
 	}
 	if res.ID != id {
 		t.Fatalf("result id = %s", res.ID)
@@ -65,8 +83,8 @@ func runAndCheck(t *testing.T, id string) *Result {
 var training = map[string]bool{"E5": true, "E7": true, "E8": true, "E15": true}
 
 // stopwatchCells lists the experiments whose tables print a wall-clock
-// reading, so two runs of one binary legitimately differ in those cells.
-// Nothing in them is compared against a budget.
+// reading, so they have no golden file. Nothing in them is compared against
+// a budget.
 var stopwatchCells = map[string]string{
 	"E4":  "infra.go prints ingest and query wall time",
 	"E13": "infra.go prints HBase vs HDFS read wall time",
@@ -74,14 +92,30 @@ var stopwatchCells = map[string]string{
 	"E23": "attribution table and burn timeline print profiler self time in ms",
 }
 
-// TestSameSeedSameBytes runs every registered experiment twice in-process at
-// one seed: the rendered output must be byte-identical. This is the "same
-// work" check behind every refactor, and the reason no experiment re-runs
-// itself to prove determinism. The two runs of one experiment execute side by
-// side (nothing compared here reads a clock, so sharing the CPU is safe, and
-// under -race it shows that experiments share no state). It is declared
-// first so the tests below reuse its first runs.
+// goldenPath names the file that holds Run(id, seed).String().
+func goldenPath(id string, seed int64) string {
+	return filepath.Join("testdata", fmt.Sprintf("%s.seed%d.txt", id, seed))
+}
+
+// goldenSeeds lists the seeds id has golden files for. Only seed 42 is
+// compared here; CI diffs `cmd/experiments -seed 43|44` against the others.
+func goldenSeeds(id string) []int64 {
+	if n, _ := strconv.Atoi(id[1:]); n >= 18 {
+		return []int64{42, 43, 44}
+	}
+	return []int64{42}
+}
+
+// TestSameSeedSameBytes holds every experiment outside stopwatchCells to its
+// golden output at seed 42. This is the "same work" check behind every
+// refactor, and the reason no experiment re-runs itself to prove
+// determinism. The experiments run as parallel subtests, so under -race it
+// also shows that they share no state. A change that moves an output on
+// purpose rewrites the files with -update and names them in CHANGES.md.
 func TestSameSeedSameBytes(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("goldens are pinned on amd64: Go may fuse x*y+z into one FMA instruction elsewhere, which can move the last digit of a printed float")
+	}
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
@@ -91,23 +125,46 @@ func TestSameSeedSameBytes(t *testing.T) {
 			if training[id] && testing.Short() {
 				t.Skip("training experiment skipped in -short")
 			}
-			var b *Result
-			var berr error
-			second := make(chan struct{})
-			go func() {
-				defer close(second)
-				b, berr = Run(id, 42)
-			}()
-			a := runAndCheck(t, id)
-			<-second
-			if berr != nil {
-				t.Fatal(berr)
+			t.Parallel()
+			got := runAndCheck(t, id).String()
+			if *update {
+				writeGoldens(t, id, got)
+				return
 			}
-			if a.String() != b.String() {
-				t.Fatalf("same seed must reproduce identical output:\n--- run 1\n%s--- run 2\n%s", a, b)
+			path := goldenPath(id, 42)
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (write it with -update)", err)
+			}
+			if got != string(want) {
+				t.Fatalf("%s differs from %s (rewrite it with -update if the change is meant):\n--- got\n%s--- want\n%s", id, path, got, want)
 			}
 		})
 	}
+}
+
+// writeGoldens writes id's golden files, seed42 being its output at seed 42.
+func writeGoldens(t *testing.T, id, seed42 string) {
+	t.Helper()
+	if err := os.MkdirAll("testdata", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range goldenSeeds(id) {
+		out := seed42
+		if seed != 42 {
+			res, err := Run(id, seed)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", id, seed, err)
+			}
+			out = res.String()
+		}
+		if err := os.WriteFile(goldenPath(id, seed), []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func TestDifferentSeedsDiffer(t *testing.T) {
 	other, err := Run("E2", 43)
 	if err != nil {
 		t.Fatal(err)
