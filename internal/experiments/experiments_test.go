@@ -86,8 +86,6 @@ var training = map[string]bool{"E5": true, "E7": true, "E8": true, "E15": true}
 // reading, so they have no golden file. Nothing in them is compared against
 // a budget.
 var stopwatchCells = map[string]string{
-	"E4":  "infra.go prints ingest and query wall time",
-	"E13": "infra.go prints HBase vs HDFS read wall time",
 	"E14": "infra.go prints dataproc wall time per parallelism",
 	"E23": "attribution table and burn timeline print profiler self time in ms",
 }

@@ -160,9 +160,11 @@ func E2CameraNetwork(rng *rand.Rand) (*Result, error) {
 	}, nil
 }
 
-// E4IngestPipeline measures the Fig. 4 pipeline under load: streaming lag
-// before/after the storage tier drains, plus random-read query latency from
-// the NoSQL side.
+// E4IngestPipeline runs the Fig. 4 pipeline under load: a month of tweets
+// through collection → broker → docstore, then geo-time window reads from
+// the NoSQL side. It prints counts; what the path costs in time is measured
+// from outside the program (`go run ./benchmark`: feeds-batch,
+// dashboard-mix).
 func E4IngestPipeline(rng *rand.Rand) (*Result, error) {
 	cfg := core.DefaultConfig()
 	inf, err := core.New(cfg, rng)
@@ -179,19 +181,16 @@ func E4IngestPipeline(rng *rand.Rand) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
 	stats, err := inf.IngestTweets(tweets)
 	if err != nil {
 		return nil, err
 	}
-	ingestDur := time.Since(start)
 	if _, err := inf.IngestCrimes(incidents, ""); err != nil {
 		return nil, err
 	}
 
 	// Query side: geo-time windows (the web-server/visualization reads).
 	br := geo.Point{Lat: 30.4515, Lon: -91.1871}
-	qStart := time.Now()
 	const queries = 50
 	found := 0
 	for i := 0; i < queries; i++ {
@@ -201,15 +200,11 @@ func E4IngestPipeline(rng *rand.Rand) (*Result, error) {
 		}
 		found += len(docs)
 	}
-	qDur := time.Since(qStart)
 
 	tb := viz.NewTable("Fig. 4 pipeline under load", "metric", "value")
-	tb.AddRow("tweets ingested", stats.Stored)
-	tb.AddRow("ingest wall time", ingestDur.Round(time.Millisecond).String())
-	tb.AddRow("ingest rate (tweets/s)", float64(stats.Stored)/ingestDur.Seconds())
+	tb.AddRow("tweets stored", stats.Stored)
 	tb.AddRow("crime cells written", len(incidents))
 	tb.AddRow("geo-time queries", queries)
-	tb.AddRow("mean query latency", (qDur / queries).Round(time.Microsecond).String())
 	tb.AddRow("rows matched (total)", found)
 	return &Result{
 		ID: "E4", Title: "collection → NoSQL → analysis pipeline",
@@ -219,8 +214,8 @@ func E4IngestPipeline(rng *rand.Rand) (*Result, error) {
 }
 
 // E13StorageLayer reproduces the storage-layer claims: HDFS availability
-// under datanode failures at several replication factors, and HBase random
-// reads vs HDFS full-file scans.
+// under datanode failures at several replication factors, and the bytes an
+// HBase random read touches vs an HDFS full-file scan.
 func E13StorageLayer(rng *rand.Rand) (*Result, error) {
 	avail := viz.NewTable("HDFS availability under failures", "replication", "failures", "readable", "under-replicated", "recovered")
 	payload := make([]byte, 64*1024)
@@ -282,16 +277,15 @@ func E13StorageLayer(rng *rand.Rand) (*Result, error) {
 	}
 
 	const probes = 500
-	hbaseStart := time.Now()
+	var hbaseBytes, hdfsBytes int
 	for i := 0; i < probes; i++ {
 		key := fmt.Sprintf("row-%05d", rng.Intn(rows))
-		if _, err := table.Get(key, "f", "v"); err != nil {
+		v, err := table.Get(key, "f", "v")
+		if err != nil {
 			return nil, err
 		}
+		hbaseBytes += len(v)
 	}
-	hbaseDur := time.Since(hbaseStart)
-
-	hdfsStart := time.Now()
 	for i := 0; i < probes; i++ {
 		// HDFS has no random access: each point lookup re-reads the file.
 		data, err := cluster.Read("/batch")
@@ -300,13 +294,12 @@ func E13StorageLayer(rng *rand.Rand) (*Result, error) {
 		}
 		off := rng.Intn(rows) * 32
 		_ = data[off : off+32]
+		hdfsBytes += len(data)
 	}
-	hdfsDur := time.Since(hdfsStart)
-
-	access := viz.NewTable("random point reads: HBase vs HDFS", "store", "probes", "total", "per-read")
-	access.AddRow("hbase", probes, hbaseDur.Round(time.Microsecond).String(), (hbaseDur / probes).String())
-	access.AddRow("hdfs(full-scan)", probes, hdfsDur.Round(time.Microsecond).String(), (hdfsDur / probes).String())
-	speedup := float64(hdfsDur) / float64(hbaseDur)
+	access := viz.NewTable("random point reads: bytes read per probe, HBase vs HDFS",
+		"store", "probes", "bytes per probe", "bytes (total)")
+	access.AddRow("hbase (one cell)", probes, hbaseBytes/probes, hbaseBytes)
+	access.AddRow("hdfs (whole file)", probes, hdfsBytes/probes, hdfsBytes)
 
 	// Region auto-splitting: a hot table spreads across regions as it grows.
 	regioned, err := hbase.NewRegionedTable("hot", []string{"f"},
@@ -329,7 +322,8 @@ func E13StorageLayer(rng *rand.Rand) (*Result, error) {
 		Tables: []*viz.Table{avail, access, growth},
 		Notes: []string{
 			"paper claim: HDFS keeps data accessible though machines fail (replication)",
-			fmt.Sprintf("paper claim: 'unlike HDFS... HBase supports efficient random read/write' — measured %.0fx faster point reads", speedup),
+			fmt.Sprintf("paper claim: 'unlike HDFS... HBase supports efficient random read/write' — a point read takes one %d B cell from HBase and the whole %d B file from HDFS, %.0fx the bytes",
+				hbaseBytes/probes, hdfsBytes/probes, float64(hdfsBytes)/float64(hbaseBytes)),
 		},
 	}, nil
 }
