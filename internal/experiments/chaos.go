@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/citydata"
 	"repro/internal/core"
 	"repro/internal/docstore"
 	"repro/internal/faults"
@@ -27,8 +26,7 @@ func chaosConfig() core.Config {
 // documents. hardened=false strips the pipeline down to the naive baseline:
 // single attempts, no redrive, no breaker.
 func chaosArm(seed int64, rate float64, poisoned int, hardened bool) (core.PipelineStats, int, *core.Infrastructure, error) {
-	cfg := chaosConfig()
-	inf, err := core.New(cfg, rand.New(rand.NewSource(seed)))
+	inf, err := core.New(chaosConfig(), rand.New(rand.NewSource(seed)))
 	if err != nil {
 		return core.PipelineStats{}, 0, nil, err
 	}
@@ -37,14 +35,7 @@ func chaosArm(seed int64, rate float64, poisoned int, hardened bool) (core.Pipel
 			WithClock(inf.Clock)
 		inf.RedriveRounds = 0
 	}
-	rng := rand.New(rand.NewSource(seed + 1))
-	incidents, err := citydata.GenerateCrimes(citydata.DefaultCrimeConfig(cfg.Epoch), inf.Gang.Nodes(), rng)
-	if err != nil {
-		return core.PipelineStats{}, 0, nil, err
-	}
-	tcfg := citydata.DefaultTweetConfig(cfg.Epoch)
-	tcfg.Count = 400
-	tweets, err := citydata.GenerateTweets(tcfg, incidents, inf.Gang, rng)
+	tweets, err := newTweetSource(seed).batch(inf, 400)
 	if err != nil {
 		return core.PipelineStats{}, 0, nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/citydata"
 	"repro/internal/core"
 	"repro/internal/docstore"
 	"repro/internal/stream"
@@ -24,18 +23,11 @@ import (
 // the window and resolve after catch-up.
 func E22ClusterFailover(rng *rand.Rand) (*Result, error) {
 	seed := rng.Int63()
-	cfg := chaosConfig()
-	inf, err := core.New(cfg, rand.New(rand.NewSource(seed)))
+	inf, err := core.New(chaosConfig(), rand.New(rand.NewSource(seed)))
 	if err != nil {
 		return nil, err
 	}
-	dataRng := rand.New(rand.NewSource(seed + 1))
-	incidents, err := citydata.GenerateCrimes(citydata.DefaultCrimeConfig(cfg.Epoch), inf.Gang.Nodes(), dataRng)
-	if err != nil {
-		return nil, err
-	}
-	tcfg := citydata.DefaultTweetConfig(cfg.Epoch)
-	tcfg.Count = 40
+	tweets := newTweetSource(seed)
 
 	killTick := 3 + rng.Intn(4) // leader dies at a random tick in [3,6]
 	restartTick := killTick + 3
@@ -111,7 +103,7 @@ func E22ClusterFailover(rng *rand.Rand) (*Result, error) {
 
 		// Ingest this tick's tweet batch — including straight through the
 		// under-replicated window.
-		batch, err := citydata.GenerateTweets(tcfg, incidents, inf.Gang, dataRng)
+		batch, err := tweets.batch(inf, 40)
 		if err != nil {
 			return nil, err
 		}
@@ -166,7 +158,7 @@ func E22ClusterFailover(rng *rand.Rand) (*Result, error) {
 			}
 		}
 
-		ruleState := e21RuleState(inf, ruleName).State
+		ruleState := ruleState(inf, ruleName).State
 		if ruleState == "firing" {
 			ruleHit = true
 		}
@@ -193,7 +185,7 @@ func E22ClusterFailover(rng *rand.Rand) (*Result, error) {
 	if !ruleHit {
 		return nil, fmt.Errorf("E22: %s never fired during the under-replicated window", ruleName)
 	}
-	if st := e21RuleState(inf, ruleName); st.State != "inactive" {
+	if st := ruleState(inf, ruleName); st.State != "inactive" {
 		return nil, fmt.Errorf("E22: %s still %q after catch-up", ruleName, st.State)
 	}
 

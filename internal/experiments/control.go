@@ -6,65 +6,28 @@ import (
 
 	"repro/internal/control"
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/fog"
 	"repro/internal/rl"
 	"repro/internal/viz"
 )
 
-// e24Phase is one segment of the shared fault schedule both arms replay:
-// a hard partition (every call to the targeted op prefixes fails) held for
-// a fixed number of monitor ticks.
-type e24Phase struct {
-	name  string
-	ticks int
-	ops   []string // TargetOps prefixes; nil = no chaos
-}
-
 // e24Phases walks the controller through its full mitigation repertoire:
 // storage faults that should tighten the offload gate, an uplink partition
 // that should migrate inference down-tier, annotation-store faults that
 // should shed low-priority streams, then a long clean window in which every
-// knob must unwind back to its default.
-var e24Phases = []e24Phase{
-	{"warmup", 5, nil},
-	{"hdfs-partition", 7, []string{"hdfs."}},
-	{"bus-partition", 7, []string{"bus."}},
-	{"hbase-partition", 7, []string{"hbase."}},
-	{"recovery", 24, nil},
+// knob must unwind back to its default. Both arms replay it.
+func e24Phases(seed int64) []phase {
+	return []phase{
+		{"warmup", 5, nil},
+		{"hdfs-partition", 7, partition(seed, "hdfs.")},
+		{"bus-partition", 7, partition(seed, "bus.")},
+		{"hbase-partition", 7, partition(seed, "hbase.")},
+		{"recovery", 24, nil},
+	}
 }
 
 // e24FramesPerTick is the fixed per-tick camera load.
 const e24FramesPerTick = 24
-
-// e24Schedule pre-generates the identical frame workload both arms ingest:
-// eight cameras round-robin, priorities striped 0/1/2, confidences drawn
-// once so the early-exit mix is byte-identical across arms.
-func e24Schedule(seed int64) [][]core.FrameEvent {
-	rng := rand.New(rand.NewSource(seed))
-	total := 0
-	for _, ph := range e24Phases {
-		total += ph.ticks
-	}
-	classes := []string{"vehicle", "person", "bag"}
-	sched := make([][]core.FrameEvent, total)
-	for t := range sched {
-		batch := make([]core.FrameEvent, e24FramesPerTick)
-		for i := range batch {
-			batch[i] = core.FrameEvent{
-				CameraID:     fmt.Sprintf("cam-%02d", i%8),
-				Seq:          t*e24FramesPerTick + i,
-				Class:        classes[i%len(classes)],
-				Confidence:   rng.Float64(),
-				Priority:     i % 3,
-				RawBytes:     2048,
-				FeatureBytes: 256,
-			}
-		}
-		sched[t] = batch
-	}
-	return sched
-}
 
 // e24ArmResult is one arm's accounting over the shared schedule.
 type e24ArmResult struct {
@@ -83,18 +46,12 @@ type e24ArmResult struct {
 
 // e24RunArm replays the shared schedule through a fresh stack. controlled
 // selects whether the closed loop is live or held disabled (the static
-// baseline the paper's fixed-threshold deployment corresponds to).
-func e24RunArm(seed int64, sched [][]core.FrameEvent, controlled bool) (*e24ArmResult, error) {
-	cfg := chaosConfig()
-	inf, err := core.New(cfg, rand.New(rand.NewSource(seed)))
-	if err != nil {
-		return nil, err
-	}
-	if !controlled {
-		inf.Control.Disable()
-	}
+// baseline the paper's fixed-threshold deployment corresponds to). Both arms
+// draw the identical frame workload from a seed+1 rng — eight cameras
+// round-robin — so the early-exit mix is byte-identical across arms.
+func e24RunArm(seed int64, controlled bool) (*e24ArmResult, error) {
+	const undelivered = "cityinfra_pipeline_undelivered_total"
 	arm := &e24ArmResult{
-		inf:          inf,
 		phaseUndeliv: map[string]float64{},
 		firstAct:     map[string]int{},
 	}
@@ -102,50 +59,56 @@ func e24RunArm(seed int64, sched [][]core.FrameEvent, controlled bool) (*e24ArmR
 		arm.timeline = viz.NewTable("controlled arm — ticks where the loop acted",
 			"tick", "phase", "undelivered", "threshold", "tier", "shed", "action")
 	}
-
-	tickNo := 0
-	for _, ph := range e24Phases {
-		if ph.ops != nil {
-			inf.EnableChaos(faults.NewInjector(faults.Config{
-				Seed: seed, BlackoutEvery: 1, BlackoutLen: 1, TargetOps: ph.ops,
-			}))
-		} else {
-			inf.DisableChaos()
-		}
-		phaseStartUndeliv := regValue(inf, "cityinfra_pipeline_undelivered_total")
-		actionsBefore := inf.Control.TotalActions()
-		first := 0
-		for i := 1; i <= ph.ticks; i++ {
-			tickNo++
-			st, err := inf.IngestFrames(sched[tickNo-1], "/warehouse/frames")
+	frames := rand.New(rand.NewSource(seed + 1))
+	var (
+		phaseStart    float64
+		actionsBefore int64
+		first         int
+	)
+	inf, err := run(scenario{
+		cfg: chaosConfig(), controller: controlled, phases: e24Phases(seed),
+		load: func(t tick) error {
+			if t.i == 1 {
+				phaseStart, actionsBefore, first = regValue(t.inf, undelivered), t.inf.Control.TotalActions(), 0
+			}
+			st, err := t.inf.IngestFrames(frameBatch(frames, t.n-1, e24FramesPerTick, 8), "/warehouse/frames")
 			if err != nil {
-				return nil, fmt.Errorf("tick %d (%s): %w", tickNo, ph.name, err)
+				return err
 			}
 			arm.collected += st.Collected
 			arm.stored += st.Stored
 			arm.shed += st.Shed
 			arm.offloaded += st.Offloaded
 			arm.localExits += st.LocalExits
-			inf.MonitorTick()
+			return nil
+		},
+		observe: func(t tick) (bool, error) {
+			inf := t.inf
 			arm.burnSum += inf.SLOs.MaxBurn()
 			if first == 0 && inf.Control.TotalActions() > actionsBefore {
-				first = i
+				first = t.i
 			}
 			if arm.timeline != nil {
-				if acts := inf.Control.Actions(1); len(acts) == 1 && acts[0].Tick == tickNo {
+				if acts := inf.Control.Actions(1); len(acts) == 1 && acts[0].Tick == t.n {
 					a := acts[0]
-					arm.timeline.AddRow(tickNo, ph.name,
-						regValue(inf, "cityinfra_pipeline_undelivered_total"),
+					arm.timeline.AddRow(t.n, t.phase.name, regValue(inf, undelivered),
 						fmt.Sprintf("%.2f", inf.Knobs.OffloadThreshold()),
 						inf.Knobs.InferenceTier().String(), inf.Knobs.ShedLevel(),
 						fmt.Sprintf("%s (%s)", a.Kind, a.Reason))
 				}
 			}
-		}
-		arm.firstAct[ph.name] = first
-		arm.phaseUndeliv[ph.name] = regValue(inf, "cityinfra_pipeline_undelivered_total") - phaseStartUndeliv
+			if t.last() {
+				arm.firstAct[t.phase.name] = first
+				arm.phaseUndeliv[t.phase.name] = regValue(inf, undelivered) - phaseStart
+			}
+			return false, nil
+		},
+	}, seed)
+	if err != nil {
+		return nil, err
 	}
-	arm.totalUndeliv = regValue(inf, "cityinfra_pipeline_undelivered_total")
+	arm.inf = inf
+	arm.totalUndeliv = regValue(inf, undelivered)
 	return arm, nil
 }
 
@@ -161,13 +124,11 @@ func e24RunArm(seed int64, sched [][]core.FrameEvent, controlled bool) (*e24ArmR
 // trained on the fog offload simulator.
 func E24AdaptiveControl(rng *rand.Rand) (*Result, error) {
 	seed := rng.Int63()
-	sched := e24Schedule(seed + 1)
-
-	baseline, err := e24RunArm(seed, sched, false)
+	baseline, err := e24RunArm(seed, false)
 	if err != nil {
 		return nil, fmt.Errorf("E24 baseline arm: %w", err)
 	}
-	controlled, err := e24RunArm(seed, sched, true)
+	controlled, err := e24RunArm(seed, true)
 	if err != nil {
 		return nil, fmt.Errorf("E24 controlled arm: %w", err)
 	}
@@ -182,8 +143,9 @@ func E24AdaptiveControl(rng *rand.Rand) (*Result, error) {
 			controlled.firstAct["warmup"])
 	}
 	// Every chaos phase must draw a reaction within three monitor ticks.
-	for _, ph := range e24Phases {
-		if ph.ops == nil {
+	phases := e24Phases(seed)
+	for _, ph := range phases {
+		if ph.faults == nil {
 			continue
 		}
 		f := controlled.firstAct[ph.name]
@@ -210,7 +172,7 @@ func E24AdaptiveControl(rng *rand.Rand) (*Result, error) {
 	}
 	if ctl.Degraded() {
 		return nil, fmt.Errorf("E24: controller still degraded after %d clean recovery ticks",
-			e24Phases[len(e24Phases)-1].ticks)
+			phases[len(phases)-1].ticks)
 	}
 	// And the whole point: strictly less cumulative damage than doing nothing.
 	if controlled.totalUndeliv >= baseline.totalUndeliv {
@@ -222,14 +184,14 @@ func E24AdaptiveControl(rng *rand.Rand) (*Result, error) {
 			controlled.burnSum, baseline.burnSum)
 	}
 
-	phases := viz.NewTable("per-phase undelivered records (identical schedule, same seed)",
+	perPhase := viz.NewTable("per-phase undelivered records (identical schedule, same seed)",
 		"phase", "ticks", "baseline", "controlled", "first action tick")
-	for _, ph := range e24Phases {
+	for _, ph := range phases {
 		firstCell := "-"
 		if f := controlled.firstAct[ph.name]; f > 0 {
 			firstCell = fmt.Sprintf("%d", f)
 		}
-		phases.AddRow(ph.name, ph.ticks, baseline.phaseUndeliv[ph.name],
+		perPhase.AddRow(ph.name, ph.ticks, baseline.phaseUndeliv[ph.name],
 			controlled.phaseUndeliv[ph.name], firstCell)
 	}
 
@@ -256,7 +218,7 @@ func E24AdaptiveControl(rng *rand.Rand) (*Result, error) {
 	improvement := 100 * (1 - controlled.totalUndeliv/baseline.totalUndeliv)
 	return &Result{
 		ID: "E24", Title: "closed-loop adaptive control vs static baseline under phased partitions",
-		Tables: []*viz.Table{phases, totals, controlled.timeline, rlTable},
+		Tables: []*viz.Table{perPhase, totals, controlled.timeline, rlTable},
 		Notes: []string{
 			fmt.Sprintf("the closed loop cut undelivered records %.0f → %.0f (%.0f%%) over the identical fault schedule, trading %d shed low-priority frames for it",
 				baseline.totalUndeliv, controlled.totalUndeliv, improvement, controlled.shed),

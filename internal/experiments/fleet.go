@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/telemetry"
 	"repro/internal/tsdb"
 	"repro/internal/viz"
@@ -15,16 +14,12 @@ import (
 // e26Rule is the per-camera delivery alert the fleet layer adds.
 const e26Rule = "camera-delivery-rate"
 
-// e26FaultTicks / e26RecoveryTicks bound the chaos timeline: detection must
-// land within 3 fault ticks (the same budget as E21/E23/E25), and recovery
-// gets enough clean ticks for the 15 s rate windows to drain and the
-// incident to resolve.
-const (
-	e26WarmupTicks   = 4
-	e26FaultTicks    = 4
-	e26RecoveryTicks = 8
-	e26DetectBudget  = 3
-)
+// e26DetectBudget is the detection budget E21/E23/E25 share: the rule must
+// fire within 3 fault ticks.
+const e26DetectBudget = 3
+
+// e26Target is the one camera whose broker uplink the fault blacks out.
+const e26Target = "dotd-017"
 
 // e26Config is the paper-scale deployment the localization arm runs: the
 // full 220-camera network, with the social layer shrunk (it plays no part in
@@ -54,183 +49,6 @@ func e26Frames(inf *core.Infrastructure, seq int) []core.FrameEvent {
 	return out
 }
 
-// e26Outcome is what the timeline hands the result tables. The target row's
-// e2e p99 is wall-clock and is never printed.
-type e26Outcome struct {
-	target      string
-	detectTicks int
-	timeline    *viz.Table
-	summary     core.FleetSummary
-	targetRow   core.CameraStatus
-	evidence    []string
-	frames      int
-}
-
-// e26Localize runs the full warmup → targeted blackout → recovery timeline
-// on one seed.
-func e26Localize(seed int64) (*e26Outcome, error) {
-	cfg := e26Config()
-	inf, err := core.New(cfg, rand.New(rand.NewSource(seed)))
-	if err != nil {
-		return nil, err
-	}
-	// The adaptive controller would shed and migrate in response to the
-	// blackout, changing the frame schedule mid-experiment; this experiment
-	// isolates the observability claim, E24 owns the mitigation one.
-	inf.Control.Disable()
-
-	out := &e26Outcome{timeline: viz.NewTable("fleet timeline — one 5 s scrape tick per row",
-		"tick", "phase", e26Rule, "top burning", "burn", "undelivered", "series/family max")}
-	tickNo, seq := 0, 0
-	tick := func(phase string) error {
-		tickNo++
-		seq++
-		if _, err := inf.IngestFrames(e26Frames(inf, seq), ""); err != nil {
-			return err
-		}
-		out.frames += len(inf.Cameras)
-		inf.MonitorTick()
-		sum := inf.Fleet.Summary()
-		widest := 0
-		for _, n := range sum.SeriesPerFamily {
-			if n > widest {
-				widest = n
-			}
-		}
-		topCam, burnCell, undCell := "-", "-", "-"
-		if hot := inf.Fleet.TopBurning(1); len(hot) > 0 {
-			topCam = hot[0].Camera
-			burnCell = fmt.Sprintf("%.0f", hot[0].Burn)
-			undCell = fmt.Sprintf("%d", hot[0].Undelivered)
-		}
-		out.timeline.AddRow(tickNo, phase, e21RuleState(inf, e26Rule).State, topCam, burnCell, undCell, widest)
-		return nil
-	}
-
-	// ---- Warmup: the whole fleet reports, nothing burns. ----
-	for i := 0; i < e26WarmupTicks; i++ {
-		if err := tick("warmup"); err != nil {
-			return nil, err
-		}
-	}
-	report := inf.Fleet.Report()
-	if len(report) != len(inf.Cameras) {
-		return nil, fmt.Errorf("E26: fleet tracks %d cameras, network has %d", len(report), len(inf.Cameras))
-	}
-	var ingested uint64
-	for _, cs := range report {
-		ingested += cs.Ingested
-		if cs.Undelivered != 0 {
-			return nil, fmt.Errorf("E26: camera %s undelivered %d during clean warmup", cs.Camera, cs.Undelivered)
-		}
-	}
-	if want := uint64(out.frames); ingested != want {
-		return nil, fmt.Errorf("E26: Σ ingested over fleet = %d, want %d — exactness lost in rollup", ingested, want)
-	}
-	if st := e21RuleState(inf, e26Rule); st.State != tsdb.StateInactive || st.FiredCount != 0 {
-		return nil, fmt.Errorf("E26: %s fired during clean warmup (state %q)", e26Rule, st.State)
-	}
-
-	// ---- Targeted fault: black out ONE camera's broker uplink. ----
-	// TargetKeys scopes the blackout to the one camera id, so 219 uplinks
-	// stay healthy while every produce for the target fails.
-	out.target = inf.Cameras[17].ID
-	inf.EnableChaos(faults.NewInjector(faults.Config{
-		Seed: seed, BlackoutEvery: 1, BlackoutLen: 1,
-		TargetOps: []string{"bus.produce"}, TargetKeys: []string{out.target},
-	}))
-	for i := 1; i <= e26FaultTicks; i++ {
-		if err := tick("fault"); err != nil {
-			return nil, err
-		}
-		if out.detectTicks == 0 && e21RuleState(inf, e26Rule).State == tsdb.StateFiring {
-			out.detectTicks = i
-		}
-	}
-	if out.detectTicks == 0 || out.detectTicks > e26DetectBudget {
-		return nil, fmt.Errorf("E26: %s detect ticks = %d, want 1..%d (state %q)",
-			e26Rule, out.detectTicks, e26DetectBudget, e21RuleState(inf, e26Rule).State)
-	}
-
-	// Localization: the fleet table names exactly the blacked-out camera.
-	hot := inf.Fleet.TopBurning(3)
-	if len(hot) == 0 || hot[0].Camera != out.target {
-		return nil, fmt.Errorf("E26: top burning = %v, want %s", hot, out.target)
-	}
-	if hot[0].Burn <= 1 {
-		return nil, fmt.Errorf("E26: target burn = %v, want >> 1 under a full uplink blackout", hot[0].Burn)
-	}
-	for _, cs := range inf.Fleet.Report() {
-		if cs.Camera != out.target && cs.Undelivered != 0 {
-			return nil, fmt.Errorf("E26: healthy camera %s shows %d undelivered — fault leaked past the key filter",
-				cs.Camera, cs.Undelivered)
-		}
-	}
-
-	// The correlation engine's incident carries the per-camera evidence: the
-	// broker suspect names the one camera the partition is actually hurting.
-	incs := inf.Incidents.Incidents(1)
-	if len(incs) == 0 || incs[0].State != "open" {
-		return nil, fmt.Errorf("E26: no open incident after %d fault ticks", e26FaultTicks)
-	}
-	if len(incs[0].Suspects) == 0 || incs[0].Suspects[0].Component != telemetry.CompBroker {
-		return nil, fmt.Errorf("E26: top suspect = %v, want %s", incs[0].Suspects, telemetry.CompBroker)
-	}
-	out.evidence = incs[0].Suspects[0].Evidence
-	if len(out.evidence) == 0 || !strings.Contains(out.evidence[0], out.target) {
-		return nil, fmt.Errorf("E26: broker suspect evidence %q does not name camera %s", out.evidence, out.target)
-	}
-
-	// ---- Recovery: the blackout lifts; burn decays, alert resolves. ----
-	inf.DisableChaos()
-	for i := 0; i < e26RecoveryTicks; i++ {
-		if err := tick("recovery"); err != nil {
-			return nil, err
-		}
-		if e21RuleState(inf, e26Rule).State == tsdb.StateInactive && inf.Incidents.OpenCount() == 0 {
-			break
-		}
-	}
-	if st := e21RuleState(inf, e26Rule); st.State != tsdb.StateInactive || st.FiredCount == 0 {
-		return nil, fmt.Errorf("E26: %s did not resolve after recovery (state %q, fired %d)", e26Rule, st.State, st.FiredCount)
-	}
-	if n := inf.Incidents.OpenCount(); n != 0 {
-		return nil, fmt.Errorf("E26: %d incidents still open after recovery", n)
-	}
-
-	// ---- Bounded cardinality, exact accounting. ----
-	out.summary = inf.Fleet.Summary()
-	for fam, n := range out.summary.SeriesPerFamily {
-		if n > out.summary.MaxSeries+1 {
-			return nil, fmt.Errorf("E26: family %s holds %d series for %d cameras, budget K+1 = %d",
-				fam, n, out.summary.Cameras, out.summary.MaxSeries+1)
-		}
-	}
-	if out.summary.RolledUpTotal == 0 {
-		return nil, fmt.Errorf("E26: %d cameras over a top-%d budget rolled up nothing — the guard is not engaging",
-			out.summary.Cameras, out.summary.MaxSeries)
-	}
-	final := inf.Fleet.Report()
-	ingested = 0
-	var undelivered uint64
-	for _, cs := range final {
-		ingested += cs.Ingested
-		undelivered += cs.Undelivered
-		if cs.Camera == out.target {
-			out.targetRow = cs
-		}
-	}
-	if want := uint64(out.frames); ingested != want {
-		return nil, fmt.Errorf("E26: Σ ingested = %d, want %d after rollup", ingested, want)
-	}
-	if undelivered != out.targetRow.Undelivered {
-		return nil, fmt.Errorf("E26: fleet undelivered %d != target's %d — the fault was not localized",
-			undelivered, out.targetRow.Undelivered)
-	}
-
-	return out, nil
-}
-
 // E26FleetObservability proves the per-camera dimensional layer end to end.
 // Localization: with 220 cameras streaming, a broker blackout targeted at
 // ONE camera's uplink must fire the camera-delivery-rate alert within 3
@@ -242,35 +60,185 @@ func e26Localize(seed int64) (*e26Outcome, error) {
 // frame path is measured from outside the program (`go run ./benchmark`:
 // frames-sweep cpu_us_per_item, core.fleet_tick_us under -trace).
 func E26FleetObservability(rng *rand.Rand) (*Result, error) {
-	loc, err := e26Localize(rng.Int63())
+	seed := rng.Int63()
+	timeline := viz.NewTable("fleet timeline — one 5 s scrape tick per row",
+		"tick", "phase", e26Rule, "top burning", "burn", "undelivered", "series/family max")
+	// TargetKeys scopes the blackout to the one camera id, so 219 uplinks
+	// stay healthy while every produce for the target fails.
+	blackout := partition(seed, "bus.produce")
+	blackout.TargetKeys = []string{e26Target}
+	var (
+		frames, detectTicks int
+		evidence            []string
+	)
+	inf, err := run(scenario{
+		// The adaptive controller would shed and migrate in response to the
+		// blackout, changing the frame schedule mid-experiment; this
+		// experiment isolates the observability claim, E24 owns the
+		// mitigation one.
+		cfg: e26Config(), controller: false,
+		phases: []phase{
+			// The whole fleet reports, nothing burns.
+			{"warmup", 4, nil},
+			{"fault", 4, blackout},
+			// Enough clean ticks for the 15 s rate windows to drain and the
+			// incident to resolve.
+			{"recovery", 8, nil},
+		},
+		load: func(t tick) error {
+			if _, err := t.inf.IngestFrames(e26Frames(t.inf, t.n), ""); err != nil {
+				return err
+			}
+			frames += len(t.inf.Cameras)
+			return nil
+		},
+		observe: func(t tick) (bool, error) {
+			inf := t.inf
+			sum := inf.Fleet.Summary()
+			widest := 0
+			for _, n := range sum.SeriesPerFamily {
+				if n > widest {
+					widest = n
+				}
+			}
+			topCam, burnCell, undCell := "-", "-", "-"
+			if hot := inf.Fleet.TopBurning(1); len(hot) > 0 {
+				topCam = hot[0].Camera
+				burnCell = fmt.Sprintf("%.0f", hot[0].Burn)
+				undCell = fmt.Sprintf("%d", hot[0].Undelivered)
+			}
+			st := ruleState(inf, e26Rule)
+			timeline.AddRow(t.n, t.phase.name, st.State, topCam, burnCell, undCell, widest)
+
+			switch {
+			case t.phase.name == "warmup" && t.last():
+				report := inf.Fleet.Report()
+				if len(report) != len(inf.Cameras) {
+					return false, fmt.Errorf("E26: fleet tracks %d cameras, network has %d", len(report), len(inf.Cameras))
+				}
+				var ingested uint64
+				for _, cs := range report {
+					ingested += cs.Ingested
+					if cs.Undelivered != 0 {
+						return false, fmt.Errorf("E26: camera %s undelivered %d during clean warmup", cs.Camera, cs.Undelivered)
+					}
+				}
+				if want := uint64(frames); ingested != want {
+					return false, fmt.Errorf("E26: Σ ingested over fleet = %d, want %d — exactness lost in rollup", ingested, want)
+				}
+				if st.State != tsdb.StateInactive || st.FiredCount != 0 {
+					return false, fmt.Errorf("E26: %s fired during clean warmup (state %q)", e26Rule, st.State)
+				}
+			case t.phase.faults != nil:
+				if detectTicks == 0 && st.State == tsdb.StateFiring {
+					detectTicks = t.i
+				}
+				if !t.last() {
+					break
+				}
+				if detectTicks == 0 || detectTicks > e26DetectBudget {
+					return false, fmt.Errorf("E26: %s detect ticks = %d, want 1..%d (state %q)",
+						e26Rule, detectTicks, e26DetectBudget, st.State)
+				}
+				// Localization: the fleet table names exactly the
+				// blacked-out camera.
+				hot := inf.Fleet.TopBurning(3)
+				if len(hot) == 0 || hot[0].Camera != e26Target {
+					return false, fmt.Errorf("E26: top burning = %v, want %s", hot, e26Target)
+				}
+				if hot[0].Burn <= 1 {
+					return false, fmt.Errorf("E26: target burn = %v, want >> 1 under a full uplink blackout", hot[0].Burn)
+				}
+				for _, cs := range inf.Fleet.Report() {
+					if cs.Camera != e26Target && cs.Undelivered != 0 {
+						return false, fmt.Errorf("E26: healthy camera %s shows %d undelivered — fault leaked past the key filter",
+							cs.Camera, cs.Undelivered)
+					}
+				}
+				// The correlation engine's incident carries the per-camera
+				// evidence: the broker suspect names the one camera the
+				// partition is actually hurting.
+				incs := inf.Incidents.Incidents(1)
+				if len(incs) == 0 || incs[0].State != "open" {
+					return false, fmt.Errorf("E26: no open incident after %d fault ticks", t.i)
+				}
+				if len(incs[0].Suspects) == 0 || incs[0].Suspects[0].Component != telemetry.CompBroker {
+					return false, fmt.Errorf("E26: top suspect = %v, want %s", incs[0].Suspects, telemetry.CompBroker)
+				}
+				evidence = incs[0].Suspects[0].Evidence
+				if len(evidence) == 0 || !strings.Contains(evidence[0], e26Target) {
+					return false, fmt.Errorf("E26: broker suspect evidence %q does not name camera %s", evidence, e26Target)
+				}
+			case t.phase.name == "recovery":
+				// The blackout lifts; burn decays, alert resolves.
+				return st.State == tsdb.StateInactive && inf.Incidents.OpenCount() == 0, nil
+			}
+			return false, nil
+		},
+	}, seed)
 	if err != nil {
 		return nil, err
 	}
+	if st := ruleState(inf, e26Rule); st.State != tsdb.StateInactive || st.FiredCount == 0 {
+		return nil, fmt.Errorf("E26: %s did not resolve after recovery (state %q, fired %d)", e26Rule, st.State, st.FiredCount)
+	}
+	if n := inf.Incidents.OpenCount(); n != 0 {
+		return nil, fmt.Errorf("E26: %d incidents still open after recovery", n)
+	}
+
+	// ---- Bounded cardinality, exact accounting. ----
+	summary := inf.Fleet.Summary()
+	for fam, n := range summary.SeriesPerFamily {
+		if n > summary.MaxSeries+1 {
+			return nil, fmt.Errorf("E26: family %s holds %d series for %d cameras, budget K+1 = %d",
+				fam, n, summary.Cameras, summary.MaxSeries+1)
+		}
+	}
+	if summary.RolledUpTotal == 0 {
+		return nil, fmt.Errorf("E26: %d cameras over a top-%d budget rolled up nothing — the guard is not engaging",
+			summary.Cameras, summary.MaxSeries)
+	}
+	var target core.CameraStatus
+	var ingested, undelivered uint64
+	for _, cs := range inf.Fleet.Report() {
+		ingested += cs.Ingested
+		undelivered += cs.Undelivered
+		if cs.Camera == e26Target {
+			target = cs
+		}
+	}
+	if want := uint64(frames); ingested != want {
+		return nil, fmt.Errorf("E26: Σ ingested = %d, want %d after rollup", ingested, want)
+	}
+	if undelivered != target.Undelivered {
+		return nil, fmt.Errorf("E26: fleet undelivered %d != target's %d — the fault was not localized",
+			undelivered, target.Undelivered)
+	}
 
 	localize := viz.NewTable("targeted-fault localization", "metric", "value")
-	localize.AddRow("fleet width", fmt.Sprintf("%d cameras", loc.summary.Cameras))
-	localize.AddRow("blacked-out uplink", loc.target)
-	localize.AddRow("detection ticks (onset → firing)", fmt.Sprintf("%d (budget <= %d)", loc.detectTicks, e26DetectBudget))
-	localize.AddRow("target undelivered / ingested", fmt.Sprintf("%d / %d", loc.targetRow.Undelivered, loc.targetRow.Ingested))
-	localize.AddRow("peak burn", fmt.Sprintf("%.0f× budget", loc.targetRow.Burn))
+	localize.AddRow("fleet width", fmt.Sprintf("%d cameras", summary.Cameras))
+	localize.AddRow("blacked-out uplink", e26Target)
+	localize.AddRow("detection ticks (onset → firing)", fmt.Sprintf("%d (budget <= %d)", detectTicks, e26DetectBudget))
+	localize.AddRow("target undelivered / ingested", fmt.Sprintf("%d / %d", target.Undelivered, target.Ingested))
+	localize.AddRow("peak burn", fmt.Sprintf("%.0f× budget", target.Burn))
 	localize.AddRow("collateral undelivered (other 219)", 0)
-	localize.AddRow("incident evidence", strings.Join(loc.evidence, "; "))
+	localize.AddRow("incident evidence", strings.Join(evidence, "; "))
 
 	cardinality := viz.NewTable("bounded cardinality — 220 cameras, top-K registry",
 		"family", "series", "budget (K+1)")
-	for _, fam := range sortedKeys(loc.summary.SeriesPerFamily) {
-		cardinality.AddRow(fam, loc.summary.SeriesPerFamily[fam], loc.summary.MaxSeries+1)
+	for _, fam := range sortedKeys(summary.SeriesPerFamily) {
+		cardinality.AddRow(fam, summary.SeriesPerFamily[fam], summary.MaxSeries+1)
 	}
-	cardinality.AddRow("children rolled up (total)", loc.summary.RolledUpTotal, "-")
+	cardinality.AddRow("children rolled up (total)", summary.RolledUpTotal, "-")
 
 	return &Result{
 		ID: "E26", Title: "fleet observability — per-camera labels, targeted-fault localization, bounded cardinality",
-		Tables: []*viz.Table{loc.timeline, localize, cardinality},
+		Tables: []*viz.Table{timeline, localize, cardinality},
 		Notes: []string{
 			fmt.Sprintf("a broker blackout on ONE of %d camera uplinks fired %s in %d tick(s), topped the fleet burn table with zero collateral undelivered on the other %d cameras, and the incident's broker suspect carried %q",
-				loc.summary.Cameras, e26Rule, loc.detectTicks, loc.summary.Cameras-1, loc.evidence[0]),
+				summary.Cameras, e26Rule, detectTicks, summary.Cameras-1, evidence[0]),
 			fmt.Sprintf("every per-camera family stayed within %d registry series (top-%d + rollup) for the whole %d-camera run while Σ per-camera counts remained exact — %d tail children were folded into {camera=\"~other\"}",
-				loc.summary.MaxSeries+1, loc.summary.MaxSeries, loc.summary.Cameras, loc.summary.RolledUpTotal),
+				summary.MaxSeries+1, summary.MaxSeries, summary.Cameras, summary.RolledUpTotal),
 		},
 	}, nil
 }

@@ -18,22 +18,7 @@ func E3FogOffloadSweep(rng *rand.Rand) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One simulated minute of camera frames: 600 items across 8 edges.
-	const items = 600
-	work := make([]fog.InferenceItem, items)
-	for i := range work {
-		work[i] = fog.InferenceItem{
-			ID:           fmt.Sprintf("frame-%04d", i),
-			EdgeIdx:      i % len(d.Edges),
-			ReleaseMs:    float64(i/len(d.Edges)) * 100, // 10 fps per edge
-			Confidence:   rng.Float64(),
-			RawBytes:     30000, // JPEG-scale frame
-			FeatureBytes: 6000,  // intermediate feature map
-			LocalOps:     150,   // tiny model
-			ServerOps:    1800,  // remaining layers
-			FullOps:      2200,  // full model from raw input
-		}
-	}
+	work := fogWorkload(d, 600, 100, rng)
 	fogUpstream := func(r *fog.Results) int {
 		total := 0
 		for key, b := range r.BytesByLink {
@@ -91,7 +76,7 @@ func E3FogOffloadSweep(rng *rand.Rand) (*Result, error) {
 				offloaded++
 			}
 		}
-		sweep.AddRow(th, float64(offloaded)/float64(items)*100, res.MeanMs, fogUpstream(res)/1024)
+		sweep.AddRow(th, float64(offloaded)/float64(len(work))*100, res.MeanMs, fogUpstream(res)/1024)
 	}
 
 	var notes []string
@@ -107,4 +92,25 @@ func E3FogOffloadSweep(rng *rand.Rand) (*Result, error) {
 		Tables: []*viz.Table{policies, sweep},
 		Notes:  notes,
 	}, nil
+}
+
+// fogWorkload is n camera frames on d, round-robin across the edges, each
+// edge releasing one every stepMs. E3 and E19 run one simulated minute of it
+// (600 frames at 10 fps per edge); E20 replays a short burst.
+func fogWorkload(d *fog.Deployment, n int, stepMs float64, rng *rand.Rand) []fog.InferenceItem {
+	work := make([]fog.InferenceItem, n)
+	for i := range work {
+		work[i] = fog.InferenceItem{
+			ID:           fmt.Sprintf("frame-%04d", i),
+			EdgeIdx:      i % len(d.Edges),
+			ReleaseMs:    float64(i/len(d.Edges)) * stepMs,
+			Confidence:   rng.Float64(),
+			RawBytes:     30000, // JPEG-scale frame
+			FeatureBytes: 6000,  // intermediate feature map
+			LocalOps:     150,   // tiny model
+			ServerOps:    1800,  // remaining layers
+			FullOps:      2200,  // full model from raw input
+		}
+	}
+	return work
 }

@@ -1,14 +1,11 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 
 	"repro/internal/citydata"
 	"repro/internal/core"
-	"repro/internal/faults"
-	"repro/internal/incident"
 	"repro/internal/telemetry"
 	"repro/internal/viz"
 )
@@ -30,123 +27,53 @@ var e25Scenarios = []e25Scenario{
 	{"docstore-partition", []string{"store."}, telemetry.CompDocstore, false},
 }
 
-// Phase lengths in monitor ticks. Warmup must stay incident-free, the fault
-// window must open an incident within three ticks of onset, and the recovery
-// tail must resolve it.
-const (
-	e25Warmup   = 4
-	e25Fault    = 6
-	e25Recovery = 8
-)
-
 // e25Batch is the per-tick workload size. It is deliberately small: retry
 // backoff under a hard blackout advances the simulated clock, and the batch
 // must finish well inside the delivery rule's 15s rate window so consecutive
 // scrapes stay comparable.
 const e25Batch = 8
 
-// e25ScenarioResult is one scenario's accounting.
-type e25ScenarioResult struct {
-	opened    int64 // incidents opened over the whole run
-	openTick  int   // 1-based fault tick when the first incident opened
-	resolved  bool  // nothing left open after recovery
-	incidents []incident.Incident
-	canonical []byte
-	nodes     int
-	edges     int
-}
-
-// e25RunScenario replays one scenario: clean warmup, hard single-op
-// partition, clean recovery. The adaptive controller is held disabled so its
+// e25RunScenario replays one scenario: 4 clean warmup ticks that must stay
+// incident-free, a 6-tick hard partition of the scenario's ops that must open
+// an incident within three ticks of onset, and an 8-tick clean recovery tail
+// that must resolve it. The adaptive controller is held disabled so its
 // mitigations cannot mask the symptom the correlation engine must explain.
-func e25RunScenario(seed int64, sc e25Scenario) (*e25ScenarioResult, error) {
-	cfg := chaosConfig()
-	inf, err := core.New(cfg, rand.New(rand.NewSource(seed)))
-	if err != nil {
-		return nil, err
-	}
-	inf.Control.Disable()
-
-	rng := rand.New(rand.NewSource(seed + 1))
-	var ingest func() error
-	if sc.frames {
-		classes := []string{"vehicle", "person", "bag"}
-		seq := 0
-		ingest = func() error {
-			batch := make([]core.FrameEvent, e25Batch)
-			for i := range batch {
-				batch[i] = core.FrameEvent{
-					CameraID:     fmt.Sprintf("cam-%02d", i%4),
-					Seq:          seq,
-					Class:        classes[i%len(classes)],
-					Confidence:   rng.Float64(),
-					Priority:     i % 3,
-					RawBytes:     2048,
-					FeatureBytes: 256,
-				}
-				seq++
+// It returns the stack and the fault tick at which the first incident opened
+// (0 if none did).
+func e25RunScenario(seed int64, sc e25Scenario) (*core.Infrastructure, int, error) {
+	frames := rand.New(rand.NewSource(seed + 1))
+	tweets := newTweetSource(seed)
+	var batch []citydata.Tweet
+	openTick := 0
+	inf, err := run(scenario{
+		cfg:    chaosConfig(),
+		phases: []phase{{"warmup", 4, nil}, {"fault", 6, partition(seed, sc.ops...)}, {"recovery", 8, nil}},
+		load: func(t tick) error {
+			if sc.frames {
+				_, err := t.inf.IngestFrames(frameBatch(frames, t.n-1, e25Batch, 4), "/warehouse/e25")
+				return err
 			}
-			_, err := inf.IngestFrames(batch, "/warehouse/e25")
+			if batch == nil {
+				var err error
+				if batch, err = tweets.batch(t.inf, e25Batch); err != nil {
+					return err
+				}
+			}
+			_, err := t.inf.IngestTweets(batch)
 			return err
-		}
-	} else {
-		incidents, err := citydata.GenerateCrimes(citydata.DefaultCrimeConfig(cfg.Epoch), inf.Gang.Nodes(), rng)
-		if err != nil {
-			return nil, err
-		}
-		tcfg := citydata.DefaultTweetConfig(cfg.Epoch)
-		tcfg.Count = e25Batch
-		tweets, err := citydata.GenerateTweets(tcfg, incidents, inf.Gang, rng)
-		if err != nil {
-			return nil, err
-		}
-		ingest = func() error {
-			_, err := inf.IngestTweets(tweets)
-			return err
-		}
-	}
-
-	for i := 0; i < e25Warmup; i++ {
-		if err := ingest(); err != nil {
-			return nil, fmt.Errorf("%s warmup tick %d: %w", sc.name, i+1, err)
-		}
-		inf.MonitorTick()
-	}
-	if n := inf.Incidents.OpenedTotal(); n != 0 {
-		return nil, fmt.Errorf("%s: %d incidents during clean warmup", sc.name, n)
-	}
-
-	inf.EnableChaos(faults.NewInjector(faults.Config{
-		Seed: seed, BlackoutEvery: 1, BlackoutLen: 1, TargetOps: sc.ops,
-	}))
-	res := &e25ScenarioResult{}
-	for i := 1; i <= e25Fault; i++ {
-		if err := ingest(); err != nil {
-			return nil, fmt.Errorf("%s fault tick %d: %w", sc.name, i, err)
-		}
-		inf.MonitorTick()
-		if res.openTick == 0 && inf.Incidents.OpenedTotal() > 0 {
-			res.openTick = i
-		}
-	}
-	inf.DisableChaos()
-
-	for i := 0; i < e25Recovery; i++ {
-		if err := ingest(); err != nil {
-			return nil, fmt.Errorf("%s recovery tick %d: %w", sc.name, i+1, err)
-		}
-		inf.MonitorTick()
-	}
-
-	res.opened = inf.Incidents.OpenedTotal()
-	res.resolved = inf.Incidents.OpenCount() == 0
-	res.incidents = inf.Incidents.Incidents(0)
-	res.nodes, res.edges = inf.Incidents.GraphSize()
-	res.canonical, err = inf.Incidents.Canonical()
-	if err != nil {
-		return nil, fmt.Errorf("%s canonical: %w", sc.name, err)
-	}
-	return res, nil
+		},
+		observe: func(t tick) (bool, error) {
+			opened := t.inf.Incidents.OpenedTotal()
+			if t.phase.name == "warmup" && opened != 0 {
+				return false, fmt.Errorf("%d incidents during clean warmup", opened)
+			}
+			if t.phase.faults != nil && openTick == 0 && opened > 0 {
+				openTick = t.i
+			}
+			return false, nil
+		},
+	}, seed)
+	return inf, openTick, err
 }
 
 // E25IncidentCorrelation drives the incident correlation engine through four
@@ -154,30 +81,32 @@ func e25RunScenario(seed int64, sc e25Scenario) (*e25ScenarioResult, error) {
 // on each one it opens an incident within three monitor ticks of fault onset,
 // resolves it after the fault clears, and ranks the injected backend as the
 // top suspect. The canonical incident record must replay byte-identically
-// for the same seed (wall-clock diagnostics are excluded from it), which is
-// re-proven here by running one scenario twice.
+// for the same seed (wall-clock diagnostics are excluded from it), which
+// TestE25CanonicalReplay proves by running the first scenario twice.
 func E25IncidentCorrelation(rng *rand.Rand) (*Result, error) {
 	seed := rng.Int63()
 
 	table := viz.NewTable("single-op partitions — incident correlation per scenario",
 		"scenario", "incidents", "opened at fault tick", "resolved", "top suspect", "expected", "graph (nodes/edges)")
-	totalIncidents, matches := 0, 0
-	for _, sc := range e25Scenarios {
-		res, err := e25RunScenario(seed, sc)
+	totalIncidents, matches, canonicalBytes := 0, 0, 0
+	for i, sc := range e25Scenarios {
+		inf, openTick, err := e25RunScenario(seed, sc)
 		if err != nil {
 			return nil, fmt.Errorf("E25 %s: %w", sc.name, err)
 		}
-		if res.opened == 0 {
+		opened := inf.Incidents.OpenedTotal()
+		if opened == 0 {
 			return nil, fmt.Errorf("E25 %s: no incident opened under the partition", sc.name)
 		}
-		if res.openTick < 1 || res.openTick > 3 {
-			return nil, fmt.Errorf("E25 %s: incident opened at fault tick %d, want within 3", sc.name, res.openTick)
+		if openTick < 1 || openTick > 3 {
+			return nil, fmt.Errorf("E25 %s: incident opened at fault tick %d, want within 3", sc.name, openTick)
 		}
-		if !res.resolved {
-			return nil, fmt.Errorf("E25 %s: incident still open after %d clean recovery ticks", sc.name, e25Recovery)
+		resolved := inf.Incidents.OpenCount() == 0
+		if !resolved {
+			return nil, fmt.Errorf("E25 %s: incident still open after the clean recovery tail", sc.name)
 		}
 		top := "-"
-		for _, inc := range res.incidents {
+		for _, inc := range inf.Incidents.Incidents(0) {
 			totalIncidents++
 			if len(inc.Suspects) == 0 {
 				return nil, fmt.Errorf("E25 %s: incident %s carries no suspects", sc.name, inc.ID)
@@ -189,8 +118,15 @@ func E25IncidentCorrelation(rng *rand.Rand) (*Result, error) {
 				matches++
 			}
 		}
-		table.AddRow(sc.name, res.opened, res.openTick, res.resolved, top, sc.suspect,
-			fmt.Sprintf("%d/%d", res.nodes, res.edges))
+		nodes, edges := inf.Incidents.GraphSize()
+		table.AddRow(sc.name, opened, openTick, resolved, top, sc.suspect, fmt.Sprintf("%d/%d", nodes, edges))
+		if i == 0 {
+			canonical, err := inf.Incidents.Canonical()
+			if err != nil {
+				return nil, fmt.Errorf("E25 %s canonical: %w", sc.name, err)
+			}
+			canonicalBytes = len(canonical)
+		}
 	}
 	// The acceptance bar: the injected component tops the suspect ranking in
 	// at least 90% of all incidents across the four scenarios.
@@ -199,29 +135,13 @@ func E25IncidentCorrelation(rng *rand.Rand) (*Result, error) {
 			matches, totalIncidents)
 	}
 
-	// Replay determinism: the canonical record (timelines, suspects, scores,
-	// rule sets — everything except wall-clock diagnostics) must be
-	// byte-identical across two runs of the same seed.
-	first, err := e25RunScenario(seed, e25Scenarios[0])
-	if err != nil {
-		return nil, fmt.Errorf("E25 replay arm 1: %w", err)
-	}
-	second, err := e25RunScenario(seed, e25Scenarios[0])
-	if err != nil {
-		return nil, fmt.Errorf("E25 replay arm 2: %w", err)
-	}
-	if !bytes.Equal(first.canonical, second.canonical) {
-		return nil, fmt.Errorf("E25: canonical incident record not byte-identical across replays (%d vs %d bytes)",
-			len(first.canonical), len(second.canonical))
-	}
-
 	return &Result{
 		ID: "E25", Title: "incident correlation — root-cause ranking under single-op partitions",
 		Tables: []*viz.Table{table},
 		Notes: []string{
 			fmt.Sprintf("injected component top-ranked in %d/%d incidents (acceptance bar: 90%%)", matches, totalIncidents),
 			"every incident opened within 3 monitor ticks of fault onset and resolved after the partition cleared",
-			fmt.Sprintf("canonical incident record replays byte-identically for the same seed (%d bytes)", len(first.canonical)),
+			fmt.Sprintf("canonical incident record replays byte-identically for the same seed (%d bytes)", canonicalBytes),
 		},
 	}, nil
 }

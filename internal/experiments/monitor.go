@@ -7,33 +7,10 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/citydata"
-	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/tsdb"
 	"repro/internal/viz"
 )
-
-// regValue reads one scalar metric out of the live registry, independently of
-// the TSDB (used to cross-check query results against ground truth).
-func regValue(inf *core.Infrastructure, name string) float64 {
-	for _, p := range inf.Telemetry.Snapshot() {
-		if p.Name == name {
-			return p.Value
-		}
-	}
-	return math.NaN()
-}
-
-// e21RuleState returns the live status of one named alert rule.
-func e21RuleState(inf *core.Infrastructure, name string) tsdb.RuleStatus {
-	for _, st := range inf.Alerts.States() {
-		if st.Rule.Name == name {
-			return st
-		}
-	}
-	return tsdb.RuleStatus{}
-}
 
 // E21MetricsMonitor drives the monitoring loop end to end on the simulated
 // clock: scrape ticks feed the embedded time-series store while tweets flow
@@ -46,19 +23,6 @@ func e21RuleState(inf *core.Infrastructure, name string) tsdb.RuleStatus {
 // alert gauges must track the engine state.
 func E21MetricsMonitor(rng *rand.Rand) (*Result, error) {
 	seed := rng.Int63()
-	cfg := chaosConfig()
-	inf, err := core.New(cfg, rand.New(rand.NewSource(seed)))
-	if err != nil {
-		return nil, err
-	}
-	dataRng := rand.New(rand.NewSource(seed + 1))
-	incidents, err := citydata.GenerateCrimes(citydata.DefaultCrimeConfig(cfg.Epoch), inf.Gang.Nodes(), dataRng)
-	if err != nil {
-		return nil, err
-	}
-	tcfg := citydata.DefaultTweetConfig(cfg.Epoch)
-	tcfg.Count = 150
-
 	const (
 		ruleName   = "ingest-delivery-rate"
 		undelivSer = "cityinfra_pipeline_undelivered_total"
@@ -72,136 +36,122 @@ func E21MetricsMonitor(rng *rand.Rand) (*Result, error) {
 		atNs      int64
 		collected float64
 	}
-	var history []obs
-	tickNo := 0
-
-	// tick ingests one tweet batch (optionally preceded by poisoned records
-	// that always dead-letter), runs one monitor cycle, and logs the row.
-	tick := func(phase string, poison int) error {
-		tickNo++
-		for i := 0; i < poison; i++ {
-			if _, _, err := inf.Broker.Produce("tweets", "poison", []byte("{malformed")); err != nil {
+	var (
+		history                   []obs
+		got, want                 float64
+		detectTicks, resolveTicks int
+	)
+	tweets := newTweetSource(seed)
+	inf, err := run(scenario{
+		cfg: chaosConfig(), controller: true,
+		phases: []phase{
+			// Clean traffic: every rule must stay inactive.
+			{"baseline", 6, nil},
+			// Poisoned records (which always dead-letter) plus injected faults
+			// on every seam. The delivery-rate rule must walk pending → firing
+			// within three scrape ticks of the first bad scrape; one more
+			// breaching tick then lets the next scrape record the firing state
+			// into the exported gauges.
+			{"chaos", 4, &faults.Config{Seed: seed, ErrorRate: 0.15, BurstLen: 2}},
+			// Clean traffic drains the rate window: the rule must resolve.
+			{"recovery", 6, nil},
+		},
+		load: func(t tick) error {
+			for i := 0; t.phase.faults != nil && i < 3; i++ {
+				if _, _, err := t.inf.Broker.Produce("tweets", "poison", []byte("{malformed")); err != nil {
+					return err
+				}
+			}
+			batch, err := tweets.batch(t.inf, 150)
+			if err != nil {
 				return err
 			}
-		}
-		batch, err := citydata.GenerateTweets(tcfg, incidents, inf.Gang, dataRng)
-		if err != nil {
+			_, err = t.inf.IngestTweets(batch)
 			return err
-		}
-		if _, err := inf.IngestTweets(batch); err != nil {
-			return err
-		}
-		inf.MonitorTick()
-		history = append(history, obs{
-			atNs:      inf.TSDB.Now().UnixNano(),
-			collected: regValue(inf, "cityinfra_pipeline_collected_total"),
-		})
+		},
+		observe: func(t tick) (bool, error) {
+			inf := t.inf
+			history = append(history, obs{
+				atNs:      inf.TSDB.Now().UnixNano(),
+				collected: regValue(inf, "cityinfra_pipeline_collected_total"),
+			})
+			rateCell := "-"
+			if v, err := inf.TSDB.Eval(rateExpr, inf.TSDB.Now()); err == nil {
+				rateCell = fmt.Sprintf("%.4f", v.Value)
+			}
+			firingCell := "-"
+			if s, err := inf.TSDB.Latest("cityinfra_tsdb_alerts_firing"); err == nil {
+				firingCell = fmt.Sprintf("%.0f", s.Value)
+			}
+			state := ruleState(inf, ruleName).State
+			timeline.AddRow(t.n, t.phase.name, regValue(inf, undelivSer), rateCell, state, firingCell)
 
-		rateCell := "-"
-		if v, err := inf.TSDB.Eval(rateExpr, inf.TSDB.Now()); err == nil {
-			rateCell = fmt.Sprintf("%.4f", v.Value)
-		}
-		firingCell := "-"
-		if s, err := inf.TSDB.Latest("cityinfra_tsdb_alerts_firing"); err == nil {
-			firingCell = fmt.Sprintf("%.0f", s.Value)
-		}
-		timeline.AddRow(tickNo, phase, regValue(inf, undelivSer), rateCell,
-			e21RuleState(inf, ruleName).State, firingCell)
-		return nil
-	}
-
-	// Baseline arm: clean traffic, every rule must stay inactive.
-	const baselineTicks = 6
-	for i := 0; i < baselineTicks; i++ {
-		if err := tick("baseline", 0); err != nil {
-			return nil, err
-		}
-	}
-	if firing := inf.Alerts.Firing(); len(firing) != 0 {
-		return nil, fmt.Errorf("E21: clean baseline fired %v", firing)
-	}
-
-	// Query-consistency check: rate() over the collected counter must equal
-	// the delta computed from independently recorded registry snapshots.
-	at := inf.TSDB.Now()
-	got, err := inf.TSDB.Eval(checkExpr, at)
+			switch t.phase.name {
+			case "baseline":
+				if !t.last() {
+					return false, nil
+				}
+				if firing := inf.Alerts.Firing(); len(firing) != 0 {
+					return false, fmt.Errorf("E21: clean baseline fired %v", firing)
+				}
+				// Query-consistency check: rate() over the collected counter
+				// must equal the delta computed from independently recorded
+				// registry snapshots.
+				v, err := inf.TSDB.Eval(checkExpr, inf.TSDB.Now())
+				if err != nil {
+					return false, fmt.Errorf("E21: %s: %w", checkExpr, err)
+				}
+				first := history[len(history)-4] // 15 s window at 5 s ticks spans 4 samples
+				last := history[len(history)-1]
+				got = v.Value
+				want = (last.collected - first.collected) / (float64(last.atNs-first.atNs) / 1e9)
+				if diff := math.Abs(got - want); diff > 1e-9*math.Max(1, want) {
+					return false, fmt.Errorf("E21: %s = %v, registry deltas give %v (diff %g)", checkExpr, got, want, diff)
+				}
+			case "chaos":
+				if detectTicks == 0 {
+					if state == tsdb.StateFiring {
+						detectTicks = t.i
+					} else if t.i == 3 {
+						return false, fmt.Errorf("E21: %s did not fire within 3 chaos ticks (state %q)", ruleName, state)
+					}
+					return false, nil
+				}
+				if s, err := inf.TSDB.Latest("cityinfra_tsdb_alerts_firing"); err != nil || s.Value < 1 {
+					return false, fmt.Errorf("E21: firing gauge = %v, %v; want >= 1 while firing", s.Value, err)
+				}
+				if s, err := inf.TSDB.Latest(`cityinfra_tsdb_alert_state{rule="` + ruleName + `"}`); err != nil || s.Value != 2 {
+					return false, fmt.Errorf("E21: per-rule state gauge = %v, %v; want 2 (firing)", s.Value, err)
+				}
+				// The firing event must be trace-correlated: its exemplar comes
+				// from the ingest latency histogram and must resolve through
+				// the tracer.
+				var firingTrace string
+				for _, ev := range inf.Events.Events(0) {
+					if ev.Component == "tsdb/alerts" && strings.Contains(ev.Message, ruleName) &&
+						strings.Contains(ev.Message, "firing") {
+						firingTrace = ev.TraceID
+						break
+					}
+				}
+				if firingTrace == "" {
+					return false, fmt.Errorf("E21: firing event missing or carried no exemplar trace")
+				}
+				if _, err := inf.Tracer.Trace(firingTrace); err != nil {
+					return false, fmt.Errorf("E21: firing exemplar %s unresolvable: %w", firingTrace, err)
+				}
+				return true, nil
+			case "recovery":
+				if state == tsdb.StateInactive {
+					resolveTicks = t.i
+					return true, nil
+				}
+			}
+			return false, nil
+		},
+	}, seed)
 	if err != nil {
-		return nil, fmt.Errorf("E21: %s: %w", checkExpr, err)
-	}
-	first := history[len(history)-4] // 15 s window at 5 s ticks spans 4 samples
-	last := history[len(history)-1]
-	want := (last.collected - first.collected) / (float64(last.atNs-first.atNs) / 1e9)
-	if diff := math.Abs(got.Value - want); diff > 1e-9*math.Max(1, want) {
-		return nil, fmt.Errorf("E21: %s = %v, registry deltas give %v (diff %g)", checkExpr, got.Value, want, diff)
-	}
-	consistency := viz.NewTable("windowed query vs registry ground truth",
-		"expr", "tsdb eval", "from registry deltas", "abs diff")
-	consistency.AddRow(checkExpr, fmt.Sprintf("%.6f", got.Value),
-		fmt.Sprintf("%.6f", want), fmt.Sprintf("%.3g", math.Abs(got.Value-want)))
-
-	// Chaos arm: poisoned records (which always dead-letter) plus injected
-	// faults on every seam. The delivery-rate rule must walk pending → firing
-	// within three scrape ticks of the first bad scrape.
-	inf.EnableChaos(faults.NewInjector(faults.Config{
-		Seed: seed, ErrorRate: 0.15, BurstLen: 2,
-	}))
-	detectTicks := 0
-	for i := 1; i <= 3; i++ {
-		if err := tick("chaos", 3); err != nil {
-			return nil, err
-		}
-		if e21RuleState(inf, ruleName).State == tsdb.StateFiring {
-			detectTicks = i
-			break
-		}
-	}
-	if detectTicks == 0 {
-		return nil, fmt.Errorf("E21: %s did not fire within 3 chaos ticks (state %q)",
-			ruleName, e21RuleState(inf, ruleName).State)
-	}
-	detectLatency := time.Duration(detectTicks) * inf.ScrapeInterval
-
-	// One more breaching tick so the next scrape records the firing state
-	// into the exported gauges.
-	if err := tick("chaos", 3); err != nil {
 		return nil, err
-	}
-	if s, err := inf.TSDB.Latest("cityinfra_tsdb_alerts_firing"); err != nil || s.Value < 1 {
-		return nil, fmt.Errorf("E21: firing gauge = %v, %v; want >= 1 while firing", s.Value, err)
-	}
-	if s, err := inf.TSDB.Latest(`cityinfra_tsdb_alert_state{rule="` + ruleName + `"}`); err != nil || s.Value != 2 {
-		return nil, fmt.Errorf("E21: per-rule state gauge = %v, %v; want 2 (firing)", s.Value, err)
-	}
-
-	// The firing event must be trace-correlated: its exemplar comes from the
-	// ingest latency histogram and must resolve through the tracer.
-	var firingTrace string
-	for _, ev := range inf.Events.Events(0) {
-		if ev.Component == "tsdb/alerts" && strings.Contains(ev.Message, ruleName) &&
-			strings.Contains(ev.Message, "firing") {
-			firingTrace = ev.TraceID
-			break
-		}
-	}
-	if firingTrace == "" {
-		return nil, fmt.Errorf("E21: firing event missing or carried no exemplar trace")
-	}
-	if _, err := inf.Tracer.Trace(firingTrace); err != nil {
-		return nil, fmt.Errorf("E21: firing exemplar %s unresolvable: %w", firingTrace, err)
-	}
-
-	// Recovery arm: disable chaos, keep clean traffic flowing, and let the
-	// rate window drain. The rule must resolve back to inactive.
-	inf.DisableChaos()
-	resolveTicks := 0
-	for i := 1; i <= 6; i++ {
-		if err := tick("recovery", 0); err != nil {
-			return nil, err
-		}
-		if e21RuleState(inf, ruleName).State == tsdb.StateInactive {
-			resolveTicks = i
-			break
-		}
 	}
 	if resolveTicks == 0 {
 		return nil, fmt.Errorf("E21: %s did not resolve within 6 clean ticks", ruleName)
@@ -218,7 +168,13 @@ func E21MetricsMonitor(rng *rand.Rand) (*Result, error) {
 		return nil, fmt.Errorf("E21: no resolved event for %s in the event log", ruleName)
 	}
 
-	st := e21RuleState(inf, ruleName)
+	consistency := viz.NewTable("windowed query vs registry ground truth",
+		"expr", "tsdb eval", "from registry deltas", "abs diff")
+	consistency.AddRow(checkExpr, fmt.Sprintf("%.6f", got),
+		fmt.Sprintf("%.6f", want), fmt.Sprintf("%.3g", math.Abs(got-want)))
+
+	detectLatency := time.Duration(detectTicks) * inf.ScrapeInterval
+	st := ruleState(inf, ruleName)
 	summary := viz.NewTable("alert lifecycle", "metric", "value")
 	summary.AddRow("scrape interval", inf.ScrapeInterval)
 	summary.AddRow("scrape ticks total", inf.TSDB.Scrapes())
@@ -236,7 +192,7 @@ func E21MetricsMonitor(rng *rand.Rand) (*Result, error) {
 		Notes: []string{
 			fmt.Sprintf("the delivery-rate rule fired %d ticks (%s simulated) after the first poisoned scrape — within the 3-tick budget — and resolved %d ticks after chaos ended, once the 15 s rate window drained",
 				detectTicks, detectLatency, resolveTicks),
-			fmt.Sprintf("%s agreed with registry-snapshot deltas to %.3g — the query layer reads the same truth the exposition endpoint serves", checkExpr, math.Abs(got.Value-want)),
+			fmt.Sprintf("%s agreed with registry-snapshot deltas to %.3g — the query layer reads the same truth the exposition endpoint serves", checkExpr, math.Abs(got-want)),
 			"the firing event carries the ingest histogram's exemplar, so an operator can jump alert → trace without leaving the event log",
 			"everything runs on the simulated clock: scrapes, windows, and backoff advance deterministically and the experiment never sleeps",
 		},

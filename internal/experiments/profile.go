@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/citydata"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/profile"
@@ -16,28 +15,6 @@ import (
 // e23Rule is the default alert that watches the hottest region's windowed
 // self time for share shifts.
 const e23Rule = "profile-hot-region-anomaly"
-
-// e23Boot builds one small deployment plus a batch generator that never
-// repeats tweet ids, so every arm can ingest as many distinct batches as it
-// needs.
-func e23Boot(seed int64) (*core.Infrastructure, func(count int) ([]citydata.Tweet, error), error) {
-	cfg := chaosConfig()
-	inf, err := core.New(cfg, rand.New(rand.NewSource(seed)))
-	if err != nil {
-		return nil, nil, err
-	}
-	dataRng := rand.New(rand.NewSource(seed + 1))
-	incidents, err := citydata.GenerateCrimes(citydata.DefaultCrimeConfig(cfg.Epoch), inf.Gang.Nodes(), dataRng)
-	if err != nil {
-		return nil, nil, err
-	}
-	gen := func(count int) ([]citydata.Tweet, error) {
-		tcfg := citydata.DefaultTweetConfig(cfg.Epoch)
-		tcfg.Count = count
-		return citydata.GenerateTweets(tcfg, incidents, inf.Gang, dataRng)
-	}
-	return inf, gen, nil
-}
 
 // e23Stat indexes a profiler snapshot by region name.
 func e23Stat(inf *core.Infrastructure) map[string]profile.RegionStat {
@@ -61,12 +38,13 @@ func E23Profile(rng *rand.Rand) (*Result, error) {
 	seed := rng.Int63()
 
 	// ---- Arm 1: exact tree telescoping. ----
-	inf, gen, err := e23Boot(seed)
+	inf, err := run(scenario{cfg: chaosConfig(), controller: true}, seed)
 	if err != nil {
 		return nil, err
 	}
+	tweets := newTweetSource(seed)
 	for i := 0; i < 3; i++ {
-		batch, err := gen(400)
+		batch, err := tweets.batch(inf, 400)
 		if err != nil {
 			return nil, err
 		}
@@ -95,71 +73,71 @@ func E23Profile(rng *rand.Rand) (*Result, error) {
 	attribution.AddRow("telescoping residual", fmt.Sprintf("%.3g ms", telescope*1e3))
 
 	// ---- Arm 2: fault-injected CPU burn localizes to the right region. ----
-	inf3, gen3, err := e23Boot(seed + 4)
+	timeline := viz.NewTable("burn timeline — one 5 s scrape tick per row",
+		"tick", "phase", "hot region", "hot self", "share", e23Rule)
+	burnTweets := newTweetSource(seed + 4)
+	var (
+		detectTicks        int
+		hotAtDetect        profile.HotRegion
+		before, burnWindow float64
+	)
+	inf3, err := run(scenario{
+		cfg: chaosConfig(), controller: true,
+		phases: []phase{
+			// One tick past the rule's EWMA warmup so the baseline is settled
+			// before the burn starts.
+			{"warmup", 9, nil},
+			// Burn 2 ms of real CPU inside every docstore insert — the
+			// injector seam spins wall-clock, so the profiler sees it exactly
+			// where it happens: inside the ingest/store drain loop.
+			{"burn", 3, &faults.Config{Seed: seed, BurnOp: "store.insert", BurnMs: 2}},
+		},
+		load: func(t tick) error {
+			if t.inf.Injector != nil {
+				before = t.inf.Injector.Totals().BurnMs
+			}
+			batch, err := burnTweets.batch(t.inf, 40)
+			if err != nil {
+				return err
+			}
+			_, err = t.inf.IngestTweets(batch)
+			return err
+		},
+		observe: func(t tick) (bool, error) {
+			inf := t.inf
+			hotRegion, hotCell, shareCell := "-", "-", "-"
+			if hot := inf.Profiler.HotRegions(1); len(hot) > 0 {
+				hotRegion = hot[0].Region
+				hotCell = fmt.Sprintf("%.2f ms", hot[0].SelfSeconds*1e3)
+				shareCell = fmt.Sprintf("%.0f%%", hot[0].Share*100)
+			}
+			st := ruleState(inf, e23Rule)
+			timeline.AddRow(t.n, t.phase.name, hotRegion, hotCell, shareCell, st.State)
+			if t.phase.faults == nil {
+				if t.last() && (st.State != tsdb.StateInactive || st.FiredCount != 0) {
+					return false, fmt.Errorf("E23: %s fired during clean warmup (state %q, fired %d)", e23Rule, st.State, st.FiredCount)
+				}
+				return false, nil
+			}
+			burnWindow = (inf.Injector.Totals().BurnMs - before) / 1e3
+			hot := inf.Profiler.HotRegions(1)
+			if len(hot) == 0 || hot[0].Region != "ingest/store" {
+				return false, fmt.Errorf("E23: burn tick %d hot region = %v, want ingest/store", t.i, hot)
+			}
+			hotAtDetect = hot[0]
+			if st.State == tsdb.StateFiring {
+				detectTicks = t.i
+				return true, nil
+			}
+			return false, nil
+		},
+	}, seed+4)
 	if err != nil {
 		return nil, err
 	}
-	timeline := viz.NewTable("burn timeline — one 5 s scrape tick per row",
-		"tick", "phase", "hot region", "hot self", "share", e23Rule)
-	tickNo := 0
-	tick := func(phase string) error {
-		tickNo++
-		batch, err := gen3(40)
-		if err != nil {
-			return err
-		}
-		if _, err := inf3.IngestTweets(batch); err != nil {
-			return err
-		}
-		inf3.MonitorTick()
-		hotRegion, hotCell, shareCell := "-", "-", "-"
-		if hot := inf3.Profiler.HotRegions(1); len(hot) > 0 {
-			hotRegion = hot[0].Region
-			hotCell = fmt.Sprintf("%.2f ms", hot[0].SelfSeconds*1e3)
-			shareCell = fmt.Sprintf("%.0f%%", hot[0].Share*100)
-		}
-		timeline.AddRow(tickNo, phase, hotRegion, hotCell, shareCell,
-			e21RuleState(inf3, e23Rule).State)
-		return nil
-	}
-
-	// Warmup: one tick past the rule's EWMA warmup so the baseline is
-	// settled before the burn starts.
-	for i := 0; i < 9; i++ {
-		if err := tick("warmup"); err != nil {
-			return nil, err
-		}
-	}
-	if st := e21RuleState(inf3, e23Rule); st.State != tsdb.StateInactive || st.FiredCount != 0 {
-		return nil, fmt.Errorf("E23: %s fired during clean warmup (state %q, fired %d)", e23Rule, st.State, st.FiredCount)
-	}
-
-	// Burn 2 ms of real CPU inside every docstore insert — the injector seam
-	// spins wall-clock, so the profiler sees it exactly where it happens:
-	// inside the ingest/store drain loop.
-	inf3.EnableChaos(faults.NewInjector(faults.Config{Seed: seed, BurnOp: "store.insert", BurnMs: 2}))
-	detectTicks := 0
-	var hotAtDetect profile.HotRegion
-	var burnWindow float64
-	for i := 1; i <= 3; i++ {
-		before := inf3.Injector.Totals().BurnMs
-		if err := tick("burn"); err != nil {
-			return nil, err
-		}
-		burnWindow = (inf3.Injector.Totals().BurnMs - before) / 1e3
-		hot := inf3.Profiler.HotRegions(1)
-		if len(hot) == 0 || hot[0].Region != "ingest/store" {
-			return nil, fmt.Errorf("E23: burn tick %d hot region = %v, want ingest/store", i, hot)
-		}
-		hotAtDetect = hot[0]
-		if e21RuleState(inf3, e23Rule).State == tsdb.StateFiring {
-			detectTicks = i
-			break
-		}
-	}
 	if detectTicks == 0 {
 		return nil, fmt.Errorf("E23: %s did not fire within 3 burn ticks (state %q)",
-			e23Rule, e21RuleState(inf3, e23Rule).State)
+			e23Rule, ruleState(inf3, e23Rule).State)
 	}
 	if tot := inf3.Injector.Totals(); tot.Burns == 0 {
 		return nil, fmt.Errorf("E23: injector recorded no burns")

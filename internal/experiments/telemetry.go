@@ -20,22 +20,7 @@ func E19LatencyAttribution(rng *rand.Rand) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Same workload shape as E3: one simulated minute of camera frames.
-	const items = 600
-	work := make([]fog.InferenceItem, items)
-	for i := range work {
-		work[i] = fog.InferenceItem{
-			ID:           fmt.Sprintf("frame-%04d", i),
-			EdgeIdx:      i % len(d.Edges),
-			ReleaseMs:    float64(i/len(d.Edges)) * 100,
-			Confidence:   rng.Float64(),
-			RawBytes:     30000,
-			FeatureBytes: 6000,
-			LocalOps:     150,
-			ServerOps:    1800,
-			FullOps:      2200,
-		}
-	}
+	work := fogWorkload(d, 600, 100, rng) // the E3 workload
 
 	thresholds := []float64{0.2, 0.5, 0.8}
 	attribution := viz.NewTable("per-stage latency attribution (600 frames @ 10fps/edge)",

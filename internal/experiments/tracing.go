@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -178,21 +177,14 @@ func E20TracedChaosSweep(rng *rand.Rand) (*Result, error) {
 	simTracer := telemetry.NewTracer(nil, 64)
 	epoch := inf.Clock.Now()
 	const simItems = 24
-	items := make([]fog.InferenceItem, simItems)
+	items := fogWorkload(d, simItems, 50, frameRng)
 	roots := make(map[string]*telemetry.Span, simItems)
 	simIDs := make([]string, simItems)
-	for i := range items {
-		id := fmt.Sprintf("sim-%03d", i)
-		release := float64(i/len(d.Edges)) * 50
-		root := simTracer.StartAt(id, "sim-frame", epoch.Add(time.Duration(release*float64(time.Millisecond))))
-		items[i] = fog.InferenceItem{
-			ID: id, EdgeIdx: i % len(d.Edges), ReleaseMs: release,
-			Confidence: frameRng.Float64(), RawBytes: 30000, FeatureBytes: 6000,
-			LocalOps: 150, ServerOps: 1800, FullOps: 2200,
-			Headers: root.Context().Inject(nil),
-		}
-		roots[id] = root
-		simIDs[i] = id
+	for i, it := range items {
+		root := simTracer.StartAt(it.ID, "sim-frame", epoch.Add(time.Duration(it.ReleaseMs*float64(time.Millisecond))))
+		items[i].Headers = root.Context().Inject(nil)
+		roots[it.ID] = root
+		simIDs[i] = it.ID
 	}
 	jobs, err := (fog.Policy{Kind: fog.PolicyEarlyExit, Threshold: 0.5}).JobsFor(d, items)
 	if err != nil {
@@ -215,12 +207,7 @@ func E20TracedChaosSweep(rng *rand.Rand) (*Result, error) {
 	replay := viz.NewTable(
 		fmt.Sprintf("simulated replay — %d jobs, per-step timelines as spans", simItems),
 		"stage", "exclusive ms", "share %", "spans")
-	simNames := make([]string, 0, len(simTiers))
-	for t := range simTiers {
-		simNames = append(simNames, t)
-	}
-	sort.Strings(simNames)
-	for _, t := range simNames {
+	for _, t := range sortedKeys(simTiers) {
 		replay.AddRow(t, simTiers[t], simTiers[t]/simTotal*100, simSpans[t])
 	}
 	var simLatency float64
