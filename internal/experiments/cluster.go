@@ -158,12 +158,12 @@ func E22ClusterFailover(rng *rand.Rand) (*Result, error) {
 			}
 		}
 
-		ruleState := ruleState(inf, ruleName).State
-		if ruleState == "firing" {
+		state := ruleState(inf, ruleName).State
+		if state == "firing" {
 			ruleHit = true
 		}
 		timeline.AddRow(tick, phase, inf.Broker.Leaderless(), inf.Broker.UnderReplicated(),
-			inf.Broker.Stats().Elections, ruleState, total.Stored)
+			inf.Broker.Stats().Elections, state, total.Stored)
 	}
 
 	// Convergence: everything back up, fully replicated, every replica at
