@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -21,10 +22,11 @@ import (
 // accidental per-record marshal, map, or closure shows up as a test failure
 // rather than a slow throughput bleed.
 const (
-	produceAllocBudget       = 8  // measured 4 allocs/op at RF 3 (2 at RF 1)
+	produceAllocBudget       = 2  // measured 1 alloc/op (the value copy) at RF 1 and RF 3
 	pollCommitAllocBudget    = 4  // measured 1 alloc/op for poll(1)+commit
-	frameIngestAllocBudget   = 40 // measured 36 allocs/frame through all 4 tiers
-	wazeRecordAllocBudget    = 29 // measured 27.1 allocs/record, 256 reports per IngestWaze call
+	pollBatchAllocBudget     = 1  // measured 1 alloc/op for poll(256)+commit: the batch
+	frameIngestAllocBudget   = 36 // measured 33 allocs/frame through all 4 tiers
+	wazeRecordAllocBudget    = 26 // measured 24.2 allocs/record, 256 reports per IngestWaze call
 	incidentTickAllocBudget  = 0  // quiescent correlation cycle must not allocate
 	labeledHandleAllocBudget = 0  // cached vec handle records must not allocate
 	exposeAllocBudget        = 1  // measured 0 allocs per /metrics body, at any series count
@@ -90,6 +92,65 @@ func TestPollCommitAllocBudget(t *testing.T) {
 	t.Logf("poll(1)+commit: %.1f allocs/op", allocs)
 	if allocs > pollCommitAllocBudget {
 		t.Errorf("poll+commit allocates %.1f/op, budget %d", allocs, pollCommitAllocBudget)
+	}
+}
+
+// TestPollBatchAllocBudget pins the storage tier's read: a 256-record poll
+// over a backlog sizes its batch once.
+func TestPollBatchAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocs/op")
+	}
+	c := allocCluster(t, 3)
+	payload := []byte("camera frame annotation record")
+	const batch, runs = 256, 30
+	for i := 0; i < batch*(runs+1); i++ {
+		if _, _, err := c.Produce("bench", "", payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(runs, func() {
+		recs, err := c.Poll("gate", "bench", batch)
+		if err != nil || len(recs) != batch {
+			t.Fatalf("polled %d records: %v", len(recs), err)
+		}
+		if err := c.CommitPolled("gate", "bench"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("poll(%d)+commit: %.1f allocs/op", batch, allocs)
+	if allocs > pollBatchAllocBudget {
+		t.Errorf("poll(%d)+commit allocates %.1f/op, budget %d", batch, allocs, pollBatchAllocBudget)
+	}
+}
+
+// TestReplicationKeepsOneCopy: a partition stores each record once, and a
+// replica is an offset into that log, so RF 3 retains what RF 1 does.
+func TestReplicationKeepsOneCopy(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes heap sizes")
+	}
+	const records = 50000
+	payload := []byte("camera frame annotation record")
+	retained := func(rf int) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		c := allocCluster(t, rf)
+		for i := 0; i < records; i++ {
+			if _, _, err := c.Produce("bench", "", payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(c)
+		return after.HeapAlloc - before.HeapAlloc
+	}
+	rf1, rf3 := retained(1), retained(3)
+	t.Logf("%d records retain %d B at RF 1, %d B at RF 3", records, rf1, rf3)
+	if float64(rf3) > 1.05*float64(rf1) {
+		t.Errorf("RF 3 retains %.2f× what RF 1 does, want ≤ 1.05×", float64(rf3)/float64(rf1))
 	}
 }
 

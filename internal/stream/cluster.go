@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -34,16 +35,19 @@ import (
 //   - When a leader's node crashes the partition becomes leaderless;
 //     the next Tick elects a new leader from the live ISR members and bumps
 //     the epoch. If no ISR member is alive the partition stays unavailable
-//     until one restarts (clean mode), or — with AllowUnclean — the most
-//     caught-up live replica is elected at the documented risk of losing
-//     acknowledged records.
-//   - Tick also drives follower catch-up: live replicas behind the leader
-//     copy the missing suffix (subject to the fault hook), replicas whose
-//     log runs past the new leader's high watermark truncate to it (the
-//     divergent suffix was never acknowledged under the current epoch),
-//     and caught-up replicas rejoin the ISR.
+//     until one restarts (clean mode), or — with AllowUnclean — the live
+//     replica holding most of the log is elected at the documented risk
+//     of losing acknowledged records.
+//   - Tick also drives follower catch-up: a live replica first truncates to
+//     its divergence point (records past it were written under an epoch an
+//     unclean election superseded), then takes the leader's missing suffix
+//     (subject to the fault hook), and a caught-up replica rejoins the ISR.
 //
-// The high watermark of a partition is its leader's log end: because the
+// A partition stores each record once: one log in fixed-size segments that
+// are allocated as the log reaches them and never grown or copied. A replica
+// is an offset into that log, its end, plus a divergence bound that only an
+// unclean election sets: the replica's records from the bound on are not the
+// log's. The high watermark of a partition is its leader's end: because the
 // ISR append is atomic, every ISR member is always exactly at the HW, and
 // consumers are never served a record that could disappear in a clean
 // failover.
@@ -87,8 +91,8 @@ type ClusterStats struct {
 	ISRExpands        int // followers that caught up and rejoined an ISR
 	Crashes           int // node crashes
 	Restarts          int // node restarts
-	CatchUpRecords    int // records copied to lagging followers
-	Truncated         int // records discarded by high-watermark truncation
+	CatchUpRecords    int // records lagging followers caught up on
+	Truncated         int // records discarded by truncation to a divergence point
 	UnavailableErrors int // produces rejected: no leader or ISR below min
 	StaleProduces     int // produces fenced by a stale epoch
 	Ticks             int // controller ticks run
@@ -140,28 +144,49 @@ type ClusterState struct {
 	Stats           ClusterStats     `json:"stats"`
 }
 
-// replicaLog is one partition replica's local log on one node.
-type replicaLog struct {
-	records []Record
-}
-
-// brokerNode is one broker process: up/down state plus the replica logs it
-// hosts, keyed topic → partition index (nil where it hosts no replica).
+// brokerNode is one broker process's up/down state.
 type brokerNode struct {
 	up       bool
 	crashes  int
 	restarts int
-	logs     map[string][]*replicaLog
 }
 
-// clusterPart is the controller's metadata for one partition.
+const (
+	segmentLen = 1024          // entries per log segment
+	noBound    = math.MaxInt64 // divergence bound of a replica holding only the log's records
+)
+
+// entry is a record as its partition log stores it: what the record's
+// address (topic, partition, offset) cannot give.
+type entry struct {
+	key     string
+	value   []byte
+	headers map[string]string
+	time    time.Time
+}
+
+// replica is one node's copy of a partition: the log's first end records,
+// those from bound on overwritten since an unclean election.
+type replica struct {
+	end, bound int64
+}
+
+// valid is how much of the log the replica holds.
+func (r replica) valid() int64 { return min(r.end, r.bound) }
+
+// clusterPart is the controller's metadata for one partition and its log.
 type clusterPart struct {
 	replicas   []int // node ids, assignment order; replicas[0] is the initial leader
 	isr        []int // in-sync subset, ascending
 	leader     int   // node id, -1 while leaderless
 	epoch      int64
-	lostAtTick int // controller tick when leadership was last lost
+	lostAtTick int                  // controller tick when leadership was last lost
+	segs       []*[segmentLen]entry // the log; the leader's end is its length
+	reps       []replica            // by node id; only replicas' entries are used
 }
+
+// at returns the log entry at offset off.
+func (part *clusterPart) at(off int64) *entry { return &part.segs[off/segmentLen][off%segmentLen] }
 
 // clusterTopic holds a topic's partitions plus the round-robin cursor for
 // empty-key produce.
@@ -222,7 +247,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		now:    cfg.Now,
 	}
 	for i := range c.nodes {
-		c.nodes[i] = &brokerNode{up: true, logs: make(map[string][]*replicaLog)}
+		c.nodes[i] = &brokerNode{up: true}
 	}
 	return c, nil
 }
@@ -287,18 +312,16 @@ func (c *Cluster) CreateTopic(name string, partitions int) error {
 		return fmt.Errorf("%w: %s", ErrTopicExists, name)
 	}
 	t := &clusterTopic{parts: make([]*clusterPart, partitions)}
-	for n := range c.nodes {
-		c.nodes[n].logs[name] = make([]*replicaLog, partitions)
-	}
 	for p := range t.parts {
 		replicas := make([]int, c.cfg.Replication)
+		reps := make([]replica, c.cfg.Nodes)
 		for j := range replicas {
 			replicas[j] = (p + j) % c.cfg.Nodes
-			c.nodes[replicas[j]].logs[name][p] = &replicaLog{}
+			reps[replicas[j]].bound = noBound
 		}
 		isr := append([]int(nil), replicas...)
 		sort.Ints(isr)
-		t.parts[p] = &clusterPart{replicas: replicas, isr: isr, leader: replicas[0], epoch: 1}
+		t.parts[p] = &clusterPart{replicas: replicas, isr: isr, leader: replicas[0], epoch: 1, reps: reps}
 	}
 	c.topics[name] = t
 	return nil
@@ -489,7 +512,8 @@ func (c *Cluster) produceLocked(topicName string, t *clusterTopic, p int, key st
 	// reads per record instead of four, at the cost of billing the
 	// nanoseconds of the leader check above to replicate instead of append.
 	spReplicate := c.profReplicate.StartAt(spAppend.StartTime())
-	survivors := part.isr[:0:0]
+	var buf [8]int
+	survivors := buf[:0] // a subsequence of the ISR, so ascending too
 	var dropped []int
 	for _, n := range part.isr {
 		if n == part.leader {
@@ -518,8 +542,10 @@ func (c *Cluster) produceLocked(topicName string, t *clusterTopic, p int, key st
 		return 0, fmt.Errorf("%w: %s/%d would ack on %d < %d replicas",
 			ErrNotEnoughReplicas, topicName, p, len(survivors), c.cfg.MinISR)
 	}
-	leaderLog := c.nodes[part.leader].logs[topicName][p]
-	off := int64(len(leaderLog.records))
+	off := part.reps[part.leader].end
+	if off/segmentLen == int64(len(part.segs)) {
+		part.segs = append(part.segs, new([segmentLen]entry))
+	}
 	v := make([]byte, len(value))
 	copy(v, value)
 	var h map[string]string
@@ -529,13 +555,11 @@ func (c *Cluster) produceLocked(topicName string, t *clusterTopic, p int, key st
 			h[k] = val
 		}
 	}
-	rec := Record{Topic: topicName, Partition: p, Offset: off, Key: key, Value: v, Headers: h, Time: c.now()}
+	*part.at(off) = entry{key: key, value: v, headers: h, time: c.now()}
 	for _, n := range survivors {
-		l := c.nodes[n].logs[topicName][p]
-		l.records = append(l.records, rec)
+		part.reps[n].end = off + 1
 	}
 	if len(dropped) > 0 {
-		sort.Ints(survivors)
 		part.isr = append(part.isr[:0], survivors...)
 		c.stats.ISRShrinks += len(dropped)
 		for _, n := range dropped {
@@ -588,7 +612,16 @@ func (c *Cluster) Poll(groupName, topicName string, max int) ([]Record, error) {
 	committed := c.groupOffsets(g, g.committed, topicName, len(t.parts))
 	polled := c.groupOffsets(g, g.polled, topicName, len(t.parts))
 	copy(polled, committed)
+	size := 0
+	for p, part := range t.parts {
+		if part.leader != -1 && c.nodes[part.leader].up && committed[p] < part.reps[part.leader].end {
+			size = min(max, size+int(part.reps[part.leader].end-committed[p]))
+		}
+	}
 	var out []Record
+	if size > 0 {
+		out = make([]Record, 0, size)
+	}
 	for p, part := range t.parts {
 		if len(out) >= max {
 			break
@@ -596,18 +629,19 @@ func (c *Cluster) Poll(groupName, topicName string, max int) ([]Record, error) {
 		if part.leader == -1 || !c.nodes[part.leader].up {
 			continue
 		}
-		log := c.nodes[part.leader].logs[topicName][p]
-		end := int64(len(log.records))
+		end := part.reps[part.leader].end
 		start := committed[p]
 		if start > end {
 			// Only possible after an unclean election truncated acknowledged
 			// records; resume from the new log end rather than erroring the
-			// consumer forever.
+			// consumer forever, and keep the next commit from moving back
+			// past it.
 			start = end
-			committed[p] = end
+			committed[p], polled[p] = end, end
 		}
 		for o := start; o < end && len(out) < max; o++ {
-			out = append(out, log.records[o])
+			e := part.at(o)
+			out = append(out, Record{Topic: topicName, Partition: p, Offset: o, Key: e.key, Value: e.value, Headers: e.headers, Time: e.time})
 			polled[p] = o + 1
 		}
 	}
@@ -675,7 +709,7 @@ func (c *Cluster) Lag(groupName, topicName string) (int64, error) {
 	g := c.groups[groupName]
 	var lag int64
 	for p, part := range t.parts {
-		end := c.hwLocked(topicName, part, p)
+		end := c.hwLocked(part)
 		var committed int64
 		if g != nil {
 			if offs, ok := g.committed[topicName]; ok {
@@ -691,17 +725,14 @@ func (c *Cluster) Lag(groupName, topicName string) (int64, error) {
 
 // hwLocked computes a partition's high watermark: the leader's log end, or
 // the most advanced live replica's end while leaderless.
-func (c *Cluster) hwLocked(topicName string, part *clusterPart, p int) int64 {
+func (c *Cluster) hwLocked(part *clusterPart) int64 {
 	if part.leader != -1 && c.nodes[part.leader].up {
-		return int64(len(c.nodes[part.leader].logs[topicName][p].records))
+		return part.reps[part.leader].end
 	}
 	var hw int64
 	for _, n := range part.replicas {
-		if !c.nodes[n].up {
-			continue
-		}
-		if end := int64(len(c.nodes[n].logs[topicName][p].records)); end > hw {
-			hw = end
+		if c.nodes[n].up && part.reps[n].end > hw {
+			hw = part.reps[n].end
 		}
 	}
 	return hw
@@ -710,10 +741,10 @@ func (c *Cluster) hwLocked(topicName string, part *clusterPart, p int) int64 {
 // Tick runs one controller pass on the simulated tick clock: elect leaders
 // for leaderless partitions from their live ISR members (epoch bump,
 // failover latency measured in ticks), catch lagging live followers up to
-// their leader — truncating any log that runs past the leader's high
-// watermark first — and re-admit caught-up followers to the ISR. The core
-// monitoring loop calls it once per scrape tick, so "election within N
-// ticks" and "alert within N ticks" share a clock.
+// their leader — truncating any replica to its divergence point first —
+// and re-admit caught-up followers to the ISR. The core monitoring loop
+// calls it once per scrape tick, so "election within N ticks" and "alert
+// within N ticks" share a clock.
 func (c *Cluster) Tick() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -747,16 +778,13 @@ func (c *Cluster) electLocked(topicName string, part *clusterPart, p int) {
 			break
 		}
 	}
+	var best int64 = -1
 	if newLeader == -1 && c.cfg.AllowUnclean {
-		// Unclean election: most caught-up live replica, accepting the loss
-		// of acknowledged records beyond its log end.
-		var best int64 = -1
+		// Unclean election: the live replica holding most of the log,
+		// accepting the loss of acknowledged records beyond that.
 		for _, n := range part.replicas {
-			if !c.nodes[n].up {
-				continue
-			}
-			if end := int64(len(c.nodes[n].logs[topicName][p].records)); end > best {
-				best, newLeader, unclean = end, n, true
+			if c.nodes[n].up && part.reps[n].valid() > best {
+				best, newLeader, unclean = part.reps[n].valid(), n, true
 			}
 		}
 	}
@@ -766,8 +794,16 @@ func (c *Cluster) electLocked(topicName string, part *clusterPart, p int) {
 	part.leader = newLeader
 	part.epoch++
 	if unclean {
-		// The new leader defines the log: it alone is in sync until the
-		// survivors truncate and catch up.
+		// The new leader defines the log: the log ends where the leader's
+		// share of it ends, every replica past that diverges there, and the
+		// leader alone is in sync until the others truncate and catch up.
+		for _, n := range part.replicas {
+			part.reps[n].bound = min(part.reps[n].bound, best)
+		}
+		c.truncateLocked(topicName, part, p, newLeader)
+		for o := best; o < int64(len(part.segs))*segmentLen; o = (o/segmentLen + 1) * segmentLen {
+			clear(part.segs[o/segmentLen][o%segmentLen:]) // release what the dropped entries hold
+		}
 		part.isr = append(part.isr[:0], newLeader)
 		c.stats.UncleanElections++
 	}
@@ -781,40 +817,42 @@ func (c *Cluster) electLocked(topicName string, part *clusterPart, p int) {
 		Epoch: part.epoch, FailoverTicks: failover, Unclean: unclean})
 }
 
-// catchUpLocked replicates the leader's suffix to lagging live followers,
-// truncates divergent logs to the leader's high watermark, and restores
-// caught-up followers to the ISR.
+// truncateLocked cuts node n's replica back to its divergence point: the
+// records past it were acknowledged, if at all, under a superseded epoch.
+func (c *Cluster) truncateLocked(topicName string, part *clusterPart, p, n int) {
+	r := &part.reps[n]
+	if to := r.valid(); r.end > to {
+		c.stats.Truncated += int(r.end - to)
+		c.emit(ClusterEvent{Kind: "truncate", Topic: topicName, Partition: p, Node: n, Epoch: part.epoch,
+			Detail: fmt.Sprintf("%d records past offset %d", r.end-to, to)})
+		r.end = to
+	}
+	r.bound = noBound
+}
+
+// catchUpLocked truncates divergent live followers, advances lagging ones
+// to the leader's end, and restores caught-up followers to the ISR.
 func (c *Cluster) catchUpLocked(topicName string, part *clusterPart, p int) {
 	if part.leader == -1 || !c.nodes[part.leader].up {
 		return
 	}
-	leaderLog := c.nodes[part.leader].logs[topicName][p]
-	hw := len(leaderLog.records)
+	hw := part.reps[part.leader].end
 	for _, n := range part.replicas {
 		if n == part.leader || !c.nodes[n].up {
 			continue
 		}
-		l := c.nodes[n].logs[topicName][p]
-		if len(l.records) > hw {
-			// The suffix past the leader's high watermark was never
-			// acknowledged under the current epoch (it survives only an
-			// unclean election); truncate so the replica's log is a prefix
-			// of the leader's.
-			c.stats.Truncated += len(l.records) - hw
-			c.emit(ClusterEvent{Kind: "truncate", Topic: topicName, Partition: p, Node: n, Epoch: part.epoch,
-				Detail: fmt.Sprintf("%d records past hw %d", len(l.records)-hw, hw)})
-			l.records = l.records[:hw]
-		}
-		if len(l.records) < hw {
+		c.truncateLocked(topicName, part, p, n)
+		r := &part.reps[n]
+		if r.end < hw {
 			if c.faultHook != nil {
 				if err := c.faultHook("catchup", n); err != nil {
 					continue // this round failed; retry next tick
 				}
 			}
-			c.stats.CatchUpRecords += hw - len(l.records)
-			l.records = append(l.records, leaderLog.records[len(l.records):hw]...)
+			c.stats.CatchUpRecords += int(hw - r.end)
+			r.end = hw
 		}
-		if len(l.records) == hw && !contains(part.isr, n) {
+		if r.end == hw && !contains(part.isr, n) {
 			part.isr = append(part.isr, n)
 			sort.Ints(part.isr)
 			c.stats.ISRExpands++
@@ -897,13 +935,13 @@ func (c *Cluster) State() ClusterState {
 				Leader: part.leader, Epoch: part.epoch,
 				Replicas:      append([]int(nil), part.replicas...),
 				ISR:           append([]int(nil), part.isr...),
-				HighWatermark: c.hwLocked(name, part, p),
+				HighWatermark: c.hwLocked(part),
 			}
 			if part.leader != -1 && !c.nodes[part.leader].up {
 				ps.Leader = -1
 			}
 			for _, n := range part.replicas {
-				ps.ReplicaEnds = append(ps.ReplicaEnds, int64(len(c.nodes[n].logs[name][p].records)))
+				ps.ReplicaEnds = append(ps.ReplicaEnds, part.reps[n].end)
 				hosting[n]++
 			}
 			if ps.Leader == -1 {

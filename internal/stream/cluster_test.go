@@ -391,6 +391,110 @@ func TestClusterUncleanElectionTruncates(t *testing.T) {
 	}
 }
 
+// TestClusterDivergentSuffixTruncatedOnCatchUp: a deposed leader that comes
+// back *shorter* than the new leader's log still holds records the unclean
+// election superseded. Catch-up must cut them before appending, or a later
+// clean failover to that replica serves them in place of acknowledged ones.
+func TestClusterDivergentSuffixTruncatedOnCatchUp(t *testing.T) {
+	c := newTestCluster(t, ClusterConfig{Nodes: 2, Replication: 2, AllowUnclean: true}, 1)
+	produceN(t, c, 2)
+	leader, _, _ := c.LeaderEpoch("events", 0)
+	follower := 1 - leader
+	produce := func(v string, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, _, err := c.Produce("events", "k", []byte(v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	c.SetFaultHook(func(op string, node int) error {
+		if op == "replicate" && node == follower {
+			return errors.New("injected lag")
+		}
+		return nil
+	})
+	produce("old", 3)
+	c.SetFaultHook(nil)
+	if err := c.CrashNode(leader); err != nil {
+		t.Fatal(err)
+	}
+	c.Tick() // the follower wins uncleanly at offset 2
+	produce("new", 4)
+	if err := c.RestartNode(leader); err != nil {
+		t.Fatal(err)
+	}
+	c.Tick()
+	if s := c.Stats(); s.Truncated != 3 || s.CatchUpRecords != 4 {
+		t.Fatalf("Truncated = %d, CatchUpRecords = %d; want 3 and 4", s.Truncated, s.CatchUpRecords)
+	}
+	// A clean failover back to the old leader must serve the new epoch's log.
+	if err := c.CrashNode(follower); err != nil {
+		t.Fatal(err)
+	}
+	c.Tick()
+	if l, _, _ := c.LeaderEpoch("events", 0); l != leader {
+		t.Fatalf("leader = %d, want the caught-up node %d", l, leader)
+	}
+	var got []string
+	for _, r := range drain(t, c, "fresh") {
+		got = append(got, string(r.Value))
+	}
+	if want := "[0 1 new new new new]"; fmt.Sprint(got) != want {
+		t.Fatalf("fresh group reads %v, want %s", got, want)
+	}
+}
+
+// TestClusterUncleanElectionRanksByLogHeld: a replica's records past its
+// divergence point are gone, so an unclean election ranks the live replicas
+// by how much of the log they hold, not by their raw ends.
+func TestClusterUncleanElectionRanksByLogHeld(t *testing.T) {
+	c := newTestCluster(t, ClusterConfig{Nodes: 3, Replication: 3, AllowUnclean: true}, 1)
+	lagging := map[int]bool{}
+	c.SetFaultHook(func(op string, node int) error {
+		if op == "replicate" && lagging[node] {
+			return errors.New("injected lag")
+		}
+		return nil
+	})
+	produce := func(v string, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, _, err := c.Produce("events", "k", []byte(v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	produceN(t, c, 2)
+	lagging[1], lagging[2] = true, true
+	produce("a", 3) // node 0 alone: ends 5, 2, 2
+	lagging[1], lagging[2] = false, false
+	if err := c.CrashNode(0); err != nil {
+		t.Fatal(err)
+	}
+	c.Tick() // node 1 wins uncleanly at 2; node 0 diverges there; node 2 rejoins
+	produce("b", 2)
+	lagging[2] = true
+	produce("b", 1) // ends 5 (2 of them the log's), 5, 4
+	if err := c.CrashNode(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RestartNode(0); err != nil {
+		t.Fatal(err)
+	}
+	c.Tick()
+	if l, _, _ := c.LeaderEpoch("events", 0); l != 2 {
+		t.Fatalf("unclean leader = %d, want node 2, which holds 4 records of the log to node 0's 2", l)
+	}
+	var got []string
+	for _, r := range drain(t, c, "fresh") {
+		got = append(got, string(r.Value))
+	}
+	if want := "[0 1 b b]"; fmt.Sprint(got) != want {
+		t.Fatalf("fresh group reads %v, want %s", got, want)
+	}
+}
+
 func TestClusterConsumerResumesAcrossFailover(t *testing.T) {
 	c := newTestCluster(t, ClusterConfig{Nodes: 3, Replication: 3}, 2)
 	var want []string

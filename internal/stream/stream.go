@@ -44,16 +44,17 @@ type Bus interface {
 	CommitPolled(groupName, topicName string) error
 }
 
-// Record is one message in a partition log.
+// Record is one message in a partition log. Topic, Partition and Offset are
+// its address: the log stores the rest once and Poll fills them in.
 type Record struct {
 	Topic     string
 	Partition int
 	Offset    int64
 	Key       string
-	Value     []byte
-	// Headers carry per-record metadata end to end; the broker copies the
-	// map on produce so later mutation by the producer cannot corrupt the
-	// log.
+	// Value and Headers are copied on produce, so later mutation by the
+	// producer cannot corrupt the log; Headers carry per-record metadata end
+	// to end.
+	Value   []byte
 	Headers map[string]string
 	Time    time.Time
 }
