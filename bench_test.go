@@ -240,9 +240,7 @@ func BenchmarkControllerTick(b *testing.B) {
 			return 0, true
 		},
 	}
-	cfg := control.DefaultConfig()
-	cfg.WatchRules = []string{"breaker-open"}
-	c := control.NewController(knobs, cfg, sig, nil)
+	c := control.NewController(knobs, []string{"breaker-open"}, sig, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

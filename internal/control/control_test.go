@@ -3,6 +3,7 @@ package control
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/fog"
@@ -28,13 +29,11 @@ func (f *fakeSignals) signals() Signals {
 	}
 }
 
-func testConfig() Config {
-	cfg := DefaultConfig()
-	cfg.WatchRules = []string{
+func testWatchRules() []string {
+	return []string{
 		"ingest-delivery-rate", "breaker-open", "hdfs-lost-blocks",
 		"ingest-p99-anomaly", "broker-under-replicated",
 	}
-	return cfg
 }
 
 // The controller samples these cumulative counters with instant queries and
@@ -83,7 +82,7 @@ func TestControllerUplinkDegradationMigratesThenSheds(t *testing.T) {
 		produceErrExpr:  0,
 	}}
 	k := NewKnobs(0.5)
-	c := NewController(k, testConfig(), sig.signals(), nil)
+	c := NewController(k, testWatchRules(), sig.signals(), nil)
 	// Counters keep climbing every tick while the incident lasts.
 	step := func() {
 		sig.evals[undeliveredExpr] += 3
@@ -131,7 +130,7 @@ func TestControllerUplinkDegradationMigratesThenSheds(t *testing.T) {
 func TestControllerStorageDegradationWalksThreshold(t *testing.T) {
 	sig := &fakeSignals{evals: map[string]float64{undeliveredExpr: 0}}
 	k := NewKnobs(0.5)
-	c := NewController(k, testConfig(), sig.signals(), nil)
+	c := NewController(k, testWatchRules(), sig.signals(), nil)
 
 	thresholds := []float64{}
 	for i := 0; i < 12; i++ {
@@ -163,7 +162,7 @@ func TestControllerRecoveryUnwindsInOrder(t *testing.T) {
 		produceErrExpr:  0,
 	}}
 	k := NewKnobs(0.5)
-	c := NewController(k, testConfig(), sig.signals(), nil)
+	c := NewController(k, testWatchRules(), sig.signals(), nil)
 	// Degrade far enough to migrate and shed to max.
 	for i := 0; i < 6; i++ {
 		sig.evals[undeliveredExpr]++
@@ -209,7 +208,7 @@ func TestControllerRecoveryUnwindsInOrder(t *testing.T) {
 func TestControllerDisabledTakesNoActions(t *testing.T) {
 	sig := &fakeSignals{evals: map[string]float64{undeliveredExpr: 5}}
 	k := NewKnobs(0.5)
-	c := NewController(k, testConfig(), sig.signals(), nil)
+	c := NewController(k, testWatchRules(), sig.signals(), nil)
 	c.Disable()
 	for i := 0; i < 10; i++ {
 		c.Tick()
@@ -234,7 +233,7 @@ func TestControllerIgnoresUnwatchedRules(t *testing.T) {
 		evals:  map[string]float64{},
 	}
 	k := NewKnobs(0.5)
-	c := NewController(k, testConfig(), sig.signals(), nil)
+	c := NewController(k, testWatchRules(), sig.signals(), nil)
 	for i := 0; i < 5; i++ {
 		c.Tick()
 	}
@@ -249,7 +248,7 @@ func TestControllerIgnoresUnwatchedRules(t *testing.T) {
 func TestControllerBurnPlateauRecovers(t *testing.T) {
 	sig := &fakeSignals{burn: 0, evals: map[string]float64{}}
 	k := NewKnobs(0.5)
-	c := NewController(k, testConfig(), sig.signals(), nil)
+	c := NewController(k, testWatchRules(), sig.signals(), nil)
 
 	sig.burn = 5 // rising from 0
 	c.Tick()
@@ -262,6 +261,41 @@ func TestControllerBurnPlateauRecovers(t *testing.T) {
 	}
 	if c.Degraded() {
 		t.Fatal("plateaued burn should read healthy")
+	}
+}
+
+// The action ring keeps the newest historyCap actions, oldest first, while
+// the per-kind counters keep counting everything.
+func TestControllerKeepsNewestActions(t *testing.T) {
+	sig := &fakeSignals{evals: map[string]float64{undeliveredExpr: 0}}
+	c := NewController(NewKnobs(0.5), testWatchRules(), sig.signals(), nil)
+	var all []Action
+	// Each cycle walks the gate down on six degraded ticks and back up on
+	// twelve healthy ones: four actions a cycle.
+	for cycle := 0; cycle < 100 && len(all) <= 2*historyCap; cycle++ {
+		for i := 0; i < 18; i++ {
+			if i < 6 {
+				sig.evals[undeliveredExpr]++
+			}
+			before := c.TotalActions()
+			c.Tick()
+			if c.TotalActions() > before {
+				all = append(all, c.Actions(1)[0])
+			}
+		}
+	}
+	if len(all) <= historyCap {
+		t.Fatalf("only %d actions fired, want more than %d", len(all), historyCap)
+	}
+	if got := c.TotalActions(); got != int64(len(all)) {
+		t.Fatalf("total actions = %d, want %d", got, len(all))
+	}
+	kept := c.Actions(0)
+	if !reflect.DeepEqual(kept, all[len(all)-historyCap:]) {
+		t.Fatalf("ring kept %d actions %v..., want the newest %d", len(kept), kept[:2], historyCap)
+	}
+	if st := c.Status(); len(st.Actions) != historyCap {
+		t.Fatalf("status lists %d actions, want %d", len(st.Actions), historyCap)
 	}
 }
 

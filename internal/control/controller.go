@@ -67,46 +67,25 @@ type Signals struct {
 	Eval func(expr string) (value float64, ok bool)
 }
 
-// Config tunes the controller's setpoints and hysteresis.
-type Config struct {
-	// ThresholdTarget is the healthy-state offload threshold the controller
-	// relaxes back to; ThresholdMin bounds how far degradation can tighten
-	// it; ThresholdStep is the per-action increment.
-	ThresholdTarget float64
-	ThresholdMin    float64
-	ThresholdStep   float64
-	// DegradeTicks is how many consecutive degraded ticks arm an action;
-	// RecoverTicks how many consecutive healthy ticks arm a recovery step.
-	DegradeTicks int
-	RecoverTicks int
-	// CooldownTicks is the per-action-kind refractory period, so one
+// The controller's setpoints and hysteresis: act after one degraded tick,
+// recover after three healthy ones, one action per kind per two ticks.
+const (
+	// thresholdMin bounds how far degradation can tighten the offload gate;
+	// thresholdStep is the per-action increment.
+	thresholdMin  = 0.2
+	thresholdStep = 0.1
+	// degradeTicks is how many consecutive degraded ticks arm an action;
+	// recoverTicks how many consecutive healthy ticks arm a recovery step.
+	degradeTicks = 1
+	recoverTicks = 3
+	// cooldownTicks is the per-action-kind refractory period, so one
 	// sustained incident produces a staircase of actions, not a cliff.
-	CooldownTicks int
-	// MaxShedLevel caps the admission floor.
-	MaxShedLevel int
-	// WatchRules names the alert rules whose firing counts as degraded.
-	// The controller's own exported state must never appear here — watching
-	// control-* rules would close a positive feedback loop.
-	WatchRules []string
-	// History caps the retained action ring (0 means 64).
-	History int
-}
-
-// DefaultConfig returns the setpoints the experiments use: act after one
-// degraded tick, recover after three healthy ones, one action per kind per
-// two ticks.
-func DefaultConfig() Config {
-	return Config{
-		ThresholdTarget: 0.5,
-		ThresholdMin:    0.2,
-		ThresholdStep:   0.1,
-		DegradeTicks:    1,
-		RecoverTicks:    3,
-		CooldownTicks:   2,
-		MaxShedLevel:    2,
-		History:         64,
-	}
-}
+	cooldownTicks = 2
+	// maxShedLevel caps the admission floor.
+	maxShedLevel = 2
+	// historyCap caps the retained action ring.
+	historyCap = 64
+)
 
 // Status is the controller's introspection snapshot (GET /api/control).
 type Status struct {
@@ -128,8 +107,14 @@ type Status struct {
 // tick after the scrape and alert evaluation; everything else is safe to
 // call concurrently.
 type Controller struct {
-	knobs   *Knobs
-	cfg     Config
+	knobs *Knobs
+	// target is the healthy-state offload threshold the controller relaxes
+	// back to: the knob's value when the controller was built.
+	target float64
+	// watch names the alert rules whose firing counts as degraded. The
+	// controller's own exported state must never appear here — watching
+	// control-* rules would close a positive feedback loop.
+	watch   []string
 	sig     Signals
 	events  *telemetry.EventLog
 	enabled atomic.Bool
@@ -150,23 +135,14 @@ type Controller struct {
 }
 
 // NewController builds a controller over the given knobs, starting enabled.
-// events may be nil (actions then go unlogged).
-func NewController(knobs *Knobs, cfg Config, sig Signals, events *telemetry.EventLog) *Controller {
-	if cfg.History <= 0 {
-		cfg.History = 64
-	}
-	if cfg.DegradeTicks < 1 {
-		cfg.DegradeTicks = 1
-	}
-	if cfg.RecoverTicks < 1 {
-		cfg.RecoverTicks = 1
-	}
-	if cfg.ThresholdStep <= 0 {
-		cfg.ThresholdStep = 0.1
-	}
+// The knobs' current offload threshold becomes the healthy-state target;
+// watchRules names the alert rules whose firing counts as degraded. events
+// may be nil (actions then go unlogged).
+func NewController(knobs *Knobs, watchRules []string, sig Signals, events *telemetry.EventLog) *Controller {
 	c := &Controller{
 		knobs:     knobs,
-		cfg:       cfg,
+		target:    knobs.OffloadThreshold(),
+		watch:     watchRules,
 		sig:       sig,
 		events:    events,
 		lastFired: make(map[ActionKind]int),
@@ -176,9 +152,8 @@ func NewController(knobs *Knobs, cfg Config, sig Signals, events *telemetry.Even
 	return c
 }
 
-// Enable turns the loop on; Disable freezes it (ticks still count, but no
-// signals are read and no actions fire) — the static-threshold baseline arm.
-func (c *Controller) Enable()  { c.enabled.Store(true) }
+// Disable freezes the loop (ticks still count, but no signals are read and
+// no actions fire) — the static-threshold baseline arm.
 func (c *Controller) Disable() { c.enabled.Store(false) }
 
 // Enabled reports whether the loop is live.
@@ -272,9 +247,9 @@ func (c *Controller) Tick() {
 		c.degradedStreak = 0
 	}
 
-	if degraded && c.degradedStreak >= c.cfg.DegradeTicks {
+	if degraded && c.degradedStreak >= degradeTicks {
 		c.actDegraded(reason)
-	} else if !degraded && c.healthyStreak >= c.cfg.RecoverTicks {
+	} else if !degraded && c.healthyStreak >= recoverTicks {
 		c.actRecover()
 	}
 }
@@ -338,13 +313,13 @@ func (c *Controller) counterRising(name string, last *float64) bool {
 // list matches none — core always passes an explicit list, keeping the
 // controller's own exported state out of its inputs).
 func (c *Controller) watchedFiring() []string {
-	if c.sig.Firing == nil || len(c.cfg.WatchRules) == 0 {
+	if c.sig.Firing == nil || len(c.watch) == 0 {
 		return nil
 	}
 	firing := c.sig.Firing()
 	var out []string
 	for _, name := range firing {
-		for _, w := range c.cfg.WatchRules {
+		for _, w := range c.watch {
 			if name == w {
 				out = append(out, name)
 				break
@@ -388,11 +363,11 @@ func (c *Controller) actDegraded(reason string) {
 		}
 		// knobEps absorbs float drift in the 0.1 steps so the walk lands
 		// exactly on the floor/target instead of 4e-17 past it.
-		if thr := c.knobs.OffloadThreshold(); thr > c.cfg.ThresholdMin+knobEps {
+		if thr := c.knobs.OffloadThreshold(); thr > thresholdMin+knobEps {
 			if c.ready(ActionThresholdLower) {
-				next := thr - c.cfg.ThresholdStep
-				if next < c.cfg.ThresholdMin+knobEps {
-					next = c.cfg.ThresholdMin
+				next := thr - thresholdStep
+				if next < thresholdMin+knobEps {
+					next = thresholdMin
 				}
 				c.knobs.SetOffloadThreshold(next)
 				c.fire(ActionThresholdLower, reason, next)
@@ -400,7 +375,7 @@ func (c *Controller) actDegraded(reason string) {
 			return
 		}
 	}
-	if lvl := c.knobs.ShedLevel(); lvl < c.cfg.MaxShedLevel && c.ready(ActionShed) {
+	if lvl := c.knobs.ShedLevel(); lvl < maxShedLevel && c.ready(ActionShed) {
 		c.knobs.SetShedLevel(lvl + 1)
 		c.fire(ActionShed, reason, float64(lvl+1))
 	}
@@ -425,10 +400,10 @@ func (c *Controller) actRecover() {
 		}
 		return
 	}
-	if thr := c.knobs.OffloadThreshold(); thr < c.cfg.ThresholdTarget-knobEps && c.ready(ActionThresholdRaise) {
-		next := thr + c.cfg.ThresholdStep
-		if next > c.cfg.ThresholdTarget-knobEps {
-			next = c.cfg.ThresholdTarget
+	if thr := c.knobs.OffloadThreshold(); thr < c.target-knobEps && c.ready(ActionThresholdRaise) {
+		next := thr + thresholdStep
+		if next > c.target-knobEps {
+			next = c.target
 		}
 		c.knobs.SetOffloadThreshold(next)
 		c.fire(ActionThresholdRaise, "healthy streak", next)
@@ -441,7 +416,7 @@ const knobEps = 1e-9
 // ready reports whether an action kind is off cooldown this tick.
 func (c *Controller) ready(kind ActionKind) bool {
 	last, ok := c.lastFired[kind]
-	return !ok || c.tick-last > c.cfg.CooldownTicks
+	return !ok || c.tick-last > cooldownTicks
 }
 
 // fire records one action in the ring, the counters, and the event log.
@@ -451,8 +426,8 @@ func (c *Controller) fire(kind ActionKind, reason string, value float64) {
 	c.lastReason = reason
 	a := Action{Tick: c.tick, Kind: kind, Reason: reason, Value: value}
 	c.actions = append(c.actions, a)
-	if len(c.actions) > c.cfg.History {
-		c.actions = c.actions[len(c.actions)-c.cfg.History:]
+	if len(c.actions) > historyCap {
+		c.actions = c.actions[len(c.actions)-historyCap:]
 	}
 	if c.events != nil {
 		c.events.Log(telemetry.LevelInfo, telemetry.CompControl, "",

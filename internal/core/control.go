@@ -28,11 +28,7 @@ func controlWatchRules() []string {
 // and profiling layers, and the cityinfra_control_* metric family. Runs
 // after every other layer is wired.
 func (inf *Infrastructure) wireControl() {
-	thr := inf.cfg.OffloadThreshold
-	if thr == 0 {
-		thr = 0.5
-	}
-	inf.Knobs = control.NewKnobs(thr)
+	inf.Knobs = control.NewKnobs(inf.cfg.OffloadThreshold)
 
 	sig := control.Signals{
 		Firing:   inf.Alerts.Firing,
@@ -54,10 +50,7 @@ func (inf *Infrastructure) wireControl() {
 		},
 	}
 
-	cfg := control.DefaultConfig()
-	cfg.ThresholdTarget = thr
-	cfg.WatchRules = controlWatchRules()
-	inf.Control = control.NewController(inf.Knobs, cfg, sig, inf.Events)
+	inf.Control = control.NewController(inf.Knobs, controlWatchRules(), sig, inf.Events)
 
 	r := inf.Telemetry
 	inf.framesShed = r.Counter("cityinfra_control_frames_shed_total",

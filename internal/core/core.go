@@ -43,27 +43,15 @@ var (
 
 // Config sizes the infrastructure.
 type Config struct {
-	// Storage.
+	// Storage. Replication is shared by HDFS blocks and broker partitions.
 	DataNodes   int
 	BlockSize   int
 	Replication int
-	// Compute.
-	ComputeNodes    int
-	CoresPerNode    int
-	MemPerNodeMB    int
-	Parallelism     int
-	TopicPartitions int
-	// BrokerNodes sizes the replicated stream cluster; partition replicas
-	// (Replication per partition, shared with the HDFS factor) spread across
-	// these nodes. 0 defaults to max(Replication, 1) — the smallest cluster
-	// that can host every replica.
-	BrokerNodes int
 	// OffloadThreshold is the initial fog early-exit confidence gate —
 	// frames below it offload feature maps upstream. It seeds the live knob
-	// the adaptive controller owns; 0 defaults to 0.5.
+	// the adaptive controller owns and is the target the controller relaxes
+	// back to.
 	OffloadThreshold float64
-	// Hardware layer (fog tiers).
-	Fog fog.DeploymentConfig
 	// Data layer.
 	Cameras int
 	Gang    socialgraph.GenConfig
@@ -76,10 +64,7 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		DataNodes: 4, BlockSize: 64 * 1024, Replication: 3,
-		ComputeNodes: 4, CoresPerNode: 4, MemPerNodeMB: 8192,
-		Parallelism: 4, TopicPartitions: 4, BrokerNodes: 3,
 		OffloadThreshold: 0.5,
-		Fog:              fog.DefaultDeploymentConfig(),
 		Cameras:          220,
 		Gang:             socialgraph.PaperConfig(),
 		Epoch:            time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC),
@@ -95,7 +80,7 @@ type Infrastructure struct {
 	HDFS   *hdfs.Cluster
 	RM     *yarn.ResourceManager
 	Engine *dataproc.Engine
-	// Broker is the replicated stream cluster: BrokerNodes nodes hosting
+	// Broker is the replicated stream cluster: brokerNodes nodes hosting
 	// Replication copies of every partition, with per-partition leader
 	// election driven by MonitorTick.
 	Broker   *stream.Cluster
@@ -183,12 +168,24 @@ type Infrastructure struct {
 	Gang     *socialgraph.Graph
 }
 
+// The deployment's fixed shape (Fig. 1): one YARN pool of computeNodes
+// nodes, one parallelism-way dataproc engine, and one broker cluster of
+// brokerNodes nodes whose topics each hold topicPartitions partitions.
+const (
+	computeNodes    = 4
+	coresPerNode    = 4
+	memPerNodeMB    = 8192
+	parallelism     = 4
+	brokerNodes     = 3
+	topicPartitions = 4
+)
+
 // New boots every layer. It is deterministic for a given rng.
 func New(cfg Config, rng *rand.Rand) (*Infrastructure, error) {
 	if cfg.DataNodes < cfg.Replication {
 		return nil, fmt.Errorf("%w: %d datanodes < replication %d", ErrBadConfig, cfg.DataNodes, cfg.Replication)
 	}
-	if cfg.ComputeNodes <= 0 || cfg.Cameras < 9 {
+	if cfg.Cameras < 9 {
 		return nil, fmt.Errorf("%w: %+v", ErrBadConfig, cfg)
 	}
 	inf := &Infrastructure{cfg: cfg, rng: rng}
@@ -202,8 +199,8 @@ func New(cfg Config, rng *rand.Rand) (*Infrastructure, error) {
 	}
 	// Software layer: resource manager + processing engine.
 	inf.RM = yarn.NewResourceManager()
-	for i := 0; i < cfg.ComputeNodes; i++ {
-		res := yarn.Resources{Cores: cfg.CoresPerNode, MemMB: cfg.MemPerNodeMB}
+	for i := 0; i < computeNodes; i++ {
+		res := yarn.Resources{Cores: coresPerNode, MemMB: memPerNodeMB}
 		if err := inf.RM.AddNode(fmt.Sprintf("nm-%d", i), res); err != nil {
 			return nil, fmt.Errorf("boot yarn: %w", err)
 		}
@@ -212,20 +209,13 @@ func New(cfg Config, rng *rand.Rand) (*Infrastructure, error) {
 	if err != nil {
 		return nil, fmt.Errorf("submit app: %w", err)
 	}
-	inf.Engine = dataproc.NewEngine(cfg.Parallelism,
+	inf.Engine = dataproc.NewEngine(parallelism,
 		dataproc.WithYARN(inf.RM, app, yarn.Resources{Cores: 1, MemMB: 1024}))
 
 	// Software layer: streaming + NoSQL. The broker is a replicated cluster
 	// sized like the HDFS tier: Replication copies of every partition spread
-	// across BrokerNodes nodes, so losing a broker node loses no acknowledged
+	// across brokerNodes nodes, so losing a broker node loses no acknowledged
 	// record.
-	brokerNodes := cfg.BrokerNodes
-	if brokerNodes == 0 {
-		brokerNodes = cfg.Replication
-		if brokerNodes < 1 {
-			brokerNodes = 1
-		}
-	}
 	inf.Broker, err = stream.NewCluster(stream.ClusterConfig{
 		Nodes: brokerNodes, Replication: cfg.Replication,
 	})
@@ -233,7 +223,7 @@ func New(cfg Config, rng *rand.Rand) (*Infrastructure, error) {
 		return nil, fmt.Errorf("boot broker: %w", err)
 	}
 	for _, topic := range []string{"tweets", "waze", "crimes", "calls911", "frames", "alerts"} {
-		if err := inf.Broker.CreateTopic(topic, cfg.TopicPartitions); err != nil {
+		if err := inf.Broker.CreateTopic(topic, topicPartitions); err != nil {
 			return nil, fmt.Errorf("boot broker: %w", err)
 		}
 	}
@@ -284,7 +274,7 @@ func New(cfg Config, rng *rand.Rand) (*Infrastructure, error) {
 	}
 
 	// Hardware layer.
-	inf.Deployment, err = fog.BuildDeployment(cfg.Fog)
+	inf.Deployment, err = fog.BuildDeployment(fog.DefaultDeploymentConfig())
 	if err != nil {
 		return nil, fmt.Errorf("boot fog: %w", err)
 	}
@@ -348,7 +338,7 @@ func (inf *Infrastructure) Inventory() []LayerInventory {
 		{Layer: "software", Components: []string{
 			fmt.Sprintf("hdfs: %d datanodes, replication %d", hdfsStatus.LiveNodes, inf.HDFS.Config().Replication),
 			fmt.Sprintf("yarn: %d cores, %d MB", total.Cores, total.MemMB),
-			fmt.Sprintf("dataproc: %d-way parallel engine", inf.cfg.Parallelism),
+			fmt.Sprintf("dataproc: %d-way parallel engine", parallelism),
 			fmt.Sprintf("stream broker: %d nodes, replication %d, topics %v",
 				inf.Broker.NodeCount(), inf.HDFS.Config().Replication, inf.Broker.Topics()),
 			"hbase: crimes, video_annotations",

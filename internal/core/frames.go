@@ -112,8 +112,6 @@ func (inf *Infrastructure) ingestFrame(f FrameEvent, archiveDir string) (stats P
 		cam.offloaded.Inc()
 	}
 	headers := run.ctx.Inject(map[string]string{
-		"camera":  f.CameraID,
-		"seq":     strconv.Itoa(f.Seq),
 		"offload": strconv.FormatBool(offload),
 	})
 	gate.End()

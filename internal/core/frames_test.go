@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/faults"
@@ -105,6 +107,36 @@ func TestFramePipelineSingleTraceAcrossTiers(t *testing.T) {
 	// Cloud tier really landed: feature map on HDFS.
 	if _, err := inf.HDFS.Read("/warehouse/feat/cam-1-000007.feat"); err != nil {
 		t.Fatalf("feature map missing: %v", err)
+	}
+}
+
+// A frames record carries only the headers the server reads: the gate's
+// offload decision and the trace context. The key already names the camera
+// and the body already carries the sequence number.
+func TestFrameRecordCarriesOnlyServerHeaders(t *testing.T) {
+	inf := bootSmall(t)
+	f := FrameEvent{
+		CameraID: "cam-1", Seq: 7, Class: "truck", Confidence: 0.2,
+		RawBytes: 30000, FeatureBytes: 6000,
+	}
+	if _, err := inf.IngestFrames([]FrameEvent{f}, ""); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := inf.Broker.Poll("frame-header-audit", "frames", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Key != f.CameraID {
+		t.Fatalf("frames topic holds %+v, want one record keyed %s", recs, f.CameraID)
+	}
+	var keys []string
+	for k := range recs[0].Headers {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	want := []string{"offload", telemetry.HeaderSpanID, telemetry.HeaderTraceID}
+	if !reflect.DeepEqual(keys, want) {
+		t.Fatalf("frame record headers = %v, want %v", keys, want)
 	}
 }
 

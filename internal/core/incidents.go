@@ -75,11 +75,12 @@ func incidentRuleComponents() map[string][]string {
 // surfaces wired earlier and registers the cityinfra_incident_* family,
 // which the TSDB self-scrapes like every other registry series.
 func (inf *Infrastructure) wireIncidents() {
-	cfg := incident.DefaultConfig()
-	cfg.Bindings = incidentBindings()
-	cfg.StageBackends = incidentStageBackends()
-	cfg.SourceRoots = incidentSourceRoots()
-	cfg.RuleComponents = incidentRuleComponents()
+	cfg := incident.Config{
+		Bindings:       incidentBindings(),
+		StageBackends:  incidentStageBackends(),
+		SourceRoots:    incidentSourceRoots(),
+		RuleComponents: incidentRuleComponents(),
+	}
 	// Mitigation-visibility rules must not hold incidents open: shedding
 	// stays active for as long as the controller sheds — the same
 	// anti-feedback reasoning as controlWatchRules. The wall-clock anomaly

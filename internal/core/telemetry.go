@@ -191,11 +191,7 @@ func (inf *Infrastructure) wireTelemetry() {
 			inf.Events.Log(telemetry.LevelWarn, telemetry.CompBroker, "",
 				"%s lost leader (node %d, epoch %d)", part, ev.Node, ev.Epoch)
 		case "leader-elected":
-			interval := inf.ScrapeInterval
-			if interval == 0 {
-				interval = defaultScrapeInterval
-			}
-			inf.failoverSeconds.Observe((time.Duration(ev.FailoverTicks) * interval).Seconds())
+			inf.failoverSeconds.Observe((time.Duration(ev.FailoverTicks) * inf.ScrapeInterval).Seconds())
 			level, mode := telemetry.LevelInfo, "clean"
 			if ev.Unclean {
 				level, mode = telemetry.LevelWarn, "unclean"

@@ -90,7 +90,7 @@ type Config struct {
 	MaxRetries int
 	// Retry, when set, replaces the fixed retry loop with the shared
 	// policy engine (exponential backoff with seeded jitter on an
-	// injectable clock, optional budget and circuit breaker).
+	// injectable clock, optional circuit breaker).
 	Retry *retry.Policy
 	// DeadLetter, when set, receives the events of batches that exhaust
 	// their retries instead of losing them silently; callers can inspect

@@ -49,9 +49,34 @@ const (
 	breakerSaturation = 12
 )
 
-// seqMarkWindow bounds LookbackTicks: the engine remembers this many ticks
+// seqMarkWindow bounds lookbackTicks: the engine remembers this many ticks
 // of event-sequence watermarks.
 const seqMarkWindow = 8
+
+// The engine's bounds.
+const (
+	// maxResolved bounds the resolved-incident ring.
+	maxResolved = 32
+	// maxTimeline bounds a single incident's timeline; overflow is counted
+	// in TimelineDropped rather than silently lost.
+	maxTimeline = 96
+	// maxSuspects bounds the exported suspect ranking.
+	maxSuspects = 5
+	// maxExemplars bounds the exemplar trace ids carried per incident.
+	maxExemplars = 4
+	// lookbackTicks is how many ticks of pre-open events fold into a new
+	// incident — alerts trail the evidence that caused them by one or two
+	// scrape ticks. It must stay below seqMarkWindow.
+	lookbackTicks = 3
+	// reopenTicks is the flap-damping grace: a watched rule going active
+	// within this many ticks of the last resolution reopens that incident
+	// instead of opening a new one, so an alert flapping across its
+	// threshold during recovery yields one episode, not one per flap.
+	reopenTicks = 3
+)
+
+// The build fails here if lookbackTicks reaches seqMarkWindow.
+const _ = uint(seqMarkWindow - 1 - lookbackTicks)
 
 // AlertSource is the slice of the alert engine the correlator needs: an
 // allocation-free read of the currently pending/firing rules.
@@ -60,27 +85,8 @@ type AlertSource interface {
 }
 
 // Config declares the topology knowledge the engine cannot derive from
-// traces alone, plus bounds. The zero value is unusable; start from
-// DefaultConfig.
+// traces alone.
 type Config struct {
-	// MaxResolved bounds the resolved-incident ring.
-	MaxResolved int
-	// MaxTimeline bounds a single incident's timeline; overflow is counted
-	// in TimelineDropped rather than silently lost.
-	MaxTimeline int
-	// MaxSuspects bounds the exported suspect ranking.
-	MaxSuspects int
-	// MaxExemplars bounds the exemplar trace ids carried per incident.
-	MaxExemplars int
-	// LookbackTicks is how many ticks of pre-open events fold into a new
-	// incident — alerts trail the evidence that caused them by one or two
-	// scrape ticks. Capped at seqMarkWindow-1.
-	LookbackTicks int
-	// ReopenTicks is the flap-damping grace: a watched rule going active
-	// within this many ticks of the last resolution reopens that incident
-	// instead of opening a new one, so an alert flapping across its
-	// threshold during recovery yields one episode, not one per flap.
-	ReopenTicks int
 	// Bindings attaches backend nodes under trace stages: span name (or
 	// "root/span" for per-pipeline overrides, or a bare root name) → the
 	// backend components that stage calls into.
@@ -105,19 +111,6 @@ type Config struct {
 	// the record never reached the stage's backend and must not implicate
 	// it.
 	CollateralMarkers []string
-}
-
-// DefaultConfig returns the engine bounds; topology maps start empty (the
-// core wiring owns them).
-func DefaultConfig() Config {
-	return Config{
-		MaxResolved:   32,
-		MaxTimeline:   96,
-		MaxSuspects:   5,
-		MaxExemplars:  4,
-		LookbackTicks: 3,
-		ReopenTicks:   3,
-	}
 }
 
 // TimelineEntry is one step of an incident's unified timeline: an event
@@ -219,25 +212,6 @@ type Engine struct {
 // and alerts may be nil (graph building / alert grouping degrade to no-ops
 // — useful in unit tests); events must not be nil.
 func NewEngine(tracer *telemetry.Tracer, events *telemetry.EventLog, alerts AlertSource, cfg Config) *Engine {
-	d := DefaultConfig()
-	if cfg.MaxResolved <= 0 {
-		cfg.MaxResolved = d.MaxResolved
-	}
-	if cfg.MaxTimeline <= 0 {
-		cfg.MaxTimeline = d.MaxTimeline
-	}
-	if cfg.MaxSuspects <= 0 {
-		cfg.MaxSuspects = d.MaxSuspects
-	}
-	if cfg.MaxExemplars <= 0 {
-		cfg.MaxExemplars = d.MaxExemplars
-	}
-	if cfg.LookbackTicks < 0 {
-		cfg.LookbackTicks = 0
-	}
-	if cfg.LookbackTicks > seqMarkWindow-1 {
-		cfg.LookbackTicks = seqMarkWindow - 1
-	}
 	return &Engine{
 		cfg: cfg, tracer: tracer, events: events, alerts: alerts,
 		graph: newGraph(), seen: make(map[string]int),
@@ -512,7 +486,7 @@ func (e *Engine) ingestEvent(inc *Incident, ev *telemetry.Event) {
 }
 
 func (e *Engine) appendTimeline(inc *Incident, entry TimelineEntry) {
-	if len(inc.Timeline) >= e.cfg.MaxTimeline {
+	if len(inc.Timeline) >= maxTimeline {
 		inc.TimelineDropped++
 		return
 	}
@@ -520,7 +494,7 @@ func (e *Engine) appendTimeline(inc *Incident, entry TimelineEntry) {
 }
 
 func (e *Engine) noteExemplar(inc *Incident, traceID string) {
-	if traceID == "" || len(inc.Exemplars) >= e.cfg.MaxExemplars {
+	if traceID == "" || len(inc.Exemplars) >= maxExemplars {
 		return
 	}
 	for _, t := range inc.Exemplars {
@@ -555,7 +529,7 @@ func (e *Engine) openIncident() {
 		Tick: e.tick, Level: telemetry.LevelWarn, Component: telemetry.CompIncident,
 		Message: fmt.Sprintf("incident %s opened", inc.ID),
 	})
-	mark := e.tick - int64(e.cfg.LookbackTicks)
+	mark := e.tick - lookbackTicks
 	if mark < 1 {
 		mark = 1
 	}
@@ -581,17 +555,17 @@ func (e *Engine) openIncident() {
 }
 
 // reopenIncident is the flap-damping path: when a watched rule activates
-// within ReopenTicks of the last resolution, the resolved incident comes
+// within reopenTicks of the last resolution, the resolved incident comes
 // back as the open one — same ID, same accumulated evidence, a "reopened"
 // timeline marker — instead of a fresh INC-N. Counters stay monotone:
 // openedTotal/resolvedTotal count state transitions, so a flap increments
 // both again.
 func (e *Engine) reopenIncident() bool {
-	if e.cfg.ReopenTicks <= 0 || len(e.resolved) == 0 {
+	if len(e.resolved) == 0 {
 		return false
 	}
 	inc := e.resolved[len(e.resolved)-1]
-	if e.tick-inc.ResolvedTick > int64(e.cfg.ReopenTicks) {
+	if e.tick-inc.ResolvedTick > reopenTicks {
 		return false
 	}
 	e.resolved = e.resolved[:len(e.resolved)-1]
@@ -630,7 +604,7 @@ func (e *Engine) resolveIncident() {
 		Message: fmt.Sprintf("incident %s resolved", inc.ID),
 	})
 	e.resolved = append(e.resolved, inc)
-	if len(e.resolved) > e.cfg.MaxResolved {
+	if len(e.resolved) > maxResolved {
 		e.resolved = e.resolved[1:]
 	}
 	e.resolvedTotal++
@@ -717,8 +691,8 @@ func (e *Engine) rankSuspects(inc *Incident) {
 		}
 		return suspects[a].Component < suspects[b].Component
 	})
-	if len(suspects) > e.cfg.MaxSuspects {
-		suspects = suspects[:e.cfg.MaxSuspects]
+	if len(suspects) > maxSuspects {
+		suspects = suspects[:maxSuspects]
 	}
 	inc.Suspects = suspects
 }

@@ -26,7 +26,7 @@ func testClock() func() time.Time {
 }
 
 func testConfig() Config {
-	cfg := DefaultConfig()
+	var cfg Config
 	cfg.Bindings = map[string][]string{
 		"store":   {telemetry.CompDocstore, telemetry.CompBroker},
 		"stream":  {telemetry.CompBroker},
@@ -244,13 +244,11 @@ func TestTimelineCapCountsDrops(t *testing.T) {
 	tr := telemetry.NewTracer(testClock(), 16)
 	ev := telemetry.NewEventLog(testClock(), 256)
 	alerts := &fakeAlerts{}
-	cfg := testConfig()
-	cfg.MaxTimeline = 10
-	e := NewEngine(tr, ev, alerts, cfg)
+	e := NewEngine(tr, ev, alerts, testConfig())
 
 	alerts.refs = []tsdb.RuleRef{{Name: "ingest-delivery-rate", State: tsdb.StateFiring, Severity: "error"}}
 	e.Tick()
-	for i := 0; i < 50; i++ {
+	for i := 0; i < 2*maxTimeline; i++ {
 		ev.Log(telemetry.LevelWarn, telemetry.Component(telemetry.CompDeadLetter, "store"), "",
 			"tweets/store record %q quarantined: injected fault", fmt.Sprintf("x%d", i))
 	}
@@ -259,11 +257,44 @@ func TestTimelineCapCountsDrops(t *testing.T) {
 	incs := e.Incidents(1)
 	inc := incs[0]
 	// Cap + the always-appended resolve marker.
-	if len(inc.Timeline) != cfg.MaxTimeline+1 {
-		t.Fatalf("timeline len = %d, want %d", len(inc.Timeline), cfg.MaxTimeline+1)
+	if len(inc.Timeline) != maxTimeline+1 {
+		t.Fatalf("timeline len = %d, want %d", len(inc.Timeline), maxTimeline+1)
 	}
 	if inc.TimelineDropped == 0 {
 		t.Fatalf("dropped = 0, want > 0")
+	}
+}
+
+// The resolved ring keeps the newest maxResolved incidents, newest first,
+// while the transition counters keep counting every episode.
+func TestResolvedRingKeepsNewest(t *testing.T) {
+	tr := telemetry.NewTracer(testClock(), 16)
+	ev := telemetry.NewEventLog(testClock(), 128)
+	alerts := &fakeAlerts{}
+	e := NewEngine(tr, ev, alerts, testConfig())
+
+	const episodes = maxResolved + 8
+	for i := 0; i < episodes; i++ {
+		alerts.refs = []tsdb.RuleRef{{Name: "ingest-delivery-rate", State: tsdb.StateFiring, Severity: "error"}}
+		e.Tick()
+		alerts.refs = nil
+		// Stay quiet past the reopen grace so the next alert opens a new
+		// incident instead of reopening this one.
+		for q := 0; q <= reopenTicks+1; q++ {
+			e.Tick()
+		}
+	}
+	if e.OpenedTotal() != episodes || e.ResolvedTotal() != episodes {
+		t.Fatalf("totals = %d/%d, want %d/%d", e.OpenedTotal(), e.ResolvedTotal(), episodes, episodes)
+	}
+	incs := e.Incidents(0)
+	if len(incs) != maxResolved {
+		t.Fatalf("retained %d incidents, want %d", len(incs), maxResolved)
+	}
+	for i, inc := range incs {
+		if want := fmt.Sprintf("INC-%d", episodes-i); inc.ID != want || inc.State != StateResolved {
+			t.Fatalf("incident %d = %s/%s, want %s/resolved", i, inc.ID, inc.State, want)
+		}
 	}
 }
 

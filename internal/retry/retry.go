@@ -1,9 +1,8 @@
 // Package retry is the unified resilience layer for the ingestion and
 // storage tiers: an exponential-backoff retry policy with seeded jitter, an
 // injectable clock (so tests and simulations never sleep on the wall clock),
-// retry budgets that prevent retry storms, a circuit breaker with half-open
-// probing, and a generic dead-letter queue for records that exhaust their
-// retries. The flume agents, the stream produce/poll paths, and the NoSQL
+// a circuit breaker with half-open probing, and a generic dead-letter queue
+// for records that exhaust their retries. The flume agents, the stream produce/poll paths, and the NoSQL
 // drains all share these primitives instead of growing ad-hoc retry loops.
 package retry
 
@@ -13,12 +12,6 @@ import (
 	"math/rand"
 	"sync"
 	"time"
-)
-
-// Sentinel errors.
-var (
-	// ErrBudgetExhausted reports that the shared retry budget ran dry.
-	ErrBudgetExhausted = errors.New("retry: budget exhausted")
 )
 
 // Clock abstracts time so retry backoff can run on a simulated timeline.
@@ -122,17 +115,15 @@ type Stats struct {
 	Failures       int // failed operation executions
 	ShortCircuits  int // attempts skipped because the breaker was open
 	Exhausted      int // Do calls that returned an error after all attempts
-	BudgetStops    int // Do calls stopped early by the retry budget
 	SleptSimulated time.Duration
 }
 
-// Policy executes operations with bounded, jittered, budgeted retries. It is
+// Policy executes operations with bounded, jittered retries. It is
 // safe for concurrent use and deterministic for a given seed and clock.
 type Policy struct {
 	cfg     Config
 	clock   Clock
 	breaker *Breaker
-	budget  *Budget
 
 	mu    sync.Mutex
 	rng   *rand.Rand
@@ -172,9 +163,6 @@ func (p *Policy) WithClock(c Clock) *Policy {
 
 // WithBreaker attaches a circuit breaker consulted before every attempt.
 func (p *Policy) WithBreaker(b *Breaker) *Policy { p.breaker = b; return p }
-
-// WithBudget attaches a shared retry budget spent on every backoff.
-func (p *Policy) WithBudget(b *Budget) *Policy { p.budget = b; return p }
 
 // Config returns the policy configuration.
 func (p *Policy) Config() Config { return p.cfg }
@@ -233,8 +221,8 @@ type CallStats struct {
 
 // Do runs op with bounded retries. Permanent errors fail fast. When the
 // breaker is open the attempt is skipped but still backs off (advancing the
-// clock so the breaker can reach half-open); when the budget is dry the call
-// stops early. The returned error is the last failure, nil on success.
+// clock so the breaker can reach half-open). The returned error is the last
+// failure, nil on success.
 func (p *Policy) Do(op func() error) error {
 	_, err := p.DoStats(op)
 	return err
@@ -262,9 +250,6 @@ func (p *Policy) DoStats(op func() error) (CallStats, error) {
 				if p.breaker != nil {
 					p.breaker.OnSuccess()
 				}
-				if p.budget != nil {
-					p.budget.OnSuccess()
-				}
 				return cs, nil
 			}
 			lastErr = err
@@ -281,63 +266,12 @@ func (p *Policy) DoStats(op func() error) (CallStats, error) {
 			p.count(func(s *Stats) { s.Exhausted++ })
 			return cs, lastErr
 		}
-		if p.budget != nil && !p.budget.Spend() {
-			p.count(func(s *Stats) { s.BudgetStops++; s.Exhausted++ })
-			return cs, fmt.Errorf("%w: %w", ErrBudgetExhausted, lastErr)
-		}
 		d := p.backoff(attempt)
 		cs.Retries++
 		cs.Slept += d
 		p.count(func(s *Stats) { s.Retries++; s.SleptSimulated += d })
 		p.clock.Sleep(d)
 	}
-}
-
-// Budget is a token bucket shared across operations: each retry spends one
-// token, each success refills a fraction, so a sustained outage cannot turn
-// into an unbounded retry storm. Safe for concurrent use.
-type Budget struct {
-	mu     sync.Mutex
-	tokens float64
-	max    float64
-	refill float64
-}
-
-// NewBudget creates a full bucket holding maxTokens; every success refills
-// refillPerSuccess tokens (capped at maxTokens).
-func NewBudget(maxTokens, refillPerSuccess float64) *Budget {
-	if maxTokens <= 0 {
-		maxTokens = 1
-	}
-	return &Budget{tokens: maxTokens, max: maxTokens, refill: refillPerSuccess}
-}
-
-// Spend takes one retry token, reporting whether the retry may proceed.
-func (b *Budget) Spend() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
-}
-
-// OnSuccess refills the bucket.
-func (b *Budget) OnSuccess() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.tokens += b.refill
-	if b.tokens > b.max {
-		b.tokens = b.max
-	}
-}
-
-// Tokens returns the current balance.
-func (b *Budget) Tokens() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.tokens
 }
 
 // DeadLetter is one quarantined item with its failure context.

@@ -97,36 +97,6 @@ func TestBackoffJitterIsSeededAndBounded(t *testing.T) {
 	}
 }
 
-func TestBudgetStopsRetryStorm(t *testing.T) {
-	budget := NewBudget(3, 0)
-	p := NewPolicy(Config{MaxAttempts: 100, BaseDelay: time.Millisecond}, 4).WithBudget(budget)
-	calls := 0
-	err := p.Do(func() error { calls++; return errors.New("down") })
-	if !errors.Is(err, ErrBudgetExhausted) {
-		t.Fatalf("err = %v", err)
-	}
-	// First attempt + 3 budgeted retries.
-	if calls != 4 {
-		t.Fatalf("calls = %d", calls)
-	}
-	// Successes refill the bucket.
-	budget2 := NewBudget(2, 1)
-	p2 := NewPolicy(Config{MaxAttempts: 2, BaseDelay: time.Millisecond}, 5).WithBudget(budget2)
-	for i := 0; i < 3; i++ {
-		fail := true
-		_ = p2.Do(func() error {
-			if fail {
-				fail = false
-				return errors.New("flap")
-			}
-			return nil
-		})
-	}
-	if tok := budget2.Tokens(); tok != 2 {
-		t.Fatalf("tokens = %v", tok)
-	}
-}
-
 // TestBreakerTransitions walks closed → open → half-open → closed entirely
 // on the simulated clock (satellite requirement).
 func TestBreakerTransitions(t *testing.T) {
@@ -238,7 +208,7 @@ func TestDLQAccounting(t *testing.T) {
 func TestConcurrentPolicyAndBreaker(t *testing.T) {
 	clk := NewManualClock(time.Time{})
 	b := NewBreaker(BreakerConfig{FailureThreshold: 4, OpenTimeout: time.Millisecond, HalfOpenProbes: 1}, clk)
-	p := NewPolicy(DefaultConfig(), 8).WithClock(clk).WithBreaker(b).WithBudget(NewBudget(1000, 1))
+	p := NewPolicy(DefaultConfig(), 8).WithClock(clk).WithBreaker(b)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

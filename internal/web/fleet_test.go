@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/faults"
 )
 
 // camFrames builds one confident frame per listed camera so each ingests,
@@ -171,6 +172,22 @@ func TestCamerasEndpoint(t *testing.T) {
 	out = getJSON(t, srv.URL+"/api/cameras?limit=1", http.StatusOK)
 	if len(out["cameras"].([]any)) != 1 || int(out["total"].(float64)) != len(cams) {
 		t.Fatalf("limited table = %v", out)
+	}
+
+	// Three burning cameras: ?sort=burn&limit=1 caps the rows, and total
+	// still counts every burning camera.
+	inf.EnableChaos(faults.NewInjector(faults.Config{
+		Seed: 99, BlackoutEvery: 1, BlackoutLen: 1, TargetOps: []string{"hbase."},
+	}))
+	burning := []string{"cam-6", "cam-7", "cam-8"}
+	if _, err := inf.IngestFrames(camFrames(burning, 1), ""); err != nil {
+		t.Fatal(err)
+	}
+	inf.DisableChaos()
+	inf.MonitorTick()
+	out = getJSON(t, srv.URL+"/api/cameras?sort=burn&limit=1", http.StatusOK)
+	if int(out["count"].(float64)) != 1 || int(out["total"].(float64)) != len(burning) {
+		t.Fatalf("burn ranking with limit=1: count %v total %v, want 1 and %d", out["count"], out["total"], len(burning))
 	}
 
 	getJSON(t, srv.URL+"/api/cameras?sort=rate", http.StatusBadRequest)

@@ -332,7 +332,7 @@ func (s *Server) handleCameras(w http.ResponseWriter, r *http.Request) {
 	case "", "id":
 		rows = fl.Report()
 	case "burn":
-		rows = fl.TopBurning(limit)
+		rows = fl.TopBurning(0)
 	default:
 		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: sort must be id or burn", ErrBadRequest))
 		return
