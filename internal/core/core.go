@@ -35,11 +35,8 @@ import (
 	"repro/internal/yarn"
 )
 
-// Sentinel errors.
-var (
-	ErrBadConfig = errors.New("core: invalid configuration")
-	ErrNotBooted = errors.New("core: infrastructure not booted")
-)
+// ErrBadConfig is returned by New for a configuration it cannot boot.
+var ErrBadConfig = errors.New("core: invalid configuration")
 
 // Config sizes the infrastructure.
 type Config struct {

@@ -1,30 +1,27 @@
 // Package dataproc implements a Spark-style distributed data-processing
 // engine: lazy, partitioned datasets with narrow transformations (map,
-// filter, flatMap) executed per-partition in parallel, and wide
-// transformations (reduceByKey, groupByKey, join, sortBy) that introduce
-// hash shuffles. Task slots are leased from a yarn.ResourceManager when one
-// is attached, reproducing the paper's HDFS + YARN + Spark software stack.
+// flatMap) executed per-partition in parallel, and wide transformations
+// (reduceByKey, groupByKey, join) that introduce hash shuffles. Task slots
+// are leased from a yarn.ResourceManager when one is attached, reproducing
+// the paper's HDFS + YARN + Spark software stack.
 //
 // Datasets carry values as `any`; pair operations use the Pair type. The
-// engine is deliberately eager at action boundaries (Collect/Count/Reduce)
-// and lazy elsewhere, with optional caching, like the system it models.
+// engine is deliberately eager at action boundaries (Collect/Count) and
+// lazy elsewhere, with optional caching, like the system it models.
 package dataproc
 
 import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"sync"
 
 	"repro/internal/yarn"
 )
 
-// Sentinel errors.
-var (
-	ErrNoData  = errors.New("dataproc: empty dataset")
-	ErrBadPlan = errors.New("dataproc: invalid plan")
-)
+// ErrBadPlan is returned when a dataset's rows do not fit the operation,
+// such as a shuffle over rows that are not Pairs.
+var ErrBadPlan = errors.New("dataproc: invalid plan")
 
 // Pair is a keyed record used by shuffle operations.
 type Pair struct {
@@ -125,9 +122,6 @@ func (e *Engine) ParallelizePairs(pairs []Pair, nParts int) *Dataset {
 	return e.Parallelize(data, nParts)
 }
 
-// NumPartitions returns the partition count of the dataset.
-func (d *Dataset) NumPartitions() int { return d.nParts }
-
 // Cache marks the dataset for materialization reuse.
 func (d *Dataset) Cache() *Dataset {
 	d.mu.Lock()
@@ -216,30 +210,6 @@ func (d *Dataset) Map(f func(any) any) *Dataset {
 				out := make([]any, len(rows))
 				for i, r := range rows {
 					out[i] = f(r)
-				}
-				return out, nil
-			})
-		},
-	}
-}
-
-// Filter keeps elements where f returns true (narrow).
-func (d *Dataset) Filter(f func(any) bool) *Dataset {
-	parent := d
-	return &Dataset{
-		eng:    d.eng,
-		nParts: d.nParts,
-		compute: func() ([][]any, error) {
-			parts, err := parent.materialize()
-			if err != nil {
-				return nil, err
-			}
-			return parent.eng.runTasks(parts, func(_ int, rows []any) ([]any, error) {
-				var out []any
-				for _, r := range rows {
-					if f(r) {
-						out = append(out, r)
-					}
 				}
 				return out, nil
 			})
@@ -428,50 +398,6 @@ func (d *Dataset) Join(other *Dataset) *Dataset {
 	}
 }
 
-// SortBy totally orders the dataset with less, returning a single-partition
-// dataset (wide).
-func (d *Dataset) SortBy(less func(a, b any) bool) *Dataset {
-	parent := d
-	return &Dataset{
-		eng:    d.eng,
-		nParts: 1,
-		compute: func() ([][]any, error) {
-			rows, err := parent.Collect()
-			if err != nil {
-				return nil, err
-			}
-			sort.SliceStable(rows, func(i, j int) bool { return less(rows[i], rows[j]) })
-			parent.eng.mu.Lock()
-			parent.eng.stageBarriers++
-			parent.eng.mu.Unlock()
-			return [][]any{rows}, nil
-		},
-	}
-}
-
-// Repartition redistributes rows round-robin into n partitions.
-func (d *Dataset) Repartition(n int) *Dataset {
-	if n < 1 {
-		n = 1
-	}
-	parent := d
-	return &Dataset{
-		eng:    d.eng,
-		nParts: n,
-		compute: func() ([][]any, error) {
-			rows, err := parent.Collect()
-			if err != nil {
-				return nil, err
-			}
-			parts := make([][]any, n)
-			for i, r := range rows {
-				parts[i%n] = append(parts[i%n], r)
-			}
-			return parts, nil
-		},
-	}
-}
-
 // Collect materializes the dataset into one slice (action).
 func (d *Dataset) Collect() ([]any, error) {
 	parts, err := d.materialize()
@@ -513,20 +439,4 @@ func (d *Dataset) Count() (int, error) {
 		n += len(p)
 	}
 	return n, nil
-}
-
-// Reduce folds all elements with f (action). It errors on empty datasets.
-func (d *Dataset) Reduce(f func(a, b any) any) (any, error) {
-	rows, err := d.Collect()
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) == 0 {
-		return nil, ErrNoData
-	}
-	acc := rows[0]
-	for _, r := range rows[1:] {
-		acc = f(acc, r)
-	}
-	return acc, nil
 }

@@ -18,12 +18,12 @@ func intsToAny(xs []int) []any {
 	return out
 }
 
-func TestMapFilterCollect(t *testing.T) {
+func TestMapCollect(t *testing.T) {
 	e := NewEngine(4)
 	ds := e.Parallelize(intsToAny([]int{1, 2, 3, 4, 5, 6}), 3)
 	got, err := ds.
 		Map(func(v any) any { return v.(int) * 10 }).
-		Filter(func(v any) bool { return v.(int) > 20 }).
+		Map(func(v any) any { return v.(int) + 1 }).
 		Collect()
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +33,7 @@ func TestMapFilterCollect(t *testing.T) {
 		vals[i] = v.(int)
 	}
 	sort.Ints(vals)
-	want := []int{30, 40, 50, 60}
+	want := []int{11, 21, 31, 41, 51, 61}
 	if len(vals) != len(want) {
 		t.Fatalf("got %v", vals)
 	}
@@ -156,37 +156,6 @@ func TestJoin(t *testing.T) {
 	}
 }
 
-func TestSortBy(t *testing.T) {
-	e := NewEngine(2)
-	got, err := e.Parallelize(intsToAny([]int{5, 3, 9, 1}), 2).
-		SortBy(func(a, b any) bool { return a.(int) < b.(int) }).
-		Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i-1].(int) > got[i].(int) {
-			t.Fatalf("not sorted: %v", got)
-		}
-	}
-}
-
-func TestReduce(t *testing.T) {
-	e := NewEngine(2)
-	sum, err := e.Parallelize(intsToAny([]int{1, 2, 3, 4}), 3).
-		Reduce(func(a, b any) any { return a.(int) + b.(int) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.(int) != 10 {
-		t.Fatalf("sum = %v", sum)
-	}
-	_, err = e.Parallelize(nil, 2).Reduce(func(a, b any) any { return a })
-	if !errors.Is(err, ErrNoData) {
-		t.Fatalf("empty reduce err = %v", err)
-	}
-}
-
 func TestCacheMaterializesOnce(t *testing.T) {
 	e := NewEngine(2)
 	calls := 0
@@ -203,18 +172,6 @@ func TestCacheMaterializesOnce(t *testing.T) {
 	}
 	if calls != 4 {
 		t.Fatalf("map ran %d times, want 4 (cached second pass)", calls)
-	}
-}
-
-func TestRepartition(t *testing.T) {
-	e := NewEngine(2)
-	ds := e.Parallelize(intsToAny([]int{1, 2, 3, 4, 5}), 1).Repartition(3)
-	if ds.NumPartitions() != 3 {
-		t.Fatalf("partitions = %d", ds.NumPartitions())
-	}
-	n, err := ds.Count()
-	if err != nil || n != 5 {
-		t.Fatalf("count = %d, %v", n, err)
 	}
 }
 

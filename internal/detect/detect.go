@@ -413,33 +413,6 @@ func (d *Detector) DetectServer(feature *tensor.Tensor, scoreFloor float64) ([]D
 	return NMS(d.decode(out, 0, scoreFloor), 0.45), nil
 }
 
-// DetectBatch runs one head over a batch and returns per-image NMS-filtered
-// detections, the input format MeanAP consumes.
-func (d *Detector) DetectBatch(images *tensor.Tensor, h Head, scoreFloor float64) ([][]Detection, error) {
-	feat, err := d.stem.Forward(images, false)
-	if err != nil {
-		return nil, fmt.Errorf("stem: %w", err)
-	}
-	var out *tensor.Tensor
-	switch h {
-	case TinyHead:
-		out, err = d.tiny.Forward(feat, false)
-	case FullHead:
-		out, err = d.full.Forward(feat, false)
-	default:
-		return nil, fmt.Errorf("%w: head %d", ErrBadConfig, h)
-	}
-	if err != nil {
-		return nil, err
-	}
-	n := images.Dim(0)
-	dets := make([][]Detection, n)
-	for i := 0; i < n; i++ {
-		dets[i] = NMS(d.decode(out, i, scoreFloor), 0.45)
-	}
-	return dets, nil
-}
-
 // EvalResult summarizes detector accuracy on a labeled set.
 type EvalResult struct {
 	Images         int

@@ -33,11 +33,9 @@ import (
 
 // Sentinel errors.
 var (
-	ErrNotFound   = errors.New("docstore: document not found")
-	ErrNoIndex    = errors.New("docstore: index not found")
-	ErrBadQuery   = errors.New("docstore: invalid query")
-	ErrBadGeo     = errors.New("docstore: field is not a coordinate pair")
-	ErrCollection = errors.New("docstore: collection not found")
+	ErrNotFound = errors.New("docstore: document not found")
+	ErrBadQuery = errors.New("docstore: invalid query")
+	ErrBadGeo   = errors.New("docstore: field is not a coordinate pair")
 )
 
 // Document is a schemaless record. Values are JSON-like: string, float64,
@@ -373,27 +371,6 @@ func (c *Collection) Delete(id string) error {
 	}
 	delete(c.docs, seq)
 	c.unindex(seq, d)
-	return nil
-}
-
-// Update replaces the non-id fields of a document, in one step: a reader
-// sees the old document or the new one, and a replacement Insert would have
-// refused leaves the old one stored and indexed.
-func (c *Collection) Update(id string, d Document) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	seq, old, err := c.lookup(id)
-	if err != nil {
-		return err
-	}
-	doc := d.clone()
-	doc["_id"] = id
-	if err := c.checkGeo(doc); err != nil {
-		return err
-	}
-	c.unindex(seq, old)
-	c.docs[seq] = doc
-	c.index(seq, doc)
 	return nil
 }
 

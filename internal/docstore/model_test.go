@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
-	"sync"
 	"testing"
 
 	"repro/internal/geo"
@@ -25,7 +24,7 @@ type modelCollection struct {
 
 // modelTally counts, over all histories, what the tameness guard wants seen.
 type modelTally struct {
-	cellMoves, deletes, byGeo, byEq, byEither, fullScans, limited, badGeo int
+	deletes, byGeo, byEq, byEither, fullScans, limited, badGeo int
 }
 
 func modelNum(v any) (float64, bool) {
@@ -333,7 +332,7 @@ func stored(d Document, id string) Document {
 
 func (m *modelCollection) step(rng *rand.Rand, step int) {
 	switch op := rng.Intn(100); {
-	case op < 45:
+	case op < 60:
 		d := m.randomDoc(rng, step)
 		id, err := m.col.Insert(d)
 		if err != nil {
@@ -341,30 +340,6 @@ func (m *modelCollection) step(rng *rand.Rand, step int) {
 		}
 		if _, dup := m.docs[id]; dup {
 			m.t.Fatalf("Insert issued id %s twice", id)
-		}
-		m.docs[id] = stored(d, id)
-	case op < 75:
-		id, ok := m.randomID(rng)
-		if !ok {
-			return
-		}
-		d := m.randomDoc(rng, step)
-		if rng.Intn(2) == 0 { // move the point only
-			loc := d["loc"]
-			d = m.docs[id].clone()
-			delete(d, "_id")
-			d["loc"] = loc
-			if loc == nil {
-				delete(d, "loc")
-			}
-		}
-		if err := m.col.Update(id, d); err != nil {
-			m.t.Fatalf("Update(%s, %v): %v", id, d, err)
-		}
-		was, wasOK := modelPoint(m.docs[id]["loc"])
-		now, nowOK := modelPoint(d["loc"])
-		if wasOK && nowOK && geoCell(was) != geoCell(now) {
-			m.cellMoves++
 		}
 		m.docs[id] = stored(d, id)
 	case op < 92:
@@ -380,12 +355,9 @@ func (m *modelCollection) step(rng *rand.Rand, step int) {
 		if _, err := m.col.Get(id); !errors.Is(err, ErrNotFound) {
 			m.t.Errorf("Get(%s) after Delete: %v", id, err)
 		}
-		if err := m.col.Update(id, Document{}); !errors.Is(err, ErrNotFound) {
-			m.t.Errorf("Update(%s) after Delete: %v", id, err)
-		}
 	default:
 		// Something that is not a point, at a geo-indexed field: refused once
-		// the index exists, on Insert and Update alike, and nothing changes.
+		// the index exists, and nothing changes.
 		bad := Document{"loc": "nowhere", "kind": modelKinds[0], "t": 1.0}
 		id, err := m.col.Insert(bad)
 		if m.hasGeo {
@@ -393,11 +365,6 @@ func (m *modelCollection) step(rng *rand.Rand, step int) {
 				m.t.Errorf("Insert of a non-point with a geo index: %v", err)
 			}
 			m.badGeo++
-			if id, ok := m.randomID(rng); ok {
-				if err := m.col.Update(id, bad); !errors.Is(err, ErrBadGeo) {
-					m.t.Errorf("Update to a non-point with a geo index: %v", err)
-				}
-			}
 		} else if err != nil {
 			m.t.Fatalf("Insert(%v): %v", bad, err)
 		} else {
@@ -414,10 +381,9 @@ func (m *modelCollection) step(rng *rand.Rand, step int) {
 	}
 }
 
-// TestModelRandomHistories runs seeded histories of insert, update (half of
-// them moving only the point), delete and refused writes, with the equality
-// and the geo index created at a seeded step part-way through, against a map
-// and a brute-force filter; after every step the indexes must hold exactly
+// TestModelRandomHistories runs seeded histories of insert, delete and
+// refused writes, with the equality and the geo index created at a seeded
+// step part-way through, against a map and a brute-force filter; after every step the indexes must hold exactly
 // the stored documents and three random conjunctions of radius, range and
 // equality, with and without Limit, must return reflect.DeepEqual what the
 // filter returns.
@@ -452,80 +418,10 @@ func TestModelRandomHistories(t *testing.T) {
 		}
 	}
 	// Guard against a history that stopped exercising what it is here for.
-	if total.cellMoves < 200 || total.deletes < 200 || total.byGeo < 1000 || total.byEq < 200 ||
+	if total.deletes < 200 || total.byGeo < 1000 || total.byEq < 200 ||
 		total.byEither < 200 || total.fullScans < 200 || total.limited < 200 || total.badGeo < 50 {
-		t.Fatalf("history too tame: %d updates changed cell, %d deletes, %d queries answered from the geo index, %d from the equality index, "+
+		t.Fatalf("history too tame: %d deletes, %d queries answered from the geo index, %d from the equality index, "+
 			"%d from the smaller of the two, %d by full scan, %d cut by Limit, %d refused writes",
-			total.cellMoves, total.deletes, total.byGeo, total.byEq, total.byEither, total.fullScans, total.limited, total.badGeo)
-	}
-}
-
-// TestUpdateIsOneCriticalSection: a reader never finds the document missing
-// while it is being replaced, by id or through either index.
-func TestUpdateIsOneCriticalSection(t *testing.T) {
-	col := NewDatabase().Collection("c")
-	col.CreateIndex("k")
-	col.CreateGeoIndex("loc")
-	here := geo.Point{Lat: 30.45, Lon: -91.19}
-	id, err := col.Insert(Document{"k": "a", "loc": here, "n": 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	done := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for n := 1; n <= 2000; n++ {
-			if err := col.Update(id, Document{"k": "a", "loc": here, "n": n}); err != nil {
-				t.Error(err)
-			}
-		}
-		close(done)
-	}()
-	for reading := true; reading; {
-		select {
-		case <-done:
-			reading = false
-		default:
-		}
-		if _, err := col.Get(id); err != nil {
-			t.Fatalf("Get during Update: %v", err)
-		}
-		for _, cond := range []Condition{Eq("k", "a"), GeoWithin("loc", here, 1)} {
-			if got, err := col.Find(Query{Conditions: []Condition{cond}}); err != nil || len(got) != 1 {
-				t.Fatalf("Find(%s) during Update = %d documents, %v", cond.Field, len(got), err)
-			}
-		}
-	}
-	wg.Wait()
-}
-
-// TestUpdateValidatesLikeInsert: a non-point cannot reach a geo-indexed
-// field through Update, and the refused Update leaves the old document
-// stored and findable through both indexes.
-func TestUpdateValidatesLikeInsert(t *testing.T) {
-	col := NewDatabase().Collection("c")
-	col.CreateIndex("k")
-	col.CreateGeoIndex("loc")
-	here := geo.Point{Lat: 30.45, Lon: -91.19}
-	id, err := col.Insert(Document{"k": "a", "loc": here})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := col.Update(id, Document{"k": "b", "loc": "not-a-point"}); !errors.Is(err, ErrBadGeo) {
-		t.Fatalf("Update to a non-point: %v", err)
-	}
-	want := Document{"_id": id, "k": "a", "loc": here}
-	if got, err := col.Get(id); err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("after the refused Update Get = %v, %v; want %v", got, err, want)
-	}
-	for _, cond := range []Condition{Eq("k", "a"), GeoWithin("loc", here, 1)} {
-		if got, _ := col.Find(Query{Conditions: []Condition{cond}}); !reflect.DeepEqual(got, []Document{want}) {
-			t.Fatalf("after the refused Update Find(%s) = %v", cond.Field, got)
-		}
-	}
-	if got, _ := col.Find(Query{Conditions: []Condition{Eq("k", "b")}}); got != nil {
-		t.Fatalf("the refused Update is indexed: %v", got)
+			total.deletes, total.byGeo, total.byEq, total.byEither, total.fullScans, total.limited, total.badGeo)
 	}
 }

@@ -23,10 +23,7 @@ func Example() {
 	for _, n := range idx.QueryRadius(batonRouge, 150) {
 		fmt.Printf("%s at %.0f km\n", n.Value, n.DistanceKm)
 	}
-	hash, _ := geo.EncodeGeohash(batonRouge, 6)
-	fmt.Println("geohash:", hash)
 	// Output:
 	// camera-br at 0 km
 	// camera-no at 121 km
-	// geohash: 9vrjhz
 }

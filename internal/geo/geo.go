@@ -1,9 +1,8 @@
 // Package geo provides the geospatial primitives used across the
-// cyberinfrastructure: great-circle distance, geohash encoding, bounding
-// boxes, a lat/lon grid with the conservative cell cover of a radius, and an
-// in-memory grid index over it, supporting the "lightweight indexing and
-// querying services for big spatial data" role the paper's software layer
-// cites.
+// cyberinfrastructure: great-circle distance, bounding boxes, a lat/lon grid
+// with the conservative cell cover of a radius, and an in-memory grid index
+// over it, supporting the "lightweight indexing and querying services for big
+// spatial data" role the paper's software layer cites.
 package geo
 
 import (
@@ -42,91 +41,6 @@ func HaversineKm(a, b Point) float64 {
 	s := math.Sin(dLat/2)*math.Sin(dLat/2) +
 		math.Cos(lat1)*math.Cos(lat2)*math.Sin(dLon/2)*math.Sin(dLon/2)
 	return 2 * EarthRadiusKm * math.Asin(math.Min(1, math.Sqrt(s)))
-}
-
-const geohashBase32 = "0123456789bcdefghjkmnpqrstuvwxyz"
-
-// EncodeGeohash returns the standard base-32 geohash of a point at the given
-// character precision (1..12).
-func EncodeGeohash(p Point, precision int) (string, error) {
-	if err := p.Validate(); err != nil {
-		return "", err
-	}
-	if precision < 1 || precision > 12 {
-		return "", fmt.Errorf("%w: geohash precision %d", ErrBadCoordinate, precision)
-	}
-	latLo, latHi := -90.0, 90.0
-	lonLo, lonHi := -180.0, 180.0
-	var out []byte
-	bit := 0
-	ch := 0
-	even := true
-	for len(out) < precision {
-		if even {
-			mid := (lonLo + lonHi) / 2
-			if p.Lon >= mid {
-				ch |= 1 << (4 - bit)
-				lonLo = mid
-			} else {
-				lonHi = mid
-			}
-		} else {
-			mid := (latLo + latHi) / 2
-			if p.Lat >= mid {
-				ch |= 1 << (4 - bit)
-				latLo = mid
-			} else {
-				latHi = mid
-			}
-		}
-		even = !even
-		if bit < 4 {
-			bit++
-		} else {
-			out = append(out, geohashBase32[ch])
-			bit, ch = 0, 0
-		}
-	}
-	return string(out), nil
-}
-
-// DecodeGeohash returns the center point of a geohash cell.
-func DecodeGeohash(hash string) (Point, error) {
-	latLo, latHi := -90.0, 90.0
-	lonLo, lonHi := -180.0, 180.0
-	even := true
-	for _, c := range hash {
-		idx := -1
-		for i := 0; i < len(geohashBase32); i++ {
-			if rune(geohashBase32[i]) == c {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			return Point{}, fmt.Errorf("%w: geohash char %q", ErrBadCoordinate, c)
-		}
-		for bit := 4; bit >= 0; bit-- {
-			set := idx&(1<<bit) != 0
-			if even {
-				mid := (lonLo + lonHi) / 2
-				if set {
-					lonLo = mid
-				} else {
-					lonHi = mid
-				}
-			} else {
-				mid := (latLo + latHi) / 2
-				if set {
-					latLo = mid
-				} else {
-					latHi = mid
-				}
-			}
-			even = !even
-		}
-	}
-	return Point{Lat: (latLo + latHi) / 2, Lon: (lonLo + lonHi) / 2}, nil
 }
 
 // BBox is an axis-aligned bounding box.
@@ -266,8 +180,8 @@ func (g Grid) RadiusCover(center Point, radiusKm float64) CellCover {
 }
 
 // GridIndex is a uniform spatial grid over a bounding box, mapping cell →
-// item ids. It supports box queries and radius queries, and is the storage
-// substrate for camera placement, incident lookups, and geo-tagged tweets.
+// item ids. It answers radius queries, and is the storage substrate for
+// camera placement, incident lookups, and geo-tagged tweets.
 type GridIndex[T any] struct {
 	grid  Grid
 	cells map[int][]entry[T]
@@ -303,19 +217,6 @@ func (g *GridIndex[T]) Insert(p Point, v T) error {
 
 // Len returns the number of indexed items.
 func (g *GridIndex[T]) Len() int { return g.count }
-
-// QueryBox returns all values whose points fall inside box.
-func (g *GridIndex[T]) QueryBox(box BBox) []T {
-	var out []T
-	g.grid.cover(box.MinLat, box.MaxLat, box.MinLon, box.MaxLon).Each(func(cell int) {
-		for _, e := range g.cells[cell] {
-			if box.Contains(e.p) {
-				out = append(out, e.v)
-			}
-		}
-	})
-	return out
-}
 
 // Neighbor pairs a value with its distance from a query point.
 type Neighbor[T any] struct {

@@ -59,63 +59,11 @@ func TestPointValidate(t *testing.T) {
 	}
 }
 
-func TestGeohashKnownValue(t *testing.T) {
-	// Well-known test vector: (57.64911, 10.40744) → "u4pruydqqvj".
-	h, err := EncodeGeohash(Point{Lat: 57.64911, Lon: 10.40744}, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h != "u4pruydqqvj" {
-		t.Fatalf("geohash = %q, want u4pruydqqvj", h)
-	}
-}
-
-func TestGeohashRoundTripProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 200; i++ {
-		p := Point{Lat: rng.Float64()*180 - 90, Lon: rng.Float64()*360 - 180}
-		h, err := EncodeGeohash(p, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := DecodeGeohash(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Precision-9 cells are ≈ 5m; allow generous slack.
-		if HaversineKm(p, back) > 0.01 {
-			t.Fatalf("roundtrip moved %g km for %+v (%s)", HaversineKm(p, back), p, h)
-		}
-	}
-}
-
-func TestGeohashPrefixProperty(t *testing.T) {
-	// A longer geohash of the same point must extend the shorter one.
-	p := batonRouge
-	h6, _ := EncodeGeohash(p, 6)
-	h9, _ := EncodeGeohash(p, 9)
-	if h9[:6] != h6 {
-		t.Fatalf("prefix property violated: %s vs %s", h6, h9)
-	}
-}
-
-func TestGeohashErrors(t *testing.T) {
-	if _, err := EncodeGeohash(Point{Lat: 100}, 6); !errors.Is(err, ErrBadCoordinate) {
-		t.Fatalf("bad point err = %v", err)
-	}
-	if _, err := EncodeGeohash(batonRouge, 0); !errors.Is(err, ErrBadCoordinate) {
-		t.Fatalf("bad precision err = %v", err)
-	}
-	if _, err := DecodeGeohash("ab!"); !errors.Is(err, ErrBadCoordinate) {
-		t.Fatalf("bad char err = %v", err)
-	}
-}
-
 func louisianaBox() BBox {
 	return BBox{MinLat: 28.9, MaxLat: 33.1, MinLon: -94.1, MaxLon: -88.8}
 }
 
-func TestGridIndexInsertAndBoxQuery(t *testing.T) {
+func TestGridIndexInsertAndQuery(t *testing.T) {
 	idx, err := NewGridIndex[string](louisianaBox(), 32, 32)
 	if err != nil {
 		t.Fatal(err)
@@ -129,13 +77,13 @@ func TestGridIndexInsertAndBoxQuery(t *testing.T) {
 	if idx.Len() != 2 {
 		t.Fatalf("Len = %d", idx.Len())
 	}
-	got := idx.QueryBox(BBox{MinLat: 30, MaxLat: 31, MinLon: -92, MaxLon: -91})
-	if len(got) != 1 || got[0] != "BR" {
-		t.Fatalf("QueryBox = %v", got)
+	got := idx.QueryRadius(batonRouge, 50)
+	if len(got) != 1 || got[0].Value != "BR" {
+		t.Fatalf("QueryRadius(50 km) = %v", got)
 	}
-	all := idx.QueryBox(louisianaBox())
-	if len(all) != 2 {
-		t.Fatalf("full-box query = %v", all)
+	all := idx.QueryRadius(batonRouge, 150)
+	if len(all) != 2 || all[1].Value != "NO" {
+		t.Fatalf("QueryRadius(150 km) = %v", all)
 	}
 }
 

@@ -324,7 +324,15 @@ func (c *Cluster) Read(path string) ([]byte, error) {
 		var chunk []byte
 		found := false
 		var lastFault error
+		// Try replicas in ascending datanode id order, as placement does:
+		// map order would read (and blame an injected fault on) a
+		// different datanode on each run of the same seed.
+		nids := make([]string, 0, len(meta.replicas))
 		for nid := range meta.replicas {
+			nids = append(nids, nid)
+		}
+		sort.Strings(nids)
+		for _, nid := range nids {
 			n := c.nodes[nid]
 			if n == nil || !n.alive {
 				continue

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -92,6 +93,47 @@ func TestReplicationPlacement(t *testing.T) {
 	// 4 blocks × 3 replicas; total stored bytes = 3 × 200.
 	if st.StoredBytes != 600 {
 		t.Fatalf("stored bytes = %d, want 600", st.StoredBytes)
+	}
+}
+
+// TestReadTriesReplicasInIDOrder: a read tries a block's replicas in
+// ascending datanode id order, so every run of a seed reads, and blames an
+// injected fault on, the same datanode.
+func TestReadTriesReplicasInIDOrder(t *testing.T) {
+	c := newTestCluster(t, 5, DefaultConfig())
+	if err := c.Write("/f", payload(100)); err != nil {
+		t.Fatal(err)
+	}
+	var tried []string
+	c.SetFaultHook(func(op, node string) error {
+		if op == "read" {
+			tried = append(tried, node)
+		}
+		return nil
+	})
+	first := map[string]int{}
+	for i := 0; i < 20; i++ {
+		tried = tried[:0]
+		if _, err := c.Read("/f"); err != nil {
+			t.Fatal(err)
+		}
+		first[tried[0]]++
+	}
+	if len(first) != 1 {
+		t.Fatalf("20 reads of one block tried different datanodes first: %v", first)
+	}
+	// With every replica read faulting, the read fails over through all
+	// three, lowest id first.
+	c.SetFaultHook(func(op, node string) error {
+		tried = append(tried, node)
+		return errors.New("injected")
+	})
+	tried = tried[:0]
+	if _, err := c.Read("/f"); err == nil {
+		t.Fatal("read succeeded with every replica faulting")
+	}
+	if len(tried) != 3 || !sort.StringsAreSorted(tried) {
+		t.Fatalf("replicas tried in order %v, want 3 ascending ids", tried)
 	}
 }
 

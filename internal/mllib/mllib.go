@@ -1,8 +1,8 @@
 // Package mllib provides the "traditional machine learning and data mining
 // capability" the paper's software layer promises (Spark MLlib analog):
-// k-means clustering, logistic and linear regression, and multinomial naive
-// Bayes, with the iterative steps expressed as dataproc map/reduce jobs so
-// they execute distributed across partitions.
+// k-means clustering and linear regression, with the iterative steps
+// expressed as dataproc map/reduce jobs so they execute distributed across
+// partitions.
 package mllib
 
 import (
@@ -17,9 +17,8 @@ import (
 
 // Sentinel errors.
 var (
-	ErrBadDimension = errors.New("mllib: dimension mismatch")
-	ErrNoData       = errors.New("mllib: empty training set")
-	ErrBadK         = errors.New("mllib: invalid cluster count")
+	ErrNoData = errors.New("mllib: empty training set")
+	ErrBadK   = errors.New("mllib: invalid cluster count")
 )
 
 // Vector is a dense feature vector.
@@ -151,92 +150,10 @@ func KMeans(ds *dataproc.Dataset, k, maxIters int, rng *rand.Rand) (*KMeansModel
 	return model, nil
 }
 
-// LabeledPoint pairs a feature vector with a class label.
-type LabeledPoint struct {
-	Features Vector
-	Label    int
-}
-
-// LogisticModel is a fitted binary logistic-regression classifier.
-type LogisticModel struct {
-	Weights Vector
-	Bias    float64
-}
-
-// PredictProb returns P(label=1 | x).
-func (m *LogisticModel) PredictProb(x Vector) float64 {
-	return 1 / (1 + math.Exp(-(dot(m.Weights, x) + m.Bias)))
-}
-
-// Predict returns the hard class decision at threshold 0.5.
-func (m *LogisticModel) Predict(x Vector) int {
-	if m.PredictProb(x) >= 0.5 {
-		return 1
-	}
-	return 0
-}
-
 type gradAcc struct {
 	gw    Vector
 	gb    float64
 	count int
-}
-
-// LogisticRegression fits a binary classifier with full-batch gradient
-// descent; the gradient of each epoch is computed as a distributed
-// map-reduce over the dataset partitions.
-func LogisticRegression(ds *dataproc.Dataset, dim int, epochs int, lr float64) (*LogisticModel, error) {
-	n, err := ds.Count()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, ErrNoData
-	}
-	w := make(Vector, dim)
-	b := 0.0
-	for epoch := 0; epoch < epochs; epoch++ {
-		wc, bc := w.clone(), b
-		grads := ds.Map(func(r any) any {
-			p, ok := r.(LabeledPoint)
-			if !ok {
-				return dataproc.Pair{Key: "bad", Value: gradAcc{}}
-			}
-			pred := 1 / (1 + math.Exp(-(dot(wc, p.Features) + bc)))
-			diff := pred - float64(p.Label)
-			g := make(Vector, len(p.Features))
-			for i, x := range p.Features {
-				g[i] = diff * x
-			}
-			return dataproc.Pair{Key: "g", Value: gradAcc{gw: g, gb: diff, count: 1}}
-		})
-		total, err := grads.ReduceByKey(func(a, c any) any {
-			aa, cc := a.(gradAcc), c.(gradAcc)
-			gw := aa.gw.clone()
-			for i := range gw {
-				gw[i] += cc.gw[i]
-			}
-			return gradAcc{gw: gw, gb: aa.gb + cc.gb, count: aa.count + cc.count}
-		}).CollectPairs()
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range total {
-			if p.Key != "g" {
-				return nil, fmt.Errorf("%w: non-labeled-point row in training set", ErrBadDimension)
-			}
-			acc := p.Value.(gradAcc)
-			if len(acc.gw) != dim {
-				return nil, fmt.Errorf("%w: features %d, want %d", ErrBadDimension, len(acc.gw), dim)
-			}
-			inv := 1.0 / float64(acc.count)
-			for i := range w {
-				w[i] -= lr * acc.gw[i] * inv
-			}
-			b -= lr * acc.gb * inv
-		}
-	}
-	return &LogisticModel{Weights: w, Bias: b}, nil
 }
 
 // LinearModel is a fitted least-squares regressor.
@@ -254,8 +171,9 @@ type RegressionPoint struct {
 	Target   float64
 }
 
-// LinearRegression fits least squares by gradient descent with the same
-// distributed-gradient structure as LogisticRegression.
+// LinearRegression fits least squares by full-batch gradient descent; the
+// gradient of each epoch is computed as a distributed map-reduce over the
+// dataset partitions.
 func LinearRegression(ds *dataproc.Dataset, dim int, epochs int, lr float64) (*LinearModel, error) {
 	n, err := ds.Count()
 	if err != nil {
@@ -297,103 +215,4 @@ func LinearRegression(ds *dataproc.Dataset, dim int, epochs int, lr float64) (*L
 		}
 	}
 	return &LinearModel{Weights: w, Bias: b}, nil
-}
-
-// NaiveBayesModel is a multinomial naive Bayes classifier over sparse term
-// counts, the workhorse text classifier for the tweet pipeline.
-type NaiveBayesModel struct {
-	ClassLogPrior []float64
-	// FeatureLogProb[class][feature]
-	FeatureLogProb [][]float64
-	Classes        int
-	Features       int
-}
-
-// CountPoint pairs term counts with a class label.
-type CountPoint struct {
-	Counts Vector
-	Label  int
-}
-
-// NaiveBayes fits a multinomial NB model with Laplace smoothing. Per-class
-// count aggregation runs as a distributed reduce.
-func NaiveBayes(ds *dataproc.Dataset, classes, features int) (*NaiveBayesModel, error) {
-	if classes < 2 {
-		return nil, fmt.Errorf("%w: %d classes", ErrBadK, classes)
-	}
-	type acc struct {
-		counts Vector
-		docs   int
-	}
-	total, err := ds.Map(func(r any) any {
-		p := r.(CountPoint)
-		return dataproc.Pair{Key: strconv.Itoa(p.Label), Value: acc{counts: p.Counts.clone(), docs: 1}}
-	}).ReduceByKey(func(a, b any) any {
-		aa, bb := a.(acc), b.(acc)
-		c := aa.counts.clone()
-		for i := range c {
-			c[i] += bb.counts[i]
-		}
-		return acc{counts: c, docs: aa.docs + bb.docs}
-	}).CollectPairs()
-	if err != nil {
-		return nil, err
-	}
-	if len(total) == 0 {
-		return nil, ErrNoData
-	}
-	m := &NaiveBayesModel{
-		ClassLogPrior:  make([]float64, classes),
-		FeatureLogProb: make([][]float64, classes),
-		Classes:        classes,
-		Features:       features,
-	}
-	totalDocs := 0
-	classDocs := make([]int, classes)
-	classCounts := make([][]float64, classes)
-	for c := range classCounts {
-		classCounts[c] = make([]float64, features)
-	}
-	for _, p := range total {
-		cls, err := strconv.Atoi(p.Key)
-		if err != nil || cls < 0 || cls >= classes {
-			return nil, fmt.Errorf("%w: label %q", ErrBadDimension, p.Key)
-		}
-		a := p.Value.(acc)
-		if len(a.counts) != features {
-			return nil, fmt.Errorf("%w: %d features, want %d", ErrBadDimension, len(a.counts), features)
-		}
-		classDocs[cls] = a.docs
-		totalDocs += a.docs
-		copy(classCounts[cls], a.counts)
-	}
-	for c := 0; c < classes; c++ {
-		m.ClassLogPrior[c] = math.Log(float64(classDocs[c]+1) / float64(totalDocs+classes))
-		sum := 0.0
-		for _, v := range classCounts[c] {
-			sum += v
-		}
-		m.FeatureLogProb[c] = make([]float64, features)
-		for f := 0; f < features; f++ {
-			m.FeatureLogProb[c][f] = math.Log((classCounts[c][f] + 1) / (sum + float64(features)))
-		}
-	}
-	return m, nil
-}
-
-// Predict returns the most probable class for a count vector.
-func (m *NaiveBayesModel) Predict(counts Vector) int {
-	best, bestScore := 0, math.Inf(-1)
-	for c := 0; c < m.Classes; c++ {
-		s := m.ClassLogPrior[c]
-		for f, v := range counts {
-			if v > 0 && f < m.Features {
-				s += v * m.FeatureLogProb[c][f]
-			}
-		}
-		if s > bestScore {
-			best, bestScore = c, s
-		}
-	}
-	return best
 }

@@ -70,41 +70,6 @@ func TestKMeansErrors(t *testing.T) {
 	}
 }
 
-func TestLogisticRegressionLearnsLinearBoundary(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	e := dataproc.NewEngine(4)
-	var rows []any
-	for i := 0; i < 200; i++ {
-		x := Vector{rng.Float64()*4 - 2, rng.Float64()*4 - 2}
-		label := 0
-		if x[0]+x[1] > 0 {
-			label = 1
-		}
-		rows = append(rows, LabeledPoint{Features: x, Label: label})
-	}
-	m, err := LogisticRegression(e.Parallelize(rows, 4), 2, 300, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	correct := 0
-	for _, r := range rows {
-		p := r.(LabeledPoint)
-		if m.Predict(p.Features) == p.Label {
-			correct++
-		}
-	}
-	if acc := float64(correct) / float64(len(rows)); acc < 0.95 {
-		t.Fatalf("logistic accuracy = %g", acc)
-	}
-}
-
-func TestLogisticRegressionEmpty(t *testing.T) {
-	e := dataproc.NewEngine(1)
-	if _, err := LogisticRegression(e.Parallelize(nil, 1), 2, 5, 0.1); !errors.Is(err, ErrNoData) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestLinearRegressionRecoversCoefficients(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	e := dataproc.NewEngine(4)
@@ -121,43 +86,5 @@ func TestLinearRegressionRecoversCoefficients(t *testing.T) {
 	}
 	if math.Abs(m.Weights[0]-3) > 0.1 || math.Abs(m.Weights[1]+2) > 0.1 || math.Abs(m.Bias-1) > 0.1 {
 		t.Fatalf("fit = %v + %g", m.Weights, m.Bias)
-	}
-}
-
-func TestNaiveBayesClassifiesTermCounts(t *testing.T) {
-	e := dataproc.NewEngine(2)
-	// Feature 0 ~ "crime" vocabulary, feature 1 ~ "traffic" vocabulary.
-	var rows []any
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 100; i++ {
-		if i%2 == 0 {
-			rows = append(rows, CountPoint{Counts: Vector{3 + float64(rng.Intn(3)), float64(rng.Intn(2))}, Label: 0})
-		} else {
-			rows = append(rows, CountPoint{Counts: Vector{float64(rng.Intn(2)), 3 + float64(rng.Intn(3))}, Label: 1})
-		}
-	}
-	m, err := NaiveBayes(e.Parallelize(rows, 2), 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Predict(Vector{5, 0}) != 0 {
-		t.Fatal("crime-heavy doc misclassified")
-	}
-	if m.Predict(Vector{0, 5}) != 1 {
-		t.Fatal("traffic-heavy doc misclassified")
-	}
-}
-
-func TestNaiveBayesErrors(t *testing.T) {
-	e := dataproc.NewEngine(1)
-	if _, err := NaiveBayes(e.Parallelize(nil, 1), 1, 2); !errors.Is(err, ErrBadK) {
-		t.Fatalf("classes err = %v", err)
-	}
-	if _, err := NaiveBayes(e.Parallelize(nil, 1), 2, 2); !errors.Is(err, ErrNoData) {
-		t.Fatalf("empty err = %v", err)
-	}
-	rows := []any{CountPoint{Counts: Vector{1, 2, 3}, Label: 0}, CountPoint{Counts: Vector{1, 2, 3}, Label: 1}}
-	if _, err := NaiveBayes(e.Parallelize(rows, 1), 2, 2); !errors.Is(err, ErrBadDimension) {
-		t.Fatalf("dim err = %v", err)
 	}
 }

@@ -1,23 +1,12 @@
 // Package nlp provides the natural-language-processing building blocks the
 // paper's social-network application uses "to capture textual features
-// present in tweet text" (§IV.B): tokenization, vocabulary construction,
-// term-count and TF-IDF vectorization, cosine similarity, and keyword
-// matching for the Twitter collector's keyword-based gathering.
+// present in tweet text" (§IV.B): tokenization and keyword matching for the
+// Twitter collector's keyword-based gathering.
 package nlp
 
 import (
-	"errors"
-	"fmt"
-	"math"
-	"sort"
 	"strings"
 	"unicode"
-)
-
-// Sentinel errors.
-var (
-	ErrEmptyCorpus = errors.New("nlp: empty corpus")
-	ErrNotFitted   = errors.New("nlp: vocabulary not fitted")
 )
 
 // stopwords trimmed to tweet-scale English function words.
@@ -30,8 +19,7 @@ var stopwords = map[string]struct{}{
 
 // Tokenize lowercases, strips punctuation, and drops stopwords and
 // single-character tokens. Hashtags keep their word ("#shooting" →
-// "shooting"); @mentions are preserved with the @ so the social pipeline
-// can extract them.
+// "shooting"); @mentions are preserved with the @.
 func Tokenize(text string) []string {
 	var tokens []string
 	var b strings.Builder
@@ -65,17 +53,6 @@ func Tokenize(text string) []string {
 	return tokens
 }
 
-// Mentions extracts @-mention handles from a tweet.
-func Mentions(text string) []string {
-	var out []string
-	for _, tok := range Tokenize(text) {
-		if strings.HasPrefix(tok, "@") && len(tok) > 1 {
-			out = append(out, tok[1:])
-		}
-	}
-	return out
-}
-
 // KeywordMatcher checks documents against a keyword set (the collector's
 // "specific keywords" filter).
 type KeywordMatcher struct {
@@ -102,117 +79,4 @@ func (m *KeywordMatcher) Matches(text string) bool {
 		}
 	}
 	return false
-}
-
-// Vocabulary maps tokens to dense feature indices.
-type Vocabulary struct {
-	index map[string]int
-	terms []string
-	df    []int // document frequency per term
-	docs  int
-}
-
-// NewVocabulary fits a vocabulary over a corpus, keeping terms that appear
-// in at least minDF documents.
-func NewVocabulary(corpus []string, minDF int) (*Vocabulary, error) {
-	if len(corpus) == 0 {
-		return nil, ErrEmptyCorpus
-	}
-	if minDF < 1 {
-		minDF = 1
-	}
-	df := make(map[string]int)
-	for _, doc := range corpus {
-		seen := make(map[string]struct{})
-		for _, tok := range Tokenize(doc) {
-			if _, ok := seen[tok]; !ok {
-				seen[tok] = struct{}{}
-				df[tok]++
-			}
-		}
-	}
-	var terms []string
-	for term, n := range df {
-		if n >= minDF {
-			terms = append(terms, term)
-		}
-	}
-	sort.Strings(terms)
-	v := &Vocabulary{index: make(map[string]int, len(terms)), terms: terms, docs: len(corpus)}
-	v.df = make([]int, len(terms))
-	for i, term := range terms {
-		v.index[term] = i
-		v.df[i] = df[term]
-	}
-	return v, nil
-}
-
-// Size returns the number of retained terms.
-func (v *Vocabulary) Size() int { return len(v.terms) }
-
-// Term returns the term at a feature index.
-func (v *Vocabulary) Term(i int) (string, error) {
-	if i < 0 || i >= len(v.terms) {
-		return "", fmt.Errorf("%w: index %d of %d", ErrNotFitted, i, len(v.terms))
-	}
-	return v.terms[i], nil
-}
-
-// Counts vectorizes a document into term counts.
-func (v *Vocabulary) Counts(doc string) []float64 {
-	out := make([]float64, len(v.terms))
-	for _, tok := range Tokenize(doc) {
-		if i, ok := v.index[tok]; ok {
-			out[i]++
-		}
-	}
-	return out
-}
-
-// TFIDF vectorizes a document with smoothed tf-idf weighting and L2
-// normalization.
-func (v *Vocabulary) TFIDF(doc string) []float64 {
-	counts := v.Counts(doc)
-	total := 0.0
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return counts
-	}
-	norm := 0.0
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		tf := c / total
-		idf := math.Log(float64(1+v.docs)/float64(1+v.df[i])) + 1
-		counts[i] = tf * idf
-		norm += counts[i] * counts[i]
-	}
-	if norm > 0 {
-		inv := 1 / math.Sqrt(norm)
-		for i := range counts {
-			counts[i] *= inv
-		}
-	}
-	return counts
-}
-
-// Cosine returns the cosine similarity of two equal-length vectors (0 for
-// zero vectors).
-func Cosine(a, b []float64) float64 {
-	if len(a) != len(b) {
-		return 0
-	}
-	var dot, na, nb float64
-	for i := range a {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / math.Sqrt(na*nb)
 }

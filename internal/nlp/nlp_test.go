@@ -1,8 +1,6 @@
 package nlp
 
 import (
-	"errors"
-	"math"
 	"testing"
 )
 
@@ -35,16 +33,6 @@ func TestTokenize(t *testing.T) {
 	}
 }
 
-func TestMentions(t *testing.T) {
-	got := Mentions("@alice saw @bob near downtown")
-	if len(got) != 2 || got[0] != "alice" || got[1] != "bob" {
-		t.Fatalf("mentions = %v", got)
-	}
-	if got := Mentions("no handles here"); len(got) != 0 {
-		t.Fatalf("mentions = %v", got)
-	}
-}
-
 func TestKeywordMatcher(t *testing.T) {
 	m := NewKeywordMatcher([]string{"shooting", "traffic jam", "Robbery"})
 	tests := []struct {
@@ -61,107 +49,5 @@ func TestKeywordMatcher(t *testing.T) {
 		if got := m.Matches(tt.text); got != tt.want {
 			t.Errorf("Matches(%q) = %v", tt.text, got)
 		}
-	}
-}
-
-func TestVocabularyCountsAndTerms(t *testing.T) {
-	corpus := []string{
-		"shooting downtown tonight",
-		"traffic jam downtown",
-		"shooting suspect fled",
-	}
-	v, err := NewVocabulary(corpus, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Size() == 0 {
-		t.Fatal("empty vocabulary")
-	}
-	counts := v.Counts("shooting shooting downtown")
-	nonzero := 0
-	for i, c := range counts {
-		if c > 0 {
-			nonzero++
-			term, err := v.Term(i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if term == "shooting" && c != 2 {
-				t.Fatalf("shooting count = %g", c)
-			}
-		}
-	}
-	if nonzero != 2 {
-		t.Fatalf("nonzero terms = %d", nonzero)
-	}
-	if _, err := v.Term(-1); !errors.Is(err, ErrNotFitted) {
-		t.Fatalf("bad index err = %v", err)
-	}
-}
-
-func TestVocabularyMinDF(t *testing.T) {
-	corpus := []string{"common word", "common again", "rare"}
-	v, err := NewVocabulary(corpus, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < v.Size(); i++ {
-		term, _ := v.Term(i)
-		if term == "rare" {
-			t.Fatal("minDF filter failed")
-		}
-	}
-}
-
-func TestVocabularyEmptyCorpus(t *testing.T) {
-	if _, err := NewVocabulary(nil, 1); !errors.Is(err, ErrEmptyCorpus) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestTFIDFNormalizedAndDiscriminative(t *testing.T) {
-	corpus := []string{
-		"gunshot heard downtown", "gunshot fired suspect",
-		"pothole repair downtown", "pothole complaint street",
-	}
-	v, err := NewVocabulary(corpus, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vec := v.TFIDF("gunshot downtown")
-	norm := 0.0
-	for _, x := range vec {
-		norm += x * x
-	}
-	if math.Abs(norm-1) > 1e-9 {
-		t.Fatalf("tf-idf norm = %g", norm)
-	}
-	// Similar docs are closer than dissimilar ones.
-	simGun := Cosine(v.TFIDF("gunshot fired"), v.TFIDF("gunshot heard"))
-	simCross := Cosine(v.TFIDF("gunshot fired"), v.TFIDF("pothole repair"))
-	if simGun <= simCross {
-		t.Fatalf("cosine ordering wrong: %g <= %g", simGun, simCross)
-	}
-	// Out-of-vocabulary text vectorizes to zeros.
-	zero := v.TFIDF("zzz qqq")
-	for _, x := range zero {
-		if x != 0 {
-			t.Fatal("OOV doc should be zero vector")
-		}
-	}
-}
-
-func TestCosineEdgeCases(t *testing.T) {
-	if Cosine([]float64{1, 0}, []float64{1, 0, 0}) != 0 {
-		t.Fatal("length mismatch should be 0")
-	}
-	if Cosine([]float64{0, 0}, []float64{1, 1}) != 0 {
-		t.Fatal("zero vector should be 0")
-	}
-	if c := Cosine([]float64{1, 2}, []float64{2, 4}); math.Abs(c-1) > 1e-12 {
-		t.Fatalf("parallel cosine = %g", c)
-	}
-	if c := Cosine([]float64{1, 0}, []float64{0, 1}); c != 0 {
-		t.Fatalf("orthogonal cosine = %g", c)
 	}
 }

@@ -95,40 +95,9 @@ func (l *LeakyReLU) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 // Params returns nil: LeakyReLU has no parameters.
 func (l *LeakyReLU) Params() []*Param { return nil }
 
-// Sigmoid is the logistic activation.
-type Sigmoid struct {
-	lastY *tensor.Tensor
-}
-
-var _ Layer = (*Sigmoid)(nil)
-
-// NewSigmoid creates a Sigmoid activation layer.
-func NewSigmoid() *Sigmoid { return &Sigmoid{} }
-
+// sigmoid is the logistic function, shared by the LSTM gates and the
+// binary cross-entropy loss.
 func sigmoid(v float64) float64 { return 1.0 / (1.0 + math.Exp(-v)) }
-
-// Forward applies the logistic function elementwise.
-func (s *Sigmoid) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
-	y := x.Apply(sigmoid)
-	s.lastY = y
-	return y, nil
-}
-
-// Backward multiplies by y*(1-y).
-func (s *Sigmoid) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
-	if s.lastY == nil || s.lastY.Size() != grad.Size() {
-		return nil, ErrNotBuilt
-	}
-	out := grad.Clone()
-	yd, gd := s.lastY.Data(), out.Data()
-	for i := range gd {
-		gd[i] *= yd[i] * (1 - yd[i])
-	}
-	return out, nil
-}
-
-// Params returns nil: Sigmoid has no parameters.
-func (s *Sigmoid) Params() []*Param { return nil }
 
 // Tanh is the hyperbolic-tangent activation.
 type Tanh struct {

@@ -50,9 +50,6 @@ func NewConv2D(cfg ConvConfig, opts ...Option) *Conv2D {
 	}
 }
 
-// OutChannels returns the number of output channels.
-func (c *Conv2D) OutChannels() int { return c.outC }
-
 // Forward convolves a batch of shape [N, inC, H, W].
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	if x.Dims() != 4 || x.Dim(1) != c.inC {

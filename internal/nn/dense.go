@@ -30,12 +30,6 @@ func NewDense(in, out int, opts ...Option) *Dense {
 	}
 }
 
-// In returns the input width.
-func (d *Dense) In() int { return d.in }
-
-// Out returns the output width.
-func (d *Dense) Out() int { return d.out }
-
 // Forward computes x·W + b for x of shape [N, in]. Inputs of higher rank are
 // flattened to [N, in] first.
 func (d *Dense) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {

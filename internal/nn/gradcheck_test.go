@@ -143,7 +143,6 @@ func TestActivationGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	layers := map[string]Layer{
 		"leakyrelu": NewLeakyReLU(0.1),
-		"sigmoid":   NewSigmoid(),
 		"tanh":      NewTanh(),
 	}
 	for name, layer := range layers {

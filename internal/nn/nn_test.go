@@ -212,36 +212,6 @@ func TestAccuracy(t *testing.T) {
 	}
 }
 
-func TestDropoutTrainVsEval(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	d := NewDropout(0.5, WithRand(rng))
-	x := tensor.Full(1, 1000)
-	yTrain, err := d.Forward(x, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zeros := 0
-	for _, v := range yTrain.Data() {
-		if v == 0 {
-			zeros++
-		}
-	}
-	if zeros < 400 || zeros > 600 {
-		t.Fatalf("dropout zeroed %d of 1000 at rate 0.5", zeros)
-	}
-	// Inverted dropout preserves the expectation approximately.
-	if m := yTrain.Mean(); math.Abs(m-1) > 0.15 {
-		t.Fatalf("train-mode mean = %g, want ≈ 1", m)
-	}
-	yEval, err := d.Forward(x, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tensor.AllClose(yEval, x, 0) {
-		t.Fatal("eval mode must be identity")
-	}
-}
-
 func TestBatchNormNormalizesAndTracksRunningStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	bn := NewBatchNorm(3)

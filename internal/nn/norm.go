@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/tensor"
 )
@@ -179,66 +178,3 @@ func (b *BatchNorm) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 
 // Params returns gamma and beta.
 func (b *BatchNorm) Params() []*Param { return []*Param{b.gamma, b.beta} }
-
-// Dropout randomly zeroes activations during training with probability Rate,
-// scaling survivors by 1/(1-Rate) (inverted dropout).
-type Dropout struct {
-	Rate float64
-	rng  *rand.Rand
-	mask []float64
-}
-
-var _ Layer = (*Dropout)(nil)
-
-// NewDropout creates a Dropout layer with the given drop probability.
-func NewDropout(rate float64, opts ...Option) *Dropout {
-	c := applyOptions(opts)
-	return &Dropout{Rate: rate, rng: c.rng}
-}
-
-// Forward applies the dropout mask in training mode and is the identity at
-// inference.
-func (d *Dropout) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
-	if !train || d.Rate <= 0 {
-		d.mask = nil
-		return x, nil
-	}
-	if cap(d.mask) < x.Size() {
-		d.mask = make([]float64, x.Size())
-	}
-	d.mask = d.mask[:x.Size()]
-	keep := 1 - d.Rate
-	scale := 1 / keep
-	out := x.Clone()
-	od := out.Data()
-	for i := range od {
-		if d.rng.Float64() < d.Rate {
-			d.mask[i] = 0
-			od[i] = 0
-		} else {
-			d.mask[i] = scale
-			od[i] *= scale
-		}
-	}
-	return out, nil
-}
-
-// Backward applies the cached mask; it is the identity when dropout was
-// inactive in the forward pass.
-func (d *Dropout) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
-	if d.mask == nil {
-		return grad, nil
-	}
-	if len(d.mask) != grad.Size() {
-		return nil, ErrNotBuilt
-	}
-	out := grad.Clone()
-	od := out.Data()
-	for i := range od {
-		od[i] *= d.mask[i]
-	}
-	return out, nil
-}
-
-// Params returns nil: Dropout has no parameters.
-func (d *Dropout) Params() []*Param { return nil }

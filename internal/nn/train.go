@@ -120,9 +120,6 @@ func NewParallelTrainer(master Layer, workers int, factory func() Layer) (*Paral
 	return t, nil
 }
 
-// Workers returns the number of replicas.
-func (t *ParallelTrainer) Workers() int { return len(t.replicas) }
-
 // Step performs one synchronous data-parallel step on a batch: the batch is
 // sharded across replicas, gradients are averaged into the master, the
 // optimizer runs, and new weights are broadcast. It returns the mean loss.

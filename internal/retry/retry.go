@@ -7,7 +7,6 @@
 package retry
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -58,27 +57,6 @@ func (c *ManualClock) Slept() time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.slept
-}
-
-// permanentError marks an error that must not be retried.
-type permanentError struct{ err error }
-
-func (e *permanentError) Error() string { return e.err.Error() }
-func (e *permanentError) Unwrap() error { return e.err }
-
-// Permanent wraps err so Policy.Do fails fast instead of retrying —
-// malformed records, unknown topics, and other deterministic failures.
-func Permanent(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &permanentError{err: err}
-}
-
-// IsPermanent reports whether err (or anything it wraps) is marked permanent.
-func IsPermanent(err error) bool {
-	var pe *permanentError
-	return errors.As(err, &pe)
 }
 
 // Config tunes a retry policy.
@@ -219,9 +197,9 @@ type CallStats struct {
 	Slept         time.Duration
 }
 
-// Do runs op with bounded retries. Permanent errors fail fast. When the
-// breaker is open the attempt is skipped but still backs off (advancing the
-// clock so the breaker can reach half-open). The returned error is the last
+// Do runs op with bounded retries. When the breaker is open the attempt is
+// skipped but still backs off (advancing the clock so the breaker can reach
+// half-open). The returned error is the last
 // failure, nil on success.
 func (p *Policy) Do(op func() error) error {
 	_, err := p.DoStats(op)
@@ -256,10 +234,6 @@ func (p *Policy) DoStats(op func() error) (CallStats, error) {
 			p.count(func(s *Stats) { s.Failures++ })
 			if p.breaker != nil {
 				p.breaker.OnFailure()
-			}
-			if IsPermanent(err) {
-				p.count(func(s *Stats) { s.Exhausted++ })
-				return cs, err
 			}
 		}
 		if attempt >= p.cfg.MaxAttempts {

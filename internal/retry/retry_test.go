@@ -2,7 +2,6 @@ package retry
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -48,26 +47,6 @@ func TestPolicyExhaustionReturnsLastError(t *testing.T) {
 	}
 	if st := p.Stats(); st.Exhausted != 1 {
 		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestPermanentErrorFailsFast(t *testing.T) {
-	p := NewPolicy(Config{MaxAttempts: 10, BaseDelay: time.Millisecond}, 3)
-	calls := 0
-	bad := errors.New("malformed record")
-	err := p.Do(func() error { calls++; return Permanent(bad) })
-	if calls != 1 {
-		t.Fatalf("permanent error retried: calls = %d", calls)
-	}
-	if !errors.Is(err, bad) || !IsPermanent(err) {
-		t.Fatalf("err = %v", err)
-	}
-	// Wrapping elsewhere preserves the marker.
-	if !IsPermanent(fmt.Errorf("outer: %w", Permanent(bad))) {
-		t.Fatal("wrapped permanent not detected")
-	}
-	if Permanent(nil) != nil {
-		t.Fatal("Permanent(nil) != nil")
 	}
 }
 

@@ -56,12 +56,6 @@ func (g *Graph) AddEdge(a, b string) {
 	g.adj[b][a] = struct{}{}
 }
 
-// HasEdge reports whether a and b are directly linked.
-func (g *Graph) HasEdge(a, b string) bool {
-	_, ok := g.adj[a][b]
-	return ok
-}
-
 // NumNodes returns the node count.
 func (g *Graph) NumNodes() int { return len(g.adj) }
 

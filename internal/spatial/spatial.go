@@ -27,19 +27,14 @@ func Raster(points []geo.Point, box geo.BBox, size int) (*tensor.Tensor, error) 
 		return nil, fmt.Errorf("%w: degenerate bbox", ErrBadConfig)
 	}
 	img := tensor.New(1, size, size)
+	grid := geo.Grid{Box: box, Rows: size, Cols: size}
 	maxCount := 0.0
 	for _, p := range points {
 		if !box.Contains(p) {
 			continue
 		}
-		y := int((p.Lat - box.MinLat) / (box.MaxLat - box.MinLat) * float64(size))
-		x := int((p.Lon - box.MinLon) / (box.MaxLon - box.MinLon) * float64(size))
-		if y >= size {
-			y = size - 1
-		}
-		if x >= size {
-			x = size - 1
-		}
+		cell := grid.CellOf(p)
+		y, x := cell/size, cell%size
 		v := img.At(0, y, x) + 1
 		img.Set(v, 0, y, x)
 		if v > maxCount {

@@ -1,9 +1,8 @@
 // Package sqoop implements bulk data transfer between the rdbms package and
 // HDFS, modeled on Apache Sqoop: an import job splits a table on an integer
 // column into ranges, runs one mapper per split in parallel, and writes one
-// part file per mapper into a target HDFS directory; an export job reads
-// part files back into a table. The paper's software layer uses Sqoop "to
-// gather data from legacy database systems".
+// part file per mapper into a target HDFS directory. The paper's software
+// layer uses Sqoop "to gather data from legacy database systems".
 package sqoop
 
 import (
@@ -11,8 +10,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
-	"strconv"
 	"sync"
 
 	"repro/internal/hdfs"
@@ -135,90 +132,4 @@ func computeSplits(minV, maxV int64, n int) []Split {
 		lo = hi
 	}
 	return splits
-}
-
-// Export reads part files from an HDFS directory back into a table. The
-// table must already exist with a compatible schema.
-func Export(fs *hdfs.Cluster, db *rdbms.Database, sourceDir, tableName string) (int, error) {
-	table, err := db.Table(tableName)
-	if err != nil {
-		return 0, err
-	}
-	var paths []string
-	for _, p := range fs.List() {
-		if len(p) > len(sourceDir) && p[:len(sourceDir)+1] == sourceDir+"/" {
-			paths = append(paths, p)
-		}
-	}
-	sort.Strings(paths)
-	total := 0
-	cols := table.Columns()
-	for _, path := range paths {
-		data, err := fs.Read(path)
-		if err != nil {
-			return total, fmt.Errorf("read %s: %w", path, err)
-		}
-		dec := json.NewDecoder(bytes.NewReader(data))
-		for dec.More() {
-			var rec rowRecord
-			if err := dec.Decode(&rec); err != nil {
-				return total, fmt.Errorf("decode %s: %w", path, err)
-			}
-			row, err := coerceRow(rec.Values, cols)
-			if err != nil {
-				return total, fmt.Errorf("%s: %w", path, err)
-			}
-			if err := table.Insert(row); err != nil {
-				return total, fmt.Errorf("insert from %s: %w", path, err)
-			}
-			total++
-		}
-	}
-	return total, nil
-}
-
-// coerceRow repairs JSON's number erasure (everything becomes float64)
-// against the table schema.
-func coerceRow(values []any, cols []rdbms.Column) (rdbms.Row, error) {
-	if len(values) != len(cols) {
-		return nil, fmt.Errorf("%w: %d values for %d columns", rdbms.ErrBadRow, len(values), len(cols))
-	}
-	row := make(rdbms.Row, len(values))
-	for i, v := range values {
-		switch cols[i].Type {
-		case rdbms.IntCol:
-			f, ok := v.(float64)
-			if !ok {
-				return nil, fmt.Errorf("%w: column %s got %T", rdbms.ErrBadType, cols[i].Name, v)
-			}
-			row[i] = int64(f)
-		case rdbms.FloatCol:
-			f, ok := v.(float64)
-			if !ok {
-				return nil, fmt.Errorf("%w: column %s got %T", rdbms.ErrBadType, cols[i].Name, v)
-			}
-			row[i] = f
-		case rdbms.StringCol:
-			s, ok := v.(string)
-			if !ok {
-				return nil, fmt.Errorf("%w: column %s got %T", rdbms.ErrBadType, cols[i].Name, v)
-			}
-			row[i] = s
-		default:
-			return nil, fmt.Errorf("%w: column %s has unknown type", rdbms.ErrBadType, cols[i].Name)
-		}
-	}
-	return row, nil
-}
-
-// SplitBoundariesString renders splits for logs.
-func SplitBoundariesString(splits []Split) string {
-	var b bytes.Buffer
-	for i, s := range splits {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString("[" + strconv.FormatInt(s.Lo, 10) + "," + strconv.FormatInt(s.Hi, 10) + ")")
-	}
-	return b.String()
 }

@@ -1,9 +1,12 @@
 package sqoop
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/hdfs"
@@ -52,56 +55,48 @@ func TestImportWritesPartFiles(t *testing.T) {
 			t.Fatalf("missing part file %s", p)
 		}
 	}
-	if len(res.Splits) != 4 {
-		t.Fatalf("splits = %v", res.Splits)
-	}
 	// Splits must cover [0, 100) contiguously.
-	if res.Splits[0].Lo != 0 || res.Splits[3].Hi != 100 {
-		t.Fatalf("split coverage: %s", SplitBoundariesString(res.Splits))
-	}
-	for i := 1; i < len(res.Splits); i++ {
-		if res.Splits[i].Lo != res.Splits[i-1].Hi {
-			t.Fatalf("gap in splits: %s", SplitBoundariesString(res.Splits))
-		}
+	want := []Split{{0, 25}, {25, 50}, {50, 75}, {75, 100}}
+	if !slices.Equal(res.Splits, want) {
+		t.Fatalf("splits = %v, want %v", res.Splits, want)
 	}
 }
 
-func TestImportExportRoundTrip(t *testing.T) {
+func TestImportPartFilesHoldEveryRow(t *testing.T) {
 	db, fs := setup(t, 57)
-	if _, err := Import(db, fs, ImportConfig{Table: "crimes", SplitBy: "id", Mappers: 3, TargetDir: "/wh/c"}); err != nil {
-		t.Fatal(err)
-	}
-	// Export into a fresh table with the same schema.
-	dst := rdbms.NewDatabase()
-	if _, err := dst.CreateTable("crimes2", []rdbms.Column{
-		{Name: "id", Type: rdbms.IntCol},
-		{Name: "kind", Type: rdbms.StringCol},
-		{Name: "severity", Type: rdbms.FloatCol},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	n, err := Export(fs, dst, "/wh/c", "crimes2")
+	res, err := Import(db, fs, ImportConfig{Table: "crimes", SplitBy: "id", Mappers: 3, TargetDir: "/wh/c"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 57 {
-		t.Fatalf("exported %d", n)
+	// Decode every part file's JSON lines; JSON erases ints to float64.
+	var rows [][]any
+	for _, p := range res.PartFiles {
+		data, err := fs.Read(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec := json.NewDecoder(bytes.NewReader(data))
+		for dec.More() {
+			var rec rowRecord
+			if err := dec.Decode(&rec); err != nil {
+				t.Fatalf("decode %s: %v", p, err)
+			}
+			rows = append(rows, rec.Values)
+		}
 	}
-	tb, _ := dst.Table("crimes2")
-	if tb.Count() != 57 {
-		t.Fatalf("table count = %d", tb.Count())
+	if len(rows) != 57 {
+		t.Fatalf("part files hold %d rows", len(rows))
 	}
-	// Spot check a row's types survived the JSON round trip.
-	rows, err := tb.ScanIntRange("id", 10, 11)
-	if err != nil {
-		t.Fatal(err)
+	// Spot check that row 10's values survived the trip.
+	for _, r := range rows {
+		if r[0].(float64) == 10 {
+			if r[1].(string) != "kind-2" || r[2].(float64) != 5.0 {
+				t.Fatalf("row = %v", r)
+			}
+			return
+		}
 	}
-	if len(rows) != 1 {
-		t.Fatalf("row 10 missing")
-	}
-	if rows[0][1].(string) != "kind-2" || rows[0][2].(float64) != 5.0 {
-		t.Fatalf("row = %v", rows[0])
-	}
+	t.Fatal("row 10 missing")
 }
 
 func TestImportMoreMappersThanKeys(t *testing.T) {
@@ -131,14 +126,6 @@ func TestImportErrors(t *testing.T) {
 	}
 	if _, err := Import(db, fs, ImportConfig{Table: "crimes", SplitBy: "kind", Mappers: 2, TargetDir: "/w"}); !errors.Is(err, rdbms.ErrBadType) {
 		t.Fatalf("split col err = %v", err)
-	}
-}
-
-func TestExportErrors(t *testing.T) {
-	_, fs := setup(t, 5)
-	dst := rdbms.NewDatabase()
-	if _, err := Export(fs, dst, "/nowhere", "ghost"); !errors.Is(err, rdbms.ErrNoTable) {
-		t.Fatalf("err = %v", err)
 	}
 }
 

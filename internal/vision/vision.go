@@ -165,43 +165,6 @@ func GenerateDetection(catalog []Class, n, size int, rng *rand.Rand) (*Detection
 	return &DetectionSet{Images: images, Truths: truths, Labels: labels}, nil
 }
 
-// GenerateMultiDetection renders n frames with 1..maxObjects vehicles each,
-// placed on a coarse grid so objects land in distinct detector cells (as in
-// the multi-vehicle highway scenes of Fig. 6).
-func GenerateMultiDetection(catalog []Class, n, size, maxObjects int, rng *rand.Rand) (*DetectionSet, error) {
-	if n <= 0 || size < 8 || maxObjects < 1 || maxObjects > 4 {
-		return nil, fmt.Errorf("%w: n=%d size=%d maxObjects=%d", ErrBadConfig, n, size, maxObjects)
-	}
-	images := tensor.New(n, 3, size, size)
-	truths := make([][]detect.GroundTruth, n)
-	labels := make([]int, n)
-	// Four well-separated anchor positions (quadrant centers).
-	anchors := [][2]float64{{0.27, 0.27}, {0.73, 0.27}, {0.27, 0.73}, {0.73, 0.73}}
-	imgLen := 3 * size * size
-	for i := 0; i < n; i++ {
-		img, err := tensor.FromSlice(images.Data()[i*imgLen:(i+1)*imgLen], 3, size, size)
-		if err != nil {
-			return nil, err
-		}
-		backgroundNoise(img, rng)
-		count := 1 + rng.Intn(maxObjects)
-		order := rng.Perm(len(anchors))[:count]
-		for _, ai := range order {
-			cls := catalog[rng.Intn(len(catalog))]
-			// Shrink the footprint so quadrant neighbors do not overlap.
-			small := cls
-			small.BodyW *= 0.5
-			small.BodyH *= 0.6
-			cx := anchors[ai][0] + 0.03*rng.NormFloat64()
-			cy := anchors[ai][1] + 0.03*rng.NormFloat64()
-			box := renderVehicle(img, small, cx, cy, rng)
-			truths[i] = append(truths[i], detect.GroundTruth{Box: box, Class: cls.ID})
-		}
-		labels[i] = truths[i][0].Class
-	}
-	return &DetectionSet{Images: images, Truths: truths, Labels: labels}, nil
-}
-
 // ClassificationSet is a labeled classification dataset (vehicle centered).
 type ClassificationSet struct {
 	Images *tensor.Tensor // [N, 3, size, size]

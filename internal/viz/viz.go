@@ -1,12 +1,10 @@
 // Package viz renders experiment output as plain-text tables, histograms,
 // and time-series sparklines. It stands in for the paper's D3-based
 // visualization layer: the cyberinfrastructure's reports are rendered
-// human-readable without a browser, and structured output is available as
-// JSON for downstream tooling.
+// human-readable without a browser.
 package viz
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -81,25 +79,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// JSON renders the table as a JSON array of objects keyed by header.
-func (t *Table) JSON() (string, error) {
-	out := make([]map[string]string, 0, len(t.rows))
-	for _, row := range t.rows {
-		m := make(map[string]string, len(t.Headers))
-		for i, h := range t.Headers {
-			if i < len(row) {
-				m[h] = row[i]
-			}
-		}
-		out = append(out, m)
-	}
-	raw, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return "", fmt.Errorf("viz marshal: %w", err)
-	}
-	return string(raw), nil
-}
-
 // Histogram renders labeled values as horizontal bars scaled to maxWidth.
 func Histogram(title string, labels []string, values []float64, maxWidth int) string {
 	if maxWidth <= 0 {
@@ -157,26 +136,6 @@ func Sparkline(values []float64) string {
 			idx = int((v - lo) / span * float64(len(sparkRunes)-1))
 		}
 		b.WriteRune(sparkRunes[idx])
-	}
-	return b.String()
-}
-
-// Series is a named time series for report output.
-type Series struct {
-	Name   string    `json:"name"`
-	Values []float64 `json:"values"`
-}
-
-// SeriesReport renders several series with sparklines and summary stats.
-func SeriesReport(title string, series []Series) string {
-	var b strings.Builder
-	if title != "" {
-		fmt.Fprintf(&b, "== %s ==\n", title)
-	}
-	for _, s := range series {
-		mean, lo, hi := Stats(s.Values)
-		fmt.Fprintf(&b, "%-24s %s  min=%.4g mean=%.4g max=%.4g\n",
-			s.Name, Sparkline(s.Values), lo, mean, hi)
 	}
 	return b.String()
 }

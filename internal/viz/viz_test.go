@@ -1,7 +1,6 @@
 package viz
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -26,22 +25,6 @@ func TestTableRendering(t *testing.T) {
 		if len(lines) != 5 {
 			t.Fatalf("unexpected line count %d:\n%s", len(lines), out)
 		}
-	}
-}
-
-func TestTableJSON(t *testing.T) {
-	tb := NewTable("", "k", "v")
-	tb.AddRow("a", 1)
-	s, err := tb.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var parsed []map[string]string
-	if err := json.Unmarshal([]byte(s), &parsed); err != nil {
-		t.Fatal(err)
-	}
-	if len(parsed) != 1 || parsed[0]["k"] != "a" || parsed[0]["v"] != "1" {
-		t.Fatalf("parsed = %v", parsed)
 	}
 }
 
@@ -80,13 +63,6 @@ func TestStats(t *testing.T) {
 	}
 	if m, l, h := Stats(nil); m != 0 || l != 0 || h != 0 {
 		t.Fatal("empty stats should be zeros")
-	}
-}
-
-func TestSeriesReport(t *testing.T) {
-	out := SeriesReport("R", []Series{{Name: "loss", Values: []float64{3, 2, 1}}})
-	if !strings.Contains(out, "loss") || !strings.Contains(out, "min=1") {
-		t.Fatalf("report:\n%s", out)
 	}
 }
 
