@@ -2,6 +2,7 @@ package dataproc
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -278,5 +279,87 @@ func TestWordCountMatchesSerialOracleProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestParallelizeKeepsEveryRow(t *testing.T) {
+	data := intsToAny([]int{5, 1, 4, 1, 5, 9, 2, 6})
+	for _, parts := range []int{0, 1, 3, 20} {
+		t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) {
+			ds := NewEngine(2).Parallelize(data, parts)
+			n, err := ds.Count()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != len(data) {
+				t.Fatalf("Count = %d, want %d", n, len(data))
+			}
+			rows, err := ds.Collect()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]int, len(rows))
+			for i, r := range rows {
+				got[i] = r.(int)
+			}
+			sort.Ints(got)
+			if fmt.Sprint(got) != "[1 1 2 4 5 5 6 9]" {
+				t.Fatalf("rows = %v", got)
+			}
+		})
+	}
+}
+
+func TestParallelizeCopiesInput(t *testing.T) {
+	data := intsToAny([]int{1, 2, 3})
+	ds := NewEngine(1).Parallelize(data, 2)
+	data[0] = 100
+	rows, err := ds.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if r.(int) == 100 {
+			t.Fatal("a write to the caller's slice reached the dataset")
+		}
+	}
+}
+
+func TestEmptyDataset(t *testing.T) {
+	ds := NewEngine(2).Parallelize(nil, 3)
+	if n, err := ds.Count(); err != nil || n != 0 {
+		t.Fatalf("Count = %d, %v", n, err)
+	}
+	pairs, err := ds.Map(func(v any) any { return Pair{Key: "k", Value: v} }).
+		ReduceByKey(func(a, b any) any { return a.(int) + b.(int) }).
+		CollectPairs()
+	if err != nil || len(pairs) != 0 {
+		t.Fatalf("reduce over nothing = %v, %v", pairs, err)
+	}
+}
+
+func TestReduceByKeyMatchesSerialSum(t *testing.T) {
+	var pairs []Pair
+	want := make(map[string]int)
+	for i := 0; i < 200; i++ {
+		k := fmt.Sprintf("k%d", i%7)
+		pairs = append(pairs, Pair{Key: k, Value: i})
+		want[k] += i
+	}
+	for _, parts := range []int{1, 4, 9} {
+		got, err := NewEngine(3).ParallelizePairs(pairs, parts).
+			ReduceByKey(func(a, b any) any { return a.(int) + b.(int) }).
+			CollectPairs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%d partitions: %d keys, want %d", parts, len(got), len(want))
+		}
+		for _, p := range got {
+			if p.Value.(int) != want[p.Key] {
+				t.Fatalf("%d partitions: %s = %d, want %d", parts, p.Key, p.Value, want[p.Key])
+			}
+		}
 	}
 }

@@ -25,6 +25,9 @@ func TestIoUKnownValues(t *testing.T) {
 		{"disjoint", Box{0.2, 0.2, 0.1, 0.1}, Box{0.8, 0.8, 0.1, 0.1}, 0},
 		{"half-overlap-x", Box{0.5, 0.5, 0.2, 0.2}, Box{0.6, 0.5, 0.2, 0.2}, 1.0 / 3.0},
 		{"contained", Box{0.5, 0.5, 0.4, 0.4}, Box{0.5, 0.5, 0.2, 0.2}, 0.25},
+		{"touching-edges", Box{0.4, 0.5, 0.2, 0.2}, Box{0.6, 0.5, 0.2, 0.2}, 0},
+		{"zero-area", Box{0.5, 0.5, 0, 0}, Box{0.5, 0.5, 0.2, 0.2}, 0},
+		{"both-zero-area", Box{0.5, 0.5, 0, 0}, Box{0.5, 0.5, 0, 0}, 0},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -59,6 +62,59 @@ func TestNMSSuppressesOverlaps(t *testing.T) {
 	}
 	if got := NMS(nil, 0.5); len(got) != 0 {
 		t.Fatal("empty NMS")
+	}
+}
+
+// TestNMSProperties checks greedy NMS on random detections against its
+// definition: survivors come out by descending score, no two survivors of a
+// class overlap above the threshold, every dropped detection overlaps a
+// higher-scoring survivor of its class, and the input is left as it was.
+func TestNMSProperties(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 50; trial++ {
+		dets := make([]Detection, 30)
+		for i := range dets {
+			dets[i] = Detection{
+				Box:   Box{CX: rng.Float64(), CY: rng.Float64(), W: 0.05 + rng.Float64()*0.3, H: 0.05 + rng.Float64()*0.3},
+				Class: rng.Intn(3),
+				Score: rng.Float64(),
+			}
+		}
+		before := append([]Detection(nil), dets...)
+		const thr = 0.4
+		kept := NMS(dets, thr)
+		for i := range dets {
+			if dets[i] != before[i] {
+				t.Fatal("NMS reordered or changed its input")
+			}
+		}
+		survived := make(map[Detection]bool)
+		for i, k := range kept {
+			survived[k] = true
+			if i > 0 && k.Score > kept[i-1].Score {
+				t.Fatalf("trial %d: survivors not in descending score order", trial)
+			}
+			for _, o := range kept[:i] {
+				if o.Class == k.Class && IoU(o.Box, k.Box) > thr {
+					t.Fatalf("trial %d: two class-%d survivors overlap at IoU %g", trial, k.Class, IoU(o.Box, k.Box))
+				}
+			}
+		}
+		for _, d := range dets {
+			if survived[d] {
+				continue
+			}
+			covered := false
+			for _, k := range kept {
+				if k.Class == d.Class && k.Score >= d.Score && IoU(k.Box, d.Box) > thr {
+					covered = true
+					break
+				}
+			}
+			if !covered {
+				t.Fatalf("trial %d: %+v dropped with no overlapping survivor", trial, d)
+			}
+		}
 	}
 }
 

@@ -243,3 +243,35 @@ func TestNumericCoercionAcrossIntAndFloat(t *testing.T) {
 		t.Fatalf("int/float eq = %d docs, %v", len(got), err)
 	}
 }
+
+// TestLookupRejectsOtherSpellingsOfAnID: only the exact id the store
+// assigned names a document; other spellings of its number, or another
+// collection's prefix, do not.
+func TestLookupRejectsOtherSpellingsOfAnID(t *testing.T) {
+	db := NewDatabase()
+	col := db.Collection("calls")
+	var id string
+	for i := 0; i < 7; i++ {
+		var err error
+		if id, err = col.Insert(Document{"n": i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if id != "calls-7" {
+		t.Fatalf("seventh id = %q", id)
+	}
+	for _, bad := range []string{"calls-+7", "calls-007", "calls-07", "calls7", "tweets-7", "calls-", "calls-8"} {
+		if _, err := col.Get(bad); !errors.Is(err, ErrNotFound) {
+			t.Errorf("Get(%q) err = %v, want ErrNotFound", bad, err)
+		}
+		if err := col.Delete(bad); !errors.Is(err, ErrNotFound) {
+			t.Errorf("Delete(%q) err = %v, want ErrNotFound", bad, err)
+		}
+	}
+	if col.Count() != 7 {
+		t.Fatalf("Count = %d after rejected deletes", col.Count())
+	}
+	if d, err := col.Get(id); err != nil || d["n"] != 6 {
+		t.Fatalf("Get(%q) = %v, %v", id, d, err)
+	}
+}

@@ -153,3 +153,77 @@ func TestBBoxContains(t *testing.T) {
 		t.Fatal("New York should not be in Louisiana")
 	}
 }
+
+func TestGridCellOfIsRowMajorFromSouthWest(t *testing.T) {
+	g := Grid{Box: BBox{MinLat: 0, MaxLat: 4, MinLon: 10, MaxLon: 16}, Rows: 4, Cols: 3}
+	tests := []struct {
+		p    Point
+		cell int
+	}{
+		{Point{Lat: 0, Lon: 10}, 0},       // south-west corner
+		{Point{Lat: 0.5, Lon: 15.9}, 2},   // last column of the first row
+		{Point{Lat: 1.5, Lon: 10.1}, 3},   // second row starts at Cols
+		{Point{Lat: 2.5, Lon: 13}, 7},     // row 2, col 1
+		{Point{Lat: 4, Lon: 16}, 11},      // north-east corner clamps into the last cell
+		{Point{Lat: 3.99, Lon: 11.99}, 9}, // just inside row 3, col 0
+	}
+	for _, tt := range tests {
+		if got := g.CellOf(tt.p); got != tt.cell {
+			t.Errorf("CellOf(%+v) = %d, want %d", tt.p, got, tt.cell)
+		}
+	}
+}
+
+func TestGridCellOfClampsOutsidePoints(t *testing.T) {
+	g := Grid{Box: louisianaBox(), Rows: 8, Cols: 8}
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 500; i++ {
+		p := Point{Lat: rng.Float64()*180 - 90, Lon: rng.Float64()*360 - 180}
+		cell := g.CellOf(p)
+		if cell < 0 || cell >= g.Rows*g.Cols {
+			t.Fatalf("CellOf(%+v) = %d outside [0, %d)", p, cell, g.Rows*g.Cols)
+		}
+		// The clamped cell is the one holding the nearest point of the box.
+		near := Point{Lat: math.Max(g.Box.MinLat, math.Min(p.Lat, g.Box.MaxLat)), Lon: math.Max(g.Box.MinLon, math.Min(p.Lon, g.Box.MaxLon))}
+		if want := g.CellOf(near); cell != want {
+			t.Fatalf("CellOf(%+v) = %d, nearest box point %+v is in %d", p, cell, near, want)
+		}
+	}
+}
+
+func TestGridIndexQueryRadiusFindsCoincidentPoints(t *testing.T) {
+	idx, err := NewGridIndex[int](louisianaBox(), 8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := idx.Insert(batonRouge, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := idx.QueryRadius(batonRouge, 0)
+	if len(got) != 3 {
+		t.Fatalf("zero-radius query found %d of 3 coincident points", len(got))
+	}
+	for _, n := range got {
+		if n.DistanceKm != 0 {
+			t.Fatalf("coincident point at %g km", n.DistanceKm)
+		}
+	}
+	if got := idx.QueryRadius(newOrleans, 1); len(got) != 0 {
+		t.Fatalf("query away from every point found %v", got)
+	}
+}
+
+func TestHaversineAntipodesAndQuarterCircle(t *testing.T) {
+	half := math.Pi * EarthRadiusKm
+	if d := HaversineKm(Point{Lat: 0, Lon: 0}, Point{Lat: 0, Lon: 180}); math.Abs(d-half) > 1e-6 {
+		t.Fatalf("antipodes on the equator = %g km, want %g", d, half)
+	}
+	if d := HaversineKm(Point{Lat: 90, Lon: 0}, Point{Lat: -90, Lon: 0}); math.Abs(d-half) > 1e-6 {
+		t.Fatalf("pole to pole = %g km, want %g", d, half)
+	}
+	if d := HaversineKm(Point{Lat: 0, Lon: 0}, Point{Lat: 90, Lon: 0}); math.Abs(d-half/2) > 1e-6 {
+		t.Fatalf("equator to pole = %g km, want %g", d, half/2)
+	}
+}

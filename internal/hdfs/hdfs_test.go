@@ -313,3 +313,32 @@ func TestRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestCountersCountBlockIO(t *testing.T) {
+	c := newTestCluster(t, 4, DefaultConfig())
+	if err := c.Write("/f", payload(4096*2+1)); err != nil { // three blocks
+		t.Fatal(err)
+	}
+	if got := c.Counters(); got.BlockWrites != 3 || got.BlockReads != 0 {
+		t.Fatalf("after write: %+v", got)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := c.Read("/f"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A replica read that faults and fails over is not a successful read:
+	// each block still counts once.
+	c.SetFaultHook(func(op, node string) error {
+		if op == "read" && node == "dn-0" {
+			return errors.New("injected")
+		}
+		return nil
+	})
+	if _, err := c.Read("/f"); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Counters(); got.BlockWrites != 3 || got.BlockReads != 9 || got.ReplicasCreated != 0 {
+		t.Fatalf("after three reads: %+v", got)
+	}
+}

@@ -210,3 +210,92 @@ func TestConcurrentPolicyAndBreaker(t *testing.T) {
 		t.Fatalf("calls = %d", st.Calls)
 	}
 }
+
+func TestDoStatsReportsThisCallOnly(t *testing.T) {
+	p := NewPolicy(Config{MaxAttempts: 4, BaseDelay: 10 * time.Millisecond, MaxDelay: time.Second, Multiplier: 2}, 1)
+	fails := 2
+	cs, err := p.DoStats(func() error {
+		if fails > 0 {
+			fails--
+			return errors.New("transient")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.Attempts != 3 || cs.Retries != 2 || cs.ShortCircuits != 0 || cs.Slept != 30*time.Millisecond {
+		t.Fatalf("first call stats = %+v", cs)
+	}
+	// A second call starts its record from zero; the policy totals add up.
+	cs2, err := p.DoStats(func() error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs2 != (CallStats{Attempts: 1}) {
+		t.Fatalf("second call stats = %+v", cs2)
+	}
+	if st := p.Stats(); st.Calls != 2 || st.Attempts != 4 || st.Retries != 2 || st.SleptSimulated != 30*time.Millisecond {
+		t.Fatalf("policy stats = %+v", st)
+	}
+}
+
+func TestNewPolicyNormalizesConfig(t *testing.T) {
+	cfg := NewPolicy(Config{MaxAttempts: -3, BaseDelay: -time.Second, MaxDelay: -time.Second, Multiplier: 0.5}, 1).Config()
+	if cfg.MaxAttempts != 1 || cfg.BaseDelay != 0 || cfg.MaxDelay != 0 || cfg.Multiplier != 2 {
+		t.Fatalf("normalized config = %+v", cfg)
+	}
+	// MaxDelay below BaseDelay is raised to it, so the first retry is not
+	// capped below its own base.
+	cfg = NewPolicy(Config{MaxAttempts: 2, BaseDelay: 50 * time.Millisecond, MaxDelay: time.Millisecond}, 1).Config()
+	if cfg.MaxDelay != 50*time.Millisecond {
+		t.Fatalf("MaxDelay = %v, want BaseDelay", cfg.MaxDelay)
+	}
+	// One attempt means no retry and no sleep.
+	p := NewPolicy(Config{}, 1)
+	calls := 0
+	cs, err := p.DoStats(func() error { calls++; return errors.New("x") })
+	if err == nil || calls != 1 || cs.Retries != 0 {
+		t.Fatalf("zero config: calls %d, stats %+v, err %v", calls, cs, err)
+	}
+}
+
+func TestManualClockIgnoresNonPositiveSleep(t *testing.T) {
+	start := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
+	clk := NewManualClock(start)
+	clk.Sleep(0)
+	clk.Sleep(-time.Second)
+	if !clk.Now().Equal(start) || clk.Slept() != 0 {
+		t.Fatalf("non-positive sleeps moved the clock: now %v slept %v", clk.Now(), clk.Slept())
+	}
+	clk.Advance(3 * time.Second)
+	clk.Sleep(2 * time.Second)
+	if !clk.Now().Equal(start.Add(5*time.Second)) || clk.Slept() != 5*time.Second {
+		t.Fatalf("now %v slept %v", clk.Now(), clk.Slept())
+	}
+}
+
+func TestBreakerStateString(t *testing.T) {
+	for s, want := range map[BreakerState]string{Closed: "closed", Open: "open", HalfOpen: "half-open", BreakerState(9): "unknown"} {
+		if got := s.String(); got != want {
+			t.Errorf("BreakerState(%d).String() = %q, want %q", int(s), got, want)
+		}
+	}
+}
+
+func TestDLQDrainEmptiesButKeepsTotal(t *testing.T) {
+	q := NewDLQ[string]()
+	q.Add("a", errors.New("boom"), 3)
+	q.Add("b", nil, 1)
+	letters := q.Drain()
+	if len(letters) != 2 || letters[0].Item != "a" || letters[0].Cause != "boom" || letters[0].Attempts != 3 || letters[1].Cause != "" {
+		t.Fatalf("drained = %+v", letters)
+	}
+	if q.Len() != 0 || q.Total() != 2 || len(q.Drain()) != 0 {
+		t.Fatalf("after drain: len %d total %d", q.Len(), q.Total())
+	}
+	q.Add("c", errors.New("again"), 2)
+	if q.Len() != 1 || q.Total() != 3 {
+		t.Fatalf("after re-add: len %d total %d", q.Len(), q.Total())
+	}
+}

@@ -193,3 +193,39 @@ func TestCrossGroupEdgesDriveSecondDegreeReach(t *testing.T) {
 		t.Fatalf("cross links should widen 2nd-degree reach: %g vs %g", secondWith, secondNo)
 	}
 }
+
+func TestUnknownNodeErrors(t *testing.T) {
+	g := lineGraph()
+	if _, err := g.KDegreeAssociates("zzz", 2); !errors.Is(err, ErrNoNode) {
+		t.Fatalf("KDegreeAssociates err = %v", err)
+	}
+	if _, err := g.Degree("zzz"); !errors.Is(err, ErrNoNode) {
+		t.Fatalf("Degree err = %v", err)
+	}
+	if _, err := g.Group("zzz"); !errors.Is(err, ErrNoNode) {
+		t.Fatalf("Group err = %v", err)
+	}
+}
+
+func TestGroupLabels(t *testing.T) {
+	g := NewGraph()
+	g.AddNode("x", 3)
+	g.AddEdge("x", "y") // y is created by the edge, in group 0
+	if grp, err := g.Group("x"); err != nil || grp != 3 {
+		t.Fatalf("Group(x) = %d, %v", grp, err)
+	}
+	if grp, err := g.Group("y"); err != nil || grp != 0 {
+		t.Fatalf("Group(y) = %d, %v", grp, err)
+	}
+	// Re-adding a node relabels it and keeps its edges.
+	g.AddNode("x", 5)
+	if grp, _ := g.Group("x"); grp != 5 {
+		t.Fatalf("relabelled Group(x) = %d", grp)
+	}
+	if d, _ := g.Degree("x"); d != 1 {
+		t.Fatalf("relabel dropped edges: degree %d", d)
+	}
+	if nodes := g.Nodes(); len(nodes) != 2 || nodes[0] != "x" || nodes[1] != "y" {
+		t.Fatalf("Nodes = %v", nodes)
+	}
+}

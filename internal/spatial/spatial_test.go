@@ -2,6 +2,7 @@ package spatial
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -124,5 +125,37 @@ func TestMajorityBaseline(t *testing.T) {
 	}
 	if got := MajorityBaseline(nil); got != 0 {
 		t.Fatalf("empty baseline = %g", got)
+	}
+}
+
+// TestRasterBinsThroughGridCellOf: every point inside the box adds one count
+// to the pixel of the cell geo.Grid assigns it, before normalisation.
+func TestRasterBinsThroughGridCellOf(t *testing.T) {
+	box := testBox()
+	const size = 7
+	rng := rand.New(rand.NewSource(3))
+	pts := make([]geo.Point, 400)
+	for i := range pts {
+		pts[i] = geo.Point{Lat: 29.9 + rng.Float64()*1.2, Lon: -92.1 + rng.Float64()*1.2}
+	}
+	img, err := Raster(pts, box, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := geo.Grid{Box: box, Rows: size, Cols: size}
+	counts := make([]float64, size*size)
+	maxCount := 0.0
+	for _, p := range pts {
+		if !box.Contains(p) {
+			continue
+		}
+		c := grid.CellOf(p)
+		counts[c]++
+		maxCount = max(maxCount, counts[c])
+	}
+	for c, n := range counts {
+		if got, want := img.At(0, c/size, c%size), n/maxCount; math.Abs(got-want) > 1e-12 {
+			t.Fatalf("pixel (%d, %d) = %g, want %g", c/size, c%size, got, want)
+		}
 	}
 }

@@ -148,3 +148,25 @@ func TestComputeSplitsProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestComputeSplitsAreBalanced: split widths differ by at most one key, and
+// a range narrower than the mapper count gets one split per key.
+func TestComputeSplitsAreBalanced(t *testing.T) {
+	for _, tc := range []struct {
+		lo, hi int64
+		n      int
+	}{{0, 99, 4}, {0, 100, 4}, {-10, 10, 7}, {1, 1000000, 13}, {3, 5, 8}, {0, 9, 0}} {
+		splits := computeSplits(tc.lo, tc.hi, tc.n)
+		wantN := max(1, min(tc.n, int(tc.hi-tc.lo+1)))
+		if len(splits) != wantN {
+			t.Fatalf("%+v: %d splits, want %d", tc, len(splits), wantN)
+		}
+		lo, hi := splits[0].Hi-splits[0].Lo, splits[0].Hi-splits[0].Lo
+		for _, s := range splits {
+			lo, hi = min(lo, s.Hi-s.Lo), max(hi, s.Hi-s.Lo)
+		}
+		if lo < 1 || hi-lo > 1 {
+			t.Fatalf("%+v: split widths range over [%d, %d]", tc, lo, hi)
+		}
+	}
+}

@@ -103,3 +103,15 @@ func TestConfusionMatrix(t *testing.T) {
 		t.Fatalf("content:\n%s", out)
 	}
 }
+
+func TestSparklineSpansLowestToHighestRune(t *testing.T) {
+	s := []rune(Sparkline([]float64{-3, 0, 4, 11}))
+	if s[0] != '▁' || s[len(s)-1] != '█' {
+		t.Fatalf("sparkline %q must run from the lowest to the highest rune", string(s))
+	}
+	for i := 1; i < len(s); i++ {
+		if s[i] < s[i-1] {
+			t.Fatalf("rising series rendered non-monotone: %q", string(s))
+		}
+	}
+}
