@@ -2,11 +2,8 @@ package control
 
 import (
 	"math"
-	"math/rand"
 	"reflect"
 	"testing"
-
-	"repro/internal/fog"
 )
 
 // fakeSignals is a mutable signal source tests drive tick by tick.
@@ -296,44 +293,5 @@ func TestControllerKeepsNewestActions(t *testing.T) {
 	}
 	if st := c.Status(); len(st.Actions) != historyCap {
 		t.Fatalf("status lists %d actions, want %d", len(st.Actions), historyCap)
-	}
-}
-
-func TestOffloadEnvDeterministicAndBounded(t *testing.T) {
-	d, err := fog.BuildDeployment(fog.DefaultDeploymentConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(seed int64) []float64 {
-		env, err := NewOffloadEnv(d, OffloadEnvConfig{Items: 32, MaxSteps: 6})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(seed))
-		s := env.Reset(rng)
-		if len(s) != env.StateDim() {
-			t.Fatalf("state dim %d, want %d", len(s), env.StateDim())
-		}
-		var rewards []float64
-		for i := 0; ; i++ {
-			next, r, done := env.Step(i%env.NumActions(), rng)
-			rewards = append(rewards, r)
-			if next[0] < 0 || next[0] > 1 {
-				t.Fatalf("threshold escaped [0,1]: %v", next[0])
-			}
-			if done {
-				break
-			}
-		}
-		if len(rewards) != 6 {
-			t.Fatalf("episode ran %d steps, want 6", len(rewards))
-		}
-		return rewards
-	}
-	a, b := run(7), run(7)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at step %d: %v vs %v", i, a[i], b[i])
-		}
 	}
 }

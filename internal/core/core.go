@@ -202,10 +202,7 @@ func New(cfg Config, rng *rand.Rand) (*Infrastructure, error) {
 			return nil, fmt.Errorf("boot yarn: %w", err)
 		}
 	}
-	app, err := inf.RM.Submit("cityinfra-analytics", "default")
-	if err != nil {
-		return nil, fmt.Errorf("submit app: %w", err)
-	}
+	app := inf.RM.Submit("cityinfra-analytics")
 	inf.Engine = dataproc.NewEngine(parallelism,
 		dataproc.WithYARN(inf.RM, app, yarn.Resources{Cores: 1, MemMB: 1024}))
 
@@ -213,6 +210,7 @@ func New(cfg Config, rng *rand.Rand) (*Infrastructure, error) {
 	// sized like the HDFS tier: Replication copies of every partition spread
 	// across brokerNodes nodes, so losing a broker node loses no acknowledged
 	// record.
+	var err error
 	inf.Broker, err = stream.NewCluster(stream.ClusterConfig{
 		Nodes: brokerNodes, Replication: cfg.Replication,
 	})

@@ -213,10 +213,7 @@ func TestEngineWithYARNLeasesContainers(t *testing.T) {
 	if err := rm.AddNode("n1", yarn.Resources{Cores: 4, MemMB: 4096}); err != nil {
 		t.Fatal(err)
 	}
-	app, err := rm.Submit("dataproc", "default")
-	if err != nil {
-		t.Fatal(err)
-	}
+	app := rm.Submit("dataproc")
 	e := NewEngine(2, WithYARN(rm, app, yarn.Resources{Cores: 1, MemMB: 512}))
 	got, err := e.Parallelize(intsToAny([]int{1, 2, 3, 4, 5, 6, 7, 8}), 8).
 		Map(func(v any) any { return v.(int) + 1 }).

@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/control"
 	"repro/internal/core"
-	"repro/internal/fog"
-	"repro/internal/rl"
 	"repro/internal/viz"
 )
 
@@ -120,8 +118,7 @@ func e24RunArm(seed int64, controlled bool) (*e24ArmResult, error) {
 // uplink partition, load shedding when the annotation store dies — must
 // unwind every knob during the clean tail, and must land strictly less
 // cumulative damage (undelivered records, summed SLO burn) than the
-// baseline. A side table compares the rule-based policy against a DQN
-// trained on the fog offload simulator.
+// baseline.
 func E24AdaptiveControl(rng *rand.Rand) (*Result, error) {
 	seed := rng.Int63()
 	baseline, err := e24RunArm(seed, false)
@@ -207,64 +204,16 @@ func E24AdaptiveControl(rng *rand.Rand) (*Result, error) {
 		fmt.Sprintf("%.2f", baseline.burnSum), fmt.Sprintf("%.2f", controlled.burnSum))
 	totals.AddRow("controller actions", baseline.inf.Control.TotalActions(), controlled.inf.Control.TotalActions())
 
-	// Policy comparison on the offload simulator: the same knob the live
-	// loop tunes, exercised by a trained DQN against random and frozen
-	// baselines. Informational — the deployed controller stays rule-based.
-	rlTable, rlNote, err := e24PolicyComparison(seed)
-	if err != nil {
-		return nil, err
-	}
-
 	improvement := 100 * (1 - controlled.totalUndeliv/baseline.totalUndeliv)
 	return &Result{
 		ID: "E24", Title: "closed-loop adaptive control vs static baseline under phased partitions",
-		Tables: []*viz.Table{perPhase, totals, controlled.timeline, rlTable},
+		Tables: []*viz.Table{perPhase, totals, controlled.timeline},
 		Notes: []string{
 			fmt.Sprintf("the closed loop cut undelivered records %.0f → %.0f (%.0f%%) over the identical fault schedule, trading %d shed low-priority frames for it",
 				baseline.totalUndeliv, controlled.totalUndeliv, improvement, controlled.shed),
 			fmt.Sprintf("every induced failure mode drew its matching mitigation within 3 monitor ticks: gate tightening (hdfs, tick %d), fog migration (bus, tick %d), load shedding (hbase, tick %d)",
 				controlled.firstAct["hdfs-partition"], controlled.firstAct["bus-partition"], controlled.firstAct["hbase-partition"]),
 			"recovery is symmetric: after the faults clear, the healthy streak unwinds shed → tier → threshold one cooldown apart, and the run ends with every knob at its default",
-			rlNote,
 		},
 	}, nil
-}
-
-// e24PolicyComparison trains a small DQN on the offload-threshold simulator
-// and scores it against random and frozen-threshold policies.
-func e24PolicyComparison(seed int64) (*viz.Table, string, error) {
-	d, err := fog.BuildDeployment(fog.DefaultDeploymentConfig())
-	if err != nil {
-		return nil, "", err
-	}
-	env, err := control.NewOffloadEnv(d, control.DefaultOffloadEnvConfig())
-	if err != nil {
-		return nil, "", err
-	}
-	trainRng := rand.New(rand.NewSource(seed))
-	agent, err := rl.NewDQN(env.StateDim(), env.NumActions(), rl.DefaultDQNConfig(), trainRng)
-	if err != nil {
-		return nil, "", err
-	}
-	tcfg := rl.DefaultTrainConfig()
-	tcfg.Episodes = 30
-	tcfg.StepsPerEp = control.DefaultOffloadEnvConfig().MaxSteps
-	if _, err := rl.Train(agent, env, tcfg, trainRng); err != nil {
-		return nil, "", err
-	}
-	evalRng := rand.New(rand.NewSource(seed + 1))
-	const eps = 20
-	steps := control.DefaultOffloadEnvConfig().MaxSteps
-	dqn := rl.EvaluatePolicy(env, eps, steps, rl.GreedyPolicy(agent), evalRng)
-	random := rl.EvaluatePolicy(env, eps, steps, rl.RandomPolicy(env.NumActions()), evalRng)
-	frozen := rl.EvaluatePolicy(env, eps, steps, rl.StaticPolicy(control.ActHold), evalRng)
-
-	tb := viz.NewTable("offload-threshold policies on the fog simulator (mean episode reward; higher = lower p95 + fewer risky local exits)",
-		"policy", "reward")
-	tb.AddRow("DQN (trained)", fmt.Sprintf("%.3f", dqn))
-	tb.AddRow("random walk", fmt.Sprintf("%.3f", random))
-	tb.AddRow("frozen threshold", fmt.Sprintf("%.3f", frozen))
-	note := fmt.Sprintf("on the offload simulator the trained DQN scores %.3f vs %.3f random / %.3f frozen — the same latency-vs-accuracy trade the rule-based loop makes, learnable end to end",
-		dqn, random, frozen)
-	return tb, note, nil
 }

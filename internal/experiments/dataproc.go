@@ -37,10 +37,7 @@ func E14DataprocMLlib(rng *rand.Rand) (*Result, error) {
 				return nil, err
 			}
 		}
-		app, err := rm.Submit("wordcount", "default")
-		if err != nil {
-			return nil, err
-		}
+		app := rm.Submit("wordcount")
 		eng := dataproc.NewEngine(par, dataproc.WithYARN(rm, app, yarn.Resources{Cores: 1, MemMB: 256}))
 		start := time.Now()
 		_, err = eng.Parallelize(docs, par*2).

@@ -298,25 +298,9 @@ func E13StorageLayer(rng *rand.Rand) (*Result, error) {
 	access.AddRow("hbase (one cell)", probes, hbaseBytes/probes, hbaseBytes)
 	access.AddRow("hdfs (whole file)", probes, hdfsBytes/probes, hdfsBytes)
 
-	// Region auto-splitting: a hot table spreads across regions as it grows.
-	regioned, err := hbase.NewRegionedTable("hot", []string{"f"},
-		hbase.Config{FlushThreshold: 128, CompactThreshold: 4}, cluster, 300)
-	if err != nil {
-		return nil, err
-	}
-	growth := viz.NewTable("HBase region auto-splitting under load", "rows written", "regions", "splits")
-	written := 0
-	for _, target := range []int{200, 600, 1200, 2000} {
-		for ; written < target; written++ {
-			if err := regioned.Put(fmt.Sprintf("r%05d", written), "f", "v", []byte("x")); err != nil {
-				return nil, err
-			}
-		}
-		growth.AddRow(target, regioned.NumRegions(), regioned.Splits())
-	}
 	return &Result{
 		ID: "E13", Title: "storage layer: replication & HBase vs HDFS",
-		Tables: []*viz.Table{avail, access, growth},
+		Tables: []*viz.Table{avail, access},
 		Notes: []string{
 			"paper claim: HDFS keeps data accessible though machines fail (replication)",
 			fmt.Sprintf("paper claim: 'unlike HDFS... HBase supports efficient random read/write' — a point read takes one %d B cell from HBase and the whole %d B file from HDFS, %.0fx the bytes",

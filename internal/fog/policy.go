@@ -96,17 +96,6 @@ func BuildDeployment(cfg DeploymentConfig) (*Deployment, error) {
 	return d, nil
 }
 
-// RunPolicy builds jobs for items under p and runs them on the deployment's
-// topology in one call — the form the control package's offload environment
-// and policy sweeps share.
-func (d *Deployment) RunPolicy(p Policy, items []InferenceItem) (*Results, error) {
-	jobs, err := p.JobsFor(d, items)
-	if err != nil {
-		return nil, err
-	}
-	return d.Topo.Run(jobs)
-}
-
 // FogOf returns the fog node parenting an edge device.
 func (d *Deployment) FogOf(edgeIdx int) string { return d.FogIDs[edgeIdx%len(d.FogIDs)] }
 

@@ -24,9 +24,10 @@ type Point struct {
 	Lon float64 `json:"lon"`
 }
 
-// Validate checks coordinate ranges.
+// Validate checks coordinate ranges. The test is written as a range the
+// point must lie in, so NaN, which fails every comparison, is rejected.
 func (p Point) Validate() error {
-	if p.Lat < -90 || p.Lat > 90 || p.Lon < -180 || p.Lon > 180 {
+	if !(p.Lat >= -90 && p.Lat <= 90 && p.Lon >= -180 && p.Lon <= 180) {
 		return fmt.Errorf("%w: (%g, %g)", ErrBadCoordinate, p.Lat, p.Lon)
 	}
 	return nil

@@ -47,6 +47,10 @@ func TestPointValidate(t *testing.T) {
 		{Point{-90, -180}, true},
 		{Point{91, 0}, false},
 		{Point{0, 181}, false},
+		{Point{math.NaN(), 0}, false},
+		{Point{0, math.NaN()}, false},
+		{Point{math.Inf(1), 0}, false},
+		{Point{0, math.Inf(-1)}, false},
 	}
 	for _, tt := range tests {
 		err := tt.p.Validate()

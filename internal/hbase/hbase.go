@@ -28,7 +28,6 @@ import (
 var (
 	ErrNoFamily = errors.New("hbase: unknown column family")
 	ErrNotFound = errors.New("hbase: cell not found")
-	ErrClosed   = errors.New("hbase: table closed")
 )
 
 // FaultHook is consulted before durability-critical I/O: op is "wal" for
@@ -143,7 +142,6 @@ type Table struct {
 	files    []*storeFile // newest first
 	fileSeq  int
 	clock    int64
-	closed   bool
 	hook     FaultHook
 	events   EventHook
 
@@ -229,9 +227,6 @@ func (t *Table) faultLocked(op string) error {
 func (t *Table) Put(row, family, qualifier string, value []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.closed {
-		return ErrClosed
-	}
 	if _, ok := t.families[family]; !ok {
 		return fmt.Errorf("%w: %s", ErrNoFamily, family)
 	}
@@ -246,9 +241,6 @@ func (t *Table) Put(row, family, qualifier string, value []byte) error {
 func (t *Table) Delete(row, family, qualifier string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.closed {
-		return ErrClosed
-	}
 	if _, ok := t.families[family]; !ok {
 		return fmt.Errorf("%w: %s", ErrNoFamily, family)
 	}
@@ -286,9 +278,6 @@ func (t *Table) applyLocked(c Cell) error {
 func (t *Table) Flush() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.closed {
-		return ErrClosed
-	}
 	return t.flushLocked()
 }
 
@@ -426,9 +415,6 @@ func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 func (t *Table) Compact() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.closed {
-		return ErrClosed
-	}
 	return t.mergeLocked(len(t.files))
 }
 
@@ -485,9 +471,6 @@ func (t *Table) mergeLocked(n int) error {
 func (t *Table) Get(row, family, qualifier string) ([]byte, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.closed {
-		return nil, ErrClosed
-	}
 	if _, ok := t.families[family]; !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoFamily, family)
 	}
@@ -526,9 +509,6 @@ type RowResult struct {
 func (t *Table) Scan(startRow, endRow string) ([]RowResult, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.closed {
-		return nil, ErrClosed
-	}
 	out := make([]RowResult, 0)
 	mergeRuns(t.rangeRunsLocked(startRow, endRow), func(c *Cell) {
 		if c.Tombstone {
@@ -585,9 +565,6 @@ func prefixEnd(prefix string) string {
 func (t *Table) RowKeys(prefix string) ([]string, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.closed {
-		return nil, ErrClosed
-	}
 	out := make([]string, 0)
 	mergeRuns(t.rangeRunsLocked(prefix, prefixEnd(prefix)), func(c *Cell) {
 		if !c.Tombstone && (len(out) == 0 || out[len(out)-1] != c.Row) {
@@ -642,9 +619,6 @@ func (t *Table) Stats() Stats {
 func (t *Table) CrashAndRecover() (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.closed {
-		return 0, ErrClosed
-	}
 	// The WAL survives the crash as it is; replaying it in arrival order
 	// rebuilds each key's versions newest-last.
 	clear(t.memstore)
@@ -658,18 +632,4 @@ func (t *Table) CrashAndRecover() (int, error) {
 		t.events("recover", fmt.Sprintf("WAL replay restored %d cells after crash", replayed))
 	}
 	return replayed, nil
-}
-
-// Close flushes and marks the table unusable.
-func (t *Table) Close() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return nil
-	}
-	if err := t.flushLocked(); err != nil {
-		return err
-	}
-	t.closed = true
-	return nil
 }

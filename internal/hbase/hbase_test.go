@@ -223,23 +223,6 @@ func TestCrashRecoveryReplaysWAL(t *testing.T) {
 	}
 }
 
-func TestCloseFlushesAndRejects(t *testing.T) {
-	tb := newTestTable(t, Config{FlushThreshold: 1000, CompactThreshold: 100})
-	_ = tb.Put("r", "meta", "v", []byte("x"))
-	if err := tb.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.Put("r2", "meta", "v", nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("put after close err = %v", err)
-	}
-	if _, err := tb.Get("r", "meta", "v"); !errors.Is(err, ErrClosed) {
-		t.Fatalf("get after close err = %v", err)
-	}
-	if err := tb.Close(); err != nil {
-		t.Fatal("double close should be nil")
-	}
-}
-
 func TestValueIsolation(t *testing.T) {
 	tb := newTestTable(t, DefaultConfig())
 	buf := []byte("abc")

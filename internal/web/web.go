@@ -439,32 +439,33 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"trace": tv, "breakdown": tv.Breakdown()})
 }
 
-// parseLatLon reads lat/lon query params.
-func parseLatLon(r *http.Request) (geo.Point, error) {
-	lat, err := strconv.ParseFloat(r.URL.Query().Get("lat"), 64)
+// parseNear reads the lat/lon/radiusKm query params of the near routes. The
+// centre must be a valid coordinate and the radius finite and positive.
+func parseNear(r *http.Request) (geo.Point, float64, error) {
+	q := r.URL.Query()
+	lat, err := strconv.ParseFloat(q.Get("lat"), 64)
 	if err != nil {
-		return geo.Point{}, fmt.Errorf("%w: lat: %v", ErrBadRequest, err)
+		return geo.Point{}, 0, fmt.Errorf("%w: lat: %v", ErrBadRequest, err)
 	}
-	lon, err := strconv.ParseFloat(r.URL.Query().Get("lon"), 64)
+	lon, err := strconv.ParseFloat(q.Get("lon"), 64)
 	if err != nil {
-		return geo.Point{}, fmt.Errorf("%w: lon: %v", ErrBadRequest, err)
+		return geo.Point{}, 0, fmt.Errorf("%w: lon: %v", ErrBadRequest, err)
 	}
 	p := geo.Point{Lat: lat, Lon: lon}
 	if err := p.Validate(); err != nil {
-		return geo.Point{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return geo.Point{}, 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	return p, nil
+	radius, err := strconv.ParseFloat(q.Get("radiusKm"), 64)
+	if err != nil || math.IsNaN(radius) || math.IsInf(radius, 0) || radius <= 0 {
+		return geo.Point{}, 0, fmt.Errorf("%w: radiusKm", ErrBadRequest)
+	}
+	return p, radius, nil
 }
 
 func (s *Server) handleTweetsNear(w http.ResponseWriter, r *http.Request) {
-	center, err := parseLatLon(r)
+	center, radius, err := parseNear(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	radius, err := strconv.ParseFloat(r.URL.Query().Get("radiusKm"), 64)
-	if err != nil || radius <= 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: radiusKm", ErrBadRequest))
 		return
 	}
 	// Default window: everything.
@@ -509,14 +510,9 @@ func (s *Server) handleCrimesDistrict(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCamerasNear(w http.ResponseWriter, r *http.Request) {
-	center, err := parseLatLon(r)
+	center, radius, err := parseNear(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	radius, err := strconv.ParseFloat(r.URL.Query().Get("radiusKm"), 64)
-	if err != nil || radius <= 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: radiusKm", ErrBadRequest))
 		return
 	}
 	type camOut struct {

@@ -159,6 +159,28 @@ func TestCamerasNearEndpoint(t *testing.T) {
 	}
 }
 
+// TestNearRejectsNonFiniteParams: NaN fails every comparison and Inf passes
+// a lower bound, so both need an explicit check on each near route.
+func TestNearRejectsNonFiniteParams(t *testing.T) {
+	srv, _ := newTestServer(t)
+	for _, route := range []string{"tweets", "cameras"} {
+		for _, q := range []string{
+			"lat=NaN&lon=-91&radiusKm=5",
+			"lat=30&lon=NaN&radiusKm=5",
+			"lat=Inf&lon=-91&radiusKm=5",
+			"lat=30&lon=-Inf&radiusKm=5",
+			"lat=30&lon=-91&radiusKm=NaN",
+			"lat=30&lon=-91&radiusKm=Inf",
+			"lat=30&lon=-91&radiusKm=-1",
+			"lat=30&lon=-91&radiusKm=0",
+		} {
+			t.Run(route+"?"+q, func(t *testing.T) {
+				getJSON(t, srv.URL+"/api/"+route+"/near?"+q, http.StatusBadRequest)
+			})
+		}
+	}
+}
+
 func TestAlertsEndpoint(t *testing.T) {
 	srv, inf := newTestServer(t)
 	// Inject alerts straight onto the topic.

@@ -1,9 +1,10 @@
 // Package yarn simulates a YARN-style cluster resource manager: node
-// managers advertise capacity, applications request containers, and a
-// capacity scheduler grants them with per-queue weighted fair sharing. The
-// dataproc engine (the Spark analog) acquires containers from this package
-// for its task slots, mirroring the paper's "Apache Hadoop YARN ... as the
-// resource scheduler".
+// managers advertise capacity, applications request containers, and one
+// FIFO queue grants them first come, first served, each on the best-fitting
+// node. A head request that fits no node holds back the requests behind it
+// until a release frees room. The dataproc engine (the Spark analog)
+// acquires containers from this package for its task slots, mirroring the
+// paper's "Apache Hadoop YARN ... as the resource scheduler".
 package yarn
 
 import (
@@ -19,8 +20,7 @@ var (
 	ErrNodeExists    = errors.New("yarn: node already registered")
 	ErrNoApplication = errors.New("yarn: application not found")
 	ErrNoContainer   = errors.New("yarn: container not found")
-	ErrNoQueue       = errors.New("yarn: queue not found")
-	ErrOverCapacity  = errors.New("yarn: request exceeds total cluster capacity")
+	ErrOverCapacity  = errors.New("yarn: request exceeds the largest node's cores or memory")
 )
 
 // Resources describes cores and memory.
@@ -58,61 +58,30 @@ type Container struct {
 	Res    Resources
 }
 
-type application struct {
-	id    ApplicationID
-	name  string
-	queue string
-	used  Resources
-}
-
 type pendingRequest struct {
 	app ApplicationID
 	res Resources
-	ch  chan<- ContainerID // nil for polling-style requests
-	seq int64
-}
-
-type queue struct {
-	name    string
-	weight  float64
-	used    Resources
-	pending []pendingRequest
+	ch  chan<- ContainerID
 }
 
 // ResourceManager is the cluster scheduler. Safe for concurrent use.
 type ResourceManager struct {
 	mu         sync.Mutex
 	nodes      map[string]*node
-	queues     map[string]*queue
-	apps       map[ApplicationID]*application
+	apps       map[ApplicationID]string // id → name
+	pending    []pendingRequest         // the FIFO queue, head first
 	containers map[ContainerID]*Container
 	nextApp    ApplicationID
 	nextCont   ContainerID
-	nextSeq    int64
 }
 
-// NewResourceManager creates a manager with a single default queue of
-// weight 1.
+// NewResourceManager creates a manager with no nodes and an empty queue.
 func NewResourceManager() *ResourceManager {
-	rm := &ResourceManager{
+	return &ResourceManager{
 		nodes:      make(map[string]*node),
-		queues:     make(map[string]*queue),
-		apps:       make(map[ApplicationID]*application),
+		apps:       make(map[ApplicationID]string),
 		containers: make(map[ContainerID]*Container),
 	}
-	rm.queues["default"] = &queue{name: "default", weight: 1}
-	return rm
-}
-
-// AddQueue registers a scheduling queue with a fair-share weight.
-func (rm *ResourceManager) AddQueue(name string, weight float64) error {
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	if weight <= 0 {
-		return fmt.Errorf("%w: weight %g", ErrNoQueue, weight)
-	}
-	rm.queues[name] = &queue{name: name, weight: weight}
-	return nil
 }
 
 // AddNode registers a node manager with its capacity.
@@ -138,17 +107,13 @@ func (rm *ResourceManager) TotalCapacity() Resources {
 	return t
 }
 
-// Submit registers an application on a queue and returns its id.
-func (rm *ResourceManager) Submit(name, queueName string) (ApplicationID, error) {
+// Submit registers an application and returns its id.
+func (rm *ResourceManager) Submit(name string) ApplicationID {
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
-	if _, ok := rm.queues[queueName]; !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNoQueue, queueName)
-	}
 	rm.nextApp++
-	id := rm.nextApp
-	rm.apps[id] = &application{id: id, name: name, queue: queueName}
-	return id, nil
+	rm.apps[rm.nextApp] = name
+	return rm.nextApp
 }
 
 // Request asks for one container. If resources are free it is granted
@@ -157,22 +122,14 @@ func (rm *ResourceManager) Submit(name, queueName string) (ApplicationID, error)
 func (rm *ResourceManager) Request(app ApplicationID, res Resources) (<-chan ContainerID, error) {
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
-	a, ok := rm.apps[app]
-	if !ok {
+	if _, ok := rm.apps[app]; !ok {
 		return nil, fmt.Errorf("%w: %d", ErrNoApplication, app)
-	}
-	total := Resources{}
-	for _, n := range rm.nodes {
-		total.Cores += n.total.Cores
-		total.MemMB += n.total.MemMB
 	}
 	if res.Cores > maxNodeCores(rm.nodes) || res.MemMB > maxNodeMem(rm.nodes) {
 		return nil, fmt.Errorf("%w: %+v", ErrOverCapacity, res)
 	}
 	ch := make(chan ContainerID, 1)
-	rm.nextSeq++
-	q := rm.queues[a.queue]
-	q.pending = append(q.pending, pendingRequest{app: app, res: res, ch: ch, seq: rm.nextSeq})
+	rm.pending = append(rm.pending, pendingRequest{app: app, res: res, ch: ch})
 	rm.scheduleLocked()
 	return ch, nil
 }
@@ -197,59 +154,16 @@ func maxNodeMem(nodes map[string]*node) int {
 	return m
 }
 
-// scheduleLocked grants pending requests. Queues are served most-starved
-// first (lowest used-cores/weight ratio); requests within a queue are FIFO.
+// scheduleLocked grants the head of the queue while some node fits it, and
+// stops at the first head that fits none.
 func (rm *ResourceManager) scheduleLocked() {
-	for {
-		// Pick the most-starved queue with pending work.
-		var best *queue
-		var bestRatio float64
-		for _, q := range rm.queues {
-			if len(q.pending) == 0 {
-				continue
-			}
-			ratio := float64(q.used.Cores) / q.weight
-			if best == nil || ratio < bestRatio {
-				best, bestRatio = q, ratio
-			}
-		}
-		if best == nil {
+	for len(rm.pending) > 0 {
+		n := rm.findNodeFor(rm.pending[0].res)
+		if n == nil {
 			return
 		}
-		req := best.pending[0]
-		n := rm.findNodeFor(req.res)
-		if n == nil {
-			// Head-of-line blocks this queue; try other queues' heads.
-			granted := false
-			queues := rm.sortedQueues()
-			for _, q := range queues {
-				if q == best || len(q.pending) == 0 {
-					continue
-				}
-				if node := rm.findNodeFor(q.pending[0].res); node != nil {
-					rm.grantLocked(q, node)
-					granted = true
-					break
-				}
-			}
-			if !granted {
-				return
-			}
-			continue
-		}
-		rm.grantLocked(best, n)
+		rm.grantLocked(n)
 	}
-}
-
-func (rm *ResourceManager) sortedQueues() []*queue {
-	qs := make([]*queue, 0, len(rm.queues))
-	for _, q := range rm.queues {
-		qs = append(qs, q)
-	}
-	sort.Slice(qs, func(i, j int) bool {
-		return float64(qs[i].used.Cores)/qs[i].weight < float64(qs[j].used.Cores)/qs[j].weight
-	})
-	return qs
 }
 
 func (rm *ResourceManager) findNodeFor(res Resources) *node {
@@ -271,20 +185,15 @@ func (rm *ResourceManager) findNodeFor(res Resources) *node {
 	return best
 }
 
-func (rm *ResourceManager) grantLocked(q *queue, n *node) {
-	req := q.pending[0]
-	q.pending = q.pending[1:]
+// grantLocked places the head request on n.
+func (rm *ResourceManager) grantLocked(n *node) {
+	req := rm.pending[0]
+	rm.pending = rm.pending[1:]
 	rm.nextCont++
 	c := &Container{ID: rm.nextCont, App: req.app, NodeID: n.id, Res: req.res}
 	rm.containers[c.ID] = c
 	n.used.Cores += req.res.Cores
 	n.used.MemMB += req.res.MemMB
-	q.used.Cores += req.res.Cores
-	q.used.MemMB += req.res.MemMB
-	if a := rm.apps[req.app]; a != nil {
-		a.used.Cores += req.res.Cores
-		a.used.MemMB += req.res.MemMB
-	}
 	req.ch <- c.ID
 }
 
@@ -301,14 +210,6 @@ func (rm *ResourceManager) Release(id ContainerID) error {
 		n.used.Cores -= c.Res.Cores
 		n.used.MemMB -= c.Res.MemMB
 	}
-	if a := rm.apps[c.App]; a != nil {
-		a.used.Cores -= c.Res.Cores
-		a.used.MemMB -= c.Res.MemMB
-		if q := rm.queues[a.queue]; q != nil {
-			q.used.Cores -= c.Res.Cores
-			q.used.MemMB -= c.Res.MemMB
-		}
-	}
 	rm.scheduleLocked()
 	return nil
 }
@@ -324,31 +225,5 @@ func (rm *ResourceManager) Running() int {
 func (rm *ResourceManager) Pending() int {
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
-	p := 0
-	for _, q := range rm.queues {
-		p += len(q.pending)
-	}
-	return p
-}
-
-// AppUsage returns an application's currently held resources.
-func (rm *ResourceManager) AppUsage(app ApplicationID) (Resources, error) {
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	a, ok := rm.apps[app]
-	if !ok {
-		return Resources{}, fmt.Errorf("%w: %d", ErrNoApplication, app)
-	}
-	return a.used, nil
-}
-
-// QueueUsage returns a queue's currently held resources.
-func (rm *ResourceManager) QueueUsage(name string) (Resources, error) {
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	q, ok := rm.queues[name]
-	if !ok {
-		return Resources{}, fmt.Errorf("%w: %s", ErrNoQueue, name)
-	}
-	return q.used, nil
+	return len(rm.pending)
 }

@@ -29,6 +29,18 @@ func mustGrant(t *testing.T, ch <-chan ContainerID) ContainerID {
 	}
 }
 
+// mustGrantNow requires a grant made during the Request call itself.
+func mustGrantNow(t *testing.T, ch <-chan ContainerID) ContainerID {
+	t.Helper()
+	select {
+	case id := <-ch:
+		return id
+	default:
+		t.Fatal("request not granted at once")
+		return 0
+	}
+}
+
 func assertNotGranted(t *testing.T, ch <-chan ContainerID) {
 	t.Helper()
 	select {
@@ -40,24 +52,14 @@ func assertNotGranted(t *testing.T, ch <-chan ContainerID) {
 
 func TestImmediateGrant(t *testing.T) {
 	rm := newRM(t, 2, Resources{Cores: 4, MemMB: 4096})
-	app, err := rm.Submit("spark", "default")
-	if err != nil {
-		t.Fatal(err)
-	}
+	app := rm.Submit("spark")
 	ch, err := rm.Request(app, Resources{Cores: 2, MemMB: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
 	id := mustGrant(t, ch)
-	if rm.Running() != 1 {
-		t.Fatalf("running = %d", rm.Running())
-	}
-	used, err := rm.AppUsage(app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if used.Cores != 2 || used.MemMB != 1024 {
-		t.Fatalf("usage = %+v", used)
+	if rm.Running() != 1 || rm.Pending() != 0 {
+		t.Fatalf("running = %d, pending = %d", rm.Running(), rm.Pending())
 	}
 	if err := rm.Release(id); err != nil {
 		t.Fatal(err)
@@ -65,11 +67,20 @@ func TestImmediateGrant(t *testing.T) {
 	if rm.Running() != 0 {
 		t.Fatalf("running after release = %d", rm.Running())
 	}
+	// The release returned every core and megabyte: both whole nodes are
+	// granted at once.
+	for i := 0; i < 2; i++ {
+		ch, err := rm.Request(app, Resources{Cores: 4, MemMB: 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustGrantNow(t, ch)
+	}
 }
 
 func TestQueuesWhenFullThenGrantsOnRelease(t *testing.T) {
 	rm := newRM(t, 1, Resources{Cores: 2, MemMB: 2048})
-	app, _ := rm.Submit("a", "default")
+	app := rm.Submit("a")
 	ch1, err := rm.Request(app, Resources{Cores: 2, MemMB: 1024})
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +105,7 @@ func TestQueuesWhenFullThenGrantsOnRelease(t *testing.T) {
 
 func TestRequestExceedingAnyNodeFails(t *testing.T) {
 	rm := newRM(t, 3, Resources{Cores: 4, MemMB: 1024})
-	app, _ := rm.Submit("a", "default")
+	app := rm.Submit("a")
 	if _, err := rm.Request(app, Resources{Cores: 8, MemMB: 512}); !errors.Is(err, ErrOverCapacity) {
 		t.Fatalf("err = %v", err)
 	}
@@ -103,94 +114,73 @@ func TestRequestExceedingAnyNodeFails(t *testing.T) {
 	}
 }
 
-func TestSubmitUnknownQueue(t *testing.T) {
-	rm := newRM(t, 1, Resources{Cores: 1, MemMB: 128})
-	if _, err := rm.Submit("a", "nope"); !errors.Is(err, ErrNoQueue) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestFairShareAcrossQueues(t *testing.T) {
-	// One node with 4 cores; two queues with equal weight. Queue A floods
-	// requests first, then queue B asks; after releases, B must be served
-	// before A's backlog because A is above its fair share.
-	rm := newRM(t, 1, Resources{Cores: 4, MemMB: 8192})
-	if err := rm.AddQueue("qa", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := rm.AddQueue("qb", 1); err != nil {
-		t.Fatal(err)
-	}
-	appA, _ := rm.Submit("a", "qa")
-	appB, _ := rm.Submit("b", "qb")
-	unit := Resources{Cores: 1, MemMB: 256}
-
-	var aGranted []ContainerID
-	var aPending []<-chan ContainerID
-	for i := 0; i < 6; i++ {
-		ch, err := rm.Request(appA, unit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case id := <-ch:
-			aGranted = append(aGranted, id)
-		default:
-			aPending = append(aPending, ch)
-		}
-	}
-	if len(aGranted) != 4 || len(aPending) != 2 {
-		t.Fatalf("A granted %d pending %d", len(aGranted), len(aPending))
-	}
-	chB, err := rm.Request(appB, unit)
+func TestFIFOHeadOfLineBlocks(t *testing.T) {
+	rm := newRM(t, 1, Resources{Cores: 4, MemMB: 4096})
+	app := rm.Submit("a")
+	first, err := rm.Request(app, Resources{Cores: 2, MemMB: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertNotGranted(t, chB)
-
-	// Release one of A's containers: B (usage 0) is more starved than A.
-	if err := rm.Release(aGranted[0]); err != nil {
+	c1 := mustGrantNow(t, first)
+	// The head wants the whole node; the small request behind it would fit
+	// the 2 free cores but must wait its turn.
+	whole, err := rm.Request(app, Resources{Cores: 4, MemMB: 4096})
+	if err != nil {
 		t.Fatal(err)
 	}
-	mustGrant(t, chB)
-	for _, ch := range aPending {
-		assertNotGranted(t, ch)
+	small, err := rm.Request(app, Resources{Cores: 1, MemMB: 128})
+	if err != nil {
+		t.Fatal(err)
 	}
-	usedB, _ := rm.QueueUsage("qb")
-	if usedB.Cores != 1 {
-		t.Fatalf("qb usage = %+v", usedB)
+	assertNotGranted(t, whole)
+	assertNotGranted(t, small)
+	if rm.Pending() != 2 || rm.Running() != 1 {
+		t.Fatalf("pending = %d, running = %d", rm.Pending(), rm.Running())
+	}
+	if err := rm.Release(c1); err != nil {
+		t.Fatal(err)
+	}
+	c2 := mustGrantNow(t, whole)
+	assertNotGranted(t, small)
+	if err := rm.Release(c2); err != nil {
+		t.Fatal(err)
+	}
+	mustGrantNow(t, small)
+	if rm.Pending() != 0 || rm.Running() != 1 {
+		t.Fatalf("pending = %d, running = %d", rm.Pending(), rm.Running())
 	}
 }
 
-func TestWeightedQueuePriority(t *testing.T) {
-	// Heavy queue (weight 3) should win grants over light queue (weight 1)
-	// when both are backlogged at equal usage ratio boundaries.
-	rm := newRM(t, 1, Resources{Cores: 4, MemMB: 8192})
-	_ = rm.AddQueue("heavy", 3)
-	_ = rm.AddQueue("light", 1)
-	heavy, _ := rm.Submit("h", "heavy")
-	light, _ := rm.Submit("l", "light")
-	unit := Resources{Cores: 1, MemMB: 128}
-
-	// Fill the cluster from the default queue so both new queues backlog.
-	blocker, _ := rm.Submit("blk", "default")
-	var blockers []ContainerID
-	for i := 0; i < 4; i++ {
-		ch, _ := rm.Request(blocker, unit)
-		blockers = append(blockers, mustGrant(t, ch))
+func TestBestFitPacksFullestNode(t *testing.T) {
+	rm := NewResourceManager()
+	for id, cores := range map[string]int{"a": 8, "b": 4, "c": 6} {
+		if err := rm.AddNode(id, Resources{Cores: cores, MemMB: 8192}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	chH, _ := rm.Request(heavy, unit)
-	chL, _ := rm.Request(light, unit)
-	assertNotGranted(t, chH)
-	assertNotGranted(t, chL)
-
-	// Free one core: both queues have 0 usage, ratio ties at 0; heavier
-	// weight divides usage so both are 0 — grant order then depends on map
-	// iteration unless we release two and observe both served.
-	_ = rm.Release(blockers[0])
-	_ = rm.Release(blockers[1])
-	mustGrant(t, chH)
-	mustGrant(t, chL)
+	app := rm.Submit("a")
+	for _, tc := range []struct {
+		cores int
+		want  string
+	}{
+		{3, "b"}, // b has the fewest free cores (4) that fit 3
+		{1, "b"}, // b now has 1 free: the tightest fit
+		{5, "c"}, // b is full; c (6) is tighter than a (8)
+		{2, "a"}, // c has 1 free, too little; a is the only fit
+		{1, "c"}, // c's last core is tighter than a's 6
+	} {
+		ch, err := rm.Request(app, Resources{Cores: tc.cores, MemMB: 128})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := mustGrantNow(t, ch)
+		rm.mu.Lock()
+		got := rm.containers[id].NodeID
+		rm.mu.Unlock()
+		if got != tc.want {
+			t.Fatalf("%d cores placed on %s, want %s", tc.cores, got, tc.want)
+		}
+	}
 }
 
 func TestReleaseUnknownContainer(t *testing.T) {
@@ -220,10 +210,7 @@ func TestAddNodeDuplicate(t *testing.T) {
 // never exceeds cluster capacity, and all accounting returns to zero.
 func TestConcurrentRequestsNeverExceedCapacity(t *testing.T) {
 	rm := newRM(t, 3, Resources{Cores: 4, MemMB: 4096})
-	app, err := rm.Submit("stress", "default")
-	if err != nil {
-		t.Fatal(err)
-	}
+	app := rm.Submit("stress")
 	const workers = 16
 	const perWorker = 20
 	errs := make(chan error, workers)
@@ -256,11 +243,16 @@ func TestConcurrentRequestsNeverExceedCapacity(t *testing.T) {
 	if rm.Running() != 0 || rm.Pending() != 0 {
 		t.Fatalf("leaked state: running=%d pending=%d", rm.Running(), rm.Pending())
 	}
-	used, err := rm.AppUsage(app)
-	if err != nil {
-		t.Fatal(err)
+	// Every release returned its share: all three whole nodes are granted
+	// at once.
+	for i := 0; i < 3; i++ {
+		ch, err := rm.Request(app, Resources{Cores: 4, MemMB: 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustGrantNow(t, ch)
 	}
-	if used.Cores != 0 || used.MemMB != 0 {
-		t.Fatalf("usage not returned to zero: %+v", used)
+	if rm.Running() != 3 || rm.Pending() != 0 {
+		t.Fatalf("after whole-node requests: running=%d pending=%d", rm.Running(), rm.Pending())
 	}
 }

@@ -56,18 +56,12 @@ var testOnly = map[string]string{
 	"internal/rdbms.Table.Columns":              "accessor the rdbms test reads",
 	"internal/fog.Topology.NodesByTier":         "accessor the fog topology test reads",
 	"internal/nn.ExitPolicy.ShouldExit":         "the early-exit rule the branch tests check",
+	"internal/yarn.ResourceManager.Pending":     "queue depth the yarn, dataproc and core tests read",
+	"internal/yarn.ResourceManager.Running":     "container count the yarn and dataproc tests read",
 
 	// A roadmap item is their next reader.
 	"internal/hbase.Table.CrashAndRecover": "region-server recovery (ROADMAP item 5); the hbase and core chaos tests drive it",
 	"internal/hdfs.Cluster.ReviveDataNode": "datanode return (ROADMAP item 8); the hdfs tests drive it",
-
-	// The fair-share scheduler's queue surface stays until the scheduler
-	// is collapsed, a change of its own; E14's YARN rows run through it.
-	"internal/yarn.ResourceManager.AddQueue":   "second queue of the fair-share scheduler",
-	"internal/yarn.ResourceManager.QueueUsage": "per-queue usage of the fair-share scheduler",
-	"internal/yarn.ResourceManager.AppUsage":   "per-application usage of the fair-share scheduler",
-	"internal/yarn.ResourceManager.Pending":    "queue depth the yarn, dataproc and core tests read",
-	"internal/yarn.ResourceManager.Running":    "container count the yarn and dataproc tests read",
 
 	// E1's inventory names the law-enforcement batches these generate.
 	"internal/citydata.GenerateMonthlyBatches": "the monthly batches E1's inventory names",
