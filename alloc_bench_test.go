@@ -26,7 +26,8 @@ const (
 	pollCommitAllocBudget    = 4  // measured 1 alloc/op for poll(1)+commit
 	pollBatchAllocBudget     = 1  // measured 1 alloc/op for poll(256)+commit: the batch
 	frameIngestAllocBudget   = 36 // measured 33 allocs/frame through all 4 tiers
-	wazeRecordAllocBudget    = 26 // measured 24.2 allocs/record, 256 reports per IngestWaze call
+	wazeRecordAllocBudget    = 18 // measured 16.3 allocs/record, 256 reports per IngestWaze call
+	tweetRecordAllocBudget   = 23 // measured 20.6 allocs/record, 256 tweets per IngestTweets call
 	incidentTickAllocBudget  = 0  // quiescent correlation cycle must not allocate
 	labeledHandleAllocBudget = 0  // cached vec handle records must not allocate
 	exposeAllocBudget        = 1  // measured 0 allocs per /metrics body, at any series count
@@ -224,6 +225,45 @@ func TestWazeIngestAllocBudget(t *testing.T) {
 	t.Logf("waze ingest: %.2f allocs/record", allocs)
 	if allocs > wazeRecordAllocBudget {
 		t.Errorf("waze ingest allocates %.2f/record, budget %d", allocs, wazeRecordAllocBudget)
+	}
+}
+
+// TestTweetIngestAllocBudget is the flume-path twin of the Waze gate: 256
+// tweets per call through collect → agent → dedup sink → produce → poll →
+// decode → insert.
+func TestTweetIngestAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocs/op")
+	}
+	inf, err := core.New(core.DefaultConfig(), rand.New(rand.NewSource(42)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batch = 256
+	rng := rand.New(rand.NewSource(42))
+	epoch := inf.Config().Epoch
+	incidents, err := citydata.GenerateCrimes(citydata.DefaultCrimeConfig(epoch), inf.Gang.Nodes(), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := citydata.DefaultTweetConfig(epoch)
+	cfg.Count = batch
+	tweets, err := citydata.GenerateTweets(cfg, incidents, inf.Gang, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		st, err := inf.IngestTweets(tweets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Stored != batch {
+			t.Fatalf("stored %d of %d: %+v", st.Stored, batch, st)
+		}
+	}) / batch
+	t.Logf("tweet ingest: %.2f allocs/record", allocs)
+	if allocs > tweetRecordAllocBudget {
+		t.Errorf("tweet ingest allocates %.2f/record, budget %d", allocs, tweetRecordAllocBudget)
 	}
 }
 

@@ -37,8 +37,9 @@ func incidentBindings() map[string][]string {
 }
 
 // incidentStageBackends maps a dead-letter quarantine stage to the backend
-// whose failure it evidences. "decode" is absent on purpose: a poisoned
-// payload indicts the producer, not a backend.
+// whose failure it evidences. "decode" and "encode" are absent on purpose:
+// a record that cannot be decoded or encoded indicts the producer, not a
+// backend.
 func incidentStageBackends() map[string]string {
 	return map[string]string{
 		"produce": telemetry.CompBroker,

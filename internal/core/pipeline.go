@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -48,6 +49,11 @@ type feed[T any] struct {
 	topic  string // broker topic, docstore collection and dead-letter source
 	key    func(*T) string
 	id     func(*T) string
+	// encode appends one record's broker message to dst: json.Marshal's
+	// bytes and errors, without reflection (feedcodec.go). decode overwrites
+	// *item with a message's record: json.Unmarshal's value and errors.
+	encode func(dst []byte, item *T) ([]byte, error)
+	decode func(data []byte, item *T) error
 	// doc writes one record's fields into d. It fills a map the drain
 	// reuses (every feed sets the same keys on every record, and Insert
 	// stores a copy): a map returned through a func value would be a heap
@@ -66,6 +72,8 @@ var tweetFeed = feed[citydata.Tweet]{
 		d["unixTime"] = float64(tw.Time.Unix())
 		d["loc"] = tw.Location
 	},
+	encode: appendTweet,
+	decode: decodeTweet,
 }
 
 var wazeFeed = feed[citydata.WazeReport]{
@@ -81,6 +89,8 @@ var wazeFeed = feed[citydata.WazeReport]{
 		d["loc"] = r.Location
 		d["user"] = r.UserReport
 	},
+	encode: appendWaze,
+	decode: decodeWaze,
 }
 
 var call911Feed = feed[citydata.Call911]{
@@ -94,6 +104,8 @@ var call911Feed = feed[citydata.Call911]{
 		d["unixTime"] = float64(c.Time.Unix())
 		d["loc"] = c.Location
 	},
+	encode: appendCall911,
+	decode: decodeCall911,
 }
 
 // IngestTweets runs the Fig. 4 collection path for tweets: a Flume agent
@@ -104,8 +116,8 @@ var call911Feed = feed[citydata.Call911]{
 // retry policy into a per-event idempotent sink (a batch retry never
 // re-produces its successful prefix), batches that exhaust their retries are
 // parked in a dead-letter queue and redriven up to RedriveRounds times, and
-// records that cannot be decoded or stored are quarantined to the
-// dead-letter collection while the drain keeps going.
+// records that cannot be encoded, decoded or stored are quarantined to the
+// dead-letter collection while the run keeps going.
 func (inf *Infrastructure) IngestTweets(tweets []citydata.Tweet) (PipelineStats, error) {
 	return ingestFeed(inf, &tweetFeed, tweets, produceViaFlume)
 }
@@ -126,45 +138,41 @@ func (inf *Infrastructure) Ingest911(calls []citydata.Call911) (PipelineStats, e
 // ingestFeed is one run of a feed: the feed's produce side puts the items
 // on its topic, then the storage tier drains the topic into the docstore.
 func ingestFeed[T any](inf *Infrastructure, f *feed[T], items []T,
-	produce func(*Infrastructure, *feed[T], ingestRun, []T, *PipelineStats) error) (PipelineStats, error) {
+	produce func(*Infrastructure, *feed[T], ingestRun, []T, *PipelineStats)) (PipelineStats, error) {
 	run := inf.beginIngest(f.source)
 	stats := PipelineStats{Collected: len(items)}
 	defer run.end(&stats)
-	err := produce(inf, f, run, items, &stats)
-	if err == nil {
-		err = drainFeed(inf, f, run, &stats)
-	}
+	produce(inf, f, run, items, &stats)
+	err := drainFeed(inf, f, run, &stats)
 	return stats, err
 }
 
 // produceDirect is the collector-less produce side: each item goes straight
-// onto the topic under the shared policy, and an item whose produce keeps
-// failing is quarantined while the rest continue.
-func produceDirect[T any](inf *Infrastructure, f *feed[T], run ingestRun, items []T, stats *PipelineStats) error {
+// onto the topic under the shared policy, and an item that cannot be encoded
+// or whose produce keeps failing is quarantined while the rest continue.
+func produceDirect[T any](inf *Infrastructure, f *feed[T], run ingestRun, items []T, stats *PipelineStats) {
 	st := openStage(run.root, "stream", "fog", inf.profStream)
 	defer st.End()
 	hdrs := run.ctx.Inject(nil)
+	var scratch []byte
 	for i := range items {
 		item := &items[i]
-		body, err := json.Marshal(item)
+		body, err := encodeRecord(f, &scratch, item)
 		if err != nil {
-			return fmt.Errorf("marshal %s: %w", f.topic, err)
+			inf.deadLetter(stats, f.topic, "encode", f.id(item), nil, err, run.ctx.TraceID)
+			continue
 		}
 		if err := inf.produceWithRetry(stats, f.topic, f.key(item), body, hdrs); err != nil {
 			inf.deadLetter(stats, f.topic, "produce", f.id(item), body, err, run.ctx.TraceID)
 		}
 	}
-	return nil
 }
 
 // produceViaFlume is the tweet feed's produce side: a Flume agent pumps the
 // collected events through an idempotent sink into the broker, and batches
 // that exhaust their retries are redriven from a dead-letter queue.
-func produceViaFlume(inf *Infrastructure, f *feed[citydata.Tweet], run ingestRun, tweets []citydata.Tweet, stats *PipelineStats) error {
-	events, err := collectEvents(inf, f, run, tweets)
-	if err != nil {
-		return err
-	}
+func produceViaFlume(inf *Infrastructure, f *feed[citydata.Tweet], run ingestRun, tweets []citydata.Tweet, stats *PipelineStats) {
+	events := collectEvents(inf, f, run, tweets, stats)
 	st := openStage(run.root, "stream", "fog", inf.profStream)
 	defer st.End()
 	sink := flume.NewDedupSink(
@@ -185,29 +193,44 @@ func produceViaFlume(inf *Infrastructure, f *feed[citydata.Tweet], run ingestRun
 	// The agent's own counter, not a policy-wide diff (see retried).
 	stats.Retries += agent.Metrics().Retries
 	inf.redrive(dlq, sink, stats, f.topic)
-	return nil
 }
 
-// collectEvents is the edge-side collector: one flume event per tweet. The
-// root's trace context rides the event headers, which the sink forwards onto
-// the broker record — so the storage tier on the far side of the hop can
-// continue this trace.
-func collectEvents(inf *Infrastructure, f *feed[citydata.Tweet], run ingestRun, tweets []citydata.Tweet) ([]flume.Event, error) {
+// collectEvents is the edge-side collector: one flume event per tweet, and a
+// tweet that cannot be encoded is quarantined instead. The root's trace
+// context rides the event headers, which the sink forwards onto the broker
+// record — so the storage tier on the far side of the hop can continue this
+// trace.
+func collectEvents(inf *Infrastructure, f *feed[citydata.Tweet], run ingestRun, tweets []citydata.Tweet, stats *PipelineStats) []flume.Event {
 	st := openStage(run.root, "collect", "edge", inf.profCollect)
 	defer st.End()
-	events := make([]flume.Event, len(tweets))
+	events := make([]flume.Event, 0, len(tweets))
+	var scratch []byte
 	for i := range tweets {
 		tw := &tweets[i]
-		body, err := json.Marshal(tw)
+		body, err := encodeRecord(f, &scratch, tw)
 		if err != nil {
-			return nil, fmt.Errorf("marshal %s: %w", f.topic, err)
+			inf.deadLetter(stats, f.topic, "encode", f.id(tw), nil, err, run.ctx.TraceID)
+			continue
 		}
-		events[i] = flume.Event{
+		events = append(events, flume.Event{
 			Headers: run.ctx.Inject(map[string]string{"author": f.key(tw), "id": f.id(tw)}),
 			Body:    body,
-		}
+		})
 	}
-	return events, nil
+	return events
+}
+
+// encodeRecord encodes one record into the produce side's scratch buffer and
+// returns a copy of exactly its size: every body is memory no later encode
+// overwrites, since the bus may keep it (a tracing wrapper replays what it
+// was handed).
+func encodeRecord[T any](f *feed[T], scratch *[]byte, item *T) ([]byte, error) {
+	b, err := f.encode((*scratch)[:0], item)
+	if err != nil {
+		return nil, err
+	}
+	*scratch = b
+	return bytes.Clone(b), nil
 }
 
 // drainFeed is the storage tier: it drains the feed's topic into its
@@ -219,6 +242,8 @@ func drainFeed[T any](inf *Infrastructure, f *feed[T], run ingestRun, stats *Pip
 	defer func() { st.End() }()
 	col := inf.DocDB.Collection(f.topic)
 	doc := make(docstore.Document, 8)
+	// decode overwrites every field, so one record value serves the drain.
+	var item T
 	for {
 		// The flaky bus decides faults before any offsets move, so retrying
 		// a failed poll never skips records.
@@ -238,8 +263,7 @@ func drainFeed[T any](inf *Infrastructure, f *feed[T], run ingestRun, stats *Pip
 		}
 		stats.Streamed += len(recs)
 		for _, r := range recs {
-			var item T
-			if err := json.Unmarshal(r.Value, &item); err != nil {
+			if err := f.decode(r.Value, &item); err != nil {
 				inf.deadLetter(stats, f.topic, "decode", r.Key, r.Value, err, headerTraceID(r.Headers, run.ctx.TraceID))
 				continue
 			}

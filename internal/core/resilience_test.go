@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -81,6 +82,56 @@ func TestPoisonedRecordsQuarantined(t *testing.T) {
 	for _, l := range letters {
 		if l["stage"] != "decode" || l["body"] != "{not json" {
 			t.Fatalf("letter = %+v", l)
+		}
+	}
+}
+
+// TestUnencodableRecordQuarantined: a record json.Marshal refuses is
+// dead-lettered at stage "encode" — key the record id, empty body, the encode
+// error as cause — and the rest of the batch is stored, on the direct path
+// (Waze, a NaN speed) and the flume path (tweets, a year past 9999). Nothing
+// of the batch is left on the topic for the next run to pick up.
+func TestUnencodableRecordQuarantined(t *testing.T) {
+	inf := bootSmall(t)
+	reports, err := citydata.GenerateWaze(13, inf.Cameras, inf.Config().Epoch, rand.New(rand.NewSource(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports[5].SpeedKmh = math.NaN()
+	tweets := genTweets(t, inf, 13, 2)
+	tweets[5].Time = time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)
+	runs := []struct {
+		source, key string
+		ingest      func(lo, hi int) (PipelineStats, error)
+	}{
+		{"waze", reports[5].ID, func(lo, hi int) (PipelineStats, error) { return inf.IngestWaze(reports[lo:hi]) }},
+		{"tweets", tweets[5].ID, func(lo, hi int) (PipelineStats, error) { return inf.IngestTweets(tweets[lo:hi]) }},
+	}
+	for _, run := range runs {
+		for _, batch := range []struct{ lo, hi, stored, deadLettered int }{{0, 10, 9, 1}, {10, 13, 3, 0}} {
+			st, err := run.ingest(batch.lo, batch.hi)
+			if err != nil {
+				t.Fatalf("%s[%d:%d]: %v", run.source, batch.lo, batch.hi, err)
+			}
+			n := batch.hi - batch.lo
+			if st.Collected != n || st.Streamed != batch.stored || st.Stored != batch.stored ||
+				st.DeadLettered != batch.deadLettered || st.Dropped != 0 {
+				t.Fatalf("%s[%d:%d]: stats = %+v", run.source, batch.lo, batch.hi, st)
+			}
+			if st.Collected != st.Stored+st.DeadLettered+st.Dropped {
+				t.Fatalf("%s[%d:%d]: conservation broken: %+v", run.source, batch.lo, batch.hi, st)
+			}
+		}
+		letters, err := inf.DeadLetters(run.source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(letters) != 1 {
+			t.Fatalf("%s: dead letters = %v", run.source, letters)
+		}
+		l := letters[0]
+		if l["stage"] != "encode" || l["key"] != run.key || l["body"] != "" || l["cause"] == "" {
+			t.Fatalf("%s: letter = %+v", run.source, l)
 		}
 	}
 }
