@@ -35,14 +35,6 @@ type Config struct {
 	Shortcut nn.ShortcutKind
 }
 
-// DefaultConfig returns a laptop-scale recognizer for the synthetic clips.
-func DefaultConfig() Config {
-	return Config{
-		FrameSize: 16, Frames: 8, Classes: int(video.NumActions),
-		Channels: 6, Hidden: 16, Shortcut: nn.ShortcutConv,
-	}
-}
-
 // Recognizer is the early-exit CNN+LSTM action classifier.
 type Recognizer struct {
 	cfg     Config
@@ -110,15 +102,9 @@ func New(cfg Config, rng *rand.Rand) (*Recognizer, error) {
 	return &Recognizer{cfg: cfg, featDim: featDim, net: nn.NewBranchNet(stem, exit1, tail)}, nil
 }
 
-// Config returns the recognizer configuration.
-func (r *Recognizer) Config() Config { return r.cfg }
-
 // Net exposes the underlying branch network (for experiments that sweep the
 // exit policy directly).
 func (r *Recognizer) Net() *nn.BranchNet { return r.net }
-
-// Params returns all trainable parameters.
-func (r *Recognizer) Params() []*nn.Param { return r.net.Params() }
 
 // TrainEpoch runs one epoch of joint two-exit training over a clip set.
 func (r *Recognizer) TrainEpoch(set *video.ClipSet, batch int, opt nn.Optimizer, rng *rand.Rand) (exit1Loss, tailLoss float64, err error) {

@@ -156,12 +156,6 @@ func NewController(knobs *Knobs, watchRules []string, sig Signals, events *telem
 // no actions fire) — the static-threshold baseline arm.
 func (c *Controller) Disable() { c.enabled.Store(false) }
 
-// Enabled reports whether the loop is live.
-func (c *Controller) Enabled() bool { return c.enabled.Load() }
-
-// Knobs returns the live knob set the controller owns.
-func (c *Controller) Knobs() *Knobs { return c.knobs }
-
 // Degraded reports the last tick's health verdict.
 func (c *Controller) Degraded() bool {
 	c.mu.Lock()

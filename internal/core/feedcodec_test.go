@@ -243,7 +243,7 @@ func checkHandMade[T any](t *testing.T, inf *Infrastructure, f *feed[T], body st
 	if err != nil || st.Streamed != 1 || st.Stored != 1 {
 		t.Fatalf("%s: stats %+v, err %v", f.topic, st, err)
 	}
-	docs, err := inf.DocDB.Collection(f.topic).Find(docstore.Query{Conditions: []docstore.Condition{docstore.Eq("id", f.id(&item))}})
+	docs, err := inf.DocDB.Collection(f.topic).Find(docstore.Query{Conditions: []docstore.Condition{{Field: "id", Eq: f.id(&item)}}})
 	if err != nil || len(docs) != 1 {
 		t.Fatalf("%s: found %d documents for %q, err %v", f.topic, len(docs), f.id(&item), err)
 	}

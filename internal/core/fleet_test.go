@@ -112,7 +112,10 @@ func TestFleetWindowMatchesReference(t *testing.T) {
 					t.Fatalf("seed %d %s: %s rate %v burn %v, want %v %v",
 						seed, when, c.id, row.RatePerSec, row.Burn, wantRate, wantBurn)
 				}
-				if got := fl.camera(c.id).burn.Value(); got != wantGauge {
+				// Every camera fits the top-K budget, so its burn gauge is
+				// a series of its own and holds the last value written.
+				burn := telemetry.FormatName("cityinfra_camera_slo_burn", telemetry.LabelSet{{Key: "camera", Value: c.id}})
+				if got := inf.Telemetry.Gauge(burn, "").Value(); got != wantGauge {
 					t.Fatalf("seed %d %s: %s burn gauge %v, want %v", seed, when, c.id, got, wantGauge)
 				}
 				if row.Burn > 0 {

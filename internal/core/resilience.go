@@ -66,10 +66,6 @@ func newPipelineBus(next *stream.Cluster, r *telemetry.Registry) *pipelineBus {
 	}
 }
 
-func (b *pipelineBus) Produce(topic, key string, value []byte) (int, int64, error) {
-	return b.ProduceH(topic, key, value, nil)
-}
-
 // ProduceH charges faults to "bus.produce". The record key — the camera id
 // on the frames topic — rides into the decision so TargetKeys can partition
 // one camera's uplink.
@@ -219,7 +215,5 @@ func (inf *Infrastructure) DeadLetters(source string) ([]docstore.Document, erro
 	if source == "" {
 		return col.Find(docstore.Query{})
 	}
-	return col.Find(docstore.Query{Conditions: []docstore.Condition{
-		docstore.Eq("source", source),
-	}})
+	return col.Find(docstore.Query{Conditions: []docstore.Condition{{Field: "source", Eq: source}}})
 }

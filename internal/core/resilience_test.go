@@ -307,7 +307,7 @@ func TestBusFaultSeam(t *testing.T) {
 	inf := bootSmall(t)
 	inj := faults.NewInjector(faults.Config{Seed: 5, ErrorRate: 1, TargetOps: []string{"bus."}})
 	inf.EnableChaos(inj)
-	if _, _, err := inf.Bus.Produce("frames", "cam-001", []byte("v")); !errors.Is(err, faults.ErrInjected) {
+	if _, _, err := inf.Bus.ProduceH("frames", "cam-001", []byte("v"), nil); !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("produce err = %v", err)
 	}
 	if _, err := inf.Bus.Poll("g", "frames", 10); !errors.Is(err, faults.ErrInjected) {
@@ -331,11 +331,11 @@ func TestBusFaultSeam(t *testing.T) {
 		TargetOps: []string{"bus.produce"}, TargetKeys: []string{"cam-007"},
 	}))
 	for i := 0; i < 20; i++ {
-		if _, _, err := inf.Bus.Produce("frames", "cam-001", []byte("v")); err != nil {
+		if _, _, err := inf.Bus.ProduceH("frames", "cam-001", []byte("v"), nil); err != nil {
 			t.Fatalf("untargeted camera produce %d: %v", i, err)
 		}
 	}
-	if _, _, err := inf.Bus.Produce("frames", "cam-007", []byte("v")); !errors.Is(err, faults.ErrInjected) {
+	if _, _, err := inf.Bus.ProduceH("frames", "cam-007", []byte("v"), nil); !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("targeted camera err = %v, want injected", err)
 	}
 	if st := inf.Injector.Stats()["bus.produce"]; st.Calls != 1 || st.Blackouts != 1 {
@@ -344,7 +344,7 @@ func TestBusFaultSeam(t *testing.T) {
 
 	// Chaos off: the same calls pass through.
 	inf.DisableChaos()
-	if _, _, err := inf.Bus.Produce("frames", "cam-007", []byte("v")); err != nil {
+	if _, _, err := inf.Bus.ProduceH("frames", "cam-007", []byte("v"), nil); err != nil {
 		t.Fatal(err)
 	}
 	if recs, err := inf.Bus.Poll("g", "frames", 100); err != nil || len(recs) != 22 {

@@ -338,66 +338,6 @@ func (d *Dataset) GroupByKey() *Dataset {
 	}
 }
 
-// JoinedValues is the value type produced by Join: the matched values from
-// the left and right datasets for one key.
-type JoinedValues struct {
-	Left  any
-	Right any
-}
-
-// Join inner-joins two pair datasets by key (wide on both sides). Each
-// (left, right) value combination for a key is emitted.
-func (d *Dataset) Join(other *Dataset) *Dataset {
-	parent := d
-	return &Dataset{
-		eng:    d.eng,
-		nParts: d.nParts,
-		compute: func() ([][]any, error) {
-			lParts, err := parent.materialize()
-			if err != nil {
-				return nil, err
-			}
-			rParts, err := other.materialize()
-			if err != nil {
-				return nil, err
-			}
-			lBuckets, err := parent.eng.shuffle(lParts, parent.nParts)
-			if err != nil {
-				return nil, err
-			}
-			rBuckets, err := parent.eng.shuffle(rParts, parent.nParts)
-			if err != nil {
-				return nil, err
-			}
-			out := make([][]any, parent.nParts)
-			combined := make([][]any, parent.nParts)
-			for p := range combined {
-				combined[p] = []any{p} // placeholder; real work below
-			}
-			res, err := parent.eng.runTasks(combined, func(p int, _ []any) ([]any, error) {
-				left := make(map[string][]any)
-				for _, r := range lBuckets[p] {
-					pr := r.(Pair)
-					left[pr.Key] = append(left[pr.Key], pr.Value)
-				}
-				var rows []any
-				for _, r := range rBuckets[p] {
-					pr := r.(Pair)
-					for _, lv := range left[pr.Key] {
-						rows = append(rows, Pair{Key: pr.Key, Value: JoinedValues{Left: lv, Right: pr.Value}})
-					}
-				}
-				return rows, nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			copy(out, res)
-			return out, nil
-		},
-	}
-}
-
 // Collect materializes the dataset into one slice (action).
 func (d *Dataset) Collect() ([]any, error) {
 	parts, err := d.materialize()

@@ -125,38 +125,6 @@ func TestGroupByKey(t *testing.T) {
 	}
 }
 
-func TestJoin(t *testing.T) {
-	e := NewEngine(3)
-	crimes := e.ParallelizePairs([]Pair{
-		{Key: "district-1", Value: "robbery"},
-		{Key: "district-2", Value: "assault"},
-		{Key: "district-1", Value: "theft"},
-	}, 2)
-	cameras := e.ParallelizePairs([]Pair{
-		{Key: "district-1", Value: "cam-a"},
-		{Key: "district-3", Value: "cam-z"},
-	}, 2)
-	joined, err := crimes.Join(cameras).CollectPairs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(joined) != 2 {
-		t.Fatalf("join produced %d rows: %v", len(joined), joined)
-	}
-	for _, p := range joined {
-		if p.Key != "district-1" {
-			t.Fatalf("unexpected key %s", p.Key)
-		}
-		jv := p.Value.(JoinedValues)
-		if jv.Right != "cam-a" {
-			t.Fatalf("right = %v", jv.Right)
-		}
-		if jv.Left != "robbery" && jv.Left != "theft" {
-			t.Fatalf("left = %v", jv.Left)
-		}
-	}
-}
-
 func TestCacheMaterializesOnce(t *testing.T) {
 	e := NewEngine(2)
 	calls := 0

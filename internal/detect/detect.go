@@ -136,9 +136,6 @@ func New(cfg Config, rng *rand.Rand) (*Detector, error) {
 	return &Detector{cfg: cfg, stem: stem, tiny: tiny, full: full}, nil
 }
 
-// Config returns the detector configuration.
-func (d *Detector) Config() Config { return d.cfg }
-
 // Params returns all trainable parameters.
 func (d *Detector) Params() []*nn.Param {
 	ps := append(d.stem.Params(), d.tiny.Params()...)

@@ -268,7 +268,8 @@ func TestEarlyExitFlow(t *testing.T) {
 	}
 	t.Logf("server handled %d/%d items", served, n)
 	// Feature map must be smaller than the raw image (the offload saving).
-	raw := 3 * det.Config().Size * det.Config().Size * 8
+	size := testConfig().Size
+	raw := 3 * size * size * 8
 	if local[0].FeatureBytes >= raw*4 {
 		t.Fatalf("feature bytes %d not meaningfully smaller than raw*channels", local[0].FeatureBytes)
 	}

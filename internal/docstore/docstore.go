@@ -33,7 +33,6 @@ import (
 
 // Sentinel errors.
 var (
-	ErrNotFound = errors.New("docstore: document not found")
 	ErrBadQuery = errors.New("docstore: invalid query")
 	ErrBadGeo   = errors.New("docstore: field is not a coordinate pair")
 )
@@ -109,9 +108,6 @@ type Condition struct {
 	GeoCenter *geo.Point
 	RadiusKm  float64
 }
-
-// Eq builds an equality condition.
-func Eq(field string, value any) Condition { return Condition{Field: field, Eq: value} }
 
 // Range builds an inclusive range condition (nil = unbounded side).
 func Range(field string, minV, maxV any) Condition {
@@ -276,8 +272,7 @@ func (c *Collection) checkGeo(doc Document) error {
 	return nil
 }
 
-// index files a stored document in every index; unindex takes it out again,
-// and must be given the document as it was filed.
+// index files a stored document in every index.
 func (c *Collection) index(seq int64, doc Document) {
 	for field, idx := range c.indexes {
 		if key, ok := encodeIndexKey(doc[field]); ok {
@@ -290,33 +285,6 @@ func (c *Collection) index(seq int64, doc Document) {
 			cells[cell] = append(cells[cell], seq)
 		}
 	}
-}
-
-func (c *Collection) unindex(seq int64, doc Document) {
-	for field, idx := range c.indexes {
-		if key, ok := encodeIndexKey(doc[field]); ok {
-			removePosting(idx, key, seq)
-		}
-	}
-	for field, cells := range c.geoIdx {
-		if p, ok := pointOf(doc[field]); ok {
-			removePosting(cells, geoCell(p), seq)
-		}
-	}
-}
-
-func removePosting[K comparable](postings map[K][]int64, key K, seq int64) {
-	list := postings[key]
-	i := slices.Index(list, seq)
-	if i < 0 {
-		return
-	}
-	if len(list) == 1 {
-		delete(postings, key)
-		return
-	}
-	list[i] = list[len(list)-1]
-	postings[key] = list[:len(list)-1]
 }
 
 // Insert stores a document and returns its id. The input map is copied.
@@ -333,45 +301,6 @@ func (c *Collection) Insert(d Document) (string, error) {
 	c.docs[c.seq] = doc
 	c.index(c.seq, doc)
 	return id, nil
-}
-
-// lookup resolves an id this collection assigned to its sequence number and
-// stored document. Callers hold c.mu.
-func (c *Collection) lookup(id string) (int64, Document, error) {
-	if digits, ok := strings.CutPrefix(id, c.prefix); ok {
-		// The comparison with the stored id turns away other spellings of
-		// the number ("+7", "007").
-		if seq, err := strconv.ParseInt(digits, 10, 64); err == nil {
-			if d, ok := c.docs[seq]; ok && d["_id"] == id {
-				return seq, d, nil
-			}
-		}
-	}
-	return 0, nil, fmt.Errorf("%w: %s", ErrNotFound, id)
-}
-
-// Get returns a copy of the document with the given id.
-func (c *Collection) Get(id string) (Document, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	_, d, err := c.lookup(id)
-	if err != nil {
-		return nil, err
-	}
-	return d.clone(), nil
-}
-
-// Delete removes a document.
-func (c *Collection) Delete(id string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	seq, d, err := c.lookup(id)
-	if err != nil {
-		return err
-	}
-	delete(c.docs, seq)
-	c.unindex(seq, d)
-	return nil
 }
 
 // Count returns the number of documents.

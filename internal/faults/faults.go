@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -237,18 +236,6 @@ func (in *Injector) Stats() map[string]OpStats {
 	for op, st := range in.stats {
 		out[op] = *st
 	}
-	return out
-}
-
-// Ops lists the operation names seen so far, sorted.
-func (in *Injector) Ops() []string {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make([]string, 0, len(in.stats))
-	for op := range in.stats {
-		out = append(out, op)
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -142,9 +142,6 @@ func NewAgent(name string, src Source, sink Sink, cfg Config) *Agent {
 	return &Agent{name: name, cfg: cfg, src: src, sink: sink}
 }
 
-// Name returns the agent name.
-func (a *Agent) Name() string { return a.name }
-
 // Metrics returns a snapshot of counters.
 func (a *Agent) Metrics() Metrics {
 	a.mu.Lock()

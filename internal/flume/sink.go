@@ -50,10 +50,3 @@ func (s *DedupSink) Skipped() int {
 	defer s.mu.Unlock()
 	return s.skipped
 }
-
-// Delivered returns how many distinct events have been delivered.
-func (s *DedupSink) Delivered() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.seen)
-}

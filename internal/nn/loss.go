@@ -65,37 +65,6 @@ func (MSE) Loss(pred, target *tensor.Tensor) (float64, *tensor.Tensor, error) {
 	return loss * inv, grad, nil
 }
 
-// BCEWithLogits is elementwise binary cross-entropy on logits, used for
-// detector objectness scores. A per-element weight tensor may be nil.
-type BCEWithLogits struct{}
-
-// Loss returns mean BCE and the gradient with respect to the logits.
-func (BCEWithLogits) Loss(logits, targets, weights *tensor.Tensor) (float64, *tensor.Tensor, error) {
-	if logits.Size() != targets.Size() {
-		return 0, nil, fmt.Errorf("%w: bce %v vs %v", ErrBadInput, logits.Shape(), targets.Shape())
-	}
-	if weights != nil && weights.Size() != logits.Size() {
-		return 0, nil, fmt.Errorf("%w: bce weights %v", ErrBadInput, weights.Shape())
-	}
-	grad := tensor.New(logits.Shape()...)
-	ld, td, gd := logits.Data(), targets.Data(), grad.Data()
-	loss := 0.0
-	inv := 1.0 / float64(len(ld))
-	for i := range ld {
-		w := 1.0
-		if weights != nil {
-			w = weights.Data()[i]
-		}
-		p := sigmoid(ld[i])
-		// Numerically stable BCE: max(x,0) - x*t + log(1+exp(-|x|)).
-		x, t := ld[i], td[i]
-		l := math.Max(x, 0) - x*t + math.Log1p(math.Exp(-math.Abs(x)))
-		loss += w * l
-		gd[i] = w * (p - t) * inv
-	}
-	return loss * inv, grad, nil
-}
-
 // Accuracy returns the fraction of rows of probs/logits [N,K] whose argmax
 // equals the label.
 func Accuracy(scores *tensor.Tensor, labels []int) float64 {

@@ -52,9 +52,6 @@ func NewLSTM(in, hidden int, opts ...Option) *LSTM {
 	}
 }
 
-// Hidden returns the hidden width.
-func (l *LSTM) Hidden() int { return l.hidden }
-
 // Forward consumes [N, T, D] and returns [N, T, H].
 func (l *LSTM) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	if x.Dims() != 3 || x.Dim(2) != l.in {

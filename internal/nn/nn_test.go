@@ -177,31 +177,6 @@ func TestMSELoss(t *testing.T) {
 	}
 }
 
-func TestBCEWithLogitsMatchesNumeric(t *testing.T) {
-	var l BCEWithLogits
-	logits := tensor.MustFromSlice([]float64{2, -1, 0.5}, 3)
-	targets := tensor.MustFromSlice([]float64{1, 0, 1}, 3)
-	loss, grad, err := l.Loss(logits, targets, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loss <= 0 {
-		t.Fatalf("loss = %g", loss)
-	}
-	// Numeric check of gradient element 0.
-	eps := 1e-6
-	lp := logits.Clone()
-	lp.Set(logits.At(0)+eps, 0)
-	lossP, _, _ := l.Loss(lp, targets, nil)
-	lm := logits.Clone()
-	lm.Set(logits.At(0)-eps, 0)
-	lossM, _, _ := l.Loss(lm, targets, nil)
-	want := (lossP - lossM) / (2 * eps)
-	if math.Abs(grad.At(0)-want) > 1e-5 {
-		t.Fatalf("grad[0] = %g, numeric %g", grad.At(0), want)
-	}
-}
-
 func TestAccuracy(t *testing.T) {
 	scores := tensor.MustFromSlice([]float64{0.9, 0.1, 0.2, 0.8}, 2, 2)
 	if got := Accuracy(scores, []int{0, 1}); got != 1.0 {

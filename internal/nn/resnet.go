@@ -102,9 +102,6 @@ func NewResidualBlock(cfg ResidualConfig, opts ...Option) (*ResidualBlock, error
 	return b, nil
 }
 
-// Shortcut returns the configured shortcut kind.
-func (b *ResidualBlock) Shortcut() ShortcutKind { return b.kind }
-
 // Forward computes ReLU(main(x) + shortcut(x)).
 func (b *ResidualBlock) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	b.lastInShape = x.Shape()

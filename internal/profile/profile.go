@@ -122,9 +122,6 @@ type Region struct {
 	seq atomic.Uint64
 }
 
-// Name returns the region's slash-path name.
-func (r *Region) Name() string { return r.name }
-
 // monoBase anchors the span clock: nanotime reads only the monotonic clock
 // (via time.Since against a fixed base), which costs roughly half a full
 // time.Now — the difference is visible at per-record span frequency.
@@ -221,9 +218,6 @@ func (r *Region) WallSeconds() float64 { return float64(r.wallNanos.Load()) / 1e
 
 // AllocBytes returns the region's sampled, scaled allocation estimate.
 func (r *Region) AllocBytes() int64 { return r.allocBytes.Load() }
-
-// AllocObjects returns the region's sampled, scaled object-count estimate.
-func (r *Region) AllocObjects() int64 { return r.allocObjs.Load() }
 
 // heapAllocSamples pools the runtime/metrics read buffers so sampled spans
 // do not allocate on the measurement path.

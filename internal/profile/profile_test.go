@@ -194,10 +194,10 @@ func TestAllocSampling(t *testing.T) {
 	if r.AllocBytes() < 46*4096 {
 		t.Fatalf("alloc bytes = %d, want >= %d", r.AllocBytes(), 46*4096)
 	}
-	if r.AllocObjects() < 46 {
-		t.Fatalf("alloc objects = %d, want >= 46", r.AllocObjects())
-	}
 	st := p.Snapshot()[0]
+	if st.AllocObjects < 46 {
+		t.Fatalf("alloc objects = %d, want >= 46", st.AllocObjects)
+	}
 	if st.BytesPerOp < 0.9*4096 || st.AllocsPerOp < 0.9 {
 		t.Fatalf("per-op rates = %+v", st)
 	}

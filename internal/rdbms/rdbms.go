@@ -85,9 +85,6 @@ func (db *Database) Table(name string) (*Table, error) {
 	return t, nil
 }
 
-// Name returns the table name.
-func (t *Table) Name() string { return t.name }
-
 // Columns returns a copy of the schema.
 func (t *Table) Columns() []Column { return append([]Column(nil), t.columns...) }
 
@@ -135,26 +132,6 @@ func (t *Table) Insert(r Row) error {
 	defer t.mu.Unlock()
 	t.rows = append(t.rows, append(Row(nil), r...))
 	return nil
-}
-
-// Count returns the row count.
-func (t *Table) Count() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.rows)
-}
-
-// Scan returns copies of all rows matching pred (nil = all rows).
-func (t *Table) Scan(pred func(Row) bool) []Row {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var out []Row
-	for _, r := range t.rows {
-		if pred == nil || pred(r) {
-			out = append(out, append(Row(nil), r...))
-		}
-	}
-	return out
 }
 
 // ColumnIndex resolves a column name.

@@ -142,15 +142,6 @@ func (p *Policy) WithClock(c Clock) *Policy {
 // WithBreaker attaches a circuit breaker consulted before every attempt.
 func (p *Policy) WithBreaker(b *Breaker) *Policy { p.breaker = b; return p }
 
-// Config returns the policy configuration.
-func (p *Policy) Config() Config { return p.cfg }
-
-// Clock returns the policy's clock (shared with breakers and simulations).
-func (p *Policy) Clock() Clock { return p.clock }
-
-// Breaker returns the attached breaker (nil when none).
-func (p *Policy) Breaker() *Breaker { return p.breaker }
-
 // Stats returns a snapshot of counters.
 func (p *Policy) Stats() Stats {
 	p.mu.Lock()
@@ -261,7 +252,6 @@ type DeadLetter[T any] struct {
 type DLQ[T any] struct {
 	mu      sync.Mutex
 	letters []DeadLetter[T]
-	total   int
 }
 
 // NewDLQ creates an empty queue.
@@ -275,7 +265,6 @@ func (q *DLQ[T]) Add(item T, cause error, attempts int) {
 	}
 	q.mu.Lock()
 	q.letters = append(q.letters, DeadLetter[T]{Item: item, Cause: msg, Attempts: attempts})
-	q.total++
 	q.mu.Unlock()
 }
 
@@ -284,13 +273,6 @@ func (q *DLQ[T]) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.letters)
-}
-
-// Total returns the number of items ever parked (including redriven ones).
-func (q *DLQ[T]) Total() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.total
 }
 
 // Letters returns a copy of the parked items.

@@ -169,16 +169,20 @@ func TestDLQAccounting(t *testing.T) {
 	q := NewDLQ[string]()
 	q.Add("a", errors.New("x"), 3)
 	q.Add("b", nil, 1)
-	if q.Len() != 2 || q.Total() != 2 {
-		t.Fatalf("len=%d total=%d", q.Len(), q.Total())
+	if q.Len() != 2 {
+		t.Fatalf("len=%d", q.Len())
 	}
 	ls := q.Letters()
-	if len(ls) != 2 || ls[0].Item != "a" || ls[0].Cause != "x" || ls[0].Attempts != 3 {
+	if len(ls) != 2 || ls[0].Item != "a" || ls[0].Cause != "x" || ls[0].Attempts != 3 || ls[1].Cause != "" {
 		t.Fatalf("letters = %+v", ls)
 	}
 	drained := q.Drain()
-	if len(drained) != 2 || q.Len() != 0 || q.Total() != 2 {
-		t.Fatalf("after drain: %d/%d/%d", len(drained), q.Len(), q.Total())
+	if len(drained) != 2 || q.Len() != 0 || len(q.Drain()) != 0 {
+		t.Fatalf("after drain: %d/%d", len(drained), q.Len())
+	}
+	q.Add("c", errors.New("again"), 2)
+	if q.Len() != 1 {
+		t.Fatalf("after re-add: len %d", q.Len())
 	}
 }
 
@@ -241,13 +245,13 @@ func TestDoStatsReportsThisCallOnly(t *testing.T) {
 }
 
 func TestNewPolicyNormalizesConfig(t *testing.T) {
-	cfg := NewPolicy(Config{MaxAttempts: -3, BaseDelay: -time.Second, MaxDelay: -time.Second, Multiplier: 0.5}, 1).Config()
+	cfg := NewPolicy(Config{MaxAttempts: -3, BaseDelay: -time.Second, MaxDelay: -time.Second, Multiplier: 0.5}, 1).cfg
 	if cfg.MaxAttempts != 1 || cfg.BaseDelay != 0 || cfg.MaxDelay != 0 || cfg.Multiplier != 2 {
 		t.Fatalf("normalized config = %+v", cfg)
 	}
 	// MaxDelay below BaseDelay is raised to it, so the first retry is not
 	// capped below its own base.
-	cfg = NewPolicy(Config{MaxAttempts: 2, BaseDelay: 50 * time.Millisecond, MaxDelay: time.Millisecond}, 1).Config()
+	cfg = NewPolicy(Config{MaxAttempts: 2, BaseDelay: 50 * time.Millisecond, MaxDelay: time.Millisecond}, 1).cfg
 	if cfg.MaxDelay != 50*time.Millisecond {
 		t.Fatalf("MaxDelay = %v, want BaseDelay", cfg.MaxDelay)
 	}
@@ -280,22 +284,5 @@ func TestBreakerStateString(t *testing.T) {
 		if got := s.String(); got != want {
 			t.Errorf("BreakerState(%d).String() = %q, want %q", int(s), got, want)
 		}
-	}
-}
-
-func TestDLQDrainEmptiesButKeepsTotal(t *testing.T) {
-	q := NewDLQ[string]()
-	q.Add("a", errors.New("boom"), 3)
-	q.Add("b", nil, 1)
-	letters := q.Drain()
-	if len(letters) != 2 || letters[0].Item != "a" || letters[0].Cause != "boom" || letters[0].Attempts != 3 || letters[1].Cause != "" {
-		t.Fatalf("drained = %+v", letters)
-	}
-	if q.Len() != 0 || q.Total() != 2 || len(q.Drain()) != 0 {
-		t.Fatalf("after drain: len %d total %d", q.Len(), q.Total())
-	}
-	q.Add("c", errors.New("again"), 2)
-	if q.Len() != 1 || q.Total() != 3 {
-		t.Fatalf("after re-add: len %d total %d", q.Len(), q.Total())
 	}
 }

@@ -30,10 +30,6 @@ type Environment interface {
 	// Step applies an action, returning the next state, the reward, and
 	// whether the episode ended.
 	Step(action int, rng *rand.Rand) (State, float64, bool)
-	// NumActions returns the size of the discrete action space.
-	NumActions() int
-	// StateDim returns the observation width.
-	StateDim() int
 }
 
 // Transition is one replay-buffer entry.

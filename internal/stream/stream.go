@@ -30,10 +30,9 @@ var (
 // decorator that counts calls and injects faults, without the pipelines
 // knowing.
 type Bus interface {
-	Produce(topicName, key string, value []byte) (partitionID int, offset int64, err error)
-	// ProduceH is Produce with per-record headers — the metadata channel
-	// that carries trace context (and other small annotations) across the
-	// broker hop to whoever polls the record.
+	// ProduceH appends one record with per-record headers — the metadata
+	// channel that carries trace context (and other small annotations)
+	// across the broker hop to whoever polls the record.
 	ProduceH(topicName, key string, value []byte, headers map[string]string) (partitionID int, offset int64, err error)
 	// Poll reads up to max records from the group's committed offsets
 	// without committing: polling again before CommitPolled redelivers.

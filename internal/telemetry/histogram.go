@@ -240,12 +240,3 @@ func (h *Histogram) Quantile(q float64) float64 {
 	}
 	return h.bounds[len(h.bounds)-1]
 }
-
-// Mean returns the average observation (0 with no observations).
-func (h *Histogram) Mean() float64 {
-	c := h.count.Load()
-	if c == 0 {
-		return 0
-	}
-	return h.Sum() / float64(c)
-}

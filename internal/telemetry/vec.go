@@ -46,7 +46,6 @@ type vecChild struct {
 	full  string // canonical family{label="value"} name
 
 	obs  atomic.Uint64 // exact adds (counter) / observations (hist) / writes (gauge)
-	sum  atomic.Uint64 // float64 bits: exact observed sum (hist) or last set (gauge)
 	real atomic.Bool
 
 	tgtC atomic.Pointer[Counter]
@@ -253,17 +252,6 @@ func (f *vecFamily) seriesCount() int {
 	return f.real + 1
 }
 
-// addFloatBits CAS-adds v into a float64-bits atomic.
-func addFloatBits(u *atomic.Uint64, v float64) {
-	for {
-		old := u.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + v)
-		if u.CompareAndSwap(old, nw) {
-			return
-		}
-	}
-}
-
 // CounterVec is a counter family over one label.
 type CounterVec struct{ f *vecFamily }
 
@@ -330,15 +318,8 @@ type LabeledGauge struct{ c *vecChild }
 // heavy-hitter rank.
 func (h *LabeledGauge) Set(v float64) {
 	h.c.obs.Add(1)
-	h.c.sum.Store(math.Float64bits(v))
 	h.c.tgtG.Load().Set(v)
 }
-
-// Value returns the last value written through this handle.
-func (h *LabeledGauge) Value() float64 { return math.Float64frombits(h.c.sum.Load()) }
-
-// Real reports whether this label currently owns a materialized series.
-func (h *LabeledGauge) Real() bool { return h.c.real.Load() }
 
 // HistogramVec is a histogram family over one label.
 type HistogramVec struct{ f *vecFamily }
@@ -360,33 +341,14 @@ func (v *HistogramVec) SeriesCount() int { return v.f.seriesCount() }
 // LabeledHistogram is a cached per-label histogram handle.
 type LabeledHistogram struct{ c *vecChild }
 
-// Observe records one value: exact per-label count and sum on the handle,
-// plus the bucket observation on whichever series (own or rollup) the label
+// Observe records one value: the exact per-label count on the handle, plus
+// the bucket observation on whichever series (own or rollup) the label
 // currently owns.
 func (h *LabeledHistogram) Observe(v float64) {
 	h.c.obs.Add(1)
-	addFloatBits(&h.c.sum, v)
 	h.c.tgtH.Load().Observe(v)
-}
-
-// Count returns the exact per-label observation count.
-func (h *LabeledHistogram) Count() uint64 { return h.c.obs.Load() }
-
-// Sum returns the exact per-label observed sum.
-func (h *LabeledHistogram) Sum() float64 { return math.Float64frombits(h.c.sum.Load()) }
-
-// Mean returns the exact per-label mean observation (0 when empty).
-func (h *LabeledHistogram) Mean() float64 {
-	c := h.c.obs.Load()
-	if c == 0 {
-		return 0
-	}
-	return h.Sum() / float64(c)
 }
 
 // Quantile estimates the q-quantile from the series this label records into:
 // exact bucket data for top-K members, the shared tail pool otherwise.
 func (h *LabeledHistogram) Quantile(q float64) float64 { return h.c.tgtH.Load().Quantile(q) }
-
-// Real reports whether this label currently owns a materialized series.
-func (h *LabeledHistogram) Real() bool { return h.c.real.Load() }

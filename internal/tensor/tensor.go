@@ -206,32 +206,6 @@ func (t *Tensor) SameShape(o *Tensor) bool {
 	return true
 }
 
-func (t *Tensor) binary(o *Tensor, f func(a, b float64) float64) (*Tensor, error) {
-	if !t.SameShape(o) {
-		return nil, fmt.Errorf("%w: %v vs %v", ErrShape, t.shape, o.shape)
-	}
-	out := New(t.shape...)
-	for i := range t.data {
-		out.data[i] = f(t.data[i], o.data[i])
-	}
-	return out, nil
-}
-
-// Add returns t + o elementwise.
-func (t *Tensor) Add(o *Tensor) (*Tensor, error) {
-	return t.binary(o, func(a, b float64) float64 { return a + b })
-}
-
-// Sub returns t - o elementwise.
-func (t *Tensor) Sub(o *Tensor) (*Tensor, error) {
-	return t.binary(o, func(a, b float64) float64 { return a - b })
-}
-
-// Mul returns t * o elementwise (Hadamard product).
-func (t *Tensor) Mul(o *Tensor) (*Tensor, error) {
-	return t.binary(o, func(a, b float64) float64 { return a * b })
-}
-
 // AddInPlace accumulates o into t elementwise.
 func (t *Tensor) AddInPlace(o *Tensor) error {
 	if len(t.data) != len(o.data) {
@@ -294,27 +268,6 @@ func (t *Tensor) Mean() float64 {
 		return 0
 	}
 	return t.Sum() / float64(len(t.data))
-}
-
-// Max returns the maximum element and its flat index. It panics on empty
-// tensors, which indicate a programming error.
-func (t *Tensor) Max() (float64, int) {
-	if len(t.data) == 0 {
-		panic("tensor: Max of empty tensor")
-	}
-	best, at := t.data[0], 0
-	for i, v := range t.data {
-		if v > best {
-			best, at = v, i
-		}
-	}
-	return best, at
-}
-
-// ArgMax returns the flat index of the maximum element.
-func (t *Tensor) ArgMax() int {
-	_, i := t.Max()
-	return i
 }
 
 // L2Norm returns the Euclidean norm of all elements.
@@ -429,26 +382,6 @@ func Transpose2D(a *Tensor) (*Tensor, error) {
 		}
 	}
 	return out, nil
-}
-
-// Row returns a view-free copy of row i of a rank-2 tensor as a rank-1 tensor.
-func (t *Tensor) Row(i int) *Tensor {
-	if t.Dims() != 2 {
-		panic(fmt.Sprintf("tensor: Row on rank-%d tensor", t.Dims()))
-	}
-	n := t.shape[1]
-	out := New(n)
-	copy(out.data, t.data[i*n:(i+1)*n])
-	return out
-}
-
-// SetRow copies a rank-1 tensor into row i of a rank-2 tensor.
-func (t *Tensor) SetRow(i int, row *Tensor) error {
-	if t.Dims() != 2 || row.Size() != t.shape[1] {
-		return fmt.Errorf("%w: SetRow %v into %v", ErrShape, row.shape, t.shape)
-	}
-	copy(t.data[i*t.shape[1]:(i+1)*t.shape[1]], row.data)
-	return nil
 }
 
 // SoftmaxRows applies a numerically stable softmax to each row of a rank-2

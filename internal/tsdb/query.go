@@ -182,7 +182,7 @@ func parseInner(s string) (query, error) {
 			return query{}, fmt.Errorf("%w: %s needs a quantile argument", ErrBadExpr, fn)
 		}
 		q, err := strconv.ParseFloat(strings.TrimSpace(args[:comma]), 64)
-		if err != nil || q < 0 || q > 1 {
+		if err != nil || !(q >= 0 && q <= 1) { // NaN fails both comparisons
 			return query{}, fmt.Errorf("%w: quantile %q must be in [0,1]", ErrBadExpr, args[:comma])
 		}
 		out.q = q

@@ -140,3 +140,41 @@ func TestEvalErrorTaxonomy(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// FuzzEvalTypedErrors: any expression, evaluated against a small scraped
+// store (a counter, a gauge, a histogram and a two-child vec), yields values
+// or one of the three errors /api/query maps to a status code. It never
+// panics: the expression arrives from a remote client.
+func FuzzEvalTypedErrors(f *testing.F) {
+	for _, expr := range []string{
+		"c_total", "g", "h_seconds_p99", `v_total{k="a"}`, "v_total",
+		"rate(c_total[30s])", "delta(g[1m])", "avg_over_time(g[1m])",
+		"min_over_time(h_seconds_count[1m])", "max_over_time(g[1m])",
+		"quantile_over_time(0.9, g[1m])", "sum(rate(v_total[30s]))",
+		"sum by (k) (rate(v_total[30s]))", "max by (k) (v_total)",
+		"quantile_over_time(NaN, g[1m])", "quantile_over_time(nan, g[1m])",
+	} {
+		f.Add(expr)
+	}
+	reg := telemetry.NewRegistry()
+	c := reg.Counter("c_total", "c")
+	g := reg.Gauge("g", "g")
+	h := reg.Histogram("h_seconds", "h", nil)
+	vec := reg.CounterVec("v_total", "v", "k", 4)
+	st, clk := newTestStore(reg, 16)
+	for i := 1; i <= 4; i++ {
+		c.Add(i)
+		g.Set(float64(i * i))
+		h.Observe(float64(i) / 100)
+		vec.With("a").Add(i)
+		vec.With("b").Add(2 * i)
+		clk.advance(10 * time.Second)
+		st.Scrape()
+	}
+	f.Fuzz(func(t *testing.T, expr string) {
+		_, err := st.EvalAll(expr, clk.t)
+		if err != nil && !errors.Is(err, ErrBadExpr) && !errors.Is(err, ErrUnknownSeries) && !errors.Is(err, ErrNoSamples) {
+			t.Fatalf("EvalAll(%q) = %v, not a query error", expr, err)
+		}
+	})
+}

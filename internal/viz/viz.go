@@ -6,7 +6,6 @@ package viz
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -75,39 +74,6 @@ func (t *Table) String() string {
 	writeRow(sep)
 	for _, row := range t.rows {
 		writeRow(row)
-	}
-	return b.String()
-}
-
-// Histogram renders labeled values as horizontal bars scaled to maxWidth.
-func Histogram(title string, labels []string, values []float64, maxWidth int) string {
-	if maxWidth <= 0 {
-		maxWidth = 40
-	}
-	maxVal := 0.0
-	maxLabel := 0
-	for i, v := range values {
-		if v > maxVal {
-			maxVal = v
-		}
-		if i < len(labels) && len(labels[i]) > maxLabel {
-			maxLabel = len(labels[i])
-		}
-	}
-	var b strings.Builder
-	if title != "" {
-		fmt.Fprintf(&b, "== %s ==\n", title)
-	}
-	for i, v := range values {
-		label := ""
-		if i < len(labels) {
-			label = labels[i]
-		}
-		n := 0
-		if maxVal > 0 {
-			n = int(math.Round(v / maxVal * float64(maxWidth)))
-		}
-		fmt.Fprintf(&b, "%-*s | %s %.4g\n", maxLabel, label, strings.Repeat("#", n), v)
 	}
 	return b.String()
 }

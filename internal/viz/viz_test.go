@@ -28,20 +28,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	out := Histogram("H", []string{"a", "bb"}, []float64{1, 2}, 10)
-	if !strings.Contains(out, "##########") {
-		t.Fatalf("max bar not full width:\n%s", out)
-	}
-	if !strings.Contains(out, "#####") {
-		t.Fatalf("half bar missing:\n%s", out)
-	}
-	// Zero values render without panic.
-	if out := Histogram("", []string{"z"}, []float64{0}, 10); !strings.Contains(out, "z") {
-		t.Fatalf("zero histogram:\n%s", out)
-	}
-}
-
 func TestSparkline(t *testing.T) {
 	if Sparkline(nil) != "" {
 		t.Fatal("empty input should render empty")

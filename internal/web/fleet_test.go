@@ -111,6 +111,7 @@ func TestQueryMalformedSelectors(t *testing.T) {
 		{"empty by clause", `sum by () (cityinfra_camera_frames_ingested_total)`},
 		{"two by labels", `sum by (camera, tier) (cityinfra_camera_frames_ingested_total)`},
 		{"unclosed by clause", `sum by (camera (cityinfra_camera_frames_ingested_total)`},
+		{"NaN quantile", `quantile_over_time(NaN, cityinfra_broker_produce_total[1m])`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out := getJSON(t, srv.URL+"/api/query?expr="+url.QueryEscape(tc.expr), http.StatusBadRequest)

@@ -16,7 +16,6 @@ import (
 
 // Sentinel errors.
 var (
-	ErrNoNode        = errors.New("yarn: node not found")
 	ErrNodeExists    = errors.New("yarn: node already registered")
 	ErrNoApplication = errors.New("yarn: application not found")
 	ErrNoContainer   = errors.New("yarn: container not found")

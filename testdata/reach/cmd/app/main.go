@@ -1,0 +1,21 @@
+package main
+
+import (
+	"fmt"
+	"strings"
+
+	"reach/lib"
+)
+
+func main() {
+	var d lib.Dataset
+	c := &lib.Counter{}
+	inc := c.Inc
+	inc()
+	var s lib.Shape = lib.Square{Side: 2}
+	var b lib.Box[int]
+	var st lib.Step = lib.Move{}
+	opts := lib.Options{Shortcut: 1}
+	var cfg lib.Config
+	fmt.Println(strings.Join([]string{"a", "b"}, ","), d, s.Area(), b.Get(), st, opts.Shortcut, cfg)
+}
