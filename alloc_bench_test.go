@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/citydata"
 	"repro/internal/core"
+	"repro/internal/hdfs"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 )
@@ -25,7 +26,9 @@ const (
 	produceAllocBudget       = 2  // measured 1 alloc/op (the value copy) at RF 1 and RF 3
 	pollCommitAllocBudget    = 4  // measured 1 alloc/op for poll(1)+commit
 	pollBatchAllocBudget     = 1  // measured 1 alloc/op for poll(256)+commit: the batch
-	frameIngestAllocBudget   = 36 // measured 33 allocs/frame through all 4 tiers
+	frameIngestAllocBudget   = 30 // measured 26 allocs/frame through all 4 tiers
+	frameArchiveAllocBudget  = 40 // measured 37 allocs/frame with the feature map archived to HDFS
+	hdfsWriteAllocBudget     = 9  // measured 8 allocs per one-block HDFS write at replication 3
 	wazeRecordAllocBudget    = 18 // measured 16.3 allocs/record, 256 reports per IngestWaze call
 	tweetRecordAllocBudget   = 23 // measured 20.6 allocs/record, 256 tweets per IngestTweets call
 	incidentTickAllocBudget  = 0  // quiescent correlation cycle must not allocate
@@ -167,30 +170,75 @@ var allocFrame = core.FrameEvent{
 	FeatureBytes: 8 << 10,
 }
 
+// TestFrameIngestAllocBudget runs the fixed frame through the offload path
+// twice: without an archive directory, and with one, where every frame also
+// writes its feature map to HDFS (a one-block file) and so pays for replica
+// placement.
 func TestFrameIngestAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocs/op")
 	}
-	inf, err := core.New(core.DefaultConfig(), rand.New(rand.NewSource(42)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Raise the live offload gate so the fixed 0.42-confidence frame always
-	// crosses the full offload path.
-	inf.Knobs.SetOffloadThreshold(0.9)
-	frames := []core.FrameEvent{allocFrame}
-	allocs := testing.AllocsPerRun(200, func() {
-		st, err := inf.IngestFrames(frames, "")
+	for _, arm := range []struct {
+		archiveDir string
+		budget     int
+	}{{"", frameIngestAllocBudget}, {"/features", frameArchiveAllocBudget}} {
+		inf, err := core.New(core.DefaultConfig(), rand.New(rand.NewSource(42)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Offloaded != 1 {
-			t.Fatalf("frame not offloaded: %+v", st)
+		// Raise the live offload gate so the fixed 0.42-confidence frame always
+		// crosses the full offload path.
+		inf.Knobs.SetOffloadThreshold(0.9)
+		frames := []core.FrameEvent{allocFrame}
+		allocs := testing.AllocsPerRun(200, func() {
+			// A feature map's path is its camera and seq, and HDFS refuses
+			// to overwrite a file: the archive arm numbers its frames.
+			if arm.archiveDir != "" {
+				frames[0].Seq++
+			}
+			st, err := inf.IngestFrames(frames, arm.archiveDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Offloaded != 1 || st.DeadLettered != 0 {
+				t.Fatalf("frame not offloaded and delivered: %+v", st)
+			}
+		})
+		t.Logf("frame ingest, archive %q: %.1f allocs/frame", arm.archiveDir, allocs)
+		if allocs > float64(arm.budget) {
+			t.Errorf("frame ingest, archive %q, allocates %.1f/frame, budget %d", arm.archiveDir, allocs, arm.budget)
 		}
+	}
+}
+
+// TestHDFSWriteAllocBudget pins one block's placement: a one-block file on
+// core's five-datanode default, at replication 3.
+func TestHDFSWriteAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocs/op")
+	}
+	fs := hdfs.NewCluster(hdfs.DefaultConfig(), rand.New(rand.NewSource(42)))
+	for i := 0; i < 5; i++ {
+		if err := fs.AddDataNode(fmt.Sprintf("dn-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 500
+	paths := make([]string, runs+1)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/features/cam-7-%06d.feat", i)
+	}
+	data := []byte(strings.Repeat("f", 120))
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := fs.Write(paths[next], data); err != nil {
+			t.Fatal(err)
+		}
+		next++
 	})
-	t.Logf("frame ingest: %.1f allocs/frame", allocs)
-	if allocs > frameIngestAllocBudget {
-		t.Errorf("frame ingest allocates %.1f/frame, budget %d", allocs, frameIngestAllocBudget)
+	t.Logf("one-block HDFS write: %.1f allocs/op", allocs)
+	if allocs > hdfsWriteAllocBudget {
+		t.Errorf("one-block HDFS write allocates %.1f/op, budget %d", allocs, hdfsWriteAllocBudget)
 	}
 }
 

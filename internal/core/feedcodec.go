@@ -1,7 +1,7 @@
 package core
 
-// The JSON the three Fig. 4 feeds put on the broker, written and read
-// without reflection. The bytes are json.Marshal's — HTML-safe string
+// The JSON the three Fig. 4 feeds and the camera frame record put on the
+// broker, written and read without reflection. The bytes are json.Marshal's — HTML-safe string
 // escapes, its float format, time.Time as RFC 3339 with nanoseconds — so the
 // wire, the broker's byte counters and the dead-letter bodies are the same as
 // encoding/json's. The decoder reads only that layout (these field names in
@@ -195,6 +195,28 @@ func appendCall911(dst []byte, c *citydata.Call911) ([]byte, error) {
 	w.int(c.Priority)
 	if w.bad {
 		return marshalSlow(dst, c)
+	}
+	return append(w.b, '}'), nil
+}
+
+func appendFrame(dst []byte, f *FrameEvent) ([]byte, error) {
+	w := jsonAppender{b: append(dst, `{"cameraId":`...)}
+	w.str(f.CameraID)
+	w.b = append(w.b, `,"seq":`...)
+	w.int(f.Seq)
+	w.b = append(w.b, `,"class":`...)
+	w.str(f.Class)
+	w.b = append(w.b, `,"confidence":`...)
+	w.float(f.Confidence)
+	w.b = append(w.b, `,"rawBytes":`...)
+	w.int(f.RawBytes)
+	w.b = append(w.b, `,"featureBytes":`...)
+	w.int(f.FeatureBytes)
+	w.b = append(w.b, `,"priority":`...)
+	w.int(f.Priority)
+	if w.bad {
+		// A copy goes into the interface, so f itself stays off the heap.
+		return marshalSlow(dst, *f)
 	}
 	return append(w.b, '}'), nil
 }
@@ -417,4 +439,30 @@ func decodeCall911(data []byte, call *citydata.Call911) error {
 	}
 	*call = citydata.Call911{}
 	return json.Unmarshal(data, call)
+}
+
+func decodeFrame(data []byte, f *FrameEvent) error {
+	c := jsonCursor{b: data, ok: true}
+	c.lit(`{"cameraId":`)
+	f.CameraID = c.str()
+	c.lit(`,"seq":`)
+	f.Seq = c.int()
+	c.lit(`,"class":`)
+	f.Class = c.str()
+	c.lit(`,"confidence":`)
+	f.Confidence = c.float()
+	c.lit(`,"rawBytes":`)
+	f.RawBytes = c.int()
+	c.lit(`,"featureBytes":`)
+	f.FeatureBytes = c.int()
+	c.lit(`,"priority":`)
+	f.Priority = c.int()
+	if c.end() {
+		return nil
+	}
+	// Unmarshalled into a record of its own, so f itself stays off the heap.
+	var slow FrameEvent
+	err := json.Unmarshal(data, &slow)
+	*f = slow
+	return err
 }

@@ -14,9 +14,10 @@ import (
 	"repro/internal/geo"
 )
 
-// The feed codec (feedcodec.go) is held to encoding/json: the encoder must
-// write json.Marshal's bytes and fail where it fails, and the decoder must
-// return json.Unmarshal's value and error text for any input at all.
+// The feed and frame codec (feedcodec.go) is held to encoding/json: the
+// encoder must write json.Marshal's bytes and fail where it fails, and the
+// decoder must return json.Unmarshal's value and error text for any input at
+// all.
 
 // codecSeeds is generator output from all three feeds.
 func codecSeeds(t testing.TB) ([]citydata.Tweet, []citydata.WazeReport, []citydata.Call911) {
@@ -100,6 +101,28 @@ func FuzzFeedCodecMatchesJSON(f *testing.F) {
 	f.Add("y", "a", "t", 1.0, 2.0, 3.0, 1, false, int64(-62167219201), int64(0), int32(0), []byte("{}"))
 	f.Add("z", "a", "t", 1.0, 2.0, 3.0, 1, false, int64(1519862400), int64(5), int32(25*3600), []byte(" {} "))
 	f.Add("z", "a", "t", 1.0, 2.0, 3.0, 1, false, int64(1519862400), int64(5), int32(-1800), []byte(`{"ID":"upper"}`))
+	// Frame records: the benchmark's frame, as encoded and as a producer
+	// that is not the encoder might write it, and hostile camera ids with
+	// negative sequence numbers and every non-finite confidence.
+	frame := FrameEvent{CameraID: "dotd-017", Seq: 4711, Class: "vehicle", Confidence: 0.42131, RawBytes: 64 << 10, FeatureBytes: 8 << 10, Priority: 2}
+	canonical, _ := json.Marshal(frame)
+	for _, raw := range []string{
+		string(canonical),
+		`{"seq":4711,"cameraId":"dotd-017","class":"vehicle","confidence":0.42131,"rawBytes":65536,"featureBytes":8192,"priority":2}`,
+		"{ \"cameraId\": \"dotd-017\", \"seq\": 4711, \"class\": \"vehicle\", \"confidence\": 0.42131, \"rawBytes\": 65536, \"featureBytes\": 8192, \"priority\": 2 }\n",
+		`{"cameraId":"dotd-\u003c17","seq":-1,"class":"vehicle","confidence":4.2e-1,"rawBytes":65536,"featureBytes":8192,"priority":2}`,
+		`{"cameraId":"dotd-017","seq":1.5,"class":"vehicle","confidence":0.42131,"rawBytes":65536,"featureBytes":8192,"priority":2}`,
+		`{"cameraId":"x"}`,
+		"null",
+		string(canonical[:len(canonical)-1]),
+	} {
+		f.Add(frame.CameraID, frame.Class, "t", frame.Confidence, 1.0, 2.0, frame.Seq, false,
+			int64(frame.RawBytes), int64(frame.FeatureBytes), int32(frame.Priority), []byte(raw))
+	}
+	for i, s := range hostileStrings {
+		conf := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0.5}[i%4]
+		f.Add(s, "vehicle", "t", conf, 1.0, 2.0, -1-i*7919, false, int64(-i), int64(1<<40), int32(-i), canonical)
+	}
 	// Random records: generator text, hostile strings and floats, random-bit
 	// floats, years −6 700…10 700 and zones up to ±27.8 h.
 	rng := rand.New(rand.NewSource(7))
@@ -137,7 +160,21 @@ func FuzzFeedCodecMatchesJSON(f *testing.F) {
 				Time: tm, SpeedKmh: z, UserReport: flag}, raw)
 		checkFeedCodec(t, appendCall911, decodeCall911,
 			&citydata.Call911{ID: s1, Category: s3, Location: geo.Point{Lat: y, Lon: z}, Time: tm, Priority: n}, raw)
+		fr := FrameEvent{CameraID: s1, Seq: n, Class: s2, Confidence: x, RawBytes: int(sec), FeatureBytes: int(nsec), Priority: int(zone)}
+		checkFeedCodec(t, appendFrame, decodeFrame, &fr, raw)
+		// A frame whose strings need no escape fits the buffer frameSize
+		// sized for it.
+		if body, err := encodeFrame(&fr); err == nil && unescaped(s1) && unescaped(s2) && len(body) > frameSize(&fr) {
+			t.Fatalf("frame encodes to %d bytes, frameSize says at most %d: %q", len(body), frameSize(&fr), body)
+		}
 	})
+}
+
+// unescaped reports whether json.Marshal writes s between its quotes as it
+// is.
+func unescaped(s string) bool {
+	b, _ := json.Marshal(s)
+	return len(b) == len(s)+2
 }
 
 // checkFeedCodec holds one record's encoding, the decoding of that
@@ -170,7 +207,8 @@ func checkFeedDecode[T any](t *testing.T, dec func([]byte, *T) error, data []byt
 	var want T
 	wantErr := json.Unmarshal(data, &want)
 	var got T
-	_ = json.Unmarshal([]byte(`{"id":"stale","location":{"lat":1,"lon":2},"time":"2001-02-03T04:05:06Z","severity":9,"priority":9,"speedKmh":3,"userReport":true}`), &got)
+	_ = json.Unmarshal([]byte(`{"id":"stale","location":{"lat":1,"lon":2},"time":"2001-02-03T04:05:06Z","severity":9,"priority":9,"speedKmh":3,"userReport":true,`+
+		`"cameraId":"stale","seq":9,"class":"stale","confidence":0.5,"rawBytes":9,"featureBytes":9}`), &got)
 	err := dec(data, &got)
 	if errText(err) != errText(wantErr) {
 		t.Fatalf("decode %q: error %q, json.Unmarshal error %q", data, errText(err), errText(wantErr))

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 
@@ -97,7 +96,7 @@ func (inf *Infrastructure) ingestFrame(f FrameEvent, archiveDir string) (stats P
 
 	// Edge tier: frame capture plus the tiny exit-1 model.
 	capture := openStage(run.root, "capture", "edge", inf.profCollect)
-	body, merr := json.Marshal(f)
+	body, merr := encodeFrame(&f)
 	capture.End()
 	if merr != nil {
 		return stats, traceID, false, fmt.Errorf("marshal frame: %w", merr)
@@ -173,6 +172,35 @@ func (inf *Infrastructure) ingestFrame(f FrameEvent, archiveDir string) (stats P
 	return stats, traceID, offload, nil
 }
 
+// encodeFrame is the frame's broker message, appended into one buffer
+// sized by frameSize.
+func encodeFrame(f *FrameEvent) ([]byte, error) {
+	return appendFrame(make([]byte, 0, frameSize(f)), f)
+}
+
+// frameSize bounds appendFrame's output from above when neither string
+// needs an escape, as no generated camera id or class does: the layout's
+// fixed bytes, both strings, each int's digits and the longest float
+// json.Marshal writes. A string that needs escapes grows the buffer.
+func frameSize(f *FrameEvent) int {
+	const layout = len(`{"cameraId":"","seq":,"class":"","confidence":,"rawBytes":,"featureBytes":,"priority":}`)
+	const longestFloat = len("-0.0000012345678901234567")
+	return layout + len(f.CameraID) + len(f.Class) + longestFloat +
+		intLen(f.Seq) + intLen(f.RawBytes) + intLen(f.FeatureBytes) + intLen(f.Priority)
+}
+
+// intLen is the number of bytes strconv writes for n.
+func intLen(n int) int {
+	l := 1
+	if n < 0 {
+		l++
+	}
+	for ; n >= 10 || n <= -10; n /= 10 {
+		l++
+	}
+	return l
+}
+
 // frameLost quarantines one frame-path record and charges the loss to its
 // camera in the fleet accounting.
 func (inf *Infrastructure) frameLost(cam *camHandles, stats *PipelineStats, stage, key string, body []byte, cause error, traceID string) {
@@ -191,7 +219,7 @@ func (inf *Infrastructure) serveFrame(rec stream.Record, fallback *telemetry.Spa
 	traceID := spInfer.Context().TraceID
 
 	var f FrameEvent
-	if err := json.Unmarshal(rec.Value, &f); err != nil {
+	if err := decodeFrame(rec.Value, &f); err != nil {
 		// The record key is the producing camera's id, so even a poisoned
 		// payload stays attributed in the fleet accounting.
 		inf.frameLost(inf.Fleet.camera(rec.Key), stats, "decode", rec.Key, rec.Value, err, traceID)

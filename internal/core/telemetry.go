@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/flume"
@@ -243,7 +244,9 @@ type ingestRun struct {
 // to the run instead of falling between the caller's clock and the region's.
 func (inf *Infrastructure) beginIngest(source string) ingestRun {
 	run := ingestRun{inf: inf, prof: inf.profIngest.Start()}
-	run.root = inf.Tracer.Start(fmt.Sprintf("%s-%d", source, inf.ingestSeq.Add(1)), source)
+	var buf [48]byte
+	name := strconv.AppendInt(append(append(buf[:0], source...), '-'), inf.ingestSeq.Add(1), 10)
+	run.root = inf.Tracer.Start(string(name), source)
 	run.ctx = run.root.Context()
 	return run
 }

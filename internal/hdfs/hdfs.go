@@ -11,7 +11,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/profile"
@@ -86,6 +88,15 @@ type Cluster struct {
 	hook      FaultHook
 	counters  Counters
 
+	// byID holds every node of c.nodes in ascending id order, kept by
+	// AddDataNode. live is liveNodes' result, refilled on each call.
+	byID []*dataNode
+	live []*dataNode
+	// placement orders the live datanodes for each block placed and each
+	// replica healed. It is liveNodes; the placement test swaps in the
+	// map-and-sort order liveNodes replaced, as its oracle.
+	placement func(*Cluster) []*dataNode
+
 	// Blocks in c.blocks with fewer than cfg.Replication replicas, and with
 	// none. register, deregister and dropBlock are the only places a
 	// registered block's replica set changes, and they keep both counts, so
@@ -115,11 +126,12 @@ func NewCluster(cfg Config, rng *rand.Rand) *Cluster {
 		cfg.Replication = DefaultConfig().Replication
 	}
 	return &Cluster{
-		cfg:    cfg,
-		rng:    rng,
-		nodes:  make(map[string]*dataNode),
-		files:  make(map[string]*fileMeta),
-		blocks: make(map[BlockID]*blockMeta),
+		cfg:       cfg,
+		rng:       rng,
+		nodes:     make(map[string]*dataNode),
+		files:     make(map[string]*fileMeta),
+		blocks:    make(map[BlockID]*blockMeta),
+		placement: (*Cluster).liveNodes,
 	}
 }
 
@@ -187,25 +199,35 @@ func (c *Cluster) AddDataNode(id string) error {
 	if _, ok := c.nodes[id]; ok {
 		return fmt.Errorf("%w: %s", ErrNodeExists, id)
 	}
-	c.nodes[id] = &dataNode{id: id, alive: true, blocks: make(map[BlockID][]byte)}
+	n := &dataNode{id: id, alive: true, blocks: make(map[BlockID][]byte)}
+	c.nodes[id] = n
+	i, _ := slices.BinarySearchFunc(c.byID, id, func(m *dataNode, id string) int { return strings.Compare(m.id, id) })
+	c.byID = slices.Insert(c.byID, i, n)
 	return nil
 }
 
 // liveNodes returns live datanodes sorted by ascending block count with
-// random tie-breaking, which is the placement order.
+// random tie-breaking, which is the placement order. The slice is c.live:
+// it is valid until the next call, and callers hold c.mu.
 func (c *Cluster) liveNodes() []*dataNode {
-	var ns []*dataNode
-	for _, n := range c.nodes {
+	// Canonical (id) order before the seeded shuffle: feeding map-iteration
+	// order into the shuffle would make placement (and which node's error
+	// surfaces on a failed write) differ across runs of the same seed.
+	ns := c.live[:0]
+	for _, n := range c.byID {
 		if n.alive {
 			ns = append(ns, n)
 		}
 	}
-	// Canonical order before the seeded shuffle: feeding map-iteration
-	// order into the shuffle would make placement (and which node's error
-	// surfaces on a failed write) differ across runs of the same seed.
-	sort.Slice(ns, func(i, j int) bool { return ns[i].id < ns[j].id })
+	c.live = ns
 	c.rng.Shuffle(len(ns), func(i, j int) { ns[i], ns[j] = ns[j], ns[i] })
-	sort.SliceStable(ns, func(i, j int) bool { return len(ns[i].blocks) < len(ns[j].blocks) })
+	// A stable insertion sort by block count: every stable sort gives this
+	// order, and a handful of datanodes needs no more.
+	for i := 1; i < len(ns); i++ {
+		for j := i; j > 0 && len(ns[j].blocks) < len(ns[j-1].blocks); j-- {
+			ns[j], ns[j-1] = ns[j-1], ns[j]
+		}
+	}
 	return ns
 }
 
@@ -249,7 +271,7 @@ func (c *Cluster) Write(path string, data []byte) error {
 }
 
 func (c *Cluster) placeBlock(chunk []byte) (BlockID, error) {
-	targets := c.liveNodes()
+	targets := c.placement(c)
 	if len(targets) < c.cfg.Replication {
 		return 0, fmt.Errorf("%w: have %d, need %d", ErrNotEnoughNodes, len(targets), c.cfg.Replication)
 	}
@@ -512,7 +534,7 @@ func (c *Cluster) ReplicateMissing() (created int, err error) {
 			// Target: least-loaded live node without this block whose
 			// replica write does not fault.
 			var target *dataNode
-			for _, n := range c.liveNodes() {
+			for _, n := range c.placement(c) {
 				if _, has := meta.replicas[n.id]; has {
 					continue
 				}

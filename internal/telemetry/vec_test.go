@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -80,6 +81,69 @@ func TestParseNameCanonical(t *testing.T) {
 			t.Errorf("ParseName(%q): want error", bad)
 		}
 	}
+}
+
+// FuzzNameRoundTrip holds ParseName to FormatName. A name FormatName writes
+// from a valid family, distinct valid keys and any values parses back to the
+// family and the key-sorted labels; and any input ParseName accepts formats
+// back to a name that parses to the same family and labels.
+func FuzzNameRoundTrip(f *testing.F) {
+	f.Add("cityinfra_frames_total", "camera", "cam-7", "tier", "fog", "", "", `cityinfra_frames_total{camera="cam-7",tier="fog"}`)
+	for _, v := range []string{`"`, `\`, "\n", "{", "}", ",", "=", `a="b",c="d"`, `\n`, `\"`, "\xff", ""} {
+		f.Add("fam", "k", v, "z", v+v, "a", "x"+v, `f{k="`+EscapeLabelValue(v)+`"}`)
+	}
+	for _, raw := range []string{
+		`f{ k = "v" , b="\\\"" }`, `f{}`, `{k="v"}`, `f{k="v",}`, `f{k="v"`, `f{k=v}`, `f{1k="v"}`,
+		`f{k="\q"}`, `f{k="v"}x}`, `f}{k="v"}`, `f{k="a}b"}`, `f{k="v"}}`, "f{k=\"line\nbreak\"}",
+		`f{a="2",a="1"}`, `f{a="0",b="1",a="2",b="3",a="4",b="5",a="6",b="7",a="8",b="9",a="10",b="11",a="12",b="13"}`,
+	} {
+		f.Add("f", "k", "v", "", "", "", "", raw)
+	}
+	f.Fuzz(func(t *testing.T, family, k1, v1, k2, v2, k3, v3, raw string) {
+		fam := fuzzIdent(family, "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_:0123456789")
+		if fam == "" {
+			fam = "f"
+		}
+		var ls LabelSet
+		for _, l := range []Label{{fuzzIdent(k1, identChars), v1}, {fuzzIdent(k2, identChars), v2}, {fuzzIdent(k3, identChars), v3}} {
+			if l.Key != "" && !slices.ContainsFunc(ls, func(m Label) bool { return m.Key == l.Key }) {
+				ls = append(ls, l)
+			}
+		}
+		full := FormatName(fam, ls)
+		want := slices.Clone(ls)
+		slices.SortFunc(want, func(a, b Label) int { return strings.Compare(a.Key, b.Key) })
+		gotFam, got, err := ParseName(full)
+		if err != nil || gotFam != fam || !reflect.DeepEqual(got, want) {
+			t.Fatalf("ParseName(FormatName(%q, %q)) = %q, %q, %v", fam, ls, gotFam, got, err)
+		}
+
+		rawFam, rawLabels, err := ParseName(raw)
+		if err != nil {
+			return
+		}
+		again := FormatName(rawFam, rawLabels)
+		fam2, labels2, err := ParseName(again)
+		if err != nil || fam2 != rawFam || !reflect.DeepEqual(labels2, rawLabels) {
+			t.Fatalf("ParseName(%q) = %q, %q; formatted %q; parsed again %q, %q, %v", raw, rawFam, rawLabels, again, fam2, labels2, err)
+		}
+	})
+}
+
+const identChars = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_0123456789"
+
+// fuzzIdent maps s onto an identifier over chars, whose digits (its last
+// ten) may not lead: each byte picks a char, and a leading digit gets an
+// underscore before it.
+func fuzzIdent(s, chars string) string {
+	b := make([]byte, 0, len(s)+1)
+	for i := 0; i < len(s); i++ {
+		b = append(b, chars[int(s[i])%len(chars)])
+	}
+	if len(b) > 0 && b[0] >= '0' && b[0] <= '9' {
+		b = append([]byte{'_'}, b...)
+	}
+	return string(b)
 }
 
 func TestFormatNameEscapes(t *testing.T) {
