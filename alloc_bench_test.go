@@ -26,12 +26,13 @@ const (
 	produceAllocBudget       = 2  // measured 1 alloc/op (the value copy) at RF 1 and RF 3
 	pollCommitAllocBudget    = 4  // measured 1 alloc/op for poll(1)+commit
 	pollBatchAllocBudget     = 1  // measured 1 alloc/op for poll(256)+commit: the batch
-	frameIngestAllocBudget   = 30 // measured 26 allocs/frame through all 4 tiers
-	frameArchiveAllocBudget  = 40 // measured 37 allocs/frame with the feature map archived to HDFS
+	frameIngestAllocBudget   = 19 // measured 16 allocs/frame through all 4 tiers
+	frameArchiveAllocBudget  = 30 // measured 27 allocs/frame with the feature map archived to HDFS
 	hdfsWriteAllocBudget     = 9  // measured 8 allocs per one-block HDFS write at replication 3
 	wazeRecordAllocBudget    = 18 // measured 16.3 allocs/record, 256 reports per IngestWaze call
 	tweetRecordAllocBudget   = 23 // measured 20.6 allocs/record, 256 tweets per IngestTweets call
 	incidentTickAllocBudget  = 0  // quiescent correlation cycle must not allocate
+	monitorTickAllocBudget   = 80 // measured 64 allocs per MonitorTick after a 220-camera sweep
 	labeledHandleAllocBudget = 0  // cached vec handle records must not allocate
 	exposeAllocBudget        = 1  // measured 0 allocs per /metrics body, at any series count
 )
@@ -339,6 +340,57 @@ func TestIncidentTickAllocBudget(t *testing.T) {
 	t.Logf("incident tick: %.1f allocs/op", allocs)
 	if allocs > incidentTickAllocBudget {
 		t.Errorf("quiescent incident tick allocates %.1f/op, budget %d", allocs, incidentTickAllocBudget)
+	}
+}
+
+// monitorSweep ingests one frame per camera, each its own IngestFrames call
+// with its feature map archived — the load frames-sweep puts between two
+// monitor ticks. sweep numbers the frames, so no feature-map path repeats.
+func monitorSweep(tb testing.TB, inf *core.Infrastructure, sweep int, rng *rand.Rand) {
+	frames := make([]core.FrameEvent, 1)
+	for _, cam := range inf.Cameras {
+		frames[0] = core.FrameEvent{
+			CameraID: cam.ID, Seq: sweep, Class: "sedan",
+			Confidence: rng.Float64(), RawBytes: 64 << 10, FeatureBytes: 8 << 10, Priority: 1,
+		}
+		if _, err := inf.IngestFrames(frames, "/features"); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestMonitorTickAllocBudget pins the tick the frame workloads run: after a
+// sweep of frames over every camera, so the tick folds new spans into the
+// incident graph, re-ranks the fleet's vec families, scrapes and evaluates
+// every alert rule. TestIncidentTickAllocBudget covers only the quiescent
+// incident tick. It measures 64 allocs per tick (the tick that copied every
+// retained trace measured 1 347); the budget, 80, leaves a margin for vec
+// promotions, which allocate a fresh series, and for new TSDB series.
+func TestMonitorTickAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocs/op")
+	}
+	inf, err := core.New(core.DefaultConfig(), rand.New(rand.NewSource(42)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	const warm, ticks = 5, 20
+	var before, after runtime.MemStats
+	var mallocs uint64
+	for i := 0; i < warm+ticks; i++ {
+		monitorSweep(t, inf, i, rng)
+		runtime.ReadMemStats(&before)
+		inf.MonitorTick()
+		runtime.ReadMemStats(&after)
+		if i >= warm {
+			mallocs += after.Mallocs - before.Mallocs
+		}
+	}
+	allocs := float64(mallocs) / ticks
+	t.Logf("monitor tick after a %d-camera sweep: %.1f allocs/tick", len(inf.Cameras), allocs)
+	if allocs > monitorTickAllocBudget {
+		t.Errorf("monitor tick allocates %.1f/tick, budget %d", allocs, monitorTickAllocBudget)
 	}
 }
 

@@ -272,6 +272,26 @@ func BenchmarkIncidentTick(b *testing.B) {
 	}
 }
 
+// BenchmarkMonitorTick times the tick frames-sweep runs: each op ingests a
+// sweep of frames over every camera with the timer stopped, then times one
+// MonitorTick — new spans to fold, vec membership to re-rank, a scrape and
+// every alert rule.
+func BenchmarkMonitorTick(b *testing.B) {
+	inf, err := core.New(core.DefaultConfig(), rand.New(rand.NewSource(42)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		monitorSweep(b, inf, i, rng)
+		b.StartTimer()
+		inf.MonitorTick()
+	}
+}
+
 // benchCluster measures the replicated produce path: RF 1 acks on the
 // leader's append alone, RF 3 acks only after the record lands on every
 // in-sync replica, so the delta between the two is the replication tax.

@@ -96,6 +96,10 @@ func TestFleetWindowMatchesReference(t *testing.T) {
 			}
 			sort.Slice(want, func(i, j int) bool { return want[i].id < want[j].id })
 			rep := fl.Report()
+			exposed := map[string]float64{}
+			for _, p := range inf.Telemetry.Snapshot() {
+				exposed[p.Name] = p.Value
+			}
 			if len(rep) != len(want) {
 				t.Fatalf("seed %d %s: %d rows, want %d", seed, when, len(rep), len(want))
 			}
@@ -115,7 +119,7 @@ func TestFleetWindowMatchesReference(t *testing.T) {
 				// Every camera fits the top-K budget, so its burn gauge is
 				// a series of its own and holds the last value written.
 				burn := telemetry.FormatName("cityinfra_camera_slo_burn", telemetry.LabelSet{{Key: "camera", Value: c.id}})
-				if got := inf.Telemetry.Gauge(burn, "").Value(); got != wantGauge {
+				if got, ok := exposed[burn]; !ok || got != wantGauge {
 					t.Fatalf("seed %d %s: %s burn gauge %v, want %v", seed, when, c.id, got, wantGauge)
 				}
 				if row.Burn > 0 {

@@ -195,8 +195,8 @@ type Engine struct {
 	mu        sync.Mutex
 	tick      int64
 	graph     *graph
-	seen      map[string]int // trace id → spans already folded into the graph
-	lastSpans int64
+	sites     map[spanKey]*spanSite
+	cursor    int64 // the tracer's span cursor: spans up to it are folded
 	lastSeq   int64
 	seqMark   [seqMarkWindow]int64
 	activeBuf []tsdb.RuleRef
@@ -214,7 +214,7 @@ type Engine struct {
 func NewEngine(tracer *telemetry.Tracer, events *telemetry.EventLog, alerts AlertSource, cfg Config) *Engine {
 	return &Engine{
 		cfg: cfg, tracer: tracer, events: events, alerts: alerts,
-		graph: newGraph(), seen: make(map[string]int),
+		graph: newGraph(), sites: make(map[spanKey]*spanSite),
 	}
 }
 
@@ -301,83 +301,94 @@ func (e *Engine) excluded(rule string) bool {
 }
 
 // updateGraph folds spans created since the last pass into the dependency
-// graph. SpanCount is the change detector, so the steady state skips the
-// ring scan entirely.
+// graph. The tracer's span cursor is the change detector, so the steady
+// state returns without walking the ring, and nothing is copied when it
+// does walk it.
 func (e *Engine) updateGraph() {
 	if e.tracer == nil {
 		return
 	}
-	total := e.tracer.SpanCount()
-	if total == e.lastSpans {
-		return
+	e.cursor = e.tracer.SpansSince(e.cursor, e.foldSpan)
+}
+
+// spanKey identifies what a span contributes to the graph: its stage node
+// (root for a root span, root/name for a child) and, for a child, its
+// parent's stage node (root when the parent is the root span, root/parent
+// when it is a child itself).
+type spanKey struct {
+	root, name, parent string
+	child, grandchild  bool
+}
+
+// spanSite is a spanKey resolved to graph indexes: the stage node, the
+// parent→stage edge (-1 for a root span, or a child named like its parent),
+// and each declared backend's node with its stage→backend edge.
+type spanSite struct {
+	node, edge int
+	backends   []struct{ node, edge int }
+}
+
+// foldSpan adds one span to the graph: stage nodes named root or root/span,
+// parent→child edges with duration stats, and declared backend bindings
+// underneath each stage. Each distinct (root, span, parent) is resolved to
+// graph indexes once; the graph never drops a node or edge, so the indexes
+// stay valid.
+func (e *Engine) foldSpan(root string, sp, parent *telemetry.Span, durationMs float64) {
+	k := spanKey{root: root}
+	if parent != nil {
+		k.name, k.child = sp.Name, true
+		if parent.Parent >= 0 {
+			k.parent, k.grandchild = parent.Name, true
+		}
 	}
-	e.lastSpans = total
-	ids := e.tracer.IDs()
-	for _, id := range ids {
-		tv, err := e.tracer.Trace(id)
-		if err != nil {
-			continue
-		}
-		from := e.seen[id]
-		if from >= len(tv.Spans) {
-			continue
-		}
-		e.seen[id] = len(tv.Spans)
-		e.ingestSpans(tv, from)
+	site, ok := e.sites[k]
+	if !ok {
+		site = e.resolve(k, sp, parent)
+		e.sites[k] = site
 	}
-	if len(e.seen) > 4*len(ids)+4096 {
-		retained := make(map[string]bool, len(ids))
-		for _, id := range ids {
-			retained[id] = true
+	e.graph.nodes[site.node].spans++
+	if site.edge >= 0 {
+		ed := &e.graph.edges[site.edge]
+		ed.traversals++
+		ed.totalMs += durationMs
+		if durationMs > ed.maxMs {
+			ed.maxMs = durationMs
 		}
-		for id := range e.seen {
-			if !retained[id] {
-				delete(e.seen, id)
-			}
-		}
+	}
+	for _, b := range site.backends {
+		e.graph.nodes[b.node].spans++
+		e.graph.edges[b.edge].traversals++
 	}
 }
 
-// ingestSpans adds one trace's spans[from:] to the graph: stage nodes named
-// root or root/span, parent→child edges with duration stats, and declared
-// backend bindings underneath each stage.
-func (e *Engine) ingestSpans(tv *telemetry.TraceView, from int) {
-	root := tv.Name
-	for i := from; i < len(tv.Spans); i++ {
-		sp := &tv.Spans[i]
-		name := root
-		if sp.Parent >= 0 {
-			name = root + "/" + sp.Name
+// resolve creates (or finds) a span key's nodes and edges, in the order a
+// span first folded creates them.
+func (e *Engine) resolve(k spanKey, sp, parent *telemetry.Span) *spanSite {
+	name := k.root
+	if k.child {
+		name = k.root + "/" + k.name
+	}
+	site := &spanSite{edge: -1}
+	site.node = e.graph.nodeFor(name, KindStage, sp.Tier, e.tick)
+	if k.child {
+		pname := k.root
+		if k.grandchild {
+			pname = k.root + "/" + k.parent
 		}
-		ni := e.graph.nodeFor(name, KindStage, sp.Tier, e.tick)
-		e.graph.nodes[ni].spans++
-		if sp.Parent >= 0 && sp.Parent < len(tv.Spans) {
-			pname := root
-			if p := &tv.Spans[sp.Parent]; p.Parent >= 0 {
-				pname = root + "/" + p.Name
-			}
-			if pname != name {
-				pi := e.graph.nodeFor(pname, KindStage, tv.Spans[sp.Parent].Tier, e.tick)
-				ei := e.graph.edgeFor(pi, ni, e.tick)
-				ed := &e.graph.edges[ei]
-				ed.traversals++
-				ed.totalMs += sp.DurationMs
-				if sp.DurationMs > ed.maxMs {
-					ed.maxMs = sp.DurationMs
-				}
-			}
-		}
-		backends := e.cfg.Bindings[name]
-		if backends == nil && sp.Parent >= 0 {
-			backends = e.cfg.Bindings[sp.Name]
-		}
-		for _, b := range backends {
-			bi := e.graph.nodeFor(b, KindBackend, "", e.tick)
-			e.graph.nodes[bi].spans++
-			ei := e.graph.edgeFor(ni, bi, e.tick)
-			e.graph.edges[ei].traversals++
+		if pname != name {
+			pi := e.graph.nodeFor(pname, KindStage, parent.Tier, e.tick)
+			site.edge = e.graph.edgeFor(pi, site.node, e.tick)
 		}
 	}
+	backends := e.cfg.Bindings[name]
+	if backends == nil && k.child {
+		backends = e.cfg.Bindings[k.name]
+	}
+	for _, b := range backends {
+		bi := e.graph.nodeFor(b, KindBackend, "", e.tick)
+		site.backends = append(site.backends, struct{ node, edge int }{bi, e.graph.edgeFor(site.node, bi, e.tick)})
+	}
+	return site
 }
 
 // classify maps one event to (component, kind) evidence, or ("", 0) for

@@ -76,21 +76,13 @@ func (t *Tracer) StartRemote(ctx TraceContext, name string) *Span {
 func (t *Tracer) startRemoteLocked(ctx TraceContext, name string, begin time.Time) *Span {
 	tr, ok := t.traces[ctx.TraceID]
 	if !ok {
-		tr = &trace{id: ctx.TraceID, name: name}
-		t.insertLocked(ctx.TraceID, tr)
-		root := &Span{tracer: t, trace: tr, ID: 0, Parent: -1, Name: name, Begin: begin}
-		tr.spans = append(tr.spans, root)
-		t.spans++
-		return root
+		return t.startLocked(ctx.TraceID, name, begin)
 	}
 	parent := ctx.SpanID
 	if parent < 0 || parent >= len(tr.spans) {
 		parent = 0
 	}
-	s := &Span{tracer: t, trace: tr, ID: len(tr.spans), Parent: parent, Name: name, Begin: begin}
-	tr.spans = append(tr.spans, s)
-	t.spans++
-	return s
+	return t.spanLocked(tr, parent, name, begin)
 }
 
 // SpanAt records a completed span with explicit timestamps under a remote
@@ -113,12 +105,7 @@ func (t *Tracer) SpanAt(ctx TraceContext, name, tier string, begin, end time.Tim
 func (t *Tracer) StartAt(id, name string, begin time.Time) *Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	tr := &trace{id: id, name: name}
-	t.insertLocked(id, tr)
-	root := &Span{tracer: t, trace: tr, ID: 0, Parent: -1, Name: name, Begin: begin}
-	tr.spans = append(tr.spans, root)
-	t.spans++
-	return root
+	return t.startLocked(id, name, begin)
 }
 
 // EndAt closes the span at an explicit instant. Like End, the first finish

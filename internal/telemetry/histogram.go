@@ -128,14 +128,22 @@ func (h *Histogram) Exemplars() []Exemplar {
 	return out
 }
 
-// WorstExemplar returns the exemplar from the highest bucket; ok is false
-// when none were retained.
+// WorstExemplar returns the exemplar from the highest bucket — the first
+// stored of them, as Exemplars()[0] is — without copying; ok is false when
+// none were retained.
 func (h *Histogram) WorstExemplar() (Exemplar, bool) {
-	ex := h.Exemplars()
-	if len(ex) == 0 {
+	h.exMu.Lock()
+	defer h.exMu.Unlock()
+	if len(h.exemplars) == 0 {
 		return Exemplar{}, false
 	}
-	return ex[0], true
+	worst := h.exemplars[0]
+	for _, e := range h.exemplars[1:] {
+		if e.Bucket > worst.Bucket {
+			worst = e
+		}
+	}
+	return worst, true
 }
 
 // mergeFrom folds src's bucket counts, observation count, and sum into h.

@@ -22,42 +22,53 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	bp := expositionBufs.Get().(*[]byte)
 	b := (*bp)[:0]
 	lastFamily := ""
-	for _, m := range r.sortedMetrics() {
-		family := baseName(m.name)
-		if family != lastFamily {
-			if m.help != "" {
-				b = append(b, "# HELP "...)
-				b = append(b, family...)
-				b = append(b, ' ')
-				b = append(b, m.help...)
-				b = append(b, '\n')
+	for _, m := range r.exposition() {
+		if f := m.vec; f != nil {
+			f.mu.Lock()
+			for _, s := range f.members {
+				b, lastFamily = appendSeries(b, s, lastFamily)
 			}
-			b = append(b, "# TYPE "...)
-			b = append(b, family...)
-			b = append(b, ' ')
-			b = append(b, m.kind.String()...)
-			b = append(b, '\n')
-			lastFamily = family
-		}
-		if m.kind == kindHistogram {
-			b = appendHistogram(b, family, m.name[len(family):], m.hist)
+			f.mu.Unlock()
 			continue
 		}
-		b = append(append(b, m.name...), ' ')
-		switch m.kind {
-		case kindCounter:
-			b = strconv.AppendUint(b, m.counter.Value(), 10)
-		case kindGauge:
-			b = appendFloat(b, m.gauge.Value())
-		case kindCounterFunc, kindGaugeFunc:
-			b = appendFloat(b, m.fn())
-		}
-		b = append(b, '\n')
+		b, lastFamily = appendSeries(b, m, lastFamily)
 	}
 	_, err := w.Write(b)
 	*bp = b
 	expositionBufs.Put(bp)
 	return err
+}
+
+// appendSeries encodes one series, preceded by its family's HELP and TYPE
+// lines when lastFamily is another family, and returns its family.
+func appendSeries(b []byte, m *metric, lastFamily string) ([]byte, string) {
+	if m.family != lastFamily {
+		if m.help != "" {
+			b = append(b, "# HELP "...)
+			b = append(b, m.family...)
+			b = append(b, ' ')
+			b = append(b, m.help...)
+			b = append(b, '\n')
+		}
+		b = append(b, "# TYPE "...)
+		b = append(b, m.family...)
+		b = append(b, ' ')
+		b = append(b, m.kind.String()...)
+		b = append(b, '\n')
+	}
+	if m.kind == kindHistogram {
+		return appendHistogram(b, m.family, m.name[len(m.family):], m.hist), m.family
+	}
+	b = append(append(b, m.name...), ' ')
+	switch m.kind {
+	case kindCounter:
+		b = strconv.AppendUint(b, m.counter.Value(), 10)
+	case kindGauge:
+		b = appendFloat(b, m.gauge.Value())
+	case kindCounterFunc, kindGaugeFunc:
+		b = appendFloat(b, m.fn())
+	}
+	return append(b, '\n'), m.family
 }
 
 // appendHistogram emits cumulative buckets plus _sum and _count, reading h in

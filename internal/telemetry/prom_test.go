@@ -6,17 +6,52 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 )
 
+// referenceOrder is the exposition order the registry used to rebuild by
+// sorting, kept as the oracle for the order it now keeps from registration:
+// every live series — plain instruments, and each vec family's materialized
+// children and rollup, found from the children's own state rather than the
+// family's member list — sorted by family name, then full name.
+func referenceOrder(r *Registry) []*metric {
+	r.mu.RLock()
+	out := make([]*metric, 0, len(r.metrics))
+	for _, m := range r.metrics {
+		out = append(out, m)
+	}
+	vecs := r.vecs
+	r.mu.RUnlock()
+	for _, f := range vecs {
+		f.mu.Lock()
+		out = append(out, f.rollup.series)
+		for _, c := range f.children {
+			if c.real.Load() {
+				out = append(out, c.series)
+			}
+		}
+		f.mu.Unlock()
+	}
+	sort.Slice(out, func(i, j int) bool {
+		bi, bj := baseName(out[i].name), baseName(out[j].name)
+		if bi != bj {
+			return bi < bj
+		}
+		return out[i].name < out[j].name
+	})
+	return out
+}
+
 // referenceWritePrometheus is the fmt-based encoder WritePrometheus replaced,
 // kept verbatim as the oracle: the append encoder must write the same bytes.
+// It walks referenceOrder, so it also holds the kept order to the sort.
 func referenceWritePrometheus(r *Registry, w io.Writer) error {
 	var b strings.Builder
 	lastFamily := ""
-	for _, m := range r.sortedMetrics() {
+	for _, m := range referenceOrder(r) {
 		family := baseName(m.name)
 		if family != lastFamily {
 			if m.help != "" {
@@ -254,15 +289,20 @@ func TestExpositionMatchesReference(t *testing.T) {
 			record()
 		}
 		folds += r.Counter(RolledUpMetric, "").Value()
-		for _, m := range r.sortedMetrics() {
+		for _, m := range referenceOrder(r) {
 			if m.kind != kindHistogram {
 				continue
 			}
 			if strings.Contains(m.name, "{") {
 				labelledHists++
 			}
+			// WorstExemplar reads in place what the sorted copy puts first.
+			all := m.hist.Exemplars()
+			if w, ok := m.hist.WorstExemplar(); ok != (len(all) > 0) || ok && w != all[0] {
+				t.Fatalf("seed %d: %s WorstExemplar %+v %v, Exemplars %+v", seed, m.name, w, ok, all)
+			}
 			seen := map[int]bool{}
-			for _, ex := range m.hist.Exemplars() {
+			for _, ex := range all {
 				if seen[ex.Bucket] {
 					sharedBuckets++
 				}

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -85,16 +86,19 @@ func (k metricKind) String() string {
 	}
 }
 
-// metric is one registered instrument.
+// metric is one registered instrument, or a vec family's place in the
+// registry's exposition order.
 type metric struct {
-	name string // full name including any {label="value"} suffix
-	help string
-	kind metricKind
+	name   string // full name including any {label="value"} suffix
+	family string // name without its label block: the HELP/TYPE family
+	help   string
+	kind   metricKind
 
 	counter *Counter
 	gauge   *Gauge
 	hist    *Histogram
 	fn      func() float64
+	vec     *vecFamily // set on a vec family's slot: its series are the family's members
 }
 
 // Registry holds named metrics and renders them for exposition. All
@@ -102,11 +106,15 @@ type metric struct {
 // the returned instruments are the hot-path handles.
 type Registry struct {
 	mu      sync.RWMutex
-	metrics map[string]*metric
-	// sorted is metrics in exposition order. sortedMetrics builds it and
-	// every change to the set of metrics drops it; it is shared with every
-	// reader, so nobody writes to it.
-	sorted []*metric
+	metrics map[string]*metric // plain instruments by full name
+	// order is every plain instrument and one slot per vec family, in
+	// exposition order: family name, then full name. Registration inserts
+	// by binary search; a vec family keeps its own series in order (vec.go),
+	// so promotion and demotion never touch it. Walks read the slice with no
+	// lock held, so once one has taken it (shared), the next registration
+	// copies it before changing it.
+	order  []*metric
+	shared atomic.Bool
 	vecs   []*vecFamily
 }
 
@@ -126,6 +134,44 @@ func baseName(name string) string {
 	return name
 }
 
+// newMetric builds a plain instrument's record.
+func newMetric(name, help string, kind metricKind) *metric {
+	return &metric{name: name, family: baseName(name), help: help, kind: kind}
+}
+
+// placeLocked puts m into the exposition order, replacing the plain
+// instrument of the same name if there is one. A plain instrument in a vec
+// family's name space is a wiring bug, like a type collision, and panics.
+// Caller holds r.mu.
+func (r *Registry) placeLocked(m *metric) {
+	for _, v := range r.vecs {
+		if v.name == m.family {
+			panic(fmt.Errorf("%w: %s is in vec family %s", ErrDuplicateMetric, m.name, v.name))
+		}
+	}
+	i := sort.Search(len(r.order), func(i int) bool {
+		o := r.order[i]
+		return o.family > m.family || (o.family == m.family && o.name >= m.name)
+	})
+	r.metrics[m.name] = m
+	r.ownOrderLocked()
+	if i < len(r.order) && r.order[i].name == m.name {
+		r.order[i] = m
+		return
+	}
+	r.order = slices.Insert(r.order, i, m)
+}
+
+// ownOrderLocked makes r.order safe to change in place: a walk may still be
+// reading the array it took, so after one has, the array is copied once.
+// Caller holds r.mu.
+func (r *Registry) ownOrderLocked() {
+	if r.shared.Load() {
+		r.order = append(make([]*metric, 0, len(r.order)+1), r.order...)
+		r.shared.Store(false)
+	}
+}
+
 func (r *Registry) lookupOrCreate(name, help string, kind metricKind) (*metric, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -135,15 +181,14 @@ func (r *Registry) lookupOrCreate(name, help string, kind metricKind) (*metric, 
 		}
 		return m, nil
 	}
-	m := &metric{name: name, help: help, kind: kind}
+	m := newMetric(name, help, kind)
 	switch kind {
 	case kindCounter:
 		m.counter = &Counter{}
 	case kindGauge:
 		m.gauge = &Gauge{}
 	}
-	r.metrics[name] = m
-	r.sorted = nil
+	r.placeLocked(m)
 	return m, nil
 }
 
@@ -179,9 +224,9 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 		}
 		return m.hist
 	}
-	m := &metric{name: name, help: help, kind: kindHistogram, hist: NewHistogram(buckets)}
-	r.metrics[name] = m
-	r.sorted = nil
+	m := newMetric(name, help, kindHistogram)
+	m.hist = NewHistogram(buckets)
+	r.placeLocked(m)
 	return m.hist
 }
 
@@ -190,72 +235,36 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 // (retry policies, breakers, HDFS block counters) so the hot path is not
 // instrumented twice. Re-registering a name replaces the function.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
+	m := newMetric(name, help, kindCounterFunc)
+	m.fn = fn
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.metrics[name] = &metric{name: name, help: help, kind: kindCounterFunc, fn: fn}
-	r.sorted = nil
+	r.placeLocked(m)
 }
 
 // GaugeFunc registers a gauge whose value is read from fn at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
+	m := newMetric(name, help, kindGaugeFunc)
+	m.fn = fn
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.metrics[name] = &metric{name: name, help: help, kind: kindGaugeFunc, fn: fn}
-	r.sorted = nil
+	r.placeLocked(m)
 }
 
-// unregister drops a metric by full name (vec demotion only; ordinary
-// instruments are registered for life).
-func (r *Registry) unregister(name string) {
-	r.mu.Lock()
-	delete(r.metrics, name)
-	r.sorted = nil
-	r.mu.Unlock()
-}
-
-// rebalanceVecs checks every vec family's children against its top-K budget
-// before a snapshot, so what gets exposed is the heavy-hitter set as of this
-// scrape. r.vecs only ever grows by append, so the slice read under the lock
-// stays valid after it: nothing writes below its length.
-func (r *Registry) rebalanceVecs() {
+// exposition returns the exposition order for one walk, after letting every
+// vec family re-rank its children, so what gets exposed is the heavy-hitter
+// set as of this call. The returned array is never written again, so the
+// walk holds no registry lock and CounterFunc/GaugeFunc callbacks run with
+// none held; a vec family's members are read under the family's lock.
+func (r *Registry) exposition() []*metric {
 	r.mu.RLock()
-	vecs := r.vecs
+	vecs, order := r.vecs, r.order
+	r.shared.Store(true)
 	r.mu.RUnlock()
 	for _, v := range vecs {
 		v.rebalance()
 	}
-}
-
-// sortedMetrics returns the registry in deterministic exposition order:
-// family name, then full name. The order is kept between calls and sorted
-// again only after a registration or a vec demotion; the slice is shared,
-// so callers read it and nothing else.
-func (r *Registry) sortedMetrics() []*metric {
-	r.rebalanceVecs()
-	r.mu.RLock()
-	out := r.sorted
-	r.mu.RUnlock()
-	if out != nil {
-		return out
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.sorted != nil {
-		return r.sorted
-	}
-	out = make([]*metric, 0, len(r.metrics))
-	for _, m := range r.metrics {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		bi, bj := baseName(out[i].name), baseName(out[j].name)
-		if bi != bj {
-			return bi < bj
-		}
-		return out[i].name < out[j].name
-	})
-	r.sorted = out
-	return out
+	return order
 }
 
 // Point is one metric's snapshot for report tables.
@@ -274,28 +283,61 @@ type Point struct {
 
 // Snapshot returns every metric's current value in exposition order.
 func (r *Registry) Snapshot() []Point {
-	ms := r.sortedMetrics()
-	out := make([]Point, 0, len(ms))
-	for _, m := range ms {
-		p := Point{Name: m.name, Type: m.kind.String()}
-		switch m.kind {
-		case kindCounter:
-			p.Value = float64(m.counter.Value())
-		case kindGauge:
-			p.Value = m.gauge.Value()
-		case kindCounterFunc, kindGaugeFunc:
-			p.Value = m.fn()
-		case kindHistogram:
-			c, s := m.hist.Count(), m.hist.Sum()
-			p.Count, p.Sum, p.Value = c, s, float64(c)
-			p.P50 = m.hist.Quantile(0.50)
-			p.P95 = m.hist.Quantile(0.95)
-			p.P99 = m.hist.Quantile(0.99)
-			if ex, ok := m.hist.WorstExemplar(); ok {
-				p.ExemplarTrace = ex.TraceID
-			}
+	order := r.exposition()
+	n := 0
+	for _, m := range order {
+		if m.vec != nil {
+			n += m.vec.seriesCount()
+		} else {
+			n++
 		}
-		out = append(out, p)
 	}
-	return out
+	return appendPoints(make([]Point, 0, n), order)
+}
+
+// AppendSnapshot appends every metric's current value, in exposition order,
+// to dst and returns the extended slice — Snapshot into a buffer the caller
+// keeps between calls.
+func (r *Registry) AppendSnapshot(dst []Point) []Point {
+	return appendPoints(dst, r.exposition())
+}
+
+func appendPoints(dst []Point, order []*metric) []Point {
+	for _, m := range order {
+		if f := m.vec; f != nil {
+			f.mu.Lock()
+			for _, s := range f.members {
+				dst = appendPoint(dst, s)
+			}
+			f.mu.Unlock()
+			continue
+		}
+		dst = appendPoint(dst, m)
+	}
+	return dst
+}
+
+// appendPoint appends one series' current value. It appends rather than
+// returns the Point: a returned 96-byte Point is copied once more, and once
+// per series shows in a snapshot's profile.
+func appendPoint(dst []Point, m *metric) []Point {
+	p := Point{Name: m.name, Type: m.kind.String()}
+	switch m.kind {
+	case kindCounter:
+		p.Value = float64(m.counter.Value())
+	case kindGauge:
+		p.Value = m.gauge.Value()
+	case kindCounterFunc, kindGaugeFunc:
+		p.Value = m.fn()
+	case kindHistogram:
+		c, s := m.hist.Count(), m.hist.Sum()
+		p.Count, p.Sum, p.Value = c, s, float64(c)
+		p.P50 = m.hist.Quantile(0.50)
+		p.P95 = m.hist.Quantile(0.95)
+		p.P99 = m.hist.Quantile(0.99)
+		if ex, ok := m.hist.WorstExemplar(); ok {
+			p.ExemplarTrace = ex.TraceID
+		}
+	}
+	return append(dst, p)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"reflect"
 	"sort"
 	"strings"
@@ -240,7 +241,7 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	}
 }
 
-// expositionOrder is the order sortedMetrics promises, derived from scratch.
+// expositionOrder is the order Snapshot promises, derived from scratch.
 func expositionOrder(names []string) []string {
 	out := append([]string(nil), names...)
 	sort.Slice(out, func(i, j int) bool {
@@ -260,10 +261,10 @@ func snapshotNames(r *Registry) []string {
 	return names
 }
 
-// TestExpositionOrderFollowsTheSet: the registry keeps its sorted order
-// between snapshots, so each of the five ways the set of metrics changes has
-// to drop it. A snapshot is taken before each change (so there is a kept
-// order to go stale) and after it.
+// TestExpositionOrderFollowsTheSet: the registry fixes its order at
+// registration and a vec family orders its own members, so each way the set
+// of series changes has to land in place. A snapshot is taken before each
+// change (so there is a kept order to go stale) and after it.
 func TestExpositionOrderFollowsTheSet(t *testing.T) {
 	r := NewRegistry()
 	vec := r.CounterVec("m_vec_total", "", "k", 1)
@@ -280,8 +281,7 @@ func TestExpositionOrderFollowsTheSet(t *testing.T) {
 		{"GaugeFunc", func() { r.GaugeFunc("a_level", "", func() float64 { return 1 }) }, "a_level", ""},
 		{"vec child", func() { vec.With("x").Add(1) }, `m_vec_total{k="x"}`, ""},
 		{"vec demotion", func() { vec.With("y").Add(5) }, `m_vec_total{k="y"}`, `m_vec_total{k="x"}`},
-		// A demotion comes with a promotion, which registers; on its own:
-		{"unregister", func() { r.unregister("z_total") }, "b_total", "z_total"},
+		{"vec promotion", func() { vec.With("x").Add(9) }, `m_vec_total{k="x"}`, `m_vec_total{k="y"}`},
 	}
 	for _, c := range changes {
 		snapshotNames(r)
@@ -303,15 +303,105 @@ func TestExpositionOrderFollowsTheSet(t *testing.T) {
 	}
 }
 
-// TestSnapshotWhileTheSetChanges: readers share the kept order, so under
-// -race one goroutine registers series and churns a vec's top-K (children
-// materialized and demoted on every rebalance) while two others snapshot and
-// render; every snapshot is still in exposition order without a repeat.
+// TestRegistryHistoriesMatchReferenceOrder drives seeded random histories —
+// plain, func and vec registrations (funcs re-registered over any kind), and
+// observations that promote and demote vec children, rollup handles included
+// — and after every step requires Snapshot's names to be referenceOrder's
+// over the live set, and /metrics to be referenceWritePrometheus's bytes.
+func TestRegistryHistoriesMatchReferenceOrder(t *testing.T) {
+	var demotions uint64
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		r := NewRegistry()
+		vecKinds := map[string]int{}
+		var counters []*LabeledCounter
+		var gauges []*LabeledGauge
+		var hists []*LabeledHistogram
+		label := func() string {
+			if rng.Intn(10) == 0 {
+				return hostileStrings[rng.Intn(len(hostileStrings))]
+			}
+			return fmt.Sprintf("cam-%02d", rng.Intn(12))
+		}
+		for step := 0; step < 120; step++ {
+			family := fmt.Sprintf("h_plain_%d", rng.Intn(6))
+			var ls LabelSet
+			if rng.Intn(2) == 0 {
+				ls = LabelSet{{Key: "k", Value: label()}}
+			}
+			name := FormatName(family, ls)
+			m, taken := r.metrics[name]
+			switch op := rng.Intn(10); {
+			case op == 0 && (!taken || m.kind == kindCounter):
+				r.Counter(name, "plain counter").Add(rng.Intn(9))
+			case op == 1 && (!taken || m.kind == kindGauge):
+				r.Gauge(name, "").Set(rng.Float64())
+			case op == 2 && (!taken || m.kind == kindHistogram):
+				r.Histogram(name, "plain histogram", nil).ObserveExemplar(rng.Float64(), label())
+			case op == 3:
+				v := float64(step)
+				if rng.Intn(2) == 0 {
+					r.CounterFunc(name, "func", func() float64 { return v })
+				} else {
+					r.GaugeFunc(name, "func", func() float64 { return v })
+				}
+			case op == 4 || op == 5:
+				vname := fmt.Sprintf("h_vec_%d", rng.Intn(4))
+				kind, ok := vecKinds[vname]
+				if !ok {
+					kind = rng.Intn(3)
+					vecKinds[vname] = kind
+				}
+				k := 1 + rng.Intn(4)
+				switch kind {
+				case 0:
+					counters = append(counters, r.CounterVec(vname, "vec", "camera", k).With(label()))
+				case 1:
+					gauges = append(gauges, r.GaugeVec(vname, "", "camera", k).With(label()))
+				default:
+					hists = append(hists, r.HistogramVec(vname, "vec", "camera", []float64{0.1, 1}, k).With(label()))
+				}
+			default:
+				for n := rng.Intn(12); n >= 0; n-- {
+					switch {
+					case len(counters) > 0 && rng.Intn(3) == 0:
+						counters[rng.Intn(len(counters))].Add(1 + rng.Intn(20))
+					case len(gauges) > 0 && rng.Intn(2) == 0:
+						gauges[rng.Intn(len(gauges))].Set(rng.Float64())
+					case len(hists) > 0:
+						hists[rng.Intn(len(hists))].Observe(rng.Float64())
+					}
+				}
+			}
+			before := r.Counter(RolledUpMetric, "").Value()
+			got := snapshotNames(r)
+			demotions += r.Counter(RolledUpMetric, "").Value() - before
+			var want []string
+			for _, m := range referenceOrder(r) {
+				want = append(want, m.name)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d step %d: Snapshot names\n%q\nreferenceOrder\n%q", seed, step, got, want)
+			}
+			assertMatchesReference(t, r, fmt.Sprintf("seed %d step %d", seed, step))
+		}
+	}
+	t.Logf("demotions %d", demotions)
+	if demotions < 100 {
+		t.Fatalf("history too tame: %d demotions", demotions)
+	}
+}
+
+// TestSnapshotWhileTheSetChanges: under -race one goroutine registers
+// series and another churns a vec's top-K (children materialized and demoted
+// on every rebalance) while two others snapshot and render /metrics; every
+// snapshot is still in exposition order without a repeat.
 func TestSnapshotWhileTheSetChanges(t *testing.T) {
 	r := NewRegistry()
 	vec := r.CounterVec("churn_total", "", "k", 2)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	var writers sync.WaitGroup
 	for reader := 0; reader < 2; reader++ {
 		wg.Add(1)
 		go func() {
@@ -340,14 +430,24 @@ func TestSnapshotWhileTheSetChanges(t *testing.T) {
 			}
 		}()
 	}
-	for i := 0; i < 300; i++ {
-		// Each new child out-counts the last, so the next rebalance promotes
-		// it and demotes an incumbent.
-		vec.With(fmt.Sprintf("c%03d", i)).Add(i + 1)
-		r.Counter(fmt.Sprintf("plain_%03d_total", i), "")
-		r.GaugeFunc("level", "", func() float64 { return float64(i) })
-		r.Snapshot()
-	}
+	writers.Add(2)
+	go func() {
+		defer writers.Done()
+		for i := 0; i < 300; i++ {
+			r.Counter(fmt.Sprintf("plain_%03d_total", i), "")
+			r.GaugeFunc("level", "", func() float64 { return float64(i) })
+		}
+	}()
+	go func() {
+		defer writers.Done()
+		for i := 0; i < 300; i++ {
+			// Each new child out-counts the last, so the next rebalance
+			// promotes it and demotes an incumbent.
+			vec.With(fmt.Sprintf("c%03d", i)).Add(i + 1)
+			r.Snapshot()
+		}
+	}()
+	writers.Wait()
 	close(stop)
 	wg.Wait()
 	if v := r.Counter(RolledUpMetric, "").Value(); v < 100 {

@@ -14,20 +14,36 @@ var ErrNoTrace = errors.New("telemetry: trace not found")
 // most recent traces in a bounded ring, exportable as JSON and as an
 // aggregated critical-path report. It is deliberately minimal: one process,
 // string trace ids, integer span ids.
+//
+// Spans are carved from chunks the tracer owns rather than allocated one by
+// one, and a trace keeps its first few span pointers in an inline array, so
+// the common few-span trace costs one allocation (the trace) instead of one
+// per span plus the slice growth behind them.
 type Tracer struct {
 	now func() time.Time
 	cap int
 
 	mu     sync.Mutex
 	traces map[string]*trace
-	order  []string // insertion order for ring eviction
-	spans  int64    // spans ever created, including evicted traces'
+	order  []*trace // retained traces, oldest first: the eviction ring
+	spans  int64    // spans ever created, including evicted traces'; the newest span's seq
+	slab   []Span   // the unused tail of the chunk the next span is carved from
 }
 
+// spanChunk is how many spans one slab allocation holds. A chunk stays live
+// while any of its spans is referenced, so it is kept near the ring's
+// working set: 128 traces of about 5 spans span ten chunks.
+const spanChunk = 64
+
+// inlineSpans is how many span pointers a trace holds before its span list
+// moves to the heap; a frame's trace has 5.
+const inlineSpans = 6
+
 type trace struct {
-	id    string
-	name  string
-	spans []*Span
+	id     string
+	name   string
+	spans  []*Span
+	inline [inlineSpans]*Span
 }
 
 // Span is one timed operation inside a trace. Start it via Tracer.Start or
@@ -36,6 +52,7 @@ type trace struct {
 type Span struct {
 	tracer *Tracer
 	trace  *trace
+	seq    int64 // creation order across the tracer, from 1: SpansSince's cursor
 
 	ID     int
 	Parent int // -1 for the root span
@@ -62,33 +79,55 @@ func NewTracer(now func() time.Time, capacity int) *Tracer {
 func (t *Tracer) Start(id, name string) *Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	tr := &trace{id: id, name: name}
-	t.insertLocked(id, tr)
-	root := &Span{tracer: t, trace: tr, ID: 0, Parent: -1, Name: name, Begin: t.now()}
-	tr.spans = append(tr.spans, root)
-	t.spans++
-	return root
+	return t.startLocked(id, name, t.now())
 }
 
-// insertLocked stores tr under id and maintains the eviction ring. A
+// startLocked opens a trace under id with a root span beginning at begin.
+func (t *Tracer) startLocked(id, name string, begin time.Time) *Span {
+	tr := &trace{id: id, name: name}
+	tr.spans = tr.inline[:0]
+	t.insertLocked(tr)
+	return t.spanLocked(tr, -1, name, begin)
+}
+
+// spanLocked carves the next span of tr from the slab and appends it.
+func (t *Tracer) spanLocked(tr *trace, parent int, name string, begin time.Time) *Span {
+	if len(t.slab) == 0 {
+		t.slab = make([]Span, spanChunk)
+	}
+	s := &t.slab[0]
+	t.slab = t.slab[1:]
+	t.spans++
+	*s = Span{tracer: t, trace: tr, seq: t.spans, ID: len(tr.spans), Parent: parent, Name: name, Begin: begin}
+	tr.spans = append(tr.spans, s)
+	return s
+}
+
+// insertLocked stores tr under its id and maintains the eviction ring. A
 // re-Start of a retained id moves it to the back of the ring — it is the
 // freshest trace again — so `order` and `traces` can never disagree about
 // which id the next eviction removes. Eviction runs after insertion; the
 // just-inserted id sits at the back, so it is only evictable when it is the
 // sole entry, which the cap (>= 1) forbids.
-func (t *Tracer) insertLocked(id string, tr *trace) {
-	if _, ok := t.traces[id]; ok {
+//
+// A trace that leaves the ring drops its span pointers: a span a caller
+// still holds then pins its own chunk, not every chunk allocated since.
+func (t *Tracer) insertLocked(tr *trace) {
+	if old, ok := t.traces[tr.id]; ok {
 		for i, o := range t.order {
-			if o == id {
+			if o == old {
 				t.order = append(t.order[:i], t.order[i+1:]...)
 				break
 			}
 		}
+		clear(old.spans)
 	}
-	t.order = append(t.order, id)
-	t.traces[id] = tr
+	t.order = append(t.order, tr)
+	t.traces[tr.id] = tr
 	for len(t.order) > t.cap {
-		delete(t.traces, t.order[0])
+		old := t.order[0]
+		delete(t.traces, old.id)
+		clear(old.spans)
 		t.order = t.order[1:]
 	}
 }
@@ -97,21 +136,49 @@ func (t *Tracer) insertLocked(id string, tr *trace) {
 func (s *Span) Child(name string) *Span {
 	s.tracer.mu.Lock()
 	defer s.tracer.mu.Unlock()
-	c := &Span{
-		tracer: s.tracer, trace: s.trace,
-		ID: len(s.trace.spans), Parent: s.ID, Name: name, Begin: s.tracer.now(),
-	}
-	s.trace.spans = append(s.trace.spans, c)
-	s.tracer.spans++
-	return c
+	return s.tracer.spanLocked(s.trace, s.ID, name, s.tracer.now())
 }
 
-// SpanCount returns how many spans were ever created, including spans of
-// evicted traces. It is a cheap change detector: pollers (the incident
-// engine's graph builder) re-scan the ring only when the count moved.
-func (t *Tracer) SpanCount() int64 {
+// SpansSince visits every span of a retained trace created after cursor —
+// a value SpansSince returned, or 0 for all of them — in ring order (oldest
+// trace first) and, within a trace, in span order, and returns the cursor
+// for the next call. Nothing is copied: visit runs under the tracer lock
+// with the trace's root name, the span, its parent (nil for a root) and the
+// span's duration in milliseconds, an unfinished span measured up to now as
+// Trace does. visit must not call the tracer. Spans of traces evicted
+// before the call are not visited.
+func (t *Tracer) SpansSince(cursor int64, visit func(root string, s, parent *Span, durationMs float64)) int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.spans == cursor {
+		return cursor
+	}
+	var now time.Time
+	for _, tr := range t.order {
+		n := len(tr.spans)
+		if n == 0 || tr.spans[n-1].seq <= cursor {
+			continue
+		}
+		i := n - 1
+		for i > 0 && tr.spans[i-1].seq > cursor {
+			i--
+		}
+		for ; i < n; i++ {
+			s := tr.spans[i]
+			end := s.Finish
+			if end.IsZero() {
+				if now.IsZero() {
+					now = t.now()
+				}
+				end = now
+			}
+			var parent *Span
+			if s.Parent >= 0 {
+				parent = tr.spans[s.Parent]
+			}
+			visit(tr.name, s, parent, float64(end.Sub(s.Begin))/float64(time.Millisecond))
+		}
+	}
 	return t.spans
 }
 
@@ -155,7 +222,9 @@ func (t *Tracer) IDs() []string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]string, len(t.order))
-	copy(out, t.order)
+	for i, tr := range t.order {
+		out[i] = tr.id
+	}
 	return out
 }
 

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"runtime"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -120,5 +122,42 @@ func TestUnfinishedSpanMeasuredToNow(t *testing.T) {
 	}
 	if tv.DurationMs <= 0 {
 		t.Fatalf("open span duration = %g, want > 0", tv.DurationMs)
+	}
+}
+
+// TestKeptSpanPinsOnlyItsChunk: a span a caller keeps must not keep every
+// span allocated after it. Spans share chunks, and a trace points at its
+// spans, so a trace leaving the ring has to drop those pointers or one kept
+// span pins a chain of chunks through the traces that straddle them.
+func TestKeptSpanPinsOnlyItsChunk(t *testing.T) {
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	tr := NewTracer(nil, 8)
+	kept := tr.Start("kept", "ingest")
+	kept.Child("stage")
+	before := heap()
+	// Five-span traces, six where five would end on a chunk boundary, so
+	// every boundary falls inside a trace and the chain cannot break.
+	for i, made := 0, 2; i < 20000; i++ {
+		n := 5
+		if (made+n)%spanChunk == 0 {
+			n++
+		}
+		made += n
+		root := tr.Start(strconv.Itoa(i), "ingest")
+		for c := 1; c < n; c++ {
+			root.Child("stage").End()
+		}
+		root.End()
+	}
+	grown := heap() - before
+	runtime.KeepAlive(kept)
+	// The 100 000-odd spans made are about 12 MB; the ring holds 40 of them.
+	if grown > 1<<20 {
+		t.Fatalf("heap grew %d B after the kept span's trace left the ring", grown)
 	}
 }

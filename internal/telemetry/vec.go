@@ -3,7 +3,9 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -16,19 +18,23 @@ import (
 // Cardinality is bounded per family by a space-saving-style top-K
 // heavy-hitter tracker. Every label value keeps an exact observation count
 // on its handle forever (a few atomics — cheap at fleet scale), but only
-// the K busiest values are materialized as real registry series; everyone
-// else records into a single {label="~other"} rollup series. Membership is
-// checked at every snapshot (i.e. every scrape tick) and re-sorted only when
-// a tail label has overtaken a member: a demoted child's materialized counts
-// are folded into the rollup — so the sum over exposed series always equals
-// the sum over all observations, and every exposed series stays monotone —
-// and a promoted child restarts a fresh series from zero (its history stays
-// inside the rollup; that is the space-saving trade). Each fold increments
+// the K busiest values are materialized as series; everyone else records
+// into a single {label="~other"} rollup series. The family owns its series:
+// it holds the materialized children and the rollup in exposition order and
+// takes one slot in the registry's order, so membership changes never touch
+// the registry. Membership is checked at every snapshot (i.e. every scrape
+// tick) and re-sorted only when a tail label has overtaken a member: a
+// demoted child's materialized counts are folded into the rollup — so the
+// sum over exposed series always equals the sum over all observations, and
+// every exposed series stays monotone — and a promoted child restarts a
+// fresh series from zero (its history stays inside the rollup; that is the
+// space-saving trade). Each fold increments
 // cityinfra_telemetry_series_rolled_up_total.
 // A 200+-camera fleet therefore costs at most K+1 series per family in the
 // registry and the TSDB rings, no matter how wide the fleet grows.
 
-// RollupValue is the label value of the tail-rollup series.
+// RollupValue is the label value of the tail-rollup series. With(RollupValue)
+// returns the rollup's own handle.
 const RollupValue = "~other"
 
 // RolledUpMetric counts vec children folded back into a rollup series.
@@ -42,8 +48,9 @@ const DefaultVecMaxSeries = 16
 // the atomic target pointers its handle records through. Demotion retargets
 // the pointers at the rollup instruments, so cached handles never go stale.
 type vecChild struct {
-	value string
-	full  string // canonical family{label="value"} name
+	value  string
+	full   string  // canonical family{label="value"} name
+	series *metric // the child's own series while materialized; guarded by the family's mu
 
 	obs  atomic.Uint64 // exact adds (counter) / observations (hist) / writes (gauge)
 	real atomic.Bool
@@ -55,7 +62,6 @@ type vecChild struct {
 
 // vecFamily is the shared implementation behind the three Vec types.
 type vecFamily struct {
-	reg     *Registry
 	name    string
 	help    string
 	label   string
@@ -64,19 +70,17 @@ type vecFamily struct {
 	maxK    int
 
 	rolledUp *Counter // registry-wide fold accounting
-
-	rollupC *Counter
-	rollupG *Gauge
-	rollupH *Histogram
+	rollup   *vecChild
 
 	mu       sync.Mutex
 	children map[string]*vecChild
 	ranked   []*vecChild // every child: as rebalance last sorted them, then arrivals since
-	real     int         // children currently materialized as registry series
+	members  []*metric   // materialized children's series and the rollup's, by full name
 }
 
 // vec looks up or creates a family. Name/label/kind collisions panic like
-// Registry.Counter does: they are wiring bugs.
+// Registry.Counter does: they are wiring bugs, and so is a family whose name
+// plain instruments already use.
 func (r *Registry) vec(name, help, label string, kind metricKind, buckets []float64, maxSeries int) *vecFamily {
 	if !validLabelKey(label) {
 		panic(fmt.Errorf("telemetry: bad vec label name %q for %s", label, name))
@@ -84,38 +88,38 @@ func (r *Registry) vec(name, help, label string, kind metricKind, buckets []floa
 	if maxSeries <= 0 {
 		maxSeries = DefaultVecMaxSeries
 	}
+	rolledUp := r.Counter(RolledUpMetric,
+		"vec children demoted out of their family's top-K and folded into its {~other} rollup series")
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	for _, v := range r.vecs {
 		if v.name == name {
 			if v.kind != kind || v.label != label {
-				r.mu.Unlock()
 				panic(fmt.Errorf("%w: vec %s is %s over %q, requested %s over %q",
 					ErrDuplicateMetric, name, v.kind, v.label, kind, label))
 			}
-			r.mu.Unlock()
 			return v
 		}
 	}
+	i := sort.Search(len(r.order), func(i int) bool { return r.order[i].family >= name })
+	if i < len(r.order) && r.order[i].family == name {
+		panic(fmt.Errorf("%w: vec %s names a family of plain instruments", ErrDuplicateMetric, name))
+	}
 	f := &vecFamily{
-		reg: r, name: name, help: help, label: label, kind: kind,
-		buckets: buckets, maxK: maxSeries,
+		name: name, help: help, label: label, kind: kind,
+		buckets: buckets, maxK: maxSeries, rolledUp: rolledUp,
 		children: make(map[string]*vecChild),
 	}
+	f.rollup = f.newChild(RollupValue)
+	f.materialize(f.rollup)
 	r.vecs = append(r.vecs, f)
-	r.mu.Unlock()
-
-	f.rolledUp = r.Counter(RolledUpMetric,
-		"vec children demoted out of their family's top-K and folded into its {~other} rollup series")
-	rollupName := FormatName(name, LabelSet{{Key: label, Value: RollupValue}})
-	switch kind {
-	case kindCounter:
-		f.rollupC = r.Counter(rollupName, help)
-	case kindGauge:
-		f.rollupG = r.Gauge(rollupName, help)
-	case kindHistogram:
-		f.rollupH = r.Histogram(rollupName, help, buckets)
-	}
+	r.ownOrderLocked()
+	r.order = slices.Insert(r.order, i, &metric{name: name, family: name, help: help, kind: kind, vec: f})
 	return f
+}
+
+func (f *vecFamily) newChild(value string) *vecChild {
+	return &vecChild{value: value, full: FormatName(f.name, LabelSet{{Key: f.label, Value: value}})}
 }
 
 // child returns the cached child for one label value, creating it on first
@@ -123,16 +127,16 @@ func (r *Registry) vec(name, help, label string, kind metricKind, buckets []floa
 // immediately; past the budget it starts life recording into the rollup and
 // earns a real series by out-observing a member (see rebalance).
 func (f *vecFamily) child(value string) *vecChild {
+	if value == RollupValue {
+		return f.rollup
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if c, ok := f.children[value]; ok {
 		return c
 	}
-	c := &vecChild{
-		value: value,
-		full:  FormatName(f.name, LabelSet{{Key: f.label, Value: value}}),
-	}
-	if f.real < f.maxK {
+	c := f.newChild(value)
+	if f.real() < f.maxK {
 		f.materialize(c)
 	} else {
 		f.retargetRollup(c)
@@ -142,19 +146,28 @@ func (f *vecFamily) child(value string) *vecChild {
 	return c
 }
 
-// materialize registers a fresh instrument for the child and points its
-// handle target at it. Caller holds f.mu.
+// real returns how many children are materialized. Caller holds f.mu.
+func (f *vecFamily) real() int { return len(f.members) - 1 }
+
+// materialize gives the child a fresh series, points its handle target at
+// it and links it into the family's members. Caller holds f.mu.
 func (f *vecFamily) materialize(c *vecChild) {
+	m := &metric{name: c.full, family: f.name, help: f.help, kind: f.kind}
 	switch f.kind {
 	case kindCounter:
-		c.tgtC.Store(f.reg.Counter(c.full, f.help))
+		m.counter = &Counter{}
+		c.tgtC.Store(m.counter)
 	case kindGauge:
-		c.tgtG.Store(f.reg.Gauge(c.full, f.help))
+		m.gauge = &Gauge{}
+		c.tgtG.Store(m.gauge)
 	case kindHistogram:
-		c.tgtH.Store(f.reg.Histogram(c.full, f.help, f.buckets))
+		m.hist = NewHistogram(f.buckets)
+		c.tgtH.Store(m.hist)
 	}
+	i, _ := slices.BinarySearchFunc(f.members, c.full, func(m *metric, full string) int { return strings.Compare(m.name, full) })
+	f.members = slices.Insert(f.members, i, m)
+	c.series = m
 	c.real.Store(true)
-	f.real++
 }
 
 // retargetRollup points a child's handle target at the family rollup
@@ -162,32 +175,33 @@ func (f *vecFamily) materialize(c *vecChild) {
 func (f *vecFamily) retargetRollup(c *vecChild) {
 	switch f.kind {
 	case kindCounter:
-		c.tgtC.Store(f.rollupC)
+		c.tgtC.Store(f.rollup.series.counter)
 	case kindGauge:
-		c.tgtG.Store(f.rollupG)
+		c.tgtG.Store(f.rollup.series.gauge)
 	case kindHistogram:
-		c.tgtH.Store(f.rollupH)
+		c.tgtH.Store(f.rollup.series.hist)
 	}
 }
 
-// demote folds the child's materialized series into the rollup, drops the
-// series from the registry, and retargets the handle. Caller holds f.mu.
+// demote folds the child's materialized series into the rollup, unlinks the
+// series from the family's members, and retargets the handle. Caller holds
+// f.mu.
 func (f *vecFamily) demote(c *vecChild) {
 	switch f.kind {
 	case kindCounter:
-		if v := c.tgtC.Load().Value(); v > 0 {
-			f.rollupC.v.Add(v)
+		if v := c.series.counter.Value(); v > 0 {
+			f.rollup.series.counter.v.Add(v)
 		}
 	case kindHistogram:
-		f.rollupH.mergeFrom(c.tgtH.Load())
+		f.rollup.series.hist.mergeFrom(c.series.hist)
 	case kindGauge:
 		// Gauges are point-in-time: nothing to fold. The rollup gauge holds
 		// whatever a tail child last wrote.
 	}
-	f.reg.unregister(c.full)
+	f.members = slices.DeleteFunc(f.members, func(m *metric) bool { return m == c.series })
+	c.series = nil
 	f.retargetRollup(c)
 	c.real.Store(false)
-	f.real--
 	f.rolledUp.Inc()
 }
 
@@ -208,7 +222,7 @@ func (f *vecFamily) rebalance() {
 		return
 	}
 	kids := f.ranked
-	if f.real == f.maxK {
+	if f.real() == f.maxK {
 		minMember, maxTail := uint64(math.MaxUint64), uint64(0)
 		for _, c := range kids {
 			if n := c.obs.Load(); c.real.Load() {
@@ -249,7 +263,7 @@ func (f *vecFamily) rebalance() {
 func (f *vecFamily) seriesCount() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.real + 1
+	return len(f.members)
 }
 
 // CounterVec is a counter family over one label.

@@ -83,6 +83,8 @@ type RuleStatus struct {
 // ruleState is the engine's mutable per-rule record.
 type ruleState struct {
 	rule  Rule
+	q     query       // rule.Expr, parsed once by AddRule
+	match seriesMatch // q's selector matches, kept between evaluations
 	state string
 	since int64
 	// EWMA baseline for the anomaly condition.
@@ -138,7 +140,8 @@ func (e *Engine) AddRule(r Rule, reg *telemetry.Registry) error {
 	if r.Op != "" && r.Op != CmpGT && r.Op != CmpLT {
 		return fmt.Errorf("%w: rule %s op %q", ErrBadExpr, r.Name, r.Op)
 	}
-	if _, err := parseExpr(r.Expr); err != nil {
+	q, err := parseExpr(r.Expr)
+	if err != nil {
 		return fmt.Errorf("rule %s: %w", r.Name, err)
 	}
 	if r.Severity == "" {
@@ -150,7 +153,7 @@ func (e *Engine) AddRule(r Rule, reg *telemetry.Registry) error {
 	if r.WarmupTicks <= 0 {
 		r.WarmupTicks = 5
 	}
-	st := &ruleState{rule: r, state: StateInactive, since: e.store.Now().UnixNano()}
+	st := &ruleState{rule: r, q: q, state: StateInactive, since: e.store.Now().UnixNano()}
 	e.mu.Lock()
 	e.rules = append(e.rules, st)
 	e.mu.Unlock()
@@ -202,8 +205,12 @@ func (e *Engine) Eval() {
 	copy(rules, e.rules)
 	e.mu.Unlock()
 	for _, rs := range rules {
-		v, err := e.store.Eval(rs.rule.Expr, at)
 		e.mu.Lock()
+		m := rs.match
+		e.mu.Unlock()
+		v, err := e.store.evalRule(rs.q, rs.rule.Expr, at, &m)
+		e.mu.Lock()
+		rs.match = m
 		rs.evals++
 		if err != nil {
 			// Missing series or a window not yet filled is "no data", which

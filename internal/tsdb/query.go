@@ -207,17 +207,18 @@ func parseInner(s string) (query, error) {
 
 // matchSeries resolves a selector to retained series names, sorted. A bare
 // name prefers its exact series; otherwise the selector's family + label
-// subset is matched against every series.
-func (st *Store) matchSeries(sel string) ([]string, error) {
+// subset is matched against every series. It also returns the series-set
+// generation the answer holds for.
+func (st *Store) matchSeries(sel string) ([]string, uint64, error) {
 	family, labels, err := telemetry.ParseName(sel)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadExpr, err)
+		return nil, 0, fmt.Errorf("%w: %v", ErrBadExpr, err)
 	}
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	if len(labels) == 0 {
 		if _, ok := st.series[sel]; ok {
-			return []string{sel}, nil
+			return []string{sel}, st.gen, nil
 		}
 	}
 	var out []string
@@ -231,10 +232,34 @@ func (st *Store) matchSeries(sel string) ([]string, error) {
 		out = append(out, name)
 	}
 	if len(out) == 0 {
-		return nil, ErrUnknownSeries
+		return nil, st.gen, ErrUnknownSeries
 	}
 	sort.Strings(out)
-	return out, nil
+	return out, st.gen, nil
+}
+
+// seriesMatch is one selector's matchSeries answer, kept by an alert rule
+// between evaluations. It holds while the store's series-set generation is
+// gen: series are only ever created, so an unchanged set matches the same.
+type seriesMatch struct {
+	gen   uint64
+	names []string
+	err   error
+}
+
+// match resolves a selector, through m when it is not nil.
+func (st *Store) match(sel string, m *seriesMatch) ([]string, error) {
+	if m == nil {
+		names, _, err := st.matchSeries(sel)
+		return names, err
+	}
+	st.mu.RLock()
+	gen := st.gen
+	st.mu.RUnlock()
+	if m.gen != gen {
+		m.names, m.gen, m.err = st.matchSeries(sel)
+	}
+	return m.names, m.err
 }
 
 // labelsMatch reports whether every matcher label equals the series label.
@@ -250,9 +275,14 @@ func labelsMatch(matchers, have telemetry.LabelSet) bool {
 // Eval parses and evaluates one expression at the given instant (the window
 // is [at-window, at], boundaries inclusive) and requires it to resolve to a
 // single value: one matched series, or an aggregation folding its matches
-// into one group. This is what alert rules and controller signals call.
+// into one group. This is what controller signals call.
 func (st *Store) Eval(expr string, at time.Time) (Value, error) {
 	vals, err := st.EvalAll(expr, at)
+	return single(expr, vals, err)
+}
+
+// single requires an evaluation of expr to be one value.
+func single(expr string, vals []Value, err error) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
@@ -275,14 +305,31 @@ func (st *Store) EvalAll(expr string, at time.Time) ([]Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	names, err := st.matchSeries(q.series)
+	return st.evalParsed(q, expr, at, nil)
+}
+
+// evalRule is Eval for an alert rule: the expression was parsed once when
+// the rule was added, and m carries the rule's selector matches.
+func (st *Store) evalRule(q query, expr string, at time.Time, m *seriesMatch) (Value, error) {
+	sp := st.profRegion(true).Start()
+	defer sp.End()
+	vals, err := st.evalParsed(q, expr, at, m)
+	return single(expr, vals, err)
+}
+
+// evalParsed is EvalAll after the parse; m, when not nil, caches the
+// selector's matches.
+func (st *Store) evalParsed(q query, expr string, at time.Time, m *seriesMatch) ([]Value, error) {
+	names, err := st.match(q.series, m)
 	if err != nil {
 		return nil, err
 	}
 	vals := make([]Value, 0, len(names))
 	var lastErr error
+	var window []Sample // one series' window at a time
 	for _, name := range names {
-		v, err := st.evalOne(q, name, expr, at)
+		var v Value
+		v, window, err = st.evalOne(q, name, expr, at, window[:0])
 		if err != nil {
 			if (errors.Is(err, ErrNoSamples) || errors.Is(err, ErrUnknownSeries)) && len(names) > 1 {
 				lastErr = err
@@ -304,38 +351,46 @@ func (st *Store) EvalAll(expr string, at time.Time) ([]Value, error) {
 	return aggregate(q, expr, vals, at)
 }
 
-// evalOne evaluates the parsed query against one concrete series.
-func (st *Store) evalOne(q query, name, expr string, at time.Time) (Value, error) {
+// evalOne evaluates the parsed query against one concrete series, reading
+// its window into buf; it returns buf for the next series.
+func (st *Store) evalOne(q query, name, expr string, at time.Time, buf []Sample) (Value, []Sample, error) {
 	out := Value{Expr: expr, Func: q.fn, Series: name, AtUnixNs: at.UnixNano()}
-	if strings.IndexByte(name, '{') >= 0 {
-		if _, ls, err := telemetry.ParseName(name); err == nil && len(ls) > 0 {
-			out.Labels = make(map[string]string, len(ls))
-			for _, l := range ls {
-				out.Labels[l.Key] = l.Value
-			}
+	st.mu.RLock()
+	s, ok := st.series[name]
+	if ok && q.fn != "" {
+		buf = s.appendWindow(buf, at.Add(-q.window).UnixNano(), at.UnixNano())
+	}
+	st.mu.RUnlock()
+	if !ok {
+		return Value{}, buf, ErrUnknownSeries
+	}
+	// The series' labels were parsed from its name when it was created; an
+	// aggregation's per-series values never leave aggregate, which groups
+	// by name.
+	if q.agg == "" && len(s.labels) > 0 {
+		out.Labels = make(map[string]string, len(s.labels))
+		for _, l := range s.labels {
+			out.Labels[l.Key] = l.Value
 		}
 	}
 	if q.fn == "" {
 		sm, err := st.Latest(name)
 		if err != nil {
-			return Value{}, err
+			return Value{}, buf, err
 		}
 		out.Samples = 1
 		out.Value = sm.Value
-		return out, nil
+		return out, buf, nil
 	}
 	out.WindowSeconds = q.window.Seconds()
-	samples, err := st.Samples(name, at.Add(-q.window), at)
-	if err != nil {
-		return Value{}, err
-	}
+	samples := buf
 	out.Samples = len(samples)
 	min2 := 2
 	if strings.HasSuffix(q.fn, "_over_time") {
 		min2 = 1
 	}
 	if len(samples) < min2 {
-		return Value{}, fmt.Errorf("%w: %s over %s has %d", ErrNoSamples, name, q.window, len(samples))
+		return Value{}, buf, fmt.Errorf("%w: %s over %s has %d", ErrNoSamples, name, q.window, len(samples))
 	}
 	switch q.fn {
 	case "rate":
@@ -361,7 +416,7 @@ func (st *Store) evalOne(q query, name, expr string, at time.Time) (Value, error
 	case "quantile_over_time":
 		out.Value = quantile(samples, q.q)
 	}
-	return out, nil
+	return out, buf, nil
 }
 
 // aggregate folds per-series values into per-group results, keyed by the

@@ -44,32 +44,21 @@ type series struct {
 	buf    []Sample
 	next   int
 	full   bool
+	// unordered is set once a sample is older than the one before it (a
+	// clock that stepped back); appendWindow then scans instead of searching.
+	unordered bool
 }
 
 func (s *series) append(sm Sample) {
+	if last, ok := s.latest(); ok && sm.TimeUnixNs < last.TimeUnixNs {
+		s.unordered = true
+	}
 	s.buf[s.next] = sm
 	s.next++
 	if s.next == len(s.buf) {
 		s.next = 0
 		s.full = true
 	}
-}
-
-// snapshot returns retained samples in chronological order.
-func (s *series) snapshot() []Sample {
-	n := s.next
-	if s.full {
-		n = len(s.buf)
-	}
-	out := make([]Sample, 0, n)
-	start := 0
-	if s.full {
-		start = s.next
-	}
-	for i := 0; i < n; i++ {
-		out = append(out, s.buf[(start+i)%len(s.buf)])
-	}
-	return out
 }
 
 func (s *series) len() int {
@@ -79,11 +68,43 @@ func (s *series) len() int {
 	return s.next
 }
 
+// at returns the i-th retained sample, oldest first.
+func (s *series) at(i int) *Sample {
+	if s.full {
+		i += s.next
+		if i >= len(s.buf) {
+			i -= len(s.buf)
+		}
+	}
+	return &s.buf[i]
+}
+
 func (s *series) latest() (Sample, bool) {
 	if s.next == 0 && !s.full {
 		return Sample{}, false
 	}
 	return s.buf[(s.next-1+len(s.buf))%len(s.buf)], true
+}
+
+// appendWindow appends the retained samples with timestamps in [lo, hi] to
+// dst, chronological. The ring is in time order, so the window's ends are
+// found by binary search and only the window is read.
+func (s *series) appendWindow(dst []Sample, lo, hi int64) []Sample {
+	n := s.len()
+	if s.unordered {
+		for i := 0; i < n; i++ {
+			if sm := s.at(i); sm.TimeUnixNs >= lo && sm.TimeUnixNs <= hi {
+				dst = append(dst, *sm)
+			}
+		}
+		return dst
+	}
+	first := sort.Search(n, func(i int) bool { return s.at(i).TimeUnixNs >= lo })
+	end := sort.Search(n, func(i int) bool { return s.at(i).TimeUnixNs > hi })
+	for i := first; i < end; i++ {
+		dst = append(dst, *s.at(i))
+	}
+	return dst
 }
 
 // Config sizes a Store.
@@ -104,14 +125,30 @@ type Store struct {
 	now func() time.Time
 	cap int
 
+	// scrapeMu serializes scrapes. It guards the snapshot buffer, which the
+	// registry fills outside mu, and each snapshot slot's binding to its
+	// series: a slot is re-bound only when the point in it changes.
+	scrapeMu sync.Mutex
+	points   []telemetry.Point
+	slots    []*binding
+	bindings map[string]*binding // by point name
+
 	mu        sync.RWMutex
 	series    map[string]*series
+	gen       uint64            // bumps when a series is created; matchSeries answers are cached against it
 	exemplars map[string]string // histogram family -> worst-bucket trace id
 	scrapes   int64
 
 	// Continuous-profiling regions, resolved once by SetProfiler.
 	profScrape *profile.Region
 	profQuery  *profile.Region
+}
+
+// binding is the series one registry point scrapes into: one for a counter
+// or gauge, the _count, _sum, _p50, _p95 and _p99 series for a histogram.
+type binding struct {
+	name, typ string
+	series    []*series
 }
 
 // NewStore builds an empty store over the registry.
@@ -124,7 +161,9 @@ func NewStore(reg *telemetry.Registry, cfg Config) *Store {
 	}
 	return &Store{
 		reg: reg, now: cfg.Now, cap: cfg.Capacity,
+		bindings:  make(map[string]*binding),
 		series:    make(map[string]*series),
+		gen:       1, // a zero seriesMatch is stale
 		exemplars: make(map[string]string),
 	}
 }
@@ -183,47 +222,81 @@ func suffixName(name, suffix string) string {
 func (st *Store) Scrape() int {
 	sp := st.profRegion(false).Start()
 	defer sp.End()
-	// Snapshot outside the lock: CounterFunc/GaugeFunc callbacks read
-	// component stats and must not serialize against concurrent queries.
-	points := st.reg.Snapshot()
+	st.scrapeMu.Lock()
+	defer st.scrapeMu.Unlock()
+	// Snapshot outside mu: CounterFunc/GaugeFunc callbacks read component
+	// stats and must not serialize against concurrent queries.
+	st.points = st.reg.AppendSnapshot(st.points[:0])
 	at := st.now().UnixNano()
 
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.scrapes++
 	updated := 0
-	add := func(name, kind string, v float64) {
-		s, ok := st.series[name]
-		if !ok {
-			s = &series{kind: kind, buf: make([]Sample, st.cap)}
-			family, labels, err := telemetry.ParseName(name)
-			if err != nil {
-				family, labels = name, nil // unparsable names stay selectable verbatim
-			}
-			s.family, s.labels = family, labels
-			st.series[name] = s
+	for i := range st.points {
+		p := &st.points[i]
+		if i == len(st.slots) {
+			st.slots = append(st.slots, nil)
 		}
-		s.append(Sample{TimeUnixNs: at, Value: v})
-		updated++
-	}
-	for _, p := range points {
+		b := st.slots[i]
+		if b == nil || b.name != p.Name || b.typ != p.Type {
+			b = st.bindLocked(p)
+			st.slots[i] = b
+		}
 		switch p.Type {
-		case "counter":
-			add(p.Name, "counter", p.Value)
-		case "gauge":
-			add(p.Name, "gauge", p.Value)
+		case "counter", "gauge":
+			b.series[0].append(Sample{TimeUnixNs: at, Value: p.Value})
 		case "histogram":
-			add(suffixName(p.Name, "_count"), "counter", float64(p.Count))
-			add(suffixName(p.Name, "_sum"), "counter", p.Sum)
-			add(suffixName(p.Name, "_p50"), "gauge", p.P50)
-			add(suffixName(p.Name, "_p95"), "gauge", p.P95)
-			add(suffixName(p.Name, "_p99"), "gauge", p.P99)
+			for j, v := range [...]float64{float64(p.Count), p.Sum, p.P50, p.P95, p.P99} {
+				b.series[j].append(Sample{TimeUnixNs: at, Value: v})
+			}
 			if p.ExemplarTrace != "" {
 				st.exemplars[p.Name] = p.ExemplarTrace
 			}
 		}
+		updated += len(b.series)
 	}
 	return updated
+}
+
+// bindLocked returns the binding for a point, creating its series on first
+// sight. Caller holds scrapeMu and mu.
+func (st *Store) bindLocked(p *telemetry.Point) *binding {
+	if b, ok := st.bindings[p.Name]; ok && b.typ == p.Type {
+		return b
+	}
+	b := &binding{name: p.Name, typ: p.Type}
+	switch p.Type {
+	case "counter", "gauge":
+		b.series = []*series{st.seriesLocked(p.Name, p.Type)}
+	case "histogram":
+		b.series = []*series{
+			st.seriesLocked(suffixName(p.Name, "_count"), "counter"),
+			st.seriesLocked(suffixName(p.Name, "_sum"), "counter"),
+			st.seriesLocked(suffixName(p.Name, "_p50"), "gauge"),
+			st.seriesLocked(suffixName(p.Name, "_p95"), "gauge"),
+			st.seriesLocked(suffixName(p.Name, "_p99"), "gauge"),
+		}
+	}
+	st.bindings[p.Name] = b
+	return b
+}
+
+// seriesLocked returns the named series, creating it on first sight (a
+// series keeps the kind it was created with). Caller holds mu.
+func (st *Store) seriesLocked(name, kind string) *series {
+	if s, ok := st.series[name]; ok {
+		return s
+	}
+	s := &series{kind: kind, buf: make([]Sample, st.cap)}
+	family, labels, err := telemetry.ParseName(name)
+	if err != nil {
+		family, labels = name, nil // unparsable names stay selectable verbatim
+	}
+	s.family, s.labels = family, labels
+	st.series[name] = s
+	st.gen++
+	return s
 }
 
 // ExemplarTrace returns the most recently scraped worst-bucket exemplar
@@ -239,21 +312,12 @@ func (st *Store) ExemplarTrace(family string) string {
 // [from, to], chronological.
 func (st *Store) Samples(name string, from, to time.Time) ([]Sample, error) {
 	st.mu.RLock()
+	defer st.mu.RUnlock()
 	s, ok := st.series[name]
 	if !ok {
-		st.mu.RUnlock()
 		return nil, ErrUnknownSeries
 	}
-	all := s.snapshot()
-	st.mu.RUnlock()
-	lo, hi := from.UnixNano(), to.UnixNano()
-	out := all[:0:0]
-	for _, sm := range all {
-		if sm.TimeUnixNs >= lo && sm.TimeUnixNs <= hi {
-			out = append(out, sm)
-		}
-	}
-	return out, nil
+	return s.appendWindow(make([]Sample, 0), from.UnixNano(), to.UnixNano()), nil
 }
 
 // Latest returns the newest sample of one series.
@@ -288,11 +352,10 @@ func (st *Store) Inventory() []SeriesInfo {
 	out := make([]SeriesInfo, 0, len(st.series))
 	for name, s := range st.series {
 		info := SeriesInfo{Name: name, Kind: s.kind, Samples: s.len()}
-		snap := s.snapshot()
-		if len(snap) > 0 {
-			info.FirstUnixNs = snap[0].TimeUnixNs
-			info.LatestUnixNs = snap[len(snap)-1].TimeUnixNs
-			info.LatestValue = snap[len(snap)-1].Value
+		if last, ok := s.latest(); ok {
+			info.FirstUnixNs = s.at(0).TimeUnixNs
+			info.LatestUnixNs = last.TimeUnixNs
+			info.LatestValue = last.Value
 		}
 		out = append(out, info)
 	}

@@ -44,6 +44,8 @@ var testOnly = map[string]string{
 	"internal/stream.Cluster.Committed":         "accessor the broker model test reads offsets through",
 	"internal/telemetry.Histogram.Bounds":       "read by the reference exposition encoder in prom_test",
 	"internal/telemetry.Histogram.BucketCounts": "read by the histogram and exposition tests",
+	"internal/telemetry.Histogram.Exemplars":    "read by the reference exposition encoder and the WorstExemplar check in prom_test",
+	"internal/telemetry.Registry.Gauge":         "a plain settable gauge; program gauges are GaugeFuncs or GaugeVec children, and the telemetry, tsdb and root bench tests register it",
 	"internal/tensor.AllClose":                  "float comparison the nn and tensor tests use",
 	"internal/tensor.MustFromSlice":             "fixture builder the nn and tensor tests use",
 	"internal/tensor.Tensor.MustReshape":        "fixture builder the tensor conv tests use",
