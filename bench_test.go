@@ -196,10 +196,7 @@ func BenchmarkDataprocWordCount(b *testing.B) {
 }
 
 func BenchmarkFogSimulation(b *testing.B) {
-	d, err := fog.BuildDeployment(fog.DefaultDeploymentConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
+	d := fog.NewDeployment()
 	rng := rand.New(rand.NewSource(6))
 	items := make([]fog.InferenceItem, 500)
 	for i := range items {

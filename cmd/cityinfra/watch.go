@@ -104,8 +104,8 @@ func renderWatch(inf *core.Infrastructure, w io.Writer, frame int, clear bool) {
 		nodeBits = append(nodeBits, fmt.Sprintf("n%d:%s(lead %d)", n.ID, mark, n.Leading))
 	}
 	fmt.Fprintf(w, "\n  broker cluster   %s\n", strings.Join(nodeBits, "  "))
-	fmt.Fprintf(w, "  replication      under-replicated %d, leaderless %d, elections %d (unclean %d), last failover %d ticks\n",
-		cst.UnderReplicated, cst.Leaderless, cst.Stats.Elections, cst.Stats.UncleanElections, cst.Stats.LastFailoverTicks)
+	fmt.Fprintf(w, "  replication      under-replicated %d, leaderless %d, elections %d, last failover %d ticks\n",
+		cst.UnderReplicated, cst.Leaderless, cst.Stats.Elections, cst.Stats.LastFailoverTicks)
 
 	// Controller pane: the closed loop's verdict, every live knob, and the
 	// most recent mitigations so an operator can see why ingest behavior

@@ -206,13 +206,23 @@ func New(cfg Config, rng *rand.Rand) (*Infrastructure, error) {
 	inf.Engine = dataproc.NewEngine(parallelism,
 		dataproc.WithYARN(inf.RM, app, yarn.Resources{Cores: 1, MemMB: 1024}))
 
+	// Resilience layer: one policy shared by every seam, backing off on a
+	// simulated clock anchored at the epoch so tests and experiments never
+	// sleep for real.
+	inf.Clock = retry.NewManualClock(cfg.Epoch)
+	inf.Breaker = retry.NewBreaker(inf.Clock)
+	inf.Retry = retry.NewPolicy(retry.DefaultConfig(), cfg.Epoch.UnixNano()).
+		WithClock(inf.Clock).WithBreaker(inf.Breaker)
+	inf.RedriveRounds = 5
+
 	// Software layer: streaming + NoSQL. The broker is a replicated cluster
 	// sized like the HDFS tier: Replication copies of every partition spread
 	// across brokerNodes nodes, so losing a broker node loses no acknowledged
-	// record.
+	// record. Its record timestamps ride the same simulated clock as
+	// everything else, so failover timelines are reproducible tick for tick.
 	var err error
 	inf.Broker, err = stream.NewCluster(stream.ClusterConfig{
-		Nodes: brokerNodes, Replication: cfg.Replication,
+		Nodes: brokerNodes, Replication: cfg.Replication, Now: inf.Clock.Now,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("boot broker: %w", err)
@@ -229,20 +239,6 @@ func New(cfg Config, rng *rand.Rand) (*Infrastructure, error) {
 	inf.DocDB.Collection("waze").CreateGeoIndex("loc")
 	inf.DocDB.Collection("calls911").CreateGeoIndex("loc")
 	inf.DocDB.Collection("deadletter").CreateIndex("source")
-
-	// Resilience layer: one policy shared by every seam, backing off on a
-	// simulated clock anchored at the epoch so tests and experiments never
-	// sleep for real.
-	inf.Clock = retry.NewManualClock(cfg.Epoch)
-	inf.Breaker = retry.NewBreaker(retry.BreakerConfig{
-		FailureThreshold: 5, OpenTimeout: 40 * time.Millisecond, HalfOpenProbes: 2,
-	}, inf.Clock)
-	inf.Retry = retry.NewPolicy(retry.DefaultConfig(), cfg.Epoch.UnixNano()).
-		WithClock(inf.Clock).WithBreaker(inf.Breaker)
-	inf.RedriveRounds = 5
-	// Broker record timestamps ride the same simulated clock as everything
-	// else, so failover timelines are reproducible tick for tick.
-	inf.Broker.SetClock(inf.Clock.Now)
 
 	inf.CrimeTab, err = hbase.NewTable("crimes", []string{"meta", "persons"}, hbase.DefaultConfig(), inf.HDFS)
 	if err != nil {
@@ -269,10 +265,7 @@ func New(cfg Config, rng *rand.Rand) (*Infrastructure, error) {
 	}
 
 	// Hardware layer.
-	inf.Deployment, err = fog.BuildDeployment(fog.DefaultDeploymentConfig())
-	if err != nil {
-		return nil, fmt.Errorf("boot fog: %w", err)
-	}
+	inf.Deployment = fog.NewDeployment()
 
 	// Profiling layer: needs every instrumented component above to exist.
 	inf.wireProfiler()

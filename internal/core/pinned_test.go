@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/citydata"
 	"repro/internal/faults"
@@ -118,7 +117,7 @@ func TestFeedAccountingPinned(t *testing.T) {
 				inf := bootSmall(t)
 				cfg := faults.Config{Seed: 42, ErrorRate: 0.05}
 				if budget == "tight" {
-					inf.Retry = retry.NewPolicy(retry.Config{MaxAttempts: 1, BaseDelay: time.Millisecond}, 7).
+					inf.Retry = retry.NewPolicy(retry.Config{MaxAttempts: 1}, 7).
 						WithClock(inf.Clock)
 					inf.RedriveRounds = 1
 					cfg.BurstLen = 2

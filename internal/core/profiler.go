@@ -17,7 +17,7 @@ import (
 // so RegionNames() at the end of wiring is the complete inventory and the
 // per-region series can be registered once, eagerly.
 func (inf *Infrastructure) wireProfiler() {
-	p := profile.New(profile.Config{})
+	p := profile.New()
 	inf.Profiler = p
 
 	// Component seams.

@@ -179,7 +179,7 @@ func TestChaosIngestDeliversEverythingOnce(t *testing.T) {
 // fault rate visibly breaks the pipeline — the contrast E18 measures.
 func TestNaivePolicyLosesRecordsUnderChaos(t *testing.T) {
 	inf := bootSmall(t)
-	inf.Retry = retry.NewPolicy(retry.Config{MaxAttempts: 1, BaseDelay: time.Millisecond}, 7).
+	inf.Retry = retry.NewPolicy(retry.Config{MaxAttempts: 1}, 7).
 		WithClock(inf.Clock)
 	inf.RedriveRounds = 0
 	inf.EnableChaos(faults.NewInjector(faults.Config{Seed: 42, ErrorRate: 0.10}))
@@ -359,7 +359,7 @@ func TestBusFaultSeam(t *testing.T) {
 func TestCrimeCellsDeterministicUnderWALFaults(t *testing.T) {
 	scan := func() ([]hbase.RowResult, PipelineStats) {
 		inf := bootSmall(t)
-		inf.Retry = retry.NewPolicy(retry.Config{MaxAttempts: 1, BaseDelay: time.Millisecond}, 7).
+		inf.Retry = retry.NewPolicy(retry.Config{MaxAttempts: 1}, 7).
 			WithClock(inf.Clock)
 		inf.RedriveRounds = 0
 		inf.EnableChaos(faults.NewInjector(faults.Config{

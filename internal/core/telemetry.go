@@ -52,8 +52,6 @@ func (inf *Infrastructure) wireTelemetry() {
 	}
 	r.CounterFunc("cityinfra_broker_elections_total", "partition leader elections",
 		clusterStat(func(s stream.ClusterStats) int { return s.Elections }))
-	r.CounterFunc("cityinfra_broker_unclean_elections_total", "elections that picked a non-ISR replica",
-		clusterStat(func(s stream.ClusterStats) int { return s.UncleanElections }))
 	r.CounterFunc("cityinfra_broker_isr_shrinks_total", "followers dropped from an ISR",
 		clusterStat(func(s stream.ClusterStats) int { return s.ISRShrinks }))
 	r.CounterFunc("cityinfra_broker_isr_expands_total", "followers that caught up and rejoined an ISR",
@@ -62,7 +60,7 @@ func (inf *Infrastructure) wireTelemetry() {
 		clusterStat(func(s stream.ClusterStats) int { return s.Crashes }))
 	r.CounterFunc("cityinfra_broker_catchup_records_total", "records replicated to lagging followers",
 		clusterStat(func(s stream.ClusterStats) int { return s.CatchUpRecords }))
-	r.CounterFunc("cityinfra_broker_unavailable_errors_total", "produces rejected for want of a leader or ISR quorum",
+	r.CounterFunc("cityinfra_broker_unavailable_errors_total", "produces rejected for want of a leader",
 		clusterStat(func(s stream.ClusterStats) int { return s.UnavailableErrors }))
 	r.CounterFunc("cityinfra_broker_stale_produces_total", "produces fenced by a stale leader epoch",
 		clusterStat(func(s stream.ClusterStats) int { return s.StaleProduces }))
@@ -193,22 +191,15 @@ func (inf *Infrastructure) wireTelemetry() {
 				"%s lost leader (node %d, epoch %d)", part, ev.Node, ev.Epoch)
 		case "leader-elected":
 			inf.failoverSeconds.Observe((time.Duration(ev.FailoverTicks) * inf.ScrapeInterval).Seconds())
-			level, mode := telemetry.LevelInfo, "clean"
-			if ev.Unclean {
-				level, mode = telemetry.LevelWarn, "unclean"
-			}
-			inf.Events.Log(level, telemetry.CompBroker, "",
-				"%s elected node %d (%s, epoch %d, %d ticks leaderless)",
-				part, ev.Node, mode, ev.Epoch, ev.FailoverTicks)
+			inf.Events.Log(telemetry.LevelInfo, telemetry.CompBroker, "",
+				"%s elected node %d (clean, epoch %d, %d ticks leaderless)",
+				part, ev.Node, ev.Epoch, ev.FailoverTicks)
 		case "isr-shrink":
 			inf.Events.Log(telemetry.LevelWarn, telemetry.CompBroker, "",
 				"%s dropped node %d from ISR: %s", part, ev.Node, ev.Detail)
 		case "isr-expand":
 			inf.Events.Log(telemetry.LevelInfo, telemetry.CompBroker, "",
 				"%s node %d caught up, rejoined ISR", part, ev.Node)
-		case "truncate":
-			inf.Events.Log(telemetry.LevelWarn, telemetry.CompBroker, "",
-				"%s node %d truncated: %s", part, ev.Node, ev.Detail)
 		}
 	})
 

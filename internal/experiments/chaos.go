@@ -31,7 +31,7 @@ func chaosArm(seed int64, rate float64, poisoned int, hardened bool) (core.Pipel
 		return core.PipelineStats{}, 0, nil, err
 	}
 	if !hardened {
-		inf.Retry = retry.NewPolicy(retry.Config{MaxAttempts: 1, BaseDelay: time.Millisecond}, seed).
+		inf.Retry = retry.NewPolicy(retry.Config{MaxAttempts: 1}, seed).
 			WithClock(inf.Clock)
 		inf.RedriveRounds = 0
 	}

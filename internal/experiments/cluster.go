@@ -79,9 +79,6 @@ func E22ClusterFailover(rng *rand.Rand) (*Result, error) {
 			if st.MaxFailoverTicks > 3 {
 				return nil, fmt.Errorf("E22: failover took %d ticks, budget is 3", st.MaxFailoverTicks)
 			}
-			if st.UncleanElections != 0 {
-				return nil, fmt.Errorf("E22: %d unclean elections in a clean-failover scenario", st.UncleanElections)
-			}
 			// The old leader's cached epoch is now fenced; the refreshed
 			// epoch is accepted.
 			if _, err := inf.Broker.ProduceWithEpoch("alerts", probeP, oldEpoch, "probe", []byte("x"), nil); !errors.Is(err, stream.ErrStaleEpoch) {

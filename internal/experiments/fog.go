@@ -14,10 +14,7 @@ import (
 // less upstream traffic than shipping everything to the server, at higher
 // accuracy potential than staying local.
 func E3FogOffloadSweep(rng *rand.Rand) (*Result, error) {
-	d, err := fog.BuildDeployment(fog.DefaultDeploymentConfig())
-	if err != nil {
-		return nil, err
-	}
+	d := fog.NewDeployment()
 	work := fogWorkload(d, 600, 100, rng)
 	fogUpstream := func(r *fog.Results) int {
 		total := 0

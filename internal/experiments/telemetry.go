@@ -16,10 +16,7 @@ import (
 // and its finish belongs to exactly one stage — so the table must sum to the
 // measured total latency, which the experiment verifies and reports.
 func E19LatencyAttribution(rng *rand.Rand) (*Result, error) {
-	d, err := fog.BuildDeployment(fog.DefaultDeploymentConfig())
-	if err != nil {
-		return nil, err
-	}
+	d := fog.NewDeployment()
 	work := fogWorkload(d, 600, 100, rng) // the E3 workload
 
 	thresholds := []float64{0.2, 0.5, 0.8}

@@ -170,10 +170,7 @@ func E20TracedChaosSweep(rng *rand.Rand) (*Result, error) {
 	// Replay arm: the same offload boundary through the fog discrete-event
 	// simulator, per-step timelines folded back into the releasing traces via
 	// the propagated headers.
-	d, err := fog.BuildDeployment(fog.DefaultDeploymentConfig())
-	if err != nil {
-		return nil, err
-	}
+	d := fog.NewDeployment()
 	simTracer := telemetry.NewTracer(nil, 64)
 	epoch := inf.Clock.Now()
 	const simItems = 24

@@ -1,23 +1,21 @@
-// Package flume implements source → channel → sink ingestion agents modeled
-// on Apache Flume, the paper's "data import tool for real-time data
-// transfers from various information sources". Sources produce events,
-// bounded channels buffer them, and sinks deliver batches with retry;
-// delivery metrics are tracked per agent.
+// Package flume implements source → sink ingestion agents modeled on Apache
+// Flume, the paper's "data import tool for real-time data transfers from
+// various information sources". Sources produce events in batches, and
+// sinks deliver each batch under the shared retry policy; a batch that
+// exhausts its retries is dead-lettered.
 //
 // Agents are driven synchronously (Pump): the caller owns the schedule, so
-// pipelines replay per seed.
+// pipelines replay per seed. Each Pump step takes one source batch and
+// delivers it before taking the next, so no Flume channel is needed between
+// the two: nothing ever waits in one.
 package flume
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
 	"repro/internal/retry"
 )
-
-// ErrChannelFull reports a source batch refused by a full channel.
-var ErrChannelFull = errors.New("flume: channel full")
 
 // Event is one unit of ingested data.
 type Event struct {
@@ -81,40 +79,28 @@ type FuncSink func(events []Event) error
 // Deliver calls the wrapped function.
 func (f FuncSink) Deliver(events []Event) error { return f(events) }
 
-// Config tunes an agent.
+// Config tunes an agent. Retry and DeadLetter are required.
 type Config struct {
-	ChannelCapacity int
-	BatchSize       int
-	// MaxRetries is the legacy fixed retry count, used only when Retry is
-	// nil.
-	MaxRetries int
-	// Retry, when set, replaces the fixed retry loop with the shared
-	// policy engine (exponential backoff with seeded jitter on an
-	// injectable clock, optional circuit breaker).
+	// BatchSize is the most events one source batch carries (<=0 means 32).
+	BatchSize int
+	// Retry delivers each batch: exponential backoff with seeded jitter on
+	// an injectable clock, and an optional circuit breaker.
 	Retry *retry.Policy
-	// DeadLetter, when set, receives the events of batches that exhaust
-	// their retries instead of losing them silently; callers can inspect
-	// or redrive the queue.
+	// DeadLetter receives the events of batches that exhaust their retries
+	// instead of losing them silently; callers can inspect or redrive the
+	// queue.
 	DeadLetter *retry.DLQ[Event]
 	// Telemetry, when set, records batch delivery outcomes into the shared
 	// metrics registry (see NewAgentTelemetry).
 	Telemetry *AgentTelemetry
 }
 
-// DefaultConfig returns Flume-like defaults scaled for simulation.
-func DefaultConfig() Config {
-	return Config{ChannelCapacity: 1024, BatchSize: 32, MaxRetries: 3}
-}
-
 // Metrics counts agent activity.
 type Metrics struct {
-	Received  int
-	Delivered int
-	Retries   int
-	Dropped   int // events dropped after exhausting retries
+	Retries int // sink delivery attempts beyond each batch's first
 }
 
-// Agent moves events from a source through a bounded channel to a sink.
+// Agent moves events from a source to a sink, one batch at a time.
 type Agent struct {
 	name string
 	cfg  Config
@@ -122,22 +108,17 @@ type Agent struct {
 	sink Sink
 
 	mu      sync.Mutex
-	buffer  []Event
 	metrics Metrics
 	srcDone bool
 }
 
-// NewAgent builds an agent. Zero-valued config fields get defaults.
+// NewAgent builds an agent. It panics if cfg lacks Retry or DeadLetter.
 func NewAgent(name string, src Source, sink Sink, cfg Config) *Agent {
-	def := DefaultConfig()
-	if cfg.ChannelCapacity <= 0 {
-		cfg.ChannelCapacity = def.ChannelCapacity
+	if cfg.Retry == nil || cfg.DeadLetter == nil {
+		panic("flume: agent " + name + " needs Config.Retry and Config.DeadLetter")
 	}
 	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = def.BatchSize
-	}
-	if cfg.MaxRetries < 0 {
-		cfg.MaxRetries = def.MaxRetries
+		cfg.BatchSize = 32
 	}
 	return &Agent{name: name, cfg: cfg, src: src, sink: sink}
 }
@@ -149,86 +130,31 @@ func (a *Agent) Metrics() Metrics {
 	return a.metrics
 }
 
-// ingestLocked pulls one source batch into the channel.
-func (a *Agent) ingestLocked() error {
-	if a.srcDone {
-		return nil
+// deliverLocked delivers one source batch through the retry policy,
+// dead-lettering its events if the retries run out.
+func (a *Agent) deliverLocked(batch []Event) (delivered int, err error) {
+	attempts := 0
+	err = a.cfg.Retry.Do(func() error {
+		attempts++
+		return a.sink.Deliver(batch)
+	})
+	if attempts == 0 {
+		// Every attempt was short-circuited by an open breaker.
+		attempts = 1
 	}
-	space := a.cfg.ChannelCapacity - len(a.buffer)
-	if space <= 0 {
-		return fmt.Errorf("%w: capacity %d", ErrChannelFull, a.cfg.ChannelCapacity)
-	}
-	max := a.cfg.BatchSize
-	if max > space {
-		max = space
-	}
-	events, ok := a.src.Next(max)
-	if !ok {
-		a.srcDone = true
-		return nil
-	}
-	a.buffer = append(a.buffer, events...)
-	a.metrics.Received += len(events)
-	return nil
-}
-
-// drainLocked delivers one batch from the channel with retries.
-func (a *Agent) drainLocked() (delivered int, err error) {
-	if len(a.buffer) == 0 {
-		return 0, nil
-	}
-	n := a.cfg.BatchSize
-	if n > len(a.buffer) {
-		n = len(a.buffer)
-	}
-	batch := a.buffer[:n]
-	attempts, lastErr := a.deliverBatch(batch)
 	if a.cfg.Telemetry != nil {
-		a.cfg.Telemetry.observeBatch(n, attempts, lastErr)
+		a.cfg.Telemetry.observeBatch(len(batch), attempts, err)
 	}
 	a.metrics.Retries += attempts - 1
-	if lastErr == nil {
-		a.buffer = a.buffer[n:]
-		a.metrics.Delivered += n
-		return n, nil
+	if err == nil {
+		return len(batch), nil
 	}
-	// Exhausted retries: move the batch out of the channel to keep the
-	// pipeline draining. With a dead-letter queue configured the events are
-	// parked there for later redrive; otherwise they are dropped, as a
-	// Flume channel with a failing sink would eventually do via transaction
-	// rollback + overflow.
-	a.buffer = a.buffer[n:]
-	a.metrics.Dropped += n
-	if a.cfg.DeadLetter != nil {
-		for _, e := range batch {
-			a.cfg.DeadLetter.Add(e, lastErr, attempts)
-		}
+	// Exhausted retries: park the events for later redrive and keep the
+	// pipeline draining.
+	for _, e := range batch {
+		a.cfg.DeadLetter.Add(e, err, attempts)
 	}
-	return 0, fmt.Errorf("deliver batch on %s: %w", a.name, lastErr)
-}
-
-// deliverBatch pushes one batch through the sink, via the shared retry
-// policy when configured or the legacy fixed-count loop otherwise. It
-// returns how many attempts ran and the final error (nil on success).
-func (a *Agent) deliverBatch(batch []Event) (attempts int, err error) {
-	if a.cfg.Retry != nil {
-		err = a.cfg.Retry.Do(func() error {
-			attempts++
-			return a.sink.Deliver(batch)
-		})
-		if attempts == 0 {
-			// Every attempt was short-circuited by an open breaker.
-			attempts = 1
-		}
-		return attempts, err
-	}
-	for attempt := 0; attempt <= a.cfg.MaxRetries; attempt++ {
-		attempts++
-		if err = a.sink.Deliver(batch); err == nil {
-			return attempts, nil
-		}
-	}
-	return attempts, err
+	return 0, fmt.Errorf("deliver batch on %s: %w", a.name, err)
 }
 
 // Pump synchronously moves up to batches source batches through the agent.
@@ -239,25 +165,27 @@ func (a *Agent) Pump(batches int) (int, error) {
 	defer a.mu.Unlock()
 	total := 0
 	var firstErr error
-	for i := 0; i < batches; i++ {
-		if err := a.ingestLocked(); err != nil && firstErr == nil {
-			firstErr = err
+	for i := 0; i < batches && !a.srcDone; i++ {
+		events, ok := a.src.Next(a.cfg.BatchSize)
+		if !ok {
+			a.srcDone = true
+			break
 		}
-		n, err := a.drainLocked()
+		if len(events) == 0 {
+			continue
+		}
+		n, err := a.deliverLocked(events)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 		total += n
-		if a.srcDone && len(a.buffer) == 0 {
-			break
-		}
 	}
 	return total, firstErr
 }
 
-// Drained reports whether the source is exhausted and the channel empty.
+// Drained reports whether the source is exhausted.
 func (a *Agent) Drained() bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.srcDone && len(a.buffer) == 0
+	return a.srcDone
 }

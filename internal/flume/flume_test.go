@@ -5,9 +5,24 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/retry"
 	"repro/internal/stream"
+	"repro/internal/telemetry"
 )
+
+// testConfig is an agent config whose policy makes the given attempts per
+// batch on a simulated clock, with a fresh dead-letter queue and telemetry
+// on a registry of its own.
+func testConfig(batch, attempts int) Config {
+	return Config{
+		BatchSize:  batch,
+		Retry:      retry.NewPolicy(retry.Config{MaxAttempts: attempts}, 1),
+		DeadLetter: retry.NewDLQ[Event](),
+		Telemetry:  NewAgentTelemetry(telemetry.NewRegistry()),
+	}
+}
 
 func makeEvents(n int) []Event {
 	out := make([]Event, n)
@@ -29,7 +44,8 @@ func TestPumpDeliversAllInOrder(t *testing.T) {
 		got = append(got, events...)
 		return nil
 	})
-	a := NewAgent("a1", NewSliceSource(makeEvents(100)), sink, Config{BatchSize: 7})
+	cfg := testConfig(7, 1)
+	a := NewAgent("a1", NewSliceSource(makeEvents(100)), sink, cfg)
 	delivered, err := a.Pump(1000)
 	if err != nil {
 		t.Fatal(err)
@@ -45,9 +61,10 @@ func TestPumpDeliversAllInOrder(t *testing.T) {
 	if !a.Drained() {
 		t.Fatal("agent should be drained")
 	}
-	m := a.Metrics()
-	if m.Received != 100 || m.Delivered != 100 || m.Dropped != 0 {
-		t.Fatalf("metrics = %+v", m)
+	tel := cfg.Telemetry
+	if tel.EventsDelivered.Value() != 100 || tel.BatchesDelivered.Value() != 15 || tel.EventsDropped.Value() != 0 {
+		t.Fatalf("delivered %d events in %d batches, dropped %d",
+			tel.EventsDelivered.Value(), tel.BatchesDelivered.Value(), tel.EventsDropped.Value())
 	}
 }
 
@@ -61,7 +78,9 @@ func TestSinkRetriesThenSucceeds(t *testing.T) {
 		}
 		return nil
 	})
-	a := NewAgent("a", NewSliceSource(makeEvents(5)), sink, Config{BatchSize: 5, MaxRetries: 3})
+	cfg := testConfig(5, 3)
+	cfg.Retry.WithClock(retry.NewManualClock(time.Time{}))
+	a := NewAgent("a", NewSliceSource(makeEvents(5)), sink, cfg)
 	delivered, err := a.Pump(10)
 	if err != nil {
 		t.Fatal(err)
@@ -69,14 +88,19 @@ func TestSinkRetriesThenSucceeds(t *testing.T) {
 	if delivered != 5 {
 		t.Fatalf("delivered %d", delivered)
 	}
-	if m := a.Metrics(); m.Retries != 2 || m.Dropped != 0 {
-		t.Fatalf("metrics = %+v", m)
+	if m := a.Metrics(); m.Retries != 2 {
+		t.Fatalf("retries = %d", m.Retries)
+	}
+	if tel := cfg.Telemetry; tel.EventsDropped.Value() != 0 || cfg.DeadLetter.Len() != 0 {
+		t.Fatalf("dropped %d, dead letters %d", tel.EventsDropped.Value(), cfg.DeadLetter.Len())
 	}
 }
 
 func TestSinkExhaustsRetriesAndDrops(t *testing.T) {
 	sink := FuncSink(func(events []Event) error { return errors.New("permanently down") })
-	a := NewAgent("a", NewSliceSource(makeEvents(4)), sink, Config{BatchSize: 4, MaxRetries: 2})
+	cfg := testConfig(4, 3)
+	cfg.Retry.WithClock(retry.NewManualClock(time.Time{}))
+	a := NewAgent("a", NewSliceSource(makeEvents(4)), sink, cfg)
 	delivered, err := a.Pump(5)
 	if err == nil {
 		t.Fatal("want delivery error")
@@ -84,25 +108,68 @@ func TestSinkExhaustsRetriesAndDrops(t *testing.T) {
 	if delivered != 0 {
 		t.Fatalf("delivered = %d", delivered)
 	}
-	if m := a.Metrics(); m.Dropped != 4 || m.Retries != 2 {
-		t.Fatalf("metrics = %+v", m)
+	if m := a.Metrics(); m.Retries != 2 {
+		t.Fatalf("retries = %d", m.Retries)
+	}
+	if tel := cfg.Telemetry; tel.EventsDropped.Value() != 4 || cfg.DeadLetter.Len() != 4 {
+		t.Fatalf("dropped %d, dead letters %d", tel.EventsDropped.Value(), cfg.DeadLetter.Len())
 	}
 }
 
-func TestChannelFull(t *testing.T) {
-	// Sink always fails with 0 retries, tiny channel: ingestion eventually
-	// hits the capacity wall while the batch keeps being dropped — use a
-	// sink that blocks delivery by failing, with drops disabled via large
-	// retry? Simpler: a source bigger than capacity with a sink error and
-	// batch smaller than channel.
-	blockedSink := FuncSink(func(events []Event) error { return nil })
-	a := NewAgent("a", NewSliceSource(makeEvents(10)), blockedSink, Config{ChannelCapacity: 4, BatchSize: 4})
-	// One pump: ingests 4, delivers 4. Never overflows with a working sink.
-	if _, err := a.Pump(100); err != nil {
+// TestPumpHandsSourceBatchToSink: with no channel between them, each sink
+// call receives the very slice the source returned — one batch per Pump
+// step, never a copy and never merged with a neighbour.
+func TestPumpHandsSourceBatchToSink(t *testing.T) {
+	var taken [][]Event
+	src := NewSliceSource(makeEvents(10))
+	tap := FuncSource(func(max int) ([]Event, bool) {
+		events, ok := src.Next(max)
+		if ok {
+			taken = append(taken, events)
+		}
+		return events, ok
+	})
+	var got [][]Event
+	sink := FuncSink(func(events []Event) error {
+		got = append(got, events)
+		return nil
+	})
+	a := NewAgent("direct", tap, sink, testConfig(4, 1))
+	if n, err := a.Pump(1); err != nil || n != 4 {
+		t.Fatalf("first pump delivered %d, err %v; want 4", n, err)
+	}
+	if len(got) != 1 || len(taken) != 1 {
+		t.Fatalf("after one step: %d source batches, %d sink calls; want 1 and 1", len(taken), len(got))
+	}
+	if _, err := a.Pump(10); err != nil {
 		t.Fatal(err)
 	}
-	if !a.Drained() {
-		t.Fatal("should drain with working sink")
+	if len(got) != 3 || len(taken) != 3 {
+		t.Fatalf("%d source batches, %d sink calls; want 3 and 3", len(taken), len(got))
+	}
+	for i := range got {
+		if len(got[i]) != len(taken[i]) || &got[i][0] != &taken[i][0] {
+			t.Fatalf("sink call %d got %d events, not source batch %d (%d events)", i, len(got[i]), i, len(taken[i]))
+		}
+	}
+}
+
+func TestNewAgentRequiresRetryAndDeadLetter(t *testing.T) {
+	sink := FuncSink(func([]Event) error { return nil })
+	for name, mutate := range map[string]func(*Config){
+		"no retry":       func(c *Config) { c.Retry = nil },
+		"no dead letter": func(c *Config) { c.DeadLetter = nil },
+	} {
+		cfg := testConfig(4, 1)
+		mutate(&cfg)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: NewAgent did not panic", name)
+				}
+			}()
+			NewAgent("a", NewSliceSource(makeEvents(1)), sink, cfg)
+		}()
 	}
 }
 
@@ -122,7 +189,7 @@ func TestBrokerSinkIntegration(t *testing.T) {
 		}
 		return nil
 	})
-	a := NewAgent("to-broker", NewSliceSource(makeEvents(50)), sink, Config{BatchSize: 8})
+	a := NewAgent("to-broker", NewSliceSource(makeEvents(50)), sink, testConfig(8, 1))
 	if _, err := a.Pump(100); err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +214,7 @@ func TestStreamingSourceKeepsProducing(t *testing.T) {
 		count += len(events)
 		return nil
 	})
-	a := NewAgent("stream", src, sink, Config{BatchSize: 1})
+	a := NewAgent("stream", src, sink, testConfig(1, 1))
 	if _, err := a.Pump(25); err != nil {
 		t.Fatal(err)
 	}

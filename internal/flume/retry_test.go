@@ -15,40 +15,37 @@ import (
 // accounting, and the agent keeps draining instead of wedging.
 func TestRetryExhaustionDeadLetters(t *testing.T) {
 	clk := retry.NewManualClock(time.Time{})
-	policy := retry.NewPolicy(retry.Config{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond, Multiplier: 2}, 1).WithClock(clk)
-	dlq := retry.NewDLQ[Event]()
+	cfg := testConfig(5, 3)
+	cfg.Retry.WithClock(clk)
 
 	down := errors.New("sink down")
 	deliveries := 0
 	sink := FuncSink(func(events []Event) error { deliveries++; return down })
-	a := NewAgent("dlq", NewSliceSource(makeEvents(10)), sink, Config{
-		BatchSize: 5, Retry: policy, DeadLetter: dlq,
-	})
+	a := NewAgent("dlq", NewSliceSource(makeEvents(10)), sink, cfg)
 	for !a.Drained() {
 		if _, err := a.Pump(4); err == nil {
 			t.Fatal("expected delivery errors")
 		}
 	}
-	m := a.Metrics()
-	if m.Dropped != 10 || m.Delivered != 0 {
-		t.Fatalf("metrics = %+v", m)
+	if tel := cfg.Telemetry; tel.EventsDropped.Value() != 10 || tel.EventsDelivered.Value() != 0 {
+		t.Fatalf("dropped %d, delivered %d", tel.EventsDropped.Value(), tel.EventsDelivered.Value())
 	}
 	// 2 batches × 3 attempts each.
 	if deliveries != 6 {
 		t.Fatalf("deliveries = %d", deliveries)
 	}
-	if m.Retries != 4 {
+	if m := a.Metrics(); m.Retries != 4 {
 		t.Fatalf("retries = %d", m.Retries)
 	}
-	if dlq.Len() != 10 {
-		t.Fatalf("dead letters = %d", dlq.Len())
+	if cfg.DeadLetter.Len() != 10 {
+		t.Fatalf("dead letters = %d", cfg.DeadLetter.Len())
 	}
-	for _, l := range dlq.Letters() {
+	for _, l := range cfg.DeadLetter.Letters() {
 		if l.Attempts != 3 || l.Cause != down.Error() {
 			t.Fatalf("letter = %+v", l)
 		}
 	}
-	// Backoff ran on the simulated clock only: 2 batches × (5+10)ms.
+	// Backoff ran on the simulated clock only: 2 batches × (5+10)ms, jittered.
 	if clk.Slept() == 0 {
 		t.Fatal("no simulated backoff recorded")
 	}
@@ -57,8 +54,7 @@ func TestRetryExhaustionDeadLetters(t *testing.T) {
 // TestRetryPolicyRecoversMidway: a sink that heals after two failures
 // delivers everything with the shared policy and nothing is dead-lettered.
 func TestRetryPolicyRecoversMidway(t *testing.T) {
-	policy := retry.NewPolicy(retry.Config{MaxAttempts: 5, BaseDelay: time.Millisecond}, 2)
-	dlq := retry.NewDLQ[Event]()
+	cfg := testConfig(4, 5)
 	fails := 2
 	got := 0
 	sink := FuncSink(func(events []Event) error {
@@ -69,17 +65,17 @@ func TestRetryPolicyRecoversMidway(t *testing.T) {
 		got += len(events)
 		return nil
 	})
-	a := NewAgent("heal", NewSliceSource(makeEvents(8)), sink, Config{BatchSize: 4, Retry: policy, DeadLetter: dlq})
+	a := NewAgent("heal", NewSliceSource(makeEvents(8)), sink, cfg)
 	for !a.Drained() {
 		if _, err := a.Pump(2); err != nil {
 			t.Fatalf("pump err despite recovery: %v", err)
 		}
 	}
-	if got != 8 || dlq.Len() != 0 {
-		t.Fatalf("delivered %d, dlq %d", got, dlq.Len())
+	if got != 8 || cfg.DeadLetter.Len() != 0 {
+		t.Fatalf("delivered %d, dlq %d", got, cfg.DeadLetter.Len())
 	}
-	if m := a.Metrics(); m.Delivered != 8 || m.Retries != 2 || m.Dropped != 0 {
-		t.Fatalf("metrics = %+v", m)
+	if m, tel := a.Metrics(), cfg.Telemetry; m.Retries != 2 || tel.EventsDelivered.Value() != 8 || tel.EventsDropped.Value() != 0 {
+		t.Fatalf("retries %d, delivered %d, dropped %d", m.Retries, tel.EventsDelivered.Value(), tel.EventsDropped.Value())
 	}
 }
 
@@ -127,7 +123,6 @@ func TestDedupSinkIdempotentPerEvent(t *testing.T) {
 // TestAgentWithDedupSinkNoDuplicates runs the full agent path against a
 // flaky per-event sink and checks exactly-once delivery of every event.
 func TestAgentWithDedupSinkNoDuplicates(t *testing.T) {
-	policy := retry.NewPolicy(retry.Config{MaxAttempts: 6, BaseDelay: time.Millisecond}, 3)
 	counts := make(map[string]int)
 	calls := 0
 	sink := NewDedupSink(
@@ -141,7 +136,7 @@ func TestAgentWithDedupSinkNoDuplicates(t *testing.T) {
 			return nil
 		},
 	)
-	a := NewAgent("dedup", NewSliceSource(makeEvents(30)), sink, Config{BatchSize: 7, Retry: policy})
+	a := NewAgent("dedup", NewSliceSource(makeEvents(30)), sink, testConfig(7, 6))
 	for !a.Drained() {
 		if _, err := a.Pump(4); err != nil {
 			t.Fatalf("pump: %v", err)

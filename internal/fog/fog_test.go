@@ -117,11 +117,8 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestBuildDeploymentShape(t *testing.T) {
-	d, err := BuildDeployment(DefaultDeploymentConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestNewDeploymentShape(t *testing.T) {
+	d := NewDeployment()
 	if len(d.Edges) != 8 || len(d.FogIDs) != 4 || len(d.Servers) != 2 {
 		t.Fatalf("deployment = %d/%d/%d", len(d.Edges), len(d.FogIDs), len(d.Servers))
 	}
@@ -133,9 +130,6 @@ func TestBuildDeploymentShape(t *testing.T) {
 		if _, err := d.Topo.Link(e, d.FogOf(i)); err != nil {
 			t.Fatalf("edge %s: %v", e, err)
 		}
-	}
-	if _, err := BuildDeployment(DeploymentConfig{}); !errors.Is(err, ErrBadCapacity) {
-		t.Fatalf("empty config err = %v", err)
 	}
 }
 
@@ -159,10 +153,7 @@ func makeItems(n int, rng *rand.Rand) []InferenceItem {
 
 func TestEarlyExitPolicyReducesUpstreamBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	d, err := BuildDeployment(DefaultDeploymentConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := NewDeployment()
 	items := makeItems(200, rng)
 
 	run := func(p Policy) *Results {
@@ -212,10 +203,7 @@ func TestEarlyExitPolicyReducesUpstreamBytes(t *testing.T) {
 
 func TestEarlyExitThresholdMonotonicity(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	d, err := BuildDeployment(DefaultDeploymentConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := NewDeployment()
 	items := makeItems(150, rng)
 	prevBytes := -1
 	for _, th := range []float64{0.0, 0.25, 0.5, 0.75, 1.01} {
@@ -243,10 +231,7 @@ func TestEarlyExitThresholdMonotonicity(t *testing.T) {
 }
 
 func TestPolicyJobsErrors(t *testing.T) {
-	d, err := BuildDeployment(DefaultDeploymentConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := NewDeployment()
 	bad := []InferenceItem{{ID: "x", EdgeIdx: 99}}
 	if _, err := (Policy{Kind: PolicyLocalOnly}).JobsFor(d, bad); !errors.Is(err, ErrBadJob) {
 		t.Fatalf("edge idx err = %v", err)

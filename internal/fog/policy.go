@@ -16,84 +16,52 @@ type Deployment struct {
 	CloudID string
 }
 
-// DeploymentConfig sizes the standard pipeline.
-type DeploymentConfig struct {
-	Edges          int
-	FogNodes       int
-	Servers        int
-	EdgeOpsPerMs   float64
-	FogOpsPerMs    float64
-	ServerOpsPerMs float64
-	CloudOpsPerMs  float64
-	EdgeFogLatency float64 // ms
-	FogServerLat   float64
-	ServerCloudLat float64
-	EdgeFogBW      float64 // bytes/ms
-	FogServerBW    float64
-	ServerCloudBW  float64
-}
+// The deployment resembles the paper's hardware: Raspberry-Pi-class edges,
+// Jetson-class fog nodes, GPU analysis servers, regional links (LONI)
+// between lower tiers, and Internet2 to the cloud. Compute is in ops/ms,
+// latency in ms and bandwidth in bytes/ms.
+const (
+	deployEdges, deployFogNodes, deployServers               = 8, 4, 2
+	edgeOpsPerMs, fogOpsPerMs, serverOpsPerMs, cloudOpsPerMs = 50, 400, 5000, 20000
+	edgeFogLatency, fogServerLatency, serverCloudLatency     = 2, 5, 20
+	edgeFogBW, fogServerBW, serverCloudBW                    = 1250, 12500, 125000 // 10 Mbps / 100 Mbps / 1 Gbps
+)
 
-// DefaultDeploymentConfig resembles the paper's hardware: Raspberry-Pi-class
-// edges, Jetson-class fog nodes, GPU analysis servers, regional links (LONI)
-// between lower tiers, and Internet2 to the cloud.
-func DefaultDeploymentConfig() DeploymentConfig {
-	return DeploymentConfig{
-		Edges: 8, FogNodes: 4, Servers: 2,
-		EdgeOpsPerMs: 50, FogOpsPerMs: 400, ServerOpsPerMs: 5000, CloudOpsPerMs: 20000,
-		EdgeFogLatency: 2, FogServerLat: 5, ServerCloudLat: 20,
-		EdgeFogBW: 1250, FogServerBW: 12500, ServerCloudBW: 125000, // 10 Mbps / 100 Mbps / 1 Gbps
-	}
-}
-
-// BuildDeployment constructs the 4-tier topology with round-robin parenting.
-func BuildDeployment(cfg DeploymentConfig) (*Deployment, error) {
-	if cfg.Edges <= 0 || cfg.FogNodes <= 0 || cfg.Servers <= 0 {
-		return nil, fmt.Errorf("%w: deployment needs at least one node per tier", ErrBadCapacity)
-	}
+// NewDeployment constructs the 4-tier topology with round-robin parenting.
+func NewDeployment() *Deployment {
 	topo := NewTopology()
 	d := &Deployment{Topo: topo, CloudID: "cloud-0"}
-	for i := 0; i < cfg.Edges; i++ {
-		id := "edge-" + strconv.Itoa(i)
-		if err := topo.AddNode(id, Edge, cfg.EdgeOpsPerMs); err != nil {
-			return nil, err
+	must := func(err error) {
+		if err != nil {
+			panic(err) // the constants above are valid
 		}
+	}
+	for i := 0; i < deployEdges; i++ {
+		id := "edge-" + strconv.Itoa(i)
+		must(topo.AddNode(id, Edge, edgeOpsPerMs))
 		d.Edges = append(d.Edges, id)
 	}
-	for i := 0; i < cfg.FogNodes; i++ {
+	for i := 0; i < deployFogNodes; i++ {
 		id := "fog-" + strconv.Itoa(i)
-		if err := topo.AddNode(id, Fog, cfg.FogOpsPerMs); err != nil {
-			return nil, err
-		}
+		must(topo.AddNode(id, Fog, fogOpsPerMs))
 		d.FogIDs = append(d.FogIDs, id)
 	}
-	for i := 0; i < cfg.Servers; i++ {
+	for i := 0; i < deployServers; i++ {
 		id := "server-" + strconv.Itoa(i)
-		if err := topo.AddNode(id, Server, cfg.ServerOpsPerMs); err != nil {
-			return nil, err
-		}
+		must(topo.AddNode(id, Server, serverOpsPerMs))
 		d.Servers = append(d.Servers, id)
 	}
-	if err := topo.AddNode(d.CloudID, Cloud, cfg.CloudOpsPerMs); err != nil {
-		return nil, err
-	}
+	must(topo.AddNode(d.CloudID, Cloud, cloudOpsPerMs))
 	for i, e := range d.Edges {
-		f := d.FogIDs[i%len(d.FogIDs)]
-		if err := topo.AddLink(e, f, cfg.EdgeFogLatency, cfg.EdgeFogBW); err != nil {
-			return nil, err
-		}
+		must(topo.AddLink(e, d.FogOf(i), edgeFogLatency, edgeFogBW))
 	}
 	for i, f := range d.FogIDs {
-		s := d.Servers[i%len(d.Servers)]
-		if err := topo.AddLink(f, s, cfg.FogServerLat, cfg.FogServerBW); err != nil {
-			return nil, err
-		}
+		must(topo.AddLink(f, d.ServerOf(i), fogServerLatency, fogServerBW))
 	}
 	for _, s := range d.Servers {
-		if err := topo.AddLink(s, d.CloudID, cfg.ServerCloudLat, cfg.ServerCloudBW); err != nil {
-			return nil, err
-		}
+		must(topo.AddLink(s, d.CloudID, serverCloudLatency, serverCloudBW))
 	}
-	return d, nil
+	return d
 }
 
 // FogOf returns the fog node parenting an edge device.

@@ -13,7 +13,7 @@
 // cumulative time of its direct children. The flame view (flame.go) and the
 // windowed hot-region ranking both derive from that identity.
 //
-// Allocation attribution is sampled: every SampleEvery-th call to a region
+// Allocation attribution is sampled: every samplePeriod-th call to a region
 // brackets the runtime's global heap-allocation counters
 // (runtime/metrics "/gc/heap/allocs:*") and charges the scaled delta to the
 // region. Under concurrency the global counters make this an estimate; in
@@ -30,24 +30,17 @@ import (
 	"time"
 )
 
-// DefaultSampleEvery is the allocation-sampling period: one in every
-// N calls to a region pays for two runtime/metrics reads. 256 keeps the
-// sampled reads (and their pooled buffers, which every forced GC clears)
-// far below the noise floor of the frame path's cpu_us_per_item.
-const DefaultSampleEvery = 256
-
-// Config tunes a Profiler.
-type Config struct {
-	// SampleEvery is the allocation sampling period (0 means
-	// DefaultSampleEvery; negative disables allocation sampling).
-	SampleEvery int
-}
+// samplePeriod is the allocation-sampling period: one in every N calls to
+// a region pays for two runtime/metrics reads. 256 keeps the sampled reads
+// (and their pooled buffers, which every forced GC clears) far below the
+// noise floor of the frame path's cpu_us_per_item.
+const samplePeriod = 256
 
 // Profiler owns the region table and the windowed hot-region view. All
 // methods are safe for concurrent use; Region handles are meant to be
 // resolved once at wiring time and kept.
 type Profiler struct {
-	sampleEvery uint64
+	sampleEvery uint64 // samplePeriod; tests in this package may change it
 
 	mu      sync.RWMutex
 	regions map[string]*Region
@@ -61,16 +54,9 @@ type Profiler struct {
 }
 
 // New builds a profiler; recording is always on.
-func New(cfg Config) *Profiler {
-	se := uint64(DefaultSampleEvery)
-	switch {
-	case cfg.SampleEvery > 0:
-		se = uint64(cfg.SampleEvery)
-	case cfg.SampleEvery < 0:
-		se = 0
-	}
+func New() *Profiler {
 	return &Profiler{
-		sampleEvery: se,
+		sampleEvery: samplePeriod,
 		regions:     make(map[string]*Region),
 		lastWall:    make(map[string]int64),
 	}
@@ -162,7 +148,7 @@ func (r *Region) StartAt(at int64) Span {
 func (r *Region) startAt(at int64) Span {
 	sp := Span{r: r, start: at}
 	seq := r.seq.Add(1)
-	if n := r.prof.sampleEvery; n > 0 && seq%n == 0 {
+	if seq%r.prof.sampleEvery == 0 {
 		sp.bytes0, sp.objs0 = readHeapAllocs()
 		sp.sampled = true
 	}

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -9,7 +10,7 @@ import (
 )
 
 func TestRegionAccounting(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	r := p.Region("work")
 	if got := p.Region("work"); got != r {
 		t.Fatal("Region must be get-or-create")
@@ -36,7 +37,7 @@ func TestNilSpansAreInert(t *testing.T) {
 // Sibling spans opened via StartAt on a shared reading must attribute
 // identical wall time.
 func TestStartAtSharesClockReading(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	outer := p.Region("hop")
 	inner := p.Region("hop/inner")
 	so := outer.Start()
@@ -57,7 +58,7 @@ func TestStartAtSharesClockReading(t *testing.T) {
 // cumulative minus the children's, and the selves over a subtree sum back to
 // the root's cumulative.
 func TestSelfTimeTelescopes(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	root := p.Region("ingest")
 	child1 := p.Region("ingest/stream")
 	child2 := p.Region("ingest/store")
@@ -95,7 +96,7 @@ func TestSelfTimeTelescopes(t *testing.T) {
 }
 
 func TestTickRanksHotRegions(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	hotR := p.Region("hot")
 	coldR := p.Region("cold")
 	spin := func(r *Region, d time.Duration) {
@@ -139,7 +140,7 @@ func TestTickRanksHotRegions(t *testing.T) {
 }
 
 func TestFlameSynthesizesAncestors(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	// Leaf-only instrumentation: broker/append/replicate exists, its parent
 	// chain does not.
 	leaf := p.Region("broker/append/replicate")
@@ -180,7 +181,8 @@ func TestFlameSynthesizesAncestors(t *testing.T) {
 }
 
 func TestAllocSampling(t *testing.T) {
-	p := New(Config{SampleEvery: 1}) // sample every call
+	p := New()
+	p.sampleEvery = 1 // sample every call
 	r := p.Region("alloc")
 	var sink [][]byte
 	for i := 0; i < 50; i++ {
@@ -203,8 +205,28 @@ func TestAllocSampling(t *testing.T) {
 	}
 }
 
+// TestNewSamplesEvery256thCall: a region's allocation reads run on its
+// 256th, 512th, ... span and on no other.
+func TestNewSamplesEvery256thCall(t *testing.T) {
+	r := New().Region("hot")
+	sampled := 0
+	for i := 1; i <= 600; i++ {
+		sp := r.Start()
+		if sp.sampled != (i%256 == 0) {
+			t.Fatalf("call %d sampled = %v", i, sp.sampled)
+		}
+		if sp.sampled {
+			sampled++
+		}
+		sp.End()
+	}
+	if sampled != 2 {
+		t.Fatalf("sampled %d of 600 calls, want 2", sampled)
+	}
+}
+
 func TestConcurrentSpansAndReads(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -240,7 +262,8 @@ func TestSpanZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocs/op")
 	}
-	p := New(Config{SampleEvery: -1})
+	p := New()
+	p.sampleEvery = math.MaxUint64 // no call in this test is sampled
 	r := p.Region("hot")
 	if allocs := testing.AllocsPerRun(1000, func() { r.Start().End() }); allocs != 0 {
 		t.Fatalf("Start/End allocates %v per op, want 0", allocs)

@@ -35,23 +35,14 @@ func (s BreakerState) String() string {
 	}
 }
 
-// BreakerConfig tunes a circuit breaker.
-type BreakerConfig struct {
-	// FailureThreshold is the consecutive-failure count that trips the
-	// breaker open (<=0 means 5).
-	FailureThreshold int
-	// OpenTimeout is how long the breaker stays open before admitting
-	// half-open probes (<=0 means 100ms).
-	OpenTimeout time.Duration
-	// HalfOpenProbes is how many consecutive probe successes close the
-	// breaker (<=0 means 1). A probe failure re-opens it immediately.
-	HalfOpenProbes int
-}
-
-// DefaultBreakerConfig returns the shared ingestion-tier breaker shape.
-func DefaultBreakerConfig() BreakerConfig {
-	return BreakerConfig{FailureThreshold: 5, OpenTimeout: 100 * time.Millisecond, HalfOpenProbes: 2}
-}
+// The breaker trips open after failureThreshold consecutive failures, stays
+// open for openTimeout on its clock, then admits halfOpenProbes probes; it
+// closes once all of them succeed, and a probe failure re-opens it at once.
+const (
+	failureThreshold = 5
+	openTimeout      = 40 * time.Millisecond
+	halfOpenProbes   = 2
+)
 
 // BreakerStats counts breaker activity.
 type BreakerStats struct {
@@ -61,12 +52,9 @@ type BreakerStats struct {
 	ShortCircuits int // attempts rejected while Open
 }
 
-// Breaker is a circuit breaker driven by an injectable clock: after
-// FailureThreshold consecutive failures it opens; once OpenTimeout elapses
-// on the clock it admits HalfOpenProbes probes, closing again only when all
-// of them succeed. Safe for concurrent use.
+// Breaker is a circuit breaker driven by an injectable clock (see
+// failureThreshold for its shape). Safe for concurrent use.
 type Breaker struct {
-	cfg   BreakerConfig
 	clock Clock
 
 	mu          sync.Mutex
@@ -80,21 +68,11 @@ type Breaker struct {
 }
 
 // NewBreaker builds a breaker on the given clock (nil means a ManualClock).
-func NewBreaker(cfg BreakerConfig, clock Clock) *Breaker {
-	def := DefaultBreakerConfig()
-	if cfg.FailureThreshold <= 0 {
-		cfg.FailureThreshold = def.FailureThreshold
-	}
-	if cfg.OpenTimeout <= 0 {
-		cfg.OpenTimeout = def.OpenTimeout
-	}
-	if cfg.HalfOpenProbes <= 0 {
-		cfg.HalfOpenProbes = def.HalfOpenProbes
-	}
+func NewBreaker(clock Clock) *Breaker {
 	if clock == nil {
 		clock = NewManualClock(time.Time{})
 	}
-	return &Breaker{cfg: cfg, clock: clock}
+	return &Breaker{clock: clock}
 }
 
 // SetOnStateChange installs a callback observing every state transition —
@@ -126,7 +104,7 @@ func (b *Breaker) Allow() bool {
 	case Closed:
 		return true
 	case Open:
-		if b.clock.Now().Sub(b.openedAt) >= b.cfg.OpenTimeout {
+		if b.clock.Now().Sub(b.openedAt) >= openTimeout {
 			b.transitionLocked(HalfOpen)
 			b.probes = 1
 			b.probeOKs = 0
@@ -136,7 +114,7 @@ func (b *Breaker) Allow() bool {
 		b.stats.ShortCircuits++
 		return false
 	default: // HalfOpen
-		if b.probes < b.cfg.HalfOpenProbes {
+		if b.probes < halfOpenProbes {
 			b.probes++
 			return true
 		}
@@ -154,7 +132,7 @@ func (b *Breaker) OnSuccess() {
 		b.consecFails = 0
 	case HalfOpen:
 		b.probeOKs++
-		if b.probeOKs >= b.cfg.HalfOpenProbes {
+		if b.probeOKs >= halfOpenProbes {
 			b.transitionLocked(Closed)
 			b.consecFails = 0
 			b.stats.Closed++
@@ -170,7 +148,7 @@ func (b *Breaker) OnFailure() {
 	switch b.state {
 	case Closed:
 		b.consecFails++
-		if b.consecFails >= b.cfg.FailureThreshold {
+		if b.consecFails >= failureThreshold {
 			b.trip()
 		}
 	case HalfOpen:

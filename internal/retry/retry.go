@@ -59,31 +59,24 @@ func (c *ManualClock) Slept() time.Duration {
 	return c.slept
 }
 
+// The backoff before retry k is baseDelay·multiplier^(k-1), capped at
+// maxDelay and spread by ±jitterFrac with the policy's seeded rng, which
+// de-synchronizes retry herds deterministically.
+const (
+	baseDelay  = 5 * time.Millisecond
+	maxDelay   = 500 * time.Millisecond
+	multiplier = 2
+	jitterFrac = 0.2
+)
+
 // Config tunes a retry policy.
 type Config struct {
 	// MaxAttempts bounds total tries including the first (<=0 means 1).
 	MaxAttempts int
-	// BaseDelay is the backoff before the first retry.
-	BaseDelay time.Duration
-	// MaxDelay caps the exponential growth.
-	MaxDelay time.Duration
-	// Multiplier grows the delay each retry (default 2).
-	Multiplier float64
-	// JitterFrac spreads each delay by ±JitterFrac (0..1) using the
-	// policy's seeded rng, de-synchronizing retry herds deterministically.
-	JitterFrac float64
 }
 
 // DefaultConfig returns the shared ingestion-tier policy shape.
-func DefaultConfig() Config {
-	return Config{
-		MaxAttempts: 6,
-		BaseDelay:   5 * time.Millisecond,
-		MaxDelay:    500 * time.Millisecond,
-		Multiplier:  2,
-		JitterFrac:  0.2,
-	}
-}
+func DefaultConfig() Config { return Config{MaxAttempts: 6} }
 
 // Stats counts policy activity across all Do calls.
 type Stats struct {
@@ -115,15 +108,6 @@ func NewPolicy(cfg Config, seed int64) *Policy {
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 1
 	}
-	if cfg.Multiplier < 1 {
-		cfg.Multiplier = 2
-	}
-	if cfg.BaseDelay < 0 {
-		cfg.BaseDelay = 0
-	}
-	if cfg.MaxDelay < cfg.BaseDelay {
-		cfg.MaxDelay = cfg.BaseDelay
-	}
 	return &Policy{
 		cfg:   cfg,
 		clock: NewManualClock(time.Time{}),
@@ -151,23 +135,18 @@ func (p *Policy) Stats() Stats {
 
 // backoff draws the jittered delay before retry number `retry` (1-based).
 func (p *Policy) backoff(retry int) time.Duration {
-	d := float64(p.cfg.BaseDelay)
+	d := float64(baseDelay)
 	for i := 1; i < retry; i++ {
-		d *= p.cfg.Multiplier
-		if d >= float64(p.cfg.MaxDelay) {
+		d *= multiplier
+		if d >= float64(maxDelay) {
 			break
 		}
 	}
-	if d > float64(p.cfg.MaxDelay) {
-		d = float64(p.cfg.MaxDelay)
-	}
-	if p.cfg.JitterFrac > 0 {
-		p.mu.Lock()
-		j := 1 + p.cfg.JitterFrac*(2*p.rng.Float64()-1)
-		p.mu.Unlock()
-		d *= j
-	}
-	return time.Duration(d)
+	d = min(d, float64(maxDelay))
+	p.mu.Lock()
+	j := 1 + jitterFrac*(2*p.rng.Float64()-1)
+	p.mu.Unlock()
+	return time.Duration(d * j)
 }
 
 func (p *Policy) count(f func(s *Stats)) {

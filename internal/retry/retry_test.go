@@ -9,7 +9,7 @@ import (
 
 func TestPolicyRetriesUntilSuccess(t *testing.T) {
 	clk := NewManualClock(time.Time{})
-	p := NewPolicy(Config{MaxAttempts: 5, BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond, Multiplier: 2}, 1).WithClock(clk)
+	p := NewPolicy(Config{MaxAttempts: 5}, 1).WithClock(clk)
 	calls := 0
 	err := p.Do(func() error {
 		calls++
@@ -28,14 +28,14 @@ func TestPolicyRetriesUntilSuccess(t *testing.T) {
 	if st.Attempts != 4 || st.Retries != 3 || st.Failures != 3 || st.Exhausted != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	// 10 + 20 + 40 ms of simulated backoff, no jitter configured.
-	if got := clk.Slept(); got != 70*time.Millisecond {
-		t.Fatalf("slept = %v", got)
+	// 5 + 10 + 20 ms of simulated backoff, each jittered by at most ±20 %.
+	if got := clk.Slept(); got < 28*time.Millisecond || got > 42*time.Millisecond || got != st.SleptSimulated {
+		t.Fatalf("slept = %v, policy counted %v", got, st.SleptSimulated)
 	}
 }
 
 func TestPolicyExhaustionReturnsLastError(t *testing.T) {
-	p := NewPolicy(Config{MaxAttempts: 3, BaseDelay: time.Millisecond}, 2)
+	p := NewPolicy(Config{MaxAttempts: 3}, 2)
 	boom := errors.New("boom")
 	calls := 0
 	err := p.Do(func() error { calls++; return boom })
@@ -52,9 +52,9 @@ func TestPolicyExhaustionReturnsLastError(t *testing.T) {
 
 func TestBackoffJitterIsSeededAndBounded(t *testing.T) {
 	seq := func(seed int64) []time.Duration {
-		p := NewPolicy(Config{MaxAttempts: 6, BaseDelay: 100 * time.Millisecond, MaxDelay: time.Second, Multiplier: 2, JitterFrac: 0.5}, seed)
+		p := NewPolicy(DefaultConfig(), seed)
 		var out []time.Duration
-		for i := 1; i <= 5; i++ {
+		for i := 1; i <= 9; i++ {
 			out = append(out, p.backoff(i))
 		}
 		return out
@@ -65,14 +65,40 @@ func TestBackoffJitterIsSeededAndBounded(t *testing.T) {
 			t.Fatalf("same seed diverged at %d: %v vs %v", i, a[i], b[i])
 		}
 	}
-	// Each delay stays within ±50% of the un-jittered exponential value.
-	base := []time.Duration{100, 200, 400, 800, 1000} // ms, capped at MaxDelay
+	// Each delay stays within ±20% of the un-jittered exponential value.
+	base := []time.Duration{5, 10, 20, 40, 80, 160, 320, 500, 500} // ms, capped at maxDelay
 	for i, d := range a {
-		lo := time.Duration(float64(base[i]) * 0.5 * float64(time.Millisecond))
-		hi := time.Duration(float64(base[i]) * 1.5 * float64(time.Millisecond))
+		lo := time.Duration(float64(base[i]) * 0.8 * float64(time.Millisecond))
+		hi := time.Duration(float64(base[i]) * 1.2 * float64(time.Millisecond))
 		if d < lo || d > hi {
 			t.Fatalf("delay %d = %v outside [%v, %v]", i, d, lo, hi)
 		}
+	}
+}
+
+// TestNewBreakerUsesCoreValues pins the breaker's shape to the one core
+// runs: it opens on the fifth consecutive failure, not the fourth, and
+// half-opens exactly 40 ms later.
+func TestNewBreakerUsesCoreValues(t *testing.T) {
+	clk := NewManualClock(time.Time{})
+	b := NewBreaker(clk)
+	for i := 0; i < 4; i++ {
+		b.OnFailure()
+	}
+	if b.State() != Closed {
+		t.Fatalf("state after 4 failures = %v, want closed", b.State())
+	}
+	b.OnFailure()
+	if b.State() != Open {
+		t.Fatalf("state after 5 failures = %v, want open", b.State())
+	}
+	clk.Advance(39 * time.Millisecond)
+	if b.Allow() {
+		t.Fatal("breaker half-opened before 40 ms")
+	}
+	clk.Advance(time.Millisecond)
+	if !b.Allow() {
+		t.Fatal("breaker still open at 40 ms")
 	}
 }
 
@@ -80,12 +106,12 @@ func TestBackoffJitterIsSeededAndBounded(t *testing.T) {
 // on the simulated clock (satellite requirement).
 func TestBreakerTransitions(t *testing.T) {
 	clk := NewManualClock(time.Time{})
-	b := NewBreaker(BreakerConfig{FailureThreshold: 3, OpenTimeout: 50 * time.Millisecond, HalfOpenProbes: 2}, clk)
+	b := NewBreaker(clk)
 
 	if b.State() != Closed {
 		t.Fatalf("initial state = %v", b.State())
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < failureThreshold; i++ {
 		if !b.Allow() {
 			t.Fatalf("closed breaker rejected attempt %d", i)
 		}
@@ -98,7 +124,7 @@ func TestBreakerTransitions(t *testing.T) {
 		t.Fatal("open breaker admitted an attempt before the window elapsed")
 	}
 
-	clk.Advance(50 * time.Millisecond)
+	clk.Advance(openTimeout)
 	if !b.Allow() {
 		t.Fatal("breaker did not half-open after the open window")
 	}
@@ -111,7 +137,7 @@ func TestBreakerTransitions(t *testing.T) {
 		t.Fatalf("state after probe failure = %v", b.State())
 	}
 
-	clk.Advance(50 * time.Millisecond)
+	clk.Advance(openTimeout)
 	if !b.Allow() { // probe 1
 		t.Fatal("no probe admitted")
 	}
@@ -140,25 +166,28 @@ func TestBreakerTransitions(t *testing.T) {
 // hanging when short-circuited.
 func TestPolicyWithOpenBreakerStillTerminates(t *testing.T) {
 	clk := NewManualClock(time.Time{})
-	b := NewBreaker(BreakerConfig{FailureThreshold: 1, OpenTimeout: 10 * time.Millisecond, HalfOpenProbes: 1}, clk)
-	p := NewPolicy(Config{MaxAttempts: 6, BaseDelay: 20 * time.Millisecond, MaxDelay: 20 * time.Millisecond}, 6).
-		WithClock(clk).WithBreaker(b)
+	b := NewBreaker(clk)
+	p := NewPolicy(Config{MaxAttempts: 8}, 6).WithClock(clk).WithBreaker(b)
 
 	calls := 0
 	err := p.Do(func() error { calls++; return errors.New("down") })
 	if err == nil {
 		t.Fatal("expected failure")
 	}
-	// The first failure trips the breaker; backoff (20ms) exceeds the open
-	// window (10ms), so every later attempt is a half-open probe rather
-	// than a short circuit — the policy keeps making real attempts.
-	if calls != 6 {
+	// The fifth failure trips the breaker; every backoff from then on
+	// (80 ms and up, less 20 % jitter) exceeds the 40 ms open window, so
+	// every later attempt is a half-open probe rather than a short circuit —
+	// the policy keeps making real attempts.
+	if calls != 8 {
 		t.Fatalf("calls = %d", calls)
 	}
 
-	// Recovery: next Do succeeds and closes the breaker.
-	if err := p.Do(func() error { return nil }); err != nil {
-		t.Fatal(err)
+	// Recovery: the next Do backs off through the open window and its
+	// probe succeeds; a second succeeding probe closes the breaker.
+	for i := 0; i < halfOpenProbes; i++ {
+		if err := p.Do(func() error { return nil }); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if b.State() != Closed {
 		t.Fatalf("state = %v", b.State())
@@ -190,7 +219,7 @@ func TestDLQAccounting(t *testing.T) {
 // detector.
 func TestConcurrentPolicyAndBreaker(t *testing.T) {
 	clk := NewManualClock(time.Time{})
-	b := NewBreaker(BreakerConfig{FailureThreshold: 4, OpenTimeout: time.Millisecond, HalfOpenProbes: 1}, clk)
+	b := NewBreaker(clk)
 	p := NewPolicy(DefaultConfig(), 8).WithClock(clk).WithBreaker(b)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -216,7 +245,7 @@ func TestConcurrentPolicyAndBreaker(t *testing.T) {
 }
 
 func TestDoStatsReportsThisCallOnly(t *testing.T) {
-	p := NewPolicy(Config{MaxAttempts: 4, BaseDelay: 10 * time.Millisecond, MaxDelay: time.Second, Multiplier: 2}, 1)
+	p := NewPolicy(Config{MaxAttempts: 4}, 1)
 	fails := 2
 	cs, err := p.DoStats(func() error {
 		if fails > 0 {
@@ -228,7 +257,8 @@ func TestDoStatsReportsThisCallOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.Attempts != 3 || cs.Retries != 2 || cs.ShortCircuits != 0 || cs.Slept != 30*time.Millisecond {
+	// 5 + 10 ms of backoff, each jittered by at most ±20 %.
+	if cs.Attempts != 3 || cs.Retries != 2 || cs.ShortCircuits != 0 || cs.Slept < 12*time.Millisecond || cs.Slept > 18*time.Millisecond {
 		t.Fatalf("first call stats = %+v", cs)
 	}
 	// A second call starts its record from zero; the policy totals add up.
@@ -239,21 +269,14 @@ func TestDoStatsReportsThisCallOnly(t *testing.T) {
 	if cs2 != (CallStats{Attempts: 1}) {
 		t.Fatalf("second call stats = %+v", cs2)
 	}
-	if st := p.Stats(); st.Calls != 2 || st.Attempts != 4 || st.Retries != 2 || st.SleptSimulated != 30*time.Millisecond {
+	if st := p.Stats(); st.Calls != 2 || st.Attempts != 4 || st.Retries != 2 || st.SleptSimulated != cs.Slept {
 		t.Fatalf("policy stats = %+v", st)
 	}
 }
 
 func TestNewPolicyNormalizesConfig(t *testing.T) {
-	cfg := NewPolicy(Config{MaxAttempts: -3, BaseDelay: -time.Second, MaxDelay: -time.Second, Multiplier: 0.5}, 1).cfg
-	if cfg.MaxAttempts != 1 || cfg.BaseDelay != 0 || cfg.MaxDelay != 0 || cfg.Multiplier != 2 {
+	if cfg := NewPolicy(Config{MaxAttempts: -3}, 1).cfg; cfg.MaxAttempts != 1 {
 		t.Fatalf("normalized config = %+v", cfg)
-	}
-	// MaxDelay below BaseDelay is raised to it, so the first retry is not
-	// capped below its own base.
-	cfg = NewPolicy(Config{MaxAttempts: 2, BaseDelay: 50 * time.Millisecond, MaxDelay: time.Millisecond}, 1).cfg
-	if cfg.MaxDelay != 50*time.Millisecond {
-		t.Fatalf("MaxDelay = %v, want BaseDelay", cfg.MaxDelay)
 	}
 	// One attempt means no retry and no sleep.
 	p := NewPolicy(Config{}, 1)

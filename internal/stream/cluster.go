@@ -2,7 +2,6 @@ package stream
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -16,10 +15,11 @@ import (
 // hosting partition replicas, with a deterministic per-partition leader
 // elected from the in-sync replica set (ISR), epoch-numbered leadership for
 // fencing stale producers, leader-side ack-after-ISR-replication produce,
-// follower catch-up with high-watermark truncation on leader change, and
-// consumer groups whose polls transparently redirect to new leaders.
+// follower catch-up, and consumer groups whose polls transparently redirect
+// to new leaders.
 //
-// The replication model mirrors Kafka's ISR design at simulation scale:
+// The replication model mirrors Kafka's ISR design at simulation scale,
+// with clean elections only and the leader alone enough to acknowledge:
 //
 //   - Every partition is assigned Replication replicas across distinct
 //     nodes; the first assigned replica is the initial leader at epoch 1.
@@ -29,38 +29,31 @@ import (
 //     from the ISR before the append (the ISR shrinks); the append itself
 //     is atomic across the surviving ISR, so an acknowledged record is on
 //     every ISR member and any future leader elected from the ISR has it.
-//   - If fewer than MinISR replicas (including the leader) would carry the
-//     record, the produce is rejected with ErrNotEnoughReplicas and nothing
-//     is appended — unavailable, never silently lossy.
 //   - When a leader's node crashes the partition becomes leaderless;
 //     the next Tick elects a new leader from the live ISR members and bumps
 //     the epoch. If no ISR member is alive the partition stays unavailable
-//     until one restarts (clean mode), or — with AllowUnclean — the live
-//     replica holding most of the log is elected at the documented risk
-//     of losing acknowledged records.
-//   - Tick also drives follower catch-up: a live replica first truncates to
-//     its divergence point (records past it were written under an epoch an
-//     unclean election superseded), then takes the leader's missing suffix
-//     (subject to the fault hook), and a caught-up replica rejoins the ISR.
+//     until one restarts: never lossy.
+//   - Tick also drives follower catch-up: a live replica takes the leader's
+//     missing suffix (subject to the fault hook), and a caught-up replica
+//     rejoins the ISR.
 //
 // A partition stores each record once: one log in fixed-size segments that
 // are allocated as the log reaches them and never grown or copied. A replica
-// is an offset into that log, its end, plus a divergence bound that only an
-// unclean election sets: the replica's records from the bound on are not the
-// log's. The high watermark of a partition is its leader's end: because the
-// ISR append is atomic, every ISR member is always exactly at the HW, and
-// consumers are never served a record that could disappear in a clean
-// failover.
+// is an offset into that log, its end. Produce and catch-up only ever move a
+// replica to its leader's end, and only a live ISR member, which is at that
+// end, can become leader; so every replica's end is at most its leader's and
+// the log never needs truncating. The high watermark of a partition is its leader's end: because
+// the ISR append is atomic, every ISR member is always exactly at the HW, and
+// consumers are never served a record that could disappear in a failover.
 
 // Replication/election sentinel errors.
 var (
-	ErrBadCluster        = fmt.Errorf("stream: invalid cluster configuration")
-	ErrBadNode           = fmt.Errorf("stream: node id out of range")
-	ErrNodeDown          = fmt.Errorf("stream: node is down")
-	ErrNodeUp            = fmt.Errorf("stream: node already up")
-	ErrNoLeader          = fmt.Errorf("stream: partition has no leader")
-	ErrNotEnoughReplicas = fmt.Errorf("stream: in-sync replicas below min.insync")
-	ErrStaleEpoch        = fmt.Errorf("stream: produce fenced by stale leader epoch")
+	ErrBadCluster = fmt.Errorf("stream: invalid cluster configuration")
+	ErrBadNode    = fmt.Errorf("stream: node id out of range")
+	ErrNodeDown   = fmt.Errorf("stream: node is down")
+	ErrNodeUp     = fmt.Errorf("stream: node already up")
+	ErrNoLeader   = fmt.Errorf("stream: partition has no leader")
+	ErrStaleEpoch = fmt.Errorf("stream: produce fenced by stale leader epoch")
 )
 
 // ClusterConfig sizes a replicated broker cluster.
@@ -69,31 +62,19 @@ type ClusterConfig struct {
 	Nodes int
 	// Replication is the number of replicas per partition.
 	Replication int
-	// MinISR is the minimum in-sync replica count (leader included) needed
-	// to acknowledge a produce. 0 defaults to 1: the leader alone may ack,
-	// trading durability for availability exactly like Kafka's default
-	// min.insync.replicas.
-	MinISR int
-	// AllowUnclean permits electing a non-ISR (lagging) replica when every
-	// ISR member is dead. Acknowledged records past the new leader's log
-	// end are lost and counted in Stats().Truncated. Default false: the
-	// partition stays unavailable instead.
-	AllowUnclean bool
 	// Now supplies record timestamps (nil = time.Now).
 	Now func() time.Time
 }
 
 // ClusterStats counts replication and election activity since boot.
 type ClusterStats struct {
-	Elections         int // leader elections (clean + unclean)
-	UncleanElections  int // elections that picked a non-ISR replica
+	Elections         int // leader elections
 	ISRShrinks        int // followers dropped from an ISR
 	ISRExpands        int // followers that caught up and rejoined an ISR
 	Crashes           int // node crashes
 	Restarts          int // node restarts
 	CatchUpRecords    int // records lagging followers caught up on
-	Truncated         int // records discarded by truncation to a divergence point
-	UnavailableErrors int // produces rejected: no leader or ISR below min
+	UnavailableErrors int // produces rejected for want of a leader
 	StaleProduces     int // produces fenced by a stale epoch
 	Ticks             int // controller ticks run
 	LastFailoverTicks int // ticks from the most recent leadership loss to re-election
@@ -103,13 +84,12 @@ type ClusterStats struct {
 // ClusterEvent is one replication/election state change, delivered to the
 // observer installed with SetObserver.
 type ClusterEvent struct {
-	Kind          string // leader-lost | leader-elected | isr-shrink | isr-expand | truncate | node-crash | node-restart
+	Kind          string // leader-lost | leader-elected | isr-shrink | isr-expand | node-crash | node-restart
 	Topic         string
 	Partition     int
 	Node          int
 	Epoch         int64
-	FailoverTicks int  // leader-elected only
-	Unclean       bool // leader-elected only
+	FailoverTicks int // leader-elected only
 	Detail        string
 }
 
@@ -151,10 +131,7 @@ type brokerNode struct {
 	restarts int
 }
 
-const (
-	segmentLen = 1024          // entries per log segment
-	noBound    = math.MaxInt64 // divergence bound of a replica holding only the log's records
-)
+const segmentLen = 1024 // entries per log segment
 
 // entry is a record as its partition log stores it: what the record's
 // address (topic, partition, offset) cannot give.
@@ -165,15 +142,6 @@ type entry struct {
 	time    time.Time
 }
 
-// replica is one node's copy of a partition: the log's first end records,
-// those from bound on overwritten since an unclean election.
-type replica struct {
-	end, bound int64
-}
-
-// valid is how much of the log the replica holds.
-func (r replica) valid() int64 { return min(r.end, r.bound) }
-
 // clusterPart is the controller's metadata for one partition and its log.
 type clusterPart struct {
 	replicas   []int // node ids, assignment order; replicas[0] is the initial leader
@@ -182,7 +150,7 @@ type clusterPart struct {
 	epoch      int64
 	lostAtTick int                  // controller tick when leadership was last lost
 	segs       []*[segmentLen]entry // the log; the leader's end is its length
-	reps       []replica            // by node id; only replicas' entries are used
+	ends       []int64              // replica ends by node id; only replicas' entries are used
 }
 
 // at returns the log entry at offset off.
@@ -213,7 +181,6 @@ type Cluster struct {
 	nodes     []*brokerNode
 	topics    map[string]*clusterTopic
 	groups    map[string]*clusterGroup
-	now       func() time.Time
 	stats     ClusterStats
 	faultHook func(op string, node int) error
 	observer  func(ClusterEvent)
@@ -229,12 +196,8 @@ var _ Bus = (*Cluster)(nil)
 
 // NewCluster boots cfg.Nodes empty broker nodes.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
-	if cfg.MinISR == 0 {
-		cfg.MinISR = 1
-	}
-	if cfg.Nodes < 1 || cfg.Replication < 1 || cfg.Replication > cfg.Nodes || cfg.MinISR > cfg.Replication {
-		return nil, fmt.Errorf("%w: nodes=%d replication=%d minISR=%d",
-			ErrBadCluster, cfg.Nodes, cfg.Replication, cfg.MinISR)
+	if cfg.Nodes < 1 || cfg.Replication < 1 || cfg.Replication > cfg.Nodes {
+		return nil, fmt.Errorf("%w: nodes=%d replication=%d", ErrBadCluster, cfg.Nodes, cfg.Replication)
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -244,19 +207,11 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		nodes:  make([]*brokerNode, cfg.Nodes),
 		topics: make(map[string]*clusterTopic),
 		groups: make(map[string]*clusterGroup),
-		now:    cfg.Now,
 	}
 	for i := range c.nodes {
 		c.nodes[i] = &brokerNode{up: true}
 	}
 	return c, nil
-}
-
-// SetClock overrides the cluster's record-timestamp clock.
-func (c *Cluster) SetClock(now func() time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = now
 }
 
 // SetProfiler resolves the cluster's continuous-profiling regions: the
@@ -314,14 +269,12 @@ func (c *Cluster) CreateTopic(name string, partitions int) error {
 	t := &clusterTopic{parts: make([]*clusterPart, partitions)}
 	for p := range t.parts {
 		replicas := make([]int, c.cfg.Replication)
-		reps := make([]replica, c.cfg.Nodes)
 		for j := range replicas {
 			replicas[j] = (p + j) % c.cfg.Nodes
-			reps[replicas[j]].bound = noBound
 		}
 		isr := append([]int(nil), replicas...)
 		sort.Ints(isr)
-		t.parts[p] = &clusterPart{replicas: replicas, isr: isr, leader: replicas[0], epoch: 1, reps: reps}
+		t.parts[p] = &clusterPart{replicas: replicas, isr: isr, leader: replicas[0], epoch: 1, ends: make([]int64, c.cfg.Nodes)}
 	}
 	c.topics[name] = t
 	return nil
@@ -428,7 +381,7 @@ func (c *Cluster) Produce(topicName, key string, value []byte) (int, int64, erro
 
 // ProduceH is Produce with per-record headers. The record is acknowledged
 // only after it is appended to the leader and every in-sync follower; see
-// the package commentary on ISR shrink and MinISR rejection.
+// the package commentary on ISR shrink.
 func (c *Cluster) ProduceH(topicName, key string, value []byte, headers map[string]string) (int, int64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -488,8 +441,7 @@ func (c *Cluster) LeaderEpoch(topicName string, partitionID int) (leader int, ep
 // produceLocked runs the leader-side replication protocol for one record.
 // Replication outcomes are decided before anything is appended, so the
 // append is atomic across the surviving ISR: an acknowledged record is on
-// every ISR member, and a rejected produce leaves no partial state for a
-// retry to duplicate.
+// every ISR member.
 func (c *Cluster) produceLocked(topicName string, t *clusterTopic, p int, key string, value []byte, headers map[string]string) (int64, error) {
 	spAppend := c.profAppend.Start()
 	part := t.parts[p]
@@ -532,17 +484,7 @@ func (c *Cluster) produceLocked(topicName string, t *clusterTopic, p int, key st
 		}
 		survivors = append(survivors, n)
 	}
-	if len(survivors) < c.cfg.MinISR {
-		at := profile.Now()
-		spReplicate.EndAt(at)
-		spAppend.EndAt(at)
-		// Not enough in-sync copies would carry the record: reject without
-		// touching any log or the ISR, so a later retry can succeed cleanly.
-		c.stats.UnavailableErrors++
-		return 0, fmt.Errorf("%w: %s/%d would ack on %d < %d replicas",
-			ErrNotEnoughReplicas, topicName, p, len(survivors), c.cfg.MinISR)
-	}
-	off := part.reps[part.leader].end
+	off := part.ends[part.leader]
 	if off/segmentLen == int64(len(part.segs)) {
 		part.segs = append(part.segs, new([segmentLen]entry))
 	}
@@ -555,9 +497,9 @@ func (c *Cluster) produceLocked(topicName string, t *clusterTopic, p int, key st
 			h[k] = val
 		}
 	}
-	*part.at(off) = entry{key: key, value: v, headers: h, time: c.now()}
+	*part.at(off) = entry{key: key, value: v, headers: h, time: c.cfg.Now()}
 	for _, n := range survivors {
-		part.reps[n].end = off + 1
+		part.ends[n] = off + 1
 	}
 	if len(dropped) > 0 {
 		part.isr = append(part.isr[:0], survivors...)
@@ -614,8 +556,8 @@ func (c *Cluster) Poll(groupName, topicName string, max int) ([]Record, error) {
 	copy(polled, committed)
 	size := 0
 	for p, part := range t.parts {
-		if part.leader != -1 && c.nodes[part.leader].up && committed[p] < part.reps[part.leader].end {
-			size = min(max, size+int(part.reps[part.leader].end-committed[p]))
+		if part.leader != -1 && c.nodes[part.leader].up && committed[p] < part.ends[part.leader] {
+			size = min(max, size+int(part.ends[part.leader]-committed[p]))
 		}
 	}
 	var out []Record
@@ -629,17 +571,8 @@ func (c *Cluster) Poll(groupName, topicName string, max int) ([]Record, error) {
 		if part.leader == -1 || !c.nodes[part.leader].up {
 			continue
 		}
-		end := part.reps[part.leader].end
-		start := committed[p]
-		if start > end {
-			// Only possible after an unclean election truncated acknowledged
-			// records; resume from the new log end rather than erroring the
-			// consumer forever, and keep the next commit from moving back
-			// past it.
-			start = end
-			committed[p], polled[p] = end, end
-		}
-		for o := start; o < end && len(out) < max; o++ {
+		end := part.ends[part.leader]
+		for o := committed[p]; o < end && len(out) < max; o++ {
 			e := part.at(o)
 			out = append(out, Record{Topic: topicName, Partition: p, Offset: o, Key: e.key, Value: e.value, Headers: e.headers, Time: e.time})
 			polled[p] = o + 1
@@ -727,12 +660,12 @@ func (c *Cluster) Lag(groupName, topicName string) (int64, error) {
 // the most advanced live replica's end while leaderless.
 func (c *Cluster) hwLocked(part *clusterPart) int64 {
 	if part.leader != -1 && c.nodes[part.leader].up {
-		return part.reps[part.leader].end
+		return part.ends[part.leader]
 	}
 	var hw int64
 	for _, n := range part.replicas {
-		if c.nodes[n].up && part.reps[n].end > hw {
-			hw = part.reps[n].end
+		if c.nodes[n].up && part.ends[n] > hw {
+			hw = part.ends[n]
 		}
 	}
 	return hw
@@ -741,8 +674,7 @@ func (c *Cluster) hwLocked(part *clusterPart) int64 {
 // Tick runs one controller pass on the simulated tick clock: elect leaders
 // for leaderless partitions from their live ISR members (epoch bump,
 // failover latency measured in ticks), catch lagging live followers up to
-// their leader — truncating any replica to its divergence point first —
-// and re-admit caught-up followers to the ISR. The core monitoring loop
+// their leader, and re-admit caught-up followers to the ISR. The core monitoring loop
 // calls it once per scrape tick, so "election within N ticks" and "alert
 // within N ticks" share a clock.
 func (c *Cluster) Tick() {
@@ -757,8 +689,7 @@ func (c *Cluster) Tick() {
 	}
 }
 
-// electLocked fills a leaderless partition's leadership from the live ISR
-// (or, with AllowUnclean, the most caught-up live replica).
+// electLocked fills a leaderless partition's leadership from the live ISR.
 func (c *Cluster) electLocked(topicName string, part *clusterPart, p int) {
 	if part.leader != -1 && c.nodes[part.leader].up {
 		return
@@ -768,45 +699,21 @@ func (c *Cluster) electLocked(topicName string, part *clusterPart, p int) {
 		part.leader = -1
 		part.lostAtTick = c.stats.Ticks - 1
 	}
-	newLeader, unclean := -1, false
-	// Clean election: first live ISR member in assignment order. ISR
-	// members hold identical logs, so assignment order is a deterministic
-	// tie-break, not a durability choice.
+	// First live ISR member in assignment order. ISR members hold identical
+	// logs, so assignment order is a deterministic tie-break, not a
+	// durability choice.
+	newLeader := -1
 	for _, n := range part.replicas {
 		if c.nodes[n].up && contains(part.isr, n) {
 			newLeader = n
 			break
 		}
 	}
-	var best int64 = -1
-	if newLeader == -1 && c.cfg.AllowUnclean {
-		// Unclean election: the live replica holding most of the log,
-		// accepting the loss of acknowledged records beyond that.
-		for _, n := range part.replicas {
-			if c.nodes[n].up && part.reps[n].valid() > best {
-				best, newLeader, unclean = part.reps[n].valid(), n, true
-			}
-		}
-	}
 	if newLeader == -1 {
-		return // unavailable until an ISR member (or any replica, unclean) returns
+		return // unavailable until an ISR member returns
 	}
 	part.leader = newLeader
 	part.epoch++
-	if unclean {
-		// The new leader defines the log: the log ends where the leader's
-		// share of it ends, every replica past that diverges there, and the
-		// leader alone is in sync until the others truncate and catch up.
-		for _, n := range part.replicas {
-			part.reps[n].bound = min(part.reps[n].bound, best)
-		}
-		c.truncateLocked(topicName, part, p, newLeader)
-		for o := best; o < int64(len(part.segs))*segmentLen; o = (o/segmentLen + 1) * segmentLen {
-			clear(part.segs[o/segmentLen][o%segmentLen:]) // release what the dropped entries hold
-		}
-		part.isr = append(part.isr[:0], newLeader)
-		c.stats.UncleanElections++
-	}
 	c.stats.Elections++
 	failover := c.stats.Ticks - part.lostAtTick
 	c.stats.LastFailoverTicks = failover
@@ -814,45 +721,30 @@ func (c *Cluster) electLocked(topicName string, part *clusterPart, p int) {
 		c.stats.MaxFailoverTicks = failover
 	}
 	c.emit(ClusterEvent{Kind: "leader-elected", Topic: topicName, Partition: p, Node: newLeader,
-		Epoch: part.epoch, FailoverTicks: failover, Unclean: unclean})
+		Epoch: part.epoch, FailoverTicks: failover})
 }
 
-// truncateLocked cuts node n's replica back to its divergence point: the
-// records past it were acknowledged, if at all, under a superseded epoch.
-func (c *Cluster) truncateLocked(topicName string, part *clusterPart, p, n int) {
-	r := &part.reps[n]
-	if to := r.valid(); r.end > to {
-		c.stats.Truncated += int(r.end - to)
-		c.emit(ClusterEvent{Kind: "truncate", Topic: topicName, Partition: p, Node: n, Epoch: part.epoch,
-			Detail: fmt.Sprintf("%d records past offset %d", r.end-to, to)})
-		r.end = to
-	}
-	r.bound = noBound
-}
-
-// catchUpLocked truncates divergent live followers, advances lagging ones
-// to the leader's end, and restores caught-up followers to the ISR.
+// catchUpLocked advances lagging live followers to the leader's end and
+// restores caught-up followers to the ISR.
 func (c *Cluster) catchUpLocked(topicName string, part *clusterPart, p int) {
 	if part.leader == -1 || !c.nodes[part.leader].up {
 		return
 	}
-	hw := part.reps[part.leader].end
+	hw := part.ends[part.leader]
 	for _, n := range part.replicas {
 		if n == part.leader || !c.nodes[n].up {
 			continue
 		}
-		c.truncateLocked(topicName, part, p, n)
-		r := &part.reps[n]
-		if r.end < hw {
+		if part.ends[n] < hw {
 			if c.faultHook != nil {
 				if err := c.faultHook("catchup", n); err != nil {
 					continue // this round failed; retry next tick
 				}
 			}
-			c.stats.CatchUpRecords += int(hw - r.end)
-			r.end = hw
+			c.stats.CatchUpRecords += int(hw - part.ends[n])
+			part.ends[n] = hw
 		}
-		if r.end == hw && !contains(part.isr, n) {
+		if part.ends[n] == hw && !contains(part.isr, n) {
 			part.isr = append(part.isr, n)
 			sort.Ints(part.isr)
 			c.stats.ISRExpands++
@@ -941,7 +833,7 @@ func (c *Cluster) State() ClusterState {
 				ps.Leader = -1
 			}
 			for _, n := range part.replicas {
-				ps.ReplicaEnds = append(ps.ReplicaEnds, part.reps[n].end)
+				ps.ReplicaEnds = append(ps.ReplicaEnds, part.ends[n])
 				hosting[n]++
 			}
 			if ps.Leader == -1 {

@@ -48,7 +48,7 @@ func TestClusterConcurrentChaos(t *testing.T) {
 						acked.Add(1)
 						break
 					}
-					if !errors.Is(err, ErrNoLeader) && !errors.Is(err, ErrNotEnoughReplicas) {
+					if !errors.Is(err, ErrNoLeader) {
 						t.Errorf("produce %s: %v", key, err)
 						return
 					}

@@ -57,7 +57,6 @@ func TestClusterConfigValidation(t *testing.T) {
 	for _, cfg := range []ClusterConfig{
 		{Nodes: 0, Replication: 1},
 		{Nodes: 2, Replication: 3},
-		{Nodes: 3, Replication: 2, MinISR: 3},
 		{Nodes: 1, Replication: 0},
 	} {
 		if _, err := NewCluster(cfg); !errors.Is(err, ErrBadCluster) {
@@ -166,7 +165,7 @@ func TestClusterCleanFailoverLosesNothing(t *testing.T) {
 	if newEpoch != epoch+1 {
 		t.Fatalf("epoch after failover = %d, want %d", newEpoch, epoch+1)
 	}
-	if st := c.Stats(); st.Elections != 1 || st.UncleanElections != 0 || st.LastFailoverTicks != 1 {
+	if st := c.Stats(); st.Elections != 1 || st.LastFailoverTicks != 1 {
 		t.Fatalf("stats after clean failover = %+v", st)
 	}
 	// Every acknowledged record survives the failover.
@@ -194,10 +193,10 @@ func TestClusterElectionTable(t *testing.T) {
 	}
 
 	t.Run("isr-shrinks-to-one-and-still-acks", func(t *testing.T) {
-		c := newTestCluster(t, ClusterConfig{Nodes: 3, Replication: 3, MinISR: 1}, 1)
+		c := newTestCluster(t, ClusterConfig{Nodes: 3, Replication: 3}, 1)
 		c.SetFaultHook(failNodes(1, 2))
 		if _, _, err := c.Produce("events", "k", []byte("x")); err != nil {
-			t.Fatalf("minISR=1 produce: %v", err)
+			t.Fatalf("produce on the leader alone: %v", err)
 		}
 		st := c.State().Partitions[0]
 		if len(st.ISR) != 1 || st.ISR[0] != 0 {
@@ -218,24 +217,36 @@ func TestClusterElectionTable(t *testing.T) {
 		}
 	})
 
-	t.Run("min-isr-two-rejects-without-appending", func(t *testing.T) {
-		c := newTestCluster(t, ClusterConfig{Nodes: 3, Replication: 3, MinISR: 2}, 1)
+	t.Run("out-of-sync-survivors-are-never-elected", func(t *testing.T) {
+		c := newTestCluster(t, ClusterConfig{Nodes: 3, Replication: 3}, 1)
 		c.SetFaultHook(failNodes(1, 2))
-		_, _, err := c.Produce("events", "k", []byte("x"))
-		if !errors.Is(err, ErrNotEnoughReplicas) {
-			t.Fatalf("err = %v, want ErrNotEnoughReplicas", err)
+		produceN(t, c, 3)
+		c.SetFaultHook(nil)
+		if err := c.CrashNode(0); err != nil {
+			t.Fatal(err)
 		}
+		c.Tick()
+		// Both followers are live but missed acknowledged records: electing
+		// either would lose them, so the partition waits for its ISR.
 		st := c.State().Partitions[0]
-		if st.HighWatermark != 0 {
-			t.Fatalf("rejected produce advanced the log: hw = %d", st.HighWatermark)
+		if st.Leader != -1 {
+			t.Fatalf("leader = %d, want none while the only ISR member is down", st.Leader)
 		}
-		if len(st.ISR) != 3 {
-			t.Fatalf("rejected produce shrank the ISR: %v", st.ISR)
+		if _, _, err := c.Produce("events", "k", []byte("x")); !errors.Is(err, ErrNoLeader) {
+			t.Fatalf("produce err = %v, want ErrNoLeader", err)
 		}
-		// One surviving follower is enough for MinISR=2.
-		c.SetFaultHook(failNodes(2))
-		if _, _, err := c.Produce("events", "k", []byte("x")); err != nil {
-			t.Fatalf("produce with 2 survivors: %v", err)
+		if s := c.Stats(); s.Elections != 0 {
+			t.Fatalf("Elections = %d, want 0", s.Elections)
+		}
+		if err := c.RestartNode(0); err != nil {
+			t.Fatal(err)
+		}
+		c.Tick()
+		if leader, _, _ := c.LeaderEpoch("events", 0); leader != 0 {
+			t.Fatalf("leader = %d, want the returning ISR member 0", leader)
+		}
+		if got := drain(t, c, "audit"); len(got) != 3 {
+			t.Fatalf("drain after recovery = %d records, want 3", len(got))
 		}
 	})
 
@@ -331,104 +342,42 @@ func TestClusterRestartCatchUpAndISRRejoin(t *testing.T) {
 	}
 }
 
-func TestClusterUncleanElectionTruncates(t *testing.T) {
-	c := newTestCluster(t, ClusterConfig{Nodes: 2, Replication: 2, AllowUnclean: true}, 1)
+// TestClusterDeposedLeaderRejoinsWithoutLoss: a leader that fails over
+// cleanly and returns catches up on the new epoch's records without losing
+// any of its own, so a later failover back to it serves the whole log.
+func TestClusterDeposedLeaderRejoinsWithoutLoss(t *testing.T) {
+	c := newTestCluster(t, ClusterConfig{Nodes: 2, Replication: 2}, 1)
 	produceN(t, c, 2)
 	leader, _, _ := c.LeaderEpoch("events", 0)
 	follower := 1 - leader
-	// Drop the follower from the ISR, then keep writing: the leader's log
-	// runs ahead of the follower's.
-	c.SetFaultHook(func(op string, node int) error {
-		if op == "replicate" && node == follower {
-			return errors.New("injected lag")
-		}
-		return nil
-	})
+	if err := c.CrashNode(leader); err != nil {
+		t.Fatal(err)
+	}
+	c.Tick()
+	if l, _, _ := c.LeaderEpoch("events", 0); l != follower {
+		t.Fatalf("leader = %d, want the in-sync follower %d", l, follower)
+	}
 	for i := 0; i < 3; i++ {
-		if _, _, err := c.Produce("events", "k", []byte("x")); err != nil {
+		if _, _, err := c.Produce("events", "k", []byte("new")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	c.SetFaultHook(nil)
-	if err := c.CrashNode(leader); err != nil {
-		t.Fatal(err)
-	}
-	c.Tick()
-	newLeader, _, _ := c.LeaderEpoch("events", 0)
-	if newLeader != follower {
-		t.Fatalf("unclean election picked %d, want lagging survivor %d", newLeader, follower)
-	}
-	st := c.Stats()
-	if st.UncleanElections != 1 {
-		t.Fatalf("UncleanElections = %d, want 1", st.UncleanElections)
-	}
-	// The new leader never saw the last 3 acked records: documented loss.
-	if hw := c.State().Partitions[0].HighWatermark; hw != 2 {
-		t.Fatalf("hw after unclean election = %d, want 2", hw)
-	}
-	// The old leader returns with the longer log and must truncate to the
-	// new leader's high watermark before rejoining the ISR.
 	if err := c.RestartNode(leader); err != nil {
 		t.Fatal(err)
 	}
 	c.Tick()
-	if s := c.Stats(); s.Truncated != 3 {
-		t.Fatalf("Truncated = %d, want 3", s.Truncated)
+	st := c.State().Partitions[0]
+	if len(st.ISR) != 2 || st.HighWatermark != 5 {
+		t.Fatalf("after catch-up ISR = %v, hw = %d; want both and 5", st.ISR, st.HighWatermark)
 	}
-	final := c.State().Partitions[0]
-	if len(final.ISR) != 2 {
-		t.Fatalf("ISR after truncation = %v, want both", final.ISR)
-	}
-	for i, end := range final.ReplicaEnds {
-		if end != final.HighWatermark {
-			t.Fatalf("replica %d end = %d, hw = %d", i, end, final.HighWatermark)
+	for i, end := range st.ReplicaEnds {
+		if end != st.HighWatermark {
+			t.Fatalf("replica %d end = %d, hw = %d", i, end, st.HighWatermark)
 		}
 	}
-	// A committed consumer position past the truncated end clamps instead of
-	// erroring forever.
-	if got := drain(t, c, "late"); len(got) != 2 {
-		t.Fatalf("drain after truncation = %d, want 2", len(got))
+	if s := c.Stats(); s.CatchUpRecords != 3 {
+		t.Fatalf("CatchUpRecords = %d, want 3", s.CatchUpRecords)
 	}
-}
-
-// TestClusterDivergentSuffixTruncatedOnCatchUp: a deposed leader that comes
-// back *shorter* than the new leader's log still holds records the unclean
-// election superseded. Catch-up must cut them before appending, or a later
-// clean failover to that replica serves them in place of acknowledged ones.
-func TestClusterDivergentSuffixTruncatedOnCatchUp(t *testing.T) {
-	c := newTestCluster(t, ClusterConfig{Nodes: 2, Replication: 2, AllowUnclean: true}, 1)
-	produceN(t, c, 2)
-	leader, _, _ := c.LeaderEpoch("events", 0)
-	follower := 1 - leader
-	produce := func(v string, n int) {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			if _, _, err := c.Produce("events", "k", []byte(v)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	c.SetFaultHook(func(op string, node int) error {
-		if op == "replicate" && node == follower {
-			return errors.New("injected lag")
-		}
-		return nil
-	})
-	produce("old", 3)
-	c.SetFaultHook(nil)
-	if err := c.CrashNode(leader); err != nil {
-		t.Fatal(err)
-	}
-	c.Tick() // the follower wins uncleanly at offset 2
-	produce("new", 4)
-	if err := c.RestartNode(leader); err != nil {
-		t.Fatal(err)
-	}
-	c.Tick()
-	if s := c.Stats(); s.Truncated != 3 || s.CatchUpRecords != 4 {
-		t.Fatalf("Truncated = %d, CatchUpRecords = %d; want 3 and 4", s.Truncated, s.CatchUpRecords)
-	}
-	// A clean failover back to the old leader must serve the new epoch's log.
 	if err := c.CrashNode(follower); err != nil {
 		t.Fatal(err)
 	}
@@ -440,57 +389,7 @@ func TestClusterDivergentSuffixTruncatedOnCatchUp(t *testing.T) {
 	for _, r := range drain(t, c, "fresh") {
 		got = append(got, string(r.Value))
 	}
-	if want := "[0 1 new new new new]"; fmt.Sprint(got) != want {
-		t.Fatalf("fresh group reads %v, want %s", got, want)
-	}
-}
-
-// TestClusterUncleanElectionRanksByLogHeld: a replica's records past its
-// divergence point are gone, so an unclean election ranks the live replicas
-// by how much of the log they hold, not by their raw ends.
-func TestClusterUncleanElectionRanksByLogHeld(t *testing.T) {
-	c := newTestCluster(t, ClusterConfig{Nodes: 3, Replication: 3, AllowUnclean: true}, 1)
-	lagging := map[int]bool{}
-	c.SetFaultHook(func(op string, node int) error {
-		if op == "replicate" && lagging[node] {
-			return errors.New("injected lag")
-		}
-		return nil
-	})
-	produce := func(v string, n int) {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			if _, _, err := c.Produce("events", "k", []byte(v)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	produceN(t, c, 2)
-	lagging[1], lagging[2] = true, true
-	produce("a", 3) // node 0 alone: ends 5, 2, 2
-	lagging[1], lagging[2] = false, false
-	if err := c.CrashNode(0); err != nil {
-		t.Fatal(err)
-	}
-	c.Tick() // node 1 wins uncleanly at 2; node 0 diverges there; node 2 rejoins
-	produce("b", 2)
-	lagging[2] = true
-	produce("b", 1) // ends 5 (2 of them the log's), 5, 4
-	if err := c.CrashNode(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RestartNode(0); err != nil {
-		t.Fatal(err)
-	}
-	c.Tick()
-	if l, _, _ := c.LeaderEpoch("events", 0); l != 2 {
-		t.Fatalf("unclean leader = %d, want node 2, which holds 4 records of the log to node 0's 2", l)
-	}
-	var got []string
-	for _, r := range drain(t, c, "fresh") {
-		got = append(got, string(r.Value))
-	}
-	if want := "[0 1 b b]"; fmt.Sprint(got) != want {
+	if want := "[0 1 new new new]"; fmt.Sprint(got) != want {
 		t.Fatalf("fresh group reads %v, want %s", got, want)
 	}
 }

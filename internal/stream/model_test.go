@@ -11,21 +11,9 @@ import (
 )
 
 // oracle is the broker this package shipped before the one-log layout: each
-// replica holds its own []Record copy. It is kept as the reference the
-// Cluster must reproduce, with the fixes the shared log brought:
-//   - catch-up cuts a replica back to its common prefix with the leader; the
-//     old rule cut only what ran past the high watermark, so a deposed leader
-//     that came back shorter kept its divergent records;
-//   - an unclean election ranks the live replicas by their common prefix
-//     with the last leader and cuts the winner to it: the old rule could
-//     elect a replica whose divergent records a truncation had already
-//     counted as lost;
-//   - a poll that clamps a committed offset past the log end clamps the
-//     polled extent too, so the commit that follows does not move the group
-//     back past the end and skip the records produced there next.
-//
-// One topic, "events"; records are compared by pointer, so a common prefix
-// is a run of the very records a produce appended.
+// replica holds its own []Record copy, and catch-up appends the leader's
+// suffix to it. It is kept as the reference the Cluster must reproduce.
+// One topic, "events".
 type oracle struct {
 	cfg    ClusterConfig
 	up     []bool
@@ -35,31 +23,22 @@ type oracle struct {
 	stats  ClusterStats
 	hook   func(op string, node int) error
 	now    func() time.Time
-	// acked holds, per partition, the values acknowledged since its last
-	// unclean election.
-	acked [][]string
+	acked  [][]string // per partition, the values acknowledged there
 }
 
 type oraclePart struct {
 	replicas, isr []int
-	leader, last  int // last is the most recently elected leader, live or not
+	leader        int
 	epoch         int64
 	lostAtTick    int
-	unclean       int         // unclean elections so far
 	logs          [][]*Record // by node id
 }
 
 type oracleGroup struct {
 	committed, polled []int64
-	// unclean is, per partition, its unclean elections as of the group's
-	// last poll that found it led, and so clamped the committed offset.
-	unclean []int
 }
 
 func newOracle(cfg ClusterConfig, partitions int, hook func(string, int) error) *oracle {
-	if cfg.MinISR == 0 {
-		cfg.MinISR = 1
-	}
 	o := &oracle{cfg: cfg, up: make([]bool, cfg.Nodes), groups: make(map[string]*oracleGroup),
 		hook: hook, now: stepClock(), acked: make([][]string, partitions)}
 	for i := range o.up {
@@ -72,7 +51,7 @@ func newOracle(cfg ClusterConfig, partitions int, hook func(string, int) error) 
 		}
 		part.isr = append([]int(nil), part.replicas...)
 		sort.Ints(part.isr)
-		part.leader, part.last = part.replicas[0], part.replicas[0]
+		part.leader = part.replicas[0]
 		o.parts = append(o.parts, part)
 	}
 	return o
@@ -122,10 +101,6 @@ func (o *oracle) append(p int, key string, value []byte, headers map[string]stri
 			survivors = append(survivors, n)
 		}
 	}
-	if len(survivors) < o.cfg.MinISR {
-		o.stats.UnavailableErrors++
-		return 0, ErrNotEnoughReplicas
-	}
 	off := int64(len(part.logs[part.leader]))
 	rec := &Record{Topic: "events", Partition: p, Offset: off, Key: key, Value: append(make([]byte, 0, len(value)), value...), Time: o.now()}
 	if len(headers) > 0 {
@@ -148,7 +123,7 @@ func (o *oracle) append(p int, key string, value []byte, headers map[string]stri
 func (o *oracle) group(name string) *oracleGroup {
 	g, ok := o.groups[name]
 	if !ok {
-		g = &oracleGroup{committed: make([]int64, len(o.parts)), polled: make([]int64, len(o.parts)), unclean: make([]int, len(o.parts))}
+		g = &oracleGroup{committed: make([]int64, len(o.parts)), polled: make([]int64, len(o.parts))}
 		o.groups[name] = g
 	}
 	return g
@@ -162,11 +137,7 @@ func (o *oracle) poll(group string, max int) []Record {
 		if len(out) >= max || !o.led(part) {
 			continue
 		}
-		g.unclean[p] = part.unclean
 		log := part.logs[part.leader]
-		if end := int64(len(log)); g.committed[p] > end {
-			g.committed[p], g.polled[p] = end, end
-		}
 		for off := g.committed[p]; off < int64(len(log)) && len(out) < max; off++ {
 			out = append(out, *log[off])
 			g.polled[p] = off + 1
@@ -205,60 +176,30 @@ func (o *oracle) restart(id int) error {
 	return nil
 }
 
-func commonPrefix(a, b []*Record) int {
-	n := 0
-	for n < len(a) && n < len(b) && a[n] == b[n] {
-		n++
-	}
-	return n
-}
-
-// cut truncates node n's log to k records.
-func (o *oracle) cut(part *oraclePart, n, k int) {
-	if len(part.logs[n]) > k {
-		o.stats.Truncated += len(part.logs[n]) - k
-		part.logs[n] = part.logs[n][:k]
-	}
-}
-
 func (o *oracle) tick() {
 	o.stats.Ticks++
-	for p, part := range o.parts {
-		o.elect(p, part)
+	for _, part := range o.parts {
+		o.elect(part)
 		o.catchUp(part)
 	}
 }
 
-func (o *oracle) elect(p int, part *oraclePart) {
+func (o *oracle) elect(part *oraclePart) {
 	if o.led(part) {
 		return
 	}
-	newLeader, best := -1, -1
+	newLeader := -1
 	for _, n := range part.replicas {
 		if o.up[n] && contains(part.isr, n) {
 			newLeader = n
 			break
 		}
 	}
-	if newLeader == -1 && o.cfg.AllowUnclean {
-		for _, n := range part.replicas {
-			if k := commonPrefix(part.logs[n], part.logs[part.last]); o.up[n] && k > best {
-				newLeader, best = n, k
-			}
-		}
-	}
 	if newLeader == -1 {
 		return
 	}
-	part.leader, part.last = newLeader, newLeader
+	part.leader = newLeader
 	part.epoch++
-	if best >= 0 {
-		o.cut(part, newLeader, best)
-		part.isr = []int{newLeader}
-		part.unclean++
-		o.stats.UncleanElections++
-		o.acked[p] = nil
-	}
 	o.stats.Elections++
 	o.stats.LastFailoverTicks = o.stats.Ticks - part.lostAtTick
 	o.stats.MaxFailoverTicks = max(o.stats.MaxFailoverTicks, o.stats.LastFailoverTicks)
@@ -273,7 +214,6 @@ func (o *oracle) catchUp(part *oraclePart) {
 		if n == part.leader || !o.up[n] {
 			continue
 		}
-		o.cut(part, n, commonPrefix(part.logs[n], lead))
 		if len(part.logs[n]) < len(lead) {
 			if o.hook("catchup", n) != nil {
 				continue
@@ -353,15 +293,11 @@ func (s *choices) pick(n int) int {
 	return int(b) % n
 }
 
-// historyConfigs are the broker shapes a history runs on, with unclean
-// election off and on.
+// historyConfigs are the broker shapes a history runs on.
 var historyConfigs = []ClusterConfig{
-	{Nodes: 3, Replication: 3, MinISR: 1},
-	{Nodes: 3, Replication: 3, MinISR: 2},
-	{Nodes: 3, Replication: 2, MinISR: 1},
-	{Nodes: 3, Replication: 3, MinISR: 1, AllowUnclean: true},
-	{Nodes: 3, Replication: 2, MinISR: 1, AllowUnclean: true},
-	{Nodes: 2, Replication: 2, MinISR: 1, AllowUnclean: true},
+	{Nodes: 3, Replication: 3},
+	{Nodes: 3, Replication: 2},
+	{Nodes: 2, Replication: 2},
 }
 
 var errWindow = errors.New("model: fault window")
@@ -488,10 +424,11 @@ func runHistory(t *testing.T, cfg ClusterConfig, src *choices) ClusterStats {
 }
 
 // checkInvariants asserts what must hold after every step whatever the
-// oracle says: ISR ⊆ replicas with the leader in it, epochs never fall, a
-// group's committed offset is within the high watermark, and a fresh group
-// reads only acknowledged records, none twice, and every record acknowledged
-// on a led partition since its last unclean election.
+// oracle says: ISR ⊆ replicas with the leader in it, epochs never fall, and
+// on a led partition no replica ends past the leader and no group's committed
+// offset passes the high watermark, which is why the broker never truncates;
+// and a fresh group reads only acknowledged records, none twice, and every
+// record acknowledged on a led partition.
 func checkInvariants(t *testing.T, step int, c *Cluster, o *oracle, st ClusterState, epochs []int64, acked map[string]bool) {
 	t.Helper()
 	for p, ps := range st.Partitions {
@@ -510,11 +447,13 @@ func checkInvariants(t *testing.T, step int, c *Cluster, o *oracle, st ClusterSt
 		if ps.Leader == -1 {
 			continue
 		}
-		// An unclean election may leave a committed offset past the new end
-		// until the group's next poll of the led partition clamps it.
-		for name, g := range o.groups {
-			committed, _ := c.Committed(name, "events", p)
-			if committed > ps.HighWatermark && g.unclean[p] == o.parts[p].unclean {
+		for i, end := range ps.ReplicaEnds {
+			if end > ps.HighWatermark {
+				t.Fatalf("step %d: partition %d replica %d ends at %d past leader %d's %d", step, p, ps.Replicas[i], end, ps.Leader, ps.HighWatermark)
+			}
+		}
+		for name := range o.groups {
+			if committed, _ := c.Committed(name, "events", p); committed > ps.HighWatermark {
 				t.Fatalf("step %d: %s committed %d past hw %d on partition %d", step, name, committed, ps.HighWatermark, p)
 			}
 		}
@@ -543,33 +482,22 @@ func checkInvariants(t *testing.T, step int, c *Cluster, o *oracle, st ClusterSt
 // TestModelRandomHistories runs seeded histories of keyed, empty-key and
 // header-carrying produces, epoch-fenced produces at the current and at stale
 // epochs, polls and commits by two groups (one poller each), crashes,
-// restarts, ticks and replicate/catchup fault windows against the oracle,
-// with unclean election off and on.
+// restarts, ticks and replicate/catchup fault windows against the oracle.
 //
 // Mutations of cluster.go it catches, each tried by hand (and the check
 // that fires first):
-//   - catch-up cuts only what runs past the high watermark, as the old
-//     broker did (partitions);
-//   - an unclean election leaves the divergence bounds uncapped (partitions);
-//   - an unclean election ranks replicas by raw end, not by how much of the
-//     log they hold (stats);
-//   - an unclean election keeps the winner's own divergent records
-//     (partitions);
 //   - produce advances the end of a follower it dropped from the ISR
 //     (partitions);
 //   - catch-up skips the fault hook (partitions);
 //   - ProduceWithEpoch ignores the epoch (produce with epoch);
-//   - Poll clamps the committed offset but not the polled extent, as the old
-//     broker did (Lag).
+//   - an election may pick a live replica outside the ISR (partitions).
 func TestModelRandomHistories(t *testing.T) {
 	var total ClusterStats
 	for i, cfg := range historyConfigs {
-		for seed := int64(1); seed <= 3; seed++ {
+		for seed := int64(1); seed <= 6; seed++ {
 			t.Run(fmt.Sprintf("config%d/seed%d", i, seed), func(t *testing.T) {
 				st := runHistory(t, cfg, &choices{rng: rand.New(rand.NewSource(seed*10 + int64(i))), steps: 400})
 				total.Elections += st.Elections
-				total.UncleanElections += st.UncleanElections
-				total.Truncated += st.Truncated
 				total.CatchUpRecords += st.CatchUpRecords
 				total.StaleProduces += st.StaleProduces
 				total.ISRShrinks += st.ISRShrinks
@@ -581,7 +509,7 @@ func TestModelRandomHistories(t *testing.T) {
 		return
 	}
 	// Guard against a history that stopped exercising what it is here for.
-	if total.Elections < 50 || total.UncleanElections < 10 || total.Truncated < 10 || total.CatchUpRecords < 50 ||
+	if total.Elections < 50 || total.CatchUpRecords < 50 ||
 		total.StaleProduces < 20 || total.ISRShrinks < 50 || total.UnavailableErrors < 20 {
 		t.Fatalf("history too tame: %+v", total)
 	}
