@@ -388,42 +388,3 @@ func Generate911(count int, start time.Time, rng *rand.Rand) ([]Call911, error) 
 	}
 	return out, nil
 }
-
-// MonthlyBatch is the §II.A.4 law-enforcement transfer: incident reports
-// uploaded to a secure server on the first day of each month and retained
-// for 90 days.
-type MonthlyBatch struct {
-	Month      time.Time
-	Agency     string
-	Incidents  []Incident
-	UploadedAt time.Time
-	ExpiresAt  time.Time // 90-day retention per the MOU
-}
-
-// GenerateMonthlyBatches builds months consecutive batches starting at
-// start (normalized to the first of the month).
-func GenerateMonthlyBatches(months int, start time.Time, members []string, rng *rand.Rand) ([]MonthlyBatch, error) {
-	if months <= 0 {
-		return nil, fmt.Errorf("%w: %d months", ErrBadConfig, months)
-	}
-	first := time.Date(start.Year(), start.Month(), 1, 0, 0, 0, 0, time.UTC)
-	out := make([]MonthlyBatch, months)
-	for m := range out {
-		monthStart := first.AddDate(0, m, 0)
-		cfg := DefaultCrimeConfig(monthStart)
-		cfg.Count = 150 + rng.Intn(150)
-		incidents, err := GenerateCrimes(cfg, members, rng)
-		if err != nil {
-			return nil, err
-		}
-		upload := monthStart.AddDate(0, 1, 0) // uploaded on the 1st of the next month
-		out[m] = MonthlyBatch{
-			Month:      monthStart,
-			Agency:     "Baton Rouge PD",
-			Incidents:  incidents,
-			UploadedAt: upload,
-			ExpiresAt:  upload.Add(90 * 24 * time.Hour),
-		}
-	}
-	return out, nil
-}

@@ -227,33 +227,3 @@ func TestGenerate911(t *testing.T) {
 		t.Fatalf("categories = %v", cats)
 	}
 }
-
-func TestMonthlyBatchesRetention(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	batches, err := GenerateMonthlyBatches(3, testStart, nil, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batches) != 3 {
-		t.Fatalf("batches = %d", len(batches))
-	}
-	for i, b := range batches {
-		if b.Month.Day() != 1 {
-			t.Fatalf("batch %d month start = %v", i, b.Month)
-		}
-		// Uploaded on the first day of the following month.
-		if b.UploadedAt != b.Month.AddDate(0, 1, 0) {
-			t.Fatalf("upload time %v for month %v", b.UploadedAt, b.Month)
-		}
-		// 90-day retention (paper: "deleted after 90 days").
-		if got := b.ExpiresAt.Sub(b.UploadedAt); got != 90*24*time.Hour {
-			t.Fatalf("retention = %v", got)
-		}
-		if len(b.Incidents) < 150 {
-			t.Fatalf("batch %d has %d incidents", i, len(b.Incidents))
-		}
-	}
-	if batches[1].Month != batches[0].Month.AddDate(0, 1, 0) {
-		t.Fatal("months not consecutive")
-	}
-}

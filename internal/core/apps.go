@@ -224,7 +224,6 @@ func (inf *Infrastructure) PendingAlerts(max int) ([]Alert, error) {
 // with geo-targeted tweets during the time frame of a violent incident, the
 // field of associates may be strategically narrowed."
 type NarrowFunnel struct {
-	Incident          string
 	Suspects          []string
 	FirstDegree       int
 	SecondDegree      int
@@ -257,7 +256,7 @@ func DefaultNarrowConfig() NarrowConfig {
 // intersect with geo/time-filtered tweets, and keep associates whose tweets
 // match the violence keyword model.
 func (inf *Infrastructure) NarrowPersonsOfInterest(inc citydata.Incident, cfg NarrowConfig) (*NarrowFunnel, error) {
-	funnel := &NarrowFunnel{Incident: inc.ReportNumber}
+	funnel := &NarrowFunnel{}
 	for _, p := range inc.Persons {
 		if p.Role != "suspect" {
 			continue

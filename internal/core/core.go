@@ -71,7 +71,6 @@ func DefaultConfig() Config {
 // Infrastructure is the booted cyberinfrastructure.
 type Infrastructure struct {
 	cfg Config
-	rng *rand.Rand
 
 	// Software layer.
 	HDFS   *hdfs.Cluster
@@ -185,7 +184,7 @@ func New(cfg Config, rng *rand.Rand) (*Infrastructure, error) {
 	if cfg.Cameras < 9 {
 		return nil, fmt.Errorf("%w: %+v", ErrBadConfig, cfg)
 	}
-	inf := &Infrastructure{cfg: cfg, rng: rng}
+	inf := &Infrastructure{cfg: cfg}
 
 	// Software layer: storage.
 	inf.HDFS = hdfs.NewCluster(hdfs.Config{BlockSize: cfg.BlockSize, Replication: cfg.Replication}, rng)

@@ -36,10 +36,9 @@ type Engine struct {
 	app         yarn.ApplicationID
 	taskRes     yarn.Resources
 
-	mu            sync.Mutex
-	tasksRun      int
-	shufflesRun   int
-	stageBarriers int
+	mu          sync.Mutex
+	tasksRun    int
+	shufflesRun int
 }
 
 // EngineOption configures an Engine.
@@ -69,16 +68,15 @@ func NewEngine(parallelism int, opts ...EngineOption) *Engine {
 
 // Metrics reports execution counters.
 type Metrics struct {
-	TasksRun      int
-	ShufflesRun   int
-	StageBarriers int
+	TasksRun    int
+	ShufflesRun int
 }
 
 // Metrics returns a snapshot of execution counters.
 func (e *Engine) Metrics() Metrics {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return Metrics{TasksRun: e.tasksRun, ShufflesRun: e.shufflesRun, StageBarriers: e.stageBarriers}
+	return Metrics{TasksRun: e.tasksRun, ShufflesRun: e.shufflesRun}
 }
 
 // Dataset is a lazy, partitioned collection.
@@ -261,7 +259,6 @@ func (e *Engine) shuffle(parts [][]any, nParts int) ([][]any, error) {
 	}
 	e.mu.Lock()
 	e.shufflesRun++
-	e.stageBarriers++
 	e.mu.Unlock()
 	return buckets, nil
 }

@@ -412,11 +412,8 @@ func (d *Detector) DetectServer(feature *tensor.Tensor, scoreFloor float64) ([]D
 
 // EvalResult summarizes detector accuracy on a labeled set.
 type EvalResult struct {
-	Images         int
-	ClassAccuracy  float64 // top detection has the right class
-	MeanIoU        float64 // IoU of top detection vs truth
-	DetectionRate  float64 // fraction of images with any detection
-	MeanConfidence float64
+	ClassAccuracy float64 // top detection has the right class
+	MeanIoU       float64 // IoU of top detection vs truth
 }
 
 // Head selects which model to evaluate.
@@ -449,13 +446,12 @@ func (d *Detector) Evaluate(images *tensor.Tensor, truths [][]GroundTruth, h Hea
 		return EvalResult{}, err
 	}
 	n := images.Dim(0)
-	res := EvalResult{Images: n}
+	var res EvalResult
 	for i := 0; i < n; i++ {
 		dets := NMS(d.decode(out, i, 0.0), 0.45)
 		if len(dets) == 0 || len(truths[i]) == 0 {
 			continue
 		}
-		res.DetectionRate++
 		top := dets[0]
 		for _, dt := range dets[1:] {
 			if dt.Score > top.Score {
@@ -467,13 +463,10 @@ func (d *Detector) Evaluate(images *tensor.Tensor, truths [][]GroundTruth, h Hea
 			res.ClassAccuracy++
 		}
 		res.MeanIoU += IoU(top.Box, gt.Box)
-		res.MeanConfidence += top.Score
 	}
 	if n > 0 {
 		res.ClassAccuracy /= float64(n)
 		res.MeanIoU /= float64(n)
-		res.DetectionRate /= float64(n)
-		res.MeanConfidence /= float64(n)
 	}
 	return res, nil
 }

@@ -53,7 +53,7 @@ func E3FogOffloadSweep(rng *rand.Rand) (*Result, error) {
 			name += "@0.5"
 		}
 		policies.AddRow(name, res.MeanMs, res.P95Ms, fogUpstream(res)/1024,
-			res.BusyByTier[fog.Server].BusyMs, res.BusyByTier[fog.Fog].BusyMs)
+			res.BusyByTier[fog.Server], res.BusyByTier[fog.Fog])
 		baselines = append(baselines, row{name, res})
 	}
 

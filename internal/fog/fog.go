@@ -57,7 +57,6 @@ func (t Tier) String() string {
 
 // Node is one device in the topology.
 type Node struct {
-	ID   string
 	Tier Tier
 	// OpsPerMs is compute throughput; a ComputeStep of N ops takes N/OpsPerMs
 	// milliseconds.
@@ -66,7 +65,6 @@ type Node struct {
 
 // Link is a directed connection with propagation latency and bandwidth.
 type Link struct {
-	From, To  string
 	LatencyMs float64
 	// BytesPerMs is link bandwidth; a TransferStep of B bytes occupies the
 	// link for B/BytesPerMs milliseconds after the latency.
@@ -106,7 +104,7 @@ func (t *Topology) AddNode(id string, tier Tier, opsPerMs float64) error {
 	if _, ok := t.nodes[id]; ok {
 		return fmt.Errorf("%w: %s", ErrNodeExists, id)
 	}
-	t.nodes[id] = &Node{ID: id, Tier: tier, OpsPerMs: opsPerMs}
+	t.nodes[id] = &Node{Tier: tier, OpsPerMs: opsPerMs}
 	return nil
 }
 
@@ -121,7 +119,7 @@ func (t *Topology) AddLink(from, to string, latencyMs, bytesPerMs float64) error
 	if _, ok := t.nodes[to]; !ok {
 		return fmt.Errorf("%w: %s", ErrNoNode, to)
 	}
-	t.links[from+"→"+to] = &Link{From: from, To: to, LatencyMs: latencyMs, BytesPerMs: bytesPerMs}
+	t.links[from+"→"+to] = &Link{LatencyMs: latencyMs, BytesPerMs: bytesPerMs}
 	return nil
 }
 
@@ -210,19 +208,12 @@ type JobResult struct {
 	Timeline []StepTiming
 }
 
-// TierStats aggregates per-tier busy time.
-type TierStats struct {
-	BusyMs float64
-	Jobs   int
-}
-
 // PathStat attributes latency to one stage of the tiered path: WaitMs is
 // time spent queued for the stage's resource, ServiceMs is time spent being
 // processed by it.
 type PathStat struct {
 	WaitMs    float64
 	ServiceMs float64
-	Steps     int
 }
 
 // Results aggregates a simulation run.
@@ -230,10 +221,9 @@ type Results struct {
 	Jobs       []JobResult
 	MeanMs     float64
 	P95Ms      float64
-	MaxMs      float64
 	TotalBytes int
 	// BusyByTier maps tier → busy compute milliseconds.
-	BusyByTier map[Tier]*TierStats
+	BusyByTier map[Tier]float64
 	// BytesByLink maps "from→to" → bytes transferred.
 	BytesByLink map[string]int
 	MakespanMs  float64
@@ -302,12 +292,9 @@ func (t *Topology) Run(jobs []Job) (*Results, error) {
 	heap.Init(&states)
 
 	res := &Results{
-		BusyByTier:  make(map[Tier]*TierStats),
+		BusyByTier:  make(map[Tier]float64),
 		BytesByLink: make(map[string]int),
 		Attribution: make(map[string]*PathStat),
-	}
-	for _, tier := range []Tier{Edge, Fog, Server, Cloud} {
-		res.BusyByTier[tier] = &TierStats{}
 	}
 	attribute := func(stage string, waitMs, serviceMs float64) {
 		ps, ok := res.Attribution[stage]
@@ -317,7 +304,6 @@ func (t *Topology) Run(jobs []Job) (*Results, error) {
 		}
 		ps.WaitMs += waitMs
 		ps.ServiceMs += serviceMs
-		ps.Steps++
 	}
 
 	var latencies []float64
@@ -340,11 +326,9 @@ func (t *Topology) Run(jobs []Job) (*Results, error) {
 			st.timeline = append(st.timeline, StepTiming{
 				Stage: node.Tier.String(), ReadyMs: st.readyAt, WaitMs: start - st.readyAt, ServiceMs: dur,
 			})
-			ts := res.BusyByTier[node.Tier]
-			ts.BusyMs += dur
+			res.BusyByTier[node.Tier] += dur
 			if st.started < 0 {
 				st.started = start
-				ts.Jobs++
 			}
 		case TransferStep:
 			link, err := t.Link(s.From, s.To)
@@ -402,7 +386,6 @@ func (t *Topology) Run(jobs []Job) (*Results, error) {
 		}
 		res.MeanMs = sum / float64(len(latencies))
 		res.P95Ms = latencies[int(float64(len(latencies)-1)*0.95)]
-		res.MaxMs = latencies[len(latencies)-1]
 	}
 	return res, nil
 }

@@ -57,8 +57,8 @@ func TestSingleJobLatencyArithmetic(t *testing.T) {
 	if res.TotalBytes != 1000 || res.Jobs[0].UpstreamBytes != 1000 {
 		t.Fatalf("bytes = %d", res.TotalBytes)
 	}
-	if res.BusyByTier[Edge].BusyMs != 5 || res.BusyByTier[Server].BusyMs != 2 {
-		t.Fatalf("tier busy = %+v %+v", res.BusyByTier[Edge], res.BusyByTier[Server])
+	if res.BusyByTier[Edge] != 5 || res.BusyByTier[Server] != 2 {
+		t.Fatalf("tier busy = %g %g", res.BusyByTier[Edge], res.BusyByTier[Server])
 	}
 }
 
@@ -287,11 +287,11 @@ func TestSimulatorConservationProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(res.BusyByTier[Edge].BusyMs-wantEdgeBusy) > 1e-6 {
-			t.Fatalf("trial %d: edge busy %g, want %g", trial, res.BusyByTier[Edge].BusyMs, wantEdgeBusy)
+		if math.Abs(res.BusyByTier[Edge]-wantEdgeBusy) > 1e-6 {
+			t.Fatalf("trial %d: edge busy %g, want %g", trial, res.BusyByTier[Edge], wantEdgeBusy)
 		}
-		if math.Abs(res.BusyByTier[Server].BusyMs-wantServerBusy) > 1e-6 {
-			t.Fatalf("trial %d: server busy %g, want %g", trial, res.BusyByTier[Server].BusyMs, wantServerBusy)
+		if math.Abs(res.BusyByTier[Server]-wantServerBusy) > 1e-6 {
+			t.Fatalf("trial %d: server busy %g, want %g", trial, res.BusyByTier[Server], wantServerBusy)
 		}
 		if res.TotalBytes != wantBytes {
 			t.Fatalf("trial %d: bytes %d, want %d", trial, res.TotalBytes, wantBytes)

@@ -14,9 +14,6 @@ type GCCAResult struct {
 	Shared [][]float64
 	// Projections[v] is a (d_v × k) matrix for view v.
 	Projections [][][]float64
-	// Objective is the MAX-VAR objective value (sum of top-k eigenvalues of
-	// the summed projection operators; higher = more shared structure).
-	Objective float64
 }
 
 // GCCA computes MAX-VAR generalized canonical correlation analysis over m
@@ -85,7 +82,6 @@ func GCCA(views [][][]float64, k int, reg float64) (*GCCAResult, error) {
 		res.Shared[i] = make([]float64, k)
 	}
 	for c := 0; c < k; c++ {
-		res.Objective += pairs[c].lambda
 		// Columns of G are the top eigenvectors, scaled to unit norm (they
 		// already are from Jacobi).
 		for i := 0; i < n; i++ {

@@ -59,9 +59,6 @@ func TestGCCARecoversSharedLatentAcrossThreeViews(t *testing.T) {
 	if corr1 > corr0 {
 		t.Fatalf("component order wrong: %g vs %g", corr0, corr1)
 	}
-	if res.Objective <= 0 {
-		t.Fatalf("objective = %g", res.Objective)
-	}
 }
 
 func TestGCCAProjectionsMapViewsNearShared(t *testing.T) {

@@ -137,8 +137,7 @@ type Table struct {
 
 	memstore map[cellID][]Cell // key → versions, newest last
 	memCount int
-	wal      []Cell // unflushed cells, in arrival order
-	walSeq   int
+	wal      []Cell       // unflushed cells, in arrival order
 	files    []*storeFile // newest first
 	fileSeq  int
 	clock    int64
@@ -303,7 +302,6 @@ func (t *Table) flushLocked() error {
 	clear(t.memstore)
 	t.memCount = 0
 	t.wal = t.wal[:0]
-	t.walSeq++
 	t.flushes++
 	if t.events != nil {
 		t.events("flush", fmt.Sprintf("memstore flushed %d cells to %s", len(cells), sf.path))

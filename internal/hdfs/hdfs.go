@@ -59,13 +59,10 @@ func (n *dataNode) drop(bid BlockID) {
 }
 
 type blockMeta struct {
-	id       BlockID
-	length   int
 	replicas map[string]struct{} // datanode ids
 }
 
 type fileMeta struct {
-	path   string
 	blocks []BlockID
 	size   int
 }
@@ -245,7 +242,7 @@ func (c *Cluster) Write(path string, data []byte) error {
 	if nBlocks == 0 {
 		nBlocks = 1 // empty file still gets one empty block for uniformity
 	}
-	f := &fileMeta{path: path, size: len(data)}
+	f := &fileMeta{size: len(data)}
 	for i := 0; i < nBlocks; i++ {
 		lo := i * c.cfg.BlockSize
 		hi := lo + c.cfg.BlockSize
@@ -277,7 +274,7 @@ func (c *Cluster) placeBlock(chunk []byte) (BlockID, error) {
 	}
 	bid := c.nextBlock
 	c.nextBlock++
-	meta := &blockMeta{id: bid, length: len(chunk), replicas: make(map[string]struct{}, c.cfg.Replication)}
+	meta := &blockMeta{replicas: make(map[string]struct{}, c.cfg.Replication)}
 	var lastFault error
 	for _, n := range targets {
 		if len(meta.replicas) >= c.cfg.Replication {
@@ -419,8 +416,6 @@ func (c *Cluster) List() []string {
 
 // FileInfo describes one file.
 type FileInfo struct {
-	Path   string
-	Size   int
 	Blocks int
 }
 
@@ -432,7 +427,7 @@ func (c *Cluster) Stat(path string) (FileInfo, error) {
 	if !ok {
 		return FileInfo{}, fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
-	return FileInfo{Path: path, Size: f.size, Blocks: len(f.blocks)}, nil
+	return FileInfo{Blocks: len(f.blocks)}, nil
 }
 
 // FailDataNode marks a node dead. Its replicas become unreachable (and are
@@ -573,7 +568,6 @@ type Report struct {
 	Files           int
 	Blocks          int
 	LiveNodes       int
-	DeadNodes       int
 	UnderReplicated int
 	LostBlocks      int
 	StoredBytes     int
@@ -586,12 +580,10 @@ func (c *Cluster) Status() Report {
 	defer c.mu.Unlock()
 	r := Report{Files: len(c.files), Blocks: len(c.blocks), UnderReplicated: c.under, LostBlocks: c.lost}
 	for _, n := range c.nodes {
+		// Unreachable bytes on dead nodes don't count as stored.
 		if n.alive {
 			r.LiveNodes++
 			r.StoredBytes += n.bytes
-		} else {
-			// Unreachable bytes on dead nodes don't count as stored.
-			r.DeadNodes++
 		}
 	}
 	return r

@@ -26,8 +26,6 @@ func recount(t *testing.T, c *Cluster) Report {
 		if n.alive {
 			r.LiveNodes++
 			r.StoredBytes += held
-		} else {
-			r.DeadNodes++
 		}
 	}
 	for _, meta := range c.blocks {

@@ -7,7 +7,6 @@ type SupervisorStats struct {
 	Ticks           int
 	RepairTicks     int // ticks that found under-replication
 	ReplicasCreated int
-	Errors          int
 }
 
 // Supervisor is the namenode's self-healing loop: it watches for
@@ -48,9 +47,6 @@ func (s *Supervisor) Tick() (created int, err error) {
 		s.stats.RepairTicks++
 	}
 	s.stats.ReplicasCreated += created
-	if err != nil {
-		s.stats.Errors++
-	}
 	fn := s.onRepair
 	s.mu.Unlock()
 	if under > 0 && fn != nil {

@@ -45,7 +45,7 @@ func oracleIngestSpans(e *Engine, tv *telemetry.TraceView, from int, tick int64)
 		if sp.Parent >= 0 {
 			name = root + "/" + sp.Name
 		}
-		ni := e.graph.nodeFor(name, KindStage, sp.Tier, tick)
+		ni := e.graph.nodeFor(name, KindStage, sp.Tier)
 		e.graph.nodes[ni].spans++
 		if sp.Parent >= 0 && sp.Parent < len(tv.Spans) {
 			pname := root
@@ -53,7 +53,7 @@ func oracleIngestSpans(e *Engine, tv *telemetry.TraceView, from int, tick int64)
 				pname = root + "/" + p.Name
 			}
 			if pname != name {
-				pi := e.graph.nodeFor(pname, KindStage, tv.Spans[sp.Parent].Tier, tick)
+				pi := e.graph.nodeFor(pname, KindStage, tv.Spans[sp.Parent].Tier)
 				ei := e.graph.edgeFor(pi, ni, tick)
 				ed := &e.graph.edges[ei]
 				ed.traversals++
@@ -68,7 +68,7 @@ func oracleIngestSpans(e *Engine, tv *telemetry.TraceView, from int, tick int64)
 			backends = e.cfg.Bindings[sp.Name]
 		}
 		for _, b := range backends {
-			bi := e.graph.nodeFor(b, KindBackend, "", tick)
+			bi := e.graph.nodeFor(b, KindBackend, "")
 			e.graph.nodes[bi].spans++
 			ei := e.graph.edgeFor(ni, bi, tick)
 			e.graph.edges[ei].traversals++

@@ -21,13 +21,12 @@ const (
 )
 
 type node struct {
-	name      string
-	kind      string
-	tier      string
-	spans     int64
-	errors    int64
-	firstTick int64
-	in        int // in-degree; stage nodes with 0 are ingest roots
+	name   string
+	kind   string
+	tier   string
+	spans  int64
+	errors int64
+	in     int // in-degree; stage nodes with 0 are ingest roots
 }
 
 type edge struct {
@@ -52,11 +51,11 @@ func newGraph() *graph {
 
 // nodeFor returns the index of the named node, creating it on first sight.
 // Kind and tier stick from the first observation.
-func (g *graph) nodeFor(name, kind, tier string, tick int64) int {
+func (g *graph) nodeFor(name, kind, tier string) int {
 	if i, ok := g.index[name]; ok {
 		return i
 	}
-	g.nodes = append(g.nodes, node{name: name, kind: kind, tier: tier, firstTick: tick})
+	g.nodes = append(g.nodes, node{name: name, kind: kind, tier: tier})
 	g.index[name] = len(g.nodes) - 1
 	return len(g.nodes) - 1
 }

@@ -369,14 +369,14 @@ func (e *Engine) resolve(k spanKey, sp, parent *telemetry.Span) *spanSite {
 		name = k.root + "/" + k.name
 	}
 	site := &spanSite{edge: -1}
-	site.node = e.graph.nodeFor(name, KindStage, sp.Tier, e.tick)
+	site.node = e.graph.nodeFor(name, KindStage, sp.Tier)
 	if k.child {
 		pname := k.root
 		if k.grandchild {
 			pname = k.root + "/" + k.parent
 		}
 		if pname != name {
-			pi := e.graph.nodeFor(pname, KindStage, parent.Tier, e.tick)
+			pi := e.graph.nodeFor(pname, KindStage, parent.Tier)
 			site.edge = e.graph.edgeFor(pi, site.node, e.tick)
 		}
 	}
@@ -385,7 +385,7 @@ func (e *Engine) resolve(k spanKey, sp, parent *telemetry.Span) *spanSite {
 		backends = e.cfg.Bindings[k.name]
 	}
 	for _, b := range backends {
-		bi := e.graph.nodeFor(b, KindBackend, "", e.tick)
+		bi := e.graph.nodeFor(b, KindBackend, "")
 		site.backends = append(site.backends, struct{ node, edge int }{bi, e.graph.edgeFor(site.node, bi, e.tick)})
 	}
 	return site

@@ -160,7 +160,6 @@ func (b *BranchNet) TrainStep(x *tensor.Tensor, labels []int) (exit1Loss, tailLo
 // InferResult records one early-exit inference decision.
 type InferResult struct {
 	Class       int
-	Confidence  float64
 	ExitedLocal bool
 	// FeatureBytes is the size in bytes of the feature map that was (or
 	// would have been) shipped to the server: 8 bytes per float64 element.
@@ -182,17 +181,16 @@ func (b *BranchNet) Infer(x *tensor.Tensor, policy ExitPolicy) ([]InferResult, e
 	var missIdx []int
 	for i := 0; i < n; i++ {
 		row := probs.Data()[i*k : (i+1)*k]
-		conf := policy.Confidence(row)
-		if conf >= policy.Threshold {
+		if policy.Confidence(row) >= policy.Threshold {
 			best := 0
 			for j, v := range row {
 				if v > row[best] {
 					best = j
 				}
 			}
-			results[i] = InferResult{Class: best, Confidence: conf, ExitedLocal: true}
+			results[i] = InferResult{Class: best, ExitedLocal: true}
 		} else {
-			results[i] = InferResult{Confidence: conf, FeatureBytes: featPer}
+			results[i] = InferResult{FeatureBytes: featPer}
 			missIdx = append(missIdx, i)
 		}
 	}

@@ -163,7 +163,6 @@ type MaxPool2D struct {
 	k, stride  int
 	lastShape  []int
 	lastArgmax []int
-	outH, outW int
 }
 
 var _ Layer = (*MaxPool2D)(nil)
@@ -190,7 +189,6 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error
 	}
 	out := tensor.New(n, ch, oh, ow)
 	m.lastShape = x.Shape()
-	m.outH, m.outW = oh, ow
 	if cap(m.lastArgmax) < out.Size() {
 		m.lastArgmax = make([]int, out.Size())
 	}

@@ -9,9 +9,7 @@ import (
 // ChannelConcat merges the channel dimension of several same-spatial-shape
 // NCHW tensors. It is the join at the end of an Inception block's parallel
 // branches.
-type ChannelConcat struct {
-	lastShapes [][]int
-}
+type ChannelConcat struct{}
 
 // concatChannels concatenates NCHW tensors along dim 1.
 func concatChannels(parts []*tensor.Tensor) (*tensor.Tensor, error) {
@@ -72,10 +70,9 @@ func splitChannels(x *tensor.Tensor, channels []int) ([]*tensor.Tensor, error) {
 // reduce), and pool-projection branches whose outputs concatenate along the
 // channel axis. All branches preserve spatial size.
 type InceptionBlock struct {
-	branches   []*Sequential
-	outPerArm  []int
-	lastInput  *tensor.Tensor
-	lastShapes []int
+	branches  []*Sequential
+	outPerArm []int
+	lastInput *tensor.Tensor
 }
 
 var _ Layer = (*InceptionBlock)(nil)

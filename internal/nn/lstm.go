@@ -26,7 +26,7 @@ type lstmStep struct {
 	hPrev      *tensor.Tensor // [N,H]
 	cPrev      *tensor.Tensor // [N,H]
 	i, f, g, o *tensor.Tensor // gate activations [N,H]
-	c, tanhC   *tensor.Tensor // [N,H]
+	tanhC      *tensor.Tensor // [N,H]
 }
 
 var _ Layer = (*LSTM)(nil)
@@ -110,7 +110,7 @@ func (l *LSTM) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 		}
 		l.steps = append(l.steps, lstmStep{
 			x: xt, hPrev: h, cPrev: cPrev,
-			i: ig, f: fg, g: gg, o: og, c: cNew, tanhC: tc,
+			i: ig, f: fg, g: gg, o: og, tanhC: tc,
 		})
 		for i := 0; i < n; i++ {
 			copy(out.Data()[(i*t+step)*hh:(i*t+step+1)*hh], hNew.Data()[i*hh:(i+1)*hh])

@@ -41,9 +41,8 @@ func (k ShortcutKind) String() string {
 // convolutions with batch normalization and ReLU, summed with a configurable
 // shortcut path, followed by a final ReLU.
 type ResidualBlock struct {
-	kind     ShortcutKind
-	inC, out int
-	stride   int
+	kind ShortcutKind
+	out  int
 
 	conv1 *Conv2D
 	bn1   *BatchNorm
@@ -83,7 +82,7 @@ func NewResidualBlock(cfg ResidualConfig, opts ...Option) (*ResidualBlock, error
 			ErrBadInput, cfg.InC, cfg.OutC, cfg.Stride)
 	}
 	b := &ResidualBlock{
-		kind: cfg.Shortcut, inC: cfg.InC, out: cfg.OutC, stride: cfg.Stride,
+		kind: cfg.Shortcut, out: cfg.OutC,
 		conv1:   NewConv2D(ConvConfig{InC: cfg.InC, OutC: cfg.OutC, Kernel: 3, Stride: cfg.Stride, Pad: 1}, opts...),
 		bn1:     NewBatchNorm(cfg.OutC),
 		relu1:   NewReLU(),

@@ -80,13 +80,12 @@ func DefaultConfig() Config { return Config{MaxAttempts: 6} }
 
 // Stats counts policy activity across all Do calls.
 type Stats struct {
-	Calls          int // Do invocations
-	Attempts       int // operation executions
-	Retries        int // backoff sleeps taken
-	Failures       int // failed operation executions
-	ShortCircuits  int // attempts skipped because the breaker was open
-	Exhausted      int // Do calls that returned an error after all attempts
-	SleptSimulated time.Duration
+	Calls         int // Do invocations
+	Attempts      int // operation executions
+	Retries       int // backoff sleeps taken
+	Failures      int // failed operation executions
+	ShortCircuits int // attempts skipped because the breaker was open
+	Exhausted     int // Do calls that returned an error after all attempts
 }
 
 // Policy executes operations with bounded, jittered retries. It is
@@ -161,10 +160,7 @@ func (p *Policy) count(f func(s *Stats)) {
 // per-record retry accounting must use these rather than diffing Stats
 // around the call.
 type CallStats struct {
-	Attempts      int // operation executions in this call
-	Retries       int // backoff sleeps taken in this call
-	ShortCircuits int // attempts skipped because the breaker was open
-	Slept         time.Duration
+	Retries int // backoff sleeps taken in this call
 }
 
 // Do runs op with bounded retries. When the breaker is open the attempt is
@@ -183,7 +179,6 @@ func (p *Policy) DoStats(op func() error) (CallStats, error) {
 	var lastErr error
 	for attempt := 1; ; attempt++ {
 		if p.breaker != nil && !p.breaker.Allow() {
-			cs.ShortCircuits++
 			p.count(func(s *Stats) { s.ShortCircuits++ })
 			if lastErr == nil {
 				lastErr = ErrBreakerOpen
@@ -192,7 +187,6 @@ func (p *Policy) DoStats(op func() error) (CallStats, error) {
 			}
 		} else {
 			err := op()
-			cs.Attempts++
 			p.count(func(s *Stats) { s.Attempts++ })
 			if err == nil {
 				if p.breaker != nil {
@@ -212,8 +206,7 @@ func (p *Policy) DoStats(op func() error) (CallStats, error) {
 		}
 		d := p.backoff(attempt)
 		cs.Retries++
-		cs.Slept += d
-		p.count(func(s *Stats) { s.Retries++; s.SleptSimulated += d })
+		p.count(func(s *Stats) { s.Retries++ })
 		p.clock.Sleep(d)
 	}
 }

@@ -65,7 +65,6 @@ type DQN struct {
 
 	buffer []Transition
 	pos    int
-	filled bool
 }
 
 // NewDQN creates an agent for the given state/action dimensions.
@@ -138,7 +137,6 @@ func (d *DQN) Observe(t Transition) {
 	}
 	d.buffer[d.pos] = t
 	d.pos = (d.pos + 1) % d.cfg.BufferSize
-	d.filled = true
 }
 
 // BufferLen returns the number of stored transitions.

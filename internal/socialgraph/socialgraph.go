@@ -138,7 +138,7 @@ func (g *Graph) KDegreeAssociates(id string, k int) ([][]string, error) {
 
 // DegreeStats summarizes the degree distribution.
 type DegreeStats struct {
-	Mean, Min, Max float64
+	Min, Max float64
 }
 
 // Degrees computes degree statistics over the whole graph.
@@ -148,10 +148,8 @@ func (g *Graph) Degrees() DegreeStats {
 	}
 	first := true
 	var st DegreeStats
-	total := 0.0
 	for _, nbrs := range g.adj {
 		d := float64(len(nbrs))
-		total += d
 		if first {
 			st.Min, st.Max = d, d
 			first = false
@@ -163,7 +161,6 @@ func (g *Graph) Degrees() DegreeStats {
 			st.Max = d
 		}
 	}
-	st.Mean = total / float64(len(g.adj))
 	return st
 }
 

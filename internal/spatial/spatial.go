@@ -74,7 +74,6 @@ type HotspotSeries struct {
 	// Dominant[i] is the hotspot index that produced the most events in
 	// window i.
 	Dominant []int
-	Centers  []geo.Point
 }
 
 // GenerateHotspots produces a clustered event series. Each window, one
@@ -93,7 +92,7 @@ func GenerateHotspots(cfg HotspotConfig, rng *rand.Rand) (*HotspotSeries, error)
 			Lon: cfg.Box.MinLon + (0.2+0.6*rng.Float64())*(cfg.Box.MaxLon-cfg.Box.MinLon),
 		}
 	}
-	s := &HotspotSeries{Cfg: cfg, Centers: centers}
+	s := &HotspotSeries{Cfg: cfg}
 	active := rng.Intn(cfg.Hotspots)
 	for w := 0; w < cfg.Windows; w++ {
 		if rng.Float64() > 0.8 {

@@ -74,9 +74,6 @@ func TestGenerateHotspotsStructure(t *testing.T) {
 	if len(s.Windows) != cfg.Windows || len(s.Dominant) != cfg.Windows {
 		t.Fatalf("series sizes %d/%d", len(s.Windows), len(s.Dominant))
 	}
-	if len(s.Centers) != cfg.Hotspots {
-		t.Fatalf("centers = %d", len(s.Centers))
-	}
 	for i, d := range s.Dominant {
 		if d < 0 || d >= cfg.Hotspots {
 			t.Fatalf("window %d dominant = %d", i, d)

@@ -574,7 +574,7 @@ func (c *Cluster) Poll(groupName, topicName string, max int) ([]Record, error) {
 		end := part.ends[part.leader]
 		for o := committed[p]; o < end && len(out) < max; o++ {
 			e := part.at(o)
-			out = append(out, Record{Topic: topicName, Partition: p, Offset: o, Key: e.key, Value: e.value, Headers: e.headers, Time: e.time})
+			out = append(out, Record{Partition: p, Offset: o, Key: e.key, Value: e.value, Headers: e.headers, Time: e.time})
 			polled[p] = o + 1
 		}
 	}

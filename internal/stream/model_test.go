@@ -102,7 +102,7 @@ func (o *oracle) append(p int, key string, value []byte, headers map[string]stri
 		}
 	}
 	off := int64(len(part.logs[part.leader]))
-	rec := &Record{Topic: "events", Partition: p, Offset: off, Key: key, Value: append(make([]byte, 0, len(value)), value...), Time: o.now()}
+	rec := &Record{Partition: p, Offset: off, Key: key, Value: append(make([]byte, 0, len(value)), value...), Time: o.now()}
 	if len(headers) > 0 {
 		rec.Headers = make(map[string]string)
 		for k, v := range headers {

@@ -43,10 +43,10 @@ type Bus interface {
 	CommitPolled(groupName, topicName string) error
 }
 
-// Record is one message in a partition log. Topic, Partition and Offset are
-// its address: the log stores the rest once and Poll fills them in.
+// Record is one message in a partition log. Partition and Offset are its
+// address within the polled topic: the log stores the rest once and Poll
+// fills them in.
 type Record struct {
-	Topic     string
 	Partition int
 	Offset    int64
 	Key       string

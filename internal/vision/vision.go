@@ -137,7 +137,6 @@ func backgroundNoise(img *tensor.Tensor, rng *rand.Rand) {
 type DetectionSet struct {
 	Images *tensor.Tensor // [N, 3, size, size]
 	Truths [][]detect.GroundTruth
-	Labels []int // class of the (single) object per image
 }
 
 // GenerateDetection renders n single-vehicle frames at random positions.
@@ -147,7 +146,6 @@ func GenerateDetection(catalog []Class, n, size int, rng *rand.Rand) (*Detection
 	}
 	images := tensor.New(n, 3, size, size)
 	truths := make([][]detect.GroundTruth, n)
-	labels := make([]int, n)
 	imgLen := 3 * size * size
 	for i := 0; i < n; i++ {
 		img, err := tensor.FromSlice(images.Data()[i*imgLen:(i+1)*imgLen], 3, size, size)
@@ -160,9 +158,8 @@ func GenerateDetection(catalog []Class, n, size int, rng *rand.Rand) (*Detection
 		cy := 0.3 + 0.4*rng.Float64()
 		box := renderVehicle(img, cls, cx, cy, rng)
 		truths[i] = []detect.GroundTruth{{Box: box, Class: cls.ID}}
-		labels[i] = cls.ID
 	}
-	return &DetectionSet{Images: images, Truths: truths, Labels: labels}, nil
+	return &DetectionSet{Images: images, Truths: truths}, nil
 }
 
 // ClassificationSet is a labeled classification dataset (vehicle centered).

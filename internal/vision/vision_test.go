@@ -49,8 +49,8 @@ func TestGenerateDetectionShapesAndBoxes(t *testing.T) {
 	if set.Images.Dim(0) != 20 || set.Images.Dim(1) != 3 || set.Images.Dim(2) != 16 {
 		t.Fatalf("images shape %v", set.Images.Shape())
 	}
-	if len(set.Truths) != 20 || len(set.Labels) != 20 {
-		t.Fatalf("labels %d truths %d", len(set.Labels), len(set.Truths))
+	if len(set.Truths) != 20 {
+		t.Fatalf("truths %d", len(set.Truths))
 	}
 	for i, truths := range set.Truths {
 		if len(truths) != 1 {
@@ -59,9 +59,6 @@ func TestGenerateDetectionShapesAndBoxes(t *testing.T) {
 		b := truths[0].Box
 		if b.CX < 0 || b.CX > 1 || b.CY < 0 || b.CY > 1 || b.W <= 0 || b.H <= 0 || b.W > 1 || b.H > 1 {
 			t.Fatalf("bad box %+v", b)
-		}
-		if truths[0].Class != set.Labels[i] {
-			t.Fatal("label/truth mismatch")
 		}
 	}
 	if _, err := GenerateDetection(catalog, 0, 16, rng); !errors.Is(err, ErrBadConfig) {

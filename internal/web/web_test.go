@@ -16,7 +16,7 @@ import (
 	"repro/internal/geo"
 )
 
-func newTestServer(t *testing.T) (*httptest.Server, *core.Infrastructure) {
+func newTestServer(t testing.TB) (*httptest.Server, *core.Infrastructure) {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.Cameras = 30

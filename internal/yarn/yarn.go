@@ -52,13 +52,11 @@ type ContainerID int64
 // Container is a granted resource lease on a node.
 type Container struct {
 	ID     ContainerID
-	App    ApplicationID
 	NodeID string
 	Res    Resources
 }
 
 type pendingRequest struct {
-	app ApplicationID
 	res Resources
 	ch  chan<- ContainerID
 }
@@ -128,7 +126,7 @@ func (rm *ResourceManager) Request(app ApplicationID, res Resources) (<-chan Con
 		return nil, fmt.Errorf("%w: %+v", ErrOverCapacity, res)
 	}
 	ch := make(chan ContainerID, 1)
-	rm.pending = append(rm.pending, pendingRequest{app: app, res: res, ch: ch})
+	rm.pending = append(rm.pending, pendingRequest{res: res, ch: ch})
 	rm.scheduleLocked()
 	return ch, nil
 }
@@ -189,7 +187,7 @@ func (rm *ResourceManager) grantLocked(n *node) {
 	req := rm.pending[0]
 	rm.pending = rm.pending[1:]
 	rm.nextCont++
-	c := &Container{ID: rm.nextCont, App: req.app, NodeID: n.id, Res: req.res}
+	c := &Container{ID: rm.nextCont, NodeID: n.id, Res: req.res}
 	rm.containers[c.ID] = c
 	n.used.Cores += req.res.Cores
 	n.used.MemMB += req.res.MemMB

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -71,10 +72,30 @@ var testOnly = map[string]string{
 	"internal/hbase.Table.CrashAndRecover": "region-server recovery (ROADMAP item 5); the hbase and core chaos tests drive it",
 	"internal/hdfs.Cluster.ReviveDataNode": "datanode return (ROADMAP item 8); the hdfs tests drive it",
 	"internal/hbase.Table.Delete":          "the only writer of tombstones, which the store-file format carries; crash histories with deletes (ROADMAP items 5 and 8) need it, and the hbase model test drives it",
+}
 
-	// E1's inventory names the law-enforcement batches these generate.
-	"internal/citydata.GenerateMonthlyBatches": "the monthly batches E1's inventory names",
-	"internal/citydata.MonthlyBatch":           "what GenerateMonthlyBatches returns",
+// testOnlyFields lists the struct fields that no program reads but that stay
+// in the tree, each with its reader: a test oracle, a testOnly declaration,
+// benchmark/ or a ROADMAP item. Keys are "dir.Type.field", with dir as in
+// testOnly and a field of an anonymous struct type as "dir.Type.field.sub".
+var testOnlyFields = map[string]string{
+	// Tests read them as oracles.
+	"internal/sqoop.ImportResult.Splits": "the sqoop tests check each mapper's key range against it",
+	"internal/stream.Record.Offset":      "the broker model test compares polled records, address included, with its per-replica model; the stream tests check per-partition order",
+	"internal/stream.Record.Partition":   "the broker model test compares polled records, address included, with its per-replica model; the stream tests check per-partition order",
+	"internal/hbase.Stats.WALEntries":    "the hbase model test checks that CrashAndRecover (testOnly) replays exactly the unflushed WAL; the hbase fault tests read it",
+
+	// A testOnly declaration reads or returns them.
+	"internal/docstore.PlannerStats.FullScans":    "what Collection.Planner (testOnly) reports; the docstore, web and root bench tests prove index use by it",
+	"internal/docstore.PlannerStats.IndexedScans": "what Collection.Planner (testOnly) reports; the docstore, web and root bench tests prove index use by it",
+	"internal/hdfs.FileInfo.Blocks":               "what Cluster.Stat (testOnly) reports; the hdfs tests check a file's block count through it",
+	"internal/fusion.CCAResult.WX":                "E11's CCA test projects each view through it with Project (testOnly)",
+	"internal/fusion.CCAResult.WY":                "E11's CCA test projects each view through it with Project (testOnly)",
+	"internal/fusion.GCCAResult.Projections":      "E11's GCCA test projects each view through it with ProjectView (testOnly)",
+
+	// A roadmap item is their next reader, or deletes them.
+	"internal/core.Infrastructure.Engine": "the analysis engine of Fig. 4; ROADMAP item 6 gives it the archive to read or deletes it",
+	"internal/stream.Record.Time":         "stamped from ClusterConfig.Now, which benchmark/'s stream replay sets; it goes with that replay (ROADMAP item 20), and the broker model test compares it",
 }
 
 // implicitMethods are called by the standard library through an interface
@@ -96,65 +117,123 @@ var programRoots = []string{"cmd", "examples", "benchmark"}
 // as readers. Names are resolved by go/types, so a declaration is reached
 // only by a use of that declaration, never by another one of the same name.
 func TestEveryDeclarationHasAProgramReader(t *testing.T) {
-	decls, err := reachability(".")
+	m, err := module()
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := map[string]bool{}
+	reached := map[string]bool{}
+	for _, d := range m.decls {
+		reached[d.key] = d.reached
+	}
+	checkListed(t, "declaration", "testOnly", reached, testOnly)
+}
+
+// TestEveryFieldHasAProgramReader keeps records honest: every field of a
+// struct type outside tests must be read by a program, or be listed in
+// testOnlyFields with a reason. A field is read where a reached declaration,
+// or one listed in testOnly, uses its value; writing it (x.f = v, x.f[k] = v,
+// x.f = append(x.f, …), x.f++, T{f: v}) is not a read. A tagged field, a
+// field of a struct converted to an empty interface (fmt and encoding/json
+// read it by reflection), and a field of a struct used as a map key or
+// compared with == count as read.
+func TestEveryFieldHasAProgramReader(t *testing.T) {
+	m, err := module()
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := map[string]bool{}
+	for _, f := range m.fields {
+		read[f.key] = f.read
+	}
+	checkListed(t, "field", "testOnlyFields", read, testOnlyFields)
+}
+
+// checkListed fails on an unreached key that is not listed, on a listed key
+// that is reached and on a listed key that names nothing.
+func checkListed(t *testing.T, what, list string, reached map[string]bool, listed map[string]string) {
+	t.Helper()
 	var unread, stale, gone []string
-	for _, d := range decls {
-		keys[d.key] = true
-		_, listed := testOnly[d.key]
+	for k, r := range reached {
+		_, ok := listed[k]
 		switch {
-		case !d.reached && !listed:
-			unread = append(unread, d.key)
-		case d.reached && listed:
-			stale = append(stale, d.key)
+		case !r && !ok:
+			unread = append(unread, k)
+		case r && ok:
+			stale = append(stale, k)
 		}
 	}
-	for k := range testOnly {
-		if !keys[k] {
+	for k := range listed {
+		if _, ok := reached[k]; !ok {
 			gone = append(gone, k)
 		}
 	}
-	report := func(what string, list []string) {
-		if len(list) == 0 {
+	report := func(msg string, keys []string) {
+		if len(keys) == 0 {
 			return
 		}
-		sort.Strings(list)
-		t.Errorf("%s (%d):\n\t%s", what, len(list), strings.Join(list, "\n\t"))
+		sort.Strings(keys)
+		t.Errorf("%s (%d):\n\t%s", msg, len(keys), strings.Join(keys, "\n\t"))
 	}
-	report("no program reaches these declarations; delete them or list them in testOnly with a reason", unread)
-	report("these testOnly entries are now reached by a program; drop them from testOnly", stale)
-	report("these testOnly entries name no declaration; drop them from testOnly", gone)
+	report(fmt.Sprintf("no program reads these %ss; delete them or list them in %s with a reason", what, list), unread)
+	report(fmt.Sprintf("these %s entries are now read by a program; drop them from %s", list, list), stale)
+	report(fmt.Sprintf("these %s entries name no %s; drop them from %s", list, what, list), gone)
 }
+
+// module is the reachability of this module, checked once for both guards.
+var module = sync.OnceValues(func() (*reach, error) { return reachability(".", testOnly) })
 
 // TestReachabilityResolvesTypes pins the guard's resolution rules on the
 // module in testdata/reach: a method is not reached by a same-named function
 // or field, and is reached through a method value, an interface call, a
-// generic instantiation or its sealed interface.
+// generic instantiation or its sealed interface; a field is read by a use of
+// its value in a reached or listed declaration, or by a structural rule.
 func TestReachabilityResolvesTypes(t *testing.T) {
-	decls, err := reachability(filepath.Join("testdata", "reach"))
+	m, err := reachability(filepath.Join("testdata", "reach"), map[string]string{"lib.Legacy": "a listed declaration"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var unread []string
-	for _, d := range decls {
+	var unread, unreadFields []string
+	for _, d := range m.decls {
 		if !d.reached {
 			unread = append(unread, d.key)
 		}
 	}
+	for _, f := range m.fields {
+		if !f.read {
+			unreadFields = append(unreadFields, f.key)
+		}
+	}
 	sort.Strings(unread)
+	sort.Strings(unreadFields)
 	want := []string{
 		"lib.Box.Unused",
 		"lib.Config.Shortcut",
 		"lib.Dataset.Join",
+		"lib.Legacy",
 		"lib.Shape.Perimeter",
 		"lib.Square.Perimeter",
 	}
 	if strings.Join(unread, " ") != strings.Join(want, " ") {
 		t.Errorf("unreached declarations:\n\tgot  %v\n\twant %v", unread, want)
 	}
+	wantFields := []string{
+		"lib.Counter.n",
+		"lib.Ledger.entries",
+		"lib.Ledger.note",
+		"lib.Ledger.seen",
+		"lib.Ledger.total",
+		"lib.Ledger.viaTest",
+	}
+	if strings.Join(unreadFields, " ") != strings.Join(wantFields, " ") {
+		t.Errorf("unread fields:\n\tgot  %v\n\twant %v", unreadFields, wantFields)
+	}
+}
+
+// reach is what reachability returns: the module's top-level declarations
+// and interface methods, and the fields of its struct types.
+type reach struct {
+	decls  []*declaration
+	fields []*field
 }
 
 type declaration struct {
@@ -166,14 +245,25 @@ type declaration struct {
 	reached bool
 }
 
+// field is a named, non-embedded field of a struct type declared at the top
+// level, or of an anonymous struct type inside one. Its key is the type's
+// key followed by the field path. An embedded field is read through every
+// promoted selector and is not checked.
+type field struct {
+	key  string
+	read bool
+}
+
 // reachability type-checks the non-test packages of the module rooted at dir
 // and returns its top-level declarations and interface methods, each marked
-// reached or not. The roots are every declaration under programRoots, every
-// init and every method named in implicitMethods; a declaration reaches each
-// object it uses, a call through an interface method reaches the method of
-// every module type that implements the interface, and an interface reaches
-// its unexported marker methods (no parameters, no results).
-func reachability(dir string) ([]*declaration, error) {
+// reached or not, and its struct fields, each marked read or not. The roots
+// are every declaration under programRoots, every init and every method named
+// in implicitMethods; a declaration reaches each object it uses, a call
+// through an interface method reaches the method of every module type that
+// implements the interface, and an interface reaches its unexported marker
+// methods (no parameters, no results). Fields are read by the reached
+// declarations and by those listed (keys as in testOnly); see readFields.
+func reachability(dir string, listed map[string]string) (*reach, error) {
 	mod, err := os.ReadFile(filepath.Join(dir, "go.mod"))
 	if err != nil {
 		return nil, err
@@ -185,8 +275,14 @@ func reachability(dir string) ([]*declaration, error) {
 		fset:   fset,
 		std:    importer.ForCompiler(fset, "gc", nil),
 		pkgs:   map[string]*types.Package{},
-		info:   &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
-		byObj:  map[types.Object]*declaration{},
+		info: &types.Info{
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
+		byObj:   map[types.Object]*declaration{},
+		byField: map[*types.Var]*field{},
 	}
 	err = filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
 		if err != nil || !e.IsDir() {
@@ -206,7 +302,12 @@ func reachability(dir string) ([]*declaration, error) {
 		return nil, err
 	}
 	c.walk()
-	return c.decls, nil
+	for _, d := range c.decls {
+		if _, ok := listed[d.key]; d.reached || ok {
+			c.readFields(d.node)
+		}
+	}
+	return &reach{decls: c.decls, fields: c.fields}, nil
 }
 
 func modulePath(gomod []byte) string {
@@ -229,6 +330,8 @@ type checker struct {
 	decls       []*declaration
 	byObj       map[types.Object]*declaration
 	named       []*types.Named // the module's non-generic, non-interface types
+	fields      []*field
+	byField     map[*types.Var]*field
 }
 
 func (c *checker) Import(path string) (*types.Package, error) {
@@ -311,6 +414,7 @@ func (c *checker) declare(dir string, program bool, gd ast.Decl) {
 			switch s := spec.(type) {
 			case *ast.TypeSpec:
 				d := c.add(dir+"."+s.Name.Name, s, s.Name, program)
+				c.declareFields(d.key, s.Type)
 				named, ok := d.obj.Type().(*types.Named)
 				if !ok || s.TypeParams != nil {
 					continue
@@ -342,6 +446,30 @@ func (c *checker) declare(dir string, program bool, gd ast.Decl) {
 			}
 		}
 	}
+}
+
+// declareFields records the fields of every struct type in the type
+// expression e, which belongs to the declaration or field named key. A
+// tagged field is read by whatever decodes or encodes through its tag.
+func (c *checker) declareFields(key string, e ast.Expr) {
+	ast.Inspect(e, func(n ast.Node) bool {
+		st, ok := n.(*ast.StructType)
+		if !ok {
+			return true
+		}
+		for _, f := range st.Fields.List {
+			for _, name := range f.Names {
+				if name.Name == "_" {
+					continue
+				}
+				fd := &field{key: key + "." + name.Name, read: f.Tag != nil}
+				c.fields = append(c.fields, fd)
+				c.byField[c.info.Defs[name].(*types.Var)] = fd
+				c.declareFields(fd.key, f.Type)
+			}
+		}
+		return false
+	})
 }
 
 // walk marks every declaration the roots reach.
@@ -422,6 +550,256 @@ func (c *checker) dispatch(f *types.Func, push func(types.Object)) {
 			push(m)
 		}
 	}
+}
+
+// readFields marks the fields that the syntax under node reads. A selector
+// x.f reads f unless it is written: the target of an assignment (also as
+// x.f[k] and as the struct value holding an assigned field, x.f.g), the
+// operand of ++ or --, or the first argument of append(x.f, …) assigned back
+// to x.f. A composite-literal key writes. Three structural rules read every
+// field they touch: an expression converted to an empty interface reads its
+// type's fields, followed through field, element, key and pointer types; and
+// a struct used as a map key or compared with == or != reads its fields,
+// followed through struct and array types.
+func (c *checker) readFields(node ast.Node) {
+	written := map[*ast.SelectorExpr]bool{}
+	var stack []ast.Node
+	ast.Inspect(node, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		stack = append(stack, n)
+		if e, ok := n.(ast.Expr); ok {
+			if m, ok := underlying(c.info.Types[e].Type).(*types.Map); ok {
+				c.readCompared(m.Key())
+			}
+		}
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			if s := c.info.Selections[n]; s != nil && s.Kind() == types.FieldVal && !written[n] {
+				c.markRead(s.Obj().(*types.Var))
+			}
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				c.markWritten(lhs, written)
+				if len(n.Lhs) != len(n.Rhs) {
+					continue
+				}
+				if n.Tok == token.ASSIGN {
+					c.toAny(c.info.Types[lhs].Type, n.Rhs[i])
+				}
+				if call, ok := n.Rhs[i].(*ast.CallExpr); ok && c.isBuiltin(call.Fun, "append") &&
+					types.ExprString(call.Args[0]) == types.ExprString(lhs) {
+					c.markWritten(call.Args[0], written)
+				}
+			}
+		case *ast.IncDecStmt:
+			c.markWritten(n.X, written)
+		case *ast.ValueSpec:
+			if n.Type != nil {
+				for _, v := range n.Values {
+					c.toAny(c.info.Types[n.Type].Type, v)
+				}
+			}
+		case *ast.CallExpr:
+			c.callToAny(n)
+		case *ast.CompositeLit:
+			c.literalToAny(n)
+		case *ast.SendStmt:
+			if ch, ok := underlying(c.info.Types[n.Chan].Type).(*types.Chan); ok {
+				c.toAny(ch.Elem(), n.Value)
+			}
+		case *ast.ReturnStmt:
+			for i := len(stack) - 1; i >= 0; i-- {
+				var sig types.Type
+				switch fn := stack[i].(type) {
+				case *ast.FuncDecl:
+					sig = c.info.Defs[fn.Name].Type()
+				case *ast.FuncLit:
+					sig = c.info.Types[fn].Type
+				default:
+					continue
+				}
+				if res := sig.(*types.Signature).Results(); res.Len() == len(n.Results) {
+					for j, r := range n.Results {
+						c.toAny(res.At(j).Type(), r)
+					}
+				}
+				break
+			}
+		case *ast.BinaryExpr:
+			if n.Op == token.EQL || n.Op == token.NEQ {
+				c.readCompared(c.info.Types[n.X].Type)
+			}
+		}
+		return true
+	})
+}
+
+func (c *checker) markRead(v *types.Var) {
+	if f := c.byField[v.Origin()]; f != nil {
+		f.read = true
+	}
+}
+
+// markWritten records the field selectors that the assignment target e
+// writes rather than reads.
+func (c *checker) markWritten(e ast.Expr, written map[*ast.SelectorExpr]bool) {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			s := c.info.Selections[x]
+			if s == nil || s.Kind() != types.FieldVal {
+				return
+			}
+			written[x] = true
+			// x.f.g = v and x.f[i].g = v write into f when they reach g
+			// without a pointer; through a pointer they read f.
+			if _, ptr := underlying(c.info.Types[x.X].Type).(*types.Pointer); ptr {
+				return
+			}
+			e = x.X
+		default:
+			return
+		}
+	}
+}
+
+func (c *checker) isBuiltin(fun ast.Expr, name string) bool {
+	id, ok := ast.Unparen(fun).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := c.info.Uses[id].(*types.Builtin)
+	return ok && b.Name() == name
+}
+
+// callToAny applies toAny to a conversion T(x) and to each argument of a
+// call, against its parameter's type.
+func (c *checker) callToAny(call *ast.CallExpr) {
+	tv := c.info.Types[call.Fun]
+	if tv.IsType() {
+		if len(call.Args) == 1 {
+			c.toAny(tv.Type, call.Args[0])
+		}
+		return
+	}
+	sig, ok := underlying(tv.Type).(*types.Signature)
+	if !ok {
+		return
+	}
+	params := sig.Params()
+	for i, arg := range call.Args {
+		switch {
+		case sig.Variadic() && i >= params.Len()-1 && !call.Ellipsis.IsValid():
+			if s, ok := underlying(params.At(params.Len() - 1).Type()).(*types.Slice); ok {
+				c.toAny(s.Elem(), arg)
+			}
+		case i < params.Len():
+			c.toAny(params.At(i).Type(), arg)
+		}
+	}
+}
+
+// literalToAny applies toAny to each element, key and field value of a
+// composite literal, against the type it is stored as.
+func (c *checker) literalToAny(lit *ast.CompositeLit) {
+	t := c.info.Types[lit].Type
+	if t == nil {
+		return
+	}
+	for i, elt := range lit.Elts {
+		key, value := ast.Expr(nil), elt
+		if kv, ok := elt.(*ast.KeyValueExpr); ok {
+			key, value = kv.Key, kv.Value
+		}
+		switch u := t.Underlying().(type) {
+		case *types.Slice:
+			c.toAny(u.Elem(), value)
+		case *types.Array:
+			c.toAny(u.Elem(), value)
+		case *types.Map:
+			c.toAny(u.Key(), key)
+			c.toAny(u.Elem(), value)
+		case *types.Struct:
+			if id, ok := key.(*ast.Ident); ok {
+				if v, ok := c.info.Uses[id].(*types.Var); ok {
+					c.toAny(v.Type(), value)
+				}
+			} else if key == nil && i < u.NumFields() {
+				c.toAny(u.Field(i).Type(), value)
+			}
+		}
+	}
+}
+
+// toAny reads every field reachable from e's type when e is stored as the
+// empty interface target: fmt and encoding/json read such a value by
+// reflection.
+func (c *checker) toAny(target types.Type, e ast.Expr) {
+	if target == nil || e == nil {
+		return
+	}
+	iface, ok := target.Underlying().(*types.Interface)
+	if !ok || iface.NumMethods() != 0 {
+		return
+	}
+	t := c.info.Types[e].Type
+	if t == nil || types.IsInterface(t) {
+		return
+	}
+	c.readDeep(t, map[types.Type]bool{})
+}
+
+func (c *checker) readDeep(t types.Type, seen map[types.Type]bool) {
+	if seen[t] {
+		return
+	}
+	seen[t] = true
+	switch u := t.Underlying().(type) {
+	case *types.Pointer:
+		c.readDeep(u.Elem(), seen)
+	case *types.Slice:
+		c.readDeep(u.Elem(), seen)
+	case *types.Array:
+		c.readDeep(u.Elem(), seen)
+	case *types.Map:
+		c.readDeep(u.Key(), seen)
+		c.readDeep(u.Elem(), seen)
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			c.markRead(u.Field(i))
+			c.readDeep(u.Field(i).Type(), seen)
+		}
+	}
+}
+
+// readCompared reads every field that comparing a value of type t compares.
+func (c *checker) readCompared(t types.Type) {
+	if t == nil {
+		return
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Array:
+		c.readCompared(u.Elem())
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			c.markRead(u.Field(i))
+			c.readCompared(u.Field(i).Type())
+		}
+	}
+}
+
+func underlying(t types.Type) types.Type {
+	if t == nil {
+		return nil
+	}
+	return t.Underlying()
 }
 
 func receiverName(e ast.Expr) string {

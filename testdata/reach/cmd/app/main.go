@@ -18,4 +18,6 @@ func main() {
 	opts := lib.Options{Shortcut: 1}
 	var cfg lib.Config
 	fmt.Println(strings.Join([]string{"a", "b"}, ","), d, s.Area(), b.Get(), st, opts.Shortcut, cfg)
+	lib.NewLedger().Add("x", 1)
+	lib.Print(lib.Count(1, 2))
 }

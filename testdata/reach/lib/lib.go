@@ -1,6 +1,9 @@
 // Package lib holds one declaration per resolution rule of the
-// reachability guard; cmd/app is the program that reads it.
+// reachability guard, and one field per rule of the field guard; cmd/app is
+// the program that reads it.
 package lib
+
+import "fmt"
 
 // Dataset.Join shares its name with strings.Join, which the program calls.
 type Dataset struct{ rows []string }
@@ -9,7 +12,7 @@ func (d *Dataset) Join(other *Dataset) *Dataset {
 	return &Dataset{rows: append(d.rows, other.rows...)}
 }
 
-// Counter.Inc is reached only as a method value.
+// Counter.Inc is reached only as a method value; its n is only incremented.
 type Counter struct{ n int }
 
 func (c *Counter) Inc() { c.n++ }
@@ -45,3 +48,57 @@ type Options struct{ Shortcut int }
 type Config struct{}
 
 func (Config) Shortcut() int { return 0 }
+
+// Ledger's first five fields are only written: by assignment, by an index
+// assignment, by appending to themselves and as a composite-literal key;
+// viaTest is read only by a test. viaLegacy is read only by Legacy, which
+// no program reaches but the guard's caller lists. Tagged is read through
+// its tag.
+type Ledger struct {
+	total     int
+	seen      map[string]bool
+	entries   []string
+	note      string
+	viaTest   int
+	viaLegacy int
+	Tagged    int `json:"tagged"`
+}
+
+func NewLedger() *Ledger {
+	return &Ledger{seen: map[string]bool{}, note: "opened"}
+}
+
+func (l *Ledger) Add(entry string, n int) {
+	l.total = n
+	l.seen[entry] = true
+	l.entries = append(l.entries, entry)
+	l.viaTest, l.viaLegacy = n, n
+}
+
+func Legacy(l *Ledger) int { return l.viaLegacy }
+
+// Report is converted to an empty interface, which reads its fields and
+// those of Detail through the pointer.
+type Report struct {
+	hits   int
+	detail *Detail
+}
+
+type Detail struct{ why string }
+
+func Print(hits int) {
+	fmt.Println(Report{hits: hits, detail: &Detail{why: "printed"}})
+}
+
+// cell is a map key and version is compared with ==: both read every field.
+type cell struct{ row, col int }
+
+type version struct{ major, minor int }
+
+func Count(row, col int) int {
+	m := map[cell]int{{row: row, col: col}: 1}
+	if (version{major: 1}) == (version{minor: 2}) {
+		return 0
+	}
+	return len(m)
+}
