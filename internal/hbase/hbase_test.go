@@ -4,12 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/hdfs"
 )
 
-func newTestTable(t *testing.T, cfg Config) *Table {
+func newTestTable(t testing.TB, cfg Config) *Table {
 	t.Helper()
 	fs := hdfs.NewCluster(hdfs.Config{BlockSize: 1024, Replication: 2}, rand.New(rand.NewSource(1)))
 	for i := 0; i < 3; i++ {
@@ -223,6 +224,8 @@ func TestCrashRecoveryReplaysWAL(t *testing.T) {
 	}
 }
 
+// TestValueIsolation: the table keeps its own copy of a value, and every
+// read hands out its own, so writing into either side reaches nothing else.
 func TestValueIsolation(t *testing.T) {
 	tb := newTestTable(t, DefaultConfig())
 	buf := []byte("abc")
@@ -236,6 +239,35 @@ func TestValueIsolation(t *testing.T) {
 	got2, _ := tb.Get("r", "meta", "v")
 	if string(got2) != "abc" {
 		t.Fatal("Get must return a copy")
+	}
+	_ = tb.Put("s", "meta", "v", []byte("def"))
+	// From the memstore, and from a store file after a flush.
+	for _, where := range []string{"memstore", "store file"} {
+		for _, scan := range []func() ([]RowResult, error){
+			func() ([]RowResult, error) { return tb.Scan("", "") },
+			func() ([]RowResult, error) { return tb.ScanPrefix("") },
+		} {
+			rows, err := scan()
+			if err != nil || len(rows) != 2 {
+				t.Fatalf("%s: scan = %v, %v", where, rows, err)
+			}
+			for _, r := range rows {
+				r.Cells[0].Value[0] = 'Q'
+				// A value must not grow into its neighbour's bytes either.
+				_ = append(r.Cells[0].Value, 'Q')
+			}
+			for row, want := range map[string]string{"r": "abc", "s": "def"} {
+				if got, err := tb.Get(row, "meta", "v"); err != nil || string(got) != want {
+					t.Fatalf("%s: Get(%s) after writing into a scanned value = %q, %v; want %q", where, row, got, err, want)
+				}
+			}
+			if rows, _ := scan(); string(rows[1].Cells[0].Value) != "def" {
+				t.Fatalf("%s: appending to a scanned value wrote into the next one: %q", where, rows[1].Cells[0].Value)
+			}
+		}
+		if err := tb.Flush(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -279,12 +311,18 @@ func TestManyRandomOpsConsistentWithMap(t *testing.T) {
 
 // countMergedCells installs an event hook on tb that adds up the cells its
 // compactions write, minor and major. The hook runs under the table's lock,
-// so it may read the merged run.
+// so it may read the merged run: the one file it has not seen installed.
 func countMergedCells(tb *Table) *int {
 	merged := new(int)
+	seen := map[*storeFile]bool{}
 	tb.SetEventHook(func(event, _ string) {
-		if event == "compact" {
-			*merged += len(tb.files[0].cells)
+		for _, sf := range tb.files {
+			if !seen[sf] {
+				seen[sf] = true
+				if event == "compact" {
+					*merged += len(sf.cells)
+				}
+			}
 		}
 	})
 	return merged
@@ -311,9 +349,145 @@ func TestWriteAmplificationBounded(t *testing.T) {
 	}
 	if st.Flushes != puts/DefaultConfig().FlushThreshold || *merged == 0 || *merged > tiers*puts {
 		t.Fatalf("%d flushes, merges wrote %d cells for %d put (×%.1f), want at most ×%d",
-			st.Flushes, *merged, puts, float64(*merged)/puts, tiers)
+			st.Flushes, *merged, puts, float64(*merged)/float64(puts), tiers)
 	}
 	if st.StoreFiles > (k-1)*tiers {
 		t.Fatalf("%d store files after %d flushes, want ≤ %d", st.StoreFiles, st.Flushes, (k-1)*tiers)
+	}
+}
+
+// TestStepWorkBounded pins what paying in installments is for, on frame-keyed
+// puts. No put moves more cells into a store file under construction than
+// stepCells, or than the step mergeStep gave the merge in flight, and none
+// installs more than one file. The put that freezes the memstore moves none,
+// its sort aside, and finds no backpressure to pay: the last frozen run is
+// installed, and fewer than K−1 flushes sit in front of the merge in flight.
+// Between puts, each tier holds at most K−1 files besides the ones the merge
+// in flight reads, and the merges rewrite a cell at most once per tier, as
+// TestWriteAmplificationBounded has it. At the default thresholds, 44 000
+// puts keep every step at stepCells, and 300 000 reach a merge of 262 144
+// cells, the first that mergeStep paces faster; fan-in 2 over 16-cell
+// memstores reaches paced merges in a few thousand puts.
+func TestStepWorkBounded(t *testing.T) {
+	for _, tc := range []struct {
+		cfg   Config
+		puts  int
+		paced bool // whether some merge must take steps larger than stepCells
+	}{
+		{DefaultConfig(), 44000, false},
+		{DefaultConfig(), 300000, true},
+		{Config{FlushThreshold: 16, CompactThreshold: 2}, 20000, true},
+	} {
+		t.Run(fmt.Sprintf("flush=%d,fanin=%d,puts=%d", tc.cfg.FlushThreshold, tc.cfg.CompactThreshold, tc.puts), func(t *testing.T) {
+			checkStepWork(t, tc.cfg, tc.puts, tc.paced)
+		})
+	}
+}
+
+func checkStepWork(t *testing.T, cfg Config, puts int, paced bool) {
+	tb := newTestTable(t, cfg)
+	k := cfg.CompactThreshold
+	merged := countMergedCells(tb)
+	// progress is how many cells a build has moved: copied from the frozen
+	// run, or stepped past in the merge's inputs.
+	progress := func(b *build) int {
+		switch {
+		case b == nil:
+			return 0
+		case b.inputs == nil:
+			return len(b.cells)
+		}
+		return b.merge.moved
+	}
+	step := func(b *build) int {
+		if b == nil {
+			return 0
+		}
+		return b.step
+	}
+	largest, fastest := 0, 0
+	for i := 0; i < puts; i++ {
+		flushing, merging := tb.flushing, tb.merging
+		before := progress(flushing) + progress(merging)
+		freezes, paths := tb.flushes, tb.fileSeq // one path per store-file write
+		freezing := len(tb.wal)+1 >= cfg.FlushThreshold
+		ahead := 0 // flushes installed in front of the merge in flight
+		if merging != nil {
+			ahead = slices.Index(tb.files, merging.inputs[0])
+		}
+		if err := tb.Put(fmt.Sprintf("cam-%03d|%06d", i%220, i/220), "meta", "class", []byte("car")); err != nil {
+			t.Fatal(err)
+		}
+		moved := progress(flushing) + progress(merging) - before
+		if tb.flushing != flushing {
+			moved += progress(tb.flushing)
+		}
+		if tb.merging != merging {
+			moved += progress(tb.merging)
+		}
+		bound := max(stepCells, step(merging), step(tb.merging))
+		largest, fastest = max(largest, moved), max(fastest, bound)
+		switch {
+		case moved > bound:
+			t.Fatalf("put %d moved %d cells, want ≤ %d", i, moved, bound)
+		case tb.fileSeq-paths > 1:
+			t.Fatalf("put %d wrote %d store files", i, tb.fileSeq-paths)
+		case freezing != (tb.flushes > freezes):
+			t.Fatalf("put %d: memstore at the threshold %v, froze %v", i, freezing, tb.flushes > freezes)
+		case freezing && (moved > 0 || flushing != nil || ahead >= k-1):
+			t.Fatalf("put %d froze the memstore, moved %d cells, last frozen run pending %v, %d flushes in front of the merge",
+				i, moved, flushing != nil, ahead)
+		}
+		idle := map[int]int{}
+		for _, sf := range tb.files {
+			if tb.merging == nil || !slices.Contains(tb.merging.inputs, sf) {
+				idle[sf.tier]++
+			}
+		}
+		for tier, n := range idle {
+			if n > k-1 {
+				t.Fatalf("put %d left %d idle files in tier %d, want ≤ %d: %v", i, n, tier, k-1, idle)
+			}
+		}
+	}
+	if paced != (fastest > stepCells) || !paced && largest != stepCells {
+		t.Errorf("the largest step moved %d cells, the largest bound was %d; stepCells is %d, merges paced faster: want %v",
+			largest, fastest, stepCells, paced)
+	}
+	st := tb.Stats()
+	tiers := 0 // ⌈log_K flushes⌉
+	for n := 1; n < st.Flushes; n *= k {
+		tiers++
+	}
+	if st.Flushes != puts/cfg.FlushThreshold || *merged == 0 || *merged > tiers*puts {
+		t.Fatalf("%d flushes, merges wrote %d cells for %d puts (×%.1f), want at most ×%d",
+			st.Flushes, *merged, puts, float64(*merged)/float64(puts), tiers)
+	}
+}
+
+// TestTinyMemstoreKeepsMerging: with a memstore of one or two cells, every
+// write or every other one freezes, and a freeze pays no step, so merges are
+// picked and finished by the freezes' backpressure. The store files stay as
+// few as with any other threshold.
+func TestTinyMemstoreKeepsMerging(t *testing.T) {
+	const puts, k = 3000, 3
+	for _, ft := range []int{1, 2} {
+		tb := newTestTable(t, Config{FlushThreshold: ft, CompactThreshold: k})
+		for i := 0; i < puts; i++ {
+			if err := tb.Put(fmt.Sprintf("cam-%03d|%06d", i%220, i/220), "meta", "class", []byte("car")); err != nil {
+				t.Fatal(err)
+			}
+			st := tb.Stats()
+			tiers := 2 // ⌊log_K flushes⌋+1, and one for the merge in flight
+			for f := st.Flushes; f >= k; f /= k {
+				tiers++
+			}
+			if st.StoreFiles > (k-1)*tiers {
+				t.Fatalf("threshold %d, put %d: %d store files after %d flushes, want ≤ %d", ft, i, st.StoreFiles, st.Flushes, (k-1)*tiers)
+			}
+		}
+		if st := tb.Stats(); st.Compactions < puts/ft/k {
+			t.Fatalf("threshold %d: %d merges after %d flushes", ft, st.Compactions, st.Flushes)
+		}
 	}
 }

@@ -36,6 +36,7 @@ var testOnly = map[string]string{
 
 	// Tests of live code read them as accessors or oracles.
 	"internal/hbase.Table.Compact":              "forces a major compaction in the hbase model and scaling tests",
+	"internal/hbase.Table.drainLocked":          "how Flush and Compact (testOnly) pay all pending flush and merge work at once",
 	"internal/hbase.Table.Flush":                "forces a flush in the hbase model, fault and scaling tests and the core chaos test",
 	"internal/hbase.Table.ScanPrefix":           "oracle for RowKeys in the hbase model test",
 	"internal/hdfs.Cluster.Exists":              "accessor the hdfs, core and sqoop tests read",
