@@ -248,7 +248,7 @@ func BenchmarkControllerTick(b *testing.B) {
 
 // BenchmarkIncidentTick measures one quiescent correlation cycle — the
 // cost the incident engine adds to every monitor tick once boot traffic
-// has drained and no new spans, events, or alert transitions arrive.
+// has drained and no new events or alert transitions arrive.
 // Steady state must stay at 0 allocs/op (gated by
 // TestIncidentTickAllocBudget) so correlation never becomes GC pressure
 // on the monitoring path.
@@ -257,9 +257,8 @@ func BenchmarkIncidentTick(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Two monitor ticks fold boot-time spans and events into the
-	// dependency graph so the measured loop starts from the drained
-	// steady state.
+	// Two monitor ticks drain boot-time events so the measured loop starts
+	// from the steady state.
 	inf.MonitorTick()
 	inf.MonitorTick()
 	b.ReportAllocs()
@@ -271,8 +270,9 @@ func BenchmarkIncidentTick(b *testing.B) {
 
 // BenchmarkMonitorTick times the tick frames-sweep runs: each op ingests a
 // sweep of frames over every camera with the timer stopped, then times one
-// MonitorTick — new spans to fold, vec membership to re-rank, a scrape and
-// every alert rule.
+// MonitorTick — vec membership to re-rank, a scrape, every alert rule and
+// the sweep's events to correlate. The sweep's spans folded into the
+// incident graph as they ended, inside the untimed sweep.
 func BenchmarkMonitorTick(b *testing.B) {
 	inf, err := core.New(core.DefaultConfig(), rand.New(rand.NewSource(42)))
 	if err != nil {

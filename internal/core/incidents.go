@@ -103,7 +103,10 @@ func (inf *Infrastructure) wireIncidents() {
 	// by (say) an HDFS partition cannot frame the document store.
 	cfg.CollateralMarkers = []string{retry.ErrBreakerOpen.Error()}
 
-	inf.Incidents = incident.NewEngine(inf.Tracer, inf.Events, inf.Alerts, cfg)
+	inf.Incidents = incident.NewEngine(inf.Events, inf.Alerts, cfg)
+	// Every span folds into the dependency graph when it ends, so the graph
+	// counts spans whose traces the ring has already evicted.
+	inf.Tracer.SetObserver(inf.Incidents.FoldSpan)
 	// Per-camera evidence on frame-path backend suspects: which cameras the
 	// component's failure is actually hurting, ranked by burn. Exact counter
 	// reads off the fleet's vec handles — deterministic under the simulated

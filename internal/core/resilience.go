@@ -109,8 +109,12 @@ func (b *pipelineBus) Poll(group, topic string, max int) ([]stream.Record, error
 }
 
 // CommitPolled neither injects nor counts: an offset commit is local group
-// metadata, and failing it after the batch was processed would only create
-// duplicates the dedup layer already absorbs.
+// metadata. Failing it after the batch was processed would redeliver the
+// batch, and no layer after the broker absorbs a redelivery (the tweet
+// feed's flume.DedupSink sits before it). On the frame path a redelivered
+// offload's hdfs.Write fails with hdfs.ErrExists and the frame is
+// dead-lettered, and its HBase cells gain a second version; a redelivered
+// feed record is stored as a second document.
 func (b *pipelineBus) CommitPolled(group, topic string) error {
 	return b.next.CommitPolled(group, topic)
 }

@@ -8,6 +8,7 @@
 package hdfs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -41,6 +42,9 @@ func DefaultConfig() Config { return Config{BlockSize: 4096, Replication: 3} }
 // BlockID identifies a block cluster-wide.
 type BlockID int64
 
+// dataNode holds block replicas. The replicas of one block share one
+// slice, which nothing writes after placement (Read copies out), so a
+// datanode's bytes are logical: what it would store on its own disk.
 type dataNode struct {
 	id     string
 	alive  bool
@@ -276,6 +280,7 @@ func (c *Cluster) placeBlock(chunk []byte) (BlockID, error) {
 	c.nextBlock++
 	meta := &blockMeta{replicas: make(map[string]struct{}, c.cfg.Replication)}
 	var lastFault error
+	buf := bytes.Clone(chunk) // the one copy every replica of the block shares
 	for _, n := range targets {
 		if len(meta.replicas) >= c.cfg.Replication {
 			break
@@ -287,8 +292,6 @@ func (c *Cluster) placeBlock(chunk []byte) (BlockID, error) {
 			lastFault = err
 			continue
 		}
-		buf := make([]byte, len(chunk))
-		copy(buf, chunk)
 		n.put(bid, buf)
 		meta.replicas[n.id] = struct{}{}
 	}
@@ -346,18 +349,12 @@ func (c *Cluster) Read(path string) ([]byte, error) {
 		// Try replicas in ascending datanode id order, as placement does:
 		// map order would read (and blame an injected fault on) a
 		// different datanode on each run of the same seed.
-		nids := make([]string, 0, len(meta.replicas))
-		for nid := range meta.replicas {
-			nids = append(nids, nid)
-		}
-		sort.Strings(nids)
-		for _, nid := range nids {
-			n := c.nodes[nid]
-			if n == nil || !n.alive {
+		for _, n := range c.byID {
+			if _, has := meta.replicas[n.id]; !has || !n.alive {
 				continue
 			}
 			// A faulted replica read fails over to the next replica.
-			if err := c.faultLocked("read", nid); err != nil {
+			if err := c.faultLocked("read", n.id); err != nil {
 				lastFault = err
 				continue
 			}
@@ -500,7 +497,8 @@ func (c *Cluster) UnderReplicated() (under, lost int) {
 
 // ReplicateMissing copies under-replicated blocks to additional live
 // datanodes until every block reaches the replication factor (or no more
-// targets exist). It returns the number of new replicas created.
+// targets exist). It returns the number of new replicas created. A new
+// replica shares its source replica's bytes.
 func (c *Cluster) ReplicateMissing() (created int, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -545,9 +543,7 @@ func (c *Cluster) ReplicateMissing() (created int, err error) {
 				// and the supervisor's next pass retries.
 				break
 			}
-			buf := make([]byte, len(src.blocks[bid]))
-			copy(buf, src.blocks[bid])
-			target.put(bid, buf)
+			target.put(bid, src.blocks[bid])
 			c.register(meta, target.id)
 			created++
 			c.counters.ReplicasCreated++

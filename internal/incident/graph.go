@@ -5,8 +5,9 @@ import (
 	"strings"
 )
 
-// The dependency graph is derived live from trace spans: every retained
-// trace contributes "stage" nodes (the trace root, e.g. ingest-frame, and
+// The dependency graph is derived live from trace spans: every span folds
+// in once when it ends, whether or not its trace is still in the tracer's
+// ring, contributing "stage" nodes (the trace root, e.g. ingest-frame, and
 // one node per distinct child span name under it, e.g. ingest-frame/store)
 // joined by parent→child edges, and a small declared binding table attaches
 // "backend" nodes (broker, hbase, hdfs, docstore) underneath the stages

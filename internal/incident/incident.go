@@ -1,12 +1,13 @@
 // Package incident is the cross-signal correlation layer: it joins the
 // stack's separate telemetry channels — trace spans, the structured event
 // ring, alert-rule state, controller actions — into component-level
-// diagnoses. Each monitor tick it (a) folds new trace spans into a live
-// dependency graph with per-edge RED stats, (b) groups temporally
-// overlapping pending/firing alerts into one incident record, and (c) ranks
-// suspect components for the open incident by walking the graph from the
-// alerted symptoms toward causes, scoring with dead-letter, breaker,
-// healer, and broker evidence.
+// diagnoses. Every trace span folds into a live dependency graph with
+// per-edge RED stats when it ends (FoldSpan, registered as the tracer's
+// observer). Each monitor tick it (a) groups temporally overlapping
+// pending/firing alerts into one incident record and (b) ranks suspect
+// components for the open incident by walking the graph from the alerted
+// symptoms toward causes, scoring with dead-letter, breaker, healer, and
+// broker evidence.
 //
 // Determinism: everything that feeds incident lifecycle and suspect scores
 // is deterministic under the simulated clock — event *counts* by typed
@@ -177,10 +178,10 @@ type evidence struct {
 
 // Engine is the correlation engine. All methods are safe for concurrent
 // use; Tick is designed to be allocation-free in the steady state (no new
-// spans, no new events, no active alerts).
+// events, no active alerts), and so is FoldSpan once a span's (root, name,
+// parent) has been seen.
 type Engine struct {
 	cfg    Config
-	tracer *telemetry.Tracer
 	events *telemetry.EventLog
 	alerts AlertSource
 
@@ -196,7 +197,6 @@ type Engine struct {
 	tick      int64
 	graph     *graph
 	sites     map[spanKey]*spanSite
-	cursor    int64 // the tracer's span cursor: spans up to it are folded
 	lastSeq   int64
 	seqMark   [seqMarkWindow]int64
 	activeBuf []tsdb.RuleRef
@@ -208,12 +208,13 @@ type Engine struct {
 	resolvedTotal int64
 }
 
-// NewEngine builds an engine over the stack's telemetry surfaces. tracer
-// and alerts may be nil (graph building / alert grouping degrade to no-ops
-// — useful in unit tests); events must not be nil.
-func NewEngine(tracer *telemetry.Tracer, events *telemetry.EventLog, alerts AlertSource, cfg Config) *Engine {
+// NewEngine builds an engine over the stack's event log and alert engine.
+// alerts may be nil (alert grouping degrades to a no-op — useful in unit
+// tests); events must not be nil. The graph grows from the spans handed to
+// FoldSpan: register it with Tracer.SetObserver.
+func NewEngine(events *telemetry.EventLog, alerts AlertSource, cfg Config) *Engine {
 	return &Engine{
-		cfg: cfg, tracer: tracer, events: events, alerts: alerts,
+		cfg: cfg, events: events, alerts: alerts,
 		graph: newGraph(), sites: make(map[spanKey]*spanSite),
 	}
 }
@@ -235,8 +236,9 @@ func (e *Engine) SetEvidence(fn func(component string) []string) {
 	e.mu.Unlock()
 }
 
-// Tick runs one correlation pass: fold new spans into the graph, classify
-// new events, and advance incident lifecycle off the current alert state.
+// Tick runs one correlation pass: classify new events and advance incident
+// lifecycle off the current alert state. Spans that ended since the last
+// pass are already in the graph; they count as this tick's.
 // Call it after the alert engine evaluated and before the controller acts,
 // so the controller's mitigations land in the same tick's timeline.
 func (e *Engine) Tick() {
@@ -244,8 +246,6 @@ func (e *Engine) Tick() {
 	defer e.mu.Unlock()
 	e.tick++
 	e.seqMark[e.tick%seqMarkWindow] = e.lastSeq
-
-	e.updateGraph()
 
 	if evs := e.events.EventsSince(e.lastSeq, 0); len(evs) > 0 {
 		e.lastSeq = evs[len(evs)-1].Seq
@@ -300,17 +300,6 @@ func (e *Engine) excluded(rule string) bool {
 	return false
 }
 
-// updateGraph folds spans created since the last pass into the dependency
-// graph. The tracer's span cursor is the change detector, so the steady
-// state returns without walking the ring, and nothing is copied when it
-// does walk it.
-func (e *Engine) updateGraph() {
-	if e.tracer == nil {
-		return
-	}
-	e.cursor = e.tracer.SpansSince(e.cursor, e.foldSpan)
-}
-
 // spanKey identifies what a span contributes to the graph: its stage node
 // (root for a root span, root/name for a child) and, for a child, its
 // parent's stage node (root when the parent is the root span, root/parent
@@ -328,12 +317,16 @@ type spanSite struct {
 	backends   []struct{ node, edge int }
 }
 
-// foldSpan adds one span to the graph: stage nodes named root or root/span,
-// parent→child edges with duration stats, and declared backend bindings
-// underneath each stage. Each distinct (root, span, parent) is resolved to
-// graph indexes once; the graph never drops a node or edge, so the indexes
-// stay valid.
-func (e *Engine) foldSpan(root string, sp, parent *telemetry.Span, durationMs float64) {
+// FoldSpan adds one finished span to the graph: stage nodes named root or
+// root/span, parent→child edges with duration stats, and declared backend
+// bindings underneath each stage. Its signature is Tracer.SetObserver's,
+// which hands every span to it once, when the span ends. A span folded
+// between ticks N-1 and N counts as tick N's. Each distinct (root, span,
+// parent) is resolved to graph indexes once; the graph never drops a node
+// or edge, so the indexes stay valid.
+func (e *Engine) FoldSpan(root string, sp, parent *telemetry.Span, parentTier string, durationMs float64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	k := spanKey{root: root}
 	if parent != nil {
 		k.name, k.child = sp.Name, true
@@ -343,7 +336,7 @@ func (e *Engine) foldSpan(root string, sp, parent *telemetry.Span, durationMs fl
 	}
 	site, ok := e.sites[k]
 	if !ok {
-		site = e.resolve(k, sp, parent)
+		site = e.resolve(k, sp.Tier, parentTier)
 		e.sites[k] = site
 	}
 	e.graph.nodes[site.node].spans++
@@ -362,22 +355,23 @@ func (e *Engine) foldSpan(root string, sp, parent *telemetry.Span, durationMs fl
 }
 
 // resolve creates (or finds) a span key's nodes and edges, in the order a
-// span first folded creates them.
-func (e *Engine) resolve(k spanKey, sp, parent *telemetry.Span) *spanSite {
+// span first folded creates them, stamping new edges with the tick the span
+// counts toward.
+func (e *Engine) resolve(k spanKey, tier, parentTier string) *spanSite {
 	name := k.root
 	if k.child {
 		name = k.root + "/" + k.name
 	}
 	site := &spanSite{edge: -1}
-	site.node = e.graph.nodeFor(name, KindStage, sp.Tier)
+	site.node = e.graph.nodeFor(name, KindStage, tier)
 	if k.child {
 		pname := k.root
 		if k.grandchild {
 			pname = k.root + "/" + k.parent
 		}
 		if pname != name {
-			pi := e.graph.nodeFor(pname, KindStage, parent.Tier)
-			site.edge = e.graph.edgeFor(pi, site.node, e.tick)
+			pi := e.graph.nodeFor(pname, KindStage, parentTier)
+			site.edge = e.graph.edgeFor(pi, site.node, e.tick+1)
 		}
 	}
 	backends := e.cfg.Bindings[name]
@@ -386,7 +380,7 @@ func (e *Engine) resolve(k spanKey, sp, parent *telemetry.Span) *spanSite {
 	}
 	for _, b := range backends {
 		bi := e.graph.nodeFor(b, KindBackend, "")
-		site.backends = append(site.backends, struct{ node, edge int }{bi, e.graph.edgeFor(site.node, bi, e.tick)})
+		site.backends = append(site.backends, struct{ node, edge int }{bi, e.graph.edgeFor(site.node, bi, e.tick+1)})
 	}
 	return site
 }

@@ -46,6 +46,13 @@ func testConfig() Config {
 	return cfg
 }
 
+// observedEngine builds an engine that folds tr's spans as they end.
+func observedEngine(tr *telemetry.Tracer, ev *telemetry.EventLog, alerts AlertSource) *Engine {
+	e := NewEngine(ev, alerts, testConfig())
+	tr.SetObserver(e.FoldSpan)
+	return e
+}
+
 // ingestTrace builds one ingest-tweets-style trace: root → collect →
 // stream → store.
 func ingestTrace(tr *telemetry.Tracer, id string) {
@@ -60,7 +67,7 @@ func ingestTrace(tr *telemetry.Tracer, id string) {
 func TestGraphDerivation(t *testing.T) {
 	tr := telemetry.NewTracer(testClock(), 16)
 	ev := telemetry.NewEventLog(testClock(), 64)
-	e := NewEngine(tr, ev, &fakeAlerts{}, testConfig())
+	e := observedEngine(tr, ev, &fakeAlerts{})
 
 	ingestTrace(tr, "ingest-tweets-1")
 	ingestTrace(tr, "ingest-tweets-2")
@@ -116,7 +123,7 @@ func TestIncidentLifecycleAndRanking(t *testing.T) {
 	tr := telemetry.NewTracer(testClock(), 16)
 	ev := telemetry.NewEventLog(testClock(), 128)
 	alerts := &fakeAlerts{}
-	e := NewEngine(tr, ev, alerts, testConfig())
+	e := observedEngine(tr, ev, alerts)
 
 	ingestTrace(tr, "ingest-tweets-1")
 	e.Tick() // tick 1: quiet
@@ -187,7 +194,7 @@ func TestBreakerCollateralNotBackendEvidence(t *testing.T) {
 	tr := telemetry.NewTracer(testClock(), 16)
 	ev := telemetry.NewEventLog(testClock(), 128)
 	alerts := &fakeAlerts{}
-	e := NewEngine(tr, ev, alerts, testConfig())
+	e := observedEngine(tr, ev, alerts)
 
 	ingestTrace(tr, "ingest-tweets-1")
 	// Real HDFS failures plus docstore quarantines that are only breaker
@@ -224,7 +231,7 @@ func TestRuleComponentAnchoring(t *testing.T) {
 	tr := telemetry.NewTracer(testClock(), 16)
 	ev := telemetry.NewEventLog(testClock(), 64)
 	alerts := &fakeAlerts{}
-	e := NewEngine(tr, ev, alerts, testConfig())
+	e := observedEngine(tr, ev, alerts)
 
 	ingestTrace(tr, "ingest-tweets-1")
 	// Only the component-anchored rule fires: hdfs gets the rule-hit score
@@ -244,7 +251,7 @@ func TestTimelineCapCountsDrops(t *testing.T) {
 	tr := telemetry.NewTracer(testClock(), 16)
 	ev := telemetry.NewEventLog(testClock(), 256)
 	alerts := &fakeAlerts{}
-	e := NewEngine(tr, ev, alerts, testConfig())
+	e := observedEngine(tr, ev, alerts)
 
 	alerts.refs = []tsdb.RuleRef{{Name: "ingest-delivery-rate", State: tsdb.StateFiring, Severity: "error"}}
 	e.Tick()
@@ -271,7 +278,7 @@ func TestResolvedRingKeepsNewest(t *testing.T) {
 	tr := telemetry.NewTracer(testClock(), 16)
 	ev := telemetry.NewEventLog(testClock(), 128)
 	alerts := &fakeAlerts{}
-	e := NewEngine(tr, ev, alerts, testConfig())
+	e := observedEngine(tr, ev, alerts)
 
 	const episodes = maxResolved + 8
 	for i := 0; i < episodes; i++ {
@@ -306,7 +313,7 @@ func TestCanonicalReplay(t *testing.T) {
 		tr := telemetry.NewTracer(testClock(), 16)
 		ev := telemetry.NewEventLog(testClock(), 128)
 		alerts := &fakeAlerts{}
-		e := NewEngine(tr, ev, alerts, testConfig())
+		e := observedEngine(tr, ev, alerts)
 		e.SetHotRegion(func() (string, float64) { return "ingest/store", 0.97 })
 
 		ingestTrace(tr, "ingest-tweets-1")
@@ -340,7 +347,7 @@ func TestSteadyStateTickAllocFree(t *testing.T) {
 	}
 	tr := telemetry.NewTracer(testClock(), 16)
 	ev := telemetry.NewEventLog(testClock(), 64)
-	e := NewEngine(tr, ev, &fakeAlerts{}, testConfig())
+	e := observedEngine(tr, ev, &fakeAlerts{})
 	ingestTrace(tr, "ingest-tweets-1")
 	ev.Log(telemetry.LevelWarn, telemetry.Component(telemetry.CompDeadLetter, "store"), "",
 		"tweets/store record quarantined: injected fault")

@@ -82,7 +82,7 @@ func (t *Tracer) startRemoteLocked(ctx TraceContext, name string, begin time.Tim
 	if parent < 0 || parent >= len(tr.spans) {
 		parent = 0
 	}
-	return t.spanLocked(tr, parent, name, begin)
+	return t.spanLocked(tr, tr.spans[parent], name, begin)
 }
 
 // SpanAt records a completed span with explicit timestamps under a remote
@@ -90,13 +90,12 @@ func (t *Tracer) startRemoteLocked(ctx TraceContext, name string, begin time.Tim
 // are replayed into the trace that released the work.
 func (t *Tracer) SpanAt(ctx TraceContext, name, tier string, begin, end time.Time) *Span {
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	s := t.startRemoteLocked(ctx, name, begin)
 	s.Tier = tier
 	if end.Before(begin) {
 		end = begin
 	}
-	s.Finish = end
+	s.finishAndUnlock(end)
 	return s
 }
 
@@ -108,12 +107,9 @@ func (t *Tracer) StartAt(id, name string, begin time.Time) *Span {
 	return t.startLocked(id, name, begin)
 }
 
-// EndAt closes the span at an explicit instant. Like End, the first finish
-// time wins.
+// EndAt closes the span at an explicit instant (the zero time means now).
+// Like End, the first finish time wins.
 func (s *Span) EndAt(finish time.Time) {
 	s.tracer.mu.Lock()
-	defer s.tracer.mu.Unlock()
-	if s.Finish.IsZero() {
-		s.Finish = finish
-	}
+	s.finishAndUnlock(finish)
 }

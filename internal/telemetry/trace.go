@@ -13,7 +13,9 @@ var ErrNoTrace = errors.New("telemetry: trace not found")
 // Tracer records parent/child spans on an injectable clock and retains the
 // most recent traces in a bounded ring, exportable as JSON and as an
 // aggregated critical-path report. It is deliberately minimal: one process,
-// string trace ids, integer span ids.
+// string trace ids, integer span ids. Every span is also handed once, when
+// it finishes, to the observer SetObserver registers, whether or not its
+// trace is still in the ring.
 //
 // Spans are carved from chunks the tracer owns rather than allocated one by
 // one, and a trace keeps its first few span pointers in an inline array, so
@@ -23,11 +25,11 @@ type Tracer struct {
 	now func() time.Time
 	cap int
 
-	mu     sync.Mutex
-	traces map[string]*trace
-	order  []*trace // retained traces, oldest first: the eviction ring
-	spans  int64    // spans ever created, including evicted traces'; the newest span's seq
-	slab   []Span   // the unused tail of the chunk the next span is carved from
+	mu       sync.Mutex
+	traces   map[string]*trace
+	order    []*trace // retained traces, oldest first: the eviction ring
+	slab     []Span   // the unused tail of the chunk the next span is carved from
+	observer func(root string, s, parent *Span, parentTier string, durationMs float64)
 }
 
 // spanChunk is how many spans one slab allocation holds. A chunk stays live
@@ -52,7 +54,10 @@ type trace struct {
 type Span struct {
 	tracer *Tracer
 	trace  *trace
-	seq    int64 // creation order across the tracer, from 1: SpansSince's cursor
+	// parent is the parent span until this one ends (nil for a root), kept
+	// after the trace leaves the ring. End drops it: ended spans pointing at
+	// their parents would chain every slab chunk to the one before it.
+	parent *Span
 
 	ID     int
 	Parent int // -1 for the root span
@@ -87,18 +92,21 @@ func (t *Tracer) startLocked(id, name string, begin time.Time) *Span {
 	tr := &trace{id: id, name: name}
 	tr.spans = tr.inline[:0]
 	t.insertLocked(tr)
-	return t.spanLocked(tr, -1, name, begin)
+	return t.spanLocked(tr, nil, name, begin)
 }
 
-// spanLocked carves the next span of tr from the slab and appends it.
-func (t *Tracer) spanLocked(tr *trace, parent int, name string, begin time.Time) *Span {
+// spanLocked carves the next span of tr from the slab and appends it under
+// parent (nil for a root).
+func (t *Tracer) spanLocked(tr *trace, parent *Span, name string, begin time.Time) *Span {
 	if len(t.slab) == 0 {
 		t.slab = make([]Span, spanChunk)
 	}
 	s := &t.slab[0]
 	t.slab = t.slab[1:]
-	t.spans++
-	*s = Span{tracer: t, trace: tr, seq: t.spans, ID: len(tr.spans), Parent: parent, Name: name, Begin: begin}
+	*s = Span{tracer: t, trace: tr, parent: parent, ID: len(tr.spans), Parent: -1, Name: name, Begin: begin}
+	if parent != nil {
+		s.Parent = parent.ID
+	}
 	tr.spans = append(tr.spans, s)
 	return s
 }
@@ -111,7 +119,8 @@ func (t *Tracer) spanLocked(tr *trace, parent int, name string, begin time.Time)
 // sole entry, which the cap (>= 1) forbids.
 //
 // A trace that leaves the ring drops its span pointers: a span a caller
-// still holds then pins its own chunk, not every chunk allocated since.
+// still holds then pins its own chunk (and, while it is open, its
+// parent's), not every chunk allocated since.
 func (t *Tracer) insertLocked(tr *trace) {
 	if old, ok := t.traces[tr.id]; ok {
 		for i, o := range t.order {
@@ -136,50 +145,7 @@ func (t *Tracer) insertLocked(tr *trace) {
 func (s *Span) Child(name string) *Span {
 	s.tracer.mu.Lock()
 	defer s.tracer.mu.Unlock()
-	return s.tracer.spanLocked(s.trace, s.ID, name, s.tracer.now())
-}
-
-// SpansSince visits every span of a retained trace created after cursor —
-// a value SpansSince returned, or 0 for all of them — in ring order (oldest
-// trace first) and, within a trace, in span order, and returns the cursor
-// for the next call. Nothing is copied: visit runs under the tracer lock
-// with the trace's root name, the span, its parent (nil for a root) and the
-// span's duration in milliseconds, an unfinished span measured up to now as
-// Trace does. visit must not call the tracer. Spans of traces evicted
-// before the call are not visited.
-func (t *Tracer) SpansSince(cursor int64, visit func(root string, s, parent *Span, durationMs float64)) int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.spans == cursor {
-		return cursor
-	}
-	var now time.Time
-	for _, tr := range t.order {
-		n := len(tr.spans)
-		if n == 0 || tr.spans[n-1].seq <= cursor {
-			continue
-		}
-		i := n - 1
-		for i > 0 && tr.spans[i-1].seq > cursor {
-			i--
-		}
-		for ; i < n; i++ {
-			s := tr.spans[i]
-			end := s.Finish
-			if end.IsZero() {
-				if now.IsZero() {
-					now = t.now()
-				}
-				end = now
-			}
-			var parent *Span
-			if s.Parent >= 0 {
-				parent = tr.spans[s.Parent]
-			}
-			visit(tr.name, s, parent, float64(end.Sub(s.Begin))/float64(time.Millisecond))
-		}
-	}
-	return t.spans
+	return s.tracer.spanLocked(s.trace, s, name, s.tracer.now())
 }
 
 // SetTier tags the span with a tier/stage label. It takes the tracer lock so
@@ -190,12 +156,47 @@ func (s *Span) SetTier(tier string) {
 	s.tracer.mu.Unlock()
 }
 
+// SetObserver registers fn to receive every span once, when it finishes by
+// End, EndAt or SpanAt, replacing any earlier observer (nil detaches). fn
+// gets the span's trace root name, the span, its parent (nil for a root)
+// with the parent's tier as it read when the span finished, and the span's
+// duration in milliseconds. It runs on the goroutine that finished the
+// span, outside the tracer lock, so it may take its own locks; it must not
+// keep s or parent.
+func (t *Tracer) SetObserver(fn func(root string, s, parent *Span, parentTier string, durationMs float64)) {
+	t.mu.Lock()
+	t.observer = fn
+	t.mu.Unlock()
+}
+
 // End closes the span. Ending twice keeps the first finish time.
 func (s *Span) End() {
 	s.tracer.mu.Lock()
-	defer s.tracer.mu.Unlock()
-	if s.Finish.IsZero() {
-		s.Finish = s.tracer.now()
+	s.finishAndUnlock(time.Time{})
+}
+
+// finishAndUnlock closes the span at finish (zero: now) unless it is
+// closed already, releases the tracer lock the caller holds, and hands a
+// span it closed to the observer. The parent's tier is read under the lock:
+// the parent may belong to another goroutine, which may be tagging it.
+func (s *Span) finishAndUnlock(finish time.Time) {
+	t := s.tracer
+	if !s.Finish.IsZero() {
+		t.mu.Unlock()
+		return
+	}
+	if finish.IsZero() {
+		finish = t.now()
+	}
+	s.Finish = finish
+	obs, parent, parentTier := t.observer, s.parent, ""
+	if parent != nil {
+		parentTier = parent.Tier
+		s.parent = nil
+	}
+	t.mu.Unlock()
+	if obs != nil {
+		obs(s.trace.name, s, parent, parentTier, float64(finish.Sub(s.Begin))/float64(time.Millisecond))
 	}
 }
 

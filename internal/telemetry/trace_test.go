@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"reflect"
 	"runtime"
 	"strconv"
 	"testing"
@@ -159,5 +160,123 @@ func TestKeptSpanPinsOnlyItsChunk(t *testing.T) {
 	// The 100 000-odd spans made are about 12 MB; the ring holds 40 of them.
 	if grown > 1<<20 {
 		t.Fatalf("heap grew %d B after the kept span's trace left the ring", grown)
+	}
+}
+
+// handOff is one span as the tracer handed it to its observer.
+type handOff struct {
+	root, name, parent, parentTier string
+	durationMs                     float64
+}
+
+// observe registers an observer on tr that records every hand-off.
+func observe(tr *Tracer) *[]handOff {
+	var got []handOff
+	tr.SetObserver(func(root string, s, parent *Span, parentTier string, durationMs float64) {
+		h := handOff{root: root, name: s.Name, parentTier: parentTier, durationMs: durationMs}
+		if parent != nil {
+			h.parent = parent.Name
+		}
+		got = append(got, h)
+	})
+	return &got
+}
+
+func TestSpanClosedTwiceIsHandedOffOnce(t *testing.T) {
+	clk := &stepClock{t: time.Unix(0, 0), step: 10 * time.Millisecond}
+	tr := NewTracer(clk.now, 8)
+	got := observe(tr)
+	root := tr.Start("t", "ingest") // t=0
+	sp := root.Child("store")       // t=10
+	sp.End()                        // t=20
+	sp.EndAt(time.Unix(5, 0))
+	sp.End()
+	want := []handOff{{root: "ingest", name: "store", parent: "ingest", durationMs: 10}}
+	if !reflect.DeepEqual(*got, want) {
+		t.Fatalf("hand-offs = %+v, want %+v", *got, want)
+	}
+	if sp.Finish != time.Unix(0, 20*int64(time.Millisecond)) {
+		t.Fatalf("finish = %v, want the first close's", sp.Finish)
+	}
+}
+
+func TestSpanAtIsHandedOffOnceWithItsDuration(t *testing.T) {
+	epoch := time.Unix(100, 0)
+	tr := NewTracer(nil, 8)
+	got := observe(tr)
+	root := tr.StartAt("job-1", "job 1", epoch)
+	root.SetTier("fog")
+	sp := tr.SpanAt(root.Context(), "compute", "fog", epoch.Add(10*time.Millisecond), epoch.Add(30*time.Millisecond))
+	sp.End()
+	sp.EndAt(epoch.Add(time.Second))
+	root.EndAt(epoch.Add(50 * time.Millisecond))
+	want := []handOff{
+		{root: "job 1", name: "compute", parent: "job 1", parentTier: "fog", durationMs: 20},
+		{root: "job 1", name: "job 1", durationMs: 50},
+	}
+	if !reflect.DeepEqual(*got, want) {
+		t.Fatalf("hand-offs = %+v, want %+v", *got, want)
+	}
+}
+
+// TestSpansOfEvictedTracesReachTheObserver: a span that ends after its trace
+// left the ring still arrives under its own root and parent, and a remote
+// span that re-roots an evicted id arrives as the root of the new trace.
+func TestSpansOfEvictedTracesReachTheObserver(t *testing.T) {
+	clk := &stepClock{t: time.Unix(0, 0)}
+	tr := NewTracer(clk.now, 2)
+	got := observe(tr)
+	a := tr.Start("a", "ingest-frame")
+	store := a.Child("store")
+	store.SetTier("cloud")
+	inner := store.Child("hdfs")
+	ctx := store.Context()
+	tr.Start("b", "ingest-waze").End()
+	tr.Start("c", "ingest-waze").End()
+	if _, err := tr.Trace("a"); !errors.Is(err, ErrNoTrace) {
+		t.Fatalf("trace a still retained: %v", err)
+	}
+	*got = nil
+	inner.End()
+	store.Child("late").End()
+	remote := tr.StartRemote(ctx, "archive")
+	remote.Child("write").End()
+	remote.End()
+	store.End()
+	a.End()
+	want := []handOff{
+		{root: "ingest-frame", name: "hdfs", parent: "store", parentTier: "cloud"},
+		{root: "ingest-frame", name: "late", parent: "store", parentTier: "cloud"},
+		{root: "archive", name: "write", parent: "archive"},
+		{root: "archive", name: "archive"},
+		{root: "ingest-frame", name: "store", parent: "ingest-frame"},
+		{root: "ingest-frame", name: "ingest-frame"},
+	}
+	if !reflect.DeepEqual(*got, want) {
+		t.Fatalf("hand-offs =\n%+v\nwant\n%+v", *got, want)
+	}
+	if tv, err := tr.Trace("a"); err != nil || tv.Name != "archive" || len(tv.Spans) != 2 {
+		t.Fatalf("re-rooted trace a = %+v, %v", tv, err)
+	}
+}
+
+// TestWarmEndWithObserverZeroAlloc: ending a span and handing it to an
+// observer allocates nothing; it runs for every span of every frame.
+func TestWarmEndWithObserverZeroAlloc(t *testing.T) {
+	tr := NewTracer(nil, 8)
+	var n int
+	tr.SetObserver(func(root string, s, parent *Span, parentTier string, durationMs float64) { n++ })
+	root := tr.Start("t", "ingest")
+	spans := make([]*Span, 1001) // AllocsPerRun's warm-up call plus its runs
+	for i := range spans {
+		spans[i] = root.Child("stage")
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(len(spans)-1, func() {
+		spans[i].End()
+		i++
+	})
+	if allocs != 0 || n != len(spans) {
+		t.Fatalf("End with an observer: %.1f allocs/op over %d hand-offs, want 0 over %d", allocs, n, len(spans))
 	}
 }
