@@ -199,7 +199,9 @@ func (cw *CrimeWatch) MonitorClips(cameraID string, set *video.ClipSet, at time.
 // PendingAlerts drains the operator's alert queue with the replicated
 // broker's poll-then-commit flow: the batch is decoded first and offsets
 // advance only afterwards, so a failure here redelivers the alerts instead
-// of dropping them on the operator's floor.
+// of dropping them on the operator's floor. A record that is not an alert
+// is quarantined (source "alerts", stage "decode") and the drain goes on;
+// only a record the quarantine cannot hold fails the batch uncommitted.
 func (inf *Infrastructure) PendingAlerts(max int) ([]Alert, error) {
 	recs, err := inf.Broker.Poll("operators", "alerts", max)
 	if err != nil {
@@ -209,7 +211,10 @@ func (inf *Infrastructure) PendingAlerts(max int) ([]Alert, error) {
 	for _, r := range recs {
 		var a Alert
 		if err := json.Unmarshal(r.Value, &a); err != nil {
-			return nil, fmt.Errorf("decode alert: %w", err)
+			if !inf.quarantine("alerts", "decode", r.Key, r.Value, err, headerTraceID(r.Headers, "")) {
+				return nil, fmt.Errorf("decode alert: %w", err)
+			}
+			continue
 		}
 		out = append(out, a)
 	}

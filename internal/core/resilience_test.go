@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/hbase"
 	"repro/internal/retry"
 	"repro/internal/stream"
+	"repro/internal/telemetry"
 )
 
 func genTweets(t *testing.T, inf *Infrastructure, n int, seed int64) []citydata.Tweet {
@@ -83,6 +85,44 @@ func TestPoisonedRecordsQuarantined(t *testing.T) {
 		if l["stage"] != "decode" || l["body"] != "{not json" {
 			t.Fatalf("letter = %+v", l)
 		}
+	}
+}
+
+// TestPoisonAlertQuarantined: a record on the alerts topic that is not an
+// alert is dead-lettered (source "alerts", stage "decode", its producer's
+// trace id) and the alert behind it is delivered, and the batch is
+// committed, so the next drain is empty instead of failing on it again.
+func TestPoisonAlertQuarantined(t *testing.T) {
+	inf := bootSmall(t)
+	headers := telemetry.TraceContext{TraceID: "probe-1"}.Inject(nil)
+	if _, _, err := inf.Broker.ProduceH("alerts", "brpd-007", []byte("x"), headers); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(Alert{CameraID: "brpd-007", ClipID: 3, Action: "fighting"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := inf.Broker.Produce("alerts", "brpd-007", body); err != nil {
+		t.Fatal(err)
+	}
+	alerts, err := inf.PendingAlerts(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(alerts) != 1 || alerts[0].CameraID != "brpd-007" || alerts[0].ClipID != 3 {
+		t.Fatalf("alerts = %+v, want the one valid alert", alerts)
+	}
+	letters, err := inf.DeadLetters("alerts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(letters) != 1 || letters[0]["stage"] != "decode" || letters[0]["body"] != "x" ||
+		letters[0]["key"] != "brpd-007" || letters[0]["traceId"] != "probe-1" {
+		t.Fatalf("dead letters = %+v, want the poison record", letters)
+	}
+	again, err := inf.PendingAlerts(100)
+	if err != nil || len(again) != 0 {
+		t.Fatalf("second drain = %+v, %v; want none", again, err)
 	}
 }
 

@@ -275,9 +275,7 @@ type stage struct {
 // openStage opens a child span of parent on the given tier and enters region
 // (nil for a span no region attributes).
 func openStage(parent *telemetry.Span, name, tier string, region *profile.Region) stage {
-	sp := parent.Child(name)
-	sp.SetTier(tier)
-	return stage{span: sp, prof: region.Start()}
+	return stage{span: parent.Child(name, tier), prof: region.Start()}
 }
 
 // End leaves the region and closes the span. The span may still be nil: the
@@ -296,12 +294,8 @@ func (s stage) End() {
 // ingest when no context survived — so the consuming tier's work is never
 // orphaned from the causal tree.
 func (inf *Infrastructure) remoteTierSpan(headers map[string]string, fallback *telemetry.Span, name, tier string) *telemetry.Span {
-	var s *telemetry.Span
 	if ctx, ok := telemetry.Extract(headers); ok {
-		s = inf.Tracer.StartRemote(ctx, name)
-	} else {
-		s = fallback.Child(name)
+		return inf.Tracer.StartRemote(ctx, name, tier)
 	}
-	s.SetTier(tier)
-	return s
+	return fallback.Child(name, tier)
 }

@@ -139,27 +139,23 @@ func (m *mirror) remote(ctx telemetry.TraceContext) telemetry.TraceContext {
 	return telemetry.TraceContext{TraceID: m.ids[ctx.TraceID], SpanID: ctx.SpanID}
 }
 
-func (m *mirror) keep(s, b *telemetry.Span, tier string) pair {
-	if tier != "" {
-		s.SetTier(tier)
-		b.SetTier(tier)
-	}
+func (m *mirror) keep(s, b *telemetry.Span) pair {
 	p := pair{s, b}
 	m.spans = append(m.spans, p)
 	return p
 }
 
-func (m *mirror) start(id, root, tier string) pair {
-	return m.keep(m.small.Start(id, root), m.big.Start(m.renew(id), root), tier)
+func (m *mirror) start(id, root string) pair {
+	return m.keep(m.small.Start(id, root), m.big.Start(m.renew(id), root))
 }
 
 func (m *mirror) child(p pair, name, tier string) pair {
-	return m.keep(p.s.Child(name), p.b.Child(name), tier)
+	return m.keep(p.s.Child(name, tier), p.b.Child(name, tier))
 }
 
 func (m *mirror) startRemote(ctx telemetry.TraceContext, name, tier string) pair {
 	bctx := m.remote(ctx)
-	return m.keep(m.small.StartRemote(ctx, name), m.big.StartRemote(bctx, name), tier)
+	return m.keep(m.small.StartRemote(ctx, name, tier), m.big.StartRemote(bctx, name, tier))
 }
 
 func (m *mirror) spanAt(ctx telemetry.TraceContext, name, tier string, begin, end time.Time) {
@@ -203,15 +199,15 @@ func TestReStartedTraceIsFolded(t *testing.T) {
 	tr := telemetry.NewTracer(testClock(), 2)
 	e := observedEngine(tr, telemetry.NewEventLog(testClock(), 64), &fakeAlerts{})
 	x := tr.Start("x", "ingest-a")
-	x.Child("collect").End()
-	x.Child("stream").End()
+	x.Child("collect", "").End()
+	x.Child("stream", "").End()
 	x.End()
 	e.Tick()
 	tr.Start("y", "ingest-b").End()
 	tr.Start("z", "ingest-b").End() // evicts x
 	e.Tick()
 	c := tr.Start("x", "ingest-c")
-	c.Child("store").End()
+	c.Child("store", "").End()
 	c.End()
 	e.Tick()
 	found := map[string]int64{}
@@ -246,7 +242,7 @@ func TestSmallRingFoldsEverySpan(t *testing.T) {
 		if i == 29 {
 			id = "frame-28" // still in the ring: the new trace replaces it
 		}
-		root := m.start(id, "ingest-frame", "")
+		root := m.start(id, "ingest-frame")
 		for j, stage := range []string{"collect", "stream", "store", "archive"} {
 			clk.t = clk.t.Add(time.Duration(1+i+j) * tick)
 			sp := m.child(root, stage, tierOf[stage])
@@ -331,7 +327,7 @@ func TestGraphMatchesOracleOnRandomHistories(t *testing.T) {
 			switch op := rng.Intn(10); {
 			case op == 0 || len(recent) == 0:
 				root := roots[rng.Intn(len(roots))]
-				keep(m.start(id(), root, tierOf[root]))
+				keep(m.start(id(), root))
 			case op <= 2:
 				name := stage()
 				keep(m.child(pick(), name, tierOf[name]))
@@ -377,11 +373,27 @@ func TestGraphMatchesOracleOnRandomHistories(t *testing.T) {
 // TestFoldWhileTicking ends spans on four goroutines, each on its own
 // traces, through a ring smaller than their traces, while a fifth ticks the
 // engine and reads its graph. Under -race it checks that spans fold outside
-// the tracer lock safely; afterwards the stage nodes count every span ended.
+// the tracer lock safely, and that every stage node, then and afterwards,
+// carries the tier its spans were opened with; afterwards the stage nodes
+// count every span ended.
 func TestFoldWhileTicking(t *testing.T) {
 	const workers, traces, perTrace = 4, 60, 6
 	tr := telemetry.NewTracer(nil, 8)
 	e := observedEngine(tr, telemetry.NewEventLog(nil, 64), &fakeAlerts{})
+	wantTier := map[string]string{
+		"ingest-tweets": "", "ingest-tweets/collect": "edge", "ingest-tweets/stream": "fog",
+		"ingest-tweets/store": "cloud", "ingest-tweets/archive": "cloud", "ingest-tweets/decode": "server",
+		// a remote span re-roots a trace the ring of 8 has evicted
+		"archive": "cloud", "archive/decode": "server", "decode": "server",
+	}
+	checkTiers := func(g GraphView) error {
+		for _, n := range g.Nodes {
+			if want, ok := wantTier[n.Name]; n.Kind == KindStage && (!ok || n.Tier != want) {
+				return fmt.Errorf("stage node %q has tier %q, its spans were opened with %q", n.Name, n.Tier, want)
+			}
+		}
+		return nil
+	}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	ticked := make(chan struct{})
@@ -393,7 +405,10 @@ func TestFoldWhileTicking(t *testing.T) {
 				return
 			default:
 				e.Tick()
-				_ = e.Graph()
+				if err := checkTiers(e.Graph()); err != nil {
+					t.Error(err)
+					return
+				}
 				e.GraphSize()
 			}
 		}
@@ -405,12 +420,10 @@ func TestFoldWhileTicking(t *testing.T) {
 			for i := 0; i < traces; i++ {
 				root := tr.Start(fmt.Sprintf("w%d-%d", w, i), "ingest-tweets")
 				for _, stage := range []string{"collect", "stream", "store"} {
-					sp := root.Child(stage)
-					sp.SetTier("fog")
-					sp.End()
+					root.Child(stage, tierOf[stage]).End()
 				}
-				tr.StartRemote(root.Context(), "archive").End()
-				tr.SpanAt(root.Context(), "decode", "cloud", root.Begin, root.Begin)
+				tr.StartRemote(root.Context(), "archive", tierOf["archive"]).End()
+				tr.SpanAt(root.Context(), "decode", "server", root.Begin, root.Begin)
 				root.End()
 			}
 		}(w)
@@ -419,7 +432,11 @@ func TestFoldWhileTicking(t *testing.T) {
 	close(stop)
 	<-ticked
 	e.Tick()
-	if n := stageSpans(e.Graph()); n != workers*traces*perTrace {
+	g := e.Graph()
+	if err := checkTiers(g); err != nil {
+		t.Fatal(err)
+	}
+	if n := stageSpans(g); n != workers*traces*perTrace {
 		t.Fatalf("graph counts %d spans, %d ended", n, workers*traces*perTrace)
 	}
 }
@@ -443,9 +460,7 @@ func BenchmarkFrameSpans(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				root := tr.Start(ids[i%len(ids)], "ingest-frame")
 				for _, stage := range []string{"collect", "stream", "store", "archive"} {
-					sp := root.Child(stage)
-					sp.SetTier(tierOf[stage])
-					sp.End()
+					root.Child(stage, tierOf[stage]).End()
 				}
 				root.End()
 			}

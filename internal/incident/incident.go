@@ -324,7 +324,7 @@ type spanSite struct {
 // between ticks N-1 and N counts as tick N's. Each distinct (root, span,
 // parent) is resolved to graph indexes once; the graph never drops a node
 // or edge, so the indexes stay valid.
-func (e *Engine) FoldSpan(root string, sp, parent *telemetry.Span, parentTier string, durationMs float64) {
+func (e *Engine) FoldSpan(root string, sp, parent *telemetry.Span, durationMs float64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	k := spanKey{root: root}
@@ -336,7 +336,7 @@ func (e *Engine) FoldSpan(root string, sp, parent *telemetry.Span, parentTier st
 	}
 	site, ok := e.sites[k]
 	if !ok {
-		site = e.resolve(k, sp.Tier, parentTier)
+		site = e.resolve(k, sp, parent)
 		e.sites[k] = site
 	}
 	e.graph.nodes[site.node].spans++
@@ -356,21 +356,21 @@ func (e *Engine) FoldSpan(root string, sp, parent *telemetry.Span, parentTier st
 
 // resolve creates (or finds) a span key's nodes and edges, in the order a
 // span first folded creates them, stamping new edges with the tick the span
-// counts toward.
-func (e *Engine) resolve(k spanKey, tier, parentTier string) *spanSite {
+// counts toward. A new stage node takes the tier of the span it is named for.
+func (e *Engine) resolve(k spanKey, sp, parent *telemetry.Span) *spanSite {
 	name := k.root
 	if k.child {
 		name = k.root + "/" + k.name
 	}
 	site := &spanSite{edge: -1}
-	site.node = e.graph.nodeFor(name, KindStage, tier)
+	site.node = e.graph.nodeFor(name, KindStage, sp.Tier)
 	if k.child {
 		pname := k.root
 		if k.grandchild {
 			pname = k.root + "/" + k.parent
 		}
 		if pname != name {
-			pi := e.graph.nodeFor(pname, KindStage, parentTier)
+			pi := e.graph.nodeFor(pname, KindStage, parent.Tier)
 			site.edge = e.graph.edgeFor(pi, site.node, e.tick+1)
 		}
 	}

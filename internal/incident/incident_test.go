@@ -58,8 +58,7 @@ func observedEngine(tr *telemetry.Tracer, ev *telemetry.EventLog, alerts AlertSo
 func ingestTrace(tr *telemetry.Tracer, id string) {
 	root := tr.Start(id, "ingest-tweets")
 	for _, stage := range []string{"collect", "stream", "store"} {
-		sp := root.Child(stage)
-		sp.End()
+		root.Child(stage, "").End()
 	}
 	root.End()
 }

@@ -67,22 +67,23 @@ func (s *Span) Context() TraceContext {
 // propagated span id. If the trace was evicted from the ring (or belongs to
 // another process), the id is re-rooted locally so the span is never an
 // orphan; if the span id does not resolve, the span attaches under the root.
-func (t *Tracer) StartRemote(ctx TraceContext, name string) *Span {
+// The span, re-rooted or not, is on the given tier.
+func (t *Tracer) StartRemote(ctx TraceContext, name, tier string) *Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.startRemoteLocked(ctx, name, t.now())
+	return t.startRemoteLocked(ctx, name, tier, t.now())
 }
 
-func (t *Tracer) startRemoteLocked(ctx TraceContext, name string, begin time.Time) *Span {
+func (t *Tracer) startRemoteLocked(ctx TraceContext, name, tier string, begin time.Time) *Span {
 	tr, ok := t.traces[ctx.TraceID]
 	if !ok {
-		return t.startLocked(ctx.TraceID, name, begin)
+		return t.startLocked(ctx.TraceID, name, tier, begin)
 	}
 	parent := ctx.SpanID
 	if parent < 0 || parent >= len(tr.spans) {
 		parent = 0
 	}
-	return t.spanLocked(tr, tr.spans[parent], name, begin)
+	return t.spanLocked(tr, tr.spans[parent], name, tier, begin)
 }
 
 // SpanAt records a completed span with explicit timestamps under a remote
@@ -90,8 +91,7 @@ func (t *Tracer) startRemoteLocked(ctx TraceContext, name string, begin time.Tim
 // are replayed into the trace that released the work.
 func (t *Tracer) SpanAt(ctx TraceContext, name, tier string, begin, end time.Time) *Span {
 	t.mu.Lock()
-	s := t.startRemoteLocked(ctx, name, begin)
-	s.Tier = tier
+	s := t.startRemoteLocked(ctx, name, tier, begin)
 	if end.Before(begin) {
 		end = begin
 	}
@@ -104,7 +104,7 @@ func (t *Tracer) SpanAt(ctx TraceContext, name, tier string, begin, end time.Tim
 func (t *Tracer) StartAt(id, name string, begin time.Time) *Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.startLocked(id, name, begin)
+	return t.startLocked(id, name, "", begin)
 }
 
 // EndAt closes the span at an explicit instant (the zero time means now).

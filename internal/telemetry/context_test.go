@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -52,12 +53,12 @@ func TestStartRemoteParentsUnderPropagatedSpan(t *testing.T) {
 	clk := &stepClock{t: time.Unix(0, 0), step: 10 * time.Millisecond}
 	tr := NewTracer(clk.now, 8)
 	root := tr.Start("hop", "producer")
-	gate := root.Child("gate")
+	gate := root.Child("gate", "")
 	gate.End()
 
 	// The consumer continues the trace as a child of the span whose context
 	// crossed the wire.
-	remote := tr.StartRemote(gate.Context(), "consumer")
+	remote := tr.StartRemote(gate.Context(), "consumer", "")
 	remote.End()
 	root.End()
 
@@ -77,7 +78,7 @@ func TestStartRemoteReRootsUnknownTrace(t *testing.T) {
 	tr := NewTracer((&stepClock{t: time.Unix(0, 0), step: time.Millisecond}).now, 8)
 	// Context from an evicted trace (or another process): no orphan, a fresh
 	// local root keeps the id resolvable.
-	s := tr.StartRemote(TraceContext{TraceID: "foreign", SpanID: 5}, "consumer")
+	s := tr.StartRemote(TraceContext{TraceID: "foreign", SpanID: 5}, "consumer", "")
 	if s.ID != 0 || s.Parent != -1 {
 		t.Fatalf("re-rooted span = %+v", s)
 	}
@@ -94,7 +95,7 @@ func TestStartRemoteReRootsUnknownTrace(t *testing.T) {
 func TestStartRemoteBadSpanIDAttachesToRoot(t *testing.T) {
 	tr := NewTracer((&stepClock{t: time.Unix(0, 0), step: time.Millisecond}).now, 8)
 	root := tr.Start("t", "producer")
-	s := tr.StartRemote(TraceContext{TraceID: "t", SpanID: 99}, "consumer")
+	s := tr.StartRemote(TraceContext{TraceID: "t", SpanID: 99}, "consumer", "")
 	s.End()
 	root.End()
 	tv, err := tr.Trace("t")
@@ -167,27 +168,56 @@ func TestReStartAtCapacityKeepsRingConsistent(t *testing.T) {
 }
 
 // Hammers every tracer entry point from many goroutines; run with -race it
-// proves exports never observe spans mid-mutation.
+// proves exports never observe spans mid-mutation, and that every span —
+// exported by a peer while its owner is still opening spans, or handed to
+// the observer with its parent — carries the tier it was opened with.
 func TestTracerConcurrentUse(t *testing.T) {
 	tr := NewTracer(nil, 16)
+	tierOf := map[string]string{"work": "", "stage": "fog", "remote": "server", "replay": "cloud"}
+	checkTiers := func(tv *TraceView) error {
+		for _, s := range tv.Spans {
+			if want, ok := tierOf[s.Name]; !ok || s.Tier != want {
+				return fmt.Errorf("trace %s span %q has tier %q, opened with %q", tv.ID, s.Name, s.Tier, want)
+			}
+		}
+		return nil
+	}
+	tr.SetObserver(func(root string, s, parent *Span, durationMs float64) {
+		if parent != nil && parent.Tier != tierOf[parent.Name] {
+			t.Errorf("span %q handed off under %q with tier %q", s.Name, parent.Name, parent.Tier)
+		}
+	})
 	const workers = 8
+	traceID := func(w int) string { return string(rune('a'+w)) + "-trace" }
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				id := string(rune('a'+w)) + "-trace"
+				id := traceID(w)
 				root := tr.Start(id, "work")
-				child := root.Child("stage")
-				child.SetTier("fog")
-				remote := tr.StartRemote(child.Context(), "remote")
-				remote.SetTier("server")
+				child := root.Child("stage", "fog")
+				// The peer's trace is being built on another goroutine.
+				tv, err := tr.Trace(traceID((w + 1) % workers))
+				if err == nil {
+					err = checkTiers(tv)
+				} else if errors.Is(err, ErrNoTrace) {
+					err = nil
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				remote := tr.StartRemote(child.Context(), "remote", "server")
 				remote.End()
 				child.End()
 				tr.SpanAt(root.Context(), "replay", "cloud", root.Begin, root.Begin)
 				root.End()
-				if _, err := tr.Trace(id); err != nil {
+				if tv, err = tr.Trace(id); err == nil {
+					err = checkTiers(tv)
+				}
+				if err != nil {
 					t.Errorf("trace %s: %v", id, err)
 					return
 				}
@@ -199,6 +229,9 @@ func TestTracerConcurrentUse(t *testing.T) {
 	for _, id := range tr.IDs() {
 		tv, err := tr.Trace(id)
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := checkTiers(tv); err != nil {
 			t.Fatal(err)
 		}
 		seen := make(map[int]bool)

@@ -29,7 +29,7 @@ type Tracer struct {
 	traces   map[string]*trace
 	order    []*trace // retained traces, oldest first: the eviction ring
 	slab     []Span   // the unused tail of the chunk the next span is carved from
-	observer func(root string, s, parent *Span, parentTier string, durationMs float64)
+	observer func(root string, s, parent *Span, durationMs float64)
 }
 
 // spanChunk is how many spans one slab allocation holds. A chunk stays live
@@ -62,7 +62,7 @@ type Span struct {
 	ID     int
 	Parent int // -1 for the root span
 	Name   string
-	Tier   string // optional tier/stage tag (edge/fog/server/cloud, ...)
+	Tier   string // tier/stage tag (edge/fog/server/cloud, ...), fixed when the span opens
 	Begin  time.Time
 	Finish time.Time
 }
@@ -84,26 +84,27 @@ func NewTracer(now func() time.Time, capacity int) *Tracer {
 func (t *Tracer) Start(id, name string) *Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.startLocked(id, name, t.now())
+	return t.startLocked(id, name, "", t.now())
 }
 
 // startLocked opens a trace under id with a root span beginning at begin.
-func (t *Tracer) startLocked(id, name string, begin time.Time) *Span {
+func (t *Tracer) startLocked(id, name, tier string, begin time.Time) *Span {
 	tr := &trace{id: id, name: name}
 	tr.spans = tr.inline[:0]
 	t.insertLocked(tr)
-	return t.spanLocked(tr, nil, name, begin)
+	return t.spanLocked(tr, nil, name, tier, begin)
 }
 
 // spanLocked carves the next span of tr from the slab and appends it under
-// parent (nil for a root).
-func (t *Tracer) spanLocked(tr *trace, parent *Span, name string, begin time.Time) *Span {
+// parent (nil for a root). The span's tier is fixed here, before any other
+// goroutine can see the span, and never written again.
+func (t *Tracer) spanLocked(tr *trace, parent *Span, name, tier string, begin time.Time) *Span {
 	if len(t.slab) == 0 {
 		t.slab = make([]Span, spanChunk)
 	}
 	s := &t.slab[0]
 	t.slab = t.slab[1:]
-	*s = Span{tracer: t, trace: tr, parent: parent, ID: len(tr.spans), Parent: -1, Name: name, Begin: begin}
+	*s = Span{tracer: t, trace: tr, parent: parent, ID: len(tr.spans), Parent: -1, Name: name, Tier: tier, Begin: begin}
 	if parent != nil {
 		s.Parent = parent.ID
 	}
@@ -141,29 +142,21 @@ func (t *Tracer) insertLocked(tr *trace) {
 	}
 }
 
-// Child opens a sub-span under s.
-func (s *Span) Child(name string) *Span {
+// Child opens a sub-span under s on the given tier ("" for none).
+func (s *Span) Child(name, tier string) *Span {
 	s.tracer.mu.Lock()
 	defer s.tracer.mu.Unlock()
-	return s.tracer.spanLocked(s.trace, s, name, s.tracer.now())
-}
-
-// SetTier tags the span with a tier/stage label. It takes the tracer lock so
-// a concurrent Trace() export never reads the field mid-write.
-func (s *Span) SetTier(tier string) {
-	s.tracer.mu.Lock()
-	s.Tier = tier
-	s.tracer.mu.Unlock()
+	return s.tracer.spanLocked(s.trace, s, name, tier, s.tracer.now())
 }
 
 // SetObserver registers fn to receive every span once, when it finishes by
 // End, EndAt or SpanAt, replacing any earlier observer (nil detaches). fn
 // gets the span's trace root name, the span, its parent (nil for a root)
-// with the parent's tier as it read when the span finished, and the span's
-// duration in milliseconds. It runs on the goroutine that finished the
-// span, outside the tracer lock, so it may take its own locks; it must not
-// keep s or parent.
-func (t *Tracer) SetObserver(fn func(root string, s, parent *Span, parentTier string, durationMs float64)) {
+// and the span's duration in milliseconds. It runs on the goroutine that
+// finished the span, outside the tracer lock, so it may take its own locks.
+// It may read the ID, Parent, Name and Tier of s and parent, which are fixed
+// when a span opens, and must not keep either.
+func (t *Tracer) SetObserver(fn func(root string, s, parent *Span, durationMs float64)) {
 	t.mu.Lock()
 	t.observer = fn
 	t.mu.Unlock()
@@ -177,8 +170,7 @@ func (s *Span) End() {
 
 // finishAndUnlock closes the span at finish (zero: now) unless it is
 // closed already, releases the tracer lock the caller holds, and hands a
-// span it closed to the observer. The parent's tier is read under the lock:
-// the parent may belong to another goroutine, which may be tagging it.
+// span it closed to the observer.
 func (s *Span) finishAndUnlock(finish time.Time) {
 	t := s.tracer
 	if !s.Finish.IsZero() {
@@ -189,14 +181,11 @@ func (s *Span) finishAndUnlock(finish time.Time) {
 		finish = t.now()
 	}
 	s.Finish = finish
-	obs, parent, parentTier := t.observer, s.parent, ""
-	if parent != nil {
-		parentTier = parent.Tier
-		s.parent = nil
-	}
+	obs, parent := t.observer, s.parent
+	s.parent = nil
 	t.mu.Unlock()
 	if obs != nil {
-		obs(s.trace.name, s, parent, parentTier, float64(finish.Sub(s.Begin))/float64(time.Millisecond))
+		obs(s.trace.name, s, parent, float64(finish.Sub(s.Begin))/float64(time.Millisecond))
 	}
 }
 

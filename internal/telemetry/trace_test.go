@@ -29,12 +29,11 @@ func TestTracerSpansAndJSON(t *testing.T) {
 	tr := NewTracer(clk.now, 8)
 
 	root := tr.Start("ingest-1", "ingest-tweets") // t=0
-	encode := root.Child("encode")                // t=10
+	encode := root.Child("encode", "")            // t=10
 	encode.End()                                  // t=20 → encode 10ms
-	produce := root.Child("produce")              // t=30
-	produce.SetTier("fog")
-	produce.End() // t=40 → produce 10ms
-	root.End()    // t=50 → root 50ms
+	produce := root.Child("produce", "fog")       // t=30
+	produce.End()                                 // t=40 → produce 10ms
+	root.End()                                    // t=50 → root 50ms
 
 	tv, err := tr.Trace("ingest-1")
 	if err != nil {
@@ -74,10 +73,10 @@ func TestBreakdownSumsToRoot(t *testing.T) {
 	clk := &stepClock{t: time.Unix(0, 0), step: 5 * time.Millisecond}
 	tr := NewTracer(clk.now, 8)
 	root := tr.Start("t", "pipeline")
-	a := root.Child("stage-a")
+	a := root.Child("stage-a", "")
 	a.End()
-	b := root.Child("stage-b")
-	c := b.Child("stage-b.inner")
+	b := root.Child("stage-b", "")
+	c := b.Child("stage-b.inner", "")
 	c.End()
 	b.End()
 	root.End()
@@ -139,7 +138,7 @@ func TestKeptSpanPinsOnlyItsChunk(t *testing.T) {
 	}
 	tr := NewTracer(nil, 8)
 	kept := tr.Start("kept", "ingest")
-	kept.Child("stage")
+	kept.Child("stage", "")
 	before := heap()
 	// Five-span traces, six where five would end on a chunk boundary, so
 	// every boundary falls inside a trace and the chain cannot break.
@@ -151,7 +150,7 @@ func TestKeptSpanPinsOnlyItsChunk(t *testing.T) {
 		made += n
 		root := tr.Start(strconv.Itoa(i), "ingest")
 		for c := 1; c < n; c++ {
-			root.Child("stage").End()
+			root.Child("stage", "").End()
 		}
 		root.End()
 	}
@@ -172,10 +171,10 @@ type handOff struct {
 // observe registers an observer on tr that records every hand-off.
 func observe(tr *Tracer) *[]handOff {
 	var got []handOff
-	tr.SetObserver(func(root string, s, parent *Span, parentTier string, durationMs float64) {
-		h := handOff{root: root, name: s.Name, parentTier: parentTier, durationMs: durationMs}
+	tr.SetObserver(func(root string, s, parent *Span, durationMs float64) {
+		h := handOff{root: root, name: s.Name, durationMs: durationMs}
 		if parent != nil {
-			h.parent = parent.Name
+			h.parent, h.parentTier = parent.Name, parent.Tier
 		}
 		got = append(got, h)
 	})
@@ -187,7 +186,7 @@ func TestSpanClosedTwiceIsHandedOffOnce(t *testing.T) {
 	tr := NewTracer(clk.now, 8)
 	got := observe(tr)
 	root := tr.Start("t", "ingest") // t=0
-	sp := root.Child("store")       // t=10
+	sp := root.Child("store", "")   // t=10
 	sp.End()                        // t=20
 	sp.EndAt(time.Unix(5, 0))
 	sp.End()
@@ -205,13 +204,14 @@ func TestSpanAtIsHandedOffOnceWithItsDuration(t *testing.T) {
 	tr := NewTracer(nil, 8)
 	got := observe(tr)
 	root := tr.StartAt("job-1", "job 1", epoch)
-	root.SetTier("fog")
 	sp := tr.SpanAt(root.Context(), "compute", "fog", epoch.Add(10*time.Millisecond), epoch.Add(30*time.Millisecond))
 	sp.End()
 	sp.EndAt(epoch.Add(time.Second))
+	tr.SpanAt(sp.Context(), "reduce", "cloud", epoch.Add(15*time.Millisecond), epoch.Add(25*time.Millisecond))
 	root.EndAt(epoch.Add(50 * time.Millisecond))
 	want := []handOff{
-		{root: "job 1", name: "compute", parent: "job 1", parentTier: "fog", durationMs: 20},
+		{root: "job 1", name: "compute", parent: "job 1", durationMs: 20},
+		{root: "job 1", name: "reduce", parent: "compute", parentTier: "fog", durationMs: 10},
 		{root: "job 1", name: "job 1", durationMs: 50},
 	}
 	if !reflect.DeepEqual(*got, want) {
@@ -227,9 +227,8 @@ func TestSpansOfEvictedTracesReachTheObserver(t *testing.T) {
 	tr := NewTracer(clk.now, 2)
 	got := observe(tr)
 	a := tr.Start("a", "ingest-frame")
-	store := a.Child("store")
-	store.SetTier("cloud")
-	inner := store.Child("hdfs")
+	store := a.Child("store", "cloud")
+	inner := store.Child("hdfs", "")
 	ctx := store.Context()
 	tr.Start("b", "ingest-waze").End()
 	tr.Start("c", "ingest-waze").End()
@@ -238,16 +237,16 @@ func TestSpansOfEvictedTracesReachTheObserver(t *testing.T) {
 	}
 	*got = nil
 	inner.End()
-	store.Child("late").End()
-	remote := tr.StartRemote(ctx, "archive")
-	remote.Child("write").End()
+	store.Child("late", "").End()
+	remote := tr.StartRemote(ctx, "archive", "cloud")
+	remote.Child("write", "").End()
 	remote.End()
 	store.End()
 	a.End()
 	want := []handOff{
 		{root: "ingest-frame", name: "hdfs", parent: "store", parentTier: "cloud"},
 		{root: "ingest-frame", name: "late", parent: "store", parentTier: "cloud"},
-		{root: "archive", name: "write", parent: "archive"},
+		{root: "archive", name: "write", parent: "archive", parentTier: "cloud"},
 		{root: "archive", name: "archive"},
 		{root: "ingest-frame", name: "store", parent: "ingest-frame"},
 		{root: "ingest-frame", name: "ingest-frame"},
@@ -265,11 +264,11 @@ func TestSpansOfEvictedTracesReachTheObserver(t *testing.T) {
 func TestWarmEndWithObserverZeroAlloc(t *testing.T) {
 	tr := NewTracer(nil, 8)
 	var n int
-	tr.SetObserver(func(root string, s, parent *Span, parentTier string, durationMs float64) { n++ })
+	tr.SetObserver(func(root string, s, parent *Span, durationMs float64) { n++ })
 	root := tr.Start("t", "ingest")
 	spans := make([]*Span, 1001) // AllocsPerRun's warm-up call plus its runs
 	for i := range spans {
-		spans[i] = root.Child("stage")
+		spans[i] = root.Child("stage", "")
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(len(spans)-1, func() {

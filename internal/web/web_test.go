@@ -202,6 +202,26 @@ func TestAlertsEndpoint(t *testing.T) {
 	getJSON(t, srv.URL+"/api/alerts?max=junk", http.StatusBadRequest)
 }
 
+// TestAlertsEndpointSurvivesPoisonRecord: a record on the alerts topic that
+// is not an alert does not turn /api/alerts into a 500 for good; it is
+// dead-lettered and the alert behind it is served.
+func TestAlertsEndpointSurvivesPoisonRecord(t *testing.T) {
+	srv, inf := newTestServer(t)
+	for _, body := range []string{"x", `{"cameraId":"cam-1","clipId":1,"action":"fight","exit":"local"}`} {
+		if _, _, err := inf.Broker.Produce("alerts", "cam", []byte(body)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, want := range []float64{1, 0} {
+		if out := getJSON(t, srv.URL+"/api/alerts", http.StatusOK); out["count"].(float64) != want {
+			t.Fatalf("read %d: alerts = %v, want %v", i, out["count"], want)
+		}
+	}
+	if letters, err := inf.DeadLetters("alerts"); err != nil || len(letters) != 1 {
+		t.Fatalf("dead letters = %+v, %v; want the poison record", letters, err)
+	}
+}
+
 func TestUnknownRouteIs404(t *testing.T) {
 	srv, _ := newTestServer(t)
 	resp, err := http.Get(srv.URL + "/api/nope")
