@@ -16,98 +16,10 @@ func smallConfig() Config {
 	}
 }
 
-func trainSmall(t *testing.T, epochs int) (*Recognizer, *video.ClipSet) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(11))
-	cfg := smallConfig()
-	rec, err := New(cfg, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set, err := video.Generate(video.Config{Clips: 144, Frames: cfg.Frames, Size: cfg.FrameSize}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := nn.NewAdam(0.01)
-	for e := 0; e < epochs; e++ {
-		if _, _, err := rec.TrainEpoch(set, 24, opt, rng); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return rec, set
-}
-
 func TestNewValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	if _, err := New(Config{}, rng); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestTrainingReducesLossAndBeatsChance(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	cfg := smallConfig()
-	rec, err := New(cfg, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set, err := video.Generate(video.Config{Clips: 48, Frames: cfg.Frames, Size: cfg.FrameSize}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := nn.NewAdam(0.01)
-	var first, last float64
-	for e := 0; e < 25; e++ {
-		l1, l2, err := rec.TrainEpoch(set, 48, opt, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e == 0 {
-			first = l1 + l2
-		}
-		last = l1 + l2
-	}
-	if last >= first {
-		t.Fatalf("loss did not decrease: %g → %g", first, last)
-	}
-	res, err := rec.Evaluate(set, nn.ExitPolicy{Metric: nn.NegEntropy, Threshold: 1e9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Chance is 1/6 ≈ 0.17.
-	if res.Accuracy < 0.4 {
-		t.Fatalf("server-path accuracy = %g", res.Accuracy)
-	}
-}
-
-func TestEntropyGateControlsExitRate(t *testing.T) {
-	rec, set := trainSmall(t, 15)
-	// Threshold -1e9 (accept any entropy) → always exit locally.
-	alwaysLocal, err := rec.Evaluate(set, nn.ExitPolicy{Metric: nn.NegEntropy, Threshold: -1e9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if alwaysLocal.ExitRate != 1 || alwaysLocal.ServerBytes != 0 {
-		t.Fatalf("always-local = %+v", alwaysLocal)
-	}
-	// Threshold +1e9 → never exit.
-	neverLocal, err := rec.Evaluate(set, nn.ExitPolicy{Metric: nn.NegEntropy, Threshold: 1e9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if neverLocal.ExitRate != 0 || neverLocal.ServerBytes == 0 {
-		t.Fatalf("never-local = %+v", neverLocal)
-	}
-	// Intermediate threshold sits between.
-	mid, err := rec.Evaluate(set, nn.ExitPolicy{Metric: nn.NegEntropy, Threshold: -1.0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mid.ExitRate < 0 || mid.ExitRate > 1 {
-		t.Fatalf("mid exit rate = %g", mid.ExitRate)
-	}
-	if mid.ServerBytes > neverLocal.ServerBytes {
-		t.Fatal("partial offload shipped more than full offload")
 	}
 }
 
@@ -123,75 +35,5 @@ func TestFeatureBytesSaving(t *testing.T) {
 	}
 	if ratio := float64(raw) / float64(feat); ratio < 2 {
 		t.Fatalf("compression ratio = %g, want >= 2", ratio)
-	}
-}
-
-func TestLSTMBeatsFrameOnlyOnTemporalClasses(t *testing.T) {
-	// The walk/run/loiter distinction is purely temporal; a frame-only model
-	// cannot separate them. Both models are trained on one clip set and
-	// evaluated on a held-out set so memorization cannot win.
-	rec, train := trainSmall(t, 30)
-	cfg := smallConfig()
-	testRng := rand.New(rand.NewSource(99))
-	test, err := video.Generate(video.Config{Clips: 60, Frames: cfg.Frames, Size: cfg.FrameSize}, testRng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	preds, err := rec.Predict(test.Clips)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rng := rand.New(rand.NewSource(14))
-	baseline, err := FrameOnlyBaseline(cfg, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trainFrames, err := train.FrameOnly()
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := nn.NewAdam(0.01)
-	for e := 0; e < 40; e++ {
-		if _, _, err := baseline.TrainEpoch(trainFrames, train.Labels, 24, opt, rng); err != nil {
-			t.Fatal(err)
-		}
-	}
-	testFrames, err := test.FrameOnly()
-	if err != nil {
-		t.Fatal(err)
-	}
-	basePreds, err := baseline.Predict(testFrames)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	temporal := map[int]bool{int(video.Loiter): true, int(video.Walk): true, int(video.Run): true}
-	lstmCorrect, baseCorrect, total := 0, 0, 0
-	for i, label := range test.Labels {
-		if !temporal[label] {
-			continue
-		}
-		total++
-		if preds[i] == label {
-			lstmCorrect++
-		}
-		k := basePreds.Dim(1)
-		row := basePreds.Data()[i*k : (i+1)*k]
-		best := 0
-		for j, v := range row {
-			if v > row[best] {
-				best = j
-			}
-		}
-		if best == label {
-			baseCorrect++
-		}
-	}
-	lstmAcc := float64(lstmCorrect) / float64(total)
-	baseAcc := float64(baseCorrect) / float64(total)
-	t.Logf("temporal classes (held-out): LSTM %.2f vs frame-only %.2f (n=%d)", lstmAcc, baseAcc, total)
-	if lstmAcc <= baseAcc {
-		t.Fatalf("LSTM (%.2f) must beat frame-only (%.2f) on temporal classes", lstmAcc, baseAcc)
 	}
 }

@@ -132,45 +132,6 @@ func testConfig() Config {
 	return Config{InC: 3, Size: 12, Grid: 3, Classes: 4, StemChannels: 8}
 }
 
-func trainSmallDetector(t *testing.T, epochs int) (*Detector, *vision.DetectionSet) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(7))
-	cfg := testConfig()
-	det, err := New(cfg, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	catalog, err := vision.Catalog(cfg.Classes, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set, err := vision.GenerateDetection(catalog, 96, cfg.Size, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := nn.NewAdam(0.005)
-	const batch = 16
-	for e := 0; e < epochs; e++ {
-		perm := rng.Perm(set.Images.Dim(0))
-		for start := 0; start+batch <= len(perm); start += batch {
-			idx := perm[start : start+batch]
-			imgs, err := nn.GatherRows(set.Images, idx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			truths := make([][]GroundTruth, batch)
-			for i, j := range idx {
-				truths[i] = set.Truths[j]
-			}
-			if _, _, err := det.TrainStep(imgs, truths); err != nil {
-				t.Fatal(err)
-			}
-			opt.Step(det.Params())
-		}
-	}
-	return det, set
-}
-
 func TestTrainingReducesLoss(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	cfg := testConfig()
@@ -212,75 +173,39 @@ func TestFullHeadHasMoreCapacityThanTiny(t *testing.T) {
 	}
 }
 
-func TestTrainedDetectorFindsVehicles(t *testing.T) {
-	det, set := trainSmallDetector(t, 25)
-
-	evalTiny, err := det.Evaluate(set.Images, set.Truths, TinyHead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evalFull, err := det.Evaluate(set.Images, set.Truths, FullHead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both heads should localize far better than chance: a random box IoU on
-	// these scenes is ≈ 0.1; class chance is 0.25.
-	if evalFull.MeanIoU < 0.25 {
-		t.Fatalf("full head IoU = %g", evalFull.MeanIoU)
-	}
-	if evalFull.ClassAccuracy < 0.6 {
-		t.Fatalf("full head class accuracy = %g", evalFull.ClassAccuracy)
-	}
-	if evalTiny.ClassAccuracy < 0.4 {
-		t.Fatalf("tiny head class accuracy = %g", evalTiny.ClassAccuracy)
-	}
-	t.Logf("tiny: acc=%.2f iou=%.2f | full: acc=%.2f iou=%.2f",
-		evalTiny.ClassAccuracy, evalTiny.MeanIoU, evalFull.ClassAccuracy, evalFull.MeanIoU)
-}
-
+// TestEarlyExitFlow walks the Fig. 5 split on an untrained detector: every
+// frame gets a local result whose feature map is smaller than the raw frame,
+// and the server tail accepts that feature map. Whether the score gate sends
+// the right frames upstream is E5's check (internal/experiments).
 func TestEarlyExitFlow(t *testing.T) {
-	det, set := trainSmallDetector(t, 12)
-	n := 16
-	imgs, err := nn.GatherRows(set.Images, seq(n))
+	rng := rand.New(rand.NewSource(7))
+	cfg := testConfig()
+	det, err := New(cfg, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := det.DetectLocal(imgs, 0.05)
+	catalog, _ := vision.Catalog(cfg.Classes, rng)
+	const n = 4
+	set, err := vision.GenerateDetection(catalog, n, cfg.Size, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := det.DetectLocal(set.Images, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(local) != n {
-		t.Fatalf("local results = %d", len(local))
+		t.Fatalf("local results = %d, want %d", len(local), n)
 	}
-	served := 0
+	raw := cfg.InC * cfg.Size * cfg.Size * 8
 	for _, lr := range local {
-		if lr.FeatureBytes <= 0 {
-			t.Fatal("feature bytes must be positive")
+		if lr.FeatureBytes <= 0 || lr.FeatureBytes >= raw {
+			t.Fatalf("feature bytes = %d, want 0 < bytes < %d (the raw frame)", lr.FeatureBytes, raw)
 		}
-		if lr.TopScore < 0.5 { // miss → ship feature map
-			dets, err := det.DetectServer(lr.Feature, 0.0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			served++
-			_ = dets
+		if _, err := det.DetectServer(lr.Feature, 0.0); err != nil {
+			t.Fatal(err)
 		}
 	}
-	t.Logf("server handled %d/%d items", served, n)
-	// Feature map must be smaller than the raw image (the offload saving).
-	size := testConfig().Size
-	raw := 3 * size * size * 8
-	if local[0].FeatureBytes >= raw*4 {
-		t.Fatalf("feature bytes %d not meaningfully smaller than raw*channels", local[0].FeatureBytes)
-	}
-}
-
-func seq(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 func TestLossInputValidation(t *testing.T) {

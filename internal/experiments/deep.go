@@ -82,7 +82,9 @@ func E5EarlyExitDetector(rng *rand.Rand) (*Result, error) {
 		return nil, err
 	}
 	sweep := viz.NewTable("threshold sweep (Fig. 5 gate)", "threshold", "local-exit %", "accuracy", "upstream KB")
-	for _, th := range []float64{0.0, 0.2, 0.4, 0.6, 0.8, 1.01} {
+	ths := []float64{0.0, 0.2, 0.4, 0.6, 0.8, 1.01}
+	var exitPct, acc, upBytes []float64
+	for _, th := range ths {
 		correct, exits, bytes := 0, 0, 0
 		for i, lr := range local {
 			var cls int
@@ -109,7 +111,34 @@ func E5EarlyExitDetector(rng *rand.Rand) (*Result, error) {
 			}
 		}
 		n := len(local)
-		sweep.AddRow(th, float64(exits)/float64(n)*100, float64(correct)/float64(n), bytes/1024)
+		pct, a := float64(exits)/float64(n)*100, float64(correct)/float64(n)
+		sweep.AddRow(th, pct, a, bytes/1024)
+		exitPct, acc, upBytes = append(exitPct, pct), append(acc, a), append(upBytes, float64(bytes))
+	}
+
+	if det.TinyParams() >= det.FullParams() {
+		return nil, fmt.Errorf("E5: tiny head has %d params, full head %d: want tiny fewer", det.TinyParams(), det.FullParams())
+	}
+	if !(evalFull.ClassAccuracy > evalTiny.ClassAccuracy && evalTiny.ClassAccuracy > 0.25) {
+		return nil, fmt.Errorf("E5: class accuracy full %.4g, tiny %.4g, chance 0.25: want full > tiny > chance",
+			evalFull.ClassAccuracy, evalTiny.ClassAccuracy)
+	}
+	if evalFull.MeanIoU <= 0.25 {
+		return nil, fmt.Errorf("E5: full head mean IoU %.4g, want above 0.25 (a random box scores about 0.1)", evalFull.MeanIoU)
+	}
+	last := len(ths) - 1
+	if exitPct[0] != 100 || exitPct[last] != 0 {
+		return nil, fmt.Errorf("E5: local exits at threshold %g and %g are %.4g%% and %.4g%%, want 100%% and 0%%",
+			ths[0], ths[last], exitPct[0], exitPct[last])
+	}
+	if acc[last] <= acc[0] {
+		return nil, fmt.Errorf("E5: accuracy %.4g with no local exits is not above %.4g with all of them", acc[last], acc[0])
+	}
+	if err := sweepOrder("E5", "local-exit %", ths, exitPct, -1); err != nil {
+		return nil, err
+	}
+	if err := sweepOrder("E5", "upstream bytes", ths, upBytes, +1); err != nil {
+		return nil, err
 	}
 	return &Result{
 		ID: "E5", Title: "early-exit vehicle detector threshold sweep",
@@ -193,18 +222,24 @@ func E7ActionRecognition(rng *rand.Rand) (*Result, error) {
 		return nil, err
 	}
 	opt := nn.NewAdam(0.01)
+	var losses []float64
 	for e := 0; e < 30; e++ {
-		if _, _, err := rec.TrainEpoch(train, 24, opt, rng); err != nil {
+		exit1Loss, tailLoss, err := rec.TrainEpoch(train, 24, opt, rng)
+		if err != nil {
 			return nil, err
 		}
+		losses = append(losses, exit1Loss+tailLoss)
 	}
 
 	sweep := viz.NewTable("entropy-gate sweep (Fig. 7 exits)", "neg-entropy threshold", "exit-1 %", "accuracy", "server KB")
-	for _, th := range []float64{-1e9, -1.2, -0.8, -0.4, -0.1, 1e9} {
+	ths := []float64{-1e9, -1.2, -0.8, -0.4, -0.1, 1e9}
+	var exitRate, acc, shipped []float64
+	for _, th := range ths {
 		res, err := rec.Evaluate(test, nn.ExitPolicy{Metric: nn.NegEntropy, Threshold: th})
 		if err != nil {
 			return nil, err
 		}
+		exitRate, acc, shipped = append(exitRate, res.ExitRate), append(acc, res.Accuracy), append(shipped, float64(res.ServerBytes))
 		label := fmt.Sprintf("%.2g", th)
 		if th <= -1e8 {
 			label = "always exit 1"
@@ -266,9 +301,8 @@ func E7ActionRecognition(rng *rand.Rand) (*Result, error) {
 	confusion := viz.ConfusionMatrix("confusion matrix (server path, held-out)", test.Labels, lstmPreds, names)
 
 	k := basePreds.Dim(1)
-	ablation := viz.NewTable("temporal ablation (loiter/walk/run, held-out)", "model", "accuracy")
-	ablation.AddRow("CNN+LSTM (paper)", temporalAcc(func(i int) int { return lstmPreds[i] }))
-	ablation.AddRow("frame-only CNN", temporalAcc(func(i int) int {
+	lstmAcc := temporalAcc(func(i int) int { return lstmPreds[i] })
+	frameAcc := temporalAcc(func(i int) int {
 		row := basePreds.Data()[i*k : (i+1)*k]
 		best := 0
 		for j, v := range row {
@@ -277,7 +311,33 @@ func E7ActionRecognition(rng *rand.Rand) (*Result, error) {
 			}
 		}
 		return best
-	}))
+	})
+	ablation := viz.NewTable("temporal ablation (loiter/walk/run, held-out)", "model", "accuracy")
+	ablation.AddRow("CNN+LSTM (paper)", lstmAcc)
+	ablation.AddRow("frame-only CNN", frameAcc)
+
+	if losses[len(losses)-1] >= losses[0] {
+		return nil, fmt.Errorf("E7: training loss %.4g in the last epoch is not below %.4g in the first", losses[len(losses)-1], losses[0])
+	}
+	last := len(ths) - 1
+	if exitRate[0] != 1 || shipped[0] != 0 {
+		return nil, fmt.Errorf("E7: always exit 1 answers %.4g%% at exit 1 and ships %g B, want 100%% and 0 B", exitRate[0]*100, shipped[0])
+	}
+	if exitRate[last] != 0 || shipped[last] == 0 {
+		return nil, fmt.Errorf("E7: always server answers %.4g%% at exit 1 and ships %g B, want 0%% and more than 0 B", exitRate[last]*100, shipped[last])
+	}
+	if acc[last] <= 1.0/6 {
+		return nil, fmt.Errorf("E7: server-path accuracy %.4g does not beat chance (1/6)", acc[last])
+	}
+	if err := sweepOrder("E7", "exit-1 rate", ths, exitRate, -1); err != nil {
+		return nil, err
+	}
+	if err := sweepOrder("E7", "server bytes", ths, shipped, +1); err != nil {
+		return nil, err
+	}
+	if lstmAcc <= frameAcc {
+		return nil, fmt.Errorf("E7: CNN+LSTM %.4g does not beat frame-only %.4g on loiter/walk/run", lstmAcc, frameAcc)
+	}
 
 	feat, raw := rec.FeatureBytesPerClip()
 	return &Result{
@@ -330,7 +390,10 @@ func E8ShortcutAblation(rng *rand.Rand) (*Result, error) {
 	}
 
 	tb := viz.NewTable("Fig. 8 shortcut ablation", "shortcut", "params", "train acc", "test acc")
-	for _, kind := range []nn.ShortcutKind{nn.ShortcutConv, nn.ShortcutPool, nn.ShortcutIdentity} {
+	kinds := []nn.ShortcutKind{nn.ShortcutConv, nn.ShortcutPool, nn.ShortcutIdentity}
+	params := make([]int, len(kinds))
+	testAccs := make([]float64, len(kinds))
+	for ki, kind := range kinds {
 		r := rand.New(rand.NewSource(77))
 		scfg := nn.ResidualConfig{InC: 1, OutC: 6, Stride: 2, Shortcut: kind}
 		if kind == nn.ShortcutIdentity {
@@ -362,7 +425,15 @@ func E8ShortcutAblation(rng *rand.Rand) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		tb.AddRow(kind.String(), nn.NumParams(net.Params()), trainAcc, testAcc)
+		params[ki], testAccs[ki] = nn.NumParams(net.Params()), testAcc
+		tb.AddRow(kind.String(), params[ki], trainAcc, testAcc)
+	}
+	// kinds[0] is conv, kinds[1] maxpool, kinds[2] identity.
+	if testAccs[0] < testAccs[1] || testAccs[0] < testAccs[2] {
+		return nil, fmt.Errorf("E8: conv shortcut test accuracy %.4g is below maxpool %.4g or identity %.4g", testAccs[0], testAccs[1], testAccs[2])
+	}
+	if params[0] <= params[1] || params[0] <= params[2] {
+		return nil, fmt.Errorf("E8: conv shortcut model has %d params, maxpool %d, identity %d: the learned projection adds none", params[0], params[1], params[2])
 	}
 	return &Result{
 		ID: "E8", Title: "ResNet shortcut ablation",
@@ -445,6 +516,7 @@ func E11MultiModalFusion(rng *rand.Rand) (*Result, error) {
 		return nil, err
 	}
 	tb := viz.NewTable("gunshot detection: fusion vs single modalities", "features", "test accuracy")
+	var accs []float64 // audio, video, fused
 	for _, spec := range []struct {
 		name       string
 		trainX     *tensor.Tensor
@@ -467,6 +539,10 @@ func E11MultiModalFusion(rng *rand.Rand) (*Result, error) {
 			return nil, err
 		}
 		tb.AddRow(spec.name, acc)
+		accs = append(accs, acc)
+	}
+	if accs[2] <= accs[0] || accs[2] <= accs[1] {
+		return nil, fmt.Errorf("E11: fused accuracy %.4g does not beat audio only %.4g and video only %.4g", accs[2], accs[0], accs[1])
 	}
 
 	// CCA on a controlled shared-latent pair: each view embeds one common
@@ -483,6 +559,9 @@ func E11MultiModalFusion(rng *rand.Rand) (*Result, error) {
 	cca, err := fusion.CCA(xr, yr, 3, 1e-6)
 	if err != nil {
 		return nil, err
+	}
+	if c := cca.Correlations; c[0] <= 0.9 || c[0] <= c[1] {
+		return nil, fmt.Errorf("E11: canonical correlations %.4g, %.4g: want the first > 0.9 and above the second", c[0], c[1])
 	}
 	ct := viz.NewTable("CCA on a shared-latent two-view pair", "pair", "correlation")
 	for i, c := range cca.Correlations {
@@ -544,6 +623,9 @@ func E12CameraControlDRL(rng *rand.Rand) (*Result, error) {
 	random := rl.EvaluatePolicy(env, eps, steps, rl.RandomPolicy(env.NumActions()), evalRng)
 	static := rl.EvaluatePolicy(env, eps, steps, rl.StaticPolicy(rl.ActStay), evalRng)
 
+	if !(dqn > static && static > random) {
+		return nil, fmt.Errorf("E12: mean reward DQN %.4g, static %.4g, random %.4g: want DQN > static > random", dqn, static, random)
+	}
 	tb := viz.NewTable("camera control: mean episode reward", "policy", "reward")
 	tb.AddRow("DQN (trained)", dqn)
 	tb.AddRow("random", random)

@@ -2,7 +2,10 @@
 // behaviors behind every figure and quantitative claim in the paper (see
 // DESIGN.md §4 for the full index). Each experiment is deterministic given
 // its seed (TestSameSeedSameBytes lists the few cells that print a stopwatch
-// reading), returns plain-text tables, and is run by cmd/experiments. No
+// reading), returns plain-text tables, and is run by cmd/experiments. The
+// runners of E3, E5, E7–E13 and E18–E26 also check the shape their tables
+// show and return an error naming the claim when it breaks, so a broken
+// claim fails at any seed, not only where a golden file exists. No
 // experiment measures performance: that is `go run ./benchmark`.
 package experiments
 
@@ -102,6 +105,19 @@ func Run(id string, seed int64) (*Result, error) {
 		}
 	}
 	return nil, fmt.Errorf("%w: %s (known: %v)", ErrUnknownExperiment, id, IDs())
+}
+
+// sweepOrder returns an error if the column named col, read as vals along
+// the rising thresholds ths, ever moves against dir: +1 means it must never
+// fall, -1 that it must never rise.
+func sweepOrder(id, col string, ths, vals []float64, dir float64) error {
+	for i := 1; i < len(vals); i++ {
+		if dir*(vals[i]-vals[i-1]) < 0 {
+			return fmt.Errorf("%s: %s moves from %.6g to %.6g as the threshold rises from %g to %g",
+				id, col, vals[i-1], vals[i], ths[i-1], ths[i])
+		}
+	}
+	return nil
 }
 
 // sortedKeys returns map keys in sorted order, for stable table output.

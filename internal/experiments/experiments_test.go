@@ -37,6 +37,37 @@ func TestRunUnknown(t *testing.T) {
 	}
 }
 
+// TestSweepOrder pins the direction rule the E3, E5 and E7 checks share: a
+// flat step passes either way, and a step against dir fails with both
+// thresholds of the step named. The goldens only ever feed it sweeps that
+// hold, so a flipped sign would go unseen without this.
+func TestSweepOrder(t *testing.T) {
+	ths := []float64{0, 0.5, 1}
+	for _, c := range []struct {
+		name    string
+		vals    []float64
+		dir     float64
+		wantErr string
+	}{
+		{"rising never falls", []float64{1, 2, 3}, +1, ""},
+		{"flat never falls", []float64{2, 2, 2}, +1, ""},
+		{"flat never rises", []float64{2, 2, 2}, -1, ""},
+		{"falling never rises", []float64{3, 2, 1}, -1, ""},
+		{"dip against never falls", []float64{1, 3, 2}, +1, "from 3 to 2 as the threshold rises from 0.5 to 1"},
+		{"rise against never rises", []float64{3, 1, 2}, -1, "from 1 to 2 as the threshold rises from 0.5 to 1"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			err := sweepOrder("E0", "col", ths, c.vals, c.dir)
+			switch {
+			case c.wantErr == "" && err != nil:
+				t.Fatalf("err = %v, want nil", err)
+			case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), "E0: col moves "+c.wantErr)):
+				t.Fatalf("err = %v, want one naming %q", err, c.wantErr)
+			}
+		})
+	}
+}
+
 // firstRuns caches Run(id, 42): the per-experiment tests below read the run
 // TestSameSeedSameBytes compared, so an experiment executes once per
 // `go test`. Its subtests run in parallel, hence the lock.
@@ -183,33 +214,6 @@ func TestE11(t *testing.T) { runAndCheck(t, "E11") }
 func TestE12(t *testing.T) { runAndCheck(t, "E12") }
 func TestE13(t *testing.T) { runAndCheck(t, "E13") }
 func TestE14(t *testing.T) { runAndCheck(t, "E14") }
-
-func TestE5ShapeClaims(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training experiment skipped in -short")
-	}
-	res := runAndCheck(t, "E5")
-	// The sweep table's first data row (threshold 0) must be 100% local
-	// exits and the last row 0%: verify via the rendered output.
-	out := res.String()
-	if !strings.Contains(out, "threshold") {
-		t.Fatalf("missing sweep table:\n%s", out)
-	}
-}
-
-func TestE7ShapeClaims(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training experiment skipped in -short")
-	}
-	runAndCheck(t, "E7")
-}
-
-func TestE8ShapeClaims(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training experiment skipped in -short")
-	}
-	runAndCheck(t, "E8")
-}
 
 func TestE15(t *testing.T) {
 	if testing.Short() {

@@ -30,11 +30,7 @@ func E3FogOffloadSweep(rng *rand.Rand) (*Result, error) {
 
 	policies := viz.NewTable("offload policy comparison (600 frames @ 10fps/edge)",
 		"policy", "mean ms", "p95 ms", "fog→server KB", "server busy ms", "fog busy ms")
-	type row struct {
-		name string
-		res  *fog.Results
-	}
-	var baselines []row
+	var baselines []*fog.Results
 	for _, p := range []fog.Policy{
 		{Kind: fog.PolicyLocalOnly},
 		{Kind: fog.PolicyCloudOnly},
@@ -54,11 +50,13 @@ func E3FogOffloadSweep(rng *rand.Rand) (*Result, error) {
 		}
 		policies.AddRow(name, res.MeanMs, res.P95Ms, fogUpstream(res)/1024,
 			res.BusyByTier[fog.Server], res.BusyByTier[fog.Fog])
-		baselines = append(baselines, row{name, res})
+		baselines = append(baselines, res)
 	}
 
 	sweep := viz.NewTable("early-exit threshold sweep", "threshold", "offload %", "mean ms", "fog→server KB")
-	for _, th := range []float64{0.0, 0.2, 0.4, 0.6, 0.8, 1.0} {
+	ths := []float64{0.0, 0.2, 0.4, 0.6, 0.8, 1.0}
+	var offloadPct, meanMs, upBytes []float64
+	for _, th := range ths {
 		jobs, err := (fog.Policy{Kind: fog.PolicyEarlyExit, Threshold: th}).JobsFor(d, work)
 		if err != nil {
 			return nil, err
@@ -73,21 +71,31 @@ func E3FogOffloadSweep(rng *rand.Rand) (*Result, error) {
 				offloaded++
 			}
 		}
-		sweep.AddRow(th, float64(offloaded)/float64(len(work))*100, res.MeanMs, fogUpstream(res)/1024)
+		pct, up := float64(offloaded)/float64(len(work))*100, fogUpstream(res)
+		sweep.AddRow(th, pct, res.MeanMs, up/1024)
+		offloadPct, meanMs, upBytes = append(offloadPct, pct), append(meanMs, res.MeanMs), append(upBytes, float64(up))
 	}
 
-	var notes []string
-	if len(baselines) == 3 {
-		cloud, early := baselines[1].res, baselines[2].res
-		notes = append(notes, fmt.Sprintf(
-			"paper claim (Fig. 3): splitting computation across tiers gives fast distributed analysis — early-exit cuts fog→server bytes %.1fx and mean latency %.1fx vs ship-everything",
-			float64(fogUpstream(cloud))/float64(max(1, fogUpstream(early))),
-			cloud.MeanMs/early.MeanMs))
+	cloud, early := baselines[1], baselines[2]
+	if early.MeanMs >= cloud.MeanMs || fogUpstream(early) >= fogUpstream(cloud) {
+		return nil, fmt.Errorf("E3: early-exit@0.5 (%.2f ms, %d B) is not below server-only (%.2f ms, %d B) on both latency and fog→server bytes",
+			early.MeanMs, fogUpstream(early), cloud.MeanMs, fogUpstream(cloud))
+	}
+	for _, c := range []struct {
+		col  string
+		vals []float64
+	}{{"offload %", offloadPct}, {"mean ms", meanMs}, {"fog→server bytes", upBytes}} {
+		if err := sweepOrder("E3", c.col, ths, c.vals, +1); err != nil {
+			return nil, err
+		}
 	}
 	return &Result{
 		ID: "E3", Title: "four-tier fog pipeline offload sweep",
 		Tables: []*viz.Table{policies, sweep},
-		Notes:  notes,
+		Notes: []string{fmt.Sprintf(
+			"paper claim (Fig. 3): splitting computation across tiers gives fast distributed analysis — early-exit cuts fog→server bytes %.1fx and mean latency %.1fx vs ship-everything",
+			float64(fogUpstream(cloud))/float64(max(1, fogUpstream(early))),
+			cloud.MeanMs/early.MeanMs)},
 	}, nil
 }
 

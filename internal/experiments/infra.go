@@ -217,6 +217,7 @@ func E13StorageLayer(rng *rand.Rand) (*Result, error) {
 	avail := viz.NewTable("HDFS availability under failures", "replication", "failures", "readable", "under-replicated", "recovered")
 	payload := make([]byte, 64*1024)
 	rng.Read(payload)
+	var readable [4][3]bool // [replication][failures]
 	for _, rep := range []int{1, 2, 3} {
 		for _, failures := range []int{0, 1, 2} {
 			cluster := hdfs.NewCluster(hdfs.Config{BlockSize: 4096, Replication: rep}, rng)
@@ -245,7 +246,12 @@ func E13StorageLayer(rng *rand.Rand) (*Result, error) {
 				}
 			}
 			avail.AddRow(rep, failures, readErr == nil, under, recovered)
+			readable[rep][failures] = readErr == nil
 		}
+	}
+	if !readable[3][2] || readable[1][1] {
+		return nil, fmt.Errorf("E13: RF 3 readable after 2 failures = %t, RF 1 readable after 1 = %t: want true, false",
+			readable[3][2], readable[1][1])
 	}
 
 	// HBase random access vs HDFS batch access.
@@ -292,6 +298,9 @@ func E13StorageLayer(rng *rand.Rand) (*Result, error) {
 		off := rng.Intn(rows) * 32
 		_ = data[off : off+32]
 		hdfsBytes += len(data)
+	}
+	if hbaseBytes >= hdfsBytes {
+		return nil, fmt.Errorf("E13: HBase read %d B over %d probes, HDFS %d B: want HBase fewer", hbaseBytes, probes, hdfsBytes)
 	}
 	access := viz.NewTable("random point reads: bytes read per probe, HBase vs HDFS",
 		"store", "probes", "bytes per probe", "bytes (total)")

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/citydata"
@@ -19,9 +20,21 @@ func E9AssociateExpansion(rng *rand.Rand) (*Result, error) {
 	}
 	first, second := g.MeanAssociates()
 	st := g.Degrees()
+	groups := make(map[int]bool)
+	for _, id := range g.Nodes() {
+		grp, err := g.Group(id)
+		if err != nil {
+			return nil, err
+		}
+		groups[grp] = true
+	}
+	if len(groups) != 67 || g.NumNodes() != 982 || math.Abs(first-14) > 1 {
+		return nil, fmt.Errorf("E9: %d groups, %d members, %.4g mean first-degree associates: want 67, 982 and 14 ± 1",
+			len(groups), g.NumNodes(), first)
+	}
 
 	tb := viz.NewTable("gang network statistics vs paper", "metric", "paper", "measured")
-	tb.AddRow("groups/gangs", 67, 67)
+	tb.AddRow("groups/gangs", 67, len(groups))
 	tb.AddRow("members", 982, g.NumNodes())
 	tb.AddRow("mean 1st-degree associates", 14, first)
 	tb.AddRow("mean 2nd-degree associates", "~200", second)
@@ -148,6 +161,9 @@ func E10PersonsOfInterest(rng *rand.Rand) (*Result, error) {
 		reduction = meanField / meanNarrow
 	}
 	tb.AddRow("mean reduction factor", reduction)
+	if reduction <= 10 {
+		return nil, fmt.Errorf("E10: the narrowing shrinks the candidate field %.4gx, want more than 10x", reduction)
+	}
 	return &Result{
 		ID: "E10", Title: "persons-of-interest narrowing funnel",
 		Tables: []*viz.Table{tb},

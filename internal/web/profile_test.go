@@ -115,15 +115,18 @@ func TestProfileFlameEndpoint(t *testing.T) {
 	if broker == nil {
 		t.Fatalf("no broker root in %v", roots)
 	}
-	children := broker["children"].([]any)
-	appendNode := children[0].(map[string]any)
-	if appendNode["path"] != "broker/append" {
-		t.Fatalf("broker child = %v", appendNode["path"])
+	// Children are looked up by path: siblings are ordered by wall time,
+	// which differs run to run (broker/poll can outrun broker/append).
+	child := func(node map[string]any, path string) map[string]any {
+		for _, c := range node["children"].([]any) {
+			if c := c.(map[string]any); c["path"] == path {
+				return c
+			}
+		}
+		t.Fatalf("%v has no child %s in %v", node["path"], path, node["children"])
+		return nil
 	}
-	grand := appendNode["children"].([]any)
-	if grand[0].(map[string]any)["path"] != "broker/append/replicate" {
-		t.Fatalf("append child = %v", grand[0])
-	}
+	child(child(broker, "broker/append"), "broker/append/replicate")
 }
 
 // Profile reads must be safe while ingest traffic is recording spans — the
