@@ -57,8 +57,8 @@ type Action struct {
 type Signals struct {
 	// Firing returns the names of currently-firing alert rules.
 	Firing func() []string
-	// BurnRate returns the worst current SLO burn rate (1.0 = budget
-	// draining exactly on schedule).
+	// BurnRate returns the current burn rate of the SLO the controller
+	// guards (1.0 = budget draining exactly on schedule).
 	BurnRate func() float64
 	// BreakerOpen reports whether the shared circuit breaker is open.
 	BreakerOpen func() bool

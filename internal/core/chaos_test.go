@@ -118,7 +118,7 @@ func TestHBaseCrashRecoveryThroughInfrastructure(t *testing.T) {
 }
 
 // TestHealerWiredThroughInfrastructure: a repair driven through inf.Healer
-// is what the cityinfra_hdfs_healer_* series and the healer event hook
+// is what cityinfra_hdfs_replicas_created_total and the healer event hook
 // observe.
 func TestHealerWiredThroughInfrastructure(t *testing.T) {
 	inf := bootSmall(t)
@@ -141,12 +141,12 @@ func TestHealerWiredThroughInfrastructure(t *testing.T) {
 
 	var metric float64
 	for _, p := range inf.Telemetry.Snapshot() {
-		if p.Name == "cityinfra_hdfs_healer_replicas_created_total" {
+		if p.Name == "cityinfra_hdfs_replicas_created_total" {
 			metric = p.Value
 		}
 	}
 	if metric != float64(created) {
-		t.Fatalf("cityinfra_hdfs_healer_replicas_created_total = %g, want %d", metric, created)
+		t.Fatalf("cityinfra_hdfs_replicas_created_total = %g, want %d", metric, created)
 	}
 	healerEvents := 0
 	for _, ev := range inf.Events.Events(0) {

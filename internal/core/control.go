@@ -31,16 +31,20 @@ func (inf *Infrastructure) wireControl() {
 	inf.Knobs = control.NewKnobs(inf.cfg.OffloadThreshold)
 
 	sig := control.Signals{
-		Firing:   inf.Alerts.Firing,
-		BurnRate: inf.SLOs.MaxBurn,
+		Firing: inf.Alerts.Firing,
+		BurnRate: func() float64 {
+			return inf.deliverySLO.Report().BurnRate
+		},
 		BreakerOpen: func() bool {
 			return inf.Breaker.State() == retry.Open
 		},
-		// No signal reads the profiler or the ingest p99: both are measured
-		// wall time, so a decision fed by them would depend on machine load
-		// and the same seed would replay different actions. They stay
-		// diagnostics (watch pane, /api/profile); the controller decides off
-		// deterministic counters and breaker/alert state only.
+		// No signal reads the profiler, the ingest p99 or the
+		// ingest-latency-1s SLO: all three are measured wall time, so a
+		// decision fed by them would depend on machine load and the same
+		// seed would replay different actions. They stay diagnostics (watch
+		// pane, /api/profile, /api/slo); the controller decides off
+		// deterministic counters, the delivery SLO and breaker/alert state
+		// only.
 		Eval: func(expr string) (float64, bool) {
 			v, err := inf.TSDB.Eval(expr, inf.Clock.Now())
 			if err != nil {

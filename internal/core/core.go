@@ -150,6 +150,7 @@ type Infrastructure struct {
 	flumeTel        *flume.AgentTelemetry
 	ingestSeq       atomic.Int64
 	ingestSeconds   *telemetry.Histogram
+	deliverySLO     *telemetry.SLO
 	failoverSeconds *telemetry.Histogram
 	pipeCollected, pipeStreamed, pipeStored,
 	pipeDropped, pipeDeadLettered, pipeRetries *telemetry.Counter

@@ -182,3 +182,25 @@ func TestDefaultDeliveryRuleFiresOnDeadLetters(t *testing.T) {
 		t.Fatalf("rule did not resolve, state = %q", got)
 	}
 }
+
+// TestControllerIgnoresLatencyBurn: the ingest-latency-1s SLO is measured
+// wall time, so a burst of slow runs with every record delivered must not
+// move the controller — it decides off what the seed decides.
+func TestControllerIgnoresLatencyBurn(t *testing.T) {
+	inf := bootSmall(t)
+	inf.SLOs.Reports() // the baseline sample /api/slo would take
+	for tick := 0; tick < 4; tick++ {
+		for i := 0; i < 50; i++ {
+			inf.ingestSeconds.Observe(2)
+		}
+		inf.MonitorTick()
+	}
+	for _, rep := range inf.SLOs.Reports() {
+		if rep.Name == "ingest-latency-1s" && rep.BurnRate <= 1 {
+			t.Fatalf("latency burn = %g, want the slow runs to burn it", rep.BurnRate)
+		}
+	}
+	if n := inf.Control.TotalActions(); n != 0 {
+		t.Fatalf("controller took %d actions on wall-clock latency alone: %+v", n, inf.Control.Actions(int(n)))
+	}
+}

@@ -104,8 +104,6 @@ func (inf *Infrastructure) wireTelemetry() {
 		breakerStat(func(s retry.BreakerStats) int { return s.HalfOpened }))
 	r.CounterFunc("cityinfra_breaker_closed_total", "transitions into closed after recovery",
 		breakerStat(func(s retry.BreakerStats) int { return s.Closed }))
-	r.CounterFunc("cityinfra_breaker_short_circuits_total", "attempts rejected while open",
-		breakerStat(func(s retry.BreakerStats) int { return s.ShortCircuits }))
 
 	// HDFS: block I/O counters plus cluster-health gauges.
 	r.CounterFunc("cityinfra_hdfs_block_reads_total", "block replicas successfully read",
@@ -128,8 +126,6 @@ func (inf *Infrastructure) wireTelemetry() {
 		func() float64 { return float64(inf.Healer.Stats().Ticks) })
 	r.CounterFunc("cityinfra_hdfs_healer_repair_ticks_total", "scan passes that found under-replication",
 		func() float64 { return float64(inf.Healer.Stats().RepairTicks) })
-	r.CounterFunc("cityinfra_hdfs_healer_replicas_created_total", "replicas restored by the supervisor",
-		func() float64 { return float64(inf.Healer.Stats().ReplicasCreated) })
 
 	// HBase: per-table WAL/memstore/flush metrics.
 	for _, tab := range []*hbase.Table{inf.CrimeTab, inf.VideoTab} {
@@ -206,7 +202,7 @@ func (inf *Infrastructure) wireTelemetry() {
 	// SLOs over the cumulative pipeline counters: delivery (every collected
 	// event either lands in a store or is at least quarantined for replay)
 	// and end-to-end ingest latency under one second.
-	inf.SLOs.Add("ingest-delivery", 0.999, time.Hour,
+	inf.deliverySLO = inf.SLOs.Add("ingest-delivery", 0.999, time.Hour,
 		func() float64 {
 			return float64(inf.pipeCollected.Value()) -
 				float64(inf.pipeDropped.Value()) - float64(inf.pipeDeadLettered.Value())

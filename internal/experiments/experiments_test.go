@@ -117,7 +117,6 @@ var training = map[string]bool{"E5": true, "E7": true, "E8": true, "E15": true}
 // reading, so they have no golden file. Nothing in them is compared against
 // a budget.
 var stopwatchCells = map[string]string{
-	"E14": "dataproc.go prints dataproc wall time per parallelism",
 	"E23": "attribution table and burn timeline print profiler self time in ms",
 }
 

@@ -66,12 +66,15 @@ func E3FogOffloadSweep(rng *rand.Rand) (*Result, error) {
 			return nil, err
 		}
 		offloaded := 0
-		for _, it := range work {
-			if it.Confidence < th {
-				offloaded++
+		for _, j := range res.Jobs {
+			for _, st := range j.Timeline {
+				if st.Stage == "fog→server" {
+					offloaded++
+					break
+				}
 			}
 		}
-		pct, up := float64(offloaded)/float64(len(work))*100, fogUpstream(res)
+		pct, up := float64(offloaded)/float64(len(res.Jobs))*100, fogUpstream(res)
 		sweep.AddRow(th, pct, res.MeanMs, up/1024)
 		offloadPct, meanMs, upBytes = append(offloadPct, pct), append(meanMs, res.MeanMs), append(upBytes, float64(up))
 	}

@@ -4,16 +4,15 @@ import "sync"
 
 // SupervisorStats counts supervisor activity.
 type SupervisorStats struct {
-	Ticks           int
-	RepairTicks     int // ticks that found under-replication
-	ReplicasCreated int
+	Ticks       int
+	RepairTicks int // ticks that found under-replication
 }
 
-// Supervisor is the namenode's self-healing loop: it watches for
-// under-replicated blocks and re-replicates them automatically, so a
-// datanode failure degrades redundancy only until the next pass instead of
-// waiting for an operator to call ReplicateMissing by hand. Tick is the only
-// way it runs: the caller owns the schedule, so healing replays per seed.
+// Supervisor is the namenode's healing pass: each Tick finds the
+// under-replicated blocks and re-replicates them, so a caller need not call
+// ReplicateMissing by hand. Tick is the only way it runs and nothing ticks it
+// on a schedule: the caller owns the schedule, so healing replays per seed,
+// and a datanode failure degrades redundancy until some caller ticks it.
 type Supervisor struct {
 	c *Cluster
 
@@ -46,7 +45,6 @@ func (s *Supervisor) Tick() (created int, err error) {
 	if under > 0 {
 		s.stats.RepairTicks++
 	}
-	s.stats.ReplicasCreated += created
 	fn := s.onRepair
 	s.mu.Unlock()
 	if under > 0 && fn != nil {

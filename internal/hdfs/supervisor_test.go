@@ -195,8 +195,8 @@ func TestSupervisorHealsAfterFailure(t *testing.T) {
 		t.Fatalf("under=%d lost=%d after supervisor tick", under, lost)
 	}
 	st := sup.Stats()
-	if st.Ticks != 2 || st.RepairTicks != 1 || st.ReplicasCreated != created {
-		t.Fatalf("stats = %+v", st)
+	if st.Ticks != 2 || st.RepairTicks != 1 || c.Counters().ReplicasCreated != int64(created) {
+		t.Fatalf("stats = %+v, cluster counters = %+v, created %d", st, c.Counters(), created)
 	}
 }
 

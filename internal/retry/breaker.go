@@ -46,10 +46,9 @@ const (
 
 // BreakerStats counts breaker activity.
 type BreakerStats struct {
-	Opened        int // transitions into Open (including half-open relapses)
-	HalfOpened    int // transitions into HalfOpen
-	Closed        int // transitions into Closed after recovery
-	ShortCircuits int // attempts rejected while Open
+	Opened     int // transitions into Open (including half-open relapses)
+	HalfOpened int // transitions into HalfOpen
+	Closed     int // transitions into Closed after recovery
 }
 
 // Breaker is a circuit breaker driven by an injectable clock (see
@@ -111,14 +110,12 @@ func (b *Breaker) Allow() bool {
 			b.stats.HalfOpened++
 			return true
 		}
-		b.stats.ShortCircuits++
 		return false
 	default: // HalfOpen
 		if b.probes < halfOpenProbes {
 			b.probes++
 			return true
 		}
-		b.stats.ShortCircuits++
 		return false
 	}
 }

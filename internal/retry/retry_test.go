@@ -156,7 +156,7 @@ func TestBreakerTransitions(t *testing.T) {
 		t.Fatalf("state after successful probes = %v", b.State())
 	}
 	st := b.Stats()
-	if st.Opened != 2 || st.HalfOpened != 2 || st.Closed != 1 || st.ShortCircuits < 2 {
+	if st.Opened != 2 || st.HalfOpened != 2 || st.Closed != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }

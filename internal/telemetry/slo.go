@@ -131,19 +131,6 @@ func (m *SLOMonitor) Add(name string, objective float64, window time.Duration, g
 	return s
 }
 
-// MaxBurn samples every objective and returns the worst current burn rate
-// (0 when no objectives are registered) — the single health scalar the
-// adaptive controller consumes.
-func (m *SLOMonitor) MaxBurn() float64 {
-	var worst float64
-	for _, rep := range m.Reports() {
-		if rep.BurnRate > worst {
-			worst = rep.BurnRate
-		}
-	}
-	return worst
-}
-
 // Reports samples every objective in registration order.
 func (m *SLOMonitor) Reports() []SLOReport {
 	m.mu.Lock()

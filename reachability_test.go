@@ -40,8 +40,6 @@ var testOnly = map[string]string{
 	"internal/hbase.Table.Flush":                "forces a flush in the hbase model, fault and scaling tests and the core chaos test",
 	"internal/hbase.Table.ScanPrefix":           "oracle for RowKeys in the hbase model test",
 	"internal/hdfs.Cluster.Exists":              "accessor the hdfs, core and sqoop tests read",
-	"internal/hdfs.Cluster.Stat":                "accessor the hdfs tests read block placement through",
-	"internal/hdfs.FileInfo":                    "what Cluster.Stat returns",
 	"internal/stream.Cluster.NodeUp":            "accessor the broker failover and race tests read",
 	"internal/stream.Cluster.Committed":         "accessor the broker model test reads offsets through",
 	"internal/telemetry.Histogram.Bounds":       "read by the reference exposition encoder in prom_test",
@@ -66,8 +64,6 @@ var testOnly = map[string]string{
 	"internal/rdbms.Table.Columns":              "accessor the rdbms test reads",
 	"internal/fog.Topology.NodesByTier":         "accessor the fog topology test reads",
 	"internal/nn.ExitPolicy.ShouldExit":         "the early-exit rule the branch tests check",
-	"internal/yarn.ResourceManager.Pending":     "queue depth the yarn, dataproc and core tests read",
-	"internal/yarn.ResourceManager.Running":     "container count the yarn and dataproc tests read",
 
 	// A roadmap item is their next reader.
 	"internal/hbase.Table.CrashAndRecover": "region-server recovery (ROADMAP item 5); the hbase and core chaos tests drive it",
@@ -89,14 +85,12 @@ var testOnlyFields = map[string]string{
 	// A testOnly declaration reads or returns them.
 	"internal/docstore.PlannerStats.FullScans":    "what Collection.Planner (testOnly) reports; the docstore, web and root bench tests prove index use by it",
 	"internal/docstore.PlannerStats.IndexedScans": "what Collection.Planner (testOnly) reports; the docstore, web and root bench tests prove index use by it",
-	"internal/hdfs.FileInfo.Blocks":               "what Cluster.Stat (testOnly) reports; the hdfs tests check a file's block count through it",
 	"internal/fusion.CCAResult.WX":                "E11's CCA test projects each view through it with Project (testOnly)",
 	"internal/fusion.CCAResult.WY":                "E11's CCA test projects each view through it with Project (testOnly)",
 	"internal/fusion.GCCAResult.Projections":      "E11's GCCA test projects each view through it with ProjectView (testOnly)",
 
 	// A roadmap item is their next reader, or deletes them.
-	"internal/core.Infrastructure.Engine": "the analysis engine of Fig. 4; ROADMAP item 6 gives it the archive to read or deletes it",
-	"internal/stream.Record.Time":         "stamped from ClusterConfig.Now, which benchmark/'s stream replay sets; it goes with that replay (ROADMAP item 20), and the broker model test compares it",
+	"internal/stream.Record.Time": "stamped from ClusterConfig.Now, which benchmark/'s stream replay sets; it goes with that replay (ROADMAP item 20), and the broker model test compares it",
 }
 
 // implicitMethods are called by the standard library through an interface
