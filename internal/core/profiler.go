@@ -7,7 +7,7 @@ import (
 
 // wireProfiler boots the continuous-profiling layer: one always-on profiler
 // shared by every tier, attached to the component seams (broker replication,
-// HBase WAL/flush, HDFS block I/O, TSDB scrape/query, fog simulation) and
+// HBase WAL/flush, HDFS block I/O, TSDB scrape/query) and
 // pre-resolved pipeline regions for the ingest paths. Region totals are
 // self-scraped into the TSDB as cityinfra_profile_* series, so the hot-region
 // alert rule and the dashboard read profiling data through the exact same
@@ -26,7 +26,6 @@ func (inf *Infrastructure) wireProfiler() {
 	inf.VideoTab.SetProfiler(p)
 	inf.HDFS.SetProfiler(p)
 	inf.TSDB.SetProfiler(p)
-	inf.Deployment.Topo.SetProfiler(p)
 
 	// Pipeline regions (threaded through pipeline.go and frames.go).
 	inf.profIngest = p.Region("ingest")

@@ -92,7 +92,7 @@ func E14DataprocMLlib(rng *rand.Rand) (*Result, error) {
 	}
 
 	// MLlib: cluster the archived crime locations into hotspots.
-	const k, maxIters = 5, 30
+	const k, maxIters = 5, 100
 	pts := make([]any, len(stored))
 	for i, inc := range stored {
 		pts[i] = mllib.Vector{inc.Location.Lat, inc.Location.Lon}

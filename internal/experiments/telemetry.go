@@ -51,7 +51,7 @@ func E19LatencyAttribution(rng *rand.Rand) (*Result, error) {
 		residual := attributed - totalLatency
 		summary.AddRow(th, res.MeanMs, totalLatency, attributed, residual)
 		if math.Abs(residual) > 1e-6*math.Max(1, totalLatency) {
-			return nil, fmt.Errorf("attribution at threshold %g leaks %.6f ms", th, residual)
+			return nil, fmt.Errorf("E19: attribution at threshold %g leaks %.6f ms", th, residual)
 		}
 	}
 	notes = append(notes,

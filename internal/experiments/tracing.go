@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/fog"
 	"repro/internal/telemetry"
 	"repro/internal/viz"
 )
@@ -30,17 +28,15 @@ func e20Frames(n, offset int, rng *rand.Rand) []core.FrameEvent {
 	return frames
 }
 
-// tierBreakdown walks each trace's Breakdown and aggregates exclusive time by
-// tier, verifying per trace that the stages sum exactly to the root duration
-// (the tracer's no-orphan/nesting invariant made measurable).
-func tierBreakdown(tracer *telemetry.Tracer, ids []string) (map[string]float64, map[string]int, float64, error) {
-	tiers := make(map[string]float64)
+// tierSpans walks each trace's Breakdown and counts spans by tier,
+// verifying per trace that the stages' exclusive times sum exactly to the
+// root duration (the tracer's no-orphan/nesting invariant made measurable).
+func tierSpans(tracer *telemetry.Tracer, ids []string) (map[string]int, error) {
 	spans := make(map[string]int)
-	var total float64
 	for _, id := range ids {
 		tv, err := tracer.Trace(id)
 		if err != nil {
-			return nil, nil, 0, fmt.Errorf("trace %s unresolvable: %w", id, err)
+			return nil, fmt.Errorf("trace %s unresolvable: %w", id, err)
 		}
 		var sum float64
 		for _, st := range tv.Breakdown() {
@@ -48,16 +44,14 @@ func tierBreakdown(tracer *telemetry.Tracer, ids []string) (map[string]float64, 
 			if tier == "" {
 				tier = "(untagged)"
 			}
-			tiers[tier] += st.ExclusiveMs
 			spans[tier] += st.Spans
 			sum += st.ExclusiveMs
 		}
 		if math.Abs(sum-tv.DurationMs) > 1e-6*math.Max(1, tv.DurationMs) {
-			return nil, nil, 0, fmt.Errorf("trace %s: breakdown sums to %.9f ms, root is %.9f ms", id, sum, tv.DurationMs)
+			return nil, fmt.Errorf("trace %s: breakdown sums to %.9f ms, root is %.9f ms", id, sum, tv.DurationMs)
 		}
-		total += tv.DurationMs
 	}
-	return tiers, spans, total, nil
+	return spans, nil
 }
 
 // E20TracedChaosSweep drives the four-tier frame pipeline under a single
@@ -67,8 +61,6 @@ func tierBreakdown(tracer *telemetry.Tracer, ids []string) (map[string]float64, 
 // computed from the propagated traces (exact by the nesting invariant),
 // histogram exemplars on /metrics resolving tail latency to inspectable
 // traces, and SLO burn rates provably moved by a chaos-injected second pass.
-// A replay arm runs the same boundary through the fog discrete-event
-// simulator and folds its per-step timeline back into the releasing traces.
 func E20TracedChaosSweep(rng *rand.Rand) (*Result, error) {
 	seed := rng.Int63()
 	inf, err := core.New(chaosConfig(), rand.New(rand.NewSource(seed)))
@@ -87,10 +79,10 @@ func E20TracedChaosSweep(rng *rand.Rand) (*Result, error) {
 		return nil, fmt.Errorf("E20: baseline arm stored %d, dead-lettered %d", base.Stored, base.DeadLettered)
 	}
 	// The baseline spans time real work on the wall clock, so only the exact
-	// sum-to-root check (inside tierBreakdown) and the span counts are
+	// sum-to-root check (inside tierSpans) and the span counts are
 	// reproducible; the per-tier milliseconds of a live run are read from
 	// /api/trace/{id} or `go run ./benchmark -trace`.
-	_, spans, _, err := tierBreakdown(inf.Tracer, base.TraceIDs)
+	spans, err := tierSpans(inf.Tracer, base.TraceIDs)
 	if err != nil {
 		return nil, fmt.Errorf("E20 baseline: %w", err)
 	}
@@ -167,62 +159,13 @@ func E20TracedChaosSweep(rng *rand.Rand) (*Result, error) {
 		return nil, fmt.Errorf("E20: no dead-letter events carried a trace id")
 	}
 
-	// Replay arm: the same offload boundary through the fog discrete-event
-	// simulator, per-step timelines folded back into the releasing traces via
-	// the propagated headers.
-	d := fog.NewDeployment()
-	simTracer := telemetry.NewTracer(nil, 64)
-	epoch := inf.Clock.Now()
-	const simItems = 24
-	items := fogWorkload(d, simItems, 50, frameRng)
-	roots := make(map[string]*telemetry.Span, simItems)
-	simIDs := make([]string, simItems)
-	for i, it := range items {
-		root := simTracer.StartAt(it.ID, "sim-frame", epoch.Add(time.Duration(it.ReleaseMs*float64(time.Millisecond))))
-		items[i].Headers = root.Context().Inject(nil)
-		roots[it.ID] = root
-		simIDs[i] = it.ID
-	}
-	jobs, err := (fog.Policy{Kind: fog.PolicyEarlyExit, Threshold: 0.5}).JobsFor(d, items)
-	if err != nil {
-		return nil, err
-	}
-	res, err := d.Topo.Run(jobs)
-	if err != nil {
-		return nil, err
-	}
-	for _, jr := range res.Jobs {
-		if !fog.ReplayTrace(simTracer, epoch, jr) {
-			return nil, fmt.Errorf("E20: job %s lost its trace context through the simulator", jr.ID)
-		}
-		roots[jr.ID].EndAt(epoch.Add(time.Duration(jr.FinishMs * float64(time.Millisecond))))
-	}
-	simTiers, simSpans, simTotal, err := tierBreakdown(simTracer, simIDs)
-	if err != nil {
-		return nil, fmt.Errorf("E20 replay: %w", err)
-	}
-	replay := viz.NewTable(
-		fmt.Sprintf("simulated replay — %d jobs, per-step timelines as spans", simItems),
-		"stage", "exclusive ms", "share %", "spans")
-	for _, t := range sortedKeys(simTiers) {
-		replay.AddRow(t, simTiers[t], simTiers[t]/simTotal*100, simSpans[t])
-	}
-	var simLatency float64
-	for _, jr := range res.Jobs {
-		simLatency += jr.LatencyMs
-	}
-	if math.Abs(simTotal-simLatency) > 1e-6*math.Max(1, simLatency) {
-		return nil, fmt.Errorf("E20: replay attribution %.6f ms != simulated latency %.6f ms", simTotal, simLatency)
-	}
-
 	return &Result{
 		ID: "E20", Title: "traced chaos sweep — cross-tier propagation, exemplars, SLO burn",
-		Tables: []*viz.Table{attribution, slo, replay},
+		Tables: []*viz.Table{attribution, slo},
 		Notes: []string{
 			fmt.Sprintf("one trace id per frame spans edge→fog→broker→server→cloud; every baseline breakdown sums exactly to its root duration (%d traces)", len(base.TraceIDs)),
 			fmt.Sprintf("chaos arm (%d poisoned records, 15%% fault rate) moved the delivery burn rate %.3f → %.3f; %d dead-letter events carry trace ids", poisoned, deliveryBefore, deliveryAfter, traced),
 			"the ingest histogram's worst-bucket exemplar resolves to a retained trace",
-			"the simulator replay folds per-step wait/service timelines into the releasing traces: attribution equals simulated latency exactly",
 		},
 	}, nil
 }

@@ -12,8 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-
-	"repro/internal/profile"
 )
 
 // Sentinel errors.
@@ -75,20 +73,6 @@ type Link struct {
 type Topology struct {
 	nodes map[string]*Node
 	links map[string]*Link // key "from→to"
-
-	// Continuous-profiling region for Run, resolved once by SetProfiler.
-	profRun *profile.Region
-}
-
-// SetProfiler attributes event-driven simulation runs ("fog/simulate") to a
-// continuous-profiling region. nil detaches. Not safe to call concurrently
-// with Run (topologies are built, wired, then run).
-func (t *Topology) SetProfiler(p *profile.Profiler) {
-	if p == nil {
-		t.profRun = nil
-		return
-	}
-	t.profRun = p.Region("fog/simulate")
 }
 
 // NewTopology creates an empty topology.
@@ -141,18 +125,6 @@ func (t *Topology) Link(from, to string) (*Link, error) {
 	return l, nil
 }
 
-// NodesByTier lists node ids in a tier, sorted.
-func (t *Topology) NodesByTier(tier Tier) []string {
-	var out []string
-	for id, n := range t.nodes {
-		if n.Tier == tier {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Step is one stage of a job: either compute on a node or transfer over a
 // link.
 type Step interface{ isStep() }
@@ -178,10 +150,6 @@ type Job struct {
 	ID        string
 	ReleaseMs float64
 	Steps     []Step
-	// Headers carry propagated metadata — most importantly trace context —
-	// through the simulator: results retain them, so a job's per-step
-	// timeline can be replayed as spans into the trace that released it.
-	Headers map[string]string
 }
 
 // StepTiming is one step's position on the simulated timeline: the stage
@@ -201,7 +169,6 @@ type JobResult struct {
 	FinishMs      float64
 	LatencyMs     float64
 	UpstreamBytes int
-	Headers       map[string]string
 	// Timeline lists the job's steps in execution order. Waits and services
 	// chain gaplessly from release to finish, so Σ(Wait+Service) equals
 	// LatencyMs exactly.
@@ -270,8 +237,6 @@ func (p *pq) Pop() any     { old := *p; n := len(old); x := old[n-1]; *p = old[:
 
 // Run simulates the jobs to completion and returns aggregate results.
 func (t *Topology) Run(jobs []Job) (*Results, error) {
-	sp := t.profRun.Start()
-	defer sp.End()
 	nodeRes := make(map[string]*resource, len(t.nodes))
 	for id := range t.nodes {
 		nodeRes[id] = &resource{}
@@ -367,7 +332,6 @@ func (t *Topology) Run(jobs []Job) (*Results, error) {
 			FinishMs:      end,
 			LatencyMs:     end - st.job.ReleaseMs,
 			UpstreamBytes: st.bytes,
-			Headers:       st.job.Headers,
 			Timeline:      st.timeline,
 		}
 		res.Jobs = append(res.Jobs, jr)

@@ -122,8 +122,13 @@ func TestNewDeploymentShape(t *testing.T) {
 	if len(d.Edges) != 8 || len(d.FogIDs) != 4 || len(d.Servers) != 2 {
 		t.Fatalf("deployment = %d/%d/%d", len(d.Edges), len(d.FogIDs), len(d.Servers))
 	}
-	if got := d.Topo.NodesByTier(Edge); len(got) != 8 {
-		t.Fatalf("edge tier = %v", got)
+	for tier, ids := range map[Tier][]string{Edge: d.Edges, Fog: d.FogIDs, Server: d.Servers, Cloud: {d.CloudID}} {
+		for _, id := range ids {
+			n, err := d.Topo.Node(id)
+			if err != nil || n.Tier != tier {
+				t.Fatalf("node %s: %+v, %v; want tier %v", id, n, err, tier)
+			}
+		}
 	}
 	// Every edge has a link to its fog parent.
 	for i, e := range d.Edges {

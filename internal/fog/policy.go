@@ -89,9 +89,6 @@ type InferenceItem struct {
 	LocalOps  float64
 	ServerOps float64
 	FullOps   float64
-	// Headers carry propagated trace context into the jobs built for this
-	// item, so the simulated timeline stays attached to the releasing trace.
-	Headers map[string]string
 }
 
 // PolicyKind selects an offload strategy for the E3 sweep.
@@ -163,7 +160,7 @@ func (p Policy) JobsFor(d *Deployment, items []InferenceItem) ([]Job, error) {
 		default:
 			return nil, fmt.Errorf("%w: policy %d", ErrBadJob, p.Kind)
 		}
-		jobs = append(jobs, Job{ID: it.ID, ReleaseMs: it.ReleaseMs, Steps: steps, Headers: it.Headers})
+		jobs = append(jobs, Job{ID: it.ID, ReleaseMs: it.ReleaseMs, Steps: steps})
 	}
 	return jobs, nil
 }

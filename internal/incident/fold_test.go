@@ -158,33 +158,20 @@ func (m *mirror) startRemote(ctx telemetry.TraceContext, name, tier string) pair
 	return m.keep(m.small.StartRemote(ctx, name, tier), m.big.StartRemote(bctx, name, tier))
 }
 
-func (m *mirror) spanAt(ctx telemetry.TraceContext, name, tier string, begin, end time.Time) {
-	bctx := m.remote(ctx)
-	m.small.SpanAt(ctx, name, tier, begin, end)
-	m.big.SpanAt(bctx, name, tier, begin, end)
-	m.ended++
-}
-
-// end closes p in both tracers, by End or by EndAt(at); closing a span
-// again changes nothing.
-func (m *mirror) end(p pair, at time.Time) {
+// end closes p in both tracers; closing a span again changes nothing.
+func (m *mirror) end(p pair) {
 	if p.s.Finish.IsZero() {
 		m.ended++
 	}
-	if at.IsZero() {
-		p.s.End()
-		p.b.End()
-	} else {
-		p.s.EndAt(at)
-		p.b.EndAt(at)
-	}
+	p.s.End()
+	p.b.End()
 }
 
 // endAll closes every span made since the last call, in rng's order.
 func (m *mirror) endAll(rng *rand.Rand) {
 	rng.Shuffle(len(m.spans), func(i, j int) { m.spans[i], m.spans[j] = m.spans[j], m.spans[i] })
 	for _, p := range m.spans {
-		m.end(p, time.Time{})
+		m.end(p)
 	}
 	m.spans = m.spans[:0]
 }
@@ -250,19 +237,20 @@ func TestSmallRingFoldsEverySpan(t *testing.T) {
 				late = append(late, sp, m.child(sp, "hdfs", "cloud"))
 				continue
 			}
-			m.end(sp, time.Time{})
+			m.end(sp)
 		}
 		if i == 1 {
 			evictedCtx = root.s.Context()
 		}
-		m.end(m.startRemote(root.s.Context(), "decode", "cloud"), time.Time{})
-		m.end(root, clk.t.Add(tick))
+		m.end(m.startRemote(root.s.Context(), "decode", "cloud"))
+		clk.t = clk.t.Add(tick)
+		m.end(root)
 	}
 	if _, err := m.small.Trace("frame-0"); err == nil {
 		t.Fatal("frame-0 still in a ring of 4")
 	}
 	for i := len(late) - 1; i >= 0; i-- {
-		m.end(late[i], time.Time{})
+		m.end(late[i])
 	}
 	m.startRemote(evictedCtx, "archive", "cloud")
 	m.endAll(rand.New(rand.NewSource(1)))
@@ -285,8 +273,8 @@ func TestSmallRingFoldsEverySpan(t *testing.T) {
 // TestGraphMatchesOracleOnRandomHistories drives seeded tracer histories —
 // rings of 2 to 5 traces, and some that never evict, under 8 ids that are
 // started again and again; children of evicted and replaced traces;
-// StartRemote and SpanAt with retained, unknown and evicted ids and
-// out-of-range span ids; spans closed twice, by End and EndAt — into an
+// remote spans, left open or closed at once, with retained, unknown and
+// evicted ids and out-of-range span ids; spans closed twice — into an
 // engine folding spans as they end, and the same history into an unbounded
 // ring the oracle folds. Before each tick every span ends; after it the
 // graph views must be equal and count every span ended.
@@ -332,18 +320,15 @@ func TestGraphMatchesOracleOnRandomHistories(t *testing.T) {
 				name := stage()
 				keep(m.child(pick(), name, tierOf[name]))
 			case op == 3:
-				at := time.Time{}
-				if rng.Intn(2) == 0 {
-					at = clk.t
-				}
-				m.end(pick(), at)
+				m.end(pick())
 			case op == 4:
 				name := stage()
 				keep(m.startRemote(remote(), name, tierOf[name]))
 			case op == 5:
 				name := stage()
-				begin := clk.t.Add(-time.Duration(rng.Intn(5)) * time.Millisecond)
-				m.spanAt(remote(), name, tierOf[name], begin, begin.Add(time.Duration(rng.Intn(7)-2)*time.Millisecond))
+				p := m.startRemote(remote(), name, tierOf[name])
+				clk.t = clk.t.Add(time.Duration(rng.Intn(5)) * tick)
+				m.end(p)
 			case op <= 7:
 				clk.t = clk.t.Add(time.Duration(rng.Intn(200)) * tick)
 			default:
@@ -423,7 +408,7 @@ func TestFoldWhileTicking(t *testing.T) {
 					root.Child(stage, tierOf[stage]).End()
 				}
 				tr.StartRemote(root.Context(), "archive", tierOf["archive"]).End()
-				tr.SpanAt(root.Context(), "decode", "server", root.Begin, root.Begin)
+				tr.StartRemote(root.Context(), "decode", "server").End()
 				root.End()
 			}
 		}(w)

@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"strconv"
-	"time"
-)
+import "strconv"
 
 // Header keys carrying trace context across tier boundaries. They ride in
 // flume event headers and stream record headers — the only metadata channels
@@ -71,45 +68,13 @@ func (s *Span) Context() TraceContext {
 func (t *Tracer) StartRemote(ctx TraceContext, name, tier string) *Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.startRemoteLocked(ctx, name, tier, t.now())
-}
-
-func (t *Tracer) startRemoteLocked(ctx TraceContext, name, tier string, begin time.Time) *Span {
 	tr, ok := t.traces[ctx.TraceID]
 	if !ok {
-		return t.startLocked(ctx.TraceID, name, tier, begin)
+		return t.startLocked(ctx.TraceID, name, tier)
 	}
 	parent := ctx.SpanID
 	if parent < 0 || parent >= len(tr.spans) {
 		parent = 0
 	}
-	return t.spanLocked(tr, tr.spans[parent], name, tier, begin)
-}
-
-// SpanAt records a completed span with explicit timestamps under a remote
-// context — how offline timelines (the fog simulator's per-step schedule)
-// are replayed into the trace that released the work.
-func (t *Tracer) SpanAt(ctx TraceContext, name, tier string, begin, end time.Time) *Span {
-	t.mu.Lock()
-	s := t.startRemoteLocked(ctx, name, tier, begin)
-	if end.Before(begin) {
-		end = begin
-	}
-	s.finishAndUnlock(end)
-	return s
-}
-
-// StartAt opens a trace whose root begins at an explicit instant, for
-// simulated timelines. Pair with Span.EndAt.
-func (t *Tracer) StartAt(id, name string, begin time.Time) *Span {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.startLocked(id, name, "", begin)
-}
-
-// EndAt closes the span at an explicit instant (the zero time means now).
-// Like End, the first finish time wins.
-func (s *Span) EndAt(finish time.Time) {
-	s.tracer.mu.Lock()
-	s.finishAndUnlock(finish)
+	return t.spanLocked(tr, tr.spans[parent], name, tier)
 }

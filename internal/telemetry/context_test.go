@@ -107,32 +107,6 @@ func TestStartRemoteBadSpanIDAttachesToRoot(t *testing.T) {
 	}
 }
 
-func TestExplicitTimeSpans(t *testing.T) {
-	tr := NewTracer(nil, 8)
-	epoch := time.Unix(100, 0)
-	root := tr.StartAt("sim", "job", epoch)
-	ctx := root.Context()
-	tr.SpanAt(ctx, "compute", "fog", epoch.Add(10*time.Millisecond), epoch.Add(30*time.Millisecond))
-	// end before begin clamps to zero duration rather than going negative.
-	tr.SpanAt(ctx, "broken", "fog", epoch.Add(40*time.Millisecond), epoch.Add(5*time.Millisecond))
-	root.EndAt(epoch.Add(50 * time.Millisecond))
-	root.EndAt(epoch.Add(90 * time.Millisecond)) // first finish wins
-
-	tv, err := tr.Trace("sim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tv.DurationMs != 50 {
-		t.Fatalf("root duration = %g, want 50", tv.DurationMs)
-	}
-	if tv.Spans[1].DurationMs != 20 || tv.Spans[1].Tier != "fog" {
-		t.Fatalf("compute span = %+v", tv.Spans[1])
-	}
-	if tv.Spans[2].DurationMs != 0 {
-		t.Fatalf("clamped span duration = %g, want 0", tv.Spans[2].DurationMs)
-	}
-}
-
 // Regression: re-Starting a retained id while the ring is at capacity must
 // move that id to the back of the eviction order, not enqueue a duplicate —
 // a duplicate made the next eviction delete the freshly started trace while
@@ -212,7 +186,7 @@ func TestTracerConcurrentUse(t *testing.T) {
 				remote := tr.StartRemote(child.Context(), "remote", "server")
 				remote.End()
 				child.End()
-				tr.SpanAt(root.Context(), "replay", "cloud", root.Begin, root.Begin)
+				tr.StartRemote(root.Context(), "replay", "cloud").End()
 				root.End()
 				if tv, err = tr.Trace(id); err == nil {
 					err = checkTiers(tv)

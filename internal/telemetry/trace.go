@@ -84,27 +84,27 @@ func NewTracer(now func() time.Time, capacity int) *Tracer {
 func (t *Tracer) Start(id, name string) *Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.startLocked(id, name, "", t.now())
+	return t.startLocked(id, name, "")
 }
 
-// startLocked opens a trace under id with a root span beginning at begin.
-func (t *Tracer) startLocked(id, name, tier string, begin time.Time) *Span {
+// startLocked opens a trace under id with a root span beginning now.
+func (t *Tracer) startLocked(id, name, tier string) *Span {
 	tr := &trace{id: id, name: name}
 	tr.spans = tr.inline[:0]
 	t.insertLocked(tr)
-	return t.spanLocked(tr, nil, name, tier, begin)
+	return t.spanLocked(tr, nil, name, tier)
 }
 
-// spanLocked carves the next span of tr from the slab and appends it under
-// parent (nil for a root). The span's tier is fixed here, before any other
-// goroutine can see the span, and never written again.
-func (t *Tracer) spanLocked(tr *trace, parent *Span, name, tier string, begin time.Time) *Span {
+// spanLocked carves the next span of tr from the slab, begins it now and
+// appends it under parent (nil for a root). The span's tier is fixed here,
+// before any other goroutine can see the span, and never written again.
+func (t *Tracer) spanLocked(tr *trace, parent *Span, name, tier string) *Span {
 	if len(t.slab) == 0 {
 		t.slab = make([]Span, spanChunk)
 	}
 	s := &t.slab[0]
 	t.slab = t.slab[1:]
-	*s = Span{tracer: t, trace: tr, parent: parent, ID: len(tr.spans), Parent: -1, Name: name, Tier: tier, Begin: begin}
+	*s = Span{tracer: t, trace: tr, parent: parent, ID: len(tr.spans), Parent: -1, Name: name, Tier: tier, Begin: t.now()}
 	if parent != nil {
 		s.Parent = parent.ID
 	}
@@ -146,11 +146,11 @@ func (t *Tracer) insertLocked(tr *trace) {
 func (s *Span) Child(name, tier string) *Span {
 	s.tracer.mu.Lock()
 	defer s.tracer.mu.Unlock()
-	return s.tracer.spanLocked(s.trace, s, name, tier, s.tracer.now())
+	return s.tracer.spanLocked(s.trace, s, name, tier)
 }
 
 // SetObserver registers fn to receive every span once, when it finishes by
-// End, EndAt or SpanAt, replacing any earlier observer (nil detaches). fn
+// End, replacing any earlier observer (nil detaches). fn
 // gets the span's trace root name, the span, its parent (nil for a root)
 // and the span's duration in milliseconds. It runs on the goroutine that
 // finished the span, outside the tracer lock, so it may take its own locks.
@@ -165,21 +165,19 @@ func (t *Tracer) SetObserver(fn func(root string, s, parent *Span, durationMs fl
 // End closes the span. Ending twice keeps the first finish time.
 func (s *Span) End() {
 	s.tracer.mu.Lock()
-	s.finishAndUnlock(time.Time{})
+	s.finishAndUnlock()
 }
 
-// finishAndUnlock closes the span at finish (zero: now) unless it is
-// closed already, releases the tracer lock the caller holds, and hands a
-// span it closed to the observer.
-func (s *Span) finishAndUnlock(finish time.Time) {
+// finishAndUnlock closes the span now unless it is closed already,
+// releases the tracer lock the caller holds, and hands a span it closed to
+// the observer.
+func (s *Span) finishAndUnlock() {
 	t := s.tracer
 	if !s.Finish.IsZero() {
 		t.mu.Unlock()
 		return
 	}
-	if finish.IsZero() {
-		finish = t.now()
-	}
+	finish := t.now()
 	s.Finish = finish
 	obs, parent := t.observer, s.parent
 	s.parent = nil

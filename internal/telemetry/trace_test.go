@@ -188,8 +188,7 @@ func TestSpanClosedTwiceIsHandedOffOnce(t *testing.T) {
 	root := tr.Start("t", "ingest") // t=0
 	sp := root.Child("store", "")   // t=10
 	sp.End()                        // t=20
-	sp.EndAt(time.Unix(5, 0))
-	sp.End()
+	sp.End()                        // a second close changes nothing
 	want := []handOff{{root: "ingest", name: "store", parent: "ingest", durationMs: 10}}
 	if !reflect.DeepEqual(*got, want) {
 		t.Fatalf("hand-offs = %+v, want %+v", *got, want)
@@ -199,20 +198,71 @@ func TestSpanClosedTwiceIsHandedOffOnce(t *testing.T) {
 	}
 }
 
-func TestSpanAtIsHandedOffOnceWithItsDuration(t *testing.T) {
+// TestSpansAreTimedByTheTracerClock: every way a span opens stamps its
+// Begin with the tracer's clock, End stamps its Finish with it, and the
+// trace view reports those instants. The step clock advances 10 ms per
+// reading, so each span under test lasts exactly one step.
+func TestSpansAreTimedByTheTracerClock(t *testing.T) {
 	epoch := time.Unix(100, 0)
-	tr := NewTracer(nil, 8)
+	cases := []struct {
+		name    string
+		open    func(tr *Tracer) *Span
+		traceID string
+		begin   time.Duration // the clock reading the span opens at
+	}{
+		{"Start", func(tr *Tracer) *Span { return tr.Start("t", "ingest") }, "t", 0},
+		{"Child", func(tr *Tracer) *Span {
+			return tr.Start("t", "ingest").Child("store", "cloud")
+		}, "t", 10 * time.Millisecond},
+		{"StartRemote", func(tr *Tracer) *Span {
+			store := tr.Start("t", "ingest").Child("store", "cloud")
+			return tr.StartRemote(store.Context(), "archive", "cloud")
+		}, "t", 20 * time.Millisecond},
+		{"StartRemote re-rooted", func(tr *Tracer) *Span {
+			return tr.StartRemote(TraceContext{TraceID: "gone", SpanID: 3}, "archive", "cloud")
+		}, "gone", 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			clk := &stepClock{t: epoch, step: 10 * time.Millisecond}
+			tr := NewTracer(clk.now, 8)
+			sp := c.open(tr)
+			sp.End()
+			if want := epoch.Add(c.begin); !sp.Begin.Equal(want) {
+				t.Fatalf("begin = %v, want %v", sp.Begin, want)
+			}
+			if want := sp.Begin.Add(10 * time.Millisecond); !sp.Finish.Equal(want) {
+				t.Fatalf("finish = %v, want %v", sp.Finish, want)
+			}
+			tv, err := tr.Trace(c.traceID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := tv.Spans[sp.ID]
+			if v.StartUnixNs != sp.Begin.UnixNano() || v.DurationMs != 10 {
+				t.Fatalf("span view = %+v, want start %d and 10 ms", v, sp.Begin.UnixNano())
+			}
+		})
+	}
+}
+
+// TestRemoteSpanIsHandedOffWithItsParentTier: a remote span under a
+// retained trace reaches the observer under its propagated parent, with
+// that parent's tier and a duration read off the tracer's clock.
+func TestRemoteSpanIsHandedOffWithItsParentTier(t *testing.T) {
+	clk := &stepClock{t: time.Unix(0, 0), step: 10 * time.Millisecond}
+	tr := NewTracer(clk.now, 8)
 	got := observe(tr)
-	root := tr.StartAt("job-1", "job 1", epoch)
-	sp := tr.SpanAt(root.Context(), "compute", "fog", epoch.Add(10*time.Millisecond), epoch.Add(30*time.Millisecond))
-	sp.End()
-	sp.EndAt(epoch.Add(time.Second))
-	tr.SpanAt(sp.Context(), "reduce", "cloud", epoch.Add(15*time.Millisecond), epoch.Add(25*time.Millisecond))
-	root.EndAt(epoch.Add(50 * time.Millisecond))
+	root := tr.Start("job-1", "frame")                             // t=0
+	compute := root.Child("compute", "fog")                        // t=10
+	reduce := tr.StartRemote(compute.Context(), "reduce", "cloud") // t=20
+	reduce.End()                                                   // t=30
+	compute.End()                                                  // t=40
+	root.End()                                                     // t=50
 	want := []handOff{
-		{root: "job 1", name: "compute", parent: "job 1", durationMs: 20},
-		{root: "job 1", name: "reduce", parent: "compute", parentTier: "fog", durationMs: 10},
-		{root: "job 1", name: "job 1", durationMs: 50},
+		{root: "frame", name: "reduce", parent: "compute", parentTier: "fog", durationMs: 10},
+		{root: "frame", name: "compute", parent: "frame", durationMs: 30},
+		{root: "frame", name: "frame", durationMs: 50},
 	}
 	if !reflect.DeepEqual(*got, want) {
 		t.Fatalf("hand-offs = %+v, want %+v", *got, want)

@@ -62,7 +62,6 @@ var testOnly = map[string]string{
 	"internal/fusion.Autoencoder.Reconstruct":   "E11's autoencoder test checks reconstruction through it",
 	"internal/viz.Table.NumRows":                "accessor the viz and experiments tests read",
 	"internal/rdbms.Table.Columns":              "accessor the rdbms test reads",
-	"internal/fog.Topology.NodesByTier":         "accessor the fog topology test reads",
 	"internal/nn.ExitPolicy.ShouldExit":         "the early-exit rule the branch tests check",
 
 	// A roadmap item is their next reader.
