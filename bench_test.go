@@ -206,7 +206,7 @@ func BenchmarkFogSimulation(b *testing.B) {
 			LocalOps: 150, ServerOps: 1800, FullOps: 2200,
 		}
 	}
-	policy := fog.Policy{Kind: fog.PolicyEarlyExit, Threshold: 0.5}
+	policy := fog.Policy{Kind: fog.PolicyEarlyExit, Exit: nn.ExitPolicy{Threshold: 0.5}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		jobs, err := policy.JobsFor(d, items)

@@ -58,7 +58,7 @@ func run() error {
 		return err
 	}
 	cam := inf.Cameras[3]
-	cw := inf.NewCrimeWatch(rec, nn.ExitPolicy{Metric: nn.NegEntropy, Threshold: -0.6})
+	cw := inf.NewCrimeWatch(rec, nn.ExitPolicy{Threshold: -0.6})
 	rep, err := cw.MonitorClips(cam.ID, feed, inf.Config().Epoch)
 	if err != nil {
 		return err

@@ -69,13 +69,15 @@ func run() error {
 	}
 	fmt.Printf("tiny model: %d params | full model: %d params\n", det.TinyParams(), det.FullParams())
 
-	// Annotate one camera's live frames with the 0.5 gate.
+	// Annotate one camera's live frames with the 0.5 gate; the fog replay
+	// below gates on the same policy.
+	exit := nn.ExitPolicy{Threshold: 0.5}
 	feed, err := vision.GenerateDetection(catalog, 64, dcfg.Size, rng)
 	if err != nil {
 		return err
 	}
 	cam := inf.Cameras[0]
-	vw := inf.NewVehicleWatch(det, 0.5)
+	vw := inf.NewVehicleWatch(det, exit)
 	rep, err := vw.AnnotateFrames(cam.ID, feed.Images)
 	if err != nil {
 		return err
@@ -111,7 +113,7 @@ func run() error {
 	}
 	for _, p := range []fog.Policy{
 		{Kind: fog.PolicyCloudOnly},
-		{Kind: fog.PolicyEarlyExit, Threshold: 0.5},
+		{Kind: fog.PolicyEarlyExit, Exit: exit},
 	} {
 		jobs, err := p.JobsFor(inf.Deployment, items)
 		if err != nil {

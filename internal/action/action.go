@@ -221,7 +221,7 @@ func (r *Recognizer) FeatureBytesPerClip() (feature, raw int) {
 // Predict classifies clips, returning hard labels using the full server
 // path (threshold that never exits locally).
 func (r *Recognizer) Predict(clips *tensor.Tensor) ([]int, error) {
-	results, err := r.net.Infer(clips, nn.ExitPolicy{Metric: nn.NegEntropy, Threshold: 1e9})
+	results, err := r.net.Infer(clips, nn.ExitPolicy{Threshold: 1e9})
 	if err != nil {
 		return nil, err
 	}

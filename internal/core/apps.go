@@ -22,13 +22,13 @@ import (
 type VehicleWatch struct {
 	inf *Infrastructure
 	det *detect.Detector
-	// Threshold is the Fig. 5 classification-score gate.
-	Threshold float64
+	// Policy is the Fig. 5 gate on the tiny head's top classification score.
+	Policy nn.ExitPolicy
 }
 
 // NewVehicleWatch wires a trained detector into the infrastructure.
-func (inf *Infrastructure) NewVehicleWatch(det *detect.Detector, threshold float64) *VehicleWatch {
-	return &VehicleWatch{inf: inf, det: det, Threshold: threshold}
+func (inf *Infrastructure) NewVehicleWatch(det *detect.Detector, policy nn.ExitPolicy) *VehicleWatch {
+	return &VehicleWatch{inf: inf, det: det, Policy: policy}
 }
 
 // AnnotateReport summarizes one annotation run.
@@ -52,7 +52,7 @@ func (vw *VehicleWatch) AnnotateFrames(cameraID string, frames *tensor.Tensor) (
 	for i, lr := range local {
 		dets := lr.Detections
 		path := "local"
-		if lr.TopScore < vw.Threshold {
+		if !vw.Policy.Exits(lr.TopScore) {
 			// Fig. 5: ship the pre-branch feature map for in-depth analysis.
 			dets, err = vw.det.DetectServer(lr.Feature, 0.05)
 			if err != nil {
@@ -82,10 +82,10 @@ func (vw *VehicleWatch) AnnotateFrames(cameraID string, frames *tensor.Tensor) (
 	return rep, nil
 }
 
-// VehicleSighting is one indexed detection of a target class.
+// VehicleSighting is one indexed detection of the class FindVehicle was
+// asked for.
 type VehicleSighting struct {
 	Row   string
-	Class int
 	Score float64
 }
 
@@ -115,7 +115,7 @@ func (vw *VehicleWatch) FindVehicle(classID int) ([]VehicleSighting, error) {
 				return nil, fmt.Errorf("decode annotation: %w", err)
 			}
 			if d.Class == classID {
-				out = append(out, VehicleSighting{Row: r.Row, Class: d.Class, Score: d.Score})
+				out = append(out, VehicleSighting{Row: r.Row, Score: d.Score})
 			}
 		}
 	}

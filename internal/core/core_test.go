@@ -202,7 +202,7 @@ func TestVehicleWatchAnnotatesAndSearches(t *testing.T) {
 	inf := bootSmall(t)
 	rng := rand.New(rand.NewSource(5))
 	det, set := trainTinyDetector(t, rng)
-	vw := inf.NewVehicleWatch(det, 0.5)
+	vw := inf.NewVehicleWatch(det, nn.ExitPolicy{Threshold: 0.5})
 	rep, err := vw.AnnotateFrames("dotd-001", set.Images)
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +260,7 @@ func TestCrimeWatchAlertsOperators(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cw := inf.NewCrimeWatch(rec, nn.ExitPolicy{Metric: nn.NegEntropy, Threshold: -0.7})
+	cw := inf.NewCrimeWatch(rec, nn.ExitPolicy{Threshold: -0.7})
 	rep, err := cw.MonitorClips("brpd-007", set, inf.Config().Epoch)
 	if err != nil {
 		t.Fatal(err)

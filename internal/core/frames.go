@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"repro/internal/control"
+	"repro/internal/nn"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 )
@@ -85,7 +86,7 @@ func (inf *Infrastructure) IngestFrames(frames []FrameEvent, archiveDir string) 
 
 // ingestFrame pushes one frame through all four tiers under a single trace.
 func (inf *Infrastructure) ingestFrame(f FrameEvent, archiveDir string) (stats PipelineStats, traceID string, offload bool, err error) {
-	threshold := inf.Knobs.OffloadThreshold()
+	exit := nn.ExitPolicy{Threshold: inf.Knobs.OffloadThreshold()}
 	tier := inf.Knobs.InferenceTier()
 	stats = PipelineStats{Collected: 1}
 	run := inf.beginIngest("ingest-frame")
@@ -106,7 +107,7 @@ func (inf *Infrastructure) ingestFrame(f FrameEvent, archiveDir string) (stats P
 	// must continue upstream, and stamps the decision — and the root trace
 	// context — onto the record headers that will cross the broker.
 	gate := openStage(run.root, "early-exit-gate", "fog", inf.profGate)
-	offload = f.Confidence < threshold
+	offload = !exit.Exits(f.Confidence)
 	if offload {
 		cam.offloaded.Inc()
 	}

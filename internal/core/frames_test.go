@@ -142,20 +142,26 @@ func TestFrameRecordCarriesOnlyServerHeaders(t *testing.T) {
 
 func TestFrameLocalExitSkipsFeatureArchive(t *testing.T) {
 	inf := bootSmall(t)
-	f := FrameEvent{CameraID: "cam-2", Seq: 1, Class: "sedan", Confidence: 0.9}
-	stats, err := inf.IngestFrames([]FrameEvent{f}, "/warehouse/feat")
+	// The second frame's confidence equals the gate's threshold, so it exits.
+	frames := []FrameEvent{
+		{CameraID: "cam-2", Seq: 1, Class: "sedan", Confidence: 0.9},
+		{CameraID: "cam-2", Seq: 2, Class: "sedan", Confidence: inf.Knobs.OffloadThreshold()},
+	}
+	stats, err := inf.IngestFrames(frames, "/warehouse/feat")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.LocalExits != 1 || stats.Offloaded != 0 {
+	if stats.LocalExits != 2 || stats.Offloaded != 0 {
 		t.Fatalf("early-exit split = %+v", stats)
 	}
 	// Annotation cells only — no feature map for confident local exits.
-	if stats.Stored != 2 {
-		t.Fatalf("stored = %d, want 2", stats.Stored)
+	if stats.Stored != 4 {
+		t.Fatalf("stored = %d, want 4", stats.Stored)
 	}
-	if _, err := inf.HDFS.Read("/warehouse/feat/cam-2-000001.feat"); err == nil {
-		t.Fatal("local exit archived a feature map")
+	for _, path := range []string{"/warehouse/feat/cam-2-000001.feat", "/warehouse/feat/cam-2-000002.feat"} {
+		if _, err := inf.HDFS.Read(path); err == nil {
+			t.Fatalf("local exit archived a feature map at %s", path)
+		}
 	}
 }
 

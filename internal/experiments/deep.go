@@ -85,11 +85,12 @@ func E5EarlyExitDetector(rng *rand.Rand) (*Result, error) {
 	ths := []float64{0.0, 0.2, 0.4, 0.6, 0.8, 1.01}
 	var exitPct, acc, upBytes []float64
 	for _, th := range ths {
+		gate := nn.ExitPolicy{Threshold: th}
 		correct, exits, bytes := 0, 0, 0
 		for i, lr := range local {
 			var cls int
 			hasDet := false
-			if lr.TopScore >= th {
+			if gate.Exits(lr.TopScore) {
 				exits++
 				if len(lr.Detections) > 0 {
 					cls = lr.Detections[0].Class
@@ -167,11 +168,11 @@ func E6DetectionExamples(rng *rand.Rand) (*Result, error) {
 		return nil, err
 	}
 	tb := viz.NewTable("Fig. 6 detection examples", "frame", "truth", "predicted", "score", "IoU", "path")
-	const threshold = 0.5
+	gate := nn.ExitPolicy{Threshold: 0.5}
 	for i, lr := range local {
 		dets := lr.Detections
 		path := "local"
-		if lr.TopScore < threshold {
+		if !gate.Exits(lr.TopScore) {
 			if dets, err = det.DetectServer(lr.Feature, 0.05); err != nil {
 				return nil, err
 			}
@@ -235,7 +236,7 @@ func E7ActionRecognition(rng *rand.Rand) (*Result, error) {
 	ths := []float64{-1e9, -1.2, -0.8, -0.4, -0.1, 1e9}
 	var exitRate, acc, shipped []float64
 	for _, th := range ths {
-		res, err := rec.Evaluate(test, nn.ExitPolicy{Metric: nn.NegEntropy, Threshold: th})
+		res, err := rec.Evaluate(test, nn.ExitPolicy{Threshold: th})
 		if err != nil {
 			return nil, err
 		}

@@ -3,8 +3,10 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/fog"
+	"repro/internal/nn"
 	"repro/internal/viz"
 )
 
@@ -34,7 +36,7 @@ func E3FogOffloadSweep(rng *rand.Rand) (*Result, error) {
 	for _, p := range []fog.Policy{
 		{Kind: fog.PolicyLocalOnly},
 		{Kind: fog.PolicyCloudOnly},
-		{Kind: fog.PolicyEarlyExit, Threshold: 0.5},
+		{Kind: fog.PolicyEarlyExit, Exit: nn.ExitPolicy{Threshold: 0.5}},
 	} {
 		jobs, err := p.JobsFor(d, work)
 		if err != nil {
@@ -46,7 +48,7 @@ func E3FogOffloadSweep(rng *rand.Rand) (*Result, error) {
 		}
 		name := p.Kind.String()
 		if p.Kind == fog.PolicyEarlyExit {
-			name += "@0.5"
+			name += fmt.Sprintf("@%g", p.Exit.Threshold)
 		}
 		policies.AddRow(name, res.MeanMs, res.P95Ms, fogUpstream(res)/1024,
 			res.BusyByTier[fog.Server], res.BusyByTier[fog.Fog])
@@ -57,7 +59,7 @@ func E3FogOffloadSweep(rng *rand.Rand) (*Result, error) {
 	ths := []float64{0.0, 0.2, 0.4, 0.6, 0.8, 1.0}
 	var offloadPct, meanMs, upBytes []float64
 	for _, th := range ths {
-		jobs, err := (fog.Policy{Kind: fog.PolicyEarlyExit, Threshold: th}).JobsFor(d, work)
+		jobs, err := (fog.Policy{Kind: fog.PolicyEarlyExit, Exit: nn.ExitPolicy{Threshold: th}}).JobsFor(d, work)
 		if err != nil {
 			return nil, err
 		}
@@ -67,11 +69,8 @@ func E3FogOffloadSweep(rng *rand.Rand) (*Result, error) {
 		}
 		offloaded := 0
 		for _, j := range res.Jobs {
-			for _, st := range j.Timeline {
-				if st.Stage == "fog→server" {
-					offloaded++
-					break
-				}
+			if slices.Contains(j.Stages, "fog→server") {
+				offloaded++
 			}
 		}
 		pct, up := float64(offloaded)/float64(len(res.Jobs))*100, fogUpstream(res)

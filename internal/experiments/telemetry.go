@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"repro/internal/fog"
+	"repro/internal/nn"
 	"repro/internal/viz"
 )
 
@@ -26,7 +27,7 @@ func E19LatencyAttribution(rng *rand.Rand) (*Result, error) {
 		"threshold", "mean ms", "Σ job latency ms", "Σ attributed ms", "residual ms")
 	var notes []string
 	for _, th := range thresholds {
-		jobs, err := (fog.Policy{Kind: fog.PolicyEarlyExit, Threshold: th}).JobsFor(d, work)
+		jobs, err := (fog.Policy{Kind: fog.PolicyEarlyExit, Exit: nn.ExitPolicy{Threshold: th}}).JobsFor(d, work)
 		if err != nil {
 			return nil, err
 		}

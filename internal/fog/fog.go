@@ -152,27 +152,15 @@ type Job struct {
 	Steps     []Step
 }
 
-// StepTiming is one step's position on the simulated timeline: the stage
-// label ("fog" for compute, "fog→server" for transfers), when its queueing
-// wait began, and how the time split between waiting and service.
-type StepTiming struct {
-	Stage     string
-	ReadyMs   float64 // when the step became runnable (wait starts here)
-	WaitMs    float64
-	ServiceMs float64
-}
-
 // JobResult records one job's outcome.
 type JobResult struct {
-	ID            string
-	StartMs       float64
-	FinishMs      float64
-	LatencyMs     float64
-	UpstreamBytes int
-	// Timeline lists the job's steps in execution order. Waits and services
-	// chain gaplessly from release to finish, so Σ(Wait+Service) equals
-	// LatencyMs exactly.
-	Timeline []StepTiming
+	ID        string
+	StartMs   float64
+	FinishMs  float64
+	LatencyMs float64
+	// Stages labels the job's steps in execution order: the tier for a
+	// compute step ("fog"), the tier pair for a transfer ("fog→server").
+	Stages []string
 }
 
 // PathStat attributes latency to one stage of the tiered path: WaitMs is
@@ -213,12 +201,11 @@ type resource struct {
 // time-ordered dispatch over shared resources suffices. We process jobs in
 // release order; each step waits for its resource's freeAt.
 type jobState struct {
-	job      *Job
-	stepIdx  int
-	readyAt  float64
-	started  float64
-	bytes    int
-	timeline []StepTiming
+	job     *Job
+	stepIdx int
+	readyAt float64
+	started float64
+	stages  []string
 }
 
 // pq orders job states by readiness time (then id for determinism).
@@ -288,9 +275,7 @@ func (t *Topology) Run(jobs []Job) (*Results, error) {
 			end = start + dur
 			r.freeAt = end
 			attribute(node.Tier.String(), start-st.readyAt, dur)
-			st.timeline = append(st.timeline, StepTiming{
-				Stage: node.Tier.String(), ReadyMs: st.readyAt, WaitMs: start - st.readyAt, ServiceMs: dur,
-			})
+			st.stages = append(st.stages, node.Tier.String())
 			res.BusyByTier[node.Tier] += dur
 			if st.started < 0 {
 				st.started = start
@@ -308,10 +293,7 @@ func (t *Topology) Run(jobs []Job) (*Results, error) {
 			r.freeAt = end
 			stage := t.nodes[s.From].Tier.String() + "→" + t.nodes[s.To].Tier.String()
 			attribute(stage, start-st.readyAt, dur)
-			st.timeline = append(st.timeline, StepTiming{
-				Stage: stage, ReadyMs: st.readyAt, WaitMs: start - st.readyAt, ServiceMs: dur,
-			})
-			st.bytes += s.Bytes
+			st.stages = append(st.stages, stage)
 			res.BytesByLink[key] += s.Bytes
 			res.TotalBytes += s.Bytes
 			if st.started < 0 {
@@ -327,12 +309,11 @@ func (t *Topology) Run(jobs []Job) (*Results, error) {
 			continue
 		}
 		jr := JobResult{
-			ID:            st.job.ID,
-			StartMs:       st.started,
-			FinishMs:      end,
-			LatencyMs:     end - st.job.ReleaseMs,
-			UpstreamBytes: st.bytes,
-			Timeline:      st.timeline,
+			ID:        st.job.ID,
+			StartMs:   st.started,
+			FinishMs:  end,
+			LatencyMs: end - st.job.ReleaseMs,
+			Stages:    st.stages,
 		}
 		res.Jobs = append(res.Jobs, jr)
 		latencies = append(latencies, jr.LatencyMs)

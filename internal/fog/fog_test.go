@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/nn"
 )
 
 func TestTopologyConstructionErrors(t *testing.T) {
@@ -54,7 +56,7 @@ func TestSingleJobLatencyArithmetic(t *testing.T) {
 	if math.Abs(res.Jobs[0].LatencyMs-want) > 1e-9 {
 		t.Fatalf("latency = %g, want %g", res.Jobs[0].LatencyMs, want)
 	}
-	if res.TotalBytes != 1000 || res.Jobs[0].UpstreamBytes != 1000 {
+	if res.TotalBytes != 1000 {
 		t.Fatalf("bytes = %d", res.TotalBytes)
 	}
 	if res.BusyByTier[Edge] != 5 || res.BusyByTier[Server] != 2 {
@@ -174,7 +176,7 @@ func TestEarlyExitPolicyReducesUpstreamBytes(t *testing.T) {
 	}
 	local := run(Policy{Kind: PolicyLocalOnly})
 	cloud := run(Policy{Kind: PolicyCloudOnly})
-	early := run(Policy{Kind: PolicyEarlyExit, Threshold: 0.5})
+	early := run(Policy{Kind: PolicyEarlyExit, Exit: nn.ExitPolicy{Threshold: 0.5}})
 
 	// The edge→fog hop carries raw bytes for everyone; what matters is the
 	// fog→server traffic.
@@ -210,11 +212,24 @@ func TestEarlyExitThresholdMonotonicity(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	d := NewDeployment()
 	items := makeItems(150, rng)
+	items[0].Confidence = 0.5 // on a swept threshold: a score equal to it exits
 	prevBytes := -1
 	for _, th := range []float64{0.0, 0.25, 0.5, 0.75, 1.01} {
-		jobs, err := Policy{Kind: PolicyEarlyExit, Threshold: th}.JobsFor(d, items)
+		jobs, err := Policy{Kind: PolicyEarlyExit, Exit: nn.ExitPolicy{Threshold: th}}.JobsFor(d, items)
 		if err != nil {
 			t.Fatal(err)
+		}
+		offloaded, below := 0, 0
+		for i, j := range jobs {
+			if len(j.Steps) > 2 {
+				offloaded++
+			}
+			if items[i].Confidence < th {
+				below++
+			}
+		}
+		if offloaded != below {
+			t.Fatalf("threshold %g offloads %d items, want the %d with confidence below it", th, offloaded, below)
 		}
 		res, err := d.Topo.Run(jobs)
 		if err != nil {

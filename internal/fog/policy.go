@@ -3,6 +3,8 @@ package fog
 import (
 	"fmt"
 	"strconv"
+
+	"repro/internal/nn"
 )
 
 // Deployment is the standard four-tier pipeline of Fig. 3: cameras attach to
@@ -120,8 +122,9 @@ func (p PolicyKind) String() string {
 
 // Policy turns inference items into simulator jobs.
 type Policy struct {
-	Kind      PolicyKind
-	Threshold float64 // early-exit confidence threshold
+	Kind PolicyKind
+	// Exit gates PolicyEarlyExit on each item's Confidence.
+	Exit nn.ExitPolicy
 }
 
 // JobsFor builds the step sequences for items under the policy on the given
@@ -151,7 +154,7 @@ func (p Policy) JobsFor(d *Deployment, items []InferenceItem) ([]Job, error) {
 			)
 		case PolicyEarlyExit:
 			steps = append(steps, ComputeStep{NodeID: fogNode, Ops: it.LocalOps})
-			if it.Confidence < p.Threshold {
+			if !p.Exit.Exits(it.Confidence) {
 				steps = append(steps,
 					TransferStep{From: fogNode, To: server, Bytes: it.FeatureBytes},
 					ComputeStep{NodeID: server, Ops: it.ServerOps},

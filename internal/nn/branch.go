@@ -6,57 +6,19 @@ import (
 	"repro/internal/tensor"
 )
 
-// ConfidenceMetric selects how an early-exit gate scores a local prediction
-// (paper Fig. 5 uses the classification score; Fig. 7 uses the entropy of
-// the exit-1 output).
-type ConfidenceMetric int
-
-const (
-	// MaxProb gates on the maximum softmax probability (higher = confident).
-	MaxProb ConfidenceMetric = iota + 1
-	// NegEntropy gates on the negated Shannon entropy of the softmax output
-	// (higher = confident), matching the paper's entropy-score description.
-	NegEntropy
-)
-
-// String names the metric for reports.
-func (m ConfidenceMetric) String() string {
-	switch m {
-	case MaxProb:
-		return "max-prob"
-	case NegEntropy:
-		return "neg-entropy"
-	default:
-		return "unknown"
-	}
-}
-
-// ExitPolicy decides whether a local (edge/fog) prediction is confident
-// enough to skip the server path.
+// ExitPolicy is the one early-exit gate (paper Figs. 5 and 7): a local
+// (edge/fog) prediction whose confidence score clears the threshold is
+// accepted, and any other sends its feature map upstream. Each path supplies
+// its own score — the detector's top classification score, the negated
+// entropy of BranchNet's exit-1 output, or a frame's local confidence.
 type ExitPolicy struct {
-	Metric    ConfidenceMetric
 	Threshold float64
 }
 
-// Confidence scores a probability row under the policy's metric.
-func (p ExitPolicy) Confidence(probs []float64) float64 {
-	switch p.Metric {
-	case NegEntropy:
-		return -tensor.Entropy(probs)
-	default:
-		best := 0.0
-		for _, v := range probs {
-			if v > best {
-				best = v
-			}
-		}
-		return best
-	}
-}
-
-// ShouldExit reports whether the local prediction should be accepted.
-func (p ExitPolicy) ShouldExit(probs []float64) bool {
-	return p.Confidence(probs) >= p.Threshold
+// Exits reports whether a local prediction with the given confidence score
+// is accepted locally. A score equal to the threshold exits.
+func (p ExitPolicy) Exits(score float64) bool {
+	return score >= p.Threshold
 }
 
 // BranchNet is an early-exit network split between a local device and an
@@ -166,9 +128,10 @@ type InferResult struct {
 	FeatureBytes int
 }
 
-// Infer classifies one batch under an exit policy. Rows whose local
-// confidence clears the threshold take the local answer; the rest are
-// re-scored by the server tail, exactly as in the paper's Figs. 5 and 7.
+// Infer classifies one batch under an exit policy. A row's score is the
+// negated entropy of its exit-1 output (higher = confident); rows the policy
+// lets exit take the local answer, and the rest are re-scored by the server
+// tail, exactly as in the paper's Figs. 5 and 7.
 func (b *BranchNet) Infer(x *tensor.Tensor, policy ExitPolicy) ([]InferResult, error) {
 	feature, probs, err := b.LocalForward(x)
 	if err != nil {
@@ -181,7 +144,7 @@ func (b *BranchNet) Infer(x *tensor.Tensor, policy ExitPolicy) ([]InferResult, e
 	var missIdx []int
 	for i := 0; i < n; i++ {
 		row := probs.Data()[i*k : (i+1)*k]
-		if policy.Confidence(row) >= policy.Threshold {
+		if policy.Exits(-tensor.Entropy(row)) {
 			best := 0
 			for j, v := range row {
 				if v > row[best] {

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/tensor"
@@ -61,14 +62,15 @@ func TestBranchNetTrainsBothHeads(t *testing.T) {
 		t.Fatalf("losses did not decrease: exit1 %g→%g tail %g→%g", first1, last1, first2, last2)
 	}
 
-	// Full-server inference (threshold impossible to clear) must be at least
-	// as accurate as full-local (threshold always cleared) on this task,
-	// because the tail is strictly deeper.
-	localRes, err := b.Infer(x, ExitPolicy{Metric: MaxProb, Threshold: 0})
+	// Full-server inference (threshold impossible to clear: a negated
+	// entropy is never positive) must be at least as accurate as full-local
+	// (threshold always cleared) on this task, because the tail is strictly
+	// deeper.
+	localRes, err := b.Infer(x, ExitPolicy{Threshold: math.Inf(-1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serverRes, err := b.Infer(x, ExitPolicy{Metric: MaxProb, Threshold: 1.1})
+	serverRes, err := b.Infer(x, ExitPolicy{Threshold: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +89,7 @@ func TestBranchNetTrainsBothHeads(t *testing.T) {
 	}
 	for _, r := range localRes {
 		if !r.ExitedLocal {
-			t.Fatal("threshold 0 must always exit locally")
+			t.Fatal("threshold -Inf must always exit locally")
 		}
 		if r.FeatureBytes != 0 {
 			t.Fatal("local exits ship no feature bytes")
@@ -95,7 +97,7 @@ func TestBranchNetTrainsBothHeads(t *testing.T) {
 	}
 	for _, r := range serverRes {
 		if r.ExitedLocal {
-			t.Fatal("threshold 1.1 must never exit locally for max-prob")
+			t.Fatal("threshold 1 must never exit locally")
 		}
 		if r.FeatureBytes == 0 {
 			t.Fatal("server path must account feature bytes")
@@ -114,17 +116,36 @@ func TestExitRateMonotoneInThreshold(t *testing.T) {
 		}
 		opt.Step(b.Params())
 	}
+	// Each swept threshold is some row's score, the negated entropy of its
+	// exit-1 output, so every step has a row on the boundary; it exits.
+	_, probs, err := b.LocalForward(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, k := probs.Dim(0), probs.Dim(1)
+	scores := make([]float64, n)
+	for i := range scores {
+		scores[i] = -tensor.Entropy(probs.Data()[i*k : (i+1)*k])
+	}
+	sorted := append([]float64(nil), scores...)
+	sort.Float64s(sorted)
 	prev := 2.0
-	for _, th := range []float64{0.5, 0.7, 0.9, 0.99} {
-		res, err := b.Infer(x, ExitPolicy{Metric: MaxProb, Threshold: th})
+	for _, th := range []float64{sorted[0], sorted[n/4], sorted[n/2], sorted[3*n/4], sorted[n-1]} {
+		res, err := b.Infer(x, ExitPolicy{Threshold: th})
 		if err != nil {
 			t.Fatal(err)
 		}
-		exits := 0
-		for _, r := range res {
+		exits, below := 0, 0
+		for i, r := range res {
 			if r.ExitedLocal {
 				exits++
 			}
+			if scores[i] < th {
+				below++
+			}
+		}
+		if exits != n-below {
+			t.Fatalf("threshold %g: %d rows exit, want the %d scoring at least it", th, exits, n-below)
 		}
 		rate := float64(exits) / float64(len(res))
 		if rate > prev {
@@ -138,16 +159,13 @@ func TestExitPolicyMetrics(t *testing.T) {
 	certain := []float64{0.99, 0.005, 0.005}
 	uncertain := []float64{0.34, 0.33, 0.33}
 
-	mp := ExitPolicy{Metric: MaxProb, Threshold: 0.9}
-	if !mp.ShouldExit(certain) || mp.ShouldExit(uncertain) {
-		t.Fatal("max-prob policy misclassified confidence")
+	sc, su := -tensor.Entropy(certain), -tensor.Entropy(uncertain)
+	if sc <= su {
+		t.Fatal("certain distribution must have the higher negated entropy")
 	}
-	ne := ExitPolicy{Metric: NegEntropy, Threshold: -0.5}
-	if !ne.ShouldExit(certain) || ne.ShouldExit(uncertain) {
-		t.Fatal("entropy policy misclassified confidence")
-	}
-	if ne.Confidence(certain) <= ne.Confidence(uncertain) {
-		t.Fatal("certain distribution must have higher neg-entropy confidence")
+	p := ExitPolicy{Threshold: -0.5}
+	if !p.Exits(sc) || p.Exits(su) {
+		t.Fatal("entropy gate misclassified confidence")
 	}
 }
 

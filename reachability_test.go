@@ -62,7 +62,6 @@ var testOnly = map[string]string{
 	"internal/fusion.Autoencoder.Reconstruct":   "E11's autoencoder test checks reconstruction through it",
 	"internal/viz.Table.NumRows":                "accessor the viz and experiments tests read",
 	"internal/rdbms.Table.Columns":              "accessor the rdbms test reads",
-	"internal/nn.ExitPolicy.ShouldExit":         "the early-exit rule the branch tests check",
 
 	// A roadmap item is their next reader.
 	"internal/hbase.Table.CrashAndRecover": "region-server recovery (ROADMAP item 5); the hbase and core chaos tests drive it",
@@ -80,6 +79,8 @@ var testOnlyFields = map[string]string{
 	"internal/stream.Record.Offset":      "the broker model test compares polled records, address included, with its per-replica model; the stream tests check per-partition order",
 	"internal/stream.Record.Partition":   "the broker model test compares polled records, address included, with its per-replica model; the stream tests check per-partition order",
 	"internal/hbase.Stats.WALEntries":    "the hbase model test checks that CrashAndRecover (testOnly) replays exactly the unflushed WAL; the hbase fault tests read it",
+	"internal/fog.JobResult.StartMs":     "TestReleaseTimesRespected checks that a job starts at its release time",
+	"internal/fog.JobResult.FinishMs":    "TestReleaseTimesRespected checks that a job finishes one service time after its release",
 
 	// A testOnly declaration reads or returns them.
 	"internal/docstore.PlannerStats.FullScans":    "what Collection.Planner (testOnly) reports; the docstore, web and root bench tests prove index use by it",
@@ -129,7 +130,9 @@ func TestEveryDeclarationHasAProgramReader(t *testing.T) {
 // x.f = append(x.f, …), x.f++, T{f: v}) is not a read. A tagged field, a
 // field of a struct converted to an empty interface (fmt and encoding/json
 // read it by reflection), and a field of a struct used as a map key or
-// compared with == count as read.
+// compared with == count as read. An argument to a sort, container/heap or
+// slices function and the result of a heap.Interface's Pop reach an empty
+// interface that no reflection reads, so they read nothing.
 func TestEveryFieldHasAProgramReader(t *testing.T) {
 	m, err := module()
 	if err != nil {
@@ -278,6 +281,11 @@ func reachability(dir string, listed map[string]string) (*reach, error) {
 		byObj:   map[types.Object]*declaration{},
 		byField: map[*types.Var]*field{},
 	}
+	heap, err := c.std.Import("container/heap")
+	if err != nil {
+		return nil, err
+	}
+	c.heap = heap.Scope().Lookup("Interface").Type().Underlying().(*types.Interface)
 	err = filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
 		if err != nil || !e.IsDir() {
 			return err
@@ -326,6 +334,7 @@ type checker struct {
 	named       []*types.Named // the module's non-generic, non-interface types
 	fields      []*field
 	byField     map[*types.Var]*field
+	heap        *types.Interface // container/heap.Interface
 }
 
 func (c *checker) Import(path string) (*types.Package, error) {
@@ -552,9 +561,11 @@ func (c *checker) dispatch(f *types.Func, push func(types.Object)) {
 // operand of ++ or --, or the first argument of append(x.f, …) assigned back
 // to x.f. A composite-literal key writes. Three structural rules read every
 // field they touch: an expression converted to an empty interface reads its
-// type's fields, followed through field, element, key and pointer types; and
-// a struct used as a map key or compared with == or != reads its fields,
-// followed through struct and array types.
+// type's fields, followed through field, element, key and pointer types,
+// unless it is an argument to a sort, container/heap or slices function or
+// the result of a heap.Interface's Pop; and a struct used as a map key or
+// compared with == or != reads its fields, followed through struct and array
+// types.
 func (c *checker) readFields(node ast.Node) {
 	written := map[*ast.SelectorExpr]bool{}
 	var stack []ast.Node
@@ -597,7 +608,9 @@ func (c *checker) readFields(node ast.Node) {
 				}
 			}
 		case *ast.CallExpr:
-			c.callToAny(n)
+			if !c.ordersOnly(n) {
+				c.callToAny(n)
+			}
 		case *ast.CompositeLit:
 			c.literalToAny(n)
 		case *ast.SendStmt:
@@ -607,15 +620,17 @@ func (c *checker) readFields(node ast.Node) {
 		case *ast.ReturnStmt:
 			for i := len(stack) - 1; i >= 0; i-- {
 				var sig types.Type
+				pop := false
 				switch fn := stack[i].(type) {
 				case *ast.FuncDecl:
-					sig = c.info.Defs[fn.Name].Type()
+					f := c.info.Defs[fn.Name].(*types.Func)
+					sig, pop = f.Type(), c.isHeapPop(f)
 				case *ast.FuncLit:
 					sig = c.info.Types[fn].Type
 				default:
 					continue
 				}
-				if res := sig.(*types.Signature).Results(); res.Len() == len(n.Results) {
+				if res := sig.(*types.Signature).Results(); !pop && res.Len() == len(n.Results) {
 					for j, r := range n.Results {
 						c.toAny(res.At(j).Type(), r)
 					}
@@ -662,6 +677,39 @@ func (c *checker) markWritten(e ast.Expr, written map[*ast.SelectorExpr]bool) {
 			return
 		}
 	}
+}
+
+// ordersOnly reports whether call is to a function of sort, container/heap
+// or slices. They move or compare their arguments through the methods or
+// functions they are given, and read no field by reflection.
+func (c *checker) ordersOnly(call *ast.CallExpr) bool {
+	fun := ast.Unparen(call.Fun)
+	switch x := fun.(type) {
+	case *ast.IndexExpr:
+		fun = x.X
+	case *ast.IndexListExpr:
+		fun = x.X
+	}
+	sel, ok := fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	f, ok := c.info.Uses[sel.Sel].(*types.Func)
+	if !ok || f.Pkg() == nil {
+		return false
+	}
+	switch f.Pkg().Path() {
+	case "sort", "container/heap", "slices":
+		return true
+	}
+	return false
+}
+
+// isHeapPop reports whether f is the Pop method of a heap.Interface: what it
+// returns goes back to heap.Pop's caller, not to a reflective reader.
+func (c *checker) isHeapPop(f *types.Func) bool {
+	recv := f.Type().(*types.Signature).Recv()
+	return f.Name() == "Pop" && recv != nil && types.Implements(recv.Type(), c.heap)
 }
 
 func (c *checker) isBuiltin(fun ast.Expr, name string) bool {
