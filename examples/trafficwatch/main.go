@@ -48,23 +48,9 @@ func run() error {
 	}
 	opt := nn.NewAdam(0.005)
 	fmt.Println("training tiny+full detector pair ...")
-	const batch = 16
 	for e := 0; e < 20; e++ {
-		perm := rng.Perm(train.Images.Dim(0))
-		for start := 0; start+batch <= len(perm); start += batch {
-			idx := perm[start : start+batch]
-			imgs, err := nn.GatherRows(train.Images, idx)
-			if err != nil {
-				return err
-			}
-			truths := make([][]detect.GroundTruth, batch)
-			for i, j := range idx {
-				truths[i] = train.Truths[j]
-			}
-			if _, _, err := det.TrainStep(imgs, truths); err != nil {
-				return err
-			}
-			opt.Step(det.Params())
+		if err := det.TrainEpoch(train.Images, train.Truths, 16, opt, rng); err != nil {
+			return err
 		}
 	}
 	fmt.Printf("tiny model: %d params | full model: %d params\n", det.TinyParams(), det.FullParams())

@@ -182,33 +182,6 @@ func (r *Recognizer) Evaluate(set *video.ClipSet, policy nn.ExitPolicy) (EvalRes
 	return res, nil
 }
 
-// FrameOnlyBaseline builds a CNN-only classifier (no temporal module) on
-// final frames, for the LSTM ablation: it shares the recognizer's CNN shape
-// but sees a single frame.
-func FrameOnlyBaseline(cfg Config, rng *rand.Rand) (*nn.Classifier, error) {
-	if cfg.Shortcut == 0 {
-		cfg.Shortcut = nn.ShortcutConv
-	}
-	opt := nn.WithRand(rng)
-	block, err := nn.NewResidualBlock(nn.ResidualConfig{
-		InC: 1, OutC: cfg.Channels, Stride: 2, Shortcut: cfg.Shortcut,
-	}, opt)
-	if err != nil {
-		return nil, err
-	}
-	bottleneck := 2
-	featDim := bottleneck * (cfg.FrameSize / 2) * (cfg.FrameSize / 2)
-	net := nn.NewSequential(
-		block,
-		nn.NewConv2D(nn.ConvConfig{InC: cfg.Channels, OutC: bottleneck, Kernel: 1, Stride: 1, Pad: 0}, opt),
-		nn.NewFlatten(),
-		nn.NewDense(featDim, cfg.Hidden, opt),
-		nn.NewTanh(),
-		nn.NewDense(cfg.Hidden, cfg.Classes, opt),
-	)
-	return nn.NewClassifier(net), nil
-}
-
 // FeatureBytesPerClip returns the upstream cost of one clip's block-1
 // feature sequence versus its raw size, quantifying Fig. 7's bandwidth
 // saving.

@@ -290,6 +290,33 @@ func (d *Detector) TrainStep(images *tensor.Tensor, truths [][]GroundTruth) (tin
 	return tinyLoss, fullLoss, nil
 }
 
+// TrainEpoch runs one epoch of joint training over images [N,C,H,W] and
+// their ground truths: one rng.Perm orders the images, each full batch takes
+// one TrainStep and one optimizer step, and a short remainder is dropped.
+func (d *Detector) TrainEpoch(images *tensor.Tensor, truths [][]GroundTruth, batch int, opt nn.Optimizer, rng *rand.Rand) error {
+	n := images.Dim(0)
+	if batch <= 0 || batch > n {
+		batch = n
+	}
+	perm := rng.Perm(n)
+	for start := 0; start+batch <= n; start += batch {
+		idx := perm[start : start+batch]
+		imgs, err := nn.GatherRows(images, idx)
+		if err != nil {
+			return err
+		}
+		bt := make([][]GroundTruth, len(idx))
+		for i, j := range idx {
+			bt[i] = truths[j]
+		}
+		if _, _, err := d.TrainStep(imgs, bt); err != nil {
+			return err
+		}
+		opt.Step(d.Params())
+	}
+	return nil
+}
+
 // decode converts one image's head output to detections above scoreFloor,
 // before NMS.
 func (d *Detector) decode(out *tensor.Tensor, img int, scoreFloor float64) []Detection {

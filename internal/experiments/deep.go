@@ -35,23 +35,9 @@ func detectorSetup(rng *rand.Rand, epochs int) (*detect.Detector, *vision.Detect
 		return nil, nil, nil, nil, err
 	}
 	opt := nn.NewAdam(0.005)
-	const batch = 16
 	for e := 0; e < epochs; e++ {
-		perm := rng.Perm(train.Images.Dim(0))
-		for start := 0; start+batch <= len(perm); start += batch {
-			idx := perm[start : start+batch]
-			imgs, err := nn.GatherRows(train.Images, idx)
-			if err != nil {
-				return nil, nil, nil, nil, err
-			}
-			truths := make([][]detect.GroundTruth, batch)
-			for i, j := range idx {
-				truths[i] = train.Truths[j]
-			}
-			if _, _, err := det.TrainStep(imgs, truths); err != nil {
-				return nil, nil, nil, nil, err
-			}
-			opt.Step(det.Params())
+		if err := det.TrainEpoch(train.Images, train.Truths, 16, opt, rng); err != nil {
+			return nil, nil, nil, nil, err
 		}
 	}
 	return det, train, test, catalog, nil
@@ -203,17 +189,16 @@ func seqInts(n int) []int {
 }
 
 // E7ActionRecognition trains the Fig. 7 ResNet+LSTM recognizer and sweeps
-// the entropy gate, plus the LSTM-vs-frame-only ablation on temporal
-// classes.
+// the entropy gate, plus the temporal ablation on loiter/walk/run: the same
+// recognizer, from the same initial weights and batch order, trained and
+// scored once on moving clips and once on frozen ones (every frame the
+// clip's last), so motion is the only variable.
 func E7ActionRecognition(rng *rand.Rand) (*Result, error) {
 	cfg := action.Config{
 		FrameSize: 12, Frames: 6, Classes: int(video.NumActions),
 		Channels: 4, Hidden: 10, Shortcut: nn.ShortcutConv,
 	}
-	rec, err := action.New(cfg, rng)
-	if err != nil {
-		return nil, err
-	}
+	initSeed, orderSeed := rng.Int63(), rng.Int63()
 	train, err := video.Generate(video.Config{Clips: 144, Frames: cfg.Frames, Size: cfg.FrameSize}, rng)
 	if err != nil {
 		return nil, err
@@ -222,14 +207,25 @@ func E7ActionRecognition(rng *rand.Rand) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt := nn.NewAdam(0.01)
-	var losses []float64
-	for e := 0; e < 30; e++ {
-		exit1Loss, tailLoss, err := rec.TrainEpoch(train, 24, opt, rng)
+	fit := func(set *video.ClipSet) (*action.Recognizer, []float64, error) {
+		rec, err := action.New(cfg, rand.New(rand.NewSource(initSeed)))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		losses = append(losses, exit1Loss+tailLoss)
+		opt, order := nn.NewAdam(0.01), rand.New(rand.NewSource(orderSeed))
+		var losses []float64
+		for e := 0; e < 30; e++ {
+			exit1Loss, tailLoss, err := rec.TrainEpoch(set, 24, opt, order)
+			if err != nil {
+				return nil, nil, err
+			}
+			losses = append(losses, exit1Loss+tailLoss)
+		}
+		return rec, losses, nil
+	}
+	rec, losses, err := fit(train)
+	if err != nil {
+		return nil, err
 	}
 
 	sweep := viz.NewTable("entropy-gate sweep (Fig. 7 exits)", "neg-entropy threshold", "exit-1 %", "accuracy", "server KB")
@@ -251,26 +247,12 @@ func E7ActionRecognition(rng *rand.Rand) (*Result, error) {
 		sweep.AddRow(label, res.ExitRate*100, res.Accuracy, res.ServerBytes/1024)
 	}
 
-	// Ablation: LSTM vs frame-only on temporal classes (loiter/walk/run).
-	baseline, err := action.FrameOnlyBaseline(cfg, rng)
+	// Ablation: the same recognizer on moving vs frozen clips.
+	frozen, _, err := fit(train.Frozen())
 	if err != nil {
 		return nil, err
 	}
-	trainFrames, err := train.FrameOnly()
-	if err != nil {
-		return nil, err
-	}
-	bopt := nn.NewAdam(0.01)
-	for e := 0; e < 40; e++ {
-		if _, _, err := baseline.TrainEpoch(trainFrames, train.Labels, 24, bopt, rng); err != nil {
-			return nil, err
-		}
-	}
-	testFrames, err := test.FrameOnly()
-	if err != nil {
-		return nil, err
-	}
-	basePreds, err := baseline.Predict(testFrames)
+	frozenPreds, err := frozen.Predict(test.Frozen().Clips)
 	if err != nil {
 		return nil, err
 	}
@@ -278,14 +260,14 @@ func E7ActionRecognition(rng *rand.Rand) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	temporalAcc := func(preds func(i int) int) float64 {
+	temporalAcc := func(preds []int) float64 {
 		correct, total := 0, 0
 		for i, label := range test.Labels {
 			if label > int(video.Run) {
 				continue
 			}
 			total++
-			if preds(i) == label {
+			if preds[i] == label {
 				correct++
 			}
 		}
@@ -301,21 +283,10 @@ func E7ActionRecognition(rng *rand.Rand) (*Result, error) {
 	}
 	confusion := viz.ConfusionMatrix("confusion matrix (server path, held-out)", test.Labels, lstmPreds, names)
 
-	k := basePreds.Dim(1)
-	lstmAcc := temporalAcc(func(i int) int { return lstmPreds[i] })
-	frameAcc := temporalAcc(func(i int) int {
-		row := basePreds.Data()[i*k : (i+1)*k]
-		best := 0
-		for j, v := range row {
-			if v > row[best] {
-				best = j
-			}
-		}
-		return best
-	})
+	lstmAcc, frozenAcc := temporalAcc(lstmPreds), temporalAcc(frozenPreds)
 	ablation := viz.NewTable("temporal ablation (loiter/walk/run, held-out)", "model", "accuracy")
 	ablation.AddRow("CNN+LSTM (paper)", lstmAcc)
-	ablation.AddRow("frame-only CNN", frameAcc)
+	ablation.AddRow("CNN+LSTM on frozen clips", frozenAcc)
 
 	if losses[len(losses)-1] >= losses[0] {
 		return nil, fmt.Errorf("E7: training loss %.4g in the last epoch is not below %.4g in the first", losses[len(losses)-1], losses[0])
@@ -336,8 +307,8 @@ func E7ActionRecognition(rng *rand.Rand) (*Result, error) {
 	if err := sweepOrder("E7", "server bytes", ths, shipped, +1); err != nil {
 		return nil, err
 	}
-	if lstmAcc <= frameAcc {
-		return nil, fmt.Errorf("E7: CNN+LSTM %.4g does not beat frame-only %.4g on loiter/walk/run", lstmAcc, frameAcc)
+	if lstmAcc <= frozenAcc {
+		return nil, fmt.Errorf("E7: CNN+LSTM on moving clips %.4g does not beat the same recognizer on frozen clips %.4g on loiter/walk/run", lstmAcc, frozenAcc)
 	}
 
 	feat, raw := rec.FeatureBytesPerClip()

@@ -82,15 +82,6 @@ func (c *Classifier) Evaluate(x *tensor.Tensor, labels []int) (float64, error) {
 	return Accuracy(logits, labels), nil
 }
 
-// Predict returns the softmax probabilities for a batch.
-func (c *Classifier) Predict(x *tensor.Tensor) (*tensor.Tensor, error) {
-	logits, err := c.Net.Forward(x, false)
-	if err != nil {
-		return nil, err
-	}
-	return tensor.SoftmaxRows(logits)
-}
-
 // ParallelTrainer implements synchronous data-parallel training, the
 // "data parallelism ... distributed among multiple nodes and multiple
 // workers per node" capability the paper attributes to its software layer.

@@ -5,7 +5,7 @@
 // classes are deliberately designed so that several pairs are
 // indistinguishable from a single frame (walk vs. run differ only in speed;
 // loiter vs. walk only in displacement), giving the CNN+LSTM architecture a
-// genuine temporal signal to exploit — and making the LSTM-vs-frame-only
+// genuine temporal signal to exploit — and making the moving-vs-frozen
 // ablation (experiment E7) meaningful.
 package video
 
@@ -209,15 +209,19 @@ func Generate(cfg Config, rng *rand.Rand) (*ClipSet, error) {
 	return &ClipSet{Clips: clips, Labels: labels, Cfg: cfg}, nil
 }
 
-// FrameOnly collapses each clip to its final frame [N, 1, Size, Size] — the
-// input a frame-only (no-LSTM) baseline sees.
-func (s *ClipSet) FrameOnly() (*tensor.Tensor, error) {
+// Frozen returns a copy of the set in which every frame of a clip is that
+// clip's last frame: same [N, T, 1, Size, Size] shape, labels and config,
+// but no motion — the input of E7's temporal ablation.
+func (s *ClipSet) Frozen() *ClipSet {
 	n, t := s.Cfg.Clips, s.Cfg.Frames
 	frameLen := s.Cfg.Size * s.Cfg.Size
-	out := tensor.New(n, 1, s.Cfg.Size, s.Cfg.Size)
+	out := tensor.New(s.Clips.Shape()...)
+	src, dst := s.Clips.Data(), out.Data()
 	for i := 0; i < n; i++ {
-		src := (i*t + t - 1) * frameLen
-		copy(out.Data()[i*frameLen:(i+1)*frameLen], s.Clips.Data()[src:src+frameLen])
+		last := src[(i*t+t-1)*frameLen : (i*t+t)*frameLen]
+		for f := 0; f < t; f++ {
+			copy(dst[(i*t+f)*frameLen:], last)
+		}
 	}
-	return out, nil
+	return &ClipSet{Clips: out, Labels: append([]int(nil), s.Labels...), Cfg: s.Cfg}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -137,26 +138,46 @@ func TestDualActorActionsHaveMoreMass(t *testing.T) {
 	}
 }
 
-func TestFrameOnlyExtraction(t *testing.T) {
+func TestFrozen(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	cfg := Config{Clips: 6, Frames: 5, Size: 12}
 	set, err := Generate(cfg, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames, err := set.FrameOnly()
-	if err != nil {
-		t.Fatal(err)
+	before := set.Clips.Clone()
+	frozen := set.Frozen()
+	if got, want := frozen.Clips.Shape(), set.Clips.Shape(); !slices.Equal(got, want) {
+		t.Fatalf("frozen shape %v, want %v", got, want)
 	}
-	s := frames.Shape()
-	if s[0] != 6 || s[1] != 1 || s[2] != 12 {
-		t.Fatalf("frame shape %v", s)
+	if frozen.Cfg != set.Cfg || !slices.Equal(frozen.Labels, set.Labels) {
+		t.Fatal("Frozen must keep the labels and config")
 	}
-	// Final frame content must match.
-	for i := 0; i < 6; i++ {
-		if frames.At(i, 0, 5, 5) != set.Clips.At(i, 4, 0, 5, 5) {
-			t.Fatal("FrameOnly must copy the last frame")
+	moving := false
+	for i := 0; i < cfg.Clips; i++ {
+		for f := 0; f < cfg.Frames; f++ {
+			for y := 0; y < cfg.Size; y++ {
+				for x := 0; x < cfg.Size; x++ {
+					if frozen.Clips.At(i, f, 0, y, x) != set.Clips.At(i, cfg.Frames-1, 0, y, x) {
+						t.Fatalf("clip %d frame %d (%d,%d) is not the clip's last frame", i, f, y, x)
+					}
+					if set.Clips.At(i, f, 0, y, x) != set.Clips.At(i, cfg.Frames-1, 0, y, x) {
+						moving = true
+					}
+				}
+			}
 		}
+	}
+	if !moving {
+		t.Fatal("source clips have no motion; the test cannot tell a copy from the source")
+	}
+	if !slices.Equal(set.Clips.Data(), before.Data()) {
+		t.Fatal("Frozen modified the source clips")
+	}
+	frozen.Clips.Data()[0] = 99
+	frozen.Labels[0] = 99
+	if set.Clips.Data()[0] == 99 || set.Labels[0] == 99 {
+		t.Fatal("Frozen aliases the source set")
 	}
 }
 

@@ -215,11 +215,13 @@ func TestReachabilityResolvesTypes(t *testing.T) {
 	}
 	wantFields := []string{
 		"lib.Counter.n",
+		"lib.Job.sorted",
 		"lib.Ledger.entries",
 		"lib.Ledger.note",
 		"lib.Ledger.seen",
 		"lib.Ledger.total",
 		"lib.Ledger.viaTest",
+		"lib.Task.queued",
 	}
 	if strings.Join(unreadFields, " ") != strings.Join(wantFields, " ") {
 		t.Errorf("unread fields:\n\tgot  %v\n\twant %v", unreadFields, wantFields)

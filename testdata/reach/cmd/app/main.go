@@ -20,4 +20,6 @@ func main() {
 	fmt.Println(strings.Join([]string{"a", "b"}, ","), d, s.Area(), b.Get(), st, opts.Shortcut, cfg)
 	lib.NewLedger().Add("x", 1)
 	lib.Print(lib.Count(1, 2))
+	lib.SortJobs([]lib.Job{{Prio: 2}, {Prio: 1}})
+	fmt.Println(lib.Next(3, 1, 2))
 }

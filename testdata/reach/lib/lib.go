@@ -3,7 +3,11 @@
 // the program that reads it.
 package lib
 
-import "fmt"
+import (
+	"container/heap"
+	"fmt"
+	"sort"
+)
 
 // Dataset.Join shares its name with strings.Join, which the program calls.
 type Dataset struct{ rows []string }
@@ -101,4 +105,51 @@ func Count(row, col int) int {
 		return 0
 	}
 	return len(m)
+}
+
+// SortJobs hands jobs to sort.Slice as an empty interface, and Queue.Pop
+// returns a *Task as one; neither reads a field, so sorted and queued, which
+// are only written, stay unread.
+type Job struct {
+	Prio   int
+	sorted bool
+}
+
+func SortJobs(jobs []Job) {
+	for i := range jobs {
+		jobs[i].sorted = true
+	}
+	sort.Slice(jobs, func(i, j int) bool { return jobs[i].Prio < jobs[j].Prio })
+}
+
+type Task struct {
+	Prio   int
+	queued int
+}
+
+type Queue []*Task
+
+func (q Queue) Len() int           { return len(q) }
+func (q Queue) Less(i, j int) bool { return q[i].Prio < q[j].Prio }
+func (q Queue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+
+func (q *Queue) Push(x any) {
+	t := x.(*Task)
+	t.queued++
+	*q = append(*q, t)
+}
+
+func (q *Queue) Pop() any {
+	old := *q
+	t := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return t
+}
+
+func Next(prios ...int) int {
+	q := &Queue{}
+	for _, p := range prios {
+		heap.Push(q, &Task{Prio: p})
+	}
+	return heap.Pop(q).(*Task).Prio
 }
