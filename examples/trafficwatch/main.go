@@ -49,7 +49,7 @@ func run() error {
 	opt := nn.NewAdam(0.005)
 	fmt.Println("training tiny+full detector pair ...")
 	for e := 0; e < 20; e++ {
-		if err := det.TrainEpoch(train.Images, train.Truths, 16, opt, rng); err != nil {
+		if _, _, err := det.TrainEpoch(train.Images, train.Truths, 16, opt, rng); err != nil {
 			return err
 		}
 	}
@@ -85,15 +85,15 @@ func run() error {
 
 	// Fog economics: replay the same workload through the tier simulator.
 	items := make([]fog.InferenceItem, rep.Frames)
-	localResults, err := det.DetectLocal(feed.Images, 0.05)
+	frames, err := det.Detect(feed.Images, exit, 0.05)
 	if err != nil {
 		return err
 	}
-	for i, lr := range localResults {
+	for i, fr := range frames {
 		items[i] = fog.InferenceItem{
 			ID: fmt.Sprintf("f%03d", i), EdgeIdx: i % len(inf.Deployment.Edges),
-			ReleaseMs: float64(i) * 33, Confidence: lr.TopScore,
-			RawBytes: dcfg.Size * dcfg.Size * 3 * 8, FeatureBytes: lr.FeatureBytes,
+			ReleaseMs: float64(i) * 33, Confidence: fr.TopScore,
+			RawBytes: dcfg.Size * dcfg.Size * 3 * 8, FeatureBytes: fr.FeatureBytes,
 			LocalOps: 150, ServerOps: 1800, FullOps: 2200,
 		}
 	}

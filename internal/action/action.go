@@ -106,38 +106,22 @@ func New(cfg Config, rng *rand.Rand) (*Recognizer, error) {
 // exit policy directly).
 func (r *Recognizer) Net() *nn.BranchNet { return r.net }
 
-// TrainEpoch runs one epoch of joint two-exit training over a clip set.
+// TrainEpoch runs one epoch of joint two-exit training over a clip set,
+// both exits scored by softmax cross-entropy against the clip labels.
 func (r *Recognizer) TrainEpoch(set *video.ClipSet, batch int, opt nn.Optimizer, rng *rand.Rand) (exit1Loss, tailLoss float64, err error) {
-	n := set.Clips.Dim(0)
-	if batch <= 0 || batch > n {
-		batch = n
+	if n := set.Clips.Dim(0); len(set.Labels) != n {
+		return 0, 0, fmt.Errorf("%w: %d clips vs %d labels", nn.ErrBadInput, n, len(set.Labels))
 	}
-	perm := rng.Perm(n)
-	batches := 0
-	for start := 0; start+batch <= n; start += batch {
-		idx := perm[start : start+batch]
-		clips, err := nn.GatherRows(set.Clips, idx)
-		if err != nil {
-			return 0, 0, err
-		}
+	return r.net.TrainEpoch(set.Clips, batch, opt, rng, func(idx []int) nn.HeadLoss {
 		labels := make([]int, len(idx))
 		for i, j := range idx {
 			labels[i] = set.Labels[j]
 		}
-		l1, l2, err := r.net.TrainStep(clips, labels)
-		if err != nil {
-			return 0, 0, err
+		return func(logits *tensor.Tensor) (float64, *tensor.Tensor, error) {
+			loss, _, grad, err := nn.SoftmaxCrossEntropy{}.Loss(logits, labels)
+			return loss, grad, err
 		}
-		opt.Step(r.net.Params())
-		exit1Loss += l1
-		tailLoss += l2
-		batches++
-	}
-	if batches > 0 {
-		exit1Loss /= float64(batches)
-		tailLoss /= float64(batches)
-	}
-	return exit1Loss, tailLoss, nil
+	})
 }
 
 // EvalResult summarizes accuracy under an exit policy.

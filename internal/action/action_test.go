@@ -65,3 +65,20 @@ func TestOneSeedPairOneRecognizer(t *testing.T) {
 		t.Fatalf("same seeds, same clips: predictions %v and %v differ", a, b)
 	}
 }
+
+// TestTrainEpochLabelCount feeds a clip set with fewer labels than clips:
+// TrainEpoch must refuse it rather than index past the labels.
+func TestTrainEpochLabelCount(t *testing.T) {
+	set, err := video.Generate(video.Config{Clips: 4, Frames: 6, Size: 12}, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	set.Labels = set.Labels[:3]
+	rec, err := New(smallConfig(), rand.New(rand.NewSource(21)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := rec.TrainEpoch(set, 4, nn.NewAdam(0.01), rand.New(rand.NewSource(22))); !errors.Is(err, nn.ErrBadInput) {
+		t.Fatalf("label count err = %v", err)
+	}
+}

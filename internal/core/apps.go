@@ -44,28 +44,24 @@ type AnnotateReport struct {
 // indexes every detection in the video-annotations table.
 func (vw *VehicleWatch) AnnotateFrames(cameraID string, frames *tensor.Tensor) (AnnotateReport, error) {
 	var rep AnnotateReport
-	local, err := vw.det.DetectLocal(frames, 0.05)
+	// Fig. 5: a frame the policy does not let exit ships its pre-branch
+	// feature map for in-depth analysis.
+	results, err := vw.det.Detect(frames, vw.Policy, 0.05)
 	if err != nil {
-		return rep, fmt.Errorf("local detect: %w", err)
+		return rep, fmt.Errorf("detect: %w", err)
 	}
-	rep.Frames = len(local)
-	for i, lr := range local {
-		dets := lr.Detections
-		path := "local"
-		if !vw.Policy.Exits(lr.TopScore) {
-			// Fig. 5: ship the pre-branch feature map for in-depth analysis.
-			dets, err = vw.det.DetectServer(lr.Feature, 0.05)
-			if err != nil {
-				return rep, fmt.Errorf("server detect: %w", err)
-			}
-			path = "server"
-			rep.ServerAssists++
-			rep.UpstreamBytes += lr.FeatureBytes
-		} else {
+	rep.Frames = len(results)
+	for i, fr := range results {
+		path := "server"
+		if fr.ExitedLocal {
+			path = "local"
 			rep.LocalExits++
+		} else {
+			rep.ServerAssists++
 		}
+		rep.UpstreamBytes += fr.FeatureBytes
 		row := frameRow(cameraID, i)
-		for j, d := range dets {
+		for j, d := range fr.Detections {
 			val, err := json.Marshal(map[string]any{
 				"class": d.Class, "score": d.Score, "path": path,
 				"cx": d.Box.CX, "cy": d.Box.CY, "w": d.Box.W, "h": d.Box.H,

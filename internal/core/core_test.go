@@ -190,10 +190,9 @@ func trainTinyDetector(t *testing.T, rng *rand.Rand) (*detect.Detector, *vision.
 	}
 	opt := nn.NewAdam(0.005)
 	for e := 0; e < 15; e++ {
-		if _, _, err := det.TrainStep(set.Images, set.Truths); err != nil {
+		if _, _, err := det.TrainEpoch(set.Images, set.Truths, len(set.Truths), opt, rng); err != nil {
 			t.Fatal(err)
 		}
-		opt.Step(det.Params())
 	}
 	return det, set
 }

@@ -1,9 +1,10 @@
 // Package detect implements a YOLO-style single-shot grid detector with the
-// paper's two-model early-exit split (Fig. 5): a shared convolutional stem
-// feeds both a small "tiny" head (run on the local device) and a deeper
-// "full" tail (run on the analysis server). Predictions whose classification
-// score clears a threshold exit locally; otherwise the stem's feature map —
-// not the raw frame — is shipped upstream and re-scored by the full model.
+// paper's early-exit split (Fig. 5), built as one nn.BranchNet: a shared
+// convolutional stem feeds both a small "tiny" head (run on the local
+// device) and a deeper "full" tail (run on the analysis server). Detect makes
+// the exit-or-offload decision: frames whose top classification score clears
+// the nn.ExitPolicy exit locally, and the stem's feature maps of the rest —
+// not the raw frames — are shipped upstream and re-scored by the full tail.
 //
 // The detector predicts, per grid cell: an objectness logit, a bounding box
 // (center offsets within the cell plus width/height relative to the image),
@@ -86,16 +87,15 @@ func (c Config) Validate() error {
 // channelsPerCell returns 5+K: objectness, 4 box params, class logits.
 func (c Config) channelsPerCell() int { return 5 + c.Classes }
 
-// Detector is the early-exit detector pair.
+// Detector is the early-exit detector: one nn.BranchNet whose stem and tiny
+// head run on the local device and whose full tail runs on the server.
 type Detector struct {
-	cfg  Config
-	stem *nn.Sequential // image → feature map [N, StemChannels, S*2, S*2]
-	tiny *nn.Sequential // feature map → grid output (shallow)
-	full *nn.Sequential // feature map → grid output (deep)
+	cfg Config
+	net *nn.BranchNet
 }
 
-// New builds a detector pair. The stem downsamples the image to twice the
-// grid resolution; heads downsample the rest of the way.
+// New builds a detector. The stem downsamples the image to twice the grid
+// resolution; both heads downsample the rest of the way.
 func New(cfg Config, rng *rand.Rand) (*Detector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -103,10 +103,8 @@ func New(cfg Config, rng *rand.Rand) (*Detector, error) {
 	opt := nn.WithRand(rng)
 	out := cfg.channelsPerCell()
 
-	// Stem: size → size/2 → size/(size/(2*grid)) ... keep it simple: two
-	// stride-2 convs bring size down by 4; require size == 4*grid so the
-	// stem output is exactly 2×2 per cell... Instead: stem downsamples by
-	// size/(2*grid) via pooling, heads finish with stride-2.
+	// The stem pools the image by size/(2*grid), so its feature map is
+	// twice the grid resolution; each head finishes with a stride-2 pool.
 	factor := cfg.Size / (2 * cfg.Grid)
 	if factor < 1 || cfg.Size%(2*cfg.Grid) != 0 {
 		return nil, fmt.Errorf("%w: size %d must be a multiple of 2*grid", ErrBadConfig, cfg.Size)
@@ -133,23 +131,19 @@ func New(cfg Config, rng *rand.Rand) (*Detector, error) {
 		nn.NewMaxPool2D(2, 2),
 		nn.NewConv2D(nn.ConvConfig{InC: cfg.StemChannels * 2, OutC: out, Kernel: 1, Stride: 1, Pad: 0}, opt),
 	)
-	return &Detector{cfg: cfg, stem: stem, tiny: tiny, full: full}, nil
-}
-
-// Params returns all trainable parameters.
-func (d *Detector) Params() []*nn.Param {
-	ps := append(d.stem.Params(), d.tiny.Params()...)
-	return append(ps, d.full.Params()...)
+	net := nn.NewBranchNet(stem, tiny, full)
+	net.Exit1Weight = 1 // both heads answer on their own; neither loss is discounted
+	return &Detector{cfg: cfg, net: net}, nil
 }
 
 // TinyParams returns stem+tiny parameters (the "local model" size).
 func (d *Detector) TinyParams() int {
-	return nn.NumParams(d.stem.Params()) + nn.NumParams(d.tiny.Params())
+	return nn.NumParams(d.net.Stem.Params()) + nn.NumParams(d.net.Exit1.Params())
 }
 
 // FullParams returns stem+full parameters (the "server model" size).
 func (d *Detector) FullParams() int {
-	return nn.NumParams(d.stem.Params()) + nn.NumParams(d.full.Params())
+	return nn.NumParams(d.net.Stem.Params()) + nn.NumParams(d.net.Tail.Params())
 }
 
 // lossOnOutput computes the YOLO-style loss and its gradient for a head
@@ -249,72 +243,22 @@ func (d *Detector) lossOnOutput(out *tensor.Tensor, truths [][]GroundTruth) (flo
 	return total, grad, nil
 }
 
-// TrainStep runs one joint training step over a batch of images [N,C,H,W]
-// with per-image ground truths, accumulating gradients for both heads
-// through the shared stem. It returns the tiny and full losses.
-func (d *Detector) TrainStep(images *tensor.Tensor, truths [][]GroundTruth) (tinyLoss, fullLoss float64, err error) {
-	feat, err := d.stem.Forward(images, true)
-	if err != nil {
-		return 0, 0, fmt.Errorf("stem: %w", err)
-	}
-	outT, err := d.tiny.Forward(feat, true)
-	if err != nil {
-		return 0, 0, fmt.Errorf("tiny head: %w", err)
-	}
-	outF, err := d.full.Forward(feat, true)
-	if err != nil {
-		return 0, 0, fmt.Errorf("full head: %w", err)
-	}
-	tinyLoss, gT, err := d.lossOnOutput(outT, truths)
-	if err != nil {
-		return 0, 0, err
-	}
-	fullLoss, gF, err := d.lossOnOutput(outF, truths)
-	if err != nil {
-		return 0, 0, err
-	}
-	dT, err := d.tiny.Backward(gT)
-	if err != nil {
-		return 0, 0, fmt.Errorf("tiny back: %w", err)
-	}
-	dF, err := d.full.Backward(gF)
-	if err != nil {
-		return 0, 0, fmt.Errorf("full back: %w", err)
-	}
-	if err := dT.AddInPlace(dF); err != nil {
-		return 0, 0, err
-	}
-	if _, err := d.stem.Backward(dT); err != nil {
-		return 0, 0, fmt.Errorf("stem back: %w", err)
-	}
-	return tinyLoss, fullLoss, nil
-}
-
 // TrainEpoch runs one epoch of joint training over images [N,C,H,W] and
-// their ground truths: one rng.Perm orders the images, each full batch takes
-// one TrainStep and one optimizer step, and a short remainder is dropped.
-func (d *Detector) TrainEpoch(images *tensor.Tensor, truths [][]GroundTruth, batch int, opt nn.Optimizer, rng *rand.Rand) error {
-	n := images.Dim(0)
-	if batch <= 0 || batch > n {
-		batch = n
+// their ground truths, both heads scored by the YOLO-style loss, and returns
+// the mean tiny and full losses (see nn.BranchNet.TrainEpoch).
+func (d *Detector) TrainEpoch(images *tensor.Tensor, truths [][]GroundTruth, batch int, opt nn.Optimizer, rng *rand.Rand) (tinyLoss, fullLoss float64, err error) {
+	if n := images.Dim(0); len(truths) != n {
+		return 0, 0, fmt.Errorf("%w: %d truth lists for %d images", ErrBadInput, len(truths), n)
 	}
-	perm := rng.Perm(n)
-	for start := 0; start+batch <= n; start += batch {
-		idx := perm[start : start+batch]
-		imgs, err := nn.GatherRows(images, idx)
-		if err != nil {
-			return err
-		}
+	return d.net.TrainEpoch(images, batch, opt, rng, func(idx []int) nn.HeadLoss {
 		bt := make([][]GroundTruth, len(idx))
 		for i, j := range idx {
 			bt[i] = truths[j]
 		}
-		if _, _, err := d.TrainStep(imgs, bt); err != nil {
-			return err
+		return func(out *tensor.Tensor) (float64, *tensor.Tensor, error) {
+			return d.lossOnOutput(out, bt)
 		}
-		opt.Step(d.Params())
-	}
-	return nil
+	})
 }
 
 // decode converts one image's head output to detections above scoreFloor,
@@ -386,106 +330,94 @@ func NMS(dets []Detection, iouThreshold float64) []Detection {
 	return kept
 }
 
-// LocalResult is the tiny model's output plus the feature map a miss would
-// ship upstream.
-type LocalResult struct {
-	Detections []Detection
-	Feature    *tensor.Tensor
-	// FeatureBytes is what shipping the feature map costs (8 bytes/elem).
-	FeatureBytes int
-	// TopScore is the best detection score (0 when nothing detected).
+// FrameResult is the Fig. 5 gate's answer for one frame.
+type FrameResult struct {
+	Detections  []Detection
+	ExitedLocal bool
+	// TopScore is the tiny head's best detection score (0 when it detects
+	// nothing); the exit policy gates on it.
 	TopScore float64
+	// FeatureBytes is the size of the feature map shipped upstream: 8 bytes
+	// per element, 0 on a local exit.
+	FeatureBytes int
 }
 
-// DetectLocal runs the stem and tiny head on a batch, returning per-image
-// results.
-func (d *Detector) DetectLocal(images *tensor.Tensor, scoreFloor float64) ([]LocalResult, error) {
-	feat, err := d.stem.Forward(images, false)
+// Detect runs a batch of frames through the Fig. 5 gate. The stem and tiny
+// head score every frame; a frame whose TopScore the policy lets exit keeps
+// the tiny head's detections, and the feature maps of the rest are re-scored
+// by the full tail in one pass. Detections below scoreFloor are dropped
+// before non-maximum suppression.
+func (d *Detector) Detect(images *tensor.Tensor, policy nn.ExitPolicy, scoreFloor float64) ([]FrameResult, error) {
+	feature, out, err := d.net.LocalForward(images)
 	if err != nil {
-		return nil, fmt.Errorf("stem: %w", err)
-	}
-	out, err := d.tiny.Forward(feat, false)
-	if err != nil {
-		return nil, fmt.Errorf("tiny head: %w", err)
+		return nil, err
 	}
 	n := images.Dim(0)
-	perImg := feat.Size() / n
-	results := make([]LocalResult, n)
-	for i := 0; i < n; i++ {
+	results := make([]FrameResult, n)
+	var missIdx []int
+	for i := range results {
 		dets := NMS(d.decode(out, i, scoreFloor), 0.45)
 		top := 0.0
-		for _, dt := range dets {
-			if dt.Score > top {
-				top = dt.Score
-			}
+		if len(dets) > 0 {
+			top = dets[0].Score
 		}
-		sub, err := nn.GatherRows(feat, []int{i})
-		if err != nil {
-			return nil, err
+		if policy.Exits(top) {
+			results[i] = FrameResult{Detections: dets, ExitedLocal: true, TopScore: top}
+		} else {
+			results[i] = FrameResult{TopScore: top, FeatureBytes: feature.Size() / n * 8}
+			missIdx = append(missIdx, i)
 		}
-		results[i] = LocalResult{Detections: dets, Feature: sub, FeatureBytes: perImg * 8, TopScore: top}
+	}
+	if len(missIdx) == 0 {
+		return results, nil
+	}
+	sub, err := nn.GatherRows(feature, missIdx)
+	if err != nil {
+		return nil, err
+	}
+	serverOut, err := d.net.ServerForward(sub)
+	if err != nil {
+		return nil, err
+	}
+	for mi, i := range missIdx {
+		results[i].Detections = NMS(d.decode(serverOut, mi, scoreFloor), 0.45)
 	}
 	return results, nil
 }
 
-// DetectServer re-scores a shipped feature map with the full tail.
-func (d *Detector) DetectServer(feature *tensor.Tensor, scoreFloor float64) ([]Detection, error) {
-	out, err := d.full.Forward(feature, false)
-	if err != nil {
-		return nil, fmt.Errorf("full head: %w", err)
-	}
-	return NMS(d.decode(out, 0, scoreFloor), 0.45), nil
-}
-
-// EvalResult summarizes detector accuracy on a labeled set.
+// EvalResult summarizes detector quality on a labeled set under an exit
+// policy.
 type EvalResult struct {
 	ClassAccuracy float64 // top detection has the right class
 	MeanIoU       float64 // IoU of top detection vs truth
+	ExitRate      float64 // fraction of frames answered by the tiny head
+	UpstreamBytes int     // feature bytes shipped to the server
 }
 
-// Head selects which model to evaluate.
-type Head int
-
-// Heads for Evaluate.
-const (
-	// TinyHead evaluates the local model.
-	TinyHead Head = iota + 1
-	// FullHead evaluates the server model.
-	FullHead
-)
-
-// Evaluate measures single-object detection quality of one head.
-func (d *Detector) Evaluate(images *tensor.Tensor, truths [][]GroundTruth, h Head) (EvalResult, error) {
-	feat, err := d.stem.Forward(images, false)
-	if err != nil {
-		return EvalResult{}, err
-	}
-	var out *tensor.Tensor
-	switch h {
-	case TinyHead:
-		out, err = d.tiny.Forward(feat, false)
-	case FullHead:
-		out, err = d.full.Forward(feat, false)
-	default:
-		return EvalResult{}, fmt.Errorf("%w: head %d", ErrBadConfig, h)
-	}
-	if err != nil {
-		return EvalResult{}, err
-	}
+// Evaluate measures single-object detection quality of the Fig. 5 gate:
+// each frame's top detection, from whichever head answered it, against its
+// first ground truth. A policy at -Inf scores the tiny head alone and one at
+// +Inf the full tail alone.
+func (d *Detector) Evaluate(images *tensor.Tensor, truths [][]GroundTruth, policy nn.ExitPolicy) (EvalResult, error) {
 	n := images.Dim(0)
+	if len(truths) != n {
+		return EvalResult{}, fmt.Errorf("%w: %d truth lists for %d images", ErrBadInput, len(truths), n)
+	}
+	results, err := d.Detect(images, policy, 0)
+	if err != nil {
+		return EvalResult{}, err
+	}
 	var res EvalResult
-	for i := 0; i < n; i++ {
-		dets := NMS(d.decode(out, i, 0.0), 0.45)
-		if len(dets) == 0 || len(truths[i]) == 0 {
+	exits := 0
+	for i, fr := range results {
+		if fr.ExitedLocal {
+			exits++
+		}
+		res.UpstreamBytes += fr.FeatureBytes
+		if len(fr.Detections) == 0 || len(truths[i]) == 0 {
 			continue
 		}
-		top := dets[0]
-		for _, dt := range dets[1:] {
-			if dt.Score > top.Score {
-				top = dt
-			}
-		}
-		gt := truths[i][0]
+		top, gt := fr.Detections[0], truths[i][0]
 		if top.Class == gt.Class {
 			res.ClassAccuracy++
 		}
@@ -494,6 +426,7 @@ func (d *Detector) Evaluate(images *tensor.Tensor, truths [][]GroundTruth, h Hea
 	if n > 0 {
 		res.ClassAccuracy /= float64(n)
 		res.MeanIoU /= float64(n)
+		res.ExitRate = float64(exits) / float64(n)
 	}
 	return res, nil
 }

@@ -147,11 +147,10 @@ func TestTrainingReducesLoss(t *testing.T) {
 	opt := nn.NewAdam(0.005)
 	var first, last float64
 	for e := 0; e < 30; e++ {
-		lt, lf, err := det.TrainStep(set.Images, set.Truths)
+		lt, lf, err := det.TrainEpoch(set.Images, set.Truths, len(set.Truths), opt, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt.Step(det.Params())
 		if e == 0 {
 			first = lt + lf
 		}
@@ -173,10 +172,11 @@ func TestFullHeadHasMoreCapacityThanTiny(t *testing.T) {
 	}
 }
 
-// TestEarlyExitFlow walks the Fig. 5 split on an untrained detector: every
-// frame gets a local result whose feature map is smaller than the raw frame,
-// and the server tail accepts that feature map. Whether the score gate sends
-// the right frames upstream is E5's check (internal/experiments).
+// TestEarlyExitFlow walks the Fig. 5 split on an untrained detector at its
+// two extremes: a policy at -Inf answers every frame locally and ships
+// nothing, one at +Inf ships every frame's feature map, smaller than the raw
+// frame, to the server tail. Whether the score gate sends the right frames
+// upstream in between is the oracle test's check (gate_oracle_test.go).
 func TestEarlyExitFlow(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cfg := testConfig()
@@ -190,20 +190,30 @@ func TestEarlyExitFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := det.DetectLocal(set.Images, 0.05)
+	local, err := det.Detect(set.Images, nn.ExitPolicy{Threshold: math.Inf(-1)}, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(local) != n {
-		t.Fatalf("local results = %d, want %d", len(local), n)
+	server, err := det.Detect(set.Images, nn.ExitPolicy{Threshold: math.Inf(1)}, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(local) != n || len(server) != n {
+		t.Fatalf("results = %d and %d, want %d", len(local), len(server), n)
 	}
 	raw := cfg.InC * cfg.Size * cfg.Size * 8
-	for _, lr := range local {
-		if lr.FeatureBytes <= 0 || lr.FeatureBytes >= raw {
-			t.Fatalf("feature bytes = %d, want 0 < bytes < %d (the raw frame)", lr.FeatureBytes, raw)
+	for i := range local {
+		if !local[i].ExitedLocal || local[i].FeatureBytes != 0 {
+			t.Fatalf("frame %d at -Inf: %+v, want a local exit shipping 0 bytes", i, local[i])
 		}
-		if _, err := det.DetectServer(lr.Feature, 0.0); err != nil {
-			t.Fatal(err)
+		if server[i].ExitedLocal {
+			t.Fatalf("frame %d exited locally at +Inf", i)
+		}
+		if b := server[i].FeatureBytes; b <= 0 || b >= raw {
+			t.Fatalf("feature bytes = %d, want 0 < bytes < %d (the raw frame)", b, raw)
+		}
+		if local[i].TopScore != server[i].TopScore {
+			t.Fatalf("frame %d: TopScore %g at -Inf, %g at +Inf: the tiny head scores both", i, local[i].TopScore, server[i].TopScore)
 		}
 	}
 }
@@ -215,10 +225,13 @@ func TestLossInputValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	imgs := tensor.New(2, 3, 12, 12)
-	if _, _, err := det.TrainStep(imgs, make([][]GroundTruth, 1)); !errors.Is(err, ErrBadInput) {
+	if _, _, err := det.TrainEpoch(imgs, make([][]GroundTruth, 1), 2, nn.NewAdam(0.01), rng); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("truth count err = %v", err)
 	}
-	if _, err := det.Evaluate(imgs, make([][]GroundTruth, 2), Head(9)); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("bad head err = %v", err)
+	if _, err := det.Evaluate(imgs, make([][]GroundTruth, 1), nn.ExitPolicy{}); !errors.Is(err, ErrBadInput) {
+		t.Fatalf("evaluate truth count err = %v", err)
+	}
+	if res, err := det.Detect(tensor.New(0, 3, 12, 12), nn.ExitPolicy{}, 0); err != nil || len(res) != 0 {
+		t.Fatalf("empty batch: %d results, err = %v", len(res), err)
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/action"
@@ -36,7 +37,7 @@ func detectorSetup(rng *rand.Rand, epochs int) (*detect.Detector, *vision.Detect
 	}
 	opt := nn.NewAdam(0.005)
 	for e := 0; e < epochs; e++ {
-		if err := det.TrainEpoch(train.Images, train.Truths, 16, opt, rng); err != nil {
+		if _, _, err := det.TrainEpoch(train.Images, train.Truths, 16, opt, rng); err != nil {
 			return nil, nil, nil, nil, err
 		}
 	}
@@ -51,11 +52,13 @@ func E5EarlyExitDetector(rng *rand.Rand) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	evalTiny, err := det.Evaluate(test.Images, test.Truths, detect.TinyHead)
+	// A policy at -Inf lets every frame exit (the tiny head alone), one at
+	// +Inf none (the full tail alone).
+	evalTiny, err := det.Evaluate(test.Images, test.Truths, nn.ExitPolicy{Threshold: math.Inf(-1)})
 	if err != nil {
 		return nil, err
 	}
-	evalFull, err := det.Evaluate(test.Images, test.Truths, detect.FullHead)
+	evalFull, err := det.Evaluate(test.Images, test.Truths, nn.ExitPolicy{Threshold: math.Inf(1)})
 	if err != nil {
 		return nil, err
 	}
@@ -63,44 +66,17 @@ func E5EarlyExitDetector(rng *rand.Rand) (*Result, error) {
 	heads.AddRow("tiny (local device)", det.TinyParams(), evalTiny.ClassAccuracy, evalTiny.MeanIoU)
 	heads.AddRow("full (analysis server)", det.FullParams(), evalFull.ClassAccuracy, evalFull.MeanIoU)
 
-	local, err := det.DetectLocal(test.Images, 0.0)
-	if err != nil {
-		return nil, err
-	}
 	sweep := viz.NewTable("threshold sweep (Fig. 5 gate)", "threshold", "local-exit %", "accuracy", "upstream KB")
 	ths := []float64{0.0, 0.2, 0.4, 0.6, 0.8, 1.01}
 	var exitPct, acc, upBytes []float64
 	for _, th := range ths {
-		gate := nn.ExitPolicy{Threshold: th}
-		correct, exits, bytes := 0, 0, 0
-		for i, lr := range local {
-			var cls int
-			hasDet := false
-			if gate.Exits(lr.TopScore) {
-				exits++
-				if len(lr.Detections) > 0 {
-					cls = lr.Detections[0].Class
-					hasDet = true
-				}
-			} else {
-				bytes += lr.FeatureBytes
-				dets, err := det.DetectServer(lr.Feature, 0.0)
-				if err != nil {
-					return nil, err
-				}
-				if len(dets) > 0 {
-					cls = dets[0].Class
-					hasDet = true
-				}
-			}
-			if hasDet && len(test.Truths[i]) > 0 && cls == test.Truths[i][0].Class {
-				correct++
-			}
+		ev, err := det.Evaluate(test.Images, test.Truths, nn.ExitPolicy{Threshold: th})
+		if err != nil {
+			return nil, err
 		}
-		n := len(local)
-		pct, a := float64(exits)/float64(n)*100, float64(correct)/float64(n)
-		sweep.AddRow(th, pct, a, bytes/1024)
-		exitPct, acc, upBytes = append(exitPct, pct), append(acc, a), append(upBytes, float64(bytes))
+		pct := ev.ExitRate * 100
+		sweep.AddRow(th, pct, ev.ClassAccuracy, ev.UpstreamBytes/1024)
+		exitPct, acc, upBytes = append(exitPct, pct), append(acc, ev.ClassAccuracy), append(upBytes, float64(ev.UpstreamBytes))
 	}
 
 	if det.TinyParams() >= det.FullParams() {
@@ -149,20 +125,16 @@ func E6DetectionExamples(rng *rand.Rand) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	local, err := det.DetectLocal(imgs, 0.05)
+	frames, err := det.Detect(imgs, nn.ExitPolicy{Threshold: 0.5}, 0.05)
 	if err != nil {
 		return nil, err
 	}
 	tb := viz.NewTable("Fig. 6 detection examples", "frame", "truth", "predicted", "score", "IoU", "path")
-	gate := nn.ExitPolicy{Threshold: 0.5}
-	for i, lr := range local {
-		dets := lr.Detections
-		path := "local"
-		if !gate.Exits(lr.TopScore) {
-			if dets, err = det.DetectServer(lr.Feature, 0.05); err != nil {
-				return nil, err
-			}
-			path = "server"
+	for i, fr := range frames {
+		dets := fr.Detections
+		path := "server"
+		if fr.ExitedLocal {
+			path = "local"
 		}
 		truth := test.Truths[i][0]
 		truthName := catalog[truth.Class].Name()

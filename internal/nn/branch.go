@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math/rand"
 
 	"repro/internal/tensor"
 )
@@ -21,11 +22,17 @@ func (p ExitPolicy) Exits(score float64) bool {
 	return score >= p.Threshold
 }
 
+// HeadLoss scores one head's raw output for a batch, returning the loss and
+// its gradient with respect to that output. The caller builds it from the
+// batch's targets: class labels for the recognizer, ground-truth boxes for
+// the detector.
+type HeadLoss func(out *tensor.Tensor) (float64, *tensor.Tensor, error)
+
 // BranchNet is an early-exit network split between a local device and an
 // analysis server: a shared Stem computes an intermediate feature map, a
-// small Exit1 head classifies locally, and a deeper Tail continues from the
+// small Exit1 head answers locally, and a deeper Tail continues from the
 // same feature map on the server (paper Figs. 5 and 7). Both heads are
-// trained jointly against the same labels.
+// trained jointly under one caller-supplied loss.
 type BranchNet struct {
 	Stem  Layer
 	Exit1 Layer
@@ -33,8 +40,6 @@ type BranchNet struct {
 
 	// Exit1Weight scales the exit-1 loss during joint training.
 	Exit1Weight float64
-
-	loss SoftmaxCrossEntropy
 }
 
 // NewBranchNet assembles an early-exit network.
@@ -49,55 +54,51 @@ func (b *BranchNet) Params() []*Param {
 }
 
 // LocalForward runs the stem and the exit-1 head, returning the intermediate
-// feature map (what would be shipped upstream on a miss) and the local
-// class probabilities.
-func (b *BranchNet) LocalForward(x *tensor.Tensor) (feature, probs *tensor.Tensor, err error) {
+// feature map (what would be shipped upstream on a miss) and the exit-1
+// head's raw output.
+func (b *BranchNet) LocalForward(x *tensor.Tensor) (feature, out *tensor.Tensor, err error) {
 	feature, err = b.Stem.Forward(x, false)
 	if err != nil {
 		return nil, nil, fmt.Errorf("branch stem: %w", err)
 	}
-	logits, err := b.Exit1.Forward(feature, false)
+	out, err = b.Exit1.Forward(feature, false)
 	if err != nil {
 		return nil, nil, fmt.Errorf("branch exit1: %w", err)
 	}
-	probs, err = tensor.SoftmaxRows(logits)
-	if err != nil {
-		return nil, nil, err
-	}
-	return feature, probs, nil
+	return feature, out, nil
 }
 
 // ServerForward continues from a previously computed feature map through the
-// tail, returning class probabilities.
+// tail, returning its raw output.
 func (b *BranchNet) ServerForward(feature *tensor.Tensor) (*tensor.Tensor, error) {
-	logits, err := b.Tail.Forward(feature, false)
+	out, err := b.Tail.Forward(feature, false)
 	if err != nil {
 		return nil, fmt.Errorf("branch tail: %w", err)
 	}
-	return tensor.SoftmaxRows(logits)
+	return out, nil
 }
 
-// TrainStep performs one joint training step on a batch, accumulating
-// gradients into the network parameters, and returns the two head losses.
-// The caller applies an Optimizer afterwards.
-func (b *BranchNet) TrainStep(x *tensor.Tensor, labels []int) (exit1Loss, tailLoss float64, err error) {
+// TrainStep performs one joint training step on a batch, scoring both heads
+// with loss and accumulating gradients into the network parameters, and
+// returns the two head losses. The caller applies an Optimizer afterwards.
+func (b *BranchNet) TrainStep(x *tensor.Tensor, loss HeadLoss) (exit1Loss, tailLoss float64, err error) {
 	feature, err := b.Stem.Forward(x, true)
 	if err != nil {
 		return 0, 0, fmt.Errorf("branch stem: %w", err)
 	}
-	logits1, err := b.Exit1.Forward(feature, true)
+	out1, err := b.Exit1.Forward(feature, true)
 	if err != nil {
 		return 0, 0, fmt.Errorf("branch exit1: %w", err)
 	}
-	logits2, err := b.Tail.Forward(feature, true)
+	out2, err := b.Tail.Forward(feature, true)
 	if err != nil {
 		return 0, 0, fmt.Errorf("branch tail: %w", err)
 	}
-	l1, _, g1, err := b.loss.Loss(logits1, labels)
+	l1, g1, err := loss(out1)
 	if err != nil {
 		return 0, 0, err
 	}
-	l2, _, g2, err := b.loss.Loss(logits2, labels)
+	l2, g2, err := loss(out2)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -119,6 +120,39 @@ func (b *BranchNet) TrainStep(x *tensor.Tensor, labels []int) (exit1Loss, tailLo
 	return l1, l2, nil
 }
 
+// TrainEpoch runs one epoch of joint training over x: one rng.Perm orders
+// the rows, each full batch takes one TrainStep under lossFor(its row
+// indices) and one optimizer step, and a short remainder is dropped. It
+// returns the mean exit-1 and tail losses over the batches.
+func (b *BranchNet) TrainEpoch(x *tensor.Tensor, batch int, opt Optimizer, rng *rand.Rand, lossFor func(idx []int) HeadLoss) (exit1Loss, tailLoss float64, err error) {
+	n := x.Dim(0)
+	if batch <= 0 || batch > n {
+		batch = n
+	}
+	perm := rng.Perm(n)
+	batches := 0
+	for start := 0; start+batch <= n; start += batch {
+		idx := perm[start : start+batch]
+		bx, err := GatherRows(x, idx)
+		if err != nil {
+			return 0, 0, err
+		}
+		l1, l2, err := b.TrainStep(bx, lossFor(idx))
+		if err != nil {
+			return 0, 0, err
+		}
+		opt.Step(b.Params())
+		exit1Loss += l1
+		tailLoss += l2
+		batches++
+	}
+	if batches > 0 {
+		exit1Loss /= float64(batches)
+		tailLoss /= float64(batches)
+	}
+	return exit1Loss, tailLoss, nil
+}
+
 // InferResult records one early-exit inference decision.
 type InferResult struct {
 	Class       int
@@ -133,13 +167,16 @@ type InferResult struct {
 // lets exit take the local answer, and the rest are re-scored by the server
 // tail, exactly as in the paper's Figs. 5 and 7.
 func (b *BranchNet) Infer(x *tensor.Tensor, policy ExitPolicy) ([]InferResult, error) {
-	feature, probs, err := b.LocalForward(x)
+	feature, logits, err := b.LocalForward(x)
+	if err != nil {
+		return nil, err
+	}
+	probs, err := tensor.SoftmaxRows(logits)
 	if err != nil {
 		return nil, err
 	}
 	n := probs.Dim(0)
 	k := probs.Dim(1)
-	featPer := feature.Size() / n * 8
 	results := make([]InferResult, n)
 	var missIdx []int
 	for i := 0; i < n; i++ {
@@ -153,7 +190,7 @@ func (b *BranchNet) Infer(x *tensor.Tensor, policy ExitPolicy) ([]InferResult, e
 			}
 			results[i] = InferResult{Class: best, ExitedLocal: true}
 		} else {
-			results[i] = InferResult{FeatureBytes: featPer}
+			results[i] = InferResult{FeatureBytes: feature.Size() / n * 8}
 			missIdx = append(missIdx, i)
 		}
 	}
@@ -162,7 +199,11 @@ func (b *BranchNet) Infer(x *tensor.Tensor, policy ExitPolicy) ([]InferResult, e
 		if err != nil {
 			return nil, err
 		}
-		serverProbs, err := b.ServerForward(sub)
+		serverLogits, err := b.ServerForward(sub)
+		if err != nil {
+			return nil, err
+		}
+		serverProbs, err := tensor.SoftmaxRows(serverLogits)
 		if err != nil {
 			return nil, err
 		}

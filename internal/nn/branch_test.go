@@ -22,6 +22,14 @@ func buildToyBranch(rng *rand.Rand) *BranchNet {
 	return NewBranchNet(stem, exit1, tail)
 }
 
+// labelLoss scores a head's logits by softmax cross-entropy against labels.
+func labelLoss(labels []int) HeadLoss {
+	return func(logits *tensor.Tensor) (float64, *tensor.Tensor, error) {
+		loss, _, grad, err := SoftmaxCrossEntropy{}.Loss(logits, labels)
+		return loss, grad, err
+	}
+}
+
 func makeMoons(rng *rand.Rand, n int) (*tensor.Tensor, []int) {
 	x := tensor.New(n, 2)
 	labels := make([]int, n)
@@ -48,7 +56,7 @@ func TestBranchNetTrainsBothHeads(t *testing.T) {
 	opt := NewAdam(0.01)
 	var first1, first2, last1, last2 float64
 	for epoch := 0; epoch < 120; epoch++ {
-		l1, l2, err := b.TrainStep(x, labels)
+		l1, l2, err := b.TrainStep(x, labelLoss(labels))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,6 +111,9 @@ func TestBranchNetTrainsBothHeads(t *testing.T) {
 			t.Fatal("server path must account feature bytes")
 		}
 	}
+	if res, err := b.Infer(tensor.New(0, 2), ExitPolicy{Threshold: 1}); err != nil || len(res) != 0 {
+		t.Fatalf("empty batch: %d results, err = %v", len(res), err)
+	}
 }
 
 func TestExitRateMonotoneInThreshold(t *testing.T) {
@@ -111,14 +122,18 @@ func TestExitRateMonotoneInThreshold(t *testing.T) {
 	x, labels := makeMoons(rng, 150)
 	opt := NewAdam(0.01)
 	for epoch := 0; epoch < 60; epoch++ {
-		if _, _, err := b.TrainStep(x, labels); err != nil {
+		if _, _, err := b.TrainStep(x, labelLoss(labels)); err != nil {
 			t.Fatal(err)
 		}
 		opt.Step(b.Params())
 	}
 	// Each swept threshold is some row's score, the negated entropy of its
 	// exit-1 output, so every step has a row on the boundary; it exits.
-	_, probs, err := b.LocalForward(x)
+	_, logits, err := b.LocalForward(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probs, err := tensor.SoftmaxRows(logits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,6 +167,81 @@ func TestExitRateMonotoneInThreshold(t *testing.T) {
 			t.Fatalf("exit rate increased from %g to %g as threshold rose to %g", prev, rate, th)
 		}
 		prev = rate
+	}
+}
+
+// oracleBranchTrainStep is BranchNet.TrainStep as it was when the loss was a
+// fixed softmax cross-entropy field: both heads against the same labels.
+func oracleBranchTrainStep(b *BranchNet, x *tensor.Tensor, labels []int) (exit1Loss, tailLoss float64, err error) {
+	var ce SoftmaxCrossEntropy
+	feature, err := b.Stem.Forward(x, true)
+	if err != nil {
+		return 0, 0, err
+	}
+	logits1, err := b.Exit1.Forward(feature, true)
+	if err != nil {
+		return 0, 0, err
+	}
+	logits2, err := b.Tail.Forward(feature, true)
+	if err != nil {
+		return 0, 0, err
+	}
+	l1, _, g1, err := ce.Loss(logits1, labels)
+	if err != nil {
+		return 0, 0, err
+	}
+	l2, _, g2, err := ce.Loss(logits2, labels)
+	if err != nil {
+		return 0, 0, err
+	}
+	g1.Scale(b.Exit1Weight)
+	gf1, err := b.Exit1.Backward(g1)
+	if err != nil {
+		return 0, 0, err
+	}
+	gf2, err := b.Tail.Backward(g2)
+	if err != nil {
+		return 0, 0, err
+	}
+	if err := gf1.AddInPlace(gf2); err != nil {
+		return 0, 0, err
+	}
+	if _, err := b.Stem.Backward(gf1); err != nil {
+		return 0, 0, err
+	}
+	return l1, l2, nil
+}
+
+// TestTrainStepMatchesFixedLossOracle trains two toy networks from one seed,
+// one through TrainStep with a cross-entropy HeadLoss and one through the
+// fixed-loss oracle, and requires the same losses and parameters bit for bit.
+func TestTrainStepMatchesFixedLossOracle(t *testing.T) {
+	x, labels := makeMoons(rand.New(rand.NewSource(31)), 40)
+	got, want := buildToyBranch(rand.New(rand.NewSource(30))), buildToyBranch(rand.New(rand.NewSource(30)))
+	optGot, optWant := NewAdam(0.01), NewAdam(0.01)
+	for step := 0; step < 5; step++ {
+		g1, g2, err := got.TrainStep(x, labelLoss(labels))
+		if err != nil {
+			t.Fatal(err)
+		}
+		optGot.Step(got.Params())
+		w1, w2, err := oracleBranchTrainStep(want, x, labels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		optWant.Step(want.Params())
+		if g1 != w1 || g2 != w2 {
+			t.Fatalf("step %d: losses (%v, %v), oracle (%v, %v)", step, g1, g2, w1, w2)
+		}
+	}
+	gp, wp := got.Params(), want.Params()
+	for i := range gp {
+		gd, wd := gp[i].Value.Data(), wp[i].Value.Data()
+		for j := range gd {
+			if math.Float64bits(gd[j]) != math.Float64bits(wd[j]) {
+				t.Fatalf("param %d element %d: %v, oracle %v", i, j, gd[j], wd[j])
+			}
+		}
 	}
 }
 
