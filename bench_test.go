@@ -221,27 +221,24 @@ func BenchmarkFogSimulation(b *testing.B) {
 
 // BenchmarkControllerTick measures one closed-loop control cycle — the cost
 // the adaptive controller adds to every monitor tick on top of scrape and
-// alert evaluation. Signals alternate degraded/healthy so classification,
-// action selection, and recovery all stay on the measured path.
+// alert evaluation. The sampled counters rise on four ticks of every eight
+// and hold flat on the rest, so classification, action selection, and
+// recovery all stay on the measured path.
 func BenchmarkControllerTick(b *testing.B) {
 	knobs := control.NewKnobs(0.5)
-	degraded := false
+	var level float64
 	sig := control.Signals{
-		Firing:      func() []string { return nil },
-		BurnRate:    func() float64 { return 0 },
-		BreakerOpen: func() bool { return degraded },
-		Eval: func(string) (float64, bool) {
-			if degraded {
-				return 2, true
-			}
-			return 0, true
-		},
+		Firing:   func() []string { return nil },
+		BurnRate: func() float64 { return 0 },
+		Eval:     func(string) (float64, bool) { return level, true },
 	}
 	c := control.NewController(knobs, []string{"breaker-open"}, sig, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		degraded = i%8 < 4
+		if i%8 < 4 {
+			level++
+		}
 		c.Tick()
 	}
 }

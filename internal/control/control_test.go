@@ -8,17 +8,15 @@ import (
 
 // fakeSignals is a mutable signal source tests drive tick by tick.
 type fakeSignals struct {
-	firing  []string
-	burn    float64
-	breaker bool
-	evals   map[string]float64
+	firing []string
+	burn   float64
+	evals  map[string]float64
 }
 
 func (f *fakeSignals) signals() Signals {
 	return Signals{
-		Firing:      func() []string { return f.firing },
-		BurnRate:    func() float64 { return f.burn },
-		BreakerOpen: func() bool { return f.breaker },
+		Firing:   func() []string { return f.firing },
+		BurnRate: func() float64 { return f.burn },
 		Eval: func(expr string) (float64, bool) {
 			v, ok := f.evals[expr]
 			return v, ok

@@ -51,17 +51,15 @@ type Action struct {
 }
 
 // Signals are the read-only observability inputs the controller consumes.
-// The core package wires them from the live TSDB, alert engine, SLO
-// monitor, and breaker; tests substitute synthetic closures. Any nil
-// signal reads as healthy.
+// The core package wires them from the live TSDB, alert engine and SLO
+// monitor (the breaker reaches the controller as the breaker-open rule);
+// tests substitute synthetic closures. Any nil signal reads as healthy.
 type Signals struct {
 	// Firing returns the names of currently-firing alert rules.
 	Firing func() []string
 	// BurnRate returns the current burn rate of the SLO the controller
 	// guards (1.0 = budget draining exactly on schedule).
 	BurnRate func() float64
-	// BreakerOpen reports whether the shared circuit breaker is open.
-	BreakerOpen func() bool
 	// Eval evaluates an instant query at the current simulated time,
 	// returning ok=false when the series is missing or the query fails.
 	Eval func(expr string) (value float64, ok bool)
@@ -276,9 +274,6 @@ func (c *Controller) classify() (bool, string) {
 		if len(watched) > 0 {
 			return true, "alert firing: " + watched[0]
 		}
-	}
-	if c.sig.BreakerOpen != nil && c.sig.BreakerOpen() {
-		return true, "circuit breaker open"
 	}
 	if burnRising {
 		return true, "slo burn rising past 1"

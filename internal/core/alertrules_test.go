@@ -91,3 +91,18 @@ func TestDefaultAlertRulesTable(t *testing.T) {
 		t.Fatalf("engine has %d rules, want %d", len(states), len(rules))
 	}
 }
+
+// TestActionableRulesAreDefaultRules holds the one list the controller and
+// the incident engine act on to the rules the engine registers: a misspelt
+// or renamed entry would be inert in both consumers without failing a run.
+func TestActionableRulesAreDefaultRules(t *testing.T) {
+	registered := map[string]bool{}
+	for _, r := range DefaultAlertRules() {
+		registered[r.Name] = true
+	}
+	for name := range actionableRules() {
+		if !registered[name] {
+			t.Errorf("actionable rule %q is not a default alert rule", name)
+		}
+	}
+}

@@ -1,27 +1,11 @@
 package core
 
 import (
+	"sort"
+
 	"repro/internal/control"
-	"repro/internal/retry"
 	"repro/internal/telemetry"
 )
-
-// controlWatchRules names the alert rules whose firing counts as degraded
-// for the adaptive controller. The controller's own control-* rules are
-// deliberately absent: watching them would let a mitigation (shedding,
-// migration) keep the system "degraded" forever — a positive feedback loop.
-// The two anomaly rules over measured wall time (ingest-p99-anomaly,
-// profile-hot-region-anomaly) are also absent: they alert operators, but a
-// controller deciding off machine-load noise would not replay — see
-// wireControl.
-func controlWatchRules() []string {
-	return []string{
-		"ingest-delivery-rate",
-		"breaker-open",
-		"hdfs-lost-blocks",
-		"broker-under-replicated",
-	}
-}
 
 // wireControl boots the control layer: the live knob set the frame hot path
 // reads, the feedback controller whose signals span the monitoring, SLO,
@@ -35,16 +19,6 @@ func (inf *Infrastructure) wireControl() {
 		BurnRate: func() float64 {
 			return inf.deliverySLO.Report().BurnRate
 		},
-		BreakerOpen: func() bool {
-			return inf.Breaker.State() == retry.Open
-		},
-		// No signal reads the profiler, the ingest p99 or the
-		// ingest-latency-1s SLO: all three are measured wall time, so a
-		// decision fed by them would depend on machine load and the same
-		// seed would replay different actions. They stay diagnostics (watch
-		// pane, /api/profile, /api/slo); the controller decides off
-		// deterministic counters, the delivery SLO and breaker/alert state
-		// only.
 		Eval: func(expr string) (float64, bool) {
 			v, err := inf.TSDB.Eval(expr, inf.Clock.Now())
 			if err != nil {
@@ -54,11 +28,14 @@ func (inf *Infrastructure) wireControl() {
 		},
 	}
 
-	inf.Control = control.NewController(inf.Knobs, controlWatchRules(), sig, inf.Events)
+	var watch []string
+	for name := range actionableRules() {
+		watch = append(watch, name)
+	}
+	sort.Strings(watch)
+	inf.Control = control.NewController(inf.Knobs, watch, sig, inf.Events)
 
 	r := inf.Telemetry
-	inf.framesShed = r.Counter("cityinfra_control_frames_shed_total",
-		"frames dropped at admission by the load-shedding floor")
 	r.GaugeFunc("cityinfra_control_offload_threshold",
 		"live fog early-exit confidence gate",
 		inf.Knobs.OffloadThreshold)

@@ -154,7 +154,6 @@ type Infrastructure struct {
 	failoverSeconds *telemetry.Histogram
 	pipeCollected, pipeStreamed, pipeStored,
 	pipeDropped, pipeDeadLettered, pipeRetries *telemetry.Counter
-	framesShed *telemetry.Counter
 
 	// Hardware layer.
 	Deployment *fog.Deployment

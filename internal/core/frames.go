@@ -60,7 +60,6 @@ func (inf *Infrastructure) IngestFrames(frames []FrameEvent, archiveDir string) 
 	for _, f := range frames {
 		if shedFloor := inf.Knobs.ShedLevel(); shedFloor > 0 && f.Priority < shedFloor {
 			out.Shed++
-			inf.framesShed.Add(1)
 			inf.Fleet.camera(f.CameraID).shed.Inc()
 			continue
 		}

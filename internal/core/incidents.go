@@ -61,42 +61,16 @@ func incidentSourceRoots() map[string]string {
 	}
 }
 
-// incidentRuleComponents anchors alert rules that directly name a component
-// at that component; rules absent here (delivery rate, p99 anomaly) are
-// generic symptoms anchored at every ingest root.
-func incidentRuleComponents() map[string][]string {
-	return map[string][]string{
-		"hdfs-lost-blocks":        {telemetry.CompHDFS},
-		"broker-under-replicated": {telemetry.CompBroker},
-		"breaker-open":            {telemetry.CompBreaker},
-	}
-}
-
 // wireIncidents boots the incident correlation engine over the telemetry
 // surfaces wired earlier and registers the cityinfra_incident_* family,
 // which the TSDB self-scrapes like every other registry series.
 func (inf *Infrastructure) wireIncidents() {
 	cfg := incident.Config{
-		Bindings:       incidentBindings(),
-		StageBackends:  incidentStageBackends(),
-		SourceRoots:    incidentSourceRoots(),
-		RuleComponents: incidentRuleComponents(),
+		Bindings:      incidentBindings(),
+		StageBackends: incidentStageBackends(),
+		SourceRoots:   incidentSourceRoots(),
+		Watch:         actionableRules(),
 	}
-	// Mitigation-visibility rules must not hold incidents open: shedding
-	// stays active for as long as the controller sheds — the same
-	// anti-feedback reasoning as controlWatchRules. The wall-clock anomaly
-	// rules (profile-*, ingest-p99-anomaly) are excluded for the same
-	// reason the controller refuses to watch them: they alert operators on
-	// machine-load noise, so an incident opened by one would carry no
-	// deterministic evidence and would break canonical replay. Hot-region
-	// context still reaches incident records through the SetHotRegion
-	// diagnostic below.
-	// camera-* is excluded for a different reason: the fleet rule fires on
-	// the same quarantines that already fire ingest-delivery-rate, so letting
-	// it open/hold incidents would only double-count the symptom. Per-camera
-	// context reaches the incident record through the SetEvidence supplier
-	// below instead.
-	cfg.ExcludeRulePrefixes = []string{"control-", "profile-", "ingest-p99-anomaly", "camera-"}
 	// A quarantine whose cause chain contains the breaker's fail-fast
 	// marker never reached the stage's backend: classify it as shared
 	// breaker collateral instead of backend evidence, so a breaker opened
@@ -129,8 +103,7 @@ func (inf *Infrastructure) wireIncidents() {
 	})
 	// Hot-region attachment is a wall-clock diagnostic: it rides on the
 	// incident record for operators but is excluded from canonical replay
-	// output — the same determinism boundary wireControl draws around the
-	// controller's signals.
+	// output — the same determinism boundary actionableRules draws.
 	inf.Incidents.SetHotRegion(func() (string, float64) {
 		hot := inf.Profiler.HotRegions(1)
 		if len(hot) == 0 {

@@ -76,9 +76,7 @@ func DefaultAlertRules() []tsdb.Rule {
 		{
 			// Mitigation visibility: the adaptive controller dropping camera
 			// streams is an operator-facing event even though the pipeline
-			// itself looks healthier for it. The controller never watches
-			// control-* rules (see controlWatchRules) — this is a page, not
-			// a feedback input.
+			// itself looks healthier for it.
 			Name: "control-load-shedding", Severity: telemetry.LevelWarn,
 			Expr: "cityinfra_control_shed_level",
 			Op:   tsdb.CmpGT, Threshold: 0,
@@ -89,6 +87,28 @@ func DefaultAlertRules() []tsdb.Rule {
 			Expr: "cityinfra_control_inference_tier",
 			Op:   tsdb.CmpLT, Threshold: 0.5,
 		},
+	}
+}
+
+// actionableRules is the one list of alert rules the stack acts on: the
+// adaptive controller counts their firing as degraded, and the incident
+// engine lets only them open or hold an incident. Each maps to the
+// components it names, where the incident engine anchors its symptom; an
+// empty list is a generic symptom, anchored at every ingest root.
+//
+// The other default rules stay out. The control-* rules report a
+// mitigation, so acting on them would feed back: shedding would keep the
+// stack degraded, and an incident open, for as long as it sheds.
+// ingest-p99-anomaly and profile-* read measured wall time, so a decision or
+// an incident they drive would not replay per seed; they page operators
+// only. camera-delivery-rate fires on the same quarantines as
+// ingest-delivery-rate, so acting on it would count one symptom twice.
+func actionableRules() map[string][]string {
+	return map[string][]string{
+		"ingest-delivery-rate":    nil,
+		"breaker-open":            {telemetry.CompBreaker},
+		"hdfs-lost-blocks":        {telemetry.CompHDFS},
+		"broker-under-replicated": {telemetry.CompBroker},
 	}
 }
 

@@ -50,7 +50,14 @@ func E19LatencyAttribution(rng *rand.Rand) (*Result, error) {
 				total/totalLatency*100)
 		}
 		residual := attributed - totalLatency
-		summary.AddRow(th, res.MeanMs, totalLatency, attributed, residual)
+		// Printed to 1e-6 ms so that summation round-off, which moves with
+		// any change to summation order, stays out of the table; the leak
+		// check below reads the unrounded value.
+		shown := math.Round(residual*1e6) / 1e6
+		if shown == 0 {
+			shown = 0 // never print -0
+		}
+		summary.AddRow(th, res.MeanMs, totalLatency, attributed, shown)
 		if math.Abs(residual) > 1e-6*math.Max(1, totalLatency) {
 			return nil, fmt.Errorf("E19: attribution at threshold %g leaks %.6f ms", th, residual)
 		}

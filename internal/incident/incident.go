@@ -99,14 +99,11 @@ type Config struct {
 	// SourceRoots maps a dead-letter source (pipeline short name) to its
 	// trace-root node, for per-edge error attribution.
 	SourceRoots map[string]string
-	// RuleComponents maps an alert rule to the components it directly
-	// implicates. Rules absent here are generic symptoms anchored at every
-	// ingest root.
-	RuleComponents map[string][]string
-	// ExcludeRulePrefixes lists rule-name prefixes that never open or hold
-	// an incident — mitigation-visibility rules (control-*) would otherwise
-	// keep an incident open for as long as the mitigation runs.
-	ExcludeRulePrefixes []string
+	// Watch names the alert rules that open and hold an incident, each
+	// mapped to the components it directly implicates; an empty list is a
+	// generic symptom anchored at every ingest root. Other rules, and their
+	// transition events, are ignored.
+	Watch map[string][]string
 	// CollateralMarkers are substrings of a quarantine cause that mark the
 	// loss as breaker fail-fast collateral: the shared breaker was open, so
 	// the record never reached the stage's backend and must not implicate
@@ -292,12 +289,8 @@ func (e *Engine) Tick() {
 }
 
 func (e *Engine) excluded(rule string) bool {
-	for _, p := range e.cfg.ExcludeRulePrefixes {
-		if strings.HasPrefix(rule, p) {
-			return true
-		}
-	}
-	return false
+	_, ok := e.cfg.Watch[rule]
+	return !ok
 }
 
 // spanKey identifies what a span contributes to the graph: its stage node
@@ -637,8 +630,8 @@ func (e *Engine) rankSuspects(inc *Incident) {
 	var symptoms []int
 	ruleHits := make(map[string]int)
 	for _, r := range inc.Rules {
-		comps, ok := e.cfg.RuleComponents[r]
-		if !ok {
+		comps := e.cfg.Watch[r]
+		if len(comps) == 0 {
 			symptoms = append(symptoms, e.graph.roots()...)
 			continue
 		}

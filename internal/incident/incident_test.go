@@ -3,6 +3,7 @@ package incident
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -38,10 +39,10 @@ func testConfig() Config {
 		"hdfs":    telemetry.CompHDFS,
 	}
 	cfg.SourceRoots = map[string]string{"tweets": "ingest-tweets"}
-	cfg.RuleComponents = map[string][]string{
-		"hdfs-lost-blocks": {telemetry.CompHDFS},
+	cfg.Watch = map[string][]string{
+		"ingest-delivery-rate": nil,
+		"hdfs-lost-blocks":     {telemetry.CompHDFS},
 	}
-	cfg.ExcludeRulePrefixes = []string{"control-"}
 	cfg.CollateralMarkers = []string{"circuit breaker open"}
 	return cfg
 }
@@ -243,6 +244,51 @@ func TestRuleComponentAnchoring(t *testing.T) {
 	}
 	if top := incs[0].Suspects[0]; top.Component != telemetry.CompHDFS || top.RuleHits != 1 {
 		t.Fatalf("top = %+v, want hdfs with one rule hit", top)
+	}
+}
+
+func TestUnwatchedRuleIsIgnored(t *testing.T) {
+	tr := telemetry.NewTracer(testClock(), 16)
+	ev := telemetry.NewEventLog(testClock(), 64)
+	alerts := &fakeAlerts{}
+	e := observedEngine(tr, ev, alerts)
+
+	ingestTrace(tr, "ingest-tweets-1")
+	// A rule outside Watch opens nothing, whatever its name.
+	diskFull := tsdb.RuleRef{Name: "disk-full", State: tsdb.StateFiring, Severity: "error"}
+	alerts.refs = []tsdb.RuleRef{diskFull}
+	ev.Log(telemetry.LevelError, telemetry.CompAlerts, "", "alert disk-full firing: disk_used = 1")
+	e.Tick()
+	if n := e.OpenCount(); n != 0 {
+		t.Fatalf("open with only an unwatched rule firing = %d, want 0", n)
+	}
+
+	// Once a watched rule opens the incident, the unwatched rule's
+	// transitions, before and after the open, stay out of it.
+	alerts.refs = []tsdb.RuleRef{diskFull, {Name: "ingest-delivery-rate", State: tsdb.StateFiring, Severity: "error"}}
+	ev.Log(telemetry.LevelError, telemetry.CompAlerts, "", "alert ingest-delivery-rate firing: undelivered = 1")
+	e.Tick()
+	ev.Log(telemetry.LevelInfo, telemetry.CompAlerts, "", "alert disk-full resolved (value 0)")
+	e.Tick()
+	incs := e.Incidents(1)
+	if len(incs) != 1 {
+		t.Fatalf("incidents = %d, want 1", len(incs))
+	}
+	if got := incs[0].Rules; len(got) != 1 || got[0] != "ingest-delivery-rate" {
+		t.Fatalf("rules = %v, want [ingest-delivery-rate]", got)
+	}
+	alertEntries := 0
+	for _, te := range incs[0].Timeline {
+		if te.Component != telemetry.CompAlerts {
+			continue
+		}
+		alertEntries++
+		if strings.Contains(te.Message, "disk-full") {
+			t.Errorf("timeline holds the unwatched rule's event %q", te.Message)
+		}
+	}
+	if alertEntries != 1 {
+		t.Errorf("alert timeline entries = %d, want 1 (the watched rule's firing)", alertEntries)
 	}
 }
 

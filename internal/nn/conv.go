@@ -130,11 +130,7 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 			bg[oc] += s
 		}
 		// Filter gradient: g [outC, OH*OW] · colsᵀ [OH*OW, inC*KH*KW].
-		colsT, err := tensor.Transpose2D(c.lastCols[i])
-		if err != nil {
-			return nil, err
-		}
-		dw, err := tensor.MatMul(gm, colsT)
+		dw, err := tensor.MatMulTransB(gm, c.lastCols[i])
 		if err != nil {
 			return nil, fmt.Errorf("conv dW: %w", err)
 		}

@@ -369,21 +369,6 @@ func MatMulTransA(a, b *Tensor) (*Tensor, error) {
 	return out, nil
 }
 
-// Transpose2D returns the transpose of a rank-2 tensor.
-func Transpose2D(a *Tensor) (*Tensor, error) {
-	if a.Dims() != 2 {
-		return nil, fmt.Errorf("%w: Transpose2D needs rank-2, got %v", ErrShape, a.shape)
-	}
-	m, n := a.shape[0], a.shape[1]
-	out := New(n, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.data[j*m+i] = a.data[i*n+j]
-		}
-	}
-	return out, nil
-}
-
 // SoftmaxRows applies a numerically stable softmax to each row of a rank-2
 // tensor, returning a new tensor.
 func SoftmaxRows(a *Tensor) (*Tensor, error) {

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -142,6 +143,22 @@ func TestMatMulShapeError(t *testing.T) {
 	if _, err := MatMul(New(2), b); !errors.Is(err, ErrShape) {
 		t.Fatalf("rank-1 err = %v, want ErrShape", err)
 	}
+}
+
+// Transpose2D returns the transpose of a rank-2 tensor, materialised: the
+// reference the MatMulTransA and MatMulTransB tests compare against.
+func Transpose2D(a *Tensor) (*Tensor, error) {
+	if a.Dims() != 2 {
+		return nil, fmt.Errorf("%w: Transpose2D needs rank-2, got %v", ErrShape, a.shape)
+	}
+	m, n := a.shape[0], a.shape[1]
+	out := New(n, m)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			out.data[j*m+i] = a.data[i*n+j]
+		}
+	}
+	return out, nil
 }
 
 func TestMatMulTransVariantsAgree(t *testing.T) {
