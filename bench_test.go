@@ -434,10 +434,14 @@ func BenchmarkDataParallelTraining(b *testing.B) {
 			for i := range labels {
 				labels[i] = rng.Intn(10)
 			}
+			ce, err := nn.NewSoftmaxCrossEntropy(labels, x.Dim(0))
+			if err != nil {
+				b.Fatal(err)
+			}
 			opt := nn.NewSGD(0.01, 0.9)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := trainer.Step(x, labels, opt); err != nil {
+				if _, err := trainer.Step(x, opt, ce.Batch); err != nil {
 					b.Fatal(err)
 				}
 			}

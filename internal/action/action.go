@@ -109,19 +109,11 @@ func (r *Recognizer) Net() *nn.BranchNet { return r.net }
 // TrainEpoch runs one epoch of joint two-exit training over a clip set,
 // both exits scored by softmax cross-entropy against the clip labels.
 func (r *Recognizer) TrainEpoch(set *video.ClipSet, batch int, opt nn.Optimizer, rng *rand.Rand) (exit1Loss, tailLoss float64, err error) {
-	if n := set.Clips.Dim(0); len(set.Labels) != n {
-		return 0, 0, fmt.Errorf("%w: %d clips vs %d labels", nn.ErrBadInput, n, len(set.Labels))
+	ce, err := nn.NewSoftmaxCrossEntropy(set.Labels, set.Clips.Dim(0))
+	if err != nil {
+		return 0, 0, err
 	}
-	return r.net.TrainEpoch(set.Clips, batch, opt, rng, func(idx []int) nn.HeadLoss {
-		labels := make([]int, len(idx))
-		for i, j := range idx {
-			labels[i] = set.Labels[j]
-		}
-		return func(logits *tensor.Tensor) (float64, *tensor.Tensor, error) {
-			loss, _, grad, err := nn.SoftmaxCrossEntropy{}.Loss(logits, labels)
-			return loss, grad, err
-		}
-	})
+	return r.net.TrainEpoch(set.Clips, batch, opt, rng, ce.Batch)
 }
 
 // EvalResult summarizes accuracy under an exit policy.

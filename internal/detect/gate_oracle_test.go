@@ -13,7 +13,8 @@ import (
 
 // The oracles below are the detector's code from before it was one
 // nn.BranchNet: its own joint step and epoch loop, the per-frame
-// local-then-server gate, and the per-head Evaluate. The test is internal
+// local-then-server gate, and the per-head Evaluate. The epoch loop keeps a
+// short last batch, the rule of nn's one epoch loop. The test is internal
 // (package detect) and builds inputs by hand, because vision imports detect.
 
 func oracleTrainStep(d *Detector, images *tensor.Tensor, truths [][]GroundTruth) (tinyLoss, fullLoss float64, err error) {
@@ -62,8 +63,8 @@ func oracleTrainEpoch(d *Detector, images *tensor.Tensor, truths [][]GroundTruth
 	}
 	perm := rng.Perm(n)
 	batches := 0
-	for start := 0; start+batch <= n; start += batch {
-		idx := perm[start : start+batch]
+	for start := 0; start < n; start += batch {
+		idx := perm[start:min(start+batch, n)]
 		imgs, err := nn.GatherRows(images, idx)
 		if err != nil {
 			return 0, 0, err
@@ -235,7 +236,7 @@ func trainedPair(t *testing.T) (*Detector, *tensor.Tensor, [][]GroundTruth) {
 	optGot, optWant := nn.NewAdam(0.005), nn.NewAdam(0.005)
 	rngGot, rngWant := rand.New(rand.NewSource(42)), rand.New(rand.NewSource(42))
 	for e := 0; e < 4; e++ {
-		// Batches of 8 over 22 images: two full batches, a remainder of 6.
+		// Batches of 8 over 22 images: two full batches and a short one of 6.
 		gt, gf, err := got.TrainEpoch(images, truths, 8, optGot, rngGot)
 		if err != nil {
 			t.Fatal(err)

@@ -357,18 +357,24 @@ func E8ShortcutAblation(rng *rand.Rand) (*Result, error) {
 			nn.NewTanh(),
 			nn.NewDense(16, 4, nn.WithRand(r)),
 		)
-		clf := nn.NewClassifier(net)
 		opt := nn.NewAdam(0.005)
 		var trainAcc float64
 		for e := 0; e < 25; e++ {
-			if _, trainAcc, err = clf.TrainEpoch(grayTrain, train.Labels, 32, opt, r); err != nil {
+			// A fresh loss per epoch, so its accuracy is the last epoch's.
+			ce, err := nn.NewSoftmaxCrossEntropy(train.Labels, grayTrain.Dim(0))
+			if err != nil {
 				return nil, err
 			}
+			if _, err := nn.TrainEpoch(net, grayTrain, 32, opt, r, ce.Batch); err != nil {
+				return nil, err
+			}
+			trainAcc = ce.Accuracy()
 		}
-		testAcc, err := clf.Evaluate(grayTest, test.Labels)
+		logits, err := net.Forward(grayTest, false)
 		if err != nil {
 			return nil, err
 		}
+		testAcc := nn.Accuracy(logits, test.Labels)
 		params[ki], testAccs[ki] = nn.NumParams(net.Params()), testAcc
 		tb.AddRow(kind.String(), params[ki], trainAcc, testAcc)
 	}
@@ -438,18 +444,22 @@ func E11MultiModalFusion(rng *rand.Rand) (*Result, error) {
 		}
 		opt.Step(ae.Params())
 	}
-	trainClf := func(x *tensor.Tensor, labels []int, dim int, seed int64) (*nn.Classifier, error) {
+	trainClf := func(x *tensor.Tensor, labels []int, dim int, seed int64) (nn.Layer, error) {
 		r := rand.New(rand.NewSource(seed))
-		clf := nn.NewClassifier(nn.NewSequential(
+		net := nn.NewSequential(
 			nn.NewDense(dim, 16, nn.WithRand(r)), nn.NewTanh(), nn.NewDense(16, 2, nn.WithRand(r)),
-		))
+		)
+		ce, err := nn.NewSoftmaxCrossEntropy(labels, x.Dim(0))
+		if err != nil {
+			return nil, err
+		}
 		copt := nn.NewAdam(0.02)
 		for e := 0; e < 80; e++ {
-			if _, _, err := clf.TrainEpoch(x, labels, 64, copt, r); err != nil {
+			if _, err := nn.TrainEpoch(net, x, 64, copt, r, ce.Batch); err != nil {
 				return nil, err
 			}
 		}
-		return clf, nil
+		return net, nil
 	}
 	fusedTrain, err := ae.Encode(trainA, trainB)
 	if err != nil {
@@ -474,14 +484,15 @@ func E11MultiModalFusion(rng *rand.Rand) (*Result, error) {
 		{"video only", trainB, testB, db, 2, trainY, testY},
 		{"fused autoencoder", fusedTrain, fusedTest, 6, 3, trainY, testY},
 	} {
-		clf, err := trainClf(spec.trainX, spec.trainYy, spec.dim, spec.seed)
+		net, err := trainClf(spec.trainX, spec.trainYy, spec.dim, spec.seed)
 		if err != nil {
 			return nil, err
 		}
-		acc, err := clf.Evaluate(spec.testX, spec.testLabels)
+		logits, err := net.Forward(spec.testX, false)
 		if err != nil {
 			return nil, err
 		}
+		acc := nn.Accuracy(logits, spec.testLabels)
 		tb.AddRow(spec.name, acc)
 		accs = append(accs, acc)
 	}

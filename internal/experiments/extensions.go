@@ -56,17 +56,21 @@ func E15GeospatialCNN(rng *rand.Rand) (*Result, error) {
 		nn.NewTanh(),
 		nn.NewDense(24, cfg.Hotspots, nn.WithRand(r)),
 	)
-	clf := nn.NewClassifier(net)
-	opt := nn.NewAdam(0.01)
-	for e := 0; e < 60; e++ {
-		if _, _, err := clf.TrainEpoch(trainX, trainY, 32, opt, r); err != nil {
-			return nil, err
-		}
-	}
-	cnnAcc, err := clf.Evaluate(testX, testY)
+	ce, err := nn.NewSoftmaxCrossEntropy(trainY, trainX.Dim(0))
 	if err != nil {
 		return nil, err
 	}
+	opt := nn.NewAdam(0.01)
+	for e := 0; e < 60; e++ {
+		if _, err := nn.TrainEpoch(net, trainX, 32, opt, r, ce.Batch); err != nil {
+			return nil, err
+		}
+	}
+	logits, err := net.Forward(testX, false)
+	if err != nil {
+		return nil, err
+	}
+	cnnAcc := nn.Accuracy(logits, testY)
 	majority := spatial.MajorityBaseline(testY)
 	persist := 0
 	for i := split; i < n; i++ {

@@ -190,74 +190,6 @@ func TestAutoencoderTrainsAndReconstructs(t *testing.T) {
 	}
 }
 
-func TestFusedFeaturesBeatSingleModality(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	trainA, trainB, trainY := makeGunshotData(rng, 400)
-	testA, testB, testY := makeGunshotData(rng, 200)
-
-	ae, err := NewAutoencoder(AutoencoderConfig{DimA: 6, DimB: 8, Hidden: 12, Bottleneck: 6}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := nn.NewAdam(0.01)
-	for e := 0; e < 120; e++ {
-		if _, _, err := ae.TrainStep(trainA, trainB); err != nil {
-			t.Fatal(err)
-		}
-		opt.Step(ae.Params())
-	}
-
-	trainClassifier := func(x *tensor.Tensor, labels []int, dim int) *nn.Classifier {
-		r := rand.New(rand.NewSource(5))
-		clf := nn.NewClassifier(nn.NewSequential(
-			nn.NewDense(dim, 16, nn.WithRand(r)),
-			nn.NewTanh(),
-			nn.NewDense(16, 2, nn.WithRand(r)),
-		))
-		copt := nn.NewAdam(0.02)
-		for e := 0; e < 80; e++ {
-			if _, _, err := clf.TrainEpoch(x, labels, 64, copt, r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return clf
-	}
-
-	fusedTrain, err := ae.Encode(trainA, trainB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fusedTest, err := ae.Encode(testA, testB)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fusedClf := trainClassifier(fusedTrain, trainY, 6)
-	audioClf := trainClassifier(trainA, trainY, 6)
-	videoClf := trainClassifier(trainB, trainY, 8)
-
-	fusedAcc, err := fusedClf.Evaluate(fusedTest, testY)
-	if err != nil {
-		t.Fatal(err)
-	}
-	audioAcc, err := audioClf.Evaluate(testA, testY)
-	if err != nil {
-		t.Fatal(err)
-	}
-	videoAcc, err := videoClf.Evaluate(testB, testY)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("fused=%.3f audio=%.3f video=%.3f", fusedAcc, audioAcc, videoAcc)
-	if fusedAcc <= audioAcc-0.02 || fusedAcc <= videoAcc-0.02 {
-		t.Fatalf("fusion (%.3f) should not lose to single modalities (%.3f, %.3f)", fusedAcc, audioAcc, videoAcc)
-	}
-	best := math.Max(audioAcc, videoAcc)
-	if fusedAcc < best {
-		t.Logf("note: fusion %.3f vs best single %.3f", fusedAcc, best)
-	}
-}
-
 func TestAutoencoderValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	if _, err := NewAutoencoder(AutoencoderConfig{}, rng); !errors.Is(err, ErrBadInput) {

@@ -22,12 +22,6 @@ func (p ExitPolicy) Exits(score float64) bool {
 	return score >= p.Threshold
 }
 
-// HeadLoss scores one head's raw output for a batch, returning the loss and
-// its gradient with respect to that output. The caller builds it from the
-// batch's targets: class labels for the recognizer, ground-truth boxes for
-// the detector.
-type HeadLoss func(out *tensor.Tensor) (float64, *tensor.Tensor, error)
-
 // BranchNet is an early-exit network split between a local device and an
 // analysis server: a shared Stem computes an intermediate feature map, a
 // small Exit1 head answers locally, and a deeper Tail continues from the
@@ -120,37 +114,14 @@ func (b *BranchNet) TrainStep(x *tensor.Tensor, loss HeadLoss) (exit1Loss, tailL
 	return l1, l2, nil
 }
 
-// TrainEpoch runs one epoch of joint training over x: one rng.Perm orders
-// the rows, each full batch takes one TrainStep under lossFor(its row
-// indices) and one optimizer step, and a short remainder is dropped. It
-// returns the mean exit-1 and tail losses over the batches.
+// TrainEpoch runs one epoch of joint training over x through the epoch
+// loop: each batch, the last one short if batch does not divide the rows,
+// takes one TrainStep under lossFor(its row indices). It returns the mean
+// exit-1 and tail losses over the batches.
 func (b *BranchNet) TrainEpoch(x *tensor.Tensor, batch int, opt Optimizer, rng *rand.Rand, lossFor func(idx []int) HeadLoss) (exit1Loss, tailLoss float64, err error) {
-	n := x.Dim(0)
-	if batch <= 0 || batch > n {
-		batch = n
-	}
-	perm := rng.Perm(n)
-	batches := 0
-	for start := 0; start+batch <= n; start += batch {
-		idx := perm[start : start+batch]
-		bx, err := GatherRows(x, idx)
-		if err != nil {
-			return 0, 0, err
-		}
-		l1, l2, err := b.TrainStep(bx, lossFor(idx))
-		if err != nil {
-			return 0, 0, err
-		}
-		opt.Step(b.Params())
-		exit1Loss += l1
-		tailLoss += l2
-		batches++
-	}
-	if batches > 0 {
-		exit1Loss /= float64(batches)
-		tailLoss /= float64(batches)
-	}
-	return exit1Loss, tailLoss, nil
+	return epoch(x, batch, b.Params(), opt, rng, func(bx *tensor.Tensor, idx []int) (float64, float64, error) {
+		return b.TrainStep(bx, lossFor(idx))
+	})
 }
 
 // InferResult records one early-exit inference decision.

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -22,12 +23,13 @@ func buildToyBranch(rng *rand.Rand) *BranchNet {
 	return NewBranchNet(stem, exit1, tail)
 }
 
-// labelLoss scores a head's logits by softmax cross-entropy against labels.
-func labelLoss(labels []int) HeadLoss {
-	return func(logits *tensor.Tensor) (float64, *tensor.Tensor, error) {
-		loss, _, grad, err := SoftmaxCrossEntropy{}.Loss(logits, labels)
-		return loss, grad, err
+// everyRow returns the row indices 0..n-1 in order.
+func everyRow(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
 	}
+	return idx
 }
 
 func makeMoons(rng *rand.Rand, n int) (*tensor.Tensor, []int) {
@@ -53,10 +55,15 @@ func TestBranchNetTrainsBothHeads(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	b := buildToyBranch(rng)
 	x, labels := makeMoons(rng, 200)
+	ce, err := NewSoftmaxCrossEntropy(labels, len(labels))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loss := ce.Batch(everyRow(len(labels)))
 	opt := NewAdam(0.01)
 	var first1, first2, last1, last2 float64
 	for epoch := 0; epoch < 120; epoch++ {
-		l1, l2, err := b.TrainStep(x, labelLoss(labels))
+		l1, l2, err := b.TrainStep(x, loss)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,9 +127,14 @@ func TestExitRateMonotoneInThreshold(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	b := buildToyBranch(rng)
 	x, labels := makeMoons(rng, 150)
+	ce, err := NewSoftmaxCrossEntropy(labels, len(labels))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loss := ce.Batch(everyRow(len(labels)))
 	opt := NewAdam(0.01)
 	for epoch := 0; epoch < 60; epoch++ {
-		if _, _, err := b.TrainStep(x, labelLoss(labels)); err != nil {
+		if _, _, err := b.TrainStep(x, loss); err != nil {
 			t.Fatal(err)
 		}
 		opt.Step(b.Params())
@@ -173,7 +185,6 @@ func TestExitRateMonotoneInThreshold(t *testing.T) {
 // oracleBranchTrainStep is BranchNet.TrainStep as it was when the loss was a
 // fixed softmax cross-entropy field: both heads against the same labels.
 func oracleBranchTrainStep(b *BranchNet, x *tensor.Tensor, labels []int) (exit1Loss, tailLoss float64, err error) {
-	var ce SoftmaxCrossEntropy
 	feature, err := b.Stem.Forward(x, true)
 	if err != nil {
 		return 0, 0, err
@@ -186,11 +197,11 @@ func oracleBranchTrainStep(b *BranchNet, x *tensor.Tensor, labels []int) (exit1L
 	if err != nil {
 		return 0, 0, err
 	}
-	l1, _, g1, err := ce.Loss(logits1, labels)
+	l1, _, g1, err := softmaxCrossEntropy(logits1, labels)
 	if err != nil {
 		return 0, 0, err
 	}
-	l2, _, g2, err := ce.Loss(logits2, labels)
+	l2, _, g2, err := softmaxCrossEntropy(logits2, labels)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -218,9 +229,14 @@ func oracleBranchTrainStep(b *BranchNet, x *tensor.Tensor, labels []int) (exit1L
 func TestTrainStepMatchesFixedLossOracle(t *testing.T) {
 	x, labels := makeMoons(rand.New(rand.NewSource(31)), 40)
 	got, want := buildToyBranch(rand.New(rand.NewSource(30))), buildToyBranch(rand.New(rand.NewSource(30)))
+	ce, err := NewSoftmaxCrossEntropy(labels, len(labels))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loss := ce.Batch(everyRow(len(labels)))
 	optGot, optWant := NewAdam(0.01), NewAdam(0.01)
 	for step := 0; step < 5; step++ {
-		g1, g2, err := got.TrainStep(x, labelLoss(labels))
+		g1, g2, err := got.TrainStep(x, loss)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,6 +258,66 @@ func TestTrainStepMatchesFixedLossOracle(t *testing.T) {
 				t.Fatalf("param %d element %d: %v, oracle %v", i, j, gd[j], wd[j])
 			}
 		}
+	}
+}
+
+// countingOpt counts optimizer steps and clears gradients without moving
+// any weight.
+type countingOpt struct{ steps int }
+
+func (o *countingOpt) Step(params []*Param) {
+	o.steps++
+	ZeroGrads(params)
+}
+
+// TestEpochKeepsShortLastBatch runs one epoch over 10 rows in batches of 4,
+// through the one-head loop and through BranchNet's, and requires batches
+// of 4, 4 and 2 rows, one optimizer step each, with every row visited once.
+// An empty set takes no step.
+func TestEpochKeepsShortLastBatch(t *testing.T) {
+	x, labels := makeMoons(rand.New(rand.NewSource(5)), 10)
+	ce, err := NewSoftmaxCrossEntropy(labels, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trainers := map[string]func(x *tensor.Tensor, opt Optimizer, lossFor func(idx []int) HeadLoss) error{
+		"one head": func(x *tensor.Tensor, opt Optimizer, lossFor func(idx []int) HeadLoss) error {
+			_, err := TrainEpoch(NewDense(2, 2), x, 4, opt, rand.New(rand.NewSource(6)), lossFor)
+			return err
+		},
+		"branch": func(x *tensor.Tensor, opt Optimizer, lossFor func(idx []int) HeadLoss) error {
+			_, _, err := buildToyBranch(rand.New(rand.NewSource(7))).TrainEpoch(x, 4, opt, rand.New(rand.NewSource(6)), lossFor)
+			return err
+		},
+	}
+	for name, train := range trainers {
+		t.Run(name, func(t *testing.T) {
+			opt := &countingOpt{}
+			visits := make([]int, x.Dim(0))
+			var sizes []int
+			err := train(x, opt, func(idx []int) HeadLoss {
+				sizes = append(sizes, len(idx))
+				for _, i := range idx {
+					visits[i]++
+				}
+				return ce.Batch(idx)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if opt.steps != 3 || !reflect.DeepEqual(sizes, []int{4, 4, 2}) {
+				t.Fatalf("%d optimizer steps over batches %v, want 3 over [4 4 2]", opt.steps, sizes)
+			}
+			for i, v := range visits {
+				if v != 1 {
+					t.Fatalf("row %d visited %d times", i, v)
+				}
+			}
+			empty := &countingOpt{}
+			if err := train(tensor.New(0, 2), empty, ce.Batch); err != nil || empty.steps != 0 {
+				t.Fatalf("empty set: %d steps, err = %v", empty.steps, err)
+			}
+		})
 	}
 }
 
@@ -279,8 +355,12 @@ func TestParallelTrainerMatchesSerialGradients(t *testing.T) {
 	// Parallel step with LR 0 leaves weights unchanged but accumulates the
 	// averaged gradient in master params before Step zeroes them, so compare
 	// weights after one real step instead.
+	ce, err := NewSoftmaxCrossEntropy(labels, x.Dim(0))
+	if err != nil {
+		t.Fatal(err)
+	}
 	optP := NewSGD(0.1, 0)
-	if _, err := trainer.Step(x, labels, optP); err != nil {
+	if _, err := trainer.Step(x, optP, ce.Batch); err != nil {
 		t.Fatal(err)
 	}
 
@@ -288,8 +368,7 @@ func TestParallelTrainerMatchesSerialGradients(t *testing.T) {
 	// pass only when shards are equal size; with 8 samples over 4 workers
 	// each shard has 2 samples, so shard-mean gradients averaged equal the
 	// full-batch gradient.
-	clf := NewClassifier(serial)
-	if _, _, err := clf.TrainBatch(x, labels); err != nil {
+	if _, err := trainStep(serial, x, ce.Batch(everyRow(x.Dim(0)))); err != nil {
 		t.Fatal(err)
 	}
 	optS := NewSGD(0.1, 0)

@@ -3,19 +3,70 @@ package nn
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/tensor"
 )
 
-// SoftmaxCrossEntropy combines a row softmax with the negative log-likelihood
-// loss against integer class labels. Combining the two keeps the backward
-// pass numerically trivial: grad = (p - onehot)/N.
-type SoftmaxCrossEntropy struct{}
+// SoftmaxCrossEntropy is the one label loss: it scores class logits [N,K]
+// by a row softmax and the negative log-likelihood of the integer labels of
+// a training set's rows. Combining the two keeps the backward pass
+// numerically trivial: grad = (p - onehot)/N. It also keeps the mean
+// accuracy of the batches it scores; ParallelTrainer's shards may score
+// concurrently.
+type SoftmaxCrossEntropy struct {
+	labels []int
 
-// Loss computes mean cross-entropy for logits [N,K] and labels of length N,
-// returning the loss value, the softmax probabilities, and the gradient with
-// respect to the logits.
-func (SoftmaxCrossEntropy) Loss(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor, *tensor.Tensor, error) {
+	mu      sync.Mutex
+	accSum  float64
+	batches int
+}
+
+// NewSoftmaxCrossEntropy builds the label loss of a training set with rows
+// rows, one label per row. A count that does not match is ErrBadInput, so
+// training fails before any optimizer step.
+func NewSoftmaxCrossEntropy(labels []int, rows int) (*SoftmaxCrossEntropy, error) {
+	if len(labels) != rows {
+		return nil, fmt.Errorf("%w: %d rows vs %d labels", ErrBadInput, rows, len(labels))
+	}
+	return &SoftmaxCrossEntropy{labels: labels}, nil
+}
+
+// Batch returns the HeadLoss of the training rows idx, in that order.
+func (c *SoftmaxCrossEntropy) Batch(idx []int) HeadLoss {
+	labels := make([]int, len(idx))
+	for i, j := range idx {
+		labels[i] = c.labels[j]
+	}
+	return func(logits *tensor.Tensor) (float64, *tensor.Tensor, error) {
+		loss, probs, grad, err := softmaxCrossEntropy(logits, labels)
+		if err != nil {
+			return 0, nil, err
+		}
+		acc := Accuracy(probs, labels)
+		c.mu.Lock()
+		c.accSum += acc
+		c.batches++
+		c.mu.Unlock()
+		return loss, grad, nil
+	}
+}
+
+// Accuracy returns the mean accuracy, on the softmax probabilities, of the
+// batches scored so far (0 before the first).
+func (c *SoftmaxCrossEntropy) Accuracy() float64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.batches == 0 {
+		return 0
+	}
+	return c.accSum / float64(c.batches)
+}
+
+// softmaxCrossEntropy computes mean cross-entropy for logits [N,K] and labels
+// of length N, returning the loss value, the softmax probabilities, and the
+// gradient with respect to the logits.
+func softmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor, *tensor.Tensor, error) {
 	if logits.Dims() != 2 || logits.Dim(0) != len(labels) {
 		return 0, nil, nil, fmt.Errorf("%w: logits %v vs %d labels", ErrBadInput, logits.Shape(), len(labels))
 	}

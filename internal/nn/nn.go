@@ -7,10 +7,13 @@
 //
 // Layers follow an explicit forward/backward protocol and cache their most
 // recent forward inputs, so a single layer instance must not be shared
-// between concurrent training loops. Data parallelism is provided at a
-// higher level by ParallelTrainer, which replicates models per worker and
-// averages gradients, mirroring the paper's "model and data parallelism"
-// requirement for the software layer.
+// between concurrent training loops. Every model trains through one epoch
+// loop over a caller-supplied HeadLoss: TrainEpoch for a one-head network
+// (SoftmaxCrossEntropy is the one label loss) and BranchNet.TrainEpoch for
+// the joint two-head step. Data parallelism is provided at a higher level by
+// ParallelTrainer, which replicates models per worker, runs each shard
+// through the same one-head step and averages gradients, mirroring the
+// paper's "model and data parallelism" requirement for the software layer.
 package nn
 
 import (

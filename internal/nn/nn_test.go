@@ -30,6 +30,26 @@ func TestDenseFlattensHighRankInput(t *testing.T) {
 	}
 }
 
+// fit trains net on labelled rows for epochs through TrainEpoch and returns
+// its accuracy on the same rows in inference mode.
+func fit(t *testing.T, net Layer, x *tensor.Tensor, labels []int, batch, epochs int, opt Optimizer, rng *rand.Rand) float64 {
+	t.Helper()
+	ce, err := NewSoftmaxCrossEntropy(labels, x.Dim(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := 0; e < epochs; e++ {
+		if _, err := TrainEpoch(net, x, batch, opt, rng, ce.Batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	logits, err := net.Forward(x, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Accuracy(logits, labels)
+}
+
 // A dense network must learn XOR, the canonical nonlinear task.
 func TestLearnXOR(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -40,18 +60,7 @@ func TestLearnXOR(t *testing.T) {
 	)
 	x := tensor.MustFromSlice([]float64{0, 0, 0, 1, 1, 0, 1, 1}, 4, 2)
 	labels := []int{0, 1, 1, 0}
-	clf := NewClassifier(net)
-	opt := NewAdam(0.05)
-	for epoch := 0; epoch < 300; epoch++ {
-		if _, _, err := clf.TrainEpoch(x, labels, 4, opt, rng); err != nil {
-			t.Fatal(err)
-		}
-	}
-	acc, err := clf.Evaluate(x, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc < 1.0 {
+	if acc := fit(t, net, x, labels, 4, 300, NewAdam(0.05), rng); acc < 1.0 {
 		t.Fatalf("XOR accuracy = %g, want 1.0", acc)
 	}
 }
@@ -83,18 +92,7 @@ func TestConvLearnsBars(t *testing.T) {
 		NewFlatten(),
 		NewDense(4*4*4, 2, WithRand(rng)),
 	)
-	clf := NewClassifier(net)
-	opt := NewAdam(0.01)
-	for epoch := 0; epoch < 30; epoch++ {
-		if _, _, err := clf.TrainEpoch(x, labels, 20, opt, rng); err != nil {
-			t.Fatal(err)
-		}
-	}
-	acc, err := clf.Evaluate(x, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc < 0.95 {
+	if acc := fit(t, net, x, labels, 20, 30, NewAdam(0.01), rng); acc < 0.95 {
 		t.Fatalf("bars accuracy = %g, want >= 0.95", acc)
 	}
 }
@@ -122,26 +120,14 @@ func TestLSTMLearnsDirection(t *testing.T) {
 		NewLastStep(),
 		NewDense(12, 2, WithRand(rng)),
 	)
-	clf := NewClassifier(net)
-	opt := NewAdam(0.02)
-	for epoch := 0; epoch < 40; epoch++ {
-		if _, _, err := clf.TrainEpoch(x, labels, 20, opt, rng); err != nil {
-			t.Fatal(err)
-		}
-	}
-	acc, err := clf.Evaluate(x, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc < 0.95 {
+	if acc := fit(t, net, x, labels, 20, 40, NewAdam(0.02), rng); acc < 0.95 {
 		t.Fatalf("direction accuracy = %g, want >= 0.95", acc)
 	}
 }
 
 func TestSoftmaxCrossEntropyKnownValues(t *testing.T) {
-	var l SoftmaxCrossEntropy
 	logits := tensor.MustFromSlice([]float64{0, 0, 0, 0}, 2, 2)
-	loss, probs, grad, err := l.Loss(logits, []int{0, 1})
+	loss, probs, grad, err := softmaxCrossEntropy(logits, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,8 +141,162 @@ func TestSoftmaxCrossEntropyKnownValues(t *testing.T) {
 	if math.Abs(grad.At(0, 0)-(-0.25)) > 1e-9 || math.Abs(grad.At(0, 1)-0.25) > 1e-9 {
 		t.Fatalf("grad = %v", grad.Data())
 	}
-	if _, _, _, err := l.Loss(logits, []int{0, 5}); !errors.Is(err, ErrBadInput) {
+	if _, _, _, err := softmaxCrossEntropy(logits, []int{0, 5}); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("bad label err = %v", err)
+	}
+}
+
+// Batch scores the labels of the rows it is given, in their order, and
+// Accuracy is the mean of the scored batches' accuracies.
+func TestSoftmaxCrossEntropyBatchLabels(t *testing.T) {
+	ce, err := NewSoftmaxCrossEntropy([]int{0, 1, 1}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ce.Accuracy() != 0 {
+		t.Fatalf("accuracy before any batch = %g", ce.Accuracy())
+	}
+	// Rows 2 and 0 (labels 1, 0): the logits favour class 1, then class 0.
+	logits := tensor.MustFromSlice([]float64{0, 3, 3, 0}, 2, 2)
+	loss, grad, err := ce.Batch([]int{2, 0})(logits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, wantGrad, err := softmaxCrossEntropy(logits, []int{1, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loss != want || !tensor.AllClose(grad, wantGrad, 0) {
+		t.Fatalf("loss %v grad %v, want %v %v", loss, grad.Data(), want, wantGrad.Data())
+	}
+	// Rows 0 and 1 (labels 0, 1) under the same logits: both wrong.
+	if _, _, err := ce.Batch([]int{0, 1})(logits); err != nil {
+		t.Fatal(err)
+	}
+	if got := ce.Accuracy(); got != 0.5 {
+		t.Fatalf("accuracy = %g, want the mean of 1 and 0", got)
+	}
+}
+
+// A label count that does not match the rows is refused before any
+// optimizer step, so the network is left as it was.
+func TestLabelCountCheckedBeforeAnyStep(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	net := NewSequential(NewDense(2, 4, WithRand(rng)), NewTanh(), NewDense(4, 2, WithRand(rng)))
+	x := tensor.Randn(rng, 1, 5, 2)
+	var before []float64
+	for _, p := range net.Params() {
+		before = append(before, p.Value.Data()...)
+	}
+	train := func(labels []int) error {
+		ce, err := NewSoftmaxCrossEntropy(labels, x.Dim(0))
+		if err != nil {
+			return err
+		}
+		_, err = TrainEpoch(net, x, 2, NewSGD(0.5, 0), rng, ce.Batch)
+		return err
+	}
+	for _, labels := range [][]int{{0, 1, 0, 1, 0, 1}, {0, 1, 0, 1}} {
+		if err := train(labels); !errors.Is(err, ErrBadInput) {
+			t.Fatalf("%d labels for 5 rows: err = %v, want ErrBadInput", len(labels), err)
+		}
+	}
+	var after []float64
+	for _, p := range net.Params() {
+		after = append(after, p.Value.Data()...)
+	}
+	for i := range before {
+		if math.Float64bits(before[i]) != math.Float64bits(after[i]) {
+			t.Fatalf("parameter element %d moved from %v to %v", i, before[i], after[i])
+		}
+	}
+}
+
+// oracleClassifierEpoch is the classifier epoch loop as it was before the
+// models shared one: one rng.Perm, batches in that order with a short last
+// batch, each gathered with its labels, stepped and optimized. It returns
+// the mean batch loss and the mean batch accuracy on the probabilities.
+func oracleClassifierEpoch(net Layer, x *tensor.Tensor, labels []int, batch int, opt Optimizer, rng *rand.Rand) (loss, acc float64, err error) {
+	n := x.Dim(0)
+	if batch <= 0 || batch > n {
+		batch = n
+	}
+	perm := rng.Perm(n)
+	batches := 0
+	for start := 0; start < n; start += batch {
+		idx := perm[start:min(start+batch, n)]
+		bx, err := GatherRows(x, idx)
+		if err != nil {
+			return 0, 0, err
+		}
+		bl := make([]int, len(idx))
+		for i, j := range idx {
+			bl[i] = labels[j]
+		}
+		logits, err := net.Forward(bx, true)
+		if err != nil {
+			return 0, 0, err
+		}
+		l, probs, grad, err := softmaxCrossEntropy(logits, bl)
+		if err != nil {
+			return 0, 0, err
+		}
+		if _, err := net.Backward(grad); err != nil {
+			return 0, 0, err
+		}
+		opt.Step(net.Params())
+		loss += l
+		acc += Accuracy(probs, bl)
+		batches++
+	}
+	return loss / float64(batches), acc / float64(batches), nil
+}
+
+// TrainEpoch under SoftmaxCrossEntropy trains a one-head network exactly as
+// the classifier loop did: after three epochs from the same seed, the
+// weights, the mean loss and the mean accuracy agree bit for bit, whether
+// the batch divides the rows or leaves a short last batch.
+func TestTrainEpochMatchesClassifierOracle(t *testing.T) {
+	x, labels := makeMoons(rand.New(rand.NewSource(21)), 30)
+	build := func() Layer {
+		rng := rand.New(rand.NewSource(22))
+		return NewSequential(NewDense(2, 6, WithRand(rng)), NewTanh(), NewDense(6, 2, WithRand(rng)))
+	}
+	for _, tc := range []struct {
+		name  string
+		batch int
+	}{{"batch divides rows", 10}, {"short last batch", 8}} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, want := build(), build()
+			rngGot, rngWant := rand.New(rand.NewSource(23)), rand.New(rand.NewSource(23))
+			optGot, optWant := NewAdam(0.01), NewAdam(0.01)
+			for e := 0; e < 3; e++ {
+				ce, err := NewSoftmaxCrossEntropy(labels, x.Dim(0))
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotLoss, err := TrainEpoch(got, x, tc.batch, optGot, rngGot, ce.Batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantLoss, wantAcc, err := oracleClassifierEpoch(want, x, labels, tc.batch, optWant, rngWant)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gotLoss != wantLoss || ce.Accuracy() != wantAcc {
+					t.Fatalf("epoch %d: loss %v acc %v, oracle %v %v", e, gotLoss, ce.Accuracy(), wantLoss, wantAcc)
+				}
+			}
+			gp, wp := got.Params(), want.Params()
+			for i := range gp {
+				g, w := gp[i].Value.Data(), wp[i].Value.Data()
+				for j := range g {
+					if math.Float64bits(g[j]) != math.Float64bits(w[j]) {
+						t.Fatalf("param %d element %d: %v vs oracle %v", i, j, g[j], w[j])
+					}
+				}
+			}
+		})
 	}
 }
 

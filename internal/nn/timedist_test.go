@@ -56,8 +56,7 @@ func TestTimeDistributedLSTMStack(t *testing.T) {
 	if y.Dim(0) != 2 || y.Dim(1) != 3 {
 		t.Fatalf("logits shape %v", y.Shape())
 	}
-	var l SoftmaxCrossEntropy
-	_, _, grad, err := l.Loss(y, []int{0, 2})
+	_, _, grad, err := softmaxCrossEntropy(y, []int{0, 2})
 	if err != nil {
 		t.Fatal(err)
 	}

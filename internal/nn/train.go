@@ -8,78 +8,72 @@ import (
 	"repro/internal/tensor"
 )
 
-// Classifier wraps a network with a softmax cross-entropy training loop.
-type Classifier struct {
-	Net  Layer
-	loss SoftmaxCrossEntropy
-}
+// HeadLoss scores one head's raw output for a batch, returning the loss and
+// its gradient with respect to that output. The caller builds it from the
+// batch's targets: class labels for a classifier or the recognizer,
+// ground-truth boxes for the detector.
+type HeadLoss func(out *tensor.Tensor) (float64, *tensor.Tensor, error)
 
-// NewClassifier creates a classification trainer around net.
-func NewClassifier(net Layer) *Classifier { return &Classifier{Net: net} }
-
-// TrainBatch runs one forward/backward pass on a batch and accumulates
-// gradients (the caller applies the optimizer). It returns loss and accuracy.
-func (c *Classifier) TrainBatch(x *tensor.Tensor, labels []int) (loss, acc float64, err error) {
-	logits, err := c.Net.Forward(x, true)
-	if err != nil {
-		return 0, 0, err
-	}
-	loss, probs, grad, err := c.loss.Loss(logits, labels)
-	if err != nil {
-		return 0, 0, err
-	}
-	if _, err := c.Net.Backward(grad); err != nil {
-		return 0, 0, err
-	}
-	return loss, Accuracy(probs, labels), nil
-}
-
-// TrainEpoch shuffles the dataset, runs minibatch SGD for one epoch, and
-// returns mean loss and accuracy.
-func (c *Classifier) TrainEpoch(x *tensor.Tensor, labels []int, batch int, opt Optimizer, rng *rand.Rand) (loss, acc float64, err error) {
+// epoch is the one epoch loop every model trains through: one rng.Perm
+// orders the rows of x, and each batch of up to batch rows in that order
+// (the last may be short) is gathered, takes one step and then one optimizer
+// step over params. It returns the mean of the steps' two losses.
+func epoch(x *tensor.Tensor, batch int, params []*Param, opt Optimizer, rng *rand.Rand, step func(bx *tensor.Tensor, idx []int) (float64, float64, error)) (loss1, loss2 float64, err error) {
 	n := x.Dim(0)
-	if n != len(labels) {
-		return 0, 0, fmt.Errorf("%w: %d samples vs %d labels", ErrBadInput, n, len(labels))
-	}
 	if batch <= 0 || batch > n {
 		batch = n
 	}
 	perm := rng.Perm(n)
-	var totalLoss, totalAcc float64
 	batches := 0
 	for start := 0; start < n; start += batch {
-		end := start + batch
-		if end > n {
-			end = n
-		}
-		idx := perm[start:end]
+		idx := perm[start:min(start+batch, n)]
 		bx, err := GatherRows(x, idx)
 		if err != nil {
 			return 0, 0, err
 		}
-		bl := make([]int, len(idx))
-		for i, j := range idx {
-			bl[i] = labels[j]
-		}
-		l, a, err := c.TrainBatch(bx, bl)
+		l1, l2, err := step(bx, idx)
 		if err != nil {
 			return 0, 0, err
 		}
-		opt.Step(c.Net.Params())
-		totalLoss += l
-		totalAcc += a
+		opt.Step(params)
+		loss1 += l1
+		loss2 += l2
 		batches++
 	}
-	return totalLoss / float64(batches), totalAcc / float64(batches), nil
+	if batches > 0 {
+		loss1 /= float64(batches)
+		loss2 /= float64(batches)
+	}
+	return loss1, loss2, nil
 }
 
-// Evaluate returns accuracy on a held-out set without touching gradients.
-func (c *Classifier) Evaluate(x *tensor.Tensor, labels []int) (float64, error) {
-	logits, err := c.Net.Forward(x, false)
+// trainStep runs net forward on a batch in training mode, scores its output
+// with loss and backpropagates, accumulating gradients into net's
+// parameters. The caller applies an Optimizer afterwards.
+func trainStep(net Layer, x *tensor.Tensor, loss HeadLoss) (float64, error) {
+	out, err := net.Forward(x, true)
 	if err != nil {
 		return 0, err
 	}
-	return Accuracy(logits, labels), nil
+	l, grad, err := loss(out)
+	if err != nil {
+		return 0, err
+	}
+	if _, err := net.Backward(grad); err != nil {
+		return 0, err
+	}
+	return l, nil
+}
+
+// TrainEpoch runs one epoch of a one-head network over x through the epoch
+// loop, scoring each batch under lossFor(its row indices), and returns the
+// mean loss over the batches.
+func TrainEpoch(net Layer, x *tensor.Tensor, batch int, opt Optimizer, rng *rand.Rand, lossFor func(idx []int) HeadLoss) (float64, error) {
+	loss, _, err := epoch(x, batch, net.Params(), opt, rng, func(bx *tensor.Tensor, idx []int) (float64, float64, error) {
+		l, err := trainStep(net, bx, lossFor(idx))
+		return l, 0, err
+	})
+	return loss, err
 }
 
 // ParallelTrainer implements synchronous data-parallel training, the
@@ -91,7 +85,6 @@ func (c *Classifier) Evaluate(x *tensor.Tensor, labels []int) (float64, error) {
 type ParallelTrainer struct {
 	Master   Layer
 	replicas []Layer
-	loss     SoftmaxCrossEntropy
 }
 
 // NewParallelTrainer builds a trainer with workers replicas created by
@@ -112,9 +105,11 @@ func NewParallelTrainer(master Layer, workers int, factory func() Layer) (*Paral
 }
 
 // Step performs one synchronous data-parallel step on a batch: the batch is
-// sharded across replicas, gradients are averaged into the master, the
-// optimizer runs, and new weights are broadcast. It returns the mean loss.
-func (t *ParallelTrainer) Step(x *tensor.Tensor, labels []int, opt Optimizer) (float64, error) {
+// sharded across replicas, each shard takes one training step under
+// lossFor(its row indices in x), gradients are averaged into the master, the
+// optimizer runs, and new weights are broadcast. lossFor's losses are called
+// concurrently. It returns the mean shard loss.
+func (t *ParallelTrainer) Step(x *tensor.Tensor, opt Optimizer, lossFor func(idx []int) HeadLoss) (float64, error) {
 	n := x.Dim(0)
 	w := len(t.replicas)
 	if n < w {
@@ -150,23 +145,8 @@ func (t *ParallelTrainer) Step(x *tensor.Tensor, labels []int, opt Optimizer) (f
 				results[i] = result{err: err}
 				return
 			}
-			bl := labels[start:end]
-			rep := t.replicas[i]
-			logits, err := rep.Forward(bx, true)
-			if err != nil {
-				results[i] = result{err: err}
-				return
-			}
-			l, _, grad, err := t.loss.Loss(logits, bl)
-			if err != nil {
-				results[i] = result{err: err}
-				return
-			}
-			if _, err := rep.Backward(grad); err != nil {
-				results[i] = result{err: err}
-				return
-			}
-			results[i] = result{loss: l}
+			l, err := trainStep(t.replicas[i], bx, lossFor(idx))
+			results[i] = result{loss: l, err: err}
 		}(i, start, end)
 	}
 	wg.Wait()

@@ -23,16 +23,12 @@ import (
 // for interface methods, with dir relative to the module root.
 var testOnly = map[string]string{
 	// The paper names them; no experiment drives them yet.
-	"internal/nn.NewInceptionBlock":           "the paper's Inception block (DESIGN §1)",
-	"internal/nn.InceptionConfig":             "the paper's Inception block (DESIGN §1)",
-	"internal/nn.InceptionConfig.OutChannels": "the paper's Inception block (DESIGN §1)",
-	"internal/nn.ChannelConcat":               "the join of the paper's Inception block (DESIGN §1)",
-	"internal/nn.NewParallelTrainer":          "the paper's data-parallel training (DESIGN §2)",
-	"internal/nn.ParallelTrainer":             "the paper's data-parallel training (DESIGN §2)",
-	"internal/nn.ParallelTrainer.Step":        "the paper's data-parallel training (DESIGN §2)",
-	"internal/nn.ZeroGrads":                   "clears the master gradients in ParallelTrainer.Step; the nn gradient checks use it",
-	"internal/nn.NewSGD":                      "optimizer the Inception, TimeDistributed and data-parallel training tests train with",
-	"internal/nn.NewGlobalAvgPool":            "head of the Inception, TimeDistributed and data-parallel training tests",
+	"internal/nn.NewParallelTrainer":   "the paper's data-parallel training (DESIGN §2)",
+	"internal/nn.ParallelTrainer":      "the paper's data-parallel training (DESIGN §2)",
+	"internal/nn.ParallelTrainer.Step": "the paper's data-parallel training (DESIGN §2)",
+	"internal/nn.ZeroGrads":            "clears the master gradients in ParallelTrainer.Step; the nn gradient checks use it",
+	"internal/nn.NewSGD":               "optimizer the nn tests and the data-parallel benchmark train with",
+	"internal/nn.NewGlobalAvgPool":     "pooling head of the TimeDistributed tests and a gradient check",
 
 	// Tests of live code read them as accessors or oracles.
 	"internal/hbase.Table.Compact":              "forces a major compaction in the hbase model and scaling tests",
