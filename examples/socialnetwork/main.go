@@ -70,12 +70,10 @@ func run() error {
 		}
 		fmt.Printf("\nincident %s (%s, district %d):\n", inc.ReportNumber, inc.Offense, inc.District)
 		fmt.Printf("  member suspects:        %d\n", len(funnel.Suspects))
-		fmt.Printf("  1st-degree associates:  %d\n", funnel.FirstDegree)
-		fmt.Printf("  2nd-degree associates:  %d\n", funnel.SecondDegree)
 		fmt.Printf("  candidate field:        %d people\n", funnel.FieldSize)
 		fmt.Printf("  geo-time tweets:        %d\n", funnel.GeoTimeTweets)
 		fmt.Printf("  persons of interest:    %d (%.0fx reduction)\n",
-			len(funnel.PersonsOfInterest), funnel.ReductionFactor)
+			len(funnel.PersonsOfInterest), float64(funnel.FieldSize)/float64(len(funnel.PersonsOfInterest)))
 		for i, p := range funnel.PersonsOfInterest {
 			if i >= 5 {
 				fmt.Println("    ...")

@@ -118,10 +118,9 @@ func (r *Recognizer) TrainEpoch(set *video.ClipSet, batch int, opt nn.Optimizer,
 
 // EvalResult summarizes accuracy under an exit policy.
 type EvalResult struct {
-	Accuracy      float64
-	ExitRate      float64 // fraction answered at exit 1
-	Exit1Accuracy float64 // accuracy restricted to exit-1 answers
-	ServerBytes   int     // feature bytes shipped upstream
+	Accuracy    float64
+	ExitRate    float64 // fraction answered at exit 1
+	ServerBytes int     // feature bytes shipped upstream
 }
 
 // Evaluate classifies a clip set under the given entropy-gated exit policy
@@ -132,28 +131,20 @@ func (r *Recognizer) Evaluate(set *video.ClipSet, policy nn.ExitPolicy) (EvalRes
 		return EvalResult{}, err
 	}
 	var res EvalResult
-	exit1Correct, exit1Total := 0, 0
-	correct := 0
+	correct, exit1 := 0, 0
 	for i, ir := range results {
 		if ir.Class == set.Labels[i] {
 			correct++
 		}
 		if ir.ExitedLocal {
-			exit1Total++
-			if ir.Class == set.Labels[i] {
-				exit1Correct++
-			}
+			exit1++
 		} else {
 			res.ServerBytes += ir.FeatureBytes
 		}
 	}
-	n := len(results)
-	if n > 0 {
+	if n := len(results); n > 0 {
 		res.Accuracy = float64(correct) / float64(n)
-		res.ExitRate = float64(exit1Total) / float64(n)
-	}
-	if exit1Total > 0 {
-		res.Exit1Accuracy = float64(exit1Correct) / float64(exit1Total)
+		res.ExitRate = float64(exit1) / float64(n)
 	}
 	return res, nil
 }

@@ -33,15 +33,13 @@ func (inf *Infrastructure) NewVehicleWatch(det *detect.Detector, policy nn.ExitP
 
 // AnnotateReport summarizes one annotation run.
 type AnnotateReport struct {
-	Frames        int
 	LocalExits    int
-	ServerAssists int
 	UpstreamBytes int
-	Annotations   int
 }
 
 // AnnotateFrames runs the early-exit detector over a camera's frames and
-// indexes every detection in the video-annotations table.
+// indexes every detection in the video-annotations table: one JSON cell per
+// detection in famDetection, under the frame's FrameRow and its rank.
 func (vw *VehicleWatch) AnnotateFrames(cameraID string, frames *tensor.Tensor) (AnnotateReport, error) {
 	var rep AnnotateReport
 	// Fig. 5: a frame the policy does not let exit ships its pre-branch
@@ -50,17 +48,14 @@ func (vw *VehicleWatch) AnnotateFrames(cameraID string, frames *tensor.Tensor) (
 	if err != nil {
 		return rep, fmt.Errorf("detect: %w", err)
 	}
-	rep.Frames = len(results)
 	for i, fr := range results {
 		path := "server"
 		if fr.ExitedLocal {
 			path = "local"
 			rep.LocalExits++
-		} else {
-			rep.ServerAssists++
 		}
 		rep.UpstreamBytes += fr.FeatureBytes
-		row := frameRow(cameraID, i)
+		row := FrameRow(cameraID, i)
 		for j, d := range fr.Detections {
 			val, err := json.Marshal(map[string]any{
 				"class": d.Class, "score": d.Score, "path": path,
@@ -69,10 +64,9 @@ func (vw *VehicleWatch) AnnotateFrames(cameraID string, frames *tensor.Tensor) (
 			if err != nil {
 				return rep, fmt.Errorf("marshal detection: %w", err)
 			}
-			if err := vw.inf.VideoTab.Put(row, "det", strconv.Itoa(j), val); err != nil {
+			if err := vw.inf.VideoTab.Put(row, famDetection, strconv.Itoa(j), val); err != nil {
 				return rep, fmt.Errorf("index detection: %w", err)
 			}
-			rep.Annotations++
 		}
 	}
 	return rep, nil
@@ -85,10 +79,9 @@ type VehicleSighting struct {
 	Score float64
 }
 
-// FindVehicle scans annotations for a vehicle class — the AMBER-alert
-// tracking query the paper motivates. It reads the per-detection cells
-// AnnotateFrames writes (numeric qualifiers); the frame path keeps raw
-// "class"/"confidence" cells in the same family, which are not detections.
+// FindVehicle scans the annotations for a vehicle class — the AMBER-alert
+// tracking query the paper motivates — and returns its sightings, best
+// score first. It reads the famDetection cells AnnotateFrames writes.
 func (vw *VehicleWatch) FindVehicle(classID int) ([]VehicleSighting, error) {
 	rows, err := vw.inf.VideoTab.Scan("", "")
 	if err != nil {
@@ -97,10 +90,7 @@ func (vw *VehicleWatch) FindVehicle(classID int) ([]VehicleSighting, error) {
 	var out []VehicleSighting
 	for _, r := range rows {
 		for _, c := range r.Cells {
-			if c.Family != "det" {
-				continue
-			}
-			if _, err := strconv.Atoi(c.Qualifier); err != nil {
+			if c.Family != famDetection {
 				continue
 			}
 			var d struct {
@@ -146,8 +136,6 @@ type Alert struct {
 
 // WatchReport summarizes one monitoring pass.
 type WatchReport struct {
-	Clips       int
-	Alerts      int
 	LocalExits  int
 	ServerBytes int
 }
@@ -160,7 +148,6 @@ func (cw *CrimeWatch) MonitorClips(cameraID string, set *video.ClipSet, at time.
 	if err != nil {
 		return rep, fmt.Errorf("infer: %w", err)
 	}
-	rep.Clips = len(results)
 	for i, r := range results {
 		act := video.Action(r.Class)
 		exit := "server"
@@ -171,10 +158,10 @@ func (cw *CrimeWatch) MonitorClips(cameraID string, set *video.ClipSet, at time.
 			rep.ServerBytes += r.FeatureBytes
 		}
 		row := fmt.Sprintf("%s|clip-%05d", cameraID, i)
-		if err := cw.inf.VideoTab.Put(row, "action", "label", []byte(act.String())); err != nil {
+		if err := cw.inf.VideoTab.Put(row, famAction, qualLabel, []byte(act.String())); err != nil {
 			return rep, fmt.Errorf("index action: %w", err)
 		}
-		if err := cw.inf.VideoTab.Put(row, "action", "exit", []byte(exit)); err != nil {
+		if err := cw.inf.VideoTab.Put(row, famAction, qualExit, []byte(exit)); err != nil {
 			return rep, fmt.Errorf("index exit: %w", err)
 		}
 		if act.Suspicious() {
@@ -186,7 +173,6 @@ func (cw *CrimeWatch) MonitorClips(cameraID string, set *video.ClipSet, at time.
 			if _, _, err := cw.inf.Broker.Produce("alerts", cameraID, body); err != nil {
 				return rep, fmt.Errorf("produce alert: %w", err)
 			}
-			rep.Alerts++
 		}
 	}
 	return rep, nil
@@ -226,12 +212,9 @@ func (inf *Infrastructure) PendingAlerts(max int) ([]Alert, error) {
 // field of associates may be strategically narrowed."
 type NarrowFunnel struct {
 	Suspects          []string
-	FirstDegree       int
-	SecondDegree      int
 	FieldSize         int // 1st + 2nd degree candidates
 	GeoTimeTweets     int // tweets in the space-time window
 	PersonsOfInterest []string
-	ReductionFactor   float64 // field size / narrowed size
 }
 
 // NarrowConfig tunes the narrowing query.
@@ -272,8 +255,6 @@ func (inf *Infrastructure) NarrowPersonsOfInterest(inc citydata.Incident, cfg Na
 		if err != nil {
 			return nil, fmt.Errorf("expand %s: %w", s, err)
 		}
-		funnel.FirstDegree += len(hops[0])
-		funnel.SecondDegree += len(hops[1])
 		for _, id := range hops[0] {
 			field[id] = struct{}{}
 		}
@@ -311,9 +292,6 @@ func (inf *Infrastructure) NarrowPersonsOfInterest(inc citydata.Incident, cfg Na
 	sort.Strings(funnel.PersonsOfInterest)
 	if cfg.MaxPersons > 0 && len(funnel.PersonsOfInterest) > cfg.MaxPersons {
 		funnel.PersonsOfInterest = funnel.PersonsOfInterest[:cfg.MaxPersons]
-	}
-	if n := len(funnel.PersonsOfInterest); n > 0 {
-		funnel.ReductionFactor = float64(funnel.FieldSize) / float64(n)
 	}
 	return funnel, nil
 }

@@ -97,7 +97,7 @@ func TestHBaseCrashRecoveryThroughInfrastructure(t *testing.T) {
 	inf := bootSmall(t)
 	for i := 0; i < 25; i++ {
 		row := fmt.Sprintf("cam-x|%05d", i)
-		if err := inf.VideoTab.Put(row, "det", "0", []byte("{}")); err != nil {
+		if err := inf.VideoTab.Put(row, famDetection, "0", []byte("{}")); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -243,7 +243,7 @@ func New(cfg Config, rng *rand.Rand) (*Infrastructure, error) {
 	if err != nil {
 		return nil, fmt.Errorf("boot hbase crimes: %w", err)
 	}
-	inf.VideoTab, err = hbase.NewTable("video_annotations", []string{"det", "action"}, hbase.DefaultConfig(), inf.HDFS)
+	inf.VideoTab, err = hbase.NewTable("video_annotations", []string{famFrame, famDetection, famAction}, hbase.DefaultConfig(), inf.HDFS)
 	if err != nil {
 		return nil, fmt.Errorf("boot hbase video: %w", err)
 	}

@@ -229,9 +229,24 @@ func (inf *Infrastructure) serveFrame(rec stream.Record, fallback *telemetry.Spa
 	inf.archiveFrame(spInfer, f, rec.Value, offloaded, archiveDir, traceID, stats)
 }
 
-// frameRow is a frame's video_annotations row key, "<camera>|<seq %06d>".
+// The video_annotations schema. A frame's row is FrameRow(camera, seq) and a
+// clip's "<camera>|clip-<index %05d>". The frame path writes each frame's
+// class and confidence to famFrame; AnnotateFrames writes one JSON cell per
+// detection to famDetection, its qualifier the detection's rank in the
+// frame; MonitorClips writes each clip's label and exit to famAction.
+const (
+	famFrame       = "det"
+	qualClass      = "class"
+	qualConfidence = "confidence"
+	famDetection   = "vehicle"
+	famAction      = "action"
+	qualLabel      = "label"
+	qualExit       = "exit"
+)
+
+// FrameRow is a frame's video_annotations row key, "<camera>|<seq %06d>".
 // Like featurePath it is built once per frame, so by appending, not by fmt.
-func frameRow(camera string, seq int) string {
+func FrameRow(camera string, seq int) string {
 	var buf [64]byte
 	b := append(append(buf[:0], camera...), '|')
 	return string(appendSeq(b, seq))
@@ -266,16 +281,16 @@ func (inf *Infrastructure) archiveFrame(parent *telemetry.Span, f FrameEvent, va
 	archive := openStage(parent, "archive", "cloud", nil)
 	defer archive.End()
 	cam := inf.Fleet.camera(f.CameraID)
-	row := frameRow(f.CameraID, f.Seq)
+	row := FrameRow(f.CameraID, f.Seq)
 	put := func(qualifier string, val []byte) bool {
-		if err := inf.putCell(stats, inf.VideoTab, row, "det", qualifier, val); err != nil {
+		if err := inf.putCell(stats, inf.VideoTab, row, famFrame, qualifier, val); err != nil {
 			inf.frameLost(cam, stats, "hbase", row, value, err, traceID)
 			return false
 		}
 		stats.Stored++
 		return true
 	}
-	if !put("class", []byte(f.Class)) || !put("confidence", []byte(strconv.FormatFloat(f.Confidence, 'f', 4, 64))) {
+	if !put(qualClass, []byte(f.Class)) || !put(qualConfidence, []byte(strconv.FormatFloat(f.Confidence, 'f', 4, 64))) {
 		return
 	}
 	if offloaded && archiveDir != "" {

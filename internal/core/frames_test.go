@@ -267,8 +267,8 @@ func TestFrameTracesSurviveChaos(t *testing.T) {
 // Gets — rebuild the key from the format.
 func TestFrameKeysMatchFmt(t *testing.T) {
 	for _, seq := range []int{0, 7, 10, 99999, 100000, 999999, 1000000, -1} {
-		if got, want := frameRow("dotd-007", seq), fmt.Sprintf("%s|%06d", "dotd-007", seq); got != want {
-			t.Errorf("frameRow(%d) = %q, want %q", seq, got, want)
+		if got, want := FrameRow("dotd-007", seq), fmt.Sprintf("%s|%06d", "dotd-007", seq); got != want {
+			t.Errorf("FrameRow(%d) = %q, want %q", seq, got, want)
 		}
 		got := featurePath("/features", "dotd-007", seq)
 		if want := fmt.Sprintf("%s/%s-%06d.feat", "/features", "dotd-007", seq); got != want {
@@ -277,8 +277,8 @@ func TestFrameKeysMatchFmt(t *testing.T) {
 	}
 	// Longer than the stack buffers the helpers start from.
 	long := fmt.Sprintf("camera-%0100d", 1)
-	if got, want := frameRow(long, 7), long+"|000007"; got != want {
-		t.Errorf("frameRow(long) = %q, want %q", got, want)
+	if got, want := FrameRow(long, 7), long+"|000007"; got != want {
+		t.Errorf("FrameRow(long) = %q, want %q", got, want)
 	}
 	if got, want := featurePath(long, long, 7), long+"/"+long+"-000007.feat"; got != want {
 		t.Errorf("featurePath(long) = %q, want %q", got, want)

@@ -334,17 +334,14 @@ func NMS(dets []Detection, iouThreshold float64) []Detection {
 type FrameResult struct {
 	Detections  []Detection
 	ExitedLocal bool
-	// TopScore is the tiny head's best detection score (0 when it detects
-	// nothing); the exit policy gates on it.
-	TopScore float64
 	// FeatureBytes is the size of the feature map shipped upstream: 8 bytes
 	// per element, 0 on a local exit.
 	FeatureBytes int
 }
 
 // Detect runs a batch of frames through the Fig. 5 gate. The stem and tiny
-// head score every frame; a frame whose TopScore the policy lets exit keeps
-// the tiny head's detections, and the feature maps of the rest are re-scored
+// head score every frame; a frame whose best tiny-head score (0 when it
+// detects nothing) the policy lets exit keeps the tiny head's detections, and the feature maps of the rest are re-scored
 // by the full tail in one pass. Detections below scoreFloor are dropped
 // before non-maximum suppression.
 func (d *Detector) Detect(images *tensor.Tensor, policy nn.ExitPolicy, scoreFloor float64) ([]FrameResult, error) {
@@ -362,9 +359,9 @@ func (d *Detector) Detect(images *tensor.Tensor, policy nn.ExitPolicy, scoreFloo
 			top = dets[0].Score
 		}
 		if policy.Exits(top) {
-			results[i] = FrameResult{Detections: dets, ExitedLocal: true, TopScore: top}
+			results[i] = FrameResult{Detections: dets, ExitedLocal: true}
 		} else {
-			results[i] = FrameResult{TopScore: top, FeatureBytes: feature.Size() / n * 8}
+			results[i] = FrameResult{FeatureBytes: feature.Size() / n * 8}
 			missIdx = append(missIdx, i)
 		}
 	}

@@ -212,9 +212,6 @@ func TestEarlyExitFlow(t *testing.T) {
 		if b := server[i].FeatureBytes; b <= 0 || b >= raw {
 			t.Fatalf("feature bytes = %d, want 0 < bytes < %d (the raw frame)", b, raw)
 		}
-		if local[i].TopScore != server[i].TopScore {
-			t.Fatalf("frame %d: TopScore %g at -Inf, %g at +Inf: the tiny head scores both", i, local[i].TopScore, server[i].TopScore)
-		}
 	}
 }
 

@@ -102,14 +102,8 @@ func oracleDetect(d *Detector, images *tensor.Tensor, policy nn.ExitPolicy, scor
 	results := make([]FrameResult, n)
 	for i := 0; i < n; i++ {
 		dets := NMS(d.decode(out, i, scoreFloor), 0.45)
-		top := 0.0
-		for _, dt := range dets {
-			if dt.Score > top {
-				top = dt.Score
-			}
-		}
-		if policy.Exits(top) {
-			results[i] = FrameResult{Detections: dets, ExitedLocal: true, TopScore: top}
+		if policy.Exits(topScore(dets)) {
+			results[i] = FrameResult{Detections: dets, ExitedLocal: true}
 			continue
 		}
 		sub, err := nn.GatherRows(feat, []int{i})
@@ -120,9 +114,21 @@ func oracleDetect(d *Detector, images *tensor.Tensor, policy nn.ExitPolicy, scor
 		if err != nil {
 			return nil, err
 		}
-		results[i] = FrameResult{Detections: NMS(d.decode(fullOut, 0, scoreFloor), 0.45), TopScore: top, FeatureBytes: perImg * 8}
+		results[i] = FrameResult{Detections: NMS(d.decode(fullOut, 0, scoreFloor), 0.45), FeatureBytes: perImg * 8}
 	}
 	return results, nil
+}
+
+// topScore is the best score among dets, 0 when there are none: what the
+// gate reads of a frame's tiny-head detections.
+func topScore(dets []Detection) float64 {
+	top := 0.0
+	for _, dt := range dets {
+		if dt.Score > top {
+			top = dt.Score
+		}
+	}
+	return top
 }
 
 // oracleEvaluateHead scores one head on every frame, as Evaluate did when
@@ -263,15 +269,18 @@ func TestDetectAndEvaluateMatchOracles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One frame's own TopScore: the median one, so some frames exit and
-	// some do not; that frame itself must exit.
+	// One frame's own top score, read from its tiny-head detections at
+	// -Inf: the median one, so some frames exit and some do not; that frame
+	// itself must exit.
 	order := make([]int, len(local))
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return local[order[a]].TopScore < local[order[b]].TopScore })
+	sort.SliceStable(order, func(a, b int) bool {
+		return topScore(local[order[a]].Detections) < topScore(local[order[b]].Detections)
+	})
 	own := order[len(order)/2]
-	ownScore := local[own].TopScore
+	ownScore := topScore(local[own].Detections)
 
 	for _, th := range []float64{math.Inf(-1), 0, 0.5, math.Inf(1), ownScore} {
 		policy := nn.ExitPolicy{Threshold: th}
@@ -288,7 +297,7 @@ func TestDetectAndEvaluateMatchOracles(t *testing.T) {
 				t.Fatalf("threshold %g floor %g: Detect differs from the per-frame gate\ngot  %+v\nwant %+v", th, floor, got, want)
 			}
 			if th == ownScore && !got[own].ExitedLocal {
-				t.Fatalf("frame %d did not exit at its own TopScore %g", own, ownScore)
+				t.Fatalf("frame %d did not exit at its own top score %g", own, ownScore)
 			}
 		}
 		got, err := det.Evaluate(images, truths, policy)

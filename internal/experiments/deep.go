@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"repro/internal/action"
+	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/fusion"
 	"repro/internal/nn"
@@ -48,7 +49,7 @@ func detectorSetup(rng *rand.Rand, epochs int) (*detect.Detector, *vision.Detect
 // the classification-score threshold, measuring exit rate, accuracy, and
 // shipped feature bytes.
 func E5EarlyExitDetector(rng *rand.Rand) (*Result, error) {
-	det, _, test, _, err := detectorSetup(rng, 20)
+	det, _, test, catalog, err := detectorSetup(rng, 20)
 	if err != nil {
 		return nil, err
 	}
@@ -69,10 +70,14 @@ func E5EarlyExitDetector(rng *rand.Rand) (*Result, error) {
 	sweep := viz.NewTable("threshold sweep (Fig. 5 gate)", "threshold", "local-exit %", "accuracy", "upstream KB")
 	ths := []float64{0.0, 0.2, 0.4, 0.6, 0.8, 1.01}
 	var exitPct, acc, upBytes []float64
+	var appRow detect.EvalResult
 	for _, th := range ths {
 		ev, err := det.Evaluate(test.Images, test.Truths, nn.ExitPolicy{Threshold: th})
 		if err != nil {
 			return nil, err
+		}
+		if th == e5AppThreshold {
+			appRow = ev
 		}
 		pct := ev.ExitRate * 100
 		sweep.AddRow(th, pct, ev.ClassAccuracy, ev.UpstreamBytes/1024)
@@ -103,14 +108,79 @@ func E5EarlyExitDetector(rng *rand.Rand) (*Result, error) {
 	if err := sweepOrder("E5", "upstream bytes", ths, upBytes, +1); err != nil {
 		return nil, err
 	}
+	search, err := e5VehicleWatch(rng, det, test, catalog, appRow)
+	if err != nil {
+		return nil, err
+	}
 	return &Result{
 		ID: "E5", Title: "early-exit vehicle detector threshold sweep",
-		Tables: []*viz.Table{heads, sweep},
+		Tables: []*viz.Table{heads, sweep, search},
 		Notes: []string{
 			"paper claim (Fig. 5): confident Tiny-YOLO outputs are accepted locally; otherwise the pre-branch feature map goes to the server",
 			"expected shape: raising the threshold lowers exit rate, raises accuracy toward the full model, and raises upstream bytes",
+			"paper claim (§IV.A.1): detections are annotated, indexed in HBase and searched for a wanted vehicle; the application's split is the sweep's row at its threshold",
 		},
 	}, nil
+}
+
+// e5AppThreshold is the sweep row the vehicle-search application runs at.
+const e5AppThreshold = 0.4
+
+// e5VehicleWatch runs the §IV.A.1 application on a stack booted from rng:
+// VehicleWatch annotates the held-out frames at e5AppThreshold and indexes
+// every detection in HBase, and FindVehicle answers the AMBER-alert search
+// for each class. Its local exits and upstream bytes must be row's, the
+// sweep's at that threshold, and every frame whose top annotation has its
+// true class must be among that class's sightings.
+func e5VehicleWatch(rng *rand.Rand, det *detect.Detector, test *vision.DetectionSet, catalog []vision.Class, row detect.EvalResult) (*viz.Table, error) {
+	inf, err := core.New(core.DefaultConfig(), rng)
+	if err != nil {
+		return nil, err
+	}
+	cam := inf.Cameras[0].ID
+	vw := inf.NewVehicleWatch(det, nn.ExitPolicy{Threshold: e5AppThreshold})
+	rep, err := vw.AnnotateFrames(cam, test.Images)
+	if err != nil {
+		return nil, err
+	}
+	n := test.Images.Dim(0)
+	if float64(rep.LocalExits)/float64(n) != row.ExitRate || rep.UpstreamBytes != row.UpstreamBytes {
+		return nil, fmt.Errorf("E5: VehicleWatch at threshold %g exits %d of %d frames locally and ships %d B; the sweep row exits %.4g%% and ships %d B",
+			e5AppThreshold, rep.LocalExits, n, rep.UpstreamBytes, row.ExitRate*100, row.UpstreamBytes)
+	}
+	// Each frame's annotations, best first, as the gate gives them.
+	frames, err := det.Detect(test.Images, vw.Policy, 0.05)
+	if err != nil {
+		return nil, err
+	}
+	tb := viz.NewTable(fmt.Sprintf("AMBER-alert search on the booted stack (§IV.A.1, camera %s, threshold %g)", cam, e5AppThreshold),
+		"vehicle", "frames", "top annotation right", "sightings")
+	for c, class := range catalog {
+		hits, err := vw.FindVehicle(c)
+		if err != nil {
+			return nil, err
+		}
+		sighted := make(map[string]bool, len(hits))
+		for _, h := range hits {
+			sighted[h.Row] = true
+		}
+		total, right := 0, 0
+		for i, fr := range frames {
+			if len(test.Truths[i]) == 0 || test.Truths[i][0].Class != c {
+				continue
+			}
+			total++
+			if len(fr.Detections) == 0 || fr.Detections[0].Class != c {
+				continue
+			}
+			right++
+			if !sighted[core.FrameRow(cam, i)] {
+				return nil, fmt.Errorf("E5: frame %d's top annotation is its true class %s, but the search for it does not return the frame", i, class.Name())
+			}
+		}
+		tb.AddRow(class.Name(), total, right, len(hits))
+	}
+	return tb, nil
 }
 
 // E6DetectionExamples reproduces Fig. 6: qualitative detections on sample
@@ -203,10 +273,14 @@ func E7ActionRecognition(rng *rand.Rand) (*Result, error) {
 	sweep := viz.NewTable("entropy-gate sweep (Fig. 7 exits)", "neg-entropy threshold", "exit-1 %", "accuracy", "server KB")
 	ths := []float64{-1e9, -1.2, -0.8, -0.4, -0.1, 1e9}
 	var exitRate, acc, shipped []float64
+	var appRow action.EvalResult
 	for _, th := range ths {
 		res, err := rec.Evaluate(test, nn.ExitPolicy{Threshold: th})
 		if err != nil {
 			return nil, err
+		}
+		if th == e7AppThreshold {
+			appRow = res
 		}
 		exitRate, acc, shipped = append(exitRate, res.ExitRate), append(acc, res.Accuracy), append(shipped, float64(res.ServerBytes))
 		label := fmt.Sprintf("%.2g", th)
@@ -283,16 +357,96 @@ func E7ActionRecognition(rng *rand.Rand) (*Result, error) {
 		return nil, fmt.Errorf("E7: CNN+LSTM on moving clips %.4g does not beat the same recognizer on frozen clips %.4g on loiter/walk/run", lstmAcc, frozenAcc)
 	}
 
+	alerts, err := e7CrimeWatch(rng, rec, test, appRow)
+	if err != nil {
+		return nil, err
+	}
+
 	feat, raw := rec.FeatureBytesPerClip()
 	return &Result{
 		ID: "E7", Title: "CNN+LSTM action recognition with entropy exits",
-		Tables: []*viz.Table{sweep, confusion, ablation},
+		Tables: []*viz.Table{sweep, confusion, ablation, alerts},
 		Notes: []string{
 			"paper claim (Fig. 7): entropy-gated exit 1 on the local device; block-1 features to the server otherwise",
 			fmt.Sprintf("feature sequence costs %d B/clip vs %d B raw (%.1fx saving)", feat, raw, float64(raw)/float64(feat)),
 			"paper claim (§III.B): LSTM's long-range correlations are what separate time-only classes",
+			"paper claim (§IV.A.2): a suspicious activity is logged and sent to a human operator; the application's split is the sweep's row at its threshold",
 		},
 	}, nil
+}
+
+// e7AppThreshold is the sweep row the operator-alert application runs at.
+const e7AppThreshold = -0.8
+
+// e7CrimeWatch runs the §IV.A.2 application on a stack booted from rng:
+// CrimeWatch classifies the held-out clips at e7AppThreshold, indexes each
+// label in HBase and raises an alert per suspicious clip, which the operator
+// drains with PendingAlerts. Its local exits and server bytes must be row's,
+// the sweep's at that threshold, and the alerts drained must be the clips
+// predicted suspicious, clip by clip.
+func e7CrimeWatch(rng *rand.Rand, rec *action.Recognizer, test *video.ClipSet, row action.EvalResult) (*viz.Table, error) {
+	cfg := core.DefaultConfig()
+	inf, err := core.New(cfg, rng)
+	if err != nil {
+		return nil, err
+	}
+	cam := inf.Cameras[0].ID
+	cw := inf.NewCrimeWatch(rec, nn.ExitPolicy{Threshold: e7AppThreshold})
+	rep, err := cw.MonitorClips(cam, test, cfg.Epoch)
+	if err != nil {
+		return nil, err
+	}
+	n := len(test.Labels)
+	if float64(rep.LocalExits)/float64(n) != row.ExitRate || rep.ServerBytes != row.ServerBytes {
+		return nil, fmt.Errorf("E7: CrimeWatch at threshold %g answers %d of %d clips at exit 1 and ships %d B; the sweep row answers %.4g%% and ships %d B",
+			e7AppThreshold, rep.LocalExits, n, rep.ServerBytes, row.ExitRate*100, row.ServerBytes)
+	}
+	alerts, err := inf.PendingAlerts(n)
+	if err != nil {
+		return nil, err
+	}
+	preds, err := rec.Net().Infer(test.Clips, cw.Policy)
+	if err != nil {
+		return nil, err
+	}
+	raised, local, right := map[video.Action]int{}, map[video.Action]int{}, map[video.Action]int{}
+	k := 0
+	for i, p := range preds {
+		act := video.Action(p.Class)
+		if !act.Suspicious() {
+			continue
+		}
+		exit := "server"
+		if p.ExitedLocal {
+			exit = "local"
+		}
+		if k == len(alerts) {
+			return nil, fmt.Errorf("E7: clip %d is predicted %s, but the operator drains no alert for it", i, act)
+		}
+		a := alerts[k]
+		k++
+		if a.CameraID != cam || a.ClipID != i || a.Action != act.String() || a.Exit != exit || !a.Time.Equal(cfg.Epoch) {
+			return nil, fmt.Errorf("E7: alert %+v, want camera %s clip %d %s answered at the %s exit at %v", a, cam, i, act, exit, cfg.Epoch)
+		}
+		raised[act]++
+		if p.ExitedLocal {
+			local[act]++
+		}
+		if test.Labels[i] == p.Class {
+			right[act]++
+		}
+	}
+	if k != len(alerts) {
+		return nil, fmt.Errorf("E7: the operator drains %d alerts, %d more than the clips predicted suspicious", len(alerts), len(alerts)-k)
+	}
+	tb := viz.NewTable(fmt.Sprintf("operator alerts on the booted stack (§IV.A.2, camera %s, threshold %.2g)", cam, e7AppThreshold),
+		"action", "alerts", "at exit 1", "true action")
+	for a := video.Action(0); a < video.NumActions; a++ {
+		if a.Suspicious() {
+			tb.AddRow(a.String(), raised[a], local[a], right[a])
+		}
+	}
+	return tb, nil
 }
 
 // E8ShortcutAblation compares the Fig. 8 ResNet-block shortcut variants:

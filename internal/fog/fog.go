@@ -173,10 +173,9 @@ type PathStat struct {
 
 // Results aggregates a simulation run.
 type Results struct {
-	Jobs       []JobResult
-	MeanMs     float64
-	P95Ms      float64
-	TotalBytes int
+	Jobs   []JobResult
+	MeanMs float64
+	P95Ms  float64
 	// BusyByTier maps tier → busy compute milliseconds.
 	BusyByTier map[Tier]float64
 	// BytesByLink maps "from→to" → bytes transferred.
@@ -295,7 +294,6 @@ func (t *Topology) Run(jobs []Job) (*Results, error) {
 			attribute(stage, start-st.readyAt, dur)
 			st.stages = append(st.stages, stage)
 			res.BytesByLink[key] += s.Bytes
-			res.TotalBytes += s.Bytes
 			if st.started < 0 {
 				st.started = start
 			}

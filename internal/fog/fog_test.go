@@ -56,8 +56,8 @@ func TestSingleJobLatencyArithmetic(t *testing.T) {
 	if math.Abs(res.Jobs[0].LatencyMs-want) > 1e-9 {
 		t.Fatalf("latency = %g, want %g", res.Jobs[0].LatencyMs, want)
 	}
-	if res.TotalBytes != 1000 {
-		t.Fatalf("bytes = %d", res.TotalBytes)
+	if res.BytesByLink["e→s"] != 1000 {
+		t.Fatalf("bytes = %v", res.BytesByLink)
 	}
 	if res.BusyByTier[Edge] != 5 || res.BusyByTier[Server] != 2 {
 		t.Fatalf("tier busy = %g %g", res.BusyByTier[Edge], res.BusyByTier[Server])
@@ -313,8 +313,8 @@ func TestSimulatorConservationProperty(t *testing.T) {
 		if math.Abs(res.BusyByTier[Server]-wantServerBusy) > 1e-6 {
 			t.Fatalf("trial %d: server busy %g, want %g", trial, res.BusyByTier[Server], wantServerBusy)
 		}
-		if res.TotalBytes != wantBytes {
-			t.Fatalf("trial %d: bytes %d, want %d", trial, res.TotalBytes, wantBytes)
+		if res.BytesByLink["e→s"] != wantBytes {
+			t.Fatalf("trial %d: bytes %d, want %d", trial, res.BytesByLink["e→s"], wantBytes)
 		}
 		if len(res.Jobs) != nJobs {
 			t.Fatalf("trial %d: %d job results", trial, len(res.Jobs))

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -335,50 +336,54 @@ func TestExitPolicyMetrics(t *testing.T) {
 	}
 }
 
+// TestParallelTrainerMatchesSerialGradients runs one data-parallel step on 4
+// workers and one serial step on the whole batch: the parameters after the
+// step, and the loss, must agree. 8 rows shard evenly (2, 2, 2, 2); 10 rows
+// do not (3, 3, 3, 1), so each shard must weigh by its rows.
 func TestParallelTrainerMatchesSerialGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
 	factory := func() Layer {
 		r := rand.New(rand.NewSource(100))
 		return NewSequential(NewDense(3, 5, WithRand(r)), NewTanh(), NewDense(5, 2, WithRand(r)))
 	}
-	master := factory()
-	trainer, err := NewParallelTrainer(master, 4, factory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := factory()
-	_ = CopyParams(serial.Params(), master.Params())
+	for _, rows := range []int{8, 10} {
+		t.Run(fmt.Sprintf("%d rows", rows), func(t *testing.T) {
+			master := factory()
+			trainer, err := NewParallelTrainer(master, 4, factory)
+			if err != nil {
+				t.Fatal(err)
+			}
+			serial := factory()
+			x := tensor.Randn(rand.New(rand.NewSource(23)), 1, rows, 3)
+			labels := make([]int, rows)
+			for i := range labels {
+				labels[i] = i % 2
+			}
+			ce, err := NewSoftmaxCrossEntropy(labels, rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A step at LR 0 would leave both nets unchanged, so compare the
+			// weights after one real step.
+			parallelLoss, err := trainer.Step(x, NewSGD(0.1, 0), ce.Batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			serialLoss, err := trainStep(serial, x, ce.Batch(everyRow(rows)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			NewSGD(0.1, 0).Step(serial.Params())
 
-	x := tensor.Randn(rng, 1, 8, 3)
-	labels := []int{0, 1, 0, 1, 1, 0, 1, 0}
-
-	// Parallel step with LR 0 leaves weights unchanged but accumulates the
-	// averaged gradient in master params before Step zeroes them, so compare
-	// weights after one real step instead.
-	ce, err := NewSoftmaxCrossEntropy(labels, x.Dim(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	optP := NewSGD(0.1, 0)
-	if _, err := trainer.Step(x, optP, ce.Batch); err != nil {
-		t.Fatal(err)
-	}
-
-	// Serial equivalent: mean of per-shard mean-losses equals a full-batch
-	// pass only when shards are equal size; with 8 samples over 4 workers
-	// each shard has 2 samples, so shard-mean gradients averaged equal the
-	// full-batch gradient.
-	if _, err := trainStep(serial, x, ce.Batch(everyRow(x.Dim(0)))); err != nil {
-		t.Fatal(err)
-	}
-	optS := NewSGD(0.1, 0)
-	optS.Step(serial.Params())
-
-	mp, sp := master.Params(), serial.Params()
-	for i := range mp {
-		if !tensor.AllClose(mp[i].Value, sp[i].Value, 1e-9) {
-			t.Fatalf("param %d diverged between parallel and serial", i)
-		}
+			mp, sp := master.Params(), serial.Params()
+			for i := range mp {
+				if !tensor.AllClose(mp[i].Value, sp[i].Value, 1e-9) {
+					t.Fatalf("param %d diverged between parallel and serial", i)
+				}
+			}
+			if math.Abs(parallelLoss-serialLoss) > 1e-12 {
+				t.Fatalf("parallel loss %.15g, serial %.15g", parallelLoss, serialLoss)
+			}
+		})
 	}
 }
 

@@ -106,9 +106,12 @@ func NewParallelTrainer(master Layer, workers int, factory func() Layer) (*Paral
 
 // Step performs one synchronous data-parallel step on a batch: the batch is
 // sharded across replicas, each shard takes one training step under
-// lossFor(its row indices in x), gradients are averaged into the master, the
-// optimizer runs, and new weights are broadcast. lossFor's losses are called
-// concurrently. It returns the mean shard loss.
+// lossFor(its row indices in x), the shards' gradients are averaged into the
+// master, each weighted by its share of the batch's rows, the optimizer
+// runs, and new weights are broadcast. Shards are uneven when the workers do
+// not divide the batch; the weighting makes the step the full batch's
+// either way. lossFor's losses are called concurrently. It returns the shard
+// losses averaged with the same weights.
 func (t *ParallelTrainer) Step(x *tensor.Tensor, opt Optimizer, lossFor func(idx []int) HeadLoss) (float64, error) {
 	n := x.Dim(0)
 	w := len(t.replicas)
@@ -117,6 +120,7 @@ func (t *ParallelTrainer) Step(x *tensor.Tensor, opt Optimizer, lossFor func(idx
 	}
 	type result struct {
 		loss float64
+		rows int
 		err  error
 	}
 	results := make([]result, w)
@@ -146,30 +150,27 @@ func (t *ParallelTrainer) Step(x *tensor.Tensor, opt Optimizer, lossFor func(idx
 				return
 			}
 			l, err := trainStep(t.replicas[i], bx, lossFor(idx))
-			results[i] = result{loss: l, err: err}
+			results[i] = result{loss: l, rows: len(idx), err: err}
 		}(i, start, end)
 	}
 	wg.Wait()
 
 	masterParams := t.Master.Params()
 	ZeroGrads(masterParams)
-	total := 0.0
+	loss := 0.0
 	for i := 0; i < shards; i++ {
 		if results[i].err != nil {
 			return 0, fmt.Errorf("worker %d: %w", i, results[i].err)
 		}
-		total += results[i].loss
+		share := float64(results[i].rows) / float64(n)
+		loss += share * results[i].loss
 		repParams := t.replicas[i].Params()
 		for j, p := range masterParams {
-			if err := p.Grad.AddInPlace(repParams[j].Grad); err != nil {
+			if err := p.Grad.AxpyInPlace(share, repParams[j].Grad); err != nil {
 				return 0, err
 			}
 			repParams[j].ZeroGrad()
 		}
-	}
-	inv := 1.0 / float64(shards)
-	for _, p := range masterParams {
-		p.Grad.Scale(inv)
 	}
 	opt.Step(masterParams)
 	for i := range t.replicas {
@@ -177,5 +178,5 @@ func (t *ParallelTrainer) Step(x *tensor.Tensor, opt Optimizer, lossFor func(idx
 			return 0, err
 		}
 	}
-	return total * inv, nil
+	return loss, nil
 }
