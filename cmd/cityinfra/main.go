@@ -200,8 +200,7 @@ func run(args []string) error {
 		fmt.Println("entering watch mode — each frame ingests a trickle of tweets and camera frames and runs one monitor tick")
 		trickle := tcfg
 		trickle.Count = 100
-		camSeq := 0
-		return watchLoop(inf, os.Stdout, *watchFrames, *watchInterval, func(int) error {
+		return watchLoop(inf, os.Stdout, *watchFrames, *watchInterval, func(frame int) error {
 			batch, err := citydata.GenerateTweets(trickle, incidents, inf.Gang, rng)
 			if err != nil {
 				return err
@@ -209,7 +208,7 @@ func run(args []string) error {
 			if _, err := inf.IngestTweets(batch); err != nil {
 				return err
 			}
-			_, err = inf.IngestFrames(cameraSweep(inf, rng, &camSeq), "")
+			_, err = inf.IngestFrames(core.SyntheticFrames(inf.Cameras, frame, 1, rng), "")
 			return err
 		})
 	}
@@ -220,9 +219,8 @@ func run(args []string) error {
 		// samples for a full 15 s rate window before the first request. One
 		// frame sweep per scrape keeps /api/cameras and the per-camera vec
 		// families populated too.
-		camSeq := 0
 		for i := 0; i < 4; i++ {
-			if _, err := inf.IngestFrames(cameraSweep(inf, rng, &camSeq), ""); err != nil {
+			if _, err := inf.IngestFrames(core.SyntheticFrames(inf.Cameras, i, 1, rng), ""); err != nil {
 				return err
 			}
 			inf.MonitorTick()
@@ -232,24 +230,4 @@ func run(args []string) error {
 		return http.ListenAndServe(*serve, web.NewServer(inf))
 	}
 	return nil
-}
-
-// cameraSweep generates one frame per fleet camera — the trickle the watch
-// and serve modes push through the frame pipeline so the per-camera vec
-// families, /api/cameras, and the fleet pane reflect live traffic.
-func cameraSweep(inf *core.Infrastructure, rng *rand.Rand, seq *int) []core.FrameEvent {
-	frames := make([]core.FrameEvent, 0, len(inf.Cameras))
-	for _, cam := range inf.Cameras {
-		*seq++
-		frames = append(frames, core.FrameEvent{
-			CameraID:     cam.ID,
-			Seq:          *seq,
-			Class:        "vehicle",
-			Confidence:   0.5 + rng.Float64()*0.5,
-			RawBytes:     64 << 10,
-			FeatureBytes: 8 << 10,
-			Priority:     1 + *seq%3,
-		})
-	}
-	return frames
 }

@@ -44,7 +44,7 @@ func (vw *VehicleWatch) AnnotateFrames(cameraID string, frames *tensor.Tensor) (
 	var rep AnnotateReport
 	// Fig. 5: a frame the policy does not let exit ships its pre-branch
 	// feature map for in-depth analysis.
-	results, err := vw.det.Detect(frames, vw.Policy, 0.05)
+	results, err := vw.det.Detect(frames, vw.Policy)
 	if err != nil {
 		return rep, fmt.Errorf("detect: %w", err)
 	}

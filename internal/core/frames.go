@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"strconv"
 
+	"repro/internal/citydata"
 	"repro/internal/control"
 	"repro/internal/nn"
 	"repro/internal/stream"
@@ -24,6 +26,28 @@ type FrameEvent struct {
 	// the shed level, frames with Priority below it are dropped at admission
 	// (lowest priority first). Zero is the lowest priority.
 	Priority int `json:"priority"`
+}
+
+// frameClasses are the classes a synthetic frame's local model reports.
+var frameClasses = []string{"sedan", "truck", "bus", "motorcycle", "van"}
+
+// SyntheticFrames stands in for the exit-1 model on live cameras: sweeps
+// sweeps of one frame per camera, sweep s numbered seq+s, so a caller that
+// advances seq by sweeps per call names each (camera, seq) once. Class and
+// confidence are drawn from rng, the confidence uniform on [0,1). The i-th
+// camera's stream has priority i%3, striped over the shed floor's levels
+// 0–2. No size is invented: RawBytes and FeatureBytes stay zero.
+func SyntheticFrames(cams []citydata.Camera, seq, sweeps int, rng *rand.Rand) []FrameEvent {
+	out := make([]FrameEvent, 0, sweeps*len(cams))
+	for s := 0; s < sweeps; s++ {
+		for i, cam := range cams {
+			out = append(out, FrameEvent{
+				CameraID: cam.ID, Seq: seq + s, Class: frameClasses[rng.Intn(len(frameClasses))],
+				Confidence: rng.Float64(), Priority: i % 3,
+			})
+		}
+	}
+	return out
 }
 
 // FrameStats is the frame pipeline's accounting: the usual Fig. 4 counters

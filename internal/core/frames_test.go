@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/citydata"
 	"repro/internal/faults"
 	"repro/internal/telemetry"
 )
@@ -282,5 +283,51 @@ func TestFrameKeysMatchFmt(t *testing.T) {
 	}
 	if got, want := featurePath(long, long, 7), long+"/"+long+"-000007.feat"; got != want {
 		t.Errorf("featurePath(long) = %q, want %q", got, want)
+	}
+}
+
+// SyntheticFrames is the one frame source outside the benchmark: a seed
+// replays its frames, each sweep is one frame per camera, a caller that
+// advances seq by the sweeps it drew names each (camera, seq) once, the
+// camera streams' priorities cover the shed floor's levels 0–2, and no
+// frame carries an invented size.
+func TestSyntheticFramesSource(t *testing.T) {
+	cams := []citydata.Camera{{ID: "dotd-000"}, {ID: "dotd-001"}, {ID: "dotd-002"}, {ID: "dotd-003"}}
+	draw := func(seed int64) []FrameEvent {
+		rng := rand.New(rand.NewSource(seed))
+		return append(SyntheticFrames(cams, 0, 3, rng), SyntheticFrames(cams, 3, 2, rng)...)
+	}
+	frames := draw(7)
+	if again := draw(7); !reflect.DeepEqual(frames, again) {
+		t.Fatalf("seed 7 drew different frames:\n%+v\n%+v", frames, again)
+	}
+	if reflect.DeepEqual(frames, draw(8)) {
+		t.Fatal("seeds 7 and 8 drew the same frames")
+	}
+	if len(frames) != 5*len(cams) {
+		t.Fatalf("5 sweeps of %d cameras gave %d frames", len(cams), len(frames))
+	}
+	seen := map[string]bool{}
+	priorities := map[int]int{}
+	for k, f := range frames {
+		sweep, cam := k/len(cams), cams[k%len(cams)].ID
+		if f.CameraID != cam || f.Seq != sweep {
+			t.Fatalf("frame %d is (%s, %d), want sweep %d's frame of %s", k, f.CameraID, f.Seq, sweep, cam)
+		}
+		key := FrameRow(f.CameraID, f.Seq)
+		if seen[key] {
+			t.Fatalf("(camera, seq) %s drawn twice", key)
+		}
+		seen[key] = true
+		priorities[f.Priority]++
+		if f.RawBytes != 0 || f.FeatureBytes != 0 {
+			t.Fatalf("frame %d carries sizes %d/%d, want none", k, f.RawBytes, f.FeatureBytes)
+		}
+		if f.Confidence < 0 || f.Confidence >= 1 || f.Class == "" {
+			t.Fatalf("frame %d: class %q, confidence %g", k, f.Class, f.Confidence)
+		}
+	}
+	if len(priorities) != 3 || priorities[0] == 0 || priorities[1] == 0 || priorities[2] == 0 {
+		t.Fatalf("priorities %v, want levels 0, 1 and 2", priorities)
 	}
 }

@@ -261,9 +261,12 @@ func (d *Detector) TrainEpoch(images *tensor.Tensor, truths [][]GroundTruth, bat
 	})
 }
 
-// decode converts one image's head output to detections above scoreFloor,
-// before NMS.
-func (d *Detector) decode(out *tensor.Tensor, img int, scoreFloor float64) []Detection {
+// scoreFloor is the score below which a decoded cell is no detection.
+const scoreFloor = 0.05
+
+// decode converts one image's head output to detections at or above
+// scoreFloor, before NMS.
+func (d *Detector) decode(out *tensor.Tensor, img int) []Detection {
 	s := d.cfg.Grid
 	k := d.cfg.Classes
 	var dets []Detection
@@ -341,10 +344,11 @@ type FrameResult struct {
 
 // Detect runs a batch of frames through the Fig. 5 gate. The stem and tiny
 // head score every frame; a frame whose best tiny-head score (0 when it
-// detects nothing) the policy lets exit keeps the tiny head's detections, and the feature maps of the rest are re-scored
-// by the full tail in one pass. Detections below scoreFloor are dropped
-// before non-maximum suppression.
-func (d *Detector) Detect(images *tensor.Tensor, policy nn.ExitPolicy, scoreFloor float64) ([]FrameResult, error) {
+// detects nothing) the policy lets exit keeps the tiny head's detections,
+// and the feature maps of the rest are re-scored by the full tail in one
+// pass. Detections below scoreFloor are dropped before non-maximum
+// suppression.
+func (d *Detector) Detect(images *tensor.Tensor, policy nn.ExitPolicy) ([]FrameResult, error) {
 	feature, out, err := d.net.LocalForward(images)
 	if err != nil {
 		return nil, err
@@ -353,7 +357,7 @@ func (d *Detector) Detect(images *tensor.Tensor, policy nn.ExitPolicy, scoreFloo
 	results := make([]FrameResult, n)
 	var missIdx []int
 	for i := range results {
-		dets := NMS(d.decode(out, i, scoreFloor), 0.45)
+		dets := NMS(d.decode(out, i), 0.45)
 		top := 0.0
 		if len(dets) > 0 {
 			top = dets[0].Score
@@ -377,7 +381,7 @@ func (d *Detector) Detect(images *tensor.Tensor, policy nn.ExitPolicy, scoreFloo
 		return nil, err
 	}
 	for mi, i := range missIdx {
-		results[i].Detections = NMS(d.decode(serverOut, mi, scoreFloor), 0.45)
+		results[i].Detections = NMS(d.decode(serverOut, mi), 0.45)
 	}
 	return results, nil
 }
@@ -400,7 +404,7 @@ func (d *Detector) Evaluate(images *tensor.Tensor, truths [][]GroundTruth, polic
 	if len(truths) != n {
 		return EvalResult{}, fmt.Errorf("%w: %d truth lists for %d images", ErrBadInput, len(truths), n)
 	}
-	results, err := d.Detect(images, policy, 0)
+	results, err := d.Detect(images, policy)
 	if err != nil {
 		return EvalResult{}, err
 	}

@@ -190,11 +190,11 @@ func TestEarlyExitFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := det.Detect(set.Images, nn.ExitPolicy{Threshold: math.Inf(-1)}, 0.05)
+	local, err := det.Detect(set.Images, nn.ExitPolicy{Threshold: math.Inf(-1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	server, err := det.Detect(set.Images, nn.ExitPolicy{Threshold: math.Inf(1)}, 0.05)
+	server, err := det.Detect(set.Images, nn.ExitPolicy{Threshold: math.Inf(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestLossInputValidation(t *testing.T) {
 	if _, err := det.Evaluate(imgs, make([][]GroundTruth, 1), nn.ExitPolicy{}); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("evaluate truth count err = %v", err)
 	}
-	if res, err := det.Detect(tensor.New(0, 3, 12, 12), nn.ExitPolicy{}, 0); err != nil || len(res) != 0 {
+	if res, err := det.Detect(tensor.New(0, 3, 12, 12), nn.ExitPolicy{}); err != nil || len(res) != 0 {
 		t.Fatalf("empty batch: %d results, err = %v", len(res), err)
 	}
 }

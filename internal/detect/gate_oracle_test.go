@@ -88,7 +88,7 @@ func oracleTrainEpoch(d *Detector, images *tensor.Tensor, truths [][]GroundTruth
 // oracleDetect runs the stem and tiny head on the batch, then gates each
 // frame on its own and re-scores a miss by running the full tail on that
 // frame's feature map alone.
-func oracleDetect(d *Detector, images *tensor.Tensor, policy nn.ExitPolicy, scoreFloor float64) ([]FrameResult, error) {
+func oracleDetect(d *Detector, images *tensor.Tensor, policy nn.ExitPolicy) ([]FrameResult, error) {
 	feat, err := d.net.Stem.Forward(images, false)
 	if err != nil {
 		return nil, err
@@ -101,7 +101,7 @@ func oracleDetect(d *Detector, images *tensor.Tensor, policy nn.ExitPolicy, scor
 	perImg := feat.Size() / n
 	results := make([]FrameResult, n)
 	for i := 0; i < n; i++ {
-		dets := NMS(d.decode(out, i, scoreFloor), 0.45)
+		dets := NMS(d.decode(out, i), 0.45)
 		if policy.Exits(topScore(dets)) {
 			results[i] = FrameResult{Detections: dets, ExitedLocal: true}
 			continue
@@ -114,7 +114,7 @@ func oracleDetect(d *Detector, images *tensor.Tensor, policy nn.ExitPolicy, scor
 		if err != nil {
 			return nil, err
 		}
-		results[i] = FrameResult{Detections: NMS(d.decode(fullOut, 0, scoreFloor), 0.45), FeatureBytes: perImg * 8}
+		results[i] = FrameResult{Detections: NMS(d.decode(fullOut, 0), 0.45), FeatureBytes: perImg * 8}
 	}
 	return results, nil
 }
@@ -145,7 +145,7 @@ func oracleEvaluateHead(d *Detector, images *tensor.Tensor, truths [][]GroundTru
 	n := images.Dim(0)
 	var res EvalResult
 	for i := 0; i < n; i++ {
-		dets := NMS(d.decode(out, i, 0.0), 0.45)
+		dets := NMS(d.decode(out, i), 0.45)
 		if len(dets) == 0 || len(truths[i]) == 0 {
 			continue
 		}
@@ -169,7 +169,7 @@ func oracleEvaluateHead(d *Detector, images *tensor.Tensor, truths [][]GroundTru
 // oracleEvaluateGate is E5's inline sweep loop over oracleDetect, with the
 // mean IoU the head oracle computes.
 func oracleEvaluateGate(d *Detector, images *tensor.Tensor, truths [][]GroundTruth, policy nn.ExitPolicy) (EvalResult, error) {
-	frames, err := oracleDetect(d, images, policy, 0.0)
+	frames, err := oracleDetect(d, images, policy)
 	if err != nil {
 		return EvalResult{}, err
 	}
@@ -265,7 +265,7 @@ func TestTrainEpochMatchesOracle(t *testing.T) {
 
 func TestDetectAndEvaluateMatchOracles(t *testing.T) {
 	det, images, truths := trainedPair(t)
-	local, err := det.Detect(images, nn.ExitPolicy{Threshold: math.Inf(-1)}, 0)
+	local, err := det.Detect(images, nn.ExitPolicy{Threshold: math.Inf(-1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,32 +284,30 @@ func TestDetectAndEvaluateMatchOracles(t *testing.T) {
 
 	for _, th := range []float64{math.Inf(-1), 0, 0.5, math.Inf(1), ownScore} {
 		policy := nn.ExitPolicy{Threshold: th}
-		for _, floor := range []float64{0, 0.05} {
-			got, err := det.Detect(images, policy, floor)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := oracleDetect(det, images, policy, floor)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("threshold %g floor %g: Detect differs from the per-frame gate\ngot  %+v\nwant %+v", th, floor, got, want)
-			}
-			if th == ownScore && !got[own].ExitedLocal {
-				t.Fatalf("frame %d did not exit at its own top score %g", own, ownScore)
-			}
-		}
-		got, err := det.Evaluate(images, truths, policy)
+		got, err := det.Detect(images, policy)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := oracleEvaluateGate(det, images, truths, policy)
+		want, err := oracleDetect(det, images, policy)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
-			t.Fatalf("threshold %g: Evaluate %+v, gate oracle %+v", th, got, want)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("threshold %g: Detect differs from the per-frame gate\ngot  %+v\nwant %+v", th, got, want)
+		}
+		if th == ownScore && !got[own].ExitedLocal {
+			t.Fatalf("frame %d did not exit at its own top score %g", own, ownScore)
+		}
+		gotEval, err := det.Evaluate(images, truths, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantEval, err := oracleEvaluateGate(det, images, truths, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotEval != wantEval {
+			t.Fatalf("threshold %g: Evaluate %+v, gate oracle %+v", th, gotEval, wantEval)
 		}
 	}
 

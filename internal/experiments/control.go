@@ -24,8 +24,9 @@ func e24Phases(seed int64) []phase {
 	}
 }
 
-// e24FramesPerTick is the fixed per-tick camera load.
-const e24FramesPerTick = 24
+// e24Cameras and e24Sweeps are the fixed per-tick camera load: 3 sweeps of
+// the first 8 cameras, 24 frames.
+const e24Cameras, e24Sweeps = 8, 3
 
 // e24ArmResult is one arm's accounting over the shared schedule.
 type e24ArmResult struct {
@@ -45,8 +46,8 @@ type e24ArmResult struct {
 // e24RunArm replays the shared schedule through a fresh stack. controlled
 // selects whether the closed loop is live or held disabled (the static
 // baseline the paper's fixed-threshold deployment corresponds to). Both arms
-// draw the identical frame workload from a seed+1 rng — eight cameras
-// round-robin — so the early-exit mix is byte-identical across arms.
+// draw the identical frame workload from a seed+1 rng — the first eight
+// cameras — so the early-exit mix is byte-identical across arms.
 func e24RunArm(seed int64, controlled bool) (*e24ArmResult, error) {
 	const undelivered = "cityinfra_pipeline_undelivered_total"
 	arm := &e24ArmResult{
@@ -69,7 +70,8 @@ func e24RunArm(seed int64, controlled bool) (*e24ArmResult, error) {
 			if t.i == 1 {
 				phaseStart, actionsBefore, first = regValue(t.inf, undelivered), t.inf.Control.TotalActions(), 0
 			}
-			st, err := t.inf.IngestFrames(frameBatch(frames, t.n-1, e24FramesPerTick, 8), "/warehouse/frames")
+			batch := core.SyntheticFrames(t.inf.Cameras[:e24Cameras], (t.n-1)*e24Sweeps, e24Sweeps, frames)
+			st, err := t.inf.IngestFrames(batch, "/warehouse/frames")
 			if err != nil {
 				return err
 			}

@@ -149,7 +149,7 @@ func e5VehicleWatch(rng *rand.Rand, det *detect.Detector, test *vision.Detection
 			e5AppThreshold, rep.LocalExits, n, rep.UpstreamBytes, row.ExitRate*100, row.UpstreamBytes)
 	}
 	// Each frame's annotations, best first, as the gate gives them.
-	frames, err := det.Detect(test.Images, vw.Policy, 0.05)
+	frames, err := det.Detect(test.Images, vw.Policy)
 	if err != nil {
 		return nil, err
 	}
@@ -195,7 +195,7 @@ func E6DetectionExamples(rng *rand.Rand) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	frames, err := det.Detect(imgs, nn.ExitPolicy{Threshold: 0.5}, 0.05)
+	frames, err := det.Detect(imgs, nn.ExitPolicy{Threshold: 0.5})
 	if err != nil {
 		return nil, err
 	}

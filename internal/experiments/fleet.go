@@ -31,24 +31,6 @@ func e26Config() core.Config {
 	return cfg
 }
 
-// e26Frames builds one frame per camera for a tick. Confidence is a pure
-// function of camera index so the offload mix is identical across runs:
-// every 8th camera sits below the 0.5 gate and offloads its feature map.
-func e26Frames(inf *core.Infrastructure, seq int) []core.FrameEvent {
-	out := make([]core.FrameEvent, 0, len(inf.Cameras))
-	for i, cam := range inf.Cameras {
-		conf := 0.9
-		if i%8 == 0 {
-			conf = 0.3
-		}
-		out = append(out, core.FrameEvent{
-			CameraID: cam.ID, Seq: seq, Class: "vehicle", Confidence: conf,
-			RawBytes: 1 << 10, FeatureBytes: 256, Priority: 1,
-		})
-	}
-	return out
-}
-
 // E26FleetObservability proves the per-camera dimensional layer end to end.
 // Localization: with 220 cameras streaming, a broker blackout targeted at
 // ONE camera's uplink must fire the camera-delivery-rate alert within 3
@@ -67,6 +49,7 @@ func E26FleetObservability(rng *rand.Rand) (*Result, error) {
 	// stay healthy while every produce for the target fails.
 	blackout := partition(seed, "bus.produce")
 	blackout.TargetKeys = []string{e26Target}
+	frameRng := rand.New(rand.NewSource(seed + 1))
 	var (
 		frames, detectTicks int
 		evidence            []string
@@ -86,7 +69,7 @@ func E26FleetObservability(rng *rand.Rand) (*Result, error) {
 			{"recovery", 8, nil},
 		},
 		load: func(t tick) error {
-			if _, err := t.inf.IngestFrames(e26Frames(t.inf, t.n), ""); err != nil {
+			if _, err := t.inf.IngestFrames(core.SyntheticFrames(t.inf.Cameras, t.n, 1, frameRng), ""); err != nil {
 				return err
 			}
 			frames += len(t.inf.Cameras)

@@ -32,13 +32,19 @@ func E3FogOffloadSweep(rng *rand.Rand) (*Result, error) {
 
 	policies := viz.NewTable("offload policy comparison (600 frames @ 10fps/edge)",
 		"policy", "mean ms", "p95 ms", "fog→server KB", "server busy ms", "fog busy ms")
+	early05 := fog.Policy{Kind: fog.PolicyEarlyExit, Exit: nn.ExitPolicy{Threshold: 0.5}}
 	var baselines []*fog.Results
-	for _, p := range []fog.Policy{
-		{Kind: fog.PolicyLocalOnly},
-		{Kind: fog.PolicyCloudOnly},
-		{Kind: fog.PolicyEarlyExit, Exit: nn.ExitPolicy{Threshold: 0.5}},
+	for _, p := range []struct {
+		name   string
+		policy fog.Policy
+	}{
+		// Every confidence is >= 0, so early exit at threshold 0 exits every
+		// frame on the fog node: local-only.
+		{"local-only", fog.Policy{Kind: fog.PolicyEarlyExit}},
+		{fog.PolicyCloudOnly.String(), fog.Policy{Kind: fog.PolicyCloudOnly}},
+		{fmt.Sprintf("%s@%g", fog.PolicyEarlyExit, early05.Exit.Threshold), early05},
 	} {
-		jobs, err := p.JobsFor(d, work)
+		jobs, err := p.policy.JobsFor(d, work)
 		if err != nil {
 			return nil, err
 		}
@@ -46,11 +52,7 @@ func E3FogOffloadSweep(rng *rand.Rand) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		name := p.Kind.String()
-		if p.Kind == fog.PolicyEarlyExit {
-			name += fmt.Sprintf("@%g", p.Exit.Threshold)
-		}
-		policies.AddRow(name, res.MeanMs, res.P95Ms, fogUpstream(res)/1024,
+		policies.AddRow(p.name, res.MeanMs, res.P95Ms, fogUpstream(res)/1024,
 			res.BusyByTier[fog.Server], res.BusyByTier[fog.Fog])
 		baselines = append(baselines, res)
 	}
@@ -103,7 +105,7 @@ func E3FogOffloadSweep(rng *rand.Rand) (*Result, error) {
 
 // fogWorkload is n camera frames on d, round-robin across the edges, each
 // edge releasing one every stepMs. E3 and E19 run one simulated minute of it
-// (600 frames at 10 fps per edge); E20 replays a short burst.
+// (600 frames at 10 fps per edge).
 func fogWorkload(d *fog.Deployment, n int, stepMs float64, rng *rand.Rand) []fog.InferenceItem {
 	work := make([]fog.InferenceItem, n)
 	for i := range work {

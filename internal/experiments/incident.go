@@ -50,7 +50,9 @@ func e25RunScenario(seed int64, sc e25Scenario) (*core.Infrastructure, int, erro
 		phases: []phase{{"warmup", 4, nil}, {"fault", 6, partition(seed, sc.ops...)}, {"recovery", 8, nil}},
 		load: func(t tick) error {
 			if sc.frames {
-				_, err := t.inf.IngestFrames(frameBatch(frames, t.n-1, e25Batch, 4), "/warehouse/e25")
+				const cams = 4
+				sweeps := e25Batch / cams
+				_, err := t.inf.IngestFrames(core.SyntheticFrames(t.inf.Cameras[:cams], (t.n-1)*sweeps, sweeps, frames), "/warehouse/e25")
 				return err
 			}
 			if batch == nil {

@@ -135,22 +135,3 @@ func (s *tweetSource) batch(inf *core.Infrastructure, count int) ([]citydata.Twe
 	tcfg.Count = count
 	return citydata.GenerateTweets(tcfg, s.crimes, inf.Gang, s.rng)
 }
-
-// frameBatch is the k-th tick's (0-based) n frames over cams cameras
-// round-robin: classes and priorities striped, confidence drawn from rng.
-func frameBatch(rng *rand.Rand, k, n, cams int) []core.FrameEvent {
-	classes := []string{"vehicle", "person", "bag"}
-	batch := make([]core.FrameEvent, n)
-	for i := range batch {
-		batch[i] = core.FrameEvent{
-			CameraID:     fmt.Sprintf("cam-%02d", i%cams),
-			Seq:          k*n + i,
-			Class:        classes[i%len(classes)],
-			Confidence:   rng.Float64(),
-			Priority:     i % 3,
-			RawBytes:     2048,
-			FeatureBytes: 256,
-		}
-	}
-	return batch
-}

@@ -11,23 +11,6 @@ import (
 	"repro/internal/viz"
 )
 
-// e20Frames builds one batch of camera frames for the traced sweep.
-func e20Frames(n, offset int, rng *rand.Rand) []core.FrameEvent {
-	classes := []string{"sedan", "suv", "truck", "bus"}
-	frames := make([]core.FrameEvent, n)
-	for i := range frames {
-		frames[i] = core.FrameEvent{
-			CameraID:     fmt.Sprintf("cam-%02d", i%5),
-			Seq:          offset + i,
-			Class:        classes[rng.Intn(len(classes))],
-			Confidence:   rng.Float64(),
-			RawBytes:     30000,
-			FeatureBytes: 6000,
-		}
-	}
-	return frames
-}
-
 // tierSpans walks each trace's Breakdown and counts spans by tier,
 // verifying per trace that the stages' exclusive times sum exactly to the
 // root duration (the tracer's no-orphan/nesting invariant made measurable).
@@ -70,8 +53,10 @@ func E20TracedChaosSweep(rng *rand.Rand) (*Result, error) {
 	frameRng := rand.New(rand.NewSource(seed + 1))
 
 	// Baseline arm: clean pass, exact attribution from propagated traces.
-	const batch = 40
-	base, err := inf.IngestFrames(e20Frames(batch, 0, frameRng), "/warehouse/e20/features")
+	// Each arm is 8 sweeps of the first 5 cameras.
+	cams := inf.Cameras[:5]
+	const sweeps = 8
+	base, err := inf.IngestFrames(core.SyntheticFrames(cams, 0, sweeps, frameRng), "/warehouse/e20/features")
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +93,7 @@ func E20TracedChaosSweep(rng *rand.Rand) (*Result, error) {
 	inf.EnableChaos(faults.NewInjector(faults.Config{
 		Seed: seed, ErrorRate: 0.15, BurstLen: 2,
 	}))
-	chaos, err := inf.IngestFrames(e20Frames(batch, batch, frameRng), "/warehouse/e20/features")
+	chaos, err := inf.IngestFrames(core.SyntheticFrames(cams, sweeps, sweeps, frameRng), "/warehouse/e20/features")
 	if err != nil {
 		return nil, err
 	}

@@ -174,7 +174,8 @@ func TestEarlyExitPolicyReducesUpstreamBytes(t *testing.T) {
 		}
 		return res
 	}
-	local := run(Policy{Kind: PolicyLocalOnly})
+	// Early exit at threshold 0 exits every item: local-only.
+	local := run(Policy{Kind: PolicyEarlyExit})
 	cloud := run(Policy{Kind: PolicyCloudOnly})
 	early := run(Policy{Kind: PolicyEarlyExit, Exit: nn.ExitPolicy{Threshold: 0.5}})
 
@@ -253,7 +254,7 @@ func TestEarlyExitThresholdMonotonicity(t *testing.T) {
 func TestPolicyJobsErrors(t *testing.T) {
 	d := NewDeployment()
 	bad := []InferenceItem{{ID: "x", EdgeIdx: 99}}
-	if _, err := (Policy{Kind: PolicyLocalOnly}).JobsFor(d, bad); !errors.Is(err, ErrBadJob) {
+	if _, err := (Policy{Kind: PolicyEarlyExit}).JobsFor(d, bad); !errors.Is(err, ErrBadJob) {
 		t.Fatalf("edge idx err = %v", err)
 	}
 	if _, err := (Policy{Kind: PolicyKind(99)}).JobsFor(d, makeItems(1, rand.New(rand.NewSource(1)))); !errors.Is(err, ErrBadJob) {

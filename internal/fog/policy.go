@@ -97,10 +97,8 @@ type InferenceItem struct {
 type PolicyKind int
 
 const (
-	// PolicyLocalOnly runs everything on the fog node and never offloads.
-	PolicyLocalOnly PolicyKind = iota + 1
 	// PolicyCloudOnly ships every raw input to the analysis server.
-	PolicyCloudOnly
+	PolicyCloudOnly PolicyKind = iota + 1
 	// PolicyEarlyExit runs the local model on the fog node and ships only
 	// low-confidence feature maps upstream — the paper's architecture.
 	PolicyEarlyExit
@@ -109,8 +107,6 @@ const (
 // String names the policy.
 func (p PolicyKind) String() string {
 	switch p {
-	case PolicyLocalOnly:
-		return "local-only"
 	case PolicyCloudOnly:
 		return "server-only"
 	case PolicyEarlyExit:
@@ -145,8 +141,6 @@ func (p Policy) JobsFor(d *Deployment, items []InferenceItem) ([]Job, error) {
 			TransferStep{From: edge, To: fogNode, Bytes: it.RawBytes},
 		}
 		switch p.Kind {
-		case PolicyLocalOnly:
-			steps = append(steps, ComputeStep{NodeID: fogNode, Ops: it.LocalOps})
 		case PolicyCloudOnly:
 			steps = append(steps,
 				TransferStep{From: fogNode, To: server, Bytes: it.RawBytes},
