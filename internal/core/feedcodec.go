@@ -268,12 +268,20 @@ func (c *jsonCursor) strToken() []byte {
 	return nil
 }
 
-func (c *jsonCursor) str() string {
+// str consumes a string token and returns its contents: the one of known
+// they equal, which costs no copy, or else a copy of the input's bytes.
+func (c *jsonCursor) str(known ...string) string {
 	tok := c.strToken()
 	if tok == nil {
 		return ""
 	}
-	return string(tok[1 : len(tok)-1])
+	s := tok[1 : len(tok)-1]
+	for _, k := range known {
+		if string(s) == k {
+			return k
+		}
+	}
+	return string(s)
 }
 
 // number consumes one token of the JSON number grammar.
@@ -441,14 +449,18 @@ func decodeCall911(data []byte, call *citydata.Call911) error {
 	return json.Unmarshal(data, call)
 }
 
-func decodeFrame(data []byte, f *FrameEvent) error {
+// decodeFrame reads a frame record produced under key. The camera id is
+// resolved against key, the producing camera's, and the class against
+// frameClasses, so a record of a known camera and class decodes without
+// copying either string.
+func decodeFrame(data []byte, key string, f *FrameEvent) error {
 	c := jsonCursor{b: data, ok: true}
 	c.lit(`{"cameraId":`)
-	f.CameraID = c.str()
+	f.CameraID = c.str(key)
 	c.lit(`,"seq":`)
 	f.Seq = c.int()
 	c.lit(`,"class":`)
-	f.Class = c.str()
+	f.Class = c.str(frameClasses...)
 	c.lit(`,"confidence":`)
 	f.Confidence = c.float()
 	c.lit(`,"rawBytes":`)

@@ -160,8 +160,18 @@ func FuzzFeedCodecMatchesJSON(f *testing.F) {
 				Time: tm, SpeedKmh: z, UserReport: flag}, raw)
 		checkFeedCodec(t, appendCall911, decodeCall911,
 			&citydata.Call911{ID: s1, Category: s3, Location: geo.Point{Lat: y, Lon: z}, Time: tm, Priority: n}, raw)
+		// The frame decoder resolves the camera id against the record key and
+		// the class against frameClasses: run it with a key that is the
+		// camera and one that is not, on a class inside the list and one
+		// outside it.
 		fr := FrameEvent{CameraID: s1, Seq: n, Class: s2, Confidence: x, RawBytes: int(sec), FeatureBytes: int(nsec), Priority: int(zone)}
-		checkFeedCodec(t, appendFrame, decodeFrame, &fr, raw)
+		for _, key := range []string{s1, s1 + "~"} {
+			for _, class := range []string{frameClasses[uint(n)%uint(len(frameClasses))], s2 + "~"} {
+				fr.Class = class
+				checkFeedCodec(t, appendFrame, func(data []byte, f *FrameEvent) error { return decodeFrame(data, key, f) }, &fr, raw)
+			}
+		}
+		fr.Class = s2
 		// A frame whose strings need no escape fits the buffer frameSize
 		// sized for it.
 		if body, err := encodeFrame(&fr); err == nil && unescaped(s1) && unescaped(s2) && len(body) > frameSize(&fr) {

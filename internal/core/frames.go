@@ -243,7 +243,7 @@ func (inf *Infrastructure) serveFrame(rec stream.Record, fallback *telemetry.Spa
 	traceID := spInfer.Context().TraceID
 
 	var f FrameEvent
-	if err := decodeFrame(rec.Value, &f); err != nil {
+	if err := decodeFrame(rec.Value, rec.Key, &f); err != nil {
 		// The record key is the producing camera's id, so even a poisoned
 		// payload stays attributed in the fleet accounting.
 		inf.frameLost(inf.Fleet.camera(rec.Key), stats, "decode", rec.Key, rec.Value, err, traceID)
@@ -314,7 +314,9 @@ func (inf *Infrastructure) archiveFrame(parent *telemetry.Span, f FrameEvent, va
 		stats.Stored++
 		return true
 	}
-	if !put(qualClass, []byte(f.Class)) || !put(qualConfidence, []byte(strconv.FormatFloat(f.Confidence, 'f', 4, 64))) {
+	// Put copies its value, so the confidence is formatted on the stack.
+	var conf [24]byte
+	if !put(qualClass, []byte(f.Class)) || !put(qualConfidence, strconv.AppendFloat(conf[:0], f.Confidence, 'f', 4, 64)) {
 		return
 	}
 	if offloaded && archiveDir != "" {

@@ -53,6 +53,7 @@ func E26FleetObservability(rng *rand.Rand) (*Result, error) {
 	var (
 		frames, detectTicks int
 		evidence            []string
+		peakBurn            float64 // the target's highest burn on any tick
 	)
 	inf, err := run(scenario{
 		// The adaptive controller would shed and migrate in response to the
@@ -92,6 +93,11 @@ func E26FleetObservability(rng *rand.Rand) (*Result, error) {
 			}
 			st := ruleState(inf, e26Rule)
 			timeline.AddRow(t.n, t.phase.name, st.State, topCam, burnCell, undCell, widest)
+			for _, cs := range inf.Fleet.Report() {
+				if cs.Camera == e26Target {
+					peakBurn = max(peakBurn, cs.Burn)
+				}
+			}
 
 			switch {
 			case t.phase.name == "warmup" && t.last():
@@ -203,7 +209,7 @@ func E26FleetObservability(rng *rand.Rand) (*Result, error) {
 	localize.AddRow("blacked-out uplink", e26Target)
 	localize.AddRow("detection ticks (onset → firing)", fmt.Sprintf("%d (budget <= %d)", detectTicks, e26DetectBudget))
 	localize.AddRow("target undelivered / ingested", fmt.Sprintf("%d / %d", target.Undelivered, target.Ingested))
-	localize.AddRow("peak burn", fmt.Sprintf("%.0f× budget", target.Burn))
+	localize.AddRow("peak burn", fmt.Sprintf("%.0f× budget", peakBurn))
 	localize.AddRow("collateral undelivered (other 219)", 0)
 	localize.AddRow("incident evidence", strings.Join(evidence, "; "))
 

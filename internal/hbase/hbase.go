@@ -187,7 +187,10 @@ type Table struct {
 	// store files, and that the WAL keeps until flushing, the store file
 	// built from it, is installed. Empty with flushing nil when no flush is
 	// pending; frozen and wal swap buffers at each freeze.
-	frozen   []Cell
+	frozen []Cell
+	// vals is the unused tail of the chunk the next value is copied into
+	// (ownLocked).
+	vals     []byte
 	flushing *build
 	merging  *build       // the merge in flight, nil when none
 	files    []*storeFile // newest first
@@ -316,10 +319,27 @@ func (t *Table) Put(row, family, qualifier string, value []byte) error {
 		return fmt.Errorf("%w: %s", ErrNoFamily, family)
 	}
 	t.clock++
-	v := make([]byte, len(value))
-	copy(v, value)
-	c := Cell{Row: row, Family: family, Qualifier: qualifier, Value: v, Timestamp: t.clock}
+	c := Cell{Row: row, Family: family, Qualifier: qualifier, Value: t.ownLocked(value), Timestamp: t.clock}
 	return t.applyLocked(c)
+}
+
+// valueChunk is how many bytes one value-chunk allocation holds. A chunk
+// stays live while any value in it is, so a chunk of values that were
+// overwritten or deleted is freed only with the last of them; a frame's two
+// values take 9–16 bytes, so a chunk holds those of about 300 frames.
+const valueChunk = 4 << 10
+
+// ownLocked is the table's copy of a value passed to Put, carved from a
+// chunk the table owns and capped at its length, so an append to one
+// reallocates instead of reaching its neighbour. A value larger than a
+// chunk gets a chunk of its own size.
+func (t *Table) ownLocked(value []byte) []byte {
+	if cap(t.vals)-len(t.vals) < len(value) {
+		t.vals = make([]byte, 0, max(valueChunk, len(value)))
+	}
+	start := len(t.vals)
+	t.vals = append(t.vals, value...)
+	return t.vals[start:len(t.vals):len(t.vals)]
 }
 
 // Delete writes a tombstone for one cell.

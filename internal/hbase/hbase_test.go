@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/hdfs"
@@ -267,6 +268,16 @@ func TestValueIsolation(t *testing.T) {
 		}
 		if err := tb.Flush(); err != nil {
 			t.Fatal(err)
+		}
+	}
+	// A value larger than a chunk is copied whole, and the value after it
+	// is not written over it.
+	big := strings.Repeat("x", valueChunk+1)
+	_ = tb.Put("t", "meta", "v", []byte(big))
+	_ = tb.Put("u", "meta", "v", []byte("ghi"))
+	for row, want := range map[string]string{"t": big, "u": "ghi"} {
+		if got, err := tb.Get(row, "meta", "v"); err != nil || string(got) != want {
+			t.Fatalf("Get(%s) = %d bytes, %v; want %d", row, len(got), err, len(want))
 		}
 	}
 }

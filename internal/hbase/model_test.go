@@ -375,6 +375,16 @@ func (m *modelTable) checkFiles() {
 	for _, sf := range files {
 		runs = append(runs, sf.cells)
 	}
+	// Values share the table's chunks: each must end where its
+	// capacity does, so an append to one reallocates instead of reaching
+	// the next.
+	for _, run := range append(runs, m.tb.wal) {
+		for i := range run {
+			if v := run[i].Value; cap(v) != len(v) {
+				m.t.Fatalf("%v holds a %d-byte value with capacity %d", run[i].id(), len(v), cap(v))
+			}
+		}
+	}
 	for _, run := range runs {
 		for i := range run {
 			c := &run[i]
@@ -477,6 +487,9 @@ func (m *modelTable) check(start, end, prefix string) {
 	m.t.Helper()
 	for _, id := range modelKeys {
 		got, err := m.tb.Get(id.row, id.family, id.qualifier)
+		// A Get result is the caller's: appending to it reaches no value the
+		// table holds, which the reads below see.
+		got = append(got, '#')[:len(got)]
 		want, live := m.model[id]
 		switch {
 		case live && (err != nil || string(got) != want):
@@ -490,6 +503,15 @@ func (m *modelTable) check(start, end, prefix string) {
 		m.t.Fatal(err)
 	}
 	m.checkRows("Scan(all)", all, m.expect("", ""))
+	// A Scan's values share one buffer: appending to each in turn must
+	// reach neither the next value in it nor the table's.
+	for _, r := range all {
+		for j := range r.Cells {
+			v := &r.Cells[j].Value
+			*v = append(*v, '#')[:len(*v)]
+		}
+	}
+	m.checkRows("Scan(all) after appending to its values", all, m.expect("", ""))
 	ranged, err := m.tb.Scan(start, end)
 	if err != nil {
 		m.t.Fatal(err)
@@ -564,11 +586,17 @@ func runHistory(t testing.TB, shape historyShape, src *choices) historyTally {
 		switch op {
 		case 0:
 			val := fmt.Sprintf("v%d", step)
+			buf := []byte(val)
 			m.freezeDraw = len(m.tb.wal)+1 >= m.tb.cfg.FlushThreshold
-			if m.outcome(m.tb.Put(id.row, id.family, id.qualifier, []byte(val))) {
+			if m.outcome(m.tb.Put(id.row, id.family, id.qualifier, buf)) {
 				m.model[id] = val
 			}
 			m.freezeDraw = false
+			// The table holds its own copy: scribbling on the caller's
+			// buffer reaches no stored value.
+			for i := range buf {
+				buf[i] = '#'
+			}
 		case 1:
 			m.freezeDraw = len(m.tb.wal)+1 >= m.tb.cfg.FlushThreshold
 			if m.outcome(m.tb.Delete(id.row, id.family, id.qualifier)) {

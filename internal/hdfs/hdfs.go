@@ -62,10 +62,17 @@ func (n *dataNode) drop(bid BlockID) {
 	delete(n.blocks, bid)
 }
 
+// blockMeta is a block's entry in Cluster.blocks, held in the map by value.
+// replicas lists the ids of the datanodes registered as holding the block,
+// at most Replication of them, in the order they were registered; its
+// backing array is allocated once, at placement, with room for all of them.
 type blockMeta struct {
-	replicas map[string]struct{} // datanode ids
+	replicas []string
 }
 
+func (m blockMeta) has(id string) bool { return slices.Contains(m.replicas, id) }
+
+// fileMeta is a file's entry in Cluster.files, held in the map by value.
 type fileMeta struct {
 	blocks []BlockID
 	size   int
@@ -84,8 +91,8 @@ type Cluster struct {
 	rng       *rand.Rand
 	nextBlock BlockID
 	nodes     map[string]*dataNode
-	files     map[string]*fileMeta
-	blocks    map[BlockID]*blockMeta
+	files     map[string]fileMeta
+	blocks    map[BlockID]blockMeta
 	hook      FaultHook
 	counters  Counters
 
@@ -130,8 +137,8 @@ func NewCluster(cfg Config, rng *rand.Rand) *Cluster {
 		cfg:       cfg,
 		rng:       rng,
 		nodes:     make(map[string]*dataNode),
-		files:     make(map[string]*fileMeta),
-		blocks:    make(map[BlockID]*blockMeta),
+		files:     make(map[string]fileMeta),
+		blocks:    make(map[BlockID]blockMeta),
 		placement: (*Cluster).liveNodes,
 	}
 }
@@ -167,30 +174,36 @@ func (c *Cluster) faultLocked(op, node string) error {
 	return c.hook(op, node)
 }
 
-// register records node id as a holder of a block in c.blocks.
-func (c *Cluster) register(meta *blockMeta, id string) {
+// register records node id as a holder of block bid, which is in c.blocks
+// with fewer than Replication holders.
+func (c *Cluster) register(bid BlockID, id string) {
+	meta := c.blocks[bid]
 	if len(meta.replicas) == 0 {
 		c.lost--
 	}
-	meta.replicas[id] = struct{}{}
+	meta.replicas = append(meta.replicas, id)
 	if len(meta.replicas) == c.cfg.Replication {
 		c.under--
 	}
+	c.blocks[bid] = meta
 }
 
-// deregister removes node id, if it is one, from the holders of a block in
-// c.blocks.
-func (c *Cluster) deregister(meta *blockMeta, id string) {
-	if _, has := meta.replicas[id]; !has {
+// deregister removes node id, if it is one, from the holders of block bid,
+// if it is in c.blocks.
+func (c *Cluster) deregister(bid BlockID, id string) {
+	meta, ok := c.blocks[bid]
+	i := slices.Index(meta.replicas, id)
+	if !ok || i < 0 {
 		return
 	}
 	if len(meta.replicas) == c.cfg.Replication {
 		c.under++
 	}
-	delete(meta.replicas, id)
+	meta.replicas = slices.Delete(meta.replicas, i, i+1)
 	if len(meta.replicas) == 0 {
 		c.lost++
 	}
+	c.blocks[bid] = meta
 }
 
 // AddDataNode registers a datanode.
@@ -246,7 +259,7 @@ func (c *Cluster) Write(path string, data []byte) error {
 	if nBlocks == 0 {
 		nBlocks = 1 // empty file still gets one empty block for uniformity
 	}
-	f := &fileMeta{size: len(data)}
+	f := fileMeta{blocks: make([]BlockID, 0, nBlocks), size: len(data)}
 	for i := 0; i < nBlocks; i++ {
 		lo := i * c.cfg.BlockSize
 		hi := lo + c.cfg.BlockSize
@@ -278,7 +291,7 @@ func (c *Cluster) placeBlock(chunk []byte) (BlockID, error) {
 	}
 	bid := c.nextBlock
 	c.nextBlock++
-	meta := &blockMeta{replicas: make(map[string]struct{}, c.cfg.Replication)}
+	meta := blockMeta{replicas: make([]string, 0, c.cfg.Replication)}
 	var lastFault error
 	buf := bytes.Clone(chunk) // the one copy every replica of the block shares
 	for _, n := range targets {
@@ -293,11 +306,11 @@ func (c *Cluster) placeBlock(chunk []byte) (BlockID, error) {
 			continue
 		}
 		n.put(bid, buf)
-		meta.replicas[n.id] = struct{}{}
+		meta.replicas = append(meta.replicas, n.id)
 	}
 	if len(meta.replicas) < c.cfg.Replication {
 		// Undo partial placements; the caller retries the whole block.
-		for nid := range meta.replicas {
+		for _, nid := range meta.replicas {
 			c.nodes[nid].drop(bid)
 		}
 		if lastFault != nil {
@@ -316,7 +329,7 @@ func (c *Cluster) dropBlock(bid BlockID) {
 	if !ok {
 		return
 	}
-	for nid := range meta.replicas {
+	for _, nid := range meta.replicas {
 		if n, ok := c.nodes[nid]; ok {
 			n.drop(bid)
 		}
@@ -350,7 +363,7 @@ func (c *Cluster) Read(path string) ([]byte, error) {
 		// map order would read (and blame an injected fault on) a
 		// different datanode on each run of the same seed.
 		for _, n := range c.byID {
-			if _, has := meta.replicas[n.id]; !has || !n.alive {
+			if !n.alive || !meta.has(n.id) {
 				continue
 			}
 			// A faulted replica read fails over to the next replica.
@@ -441,9 +454,7 @@ func (c *Cluster) FailDataNode(id string) error {
 	for bid := range n.blocks {
 		// A copy of a block whose file was deleted while the node was down
 		// (the node failing twice with no revive between) has no entry.
-		if meta, ok := c.blocks[bid]; ok {
-			c.deregister(meta, id)
-		}
+		c.deregister(bid, id)
 	}
 	// The node keeps its block data: a failed machine is unreachable, not
 	// wiped. ReviveDataNode reconciles the surviving copies via a block
@@ -472,7 +483,7 @@ func (c *Cluster) ReviveDataNode(id string) (restored int, err error) {
 			n.drop(bid)
 			continue
 		}
-		if _, has := meta.replicas[id]; has {
+		if meta.has(id) {
 			continue
 		}
 		if len(meta.replicas) >= c.cfg.Replication {
@@ -481,7 +492,7 @@ func (c *Cluster) ReviveDataNode(id string) (restored int, err error) {
 			n.drop(bid)
 			continue
 		}
-		c.register(meta, id)
+		c.register(bid, id)
 		restored++
 	}
 	return restored, nil
@@ -508,14 +519,14 @@ func (c *Cluster) ReplicateMissing() (created int, err error) {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, bid := range ids {
-		meta := c.blocks[bid]
-		if len(meta.replicas) == 0 {
+		if len(c.blocks[bid].replicas) == 0 {
 			return created, fmt.Errorf("%w: block %d", ErrDataLoss, bid)
 		}
-		for len(meta.replicas) < c.cfg.Replication {
-			// Source: any live replica holder.
+		for meta := c.blocks[bid]; len(meta.replicas) < c.cfg.Replication; meta = c.blocks[bid] {
+			// Source: the first live replica holder (every replica shares
+			// the block's bytes).
 			var src *dataNode
-			for nid := range meta.replicas {
+			for _, nid := range meta.replicas {
 				if n := c.nodes[nid]; n != nil && n.alive {
 					src = n
 					break
@@ -528,7 +539,7 @@ func (c *Cluster) ReplicateMissing() (created int, err error) {
 			// replica write does not fault.
 			var target *dataNode
 			for _, n := range c.placement(c) {
-				if _, has := meta.replicas[n.id]; has {
+				if meta.has(n.id) {
 					continue
 				}
 				if c.faultLocked("replicate", n.id) != nil {
@@ -544,7 +555,7 @@ func (c *Cluster) ReplicateMissing() (created int, err error) {
 				break
 			}
 			target.put(bid, src.blocks[bid])
-			c.register(meta, target.id)
+			c.register(bid, target.id)
 			created++
 			c.counters.ReplicasCreated++
 		}

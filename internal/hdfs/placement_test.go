@@ -35,7 +35,7 @@ func placements(c *Cluster) map[BlockID][]string {
 	out := make(map[BlockID][]string, len(c.blocks))
 	for bid, meta := range c.blocks {
 		ids := make([]string, 0, len(meta.replicas))
-		for id := range meta.replicas {
+		for _, id := range meta.replicas {
 			ids = append(ids, id)
 		}
 		sort.Strings(ids)

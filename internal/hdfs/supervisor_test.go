@@ -16,7 +16,7 @@ func replicaCount(t *testing.T, c *Cluster) (registered, physical int) {
 	defer c.mu.Unlock()
 	for bid, meta := range c.blocks {
 		registered += len(meta.replicas)
-		for nid := range meta.replicas {
+		for _, nid := range meta.replicas {
 			n := c.nodes[nid]
 			if n == nil {
 				t.Fatalf("block %d registered on unknown node %s", bid, nid)
@@ -120,7 +120,7 @@ func TestReviveDiscardsDeletedBlocks(t *testing.T) {
 	c.mu.Lock()
 	var holder string
 	for _, meta := range c.blocks {
-		for nid := range meta.replicas {
+		for _, nid := range meta.replicas {
 			holder = nid
 		}
 	}
@@ -272,7 +272,7 @@ func TestFaultHookOnDataNodeIO(t *testing.T) {
 	c.mu.Lock()
 	var holders []string
 	for _, meta := range c.blocks {
-		for nid := range meta.replicas {
+		for _, nid := range meta.replicas {
 			holders = append(holders, nid)
 		}
 	}

@@ -17,25 +17,30 @@ var ErrNoTrace = errors.New("telemetry: trace not found")
 // it finishes, to the observer SetObserver registers, whether or not its
 // trace is still in the ring.
 //
-// Spans are carved from chunks the tracer owns rather than allocated one by
-// one, and a trace keeps its first few span pointers in an inline array, so
-// the common few-span trace costs one allocation (the trace) instead of one
-// per span plus the slice growth behind them.
+// Spans and traces are carved from chunks the tracer owns rather than
+// allocated one by one, and a trace keeps its first few span pointers in an
+// inline array, so the common few-span trace allocates nothing of its own:
+// one chunk allocation of each kind serves many traces.
 type Tracer struct {
 	now func() time.Time
 	cap int
 
-	mu       sync.Mutex
-	traces   map[string]*trace
-	order    []*trace // retained traces, oldest first: the eviction ring
-	slab     []Span   // the unused tail of the chunk the next span is carved from
-	observer func(root string, s, parent *Span, durationMs float64)
+	mu        sync.Mutex
+	traces    map[string]*trace
+	order     []*trace // retained traces, oldest first: the eviction ring
+	slab      []Span   // the unused tail of the chunk the next span is carved from
+	traceSlab []trace  // the unused tail of the chunk the next trace is carved from
+	observer  func(root string, s, parent *Span, durationMs float64)
 }
 
-// spanChunk is how many spans one slab allocation holds. A chunk stays live
-// while any of its spans is referenced, so it is kept near the ring's
-// working set: 128 traces of about 5 spans span ten chunks.
-const spanChunk = 64
+// spanChunk is how many spans one slab allocation holds, and traceChunk how
+// many traces. A chunk stays live while any of its spans or traces is
+// referenced, so both are kept near the ring's working set: 128 traces of
+// about 5 spans span ten span chunks and four trace chunks.
+const (
+	spanChunk  = 64
+	traceChunk = 32
+)
 
 // inlineSpans is how many span pointers a trace holds before its span list
 // moves to the heap; a frame's trace has 5.
@@ -89,7 +94,12 @@ func (t *Tracer) Start(id, name string) *Span {
 
 // startLocked opens a trace under id with a root span beginning now.
 func (t *Tracer) startLocked(id, name, tier string) *Span {
-	tr := &trace{id: id, name: name}
+	if len(t.traceSlab) == 0 {
+		t.traceSlab = make([]trace, traceChunk)
+	}
+	tr := &t.traceSlab[0]
+	t.traceSlab = t.traceSlab[1:]
+	*tr = trace{id: id, name: name}
 	tr.spans = tr.inline[:0]
 	t.insertLocked(tr)
 	return t.spanLocked(tr, nil, name, tier)
@@ -130,16 +140,24 @@ func (t *Tracer) insertLocked(tr *trace) {
 				break
 			}
 		}
-		clear(old.spans)
+		old.drop()
 	}
 	t.order = append(t.order, tr)
 	t.traces[tr.id] = tr
 	for len(t.order) > t.cap {
 		old := t.order[0]
 		delete(t.traces, old.id)
-		clear(old.spans)
+		old.drop()
 		t.order = t.order[1:]
 	}
+}
+
+// drop clears a trace's span pointers as it leaves the ring, the inline
+// ones too once its list has moved to the heap: the trace's chunk outlives
+// it, and must not pin the span chunks it pointed at.
+func (tr *trace) drop() {
+	clear(tr.spans)
+	clear(tr.inline[:])
 }
 
 // Child opens a sub-span under s on the given tier ("" for none).

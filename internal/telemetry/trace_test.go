@@ -126,9 +126,11 @@ func TestUnfinishedSpanMeasuredToNow(t *testing.T) {
 }
 
 // TestKeptSpanPinsOnlyItsChunk: a span a caller keeps must not keep every
-// span allocated after it. Spans share chunks, and a trace points at its
-// spans, so a trace leaving the ring has to drop those pointers or one kept
-// span pins a chain of chunks through the traces that straddle them.
+// span allocated after it. Spans and traces share chunks, and a trace points
+// at its spans, so a trace leaving the ring has to drop those pointers or
+// one kept span pins a chain of chunks through the traces that straddle
+// them. Traces of eight spans keep their first six pointers in the inline
+// array after the list moved to the heap, which must be dropped too.
 func TestKeptSpanPinsOnlyItsChunk(t *testing.T) {
 	heap := func() int64 {
 		runtime.GC()
@@ -136,29 +138,32 @@ func TestKeptSpanPinsOnlyItsChunk(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return int64(ms.HeapAlloc)
 	}
-	tr := NewTracer(nil, 8)
-	kept := tr.Start("kept", "ingest")
-	kept.Child("stage", "")
-	before := heap()
-	// Five-span traces, six where five would end on a chunk boundary, so
-	// every boundary falls inside a trace and the chain cannot break.
-	for i, made := 0, 2; i < 20000; i++ {
-		n := 5
-		if (made+n)%spanChunk == 0 {
-			n++
+	for _, spans := range []int{5, 8} {
+		tr := NewTracer(nil, 8)
+		kept := tr.Start("kept", "ingest")
+		kept.Child("stage", "")
+		before := heap()
+		// One span more where a trace would end on a chunk boundary, so
+		// every boundary falls inside a trace and the chain cannot break.
+		for i, made := 0, 2; i < 100000/spans; i++ {
+			n := spans
+			if (made+n)%spanChunk == 0 {
+				n++
+			}
+			made += n
+			root := tr.Start(strconv.Itoa(i), "ingest")
+			for c := 1; c < n; c++ {
+				root.Child("stage", "").End()
+			}
+			root.End()
 		}
-		made += n
-		root := tr.Start(strconv.Itoa(i), "ingest")
-		for c := 1; c < n; c++ {
-			root.Child("stage", "").End()
+		grown := heap() - before
+		runtime.KeepAlive(kept)
+		// The 100 000-odd spans made are about 12 MB; the ring holds 40–70
+		// of them.
+		if grown > 1<<20 {
+			t.Fatalf("%d-span traces: heap grew %d B after the kept span's trace left the ring", spans, grown)
 		}
-		root.End()
-	}
-	grown := heap() - before
-	runtime.KeepAlive(kept)
-	// The 100 000-odd spans made are about 12 MB; the ring holds 40 of them.
-	if grown > 1<<20 {
-		t.Fatalf("heap grew %d B after the kept span's trace left the ring", grown)
 	}
 }
 
