@@ -84,10 +84,27 @@ func E1EndToEnd(rng *rand.Rand) (*Result, error) {
 	}
 
 	layers := viz.NewTable("Fig. 1 layer inventory", "layer", "component")
+	var listed []string
 	for _, l := range inf.Inventory() {
+		listed = append(listed, l.Layer)
 		for _, c := range l.Components {
 			layers.AddRow(l.Layer, c)
 		}
+	}
+	if got := strings.Join(listed, " "); got != "data hardware software application" {
+		return nil, fmt.Errorf("E1: the inventory lists layers [%s], want [data hardware software application]", got)
+	}
+	for _, f := range []struct {
+		source string
+		st     core.PipelineStats
+	}{{"tweets", tStats}, {"waze", wStats}, {"911", nStats}} {
+		if f.st.Stored != f.st.Collected || f.st.Dropped != 0 || f.st.DeadLettered != 0 {
+			return nil, fmt.Errorf("E1: %s collected %d, stored %d, dropped %d, dead-lettered %d: want every record stored",
+				f.source, f.st.Collected, f.st.Stored, f.st.Dropped, f.st.DeadLettered)
+		}
+	}
+	if cStats.Collected != 300 || imp.Rows != 500 {
+		return nil, fmt.Errorf("E1: %d crimes collected and %d legacy rows imported, want 300 and 500", cStats.Collected, imp.Rows)
 	}
 	flows := viz.NewTable("Fig. 4 data flows", "source", "collected", "streamed", "stored")
 	flows.AddRow("tweets", tStats.Collected, tStats.Streamed, tStats.Stored)
@@ -109,11 +126,19 @@ func E2CameraNetwork(rng *rand.Rand) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	if len(cams) < 200 {
+		return nil, fmt.Errorf("E2: %d cameras, want at least 200", len(cams))
+	}
 	byCity := make(map[string]int)
 	byCorridor := make(map[string]int)
 	for _, c := range cams {
 		byCity[c.CityNear]++
 		byCorridor[c.Corridor]++
+	}
+	for _, city := range citydata.Cities() {
+		if byCity[city.Name] == 0 {
+			return nil, fmt.Errorf("E2: no camera is nearest to %s, want each of the nine cities covered", city.Name)
+		}
 	}
 	cities := viz.NewTable("cameras per nearest city", "city", "cameras")
 	for _, city := range sortedKeys(byCity) {
@@ -136,6 +161,9 @@ func E2CameraNetwork(rng *rand.Rand) (*Result, error) {
 	}
 	br := geo.Point{Lat: 30.4515, Lon: -91.1871}
 	near := idx.QueryRadius(br, 30)
+	if len(near) == 0 {
+		return nil, fmt.Errorf("E2: no camera within 30 km of Baton Rouge, want the Fig. 2 inset covered")
+	}
 
 	// ASCII rendition of the Fig. 2 map (north up).
 	box := citydata.LouisianaBBox()

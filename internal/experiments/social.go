@@ -28,9 +28,9 @@ func E9AssociateExpansion(rng *rand.Rand) (*Result, error) {
 		}
 		groups[grp] = true
 	}
-	if len(groups) != 67 || g.NumNodes() != 982 || math.Abs(first-14) > 1 {
-		return nil, fmt.Errorf("E9: %d groups, %d members, %.4g mean first-degree associates: want 67, 982 and 14 ± 1",
-			len(groups), g.NumNodes(), first)
+	if len(groups) != 67 || g.NumNodes() != 982 || math.Abs(first-14) > 1 || math.Abs(second-200) > 50 {
+		return nil, fmt.Errorf("E9: %d groups, %d members, %.4g mean first-degree and %.4g mean second-degree associates: want 67, 982, 14 ± 1 and 200 ± 25 %%",
+			len(groups), g.NumNodes(), first, second)
 	}
 
 	tb := viz.NewTable("gang network statistics vs paper", "metric", "paper", "measured")
